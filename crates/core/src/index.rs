@@ -128,6 +128,13 @@ impl quackdb::TableIndex for TRTreeIndex {
         self.0.append_values(values, first_row)
     }
     fn try_scan(&self, op: &str, constant: &Value) -> SqlResult<Option<Vec<u64>>> {
+        // quackdb serves index hits without re-checking them, so answer
+        // only `&&`, where box overlap is the predicate itself; `@>` and
+        // `<@` decline and run as a filtered scan (the row engine's GIST
+        // re-checks its candidates and answers all three).
+        if op != "&&" {
+            return Ok(None);
+        }
         self.0.scan(op, constant)
     }
     fn len(&self) -> usize {

@@ -128,11 +128,23 @@ impl<'a> Reader<'a> {
         Ok(Point { x, y })
     }
 
-    fn points(&mut self, le: bool) -> GeoResult<Vec<Point>> {
+    /// Read an element count and reject it unless `n` elements of at
+    /// least `min_bytes` each fit in the bytes still unread. Counts come
+    /// from untrusted input; bounding them here keeps every
+    /// `Vec::with_capacity(n)` below proportional to the input size.
+    fn count(&mut self, le: bool, min_bytes: usize, what: &str) -> GeoResult<usize> {
         let n = self.u32(le)? as usize;
-        if n > self.bytes.len() / 16 + 1 {
-            return Err(GeoError::ParseWkb(format!("implausible point count {n}")));
+        let remaining = self.bytes.len().saturating_sub(self.pos);
+        if n.saturating_mul(min_bytes) > remaining {
+            return Err(GeoError::ParseWkb(format!(
+                "implausible {what} count {n} with {remaining} bytes left"
+            )));
         }
+        Ok(n)
+    }
+
+    fn points(&mut self, le: bool) -> GeoResult<Vec<Point>> {
+        let n = self.count(le, 16, "point")?;
         let mut ps = Vec::with_capacity(n);
         for _ in 0..n {
             ps.push(self.point(le)?);
@@ -140,6 +152,9 @@ impl<'a> Reader<'a> {
         Ok(ps)
     }
 }
+
+/// The smallest WKB geometry: byte order, type code and an empty count.
+const MIN_MEMBER_BYTES: usize = 9;
 
 fn read_geom(r: &mut Reader<'_>, inherited_srid: i32) -> GeoResult<Geometry> {
     let le = match r.u8()? {
@@ -161,7 +176,7 @@ fn read_geom(r: &mut Reader<'_>, inherited_srid: i32) -> GeoResult<Geometry> {
         1 => GeomData::Point(r.point(le)?),
         2 => GeomData::LineString(r.points(le)?),
         3 => {
-            let n = r.u32(le)? as usize;
+            let n = r.count(le, 4, "ring")?;
             let mut rings = Vec::with_capacity(n);
             for _ in 0..n {
                 rings.push(r.points(le)?);
@@ -169,7 +184,7 @@ fn read_geom(r: &mut Reader<'_>, inherited_srid: i32) -> GeoResult<Geometry> {
             GeomData::Polygon(rings)
         }
         4 => {
-            let n = r.u32(le)? as usize;
+            let n = r.count(le, MIN_MEMBER_BYTES, "multipoint member")?;
             let mut ps = Vec::with_capacity(n);
             for _ in 0..n {
                 let child = read_geom(r, srid)?;
@@ -181,7 +196,7 @@ fn read_geom(r: &mut Reader<'_>, inherited_srid: i32) -> GeoResult<Geometry> {
             GeomData::MultiPoint(ps)
         }
         5 => {
-            let n = r.u32(le)? as usize;
+            let n = r.count(le, MIN_MEMBER_BYTES, "multilinestring member")?;
             let mut lines = Vec::with_capacity(n);
             for _ in 0..n {
                 let child = read_geom(r, srid)?;
@@ -197,7 +212,7 @@ fn read_geom(r: &mut Reader<'_>, inherited_srid: i32) -> GeoResult<Geometry> {
             GeomData::MultiLineString(lines)
         }
         7 => {
-            let n = r.u32(le)? as usize;
+            let n = r.count(le, MIN_MEMBER_BYTES, "collection member")?;
             let mut gs = Vec::with_capacity(n);
             for _ in 0..n {
                 gs.push(read_geom(r, srid)?);
@@ -250,6 +265,19 @@ mod tests {
         let b = to_wkb(&g);
         for cut in [0, 1, 5, 9, b.len() - 1] {
             assert!(from_wkb(&b[..cut]).is_err(), "cut at {cut} should fail");
+        }
+    }
+
+    #[test]
+    fn hostile_member_counts_rejected_without_allocating() {
+        // A 9-byte header claiming u32::MAX members, for every counted
+        // type: each must fail on the count, not try to reserve it.
+        for code in [2u32, 3, 4, 5, 7] {
+            let mut b = vec![1u8];
+            b.extend_from_slice(&code.to_le_bytes());
+            b.extend_from_slice(&u32::MAX.to_le_bytes());
+            let err = from_wkb(&b).unwrap_err().to_string();
+            assert!(err.contains("implausible"), "type {code}: {err}");
         }
     }
 

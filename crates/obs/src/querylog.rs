@@ -239,6 +239,11 @@ fn push_str_field(out: &mut String, key: &str, val: &str) {
 mod tests {
     use super::*;
 
+    /// The history and the sink are process-global and the test harness
+    /// runs tests on parallel threads: every test that logs a record or
+    /// resets the history holds this lock.
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     fn record(id: u64, sql: &str) -> QueryLogRecord {
         QueryLogRecord {
             id,
@@ -270,6 +275,7 @@ mod tests {
 
     #[test]
     fn history_is_bounded_fifo() {
+        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         reset_query_log();
         for i in 0..QUERY_LOG_CAP as u64 + 5 {
             log_query(record(i, "SELECT 1"));
@@ -284,6 +290,7 @@ mod tests {
 
     #[test]
     fn sink_appends_one_line_per_record() {
+        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         let dir = std::env::temp_dir();
         let path = dir.join(format!("mduck_qlog_test_{}.jsonl", std::process::id()));
         let path_s = path.to_string_lossy().to_string();
@@ -306,6 +313,7 @@ mod tests {
 
     #[test]
     fn sink_write_failure_is_counted_not_fatal() {
+        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         // /dev/full accepts the open but fails every write with ENOSPC.
         if !std::path::Path::new("/dev/full").exists() {
             return;

@@ -7,7 +7,7 @@ use mduck_sync::RwLock;
 
 use mduck_sql::{Catalog, LogicalType, SqlError, SqlResult, Value};
 
-use crate::column::{Chunks, ColumnData, DataChunk, VECTOR_SIZE};
+use crate::column::{ColumnData, DataChunk};
 use crate::index::TableIndex;
 
 /// A base table: full columnar storage plus any attached indexes.
@@ -108,45 +108,12 @@ impl Table {
         (0..self.row_count()).map(|i| self.columns[col].get(i)).collect()
     }
 
-    /// The table as execution chunks.
-    /// Number of [`VECTOR_SIZE`] chunks a full scan of this table yields.
-    pub fn chunk_count(&self) -> usize {
-        self.row_count().div_ceil(VECTOR_SIZE)
-    }
-
-    /// Materialize the `i`-th scan chunk (rows `i*VECTOR_SIZE ..`). The
-    /// unit of work a morsel worker claims during a parallel scan.
-    pub fn chunk_at(&self, i: usize) -> DataChunk {
-        let n = self.row_count();
-        let start = i * VECTOR_SIZE;
-        let len = VECTOR_SIZE.min(n.saturating_sub(start));
-        let mut cols = Vec::with_capacity(self.columns.len());
-        for c in &self.columns {
-            let mut nc = ColumnData::new(&c.ty);
-            nc.extend_from(c, start, len);
-            cols.push(nc);
-        }
-        DataChunk::from_columns(cols)
-    }
-
-    pub fn scan_chunks(&self) -> Chunks {
-        let mut out = Chunks::default();
-        for i in 0..self.chunk_count() {
-            out.chunks.push(self.chunk_at(i));
-        }
-        out
-    }
-
-    /// Gather specific row ids (index scan result path).
-    pub fn gather_rows(&self, row_ids: &[u64]) -> Chunks {
-        let sel: Vec<usize> = row_ids.iter().map(|&r| r as usize).collect();
-        let mut out = Chunks::default();
-        for chunk_sel in sel.chunks(VECTOR_SIZE) {
-            let cols: Vec<ColumnData> =
-                self.columns.iter().map(|c| c.gather(chunk_sel)).collect();
-            out.chunks.push(DataChunk::from_columns(cols));
-        }
-        out
+    /// Gather specific rows of every column into one chunk: the
+    /// late-materialization step of every scan that drops rows (filter
+    /// survivors, index candidates). Callers pass at most
+    /// [`VECTOR_SIZE`](crate::column::VECTOR_SIZE) rows.
+    pub fn gather_rows(&self, rows: &[usize]) -> DataChunk {
+        DataChunk::from_columns(self.columns.iter().map(|c| c.gather(rows)).collect())
     }
 
     pub fn row(&self, i: usize) -> Vec<Value> {

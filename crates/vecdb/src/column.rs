@@ -32,6 +32,25 @@ pub enum Payload {
     List(Vec<Option<Arc<Vec<Value>>>>),
 }
 
+/// Build a new [`Payload`] of the same variant from each variant's
+/// vector: `map_payload!(&payload, |v| expr)` with `v: &Vec<T>`.
+macro_rules! map_payload {
+    ($payload:expr, |$v:ident| $body:expr) => {
+        match $payload {
+            Payload::Bool($v) => Payload::Bool($body),
+            Payload::Int($v) => Payload::Int($body),
+            Payload::Float($v) => Payload::Float($body),
+            Payload::Text($v) => Payload::Text($body),
+            Payload::Blob($v) => Payload::Blob($body),
+            Payload::Timestamp($v) => Payload::Timestamp($body),
+            Payload::Date($v) => Payload::Date($body),
+            Payload::Interval($v) => Payload::Interval($body),
+            Payload::Ext($v) => Payload::Ext($body),
+            Payload::List($v) => Payload::List($body),
+        }
+    };
+}
+
 impl ColumnData {
     /// An empty column of the given logical type.
     pub fn new(ty: &LogicalType) -> Self {
@@ -184,32 +203,15 @@ impl ColumnData {
         }
     }
 
-    /// Gather the rows selected by `sel` into a new column.
+    /// Gather the rows selected by `sel` into a new column: one typed
+    /// loop per payload, no [`Value`] boxing. Invalid slots carry their
+    /// stored default payload along.
     pub fn gather(&self, sel: &[usize]) -> ColumnData {
-        let mut out = ColumnData::new(&self.ty);
-        out.validity.reserve(sel.len());
-        for &i in sel {
-            // Typed fast paths avoid Value boxing.
-            if !self.validity[i] {
-                out.push_null();
-                continue;
-            }
-            match (&self.payload, &mut out.payload) {
-                (Payload::Bool(a), Payload::Bool(b)) => b.push(a[i]),
-                (Payload::Int(a), Payload::Int(b)) => b.push(a[i]),
-                (Payload::Float(a), Payload::Float(b)) => b.push(a[i]),
-                (Payload::Text(a), Payload::Text(b)) => b.push(a[i].clone()),
-                (Payload::Blob(a), Payload::Blob(b)) => b.push(a[i].clone()),
-                (Payload::Timestamp(a), Payload::Timestamp(b)) => b.push(a[i]),
-                (Payload::Date(a), Payload::Date(b)) => b.push(a[i]),
-                (Payload::Interval(a), Payload::Interval(b)) => b.push(a[i]),
-                (Payload::Ext(a), Payload::Ext(b)) => b.push(a[i].clone()),
-                (Payload::List(a), Payload::List(b)) => b.push(a[i].clone()),
-                _ => unreachable!("same column type"),
-            }
-            out.validity.push(true);
+        fn pick<T: Clone>(p: &[T], sel: &[usize]) -> Vec<T> {
+            sel.iter().map(|&i| p[i].clone()).collect()
         }
-        out
+        let payload = map_payload!(&self.payload, |p| pick(p, sel));
+        ColumnData { ty: self.ty.clone(), validity: pick(&self.validity, sel), payload }
     }
 
     /// Approximate bytes this column occupies, for per-query memory
@@ -242,14 +244,42 @@ impl ColumnData {
         }
     }
 
-    /// Append a slice of another column of the same type.
-    pub fn extend_from(&mut self, other: &ColumnData, start: usize, len: usize) {
-        for i in start..start + len {
-            if !other.validity[i] {
-                self.push_null();
-            } else {
-                self.push(&other.get(i)).expect("same type");
+    /// Append rows `start..start + len` of another column. Same-typed
+    /// payloads are copied as slices (`extend_from_slice`: a memcpy for
+    /// fixed-width payloads, `Arc` clones for var-width ones); a payload
+    /// of another type goes through [`ColumnData::push`] and its implicit
+    /// coercions.
+    pub fn extend_from(&mut self, other: &ColumnData, start: usize, len: usize) -> SqlResult<()> {
+        let r = start..start + len;
+        match (&mut self.payload, &other.payload) {
+            (Payload::Bool(a), Payload::Bool(b)) => a.extend_from_slice(&b[r.clone()]),
+            (Payload::Int(a), Payload::Int(b)) => a.extend_from_slice(&b[r.clone()]),
+            (Payload::Float(a), Payload::Float(b)) => a.extend_from_slice(&b[r.clone()]),
+            (Payload::Text(a), Payload::Text(b)) => a.extend_from_slice(&b[r.clone()]),
+            (Payload::Blob(a), Payload::Blob(b)) => a.extend_from_slice(&b[r.clone()]),
+            (Payload::Timestamp(a), Payload::Timestamp(b)) => a.extend_from_slice(&b[r.clone()]),
+            (Payload::Date(a), Payload::Date(b)) => a.extend_from_slice(&b[r.clone()]),
+            (Payload::Interval(a), Payload::Interval(b)) => a.extend_from_slice(&b[r.clone()]),
+            (Payload::Ext(a), Payload::Ext(b)) => a.extend_from_slice(&b[r.clone()]),
+            (Payload::List(a), Payload::List(b)) => a.extend_from_slice(&b[r.clone()]),
+            _ => {
+                for i in r {
+                    self.push(&other.get(i))?;
+                }
+                return Ok(());
             }
+        }
+        self.validity.extend_from_slice(&other.validity[r]);
+        Ok(())
+    }
+
+    /// Rows `start..start + len` as a new column of the same type.
+    pub fn slice(&self, start: usize, len: usize) -> ColumnData {
+        let r = start..start + len;
+        ColumnData {
+            ty: self.ty.clone(),
+            validity: self.validity[r.clone()].to_vec(),
+            payload: map_payload!(&self.payload, |p| p[r.clone()].to_vec()),
         }
     }
 }

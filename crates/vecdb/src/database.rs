@@ -18,7 +18,7 @@ use mduck_sql::{
 
 use crate::catalog::{DbCatalog, Table};
 use crate::column::ColumnData;
-use crate::exec::{execute_select, execute_select_planned, plan_joins, plan_key, EngineCtx};
+use crate::exec::{execute_select, execute_select_planned, plan_key, plan_tree, EngineCtx};
 use crate::explain::{
     op_breakdown, render_plan, render_plan_analyzed, stage_breakdown, AnalyzeData, OpBreakdown,
     StageBreakdown,
@@ -593,31 +593,17 @@ impl Database {
                 let ctx = EngineCtx::new(&self.catalog, &registry, guard)
                     .with_threads(self.effective_threads())
                     .with_progress(progress);
-                let rows = if plan.from.is_empty() {
-                    let _s = mduck_obs::span("vecdb.exec");
-                    let exec_start = Instant::now();
-                    let rows = execute_select(&ctx, &plan, &OuterStack::EMPTY)?;
-                    m.vecdb_exec_ns.observe(exec_start.elapsed().as_nanos() as u64);
-                    rows
-                } else {
-                    let plan_start = Instant::now();
-                    let (tree, remaining) = {
-                        let _s = mduck_obs::span("vecdb.plan");
-                        plan_joins(&ctx, &plan)?
-                    };
-                    m.vecdb_plan_ns.observe(plan_start.elapsed().as_nanos() as u64);
-                    let _s = mduck_obs::span("vecdb.exec");
-                    let exec_start = Instant::now();
-                    let rows = execute_select_planned(
-                        &ctx,
-                        &plan,
-                        &tree,
-                        &remaining,
-                        &OuterStack::EMPTY,
-                    )?;
-                    m.vecdb_exec_ns.observe(exec_start.elapsed().as_nanos() as u64);
-                    rows
+                let plan_start = Instant::now();
+                let planned = {
+                    let _s = mduck_obs::span("vecdb.plan");
+                    plan_tree(&ctx, &plan)?
                 };
+                m.vecdb_plan_ns.observe(plan_start.elapsed().as_nanos() as u64);
+                let _s = mduck_obs::span("vecdb.exec");
+                let exec_start = Instant::now();
+                let rows =
+                    execute_select_planned(&ctx, &plan, planned.as_ref(), &OuterStack::EMPTY)?;
+                m.vecdb_exec_ns.observe(exec_start.elapsed().as_nanos() as u64);
                 Ok(QueryResult { schema: plan.output_schema, rows })
             }
             Statement::Explain { statement, analyze } => {
@@ -631,8 +617,7 @@ impl Database {
                     let mut binder = Binder::new(&self.catalog, &registry);
                     let plan = binder.bind_select(sel)?;
                     let ctx = EngineCtx::new(&self.catalog, &registry, guard);
-                    let (tree, remaining) = plan_joins(&ctx, &plan)?;
-                    render_plan(&plan, &tree, &remaining)
+                    render_plan(&plan, plan_tree(&ctx, &plan)?.as_ref())
                 };
                 Ok(QueryResult {
                     schema: Schema::new(vec![mduck_sql::Field {
@@ -897,15 +882,15 @@ impl Database {
             .with_progress(progress);
         ctx.enable_profiling();
         let plan_start = Instant::now();
-        let (tree, remaining) = {
+        let planned = {
             let _s = mduck_obs::span("vecdb.plan");
-            plan_joins(&ctx, &plan)?
+            plan_tree(&ctx, &plan)?
         };
         m.vecdb_plan_ns.observe(plan_start.elapsed().as_nanos() as u64);
         let exec_start = Instant::now();
         let rows = {
             let _s = mduck_obs::span("vecdb.exec");
-            execute_select_planned(&ctx, &plan, &tree, &remaining, &OuterStack::EMPTY)?
+            execute_select_planned(&ctx, &plan, planned.as_ref(), &OuterStack::EMPTY)?
         };
         let exec_elapsed = exec_start.elapsed();
         m.vecdb_exec_ns.observe(exec_elapsed.as_nanos() as u64);
@@ -920,8 +905,8 @@ impl Database {
             total_ms,
             result_rows: rows.len(),
         };
-        let explain = render_plan_analyzed(&plan, &tree, &remaining, &analyze);
-        let operators = op_breakdown(&tree, profile);
+        let explain = render_plan_analyzed(&plan, planned.as_ref(), &analyze);
+        let operators = planned.as_ref().map(|(t, _)| op_breakdown(t, profile)).unwrap_or_default();
         let stages = stage_breakdown(plan_key(&plan), profile);
         Ok(ProfiledQuery {
             result: QueryResult { schema: plan.output_schema.clone(), rows },

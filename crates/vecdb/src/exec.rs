@@ -1,10 +1,12 @@
 //! Physical planning and vectorized execution of bound SELECT plans.
 //!
 //! The planner mirrors DuckDB's behaviour the paper relies on:
-//! single-relation predicates are pushed below joins, equality conjuncts
-//! become hash joins, and — the §4.3 mechanism — a filter of the shape
-//! `column && constant` over an indexed column is replaced by an index
-//! scan on the registered TRTREE index.
+//! single-relation predicates are pushed below joins and fused into the
+//! base-table scan (evaluated on the stored columns, surviving rows
+//! materialized late), equality conjuncts become hash joins, and — the
+//! §4.3 mechanism — a filter of the shape `column && constant` over an
+//! indexed column is replaced by an index scan on the registered TRTREE
+//! index.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -18,7 +20,7 @@ use mduck_sql::{
     SortKey, SqlError, SqlResult, Value,
 };
 
-use crate::catalog::DbCatalog;
+use crate::catalog::{DbCatalog, Table};
 use crate::column::{Chunks, ColumnData, DataChunk, VECTOR_SIZE};
 use crate::expr::{eval_vector, filter_chunk};
 use crate::parallel::{contiguous_ranges, morsel_map, ParStats, MIN_PARALLEL_MORSELS};
@@ -241,22 +243,65 @@ impl SubqueryExec for PlanExecutor<'_, '_> {
 
 // ------------------------------------------------------------ physical plan
 
+/// Conjuncts fused into a base-table scan, over the table's columns.
+///
+/// They run in written order, each on the rows that passed the ones
+/// before it — a later conjunct never sees (and never errors on) a row an
+/// earlier one dropped. Each conjunct reads only its own columns: the scan
+/// copies those, for the current survivors, into a small predicate chunk
+/// and evaluates the conjunct there.
+#[derive(Debug, Clone, Default)]
+pub struct ScanFilters {
+    /// The conjuncts as written (table column numbering).
+    pub conjuncts: Vec<BoundExpr>,
+    /// Per conjunct: the table columns it reads (ascending), and the
+    /// conjunct rewritten so predicate-chunk column `i` is table column
+    /// `columns[i]`.
+    dense: Vec<(Vec<usize>, BoundExpr)>,
+}
+
+impl ScanFilters {
+    pub fn new(conjuncts: Vec<BoundExpr>) -> Self {
+        let dense = conjuncts
+            .iter()
+            .map(|c| {
+                let mut columns = Vec::new();
+                c.collect_columns(&mut columns);
+                columns.sort_unstable();
+                columns.dedup();
+                let dense = map_columns(c, &|i| columns.partition_point(|&x| x < i));
+                (columns, dense)
+            })
+            .collect();
+        ScanFilters { conjuncts, dense }
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.conjuncts.is_empty()
+    }
+}
+
 /// The join/scan tree (everything above it — aggregation, projection,
 /// ordering — is driven directly from the [`BoundSelect`]).
 #[derive(Debug, Clone)]
 pub enum PhysOp {
+    /// Full scan of a base table with its pushed-down conjuncts fused in.
     SeqScan {
         table: String,
+        filters: ScanFilters,
     },
     /// §4.3 index-scan injection: `column <op> constant` answered by the
-    /// index named; `fallback` re-applies the original predicate if the
-    /// index declines at run time.
+    /// index named, then the relation's other conjuncts (`filters`) over
+    /// the candidates. When the index declines at run time the table is
+    /// scanned with `fallback`: the indexed predicate followed by
+    /// `filters`.
     IndexScan {
         table: String,
         index: String,
         op: String,
         constant: Value,
-        fallback: BoundExpr,
+        filters: ScanFilters,
+        fallback: ScanFilters,
     },
     CteScan {
         index: usize,
@@ -281,6 +326,8 @@ pub enum PhysOp {
     QueryLogScan {
         types: Vec<LogicalType>,
     },
+    /// A predicate over a join result or a non-table relation (base
+    /// tables fuse theirs into the scan).
     Filter {
         pred: BoundExpr,
         child: Box<PhysOp>,
@@ -322,10 +369,9 @@ pub fn plan_joins(ctx: &EngineCtx<'_>, plan: &BoundSelect) -> SqlResult<(PhysOp,
     let mut relations: Vec<PhysOp> = Vec::new();
     for (ri, f) in plan.from.iter().enumerate() {
         let (lo, hi) = (offsets[ri], offsets[ri] + widths[ri]);
-        let mut base = base_relation(f)?;
-        // Gather this relation's own conjuncts (no subqueries, columns all
-        // local).
-        let mut local: Vec<(usize, BoundExpr)> = Vec::new();
+        // This relation's own conjuncts, in written order (no subqueries,
+        // columns all local).
+        let mut preds = Vec::new();
         for (ci, c) in conjuncts.iter().enumerate() {
             if used[ci] || c.is_complex() {
                 continue;
@@ -333,29 +379,16 @@ pub fn plan_joins(ctx: &EngineCtx<'_>, plan: &BoundSelect) -> SqlResult<(PhysOp,
             let mut cols = Vec::new();
             c.collect_columns(&mut cols);
             if !cols.is_empty() && cols.iter().all(|&x| x >= lo && x < hi) {
-                local.push((ci, remap_columns(c, lo)));
-            }
-        }
-        // Try index-scan injection on base tables.
-        if let BoundFrom::Table { name, .. } = f {
-            let mut injected_at: Option<usize> = None;
-            for (pos, (_, c)) in local.iter().enumerate() {
-                if let Some(op) = match_index_pattern(ctx, name, c)? {
-                    base = op;
-                    injected_at = Some(pos);
-                    *ctx.used_index_scan.borrow_mut() = true;
-                    break;
-                }
-            }
-            if let Some(pos) = injected_at {
-                let (ci, _) = local.remove(pos);
                 used[ci] = true;
+                preds.push(map_columns(c, &|i| i - lo));
             }
         }
-        for (ci, c) in local {
-            used[ci] = true;
-            base = PhysOp::Filter { pred: c, child: Box::new(base) };
-        }
+        let base = match base_relation(f)? {
+            PhysOp::SeqScan { table, .. } => table_scan(ctx, table, preds)?,
+            other => preds
+                .into_iter()
+                .fold(other, |child, pred| PhysOp::Filter { pred, child: Box::new(child) }),
+        };
         relations.push(base);
     }
 
@@ -380,11 +413,11 @@ pub fn plan_joins(ctx: &EngineCtx<'_>, plan: &BoundSelect) -> SqlResult<(PhysOp,
                     |cols: &[usize]| !cols.is_empty() && cols.iter().all(|&x| x >= rlo && x < rhi);
                 if in_left(&lc) && in_right(&rc) {
                     lkeys.push((**left).clone());
-                    rkeys.push(remap_columns(right, rlo));
+                    rkeys.push(map_columns(right, &|i| i - rlo));
                     used[ci] = true;
                 } else if in_right(&lc) && in_left(&rc) {
                     lkeys.push((**right).clone());
-                    rkeys.push(remap_columns(left, rlo));
+                    rkeys.push(map_columns(left, &|i| i - rlo));
                     used[ci] = true;
                 }
             }
@@ -423,9 +456,23 @@ pub fn plan_joins(ctx: &EngineCtx<'_>, plan: &BoundSelect) -> SqlResult<(PhysOp,
     Ok((tree, remaining))
 }
 
+/// [`plan_joins`], or `None` for a FROM-less SELECT, which has no join
+/// tree.
+pub fn plan_tree(
+    ctx: &EngineCtx<'_>,
+    plan: &BoundSelect,
+) -> SqlResult<Option<(PhysOp, Vec<BoundExpr>)>> {
+    if plan.from.is_empty() {
+        return Ok(None);
+    }
+    plan_joins(ctx, plan).map(Some)
+}
+
 fn base_relation(f: &BoundFrom) -> SqlResult<PhysOp> {
     Ok(match f {
-        BoundFrom::Table { name, .. } => PhysOp::SeqScan { table: name.clone() },
+        BoundFrom::Table { name, .. } => {
+            PhysOp::SeqScan { table: name.clone(), filters: ScanFilters::default() }
+        }
         BoundFrom::Cte { index, alias, .. } => {
             PhysOp::CteScan { index: *index, name: alias.clone() }
         }
@@ -463,13 +510,38 @@ pub fn op_name(op: &PhysOp) -> &'static str {
     }
 }
 
+/// The scan of base table `table` with its local conjuncts (written
+/// order): an index scan when one conjunct matches an index, else a
+/// sequential scan with every conjunct fused in.
+fn table_scan(ctx: &EngineCtx<'_>, table: String, mut preds: Vec<BoundExpr>) -> SqlResult<PhysOp> {
+    for pos in 0..preds.len() {
+        if let Some((index, op, constant)) = match_index_pattern(ctx, &table, &preds[pos])? {
+            *ctx.used_index_scan.borrow_mut() = true;
+            let indexed = preds.remove(pos);
+            let mut fallback = Vec::with_capacity(preds.len() + 1);
+            fallback.push(indexed);
+            fallback.extend(preds.iter().cloned());
+            return Ok(PhysOp::IndexScan {
+                table,
+                index,
+                op,
+                constant,
+                filters: ScanFilters::new(preds),
+                fallback: ScanFilters::new(fallback),
+            });
+        }
+    }
+    Ok(PhysOp::SeqScan { table, filters: ScanFilters::new(preds) })
+}
+
 /// Recognize `col <op> constant` (or commuted) over an indexed column of
-/// `table`. Returns an [`PhysOp::IndexScan`] when an index is willing.
+/// `table`. Returns `(index name, operator, constant)` when an index
+/// covers the column.
 fn match_index_pattern(
     ctx: &EngineCtx<'_>,
     table: &str,
     pred: &BoundExpr,
-) -> SqlResult<Option<PhysOp>> {
+) -> SqlResult<Option<(String, String, Value)>> {
     let BoundExpr::Call { name: op, args, .. } = pred else {
         return Ok(None);
     };
@@ -486,61 +558,54 @@ fn match_index_pattern(
     };
     let t = ctx.catalog.get(table)?;
     let t = t.read();
-    for idx in &t.indexes {
-        if idx.column() == col {
-            return Ok(Some(PhysOp::IndexScan {
-                table: table.to_string(),
-                index: idx.name().to_string(),
-                op: op.clone(),
-                constant,
-                fallback: pred.clone(),
-            }));
-        }
-    }
-    Ok(None)
+    Ok(t.indexes
+        .iter()
+        .find(|idx| idx.column() == col)
+        .map(|idx| (idx.name().to_string(), op.clone(), constant)))
 }
 
-/// Rewrite column indices down by `offset` (push a predicate below a join).
-fn remap_columns(e: &BoundExpr, offset: usize) -> BoundExpr {
+/// Renumber the column references of `e` through `f` (push a predicate
+/// below a join, or onto a scan's predicate chunk).
+fn map_columns(e: &BoundExpr, f: &dyn Fn(usize) -> usize) -> BoundExpr {
     use BoundExpr::*;
     match e {
-        ColumnRef { index, ty } => ColumnRef { index: index - offset, ty: ty.clone() },
+        ColumnRef { index, ty } => ColumnRef { index: f(*index), ty: ty.clone() },
         Call { name, func, args, ty, strict } => Call {
             name: name.clone(),
             func: func.clone(),
-            args: args.iter().map(|a| remap_columns(a, offset)).collect(),
+            args: args.iter().map(|a| map_columns(a, f)).collect(),
             ty: ty.clone(),
             strict: *strict,
         },
         Compare { op, left, right } => Compare {
             op: *op,
-            left: Box::new(remap_columns(left, offset)),
-            right: Box::new(remap_columns(right, offset)),
+            left: Box::new(map_columns(left, f)),
+            right: Box::new(map_columns(right, f)),
         },
         Arith { op, left, right, ty } => Arith {
             op: *op,
-            left: Box::new(remap_columns(left, offset)),
-            right: Box::new(remap_columns(right, offset)),
+            left: Box::new(map_columns(left, f)),
+            right: Box::new(map_columns(right, f)),
             ty: ty.clone(),
         },
-        And(es) => And(es.iter().map(|x| remap_columns(x, offset)).collect()),
-        Or(es) => Or(es.iter().map(|x| remap_columns(x, offset)).collect()),
-        Not(x) => Not(Box::new(remap_columns(x, offset))),
+        And(es) => And(es.iter().map(|x| map_columns(x, f)).collect()),
+        Or(es) => Or(es.iter().map(|x| map_columns(x, f)).collect()),
+        Not(x) => Not(Box::new(map_columns(x, f))),
         IsNull { expr, negated } => {
-            IsNull { expr: Box::new(remap_columns(expr, offset)), negated: *negated }
+            IsNull { expr: Box::new(map_columns(expr, f)), negated: *negated }
         }
         InList { expr, list, negated } => InList {
-            expr: Box::new(remap_columns(expr, offset)),
-            list: list.iter().map(|x| remap_columns(x, offset)).collect(),
+            expr: Box::new(map_columns(expr, f)),
+            list: list.iter().map(|x| map_columns(x, f)).collect(),
             negated: *negated,
         },
         Case { operand, branches, else_expr, ty } => Case {
-            operand: operand.as_ref().map(|o| Box::new(remap_columns(o, offset))),
+            operand: operand.as_ref().map(|o| Box::new(map_columns(o, f))),
             branches: branches
                 .iter()
-                .map(|(c, v)| (remap_columns(c, offset), remap_columns(v, offset)))
+                .map(|(c, v)| (map_columns(c, f), map_columns(v, f)))
                 .collect(),
-            else_expr: else_expr.as_ref().map(|x| Box::new(remap_columns(x, offset))),
+            else_expr: else_expr.as_ref().map(|x| Box::new(map_columns(x, f))),
             ty: ty.clone(),
         },
         other => other.clone(),
@@ -601,56 +666,12 @@ fn run_op(
 ) -> SqlResult<Chunks> {
     let exec = PlanExecutor { ctx };
     match op {
-        PhysOp::SeqScan { table } => {
+        PhysOp::SeqScan { table, filters } => {
             let t = ctx.catalog.get(table)?;
             let t = t.read();
-            mduck_obs::metrics().full_scans.inc(1);
-            note_scanned(ctx, op, t.row_count())?;
-            let n = t.chunk_count();
-            if let Some(pr) = &ctx.progress {
-                pr.add_total(n as u64);
-            }
-            if ctx.parallel_ok(outer) && n >= MIN_PARALLEL_MORSELS {
-                // Parallel materialization: each morsel is one chunk range
-                // of the column store, claimed dynamically and reassembled
-                // in row order. Workers charge the shared memory guard as
-                // they materialize, so `PRAGMA memory_limit` trips
-                // mid-flight; the coordinator attributes the bytes to the
-                // node afterwards (the profile is not thread-safe).
-                let guard = ctx.guard;
-                let table = &*t;
-                let progress = ctx.progress.as_deref();
-                let (chunks, stats) = morsel_map(ctx.threads, n, |i| {
-                    guard.tick()?;
-                    let chunk = table.chunk_at(i);
-                    let bytes = chunk.approx_bytes();
-                    guard.charge_mem(bytes)?;
-                    if let Some(pr) = progress {
-                        pr.add_done(1);
-                    }
-                    Ok((chunk, bytes))
-                })?;
-                if let Some(stats) = &stats {
-                    ctx.record_parallel(op_key(op), "scan", stats);
-                }
-                let mut out = Chunks::default();
-                let mut bytes = 0u64;
-                for (chunk, b) in chunks {
-                    bytes += b;
-                    out.chunks.push(chunk);
-                }
-                ctx.attribute_op_mem(op_key(op), bytes);
-                Ok(out)
-            } else {
-                let out = t.scan_chunks();
-                if let Some(pr) = &ctx.progress {
-                    pr.add_done(n as u64);
-                }
-                ctx.charge_op_mem(op_key(op), out.approx_bytes())?;
-                Ok(out)
-            }
+            scan_table(ctx, op, &t, ScanRows::All, filters, outer, &exec)
         }
-        PhysOp::IndexScan { table, index: _, op: iop, constant, fallback } => {
+        PhysOp::IndexScan { table, index: _, op: iop, constant, filters, fallback } => {
             let t = ctx.catalog.get(table)?;
             let t = t.read();
             let mut hit = None;
@@ -661,22 +682,15 @@ fn run_op(
                 }
             }
             match hit {
-                Some(mut rows) => {
+                Some(rows) => {
+                    let mut rows: Vec<usize> = rows.into_iter().map(|r| r as usize).collect();
                     rows.sort_unstable();
                     mduck_obs::metrics().index_probes.inc(1);
-                    note_scanned(ctx, op, rows.len())?;
-                    let out = t.gather_rows(&rows);
-                    ctx.charge_op_mem(op_key(op), out.approx_bytes())?;
-                    Ok(out)
+                    scan_table(ctx, op, &t, ScanRows::Ids(&rows), filters, outer, &exec)
                 }
-                None => {
-                    // Index declined: sequential scan + original filter.
-                    mduck_obs::metrics().full_scans.inc(1);
-                    note_scanned(ctx, op, t.row_count())?;
-                    let chunks = t.scan_chunks();
-                    ctx.charge_op_mem(op_key(op), chunks.approx_bytes())?;
-                    filter_chunks(ctx, chunks, fallback, outer, &exec, op_key(op))
-                }
+                // Index declined: the same fused scan over the whole table,
+                // with the indexed predicate as the first conjunct.
+                None => scan_table(ctx, op, &t, ScanRows::All, fallback, outer, &exec),
             }
         }
         PhysOp::CteScan { index, .. } => {
@@ -773,6 +787,198 @@ fn run_op(
     }
 }
 
+/// The table rows a scan visits: all of them, or an index's candidates
+/// (ascending row ids).
+#[derive(Clone, Copy)]
+enum ScanRows<'r> {
+    All,
+    Ids(&'r [usize]),
+}
+
+impl<'r> ScanRows<'r> {
+    fn len(self, table: &Table) -> usize {
+        match self {
+            ScanRows::All => table.row_count(),
+            ScanRows::Ids(ids) => ids.len(),
+        }
+    }
+
+    /// The `w`-th [`VECTOR_SIZE`] window of these rows.
+    fn window(self, table: &Table, w: usize) -> Window<'r> {
+        let start = w * VECTOR_SIZE;
+        let len = VECTOR_SIZE.min(self.len(table) - start);
+        match self {
+            ScanRows::All => Window::Range { start, len },
+            ScanRows::Ids(ids) => Window::Ids(&ids[start..start + len]),
+        }
+    }
+}
+
+/// One scan window: a contiguous row range (copied as slices) or a run
+/// of index candidates (gathered).
+enum Window<'r> {
+    Range { start: usize, len: usize },
+    Ids(&'r [usize]),
+}
+
+impl Window<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Window::Range { len, .. } => *len,
+            Window::Ids(ids) => ids.len(),
+        }
+    }
+
+    /// The table row id of the window's `j`-th row.
+    fn row(&self, j: usize) -> usize {
+        match self {
+            Window::Range { start, .. } => start + j,
+            Window::Ids(ids) => ids[j],
+        }
+    }
+
+    /// The window's rows of one column.
+    fn column(&self, col: &ColumnData) -> ColumnData {
+        match self {
+            Window::Range { start, len } => col.slice(*start, *len),
+            Window::Ids(ids) => col.gather(ids),
+        }
+    }
+}
+
+/// What one scan window produced.
+struct ScanPart {
+    chunk: Option<DataChunk>,
+    /// Rows the fused conjuncts dropped.
+    dropped: u64,
+    /// Bytes materialized: predicate chunks plus the surviving rows.
+    bytes: u64,
+}
+
+/// Scan `rows` of `table` with `filters` fused in, one [`VECTOR_SIZE`]
+/// window at a time (one window = one morsel on the parallel path).
+///
+/// Every visited row is charged to the row budget and the scan
+/// statistics up front, as an unfiltered scan would; only the predicate
+/// columns and the survivors are copied, and only those are charged to
+/// the memory guard — window by window, so `PRAGMA memory_limit` trips
+/// mid-scan.
+fn scan_table(
+    ctx: &EngineCtx<'_>,
+    op: &PhysOp,
+    table: &Table,
+    rows: ScanRows<'_>,
+    filters: &ScanFilters,
+    outer: &OuterStack<'_>,
+    exec: &dyn SubqueryExec,
+) -> SqlResult<Chunks> {
+    let key = op_key(op);
+    let visited = rows.len(table);
+    if let ScanRows::All = rows {
+        mduck_obs::metrics().full_scans.inc(1);
+    }
+    note_scanned(ctx, op, visited)?;
+    let windows = visited.div_ceil(VECTOR_SIZE);
+    if let Some(pr) = &ctx.progress {
+        pr.add_total(windows as u64);
+    }
+    let parts = if ctx.parallel_ok(outer) && windows >= MIN_PARALLEL_MORSELS {
+        // Fused conjuncts are never complex (the planner keeps subquery
+        // predicates above the joins), so workers evaluate them with
+        // `NoSubqueries`. Workers charge the shared guard as they
+        // materialize; the coordinator attributes the bytes to the node
+        // afterwards (the profile is not thread-safe).
+        let guard = ctx.guard;
+        let progress = ctx.progress.as_deref();
+        let (parts, stats) = morsel_map(ctx.threads, windows, |w| {
+            guard.tick()?;
+            let part = scan_window(table, rows, w, filters, &OuterStack::EMPTY, &NoSubqueries)?;
+            guard.charge_mem(part.bytes)?;
+            if let Some(pr) = progress {
+                pr.add_done(1);
+            }
+            Ok(part)
+        })?;
+        if let Some(stats) = &stats {
+            ctx.record_parallel(key, "scan", stats);
+        }
+        ctx.attribute_op_mem(key, parts.iter().map(|p| p.bytes).sum());
+        parts
+    } else {
+        let mut parts = Vec::with_capacity(windows);
+        for w in 0..windows {
+            ctx.guard.tick()?;
+            let part = scan_window(table, rows, w, filters, outer, exec)?;
+            ctx.charge_op_mem(key, part.bytes)?;
+            if let Some(pr) = &ctx.progress {
+                pr.add_done(1);
+            }
+            parts.push(part);
+        }
+        parts
+    };
+    let mut out = Chunks::default();
+    let mut dropped = 0u64;
+    for part in parts {
+        dropped += part.dropped;
+        out.chunks.extend(part.chunk);
+    }
+    mduck_obs::metrics().rows_filtered.inc(dropped);
+    Ok(out)
+}
+
+/// Window `w` of a fused scan: evaluate each conjunct on its own columns
+/// for the rows still alive, then gather the survivors of every column.
+fn scan_window(
+    table: &Table,
+    rows: ScanRows<'_>,
+    w: usize,
+    filters: &ScanFilters,
+    outer: &OuterStack<'_>,
+    exec: &dyn SubqueryExec,
+) -> SqlResult<ScanPart> {
+    let window = rows.window(table, w);
+    let mut bytes = 0u64;
+    // Surviving table row ids; `None` while every row of the window is
+    // still alive (the window is then copied whole, not gathered).
+    let mut alive: Option<Vec<usize>> = None;
+    for (columns, conjunct) in &filters.dense {
+        let pred = DataChunk::from_columns(
+            columns
+                .iter()
+                .map(|&c| match &alive {
+                    Some(ids) => table.columns[c].gather(ids),
+                    None => window.column(&table.columns[c]),
+                })
+                .collect(),
+        );
+        bytes += pred.approx_bytes();
+        let pass = filter_chunk(conjunct, &pred, outer, exec)?;
+        if pass.len() == pred.len {
+            continue;
+        }
+        let next: Vec<usize> = match &alive {
+            Some(ids) => pass.iter().map(|&j| ids[j]).collect(),
+            None => pass.iter().map(|&j| window.row(j)).collect(),
+        };
+        let done = next.is_empty();
+        alive = Some(next);
+        if done {
+            break;
+        }
+    }
+    let chunk = match alive {
+        Some(ids) if ids.is_empty() => None,
+        Some(ids) => Some(table.gather_rows(&ids)),
+        None => Some(DataChunk::from_columns(
+            table.columns.iter().map(|c| window.column(c)).collect(),
+        )),
+    };
+    let kept = chunk.as_ref().map_or(0, |c| c.len);
+    bytes += chunk.as_ref().map_or(0, DataChunk::approx_bytes);
+    Ok(ScanPart { chunk, dropped: (window.len() - kept) as u64, bytes })
+}
+
 /// Apply `pred` across all chunks. `key` names the owning operator or
 /// plan for parallel actuals. Fans out to the morsel pool when the
 /// statement allows it and the predicate carries no subqueries (workers
@@ -856,14 +1062,14 @@ fn filter_chunks(
 }
 
 /// Flatten chunks into one big chunk (join build sides).
-fn flatten(chunks: &Chunks, types: Vec<LogicalType>) -> DataChunk {
+fn flatten(chunks: &Chunks, types: Vec<LogicalType>) -> SqlResult<DataChunk> {
     let mut cols: Vec<ColumnData> = types.iter().map(ColumnData::new).collect();
     for chunk in &chunks.chunks {
         for (dst, src) in cols.iter_mut().zip(&chunk.columns) {
-            dst.extend_from(src, 0, chunk.len);
+            dst.extend_from(src, 0, chunk.len)?;
         }
     }
-    DataChunk::from_columns(cols)
+    Ok(DataChunk::from_columns(cols))
 }
 
 fn chunk_types(chunks: &Chunks) -> Vec<LogicalType> {
@@ -876,7 +1082,7 @@ fn chunk_types(chunks: &Chunks) -> Vec<LogicalType> {
 
 fn cross_join(ctx: &EngineCtx<'_>, l: &Chunks, r: &Chunks, key: usize) -> SqlResult<Chunks> {
     let rtypes = chunk_types(r);
-    let rflat = flatten(r, rtypes);
+    let rflat = flatten(r, rtypes)?;
     // The flattened build side is a fresh buffer; output chunks are
     // charged as they are produced so a runaway product trips the memory
     // limit (or the row budget, whichever is tighter) mid-flight.
@@ -938,7 +1144,7 @@ fn hash_join(
     // per-entry estimate for the hash table itself are charged up front —
     // the build side is the operator's dominant allocation.
     let rtypes = chunk_types(r);
-    let rflat = flatten(r, rtypes);
+    let rflat = flatten(r, rtypes)?;
     ctx.charge_op_mem(key_op, rflat.approx_bytes() + rflat.len as u64 * 48)?;
     let mut table: HashMap<Vec<u8>, Vec<usize>> = HashMap::with_capacity(rflat.len);
     if rflat.len > 0 {
@@ -1028,17 +1234,17 @@ pub fn execute_select(
     execute_select_inner(ctx, plan, None, outer)
 }
 
-/// Execute a bound SELECT against a pre-planned join tree. `EXPLAIN
-/// ANALYZE` plans once up front so the profiled node keys match the tree
-/// it renders afterwards.
+/// Execute a bound SELECT against the join tree and remaining predicates
+/// [`plan_tree`] returned for it. `EXPLAIN ANALYZE` plans once up front
+/// so the profiled node keys match the tree it renders afterwards.
 pub fn execute_select_planned(
     ctx: &EngineCtx<'_>,
     plan: &BoundSelect,
-    tree: &PhysOp,
-    remaining: &[BoundExpr],
+    planned: Option<&(PhysOp, Vec<BoundExpr>)>,
     outer: &OuterStack<'_>,
 ) -> SqlResult<Vec<Vec<Value>>> {
-    execute_select_inner(ctx, plan, Some((tree, remaining)), outer)
+    let planned = planned.map(|(tree, remaining)| (tree, remaining.as_slice()));
+    execute_select_inner(ctx, plan, planned, outer)
 }
 
 fn execute_select_inner(

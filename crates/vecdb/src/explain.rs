@@ -6,7 +6,7 @@
 
 use mduck_sql::{BoundExpr, BoundSelect, SortKey};
 
-use crate::exec::{op_key, op_name, PhysOp, Profile};
+use crate::exec::{op_key, op_name, PhysOp, Profile, ScanFilters};
 
 const BOX_WIDTH: usize = 29;
 
@@ -21,27 +21,27 @@ pub struct AnalyzeData<'a> {
     pub result_rows: usize,
 }
 
-/// Render the full plan (post-join stages plus the join/scan tree).
-pub fn render_plan(plan: &BoundSelect, tree: &PhysOp, remaining: &[BoundExpr]) -> String {
-    render(plan, tree, remaining, None)
+/// A [`crate::exec::plan_tree`] result: the join/scan tree and the
+/// predicates left above it, or `None` for a FROM-less SELECT.
+type Planned<'p> = Option<&'p (PhysOp, Vec<BoundExpr>)>;
+
+/// Render the full plan (post-join stages plus the join/scan tree; a
+/// FROM-less SELECT renders a `DUMMY_SCAN` leaf).
+pub fn render_plan(plan: &BoundSelect, planned: Planned<'_>) -> String {
+    render(plan, planned, None)
 }
 
 /// Render the plan annotated with actuals (`EXPLAIN ANALYZE`).
 pub fn render_plan_analyzed(
     plan: &BoundSelect,
-    tree: &PhysOp,
-    remaining: &[BoundExpr],
+    planned: Planned<'_>,
     analyze: &AnalyzeData<'_>,
 ) -> String {
-    render(plan, tree, remaining, Some(analyze))
+    render(plan, planned, Some(analyze))
 }
 
-fn render(
-    plan: &BoundSelect,
-    tree: &PhysOp,
-    remaining: &[BoundExpr],
-    analyze: Option<&AnalyzeData<'_>>,
-) -> String {
+fn render(plan: &BoundSelect, planned: Planned<'_>, analyze: Option<&AnalyzeData<'_>>) -> String {
+    let remaining = planned.map_or(&[][..], |(_, remaining)| remaining.as_slice());
     // (title, detail, stage-profile name)
     let mut nodes: Vec<(String, Vec<String>, Option<&'static str>)> = Vec::new();
     if plan.limit.is_some() || plan.offset.is_some() {
@@ -100,7 +100,10 @@ fn render(
         }
         push_box(&mut out, &name, &detail, true);
     }
-    render_op(&mut out, tree, analyze);
+    match planned {
+        Some((tree, _)) => render_op(&mut out, tree, analyze),
+        None => push_box(&mut out, "DUMMY_SCAN", &[], false),
+    }
     out
 }
 
@@ -182,20 +185,36 @@ fn op_lines(a: &AnalyzeData<'_>, op: &PhysOp) -> Vec<String> {
     if p.execs > 1 {
         lines.push(format!("execs: {}", p.execs));
     }
-    // Operator-level parallel stages: scans materialize in parallel,
-    // filters (including index-scan fallbacks) evaluate in parallel.
+    // Operator-level parallel stages: scans (fused conjuncts included)
+    // run window by window in parallel, filters above joins chunk by
+    // chunk.
     for stage in ["scan", "filter"] {
         lines.extend(par_lines(a.profile, op_key(op), stage));
     }
     lines
 }
 
+/// A scan box's detail lines followed by its fused conjuncts, one per
+/// line in evaluation order (DuckDB lists a scan's filters the same way).
+fn with_filters(mut detail: Vec<String>, filters: &ScanFilters) -> Vec<String> {
+    if !filters.is_empty() {
+        detail.push("Filters:".into());
+        detail.extend(filters.conjuncts.iter().map(|c| format!("{c:?}")));
+    }
+    detail
+}
+
 fn render_op(out: &mut String, op: &PhysOp, analyze: Option<&AnalyzeData<'_>>) {
     let (title, mut detail, has_child): (&str, Vec<String>, bool) = match op {
-        PhysOp::SeqScan { table } => ("SEQ_SCAN", vec![table.clone()], false),
-        PhysOp::IndexScan { table, index, op, .. } => (
+        PhysOp::SeqScan { table, filters } => {
+            ("SEQ_SCAN", with_filters(vec![table.clone()], filters), false)
+        }
+        PhysOp::IndexScan { table, index, op, filters, .. } => (
             "TRTREE_INDEX_SCAN",
-            vec![table.clone(), format!("index: {index}"), format!("op: {op}")],
+            with_filters(
+                vec![table.clone(), format!("index: {index}"), format!("op: {op}")],
+                filters,
+            ),
             false,
         ),
         PhysOp::CteScan { name, .. } => ("CTE_SCAN", vec![name.clone()], false),
@@ -291,7 +310,7 @@ pub fn op_breakdown(tree: &PhysOp, profile: &Profile) -> Vec<OpBreakdown> {
     let mut stack = vec![tree];
     while let Some(op) = stack.pop() {
         let detail = match op {
-            PhysOp::SeqScan { table } => table.clone(),
+            PhysOp::SeqScan { table, .. } => table.clone(),
             PhysOp::IndexScan { table, index, .. } => format!("{table}.{index}"),
             PhysOp::CteScan { name, .. } => name.clone(),
             _ => String::new(),

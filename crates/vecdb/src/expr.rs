@@ -6,6 +6,9 @@
 //! function (as DuckDB does for extension UDFs); subquery-bearing
 //! expressions fall back to the shared row-wise evaluator.
 
+use std::borrow::Cow;
+use std::cmp::Ordering;
+
 use mduck_sql::ast::BinaryOp;
 use mduck_sql::eval::{eval, OuterStack, SubqueryExec};
 use mduck_sql::{BoundExpr, LogicalType, SqlError, SqlResult, Value};
@@ -34,11 +37,23 @@ pub fn eval_vector(
             }
             Ok(c)
         }
-        BoundExpr::Compare { op, left, right } => {
-            let l = eval_vector(left, chunk, outer, exec)?;
-            let r = eval_vector(right, chunk, outer, exec)?;
-            compare_columns(*op, &l, &r, chunk.len)
-        }
+        BoundExpr::Compare { op, left, right } => Ok(match (&**left, &**right) {
+            // Against a literal: compare with the scalar directly instead
+            // of broadcasting it into a chunk-long column.
+            (e, BoundExpr::Literal(v)) => {
+                let c = eval_borrowed(e, chunk, outer, exec)?;
+                compare_scalar(*op, &c, v, false, chunk.len)
+            }
+            (BoundExpr::Literal(v), e) => {
+                let c = eval_borrowed(e, chunk, outer, exec)?;
+                compare_scalar(*op, &c, v, true, chunk.len)
+            }
+            _ => {
+                let l = eval_borrowed(left, chunk, outer, exec)?;
+                let r = eval_borrowed(right, chunk, outer, exec)?;
+                compare_columns(*op, &l, &r, chunk.len)
+            }
+        }),
         BoundExpr::And(es) => {
             let mut acc: Option<ColumnData> = None;
             for e in es {
@@ -89,9 +104,9 @@ pub fn eval_vector(
         BoundExpr::Call { func, args, strict, ty, .. } if !expr.is_complex() => {
             // Evaluate arguments vectorized, then dispatch the scalar
             // function row by row (the DuckDB extension-UDF pattern).
-            let arg_cols: SqlResult<Vec<ColumnData>> = args
+            let arg_cols: SqlResult<Vec<Cow<'_, ColumnData>>> = args
                 .iter()
-                .map(|a| eval_vector(a, chunk, outer, exec))
+                .map(|a| eval_borrowed(a, chunk, outer, exec))
                 .collect();
             let arg_cols = arg_cols?;
             let mut out = ColumnData::new(ty);
@@ -116,6 +131,24 @@ pub fn eval_vector(
             arith_columns(*op, &l, &r, ty, chunk.len)
         }
         _ => fallback_rows(expr, chunk, outer, exec),
+    }
+}
+
+/// [`eval_vector`] that borrows a referenced column from the chunk
+/// instead of cloning it.
+fn eval_borrowed<'c>(
+    expr: &BoundExpr,
+    chunk: &'c DataChunk,
+    outer: &OuterStack<'_>,
+    exec: &dyn SubqueryExec,
+) -> SqlResult<Cow<'c, ColumnData>> {
+    match expr {
+        BoundExpr::ColumnRef { index, .. } => chunk
+            .columns
+            .get(*index)
+            .map(Cow::Borrowed)
+            .ok_or_else(|| SqlError::execution(format!("column {index} out of range"))),
+        _ => eval_vector(expr, chunk, outer, exec).map(Cow::Owned),
     }
 }
 
@@ -226,38 +259,43 @@ fn arith_columns(
     }
 }
 
+/// The truth value of `op` for an ordering; `None` (SQL NULL) for an
+/// operator that is not a comparison.
+fn ordering_holds(op: BinaryOp, o: Ordering) -> Option<bool> {
+    match op {
+        BinaryOp::Eq => Some(o == Ordering::Equal),
+        BinaryOp::NotEq => Some(o != Ordering::Equal),
+        BinaryOp::Lt => Some(o == Ordering::Less),
+        BinaryOp::LtEq => Some(o != Ordering::Greater),
+        BinaryOp::Gt => Some(o == Ordering::Greater),
+        BinaryOp::GtEq => Some(o != Ordering::Less),
+        _ => None,
+    }
+}
+
+/// A boolean column from per-row three-valued results.
+fn bool_column(len: usize, mut f: impl FnMut(usize) -> Option<bool>) -> ColumnData {
+    let mut values = Vec::with_capacity(len);
+    let mut validity = Vec::with_capacity(len);
+    for i in 0..len {
+        let r = f(i);
+        values.push(r.unwrap_or(false));
+        validity.push(r.is_some());
+    }
+    ColumnData { ty: LogicalType::Bool, validity, payload: Payload::Bool(values) }
+}
+
 /// Vectorized comparison with typed fast paths.
-fn compare_columns(
-    op: BinaryOp,
-    l: &ColumnData,
-    r: &ColumnData,
-    len: usize,
-) -> SqlResult<ColumnData> {
-    let mut out = ColumnData::new(&LogicalType::Bool);
+fn compare_columns(op: BinaryOp, l: &ColumnData, r: &ColumnData, len: usize) -> ColumnData {
     macro_rules! fast {
-        ($a:expr, $b:expr) => {{
-            for i in 0..len {
+        ($a:expr, $b:expr) => {
+            bool_column(len, |i| {
                 if !l.validity[i] || !r.validity[i] {
-                    out.push_null();
-                    continue;
+                    return None;
                 }
-                let cmp = $a[i].partial_cmp(&$b[i]);
-                let b = match (op, cmp) {
-                    (BinaryOp::Eq, Some(o)) => o == std::cmp::Ordering::Equal,
-                    (BinaryOp::NotEq, Some(o)) => o != std::cmp::Ordering::Equal,
-                    (BinaryOp::Lt, Some(o)) => o == std::cmp::Ordering::Less,
-                    (BinaryOp::LtEq, Some(o)) => o != std::cmp::Ordering::Greater,
-                    (BinaryOp::Gt, Some(o)) => o == std::cmp::Ordering::Greater,
-                    (BinaryOp::GtEq, Some(o)) => o != std::cmp::Ordering::Less,
-                    _ => {
-                        out.push_null();
-                        continue;
-                    }
-                };
-                out.push(&Value::Bool(b))?;
-            }
-            return Ok(out);
-        }};
+                ordering_holds(op, $a[i].partial_cmp(&$b[i])?)
+            })
+        };
     }
     match (&l.payload, &r.payload) {
         (Payload::Int(a), Payload::Int(b)) => fast!(a, b),
@@ -265,14 +303,50 @@ fn compare_columns(
         (Payload::Timestamp(a), Payload::Timestamp(b)) => fast!(a, b),
         (Payload::Date(a), Payload::Date(b)) => fast!(a, b),
         (Payload::Text(a), Payload::Text(b)) => fast!(a, b),
-        _ => {
-            // Generic path (mixed numeric, ext values, ...).
-            for i in 0..len {
-                let v = mduck_sql::compare(op, &l.get(i), &r.get(i));
-                out.push(&v)?;
+        // Generic path (mixed numeric, ext values, ...).
+        _ => bool_column(len, |i| match mduck_sql::compare(op, &l.get(i), &r.get(i)) {
+            Value::Bool(b) => Some(b),
+            _ => None,
+        }),
+    }
+}
+
+/// `col op lit` (or `lit op col` when `lit_left`), row for row the same
+/// result as [`compare_columns`] against the literal broadcast into a
+/// column, without building that column.
+fn compare_scalar(
+    op: BinaryOp,
+    col: &ColumnData,
+    lit: &Value,
+    lit_left: bool,
+    len: usize,
+) -> ColumnData {
+    macro_rules! fast {
+        ($a:expr, $x:expr) => {
+            bool_column(len, |i| {
+                if !col.validity[i] {
+                    return None;
+                }
+                let o = if lit_left { $x.partial_cmp(&$a[i]) } else { $a[i].partial_cmp($x) };
+                ordering_holds(op, o?)
+            })
+        };
+    }
+    match (&col.payload, lit) {
+        (_, Value::Null) => bool_column(len, |_| None),
+        (Payload::Int(a), Value::Int(x)) => fast!(a, x),
+        (Payload::Float(a), Value::Float(x)) => fast!(a, x),
+        (Payload::Timestamp(a), Value::Timestamp(x)) => fast!(a, x),
+        (Payload::Date(a), Value::Date(x)) => fast!(a, x),
+        (Payload::Text(a), Value::Text(x)) => fast!(a, x),
+        _ => bool_column(len, |i| {
+            let v = col.get(i);
+            let (l, r) = if lit_left { (lit, &v) } else { (&v, lit) };
+            match mduck_sql::compare(op, l, r) {
+                Value::Bool(b) => Some(b),
+                _ => None,
             }
-            Ok(out)
-        }
+        }),
     }
 }
 

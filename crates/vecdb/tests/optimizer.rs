@@ -37,11 +37,13 @@ fn no_key_means_cross_product() {
 fn single_table_predicates_are_pushed_below_joins() {
     let db = db();
     let p = plan(&db, "SELECT count(*) FROM a, b WHERE a.id = b.id AND a.x > 100 AND b.y > 100");
-    // Both pushed filters appear below the join (the join box comes first
-    // in the rendering, filters attach to scans).
+    // Both pushed filters are fused into the scans below the join (the
+    // join box comes first in the rendering); no FILTER box remains.
     let join_pos = p.find("HASH_JOIN").expect("hash join in plan");
-    let first_filter = p.find("FILTER").expect("filters in plan");
+    let first_filter = p.find("Filters:").expect("fused filters in plan");
     assert!(first_filter > join_pos, "filters should render below the join\n{p}");
+    assert_eq!(p.matches("Filters:").count(), 2, "{p}");
+    assert!(!p.contains("FILTER"), "{p}");
     let r = db
         .execute("SELECT count(*) FROM a, b WHERE a.id = b.id AND a.x > 100 AND b.y > 100")
         .unwrap();
@@ -101,4 +103,17 @@ fn rows_scanned_reflects_pushdown() {
         let r2 = db.execute(&wrapped).unwrap();
         assert_eq!(r1.rows, r2.rows, "{sql}");
     }
+}
+
+#[test]
+fn fused_scan_keeps_conjuncts_in_written_order() {
+    let db = db();
+    let p = plan(&db, "SELECT id FROM a WHERE x > 10 AND id < 50 AND x <> 20");
+    let pos = |needle: &str| p.find(needle).unwrap_or_else(|| panic!("{needle} missing\n{p}"));
+    assert!(pos("SEQ_SCAN") < pos("Filters:"), "{p}");
+    assert!(pos("(col#1 > lit(Int(10)))") < pos("(col#0 < lit(Int(50)))"), "{p}");
+    assert!(pos("(col#0 < lit(Int(50)))") < pos("(col#1 <> lit(Int(20)))"), "{p}");
+    let r = db.execute("SELECT count(*) FROM a WHERE x > 10 AND id < 50 AND x <> 20").unwrap();
+    // x = 2i: i in 6..=49 except i = 10.
+    assert_eq!(r.rows[0][0].to_string(), "43");
 }

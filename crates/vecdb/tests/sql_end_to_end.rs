@@ -222,7 +222,9 @@ fn explain_renders_tree() {
     let text = r.rows[0][0].to_string();
     assert!(text.contains("PROJECTION"), "{text}");
     assert!(text.contains("SEQ_SCAN"), "{text}");
-    assert!(text.contains("FILTER"), "{text}");
+    // The WHERE predicate is fused into the scan box.
+    assert!(text.contains("Filters:"), "{text}");
+    assert!(!text.contains("FILTER"), "{text}");
 }
 
 #[test]

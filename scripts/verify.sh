@@ -29,8 +29,10 @@ echo "== parallel execution matrix =="
 # exercises both the serial path (threads=1) and a real worker pool
 # (threads=4) regardless of the host's core count. The differential
 # suite itself also pins thread counts per-connection via set_threads.
-MDUCK_THREADS=1 cargo test -q -p mduck-integration --test parallel_exec
-MDUCK_THREADS=4 cargo test -q -p mduck-integration --test parallel_exec
+# The fused-scan differential suite (scan_pushdown) runs the same
+# matrix: its filtered scans fan out one window per morsel.
+MDUCK_THREADS=1 cargo test -q -p mduck-integration --test parallel_exec --test scan_pushdown
+MDUCK_THREADS=4 cargo test -q -p mduck-integration --test parallel_exec --test scan_pushdown
 
 echo "== resource observability =="
 # Memory-limit trips, progress monotonicity, and the query-log contract
@@ -49,6 +51,13 @@ echo "== durability / crash torture =="
 cargo test -q -p mduck-wal
 cargo test -q -p mduck-integration --test durability --test crash_torture
 MDUCK_THREADS=4 cargo test -q -p mduck-integration --test durability --test crash_torture
+
+echo "== benchmark self-check =="
+# The benchmark's own tests (perfbench/, a separate Cargo workspace):
+# every workload runs at a tiny scale and its results are checked
+# against the row engine, so an engine change that breaks a workload's
+# correctness oracle fails here, before anyone runs the benchmark.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== clippy =="
 # Scoped to the bug classes this codebase has actually shipped

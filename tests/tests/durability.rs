@@ -4,9 +4,9 @@
 //! atomicity under failure.
 //!
 //! The failpoint registry and the metrics registry are process-global,
-//! so tests that arm failpoints serialize behind `SERIAL` (shared with
-//! `crash_torture.rs` via file-level separation: this file only uses
-//! failpoints in the atomicity tests).
+//! and an armed failpoint fires in whichever test reaches the site first,
+//! so every test here serializes behind `SERIAL` (`crash_torture.rs`
+//! runs in its own process).
 
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -71,6 +71,7 @@ fn check_workload(exec: &mut dyn FnMut(&str) -> Result<Vec<Vec<Value>>, SqlError
 
 #[test]
 fn vec_wal_roundtrip_ddl_dml() {
+    let _lock = serial();
     let path = wal_path("vec_roundtrip");
     {
         let db = Database::open(&path).unwrap();
@@ -83,6 +84,7 @@ fn vec_wal_roundtrip_ddl_dml() {
 
 #[test]
 fn row_wal_roundtrip_ddl_dml() {
+    let _lock = serial();
     let path = wal_path("row_roundtrip");
     {
         let db = RowDatabase::open(&path).unwrap();
@@ -106,6 +108,7 @@ fn row_wal_roundtrip_ddl_dml() {
 
 #[test]
 fn engines_recover_identical_state_from_shared_wal_format() {
+    let _lock = serial();
     // The WAL is engine-agnostic: a log written by the vectorized engine
     // recovers into the row engine with identical query results.
     let path = wal_path("cross_engine");
@@ -121,6 +124,7 @@ fn engines_recover_identical_state_from_shared_wal_format() {
 
 #[test]
 fn pragma_wal_attach_detach_and_checkpoint_statement() {
+    let _lock = serial();
     let path = wal_path("pragma");
     let path_str = path.to_str().unwrap().to_string();
 
@@ -160,6 +164,7 @@ fn pragma_wal_attach_detach_and_checkpoint_statement() {
 
 #[test]
 fn row_pragma_wal_surface() {
+    let _lock = serial();
     let path = wal_path("row_pragma");
     let path_str = path.to_str().unwrap().to_string();
     let db = RowDatabase::new();
@@ -179,6 +184,7 @@ fn row_pragma_wal_surface() {
 
 #[test]
 fn wal_autocheckpoint_pragma_and_size_trigger() {
+    let _lock = serial();
     let path = wal_path("autockpt");
     let path_str = path.to_str().unwrap().to_string();
     let db = Database::new();
@@ -208,6 +214,7 @@ fn wal_autocheckpoint_pragma_and_size_trigger() {
 
 #[test]
 fn empty_wal_file_opens_as_fresh_database() {
+    let _lock = serial();
     let path = wal_path("empty");
     std::fs::write(&path, b"").unwrap();
     let db = Database::open(&path).unwrap();
@@ -221,6 +228,7 @@ fn empty_wal_file_opens_as_fresh_database() {
 
 #[test]
 fn torn_tail_only_wal_recovers_to_empty_and_truncates() {
+    let _lock = serial();
     let path = wal_path("torn_only");
     // Header + a few bytes of a frame that never finished: the residue
     // of a crash during the very first append.
@@ -239,6 +247,7 @@ fn torn_tail_only_wal_recovers_to_empty_and_truncates() {
 
 #[test]
 fn checkpoint_present_but_wal_missing_recovers_from_checkpoint() {
+    let _lock = serial();
     let path = wal_path("ckpt_no_wal");
     {
         let db = Database::open(&path).unwrap();
@@ -254,6 +263,7 @@ fn checkpoint_present_but_wal_missing_recovers_from_checkpoint() {
 
 #[test]
 fn crc_byte_flip_mid_log_surfaces_typed_corruption() {
+    let _lock = serial();
     let path = wal_path("crcflip");
     {
         let db = Database::open(&path).unwrap();
@@ -284,6 +294,7 @@ fn crc_byte_flip_mid_log_surfaces_typed_corruption() {
 
 #[test]
 fn foreign_file_is_rejected_by_both_engines() {
+    let _lock = serial();
     let path = wal_path("foreign");
     std::fs::write(&path, b"\x89PNG not a wal at all").unwrap();
     assert!(matches!(Database::open(&path), Err(SqlError::Corruption(_))));
@@ -343,6 +354,7 @@ fn row_failed_wal_append_rolls_back_update_and_delete() {
 
 #[test]
 fn memory_limit_trip_mid_insert_leaves_both_engines_unchanged() {
+    let _lock = serial();
     // A guard trip inside INSERT ... SELECT must behave like any other
     // statement failure: no partial rows, nothing in the WAL.
     let vec_path = wal_path("vec_memtrip");
@@ -399,6 +411,7 @@ impl Exec for RowDatabase {
 
 #[test]
 fn ext_values_roundtrip_through_wal_and_checkpoint() {
+    let _lock = serial();
     let path = wal_path("ext");
     let open_loaded = |p: &PathBuf| -> Database {
         // Extensions must be loaded before the WAL is attached so the
