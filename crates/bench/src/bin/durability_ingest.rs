@@ -18,6 +18,7 @@ use std::time::Instant;
 use berlinmod::{BerlinModData, RoadNetwork, ScaleFactor};
 use mduck_bench::json::Json;
 use mduck_bench::render_table;
+use mduck_sql::{SqlResult, Value};
 
 fn wal_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("mduck_bench_dur_{}_{tag}.wal", std::process::id()))
@@ -48,7 +49,17 @@ struct Cell {
     ckpt_bytes: u64,
 }
 
-fn bench_vec(data: &BerlinModData, runs: usize) -> Cell {
+/// One engine's cell. `fresh` builds an empty instance with the
+/// extension loaded, `attach` attaches (and recovers) a WAL, `load`
+/// bulk-loads the dataset and `count_trips` queries the recovered trips.
+fn bench<D>(
+    engine: &'static str,
+    runs: usize,
+    fresh: impl Fn() -> D,
+    attach: impl Fn(&D, &PathBuf) -> SqlResult<()>,
+    load: impl Fn(&D) -> SqlResult<()>,
+    count_trips: impl Fn(&D) -> SqlResult<Vec<Vec<Value>>>,
+) -> Cell {
     let mut mem = Vec::new();
     let mut wal = Vec::new();
     let mut rec = Vec::new();
@@ -56,80 +67,32 @@ fn bench_vec(data: &BerlinModData, runs: usize) -> Cell {
     let mut ckpt_bytes = 0;
     for run in 0..runs {
         let t0 = Instant::now();
-        let db = quackdb::Database::new();
-        mobilityduck::load(&db);
-        data.load_into_quack(&db).expect("in-memory load");
+        let db = fresh();
+        load(&db).expect("in-memory load");
         mem.push(t0.elapsed().as_secs_f64() * 1e3);
         drop(db);
 
-        let path = wal_path(&format!("vec_{run}"));
+        let path = wal_path(&format!("{engine}_{run}"));
         cleanup(&path);
         let t0 = Instant::now();
-        let db = quackdb::Database::new();
-        mobilityduck::load(&db);
-        db.attach_wal(&path).expect("attach wal");
-        data.load_into_quack(&db).expect("wal load");
+        let db = fresh();
+        attach(&db, &path).expect("attach wal");
+        load(&db).expect("wal load");
         wal.push(t0.elapsed().as_secs_f64() * 1e3);
         drop(db);
         wal_bytes = file_len(&path);
         ckpt_bytes = file_len(&PathBuf::from(format!("{}.ckpt", path.display())));
 
         let t0 = Instant::now();
-        let db = quackdb::Database::new();
-        mobilityduck::load(&db);
-        db.attach_wal(&path).expect("recover");
+        let db = fresh();
+        attach(&db, &path).expect("recover");
         rec.push(t0.elapsed().as_secs_f64() * 1e3);
-        let n = db.execute("SELECT count(*) FROM trips").expect("recovered query").rows;
+        let n = count_trips(&db).expect("recovered query");
         assert!(!n.is_empty(), "recovery lost the trips table");
         cleanup(&path);
     }
     Cell {
-        engine: "quackdb",
-        mem_ms: median(mem),
-        wal_ms: median(wal),
-        recover_ms: median(rec),
-        wal_bytes,
-        ckpt_bytes,
-    }
-}
-
-fn bench_row(data: &BerlinModData, runs: usize) -> Cell {
-    let mut mem = Vec::new();
-    let mut wal = Vec::new();
-    let mut rec = Vec::new();
-    let mut wal_bytes = 0;
-    let mut ckpt_bytes = 0;
-    for run in 0..runs {
-        let t0 = Instant::now();
-        let db = mduck_rowdb::RowDatabase::new();
-        mobilityduck::load_row(&db);
-        data.load_into_row(&db, false).expect("in-memory load");
-        mem.push(t0.elapsed().as_secs_f64() * 1e3);
-        drop(db);
-
-        let path = wal_path(&format!("row_{run}"));
-        cleanup(&path);
-        let t0 = Instant::now();
-        let db = mduck_rowdb::RowDatabase::new();
-        mobilityduck::load_row(&db);
-        db.attach_wal(&path).expect("attach wal");
-        data.load_into_row(&db, false).expect("wal load");
-        wal.push(t0.elapsed().as_secs_f64() * 1e3);
-        drop(db);
-        wal_bytes = file_len(&path);
-        ckpt_bytes = file_len(&PathBuf::from(format!("{}.ckpt", path.display())));
-
-        let t0 = Instant::now();
-        let db = mduck_rowdb::RowDatabase::new();
-        mobilityduck::load_row(&db);
-        db.attach_wal(&path).expect("recover");
-        rec.push(t0.elapsed().as_secs_f64() * 1e3);
-        let n = db.execute("SELECT count(*) FROM trips").expect("recovered query").rows;
-        assert!(!n.is_empty(), "recovery lost the trips table");
-        cleanup(&path);
-    }
-    Cell {
-        engine: "rowdb",
+        engine,
         mem_ms: median(mem),
         wal_ms: median(wal),
         recover_ms: median(rec),
@@ -158,7 +121,33 @@ fn main() {
     let data = BerlinModData::generate(&net, ScaleFactor(sf), 42);
     let total_rows: usize = data.trips.len() + data.vehicles.len();
 
-    let cells = [bench_vec(&data, runs), bench_row(&data, runs)];
+    const TRIPS: &str = "SELECT count(*) FROM trips";
+    let cells = [
+        bench(
+            "quackdb",
+            runs,
+            || {
+                let db = quackdb::Database::new();
+                mobilityduck::load(&db);
+                db
+            },
+            |db, path| db.attach_wal(path),
+            |db| data.load_into_quack(db),
+            |db| db.execute(TRIPS).map(|r| r.rows),
+        ),
+        bench(
+            "rowdb",
+            runs,
+            || {
+                let db = mduck_rowdb::RowDatabase::new();
+                mobilityduck::load_row(&db);
+                db
+            },
+            |db, path| db.attach_wal(path),
+            |db| data.load_into_row(db, false),
+            |db| db.execute(TRIPS).map(|r| r.rows),
+        ),
+    ];
 
     let mut rows = Vec::new();
     let mut records = Vec::new();

@@ -1,11 +1,7 @@
 //! Row-oriented heap tables (the PostgreSQL storage substrate).
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
-use mduck_sync::RwLock;
-
-use mduck_sql::{Catalog, LogicalType, SqlError, SqlResult, Value};
+use mduck_sql::catalog::{BaseTable, Tables};
+use mduck_sql::{LogicalType, SqlError, SqlResult, Value};
 
 use crate::index::RowIndex;
 
@@ -68,66 +64,17 @@ impl HeapTable {
         self.rows.extend(rows);
         Ok(())
     }
+}
 
-    /// Keep only the first `len` rows (the rollback path of an atomic
-    /// append; the caller rebuilds any indexes).
-    pub fn truncate_rows(&mut self, len: usize) {
-        self.rows.truncate(len);
+impl BaseTable for HeapTable {
+    fn create(name: String, columns: Vec<(String, LogicalType)>) -> Self {
+        HeapTable::new(name, columns)
+    }
+
+    fn schema(&self) -> Vec<(String, LogicalType)> {
+        self.column_names.iter().cloned().zip(self.column_types.iter().cloned()).collect()
     }
 }
 
 /// The row-store catalog.
-#[derive(Default, Clone)]
-pub struct RowCatalog {
-    tables: Arc<RwLock<HashMap<String, Arc<RwLock<HeapTable>>>>>,
-}
-
-impl RowCatalog {
-    pub fn create_table(
-        &self,
-        name: &str,
-        columns: Vec<(String, LogicalType)>,
-        if_not_exists: bool,
-    ) -> SqlResult<()> {
-        let lname = name.to_ascii_lowercase();
-        let mut tables = self.tables.write();
-        if tables.contains_key(&lname) {
-            if if_not_exists {
-                return Ok(());
-            }
-            return Err(SqlError::Catalog(format!("table {name:?} already exists")));
-        }
-        tables.insert(lname.clone(), Arc::new(RwLock::new(HeapTable::new(lname, columns))));
-        Ok(())
-    }
-
-    pub fn drop_table(&self, name: &str, if_exists: bool) -> SqlResult<()> {
-        let lname = name.to_ascii_lowercase();
-        if self.tables.write().remove(&lname).is_none() && !if_exists {
-            return Err(SqlError::Catalog(format!("table {name:?} does not exist")));
-        }
-        Ok(())
-    }
-
-    pub fn get(&self, name: &str) -> SqlResult<Arc<RwLock<HeapTable>>> {
-        self.tables
-            .read()
-            .get(&name.to_ascii_lowercase())
-            .cloned()
-            .ok_or_else(|| SqlError::Catalog(format!("table {name:?} does not exist")))
-    }
-
-    pub fn table_names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.tables.read().keys().cloned().collect();
-        v.sort();
-        v
-    }
-}
-
-impl Catalog for RowCatalog {
-    fn table_schema(&self, name: &str) -> Option<Vec<(String, LogicalType)>> {
-        let t = self.tables.read().get(&name.to_ascii_lowercase())?.clone();
-        let t = t.read();
-        Some(t.column_names.iter().cloned().zip(t.column_types.iter().cloned()).collect())
-    }
-}
+pub type RowCatalog = Tables<HeapTable>;

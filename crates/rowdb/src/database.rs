@@ -1,48 +1,48 @@
 //! The row-store database instance (the PostgreSQL/MobilityDB analogue).
+//!
+//! The statement front door (`mduck_sql::session`) and the commit path
+//! (`mduck_wal::durable`) are shared with quackdb; this file keeps what
+//! the row engine does differently: heap storage, Volcano SELECT/EXPLAIN
+//! execution, UPDATE/DELETE staging over rows, and index rebuilds.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashSet};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
 use mduck_obs::QueryProgress;
-use mduck_sync::{Mutex, RwLock};
-use mduck_wal::{DurabilityManager, IndexDef, Recovery, Snapshot, TableSnapshot, WalRecord};
-
-use mduck_sql::ast::{InsertSource, Statement};
-use mduck_sql::eval::{eval, OuterStack};
-use mduck_sql::{
-    parse_statement, Binder, Catalog, ExecGuard, ExecLimits, LogicalType, PragmaValue, Registry,
-    Schema, SqlError, SqlResult, Value,
+use mduck_sync::RwLock;
+use mduck_wal::{
+    dml_record, Commit, Durability, DurabilityManager, DurableEngine, IndexDef, Snapshot,
+    TableSnapshot, WalRecord,
 };
 
-use crate::catalog::RowCatalog;
+use mduck_sql::ast::{InsertSource, Statement};
+use mduck_sql::catalog::BaseTable;
+use mduck_sql::eval::OuterStack;
+use mduck_sql::session::{self, ActiveQuery, BoundDml, Session};
+use mduck_sql::{
+    parse_statement, Binder, Catalog, ExecGuard, ExecLimits, Expr, LogicalType, QueryResult,
+    Registry, SqlError, SqlResult, Value,
+};
+
+use crate::catalog::{HeapTable, RowCatalog};
 use crate::exec::{execute_select, RowCtx};
 use crate::index::{BTreeIndexType, RowIndexRegistry};
+use mduck_sql::index::StagedIndexes;
 
-/// A query result (same shape as quackdb's for easy comparison testing).
-#[derive(Debug, Clone)]
-pub struct RowQueryResult {
-    pub schema: Schema,
-    pub rows: Vec<Vec<Value>>,
-}
+/// A query result: the same type quackdb returns, for easy comparison
+/// testing.
+pub type RowQueryResult = QueryResult;
 
 /// An in-process row-store database.
 pub struct RowDatabase {
     pub catalog: RowCatalog,
     registry: Arc<RwLock<Registry>>,
     index_types: Arc<RwLock<RowIndexRegistry>>,
-    /// Per-statement execution limits (`PRAGMA memory_limit`, row budget).
-    limits: RwLock<ExecLimits>,
-    /// Progress handle of the most recent `execute()` statement; retained
-    /// after completion so late pollers read 1.0 rather than nothing.
-    current_progress: Mutex<Option<Arc<QueryProgress>>>,
-    /// Durability manager when a WAL is attached ([`RowDatabase::open`] /
-    /// `PRAGMA wal='path'`); `None` keeps the in-memory default.
-    wal: RwLock<Option<Arc<DurabilityManager>>>,
-    /// Serializes catalog/data commits and checkpoints (see quackdb's
-    /// twin field for the full rationale).
-    commit_lock: Mutex<()>,
+    session: Session,
+    durable: Durability,
 }
 
 impl Default for RowDatabase {
@@ -59,10 +59,11 @@ impl RowDatabase {
             catalog: RowCatalog::default(),
             registry: Arc::new(RwLock::new(Registry::with_builtins())),
             index_types: Arc::new(RwLock::new(index_types)),
-            limits: RwLock::new(ExecLimits::default()),
-            current_progress: Mutex::new(None),
-            wal: RwLock::new(None),
-            commit_lock: Mutex::new(()),
+            // The row engine is single-threaded by design (it stands in for
+            // tuple-at-a-time PostgreSQL): `PRAGMA threads` is validated
+            // like quackdb's but always reports 1.
+            session: Session::new("rowdb", 1),
+            durable: Durability::default(),
         }
     }
 
@@ -77,228 +78,47 @@ impl RowDatabase {
     }
 
     /// Attach a WAL to a live database (`PRAGMA wal='path'`), recovering
-    /// on-disk state first. A brand-new WAL on a database that already
-    /// holds tables checkpoints them immediately.
+    /// on-disk state first (see [`Durability::attach`]).
     pub fn attach_wal(&self, path: impl AsRef<Path>) -> SqlResult<()> {
-        let _commit = self.commit_lock.lock();
-        if self.wal.read().is_some() {
-            return Err(SqlError::execution(
-                "a WAL is already attached; detach it first (PRAGMA wal='off')",
-            ));
-        }
-        let (manager, recovery) = {
-            let registry = self.registry.read();
-            DurabilityManager::open(path.as_ref(), &registry)?
-        };
-        self.apply_recovery(&recovery)?;
-        let manager = Arc::new(manager);
-        let fresh = recovery.snapshot.is_none() && recovery.records.is_empty();
-        if fresh && !self.catalog.table_names().is_empty() {
-            self.checkpoint_locked(&manager)?;
-        }
-        *self.wal.write() = Some(manager);
-        Ok(())
+        self.durable.attach(self, path.as_ref())
     }
 
     /// Detach the WAL (`PRAGMA wal='off'`); on-disk state stays put.
     pub fn detach_wal(&self) {
-        let _commit = self.commit_lock.lock();
-        *self.wal.write() = None;
+        self.durable.detach()
     }
 
     /// The attached durability manager, if any.
     pub fn wal(&self) -> Option<Arc<DurabilityManager>> {
-        self.wal.read().clone()
+        self.durable.manager()
     }
 
     /// Bulk-insert pre-typed rows through the full commit path: atomic
     /// append, WAL record, auto-checkpoint — identical durability to an
-    /// `INSERT` statement, without parse/bind overhead (see quackdb's
-    /// twin method; used by the berlinmod loader).
+    /// `INSERT` statement, without parse/bind overhead (used by the
+    /// berlinmod loader).
     pub fn insert_rows(&self, table: &str, rows: Vec<Vec<Value>>) -> SqlResult<usize> {
-        let n = rows.len();
-        let needed = {
-            let _commit = self.commit_lock.lock();
-            let t = self.catalog.get(table)?;
-            let mut t = t.write();
-            let pre_rows = t.rows.len();
-            let record = self.wal.read().is_some().then(|| WalRecord::Insert {
-                table: t.name.clone(),
-                rows: rows.clone(),
-            });
-            t.append_rows(rows)?;
-            match record {
-                None => false,
-                Some(record) => match self.wal_append(&record) {
-                    Ok(needed) => needed,
-                    Err(e) => {
-                        t.truncate_rows(pre_rows);
-                        let all: Vec<usize> = (0..t.column_names.len()).collect();
-                        self.rebuild_indexes(&mut t, &all)?;
-                        return Err(e);
-                    }
-                },
-            }
-        };
-        self.maybe_auto_checkpoint(needed);
-        Ok(n)
+        self.durable.insert_rows(self, table, Cow::Owned(rows))
     }
 
     /// Snapshot the whole database and truncate the WAL (the
     /// `CHECKPOINT` statement). `false` = no WAL attached, nothing done.
     pub fn checkpoint(&self) -> SqlResult<bool> {
-        let Some(manager) = self.wal() else { return Ok(false) };
-        let _commit = self.commit_lock.lock();
-        self.checkpoint_locked(&manager)?;
-        Ok(true)
-    }
-
-    fn checkpoint_locked(&self, manager: &DurabilityManager) -> SqlResult<()> {
-        let snapshot = self.snapshot_state();
-        manager.checkpoint(&snapshot)
-    }
-
-    fn snapshot_state(&self) -> Snapshot {
-        let mut tables = Vec::new();
-        for name in self.catalog.table_names() {
-            let Ok(t) = self.catalog.get(&name) else { continue };
-            let t = t.read();
-            let columns: Vec<(String, LogicalType)> = t
-                .column_names
-                .iter()
-                .cloned()
-                .zip(t.column_types.iter().cloned())
-                .collect();
-            let indexes: Vec<IndexDef> = t
-                .indexes
-                .iter()
-                .map(|i| IndexDef {
-                    name: i.name().to_string(),
-                    method: i.method().to_string(),
-                    column: t.column_names[i.column()].clone(),
-                })
-                .collect();
-            tables.push(TableSnapshot {
-                name: t.name.clone(),
-                columns,
-                indexes,
-                rows: t.rows.clone(),
-            });
-        }
-        Snapshot { tables }
-    }
-
-    fn apply_recovery(&self, recovery: &Recovery) -> SqlResult<()> {
-        if let Some(snapshot) = &recovery.snapshot {
-            for ts in &snapshot.tables {
-                self.catalog.create_table(&ts.name, ts.columns.clone(), false)?;
-                let t = self.catalog.get(&ts.name)?;
-                let res = t.write().append_rows(ts.rows.clone());
-                res?;
-            }
-            for ts in &snapshot.tables {
-                for idx in &ts.indexes {
-                    self.create_index(&idx.name, &ts.name, &idx.method, &idx.column)?;
-                }
-            }
-        }
-        for record in &recovery.records {
-            self.apply_record(record)?;
-        }
-        Ok(())
-    }
-
-    /// Replay one WAL record through the same storage paths live
-    /// statements use.
-    fn apply_record(&self, record: &WalRecord) -> SqlResult<()> {
-        match record {
-            WalRecord::CreateTable { name, columns } => {
-                self.catalog.create_table(name, columns.clone(), false)
-            }
-            WalRecord::DropTable { name } => self.catalog.drop_table(name, false),
-            WalRecord::CreateIndex { name, table, method, column } => {
-                self.create_index(name, table, method, column)
-            }
-            WalRecord::Insert { table, rows } => {
-                let t = self.catalog.get(table)?;
-                let res = t.write().append_rows(rows.clone());
-                res
-            }
-            WalRecord::Update { table, cells } => {
-                let t = self.catalog.get(table)?;
-                let mut t = t.write();
-                for (row, col, v) in cells {
-                    let (r, c) = (*row as usize, *col as usize);
-                    if r >= t.rows.len() || c >= t.column_names.len() {
-                        return Err(SqlError::corruption(format!(
-                            "wal update cell ({r}, {c}) outside table {} ({} rows)",
-                            t.name,
-                            t.rows.len()
-                        )));
-                    }
-                    t.rows[r][c] = v.clone();
-                }
-                let cols: Vec<usize> = {
-                    let mut s: Vec<usize> =
-                        cells.iter().map(|(_, c, _)| *c as usize).collect();
-                    s.sort_unstable();
-                    s.dedup();
-                    s
-                };
-                self.rebuild_indexes(&mut t, &cols)
-            }
-            WalRecord::Delete { table, rows } => {
-                let t = self.catalog.get(table)?;
-                let mut t = t.write();
-                let dead: std::collections::HashSet<u64> = rows.iter().copied().collect();
-                let mut kept = Vec::with_capacity(t.rows.len());
-                for (i, row) in std::mem::take(&mut t.rows).into_iter().enumerate() {
-                    if !dead.contains(&(i as u64)) {
-                        kept.push(row);
-                    }
-                }
-                t.rows = kept;
-                let all: Vec<usize> = (0..t.column_names.len()).collect();
-                self.rebuild_indexes(&mut t, &all)
-            }
-        }
-    }
-
-    /// Append one record to the attached WAL, if any; returns whether
-    /// the auto-checkpoint threshold was crossed.
-    fn wal_append(&self, record: &WalRecord) -> SqlResult<bool> {
-        match &*self.wal.read() {
-            Some(manager) => manager.append(record),
-            None => Ok(false),
-        }
-    }
-
-    /// Size-triggered checkpoint after a committed statement. Failures
-    /// must not fail that statement (already applied and logged); the
-    /// log keeps growing and the next trigger retries.
-    fn maybe_auto_checkpoint(&self, needed: bool) {
-        if !needed {
-            return;
-        }
-        let Some(manager) = self.wal() else { return };
-        let _commit = self.commit_lock.lock();
-        if self.checkpoint_locked(&manager).is_ok() {
-            mduck_obs::metrics().wal_auto_checkpoints.inc(1);
-        }
+        self.durable.checkpoint(self)
     }
 
     pub fn set_exec_limits(&self, limits: ExecLimits) {
-        *self.limits.write() = limits;
+        self.session.set_limits(limits);
     }
 
     pub fn exec_limits(&self) -> ExecLimits {
-        self.limits.read().clone()
+        self.session.limits()
     }
 
     /// Completion fraction of the most recent `execute()` statement, if
     /// any — pollable from another thread while a statement runs.
     pub fn progress(&self) -> Option<f64> {
-        self.current_progress.lock().as_ref().map(|p| p.fraction())
+        self.session.progress()
     }
 
     pub fn registry_mut(&self) -> mduck_sync::RwLockWriteGuard<'_, Registry> {
@@ -313,55 +133,37 @@ impl RowDatabase {
         self.index_types.write()
     }
 
+    /// Execute one SQL statement. `SHOW TABLES` and `DESCRIBE <table>`
+    /// are utility statements, as on quackdb.
     pub fn execute(&self, sql: &str) -> SqlResult<RowQueryResult> {
+        if let Some(result) = session::utility(sql, &self.catalog) {
+            return result;
+        }
         let stmt = parse_timed(sql)?;
-        let guard = ExecGuard::new(&self.limits.read());
-        let id = mduck_obs::next_query_id();
-        let sql_text = sql.trim().to_string();
-        let progress = QueryProgress::begin(&sql_text);
-        *self.current_progress.lock() = Some(Arc::clone(&progress));
-        let start = Instant::now();
-        let result = self.run_guarded(&stmt, &guard, Some(&progress));
-        progress.finish();
-        let duration = start.elapsed();
-        let (rows_returned, error) = match &result {
-            Ok(r) => (r.rows.len() as u64, None),
-            Err(e) => (0, Some(e.to_string())),
-        };
+        let guard = self.session.guard();
         // Slow SELECTs capture the engine's analyzed plan; the re-plan is
         // bind-only and cheap next to a slow execution.
-        let slow = duration.as_millis() as u64 >= mduck_obs::slow_threshold_ms();
-        let profile = if slow { self.explain_for_log(&stmt) } else { None };
-        mduck_obs::log_query(mduck_obs::QueryLogRecord {
-            id,
-            engine: "rowdb",
-            sql: sql_text,
-            duration_us: duration.as_micros() as u64,
-            rows_returned,
-            rows_scanned: guard.rows_scanned(),
-            guard_trip: guard.trip_label(),
-            mem_peak: guard.mem().peak(),
-            threads: 1,
-            error,
-            profile,
-        });
-        result
+        self.session.run_logged(
+            sql,
+            &guard,
+            |p| self.run_statement(&stmt, &guard, Some(p)),
+            |_| self.explain_for_log(&stmt),
+        )
     }
 
     /// The analyzed-plan text attached to slow query-log entries.
     fn explain_for_log(&self, stmt: &Statement) -> Option<String> {
         let Statement::Select(sel) = stmt else { return None };
         let registry = self.registry.read();
-        let mut binder = Binder::new(&self.catalog, &registry);
-        let plan = binder.bind_select(sel).ok()?;
-        let guard = ExecGuard::new(&self.limits.read());
+        let plan = Binder::new(&self.catalog, &registry).bind_select(sel).ok()?;
+        let guard = self.session.guard();
         let ctx = RowCtx::new(&self.catalog, &registry, &guard);
         crate::exec::explain_select(&ctx, &plan).ok()
     }
 
     pub fn execute_script(&self, sql: &str) -> SqlResult<RowQueryResult> {
         let stmts = mduck_sql::parse_script(sql)?;
-        let mut last = RowQueryResult { schema: Schema::default(), rows: Vec::new() };
+        let mut last = QueryResult::empty();
         for s in &stmts {
             last = self.execute_statement(s)?;
         }
@@ -373,29 +175,8 @@ impl RowDatabase {
     /// and surfaced as [`SqlError::Internal`] instead of unwinding into
     /// the host (the interior locks recover from poisoning).
     pub fn execute_statement(&self, stmt: &Statement) -> SqlResult<RowQueryResult> {
-        let guard = ExecGuard::new(&self.limits.read());
-        self.run_guarded(stmt, &guard, None)
-    }
-
-    fn run_guarded(
-        &self,
-        stmt: &Statement,
-        guard: &ExecGuard,
-        progress: Option<&QueryProgress>,
-    ) -> SqlResult<RowQueryResult> {
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.run_statement(stmt, guard, progress)
-        })) {
-            Ok(r) => r,
-            Err(payload) => {
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".into());
-                Err(SqlError::internal(format!("executor panicked: {msg}")))
-            }
-        }
+        let guard = self.session.guard();
+        session::catch_panics(|| self.run_statement(stmt, &guard, None))
     }
 
     fn run_statement(
@@ -406,17 +187,14 @@ impl RowDatabase {
     ) -> SqlResult<RowQueryResult> {
         match stmt {
             Statement::Select(sel) => {
+                let _active = ActiveQuery::begin();
                 let m = mduck_obs::metrics();
-                m.queries_executed.inc(1);
-                m.active_queries.add(1);
-                let _active = GaugeGuard;
                 let _query_span = mduck_obs::span("rowdb.query");
                 let registry = self.registry.read();
                 let bind_start = Instant::now();
                 let plan = {
                     let _s = mduck_obs::span("rowdb.bind");
-                    let mut binder = Binder::new(&self.catalog, &registry);
-                    binder.bind_select(sel)?
+                    Binder::new(&self.catalog, &registry).bind_select(sel)?
                 };
                 m.rowdb_bind_ns.observe(bind_start.elapsed().as_nanos() as u64);
                 let ctx = RowCtx::new(&self.catalog, &registry, guard).with_progress(progress);
@@ -426,7 +204,7 @@ impl RowDatabase {
                     execute_select(&ctx, &plan, &OuterStack::EMPTY)?
                 };
                 m.rowdb_exec_ns.observe(exec_start.elapsed().as_nanos() as u64);
-                Ok(RowQueryResult { schema: plan.output_schema, rows })
+                Ok(QueryResult { schema: plan.output_schema, rows })
             }
             Statement::Explain { statement, analyze } => {
                 // PostgreSQL-style indented text plan.
@@ -434,8 +212,7 @@ impl RowDatabase {
                     return Err(SqlError::Bind("EXPLAIN supports SELECT".into()));
                 };
                 let registry = self.registry.read();
-                let mut binder = Binder::new(&self.catalog, &registry);
-                let plan = binder.bind_select(sel)?;
+                let plan = Binder::new(&self.catalog, &registry).bind_select(sel)?;
                 let ctx = RowCtx::new(&self.catalog, &registry, guard).with_progress(progress);
                 let mut text = crate::exec::explain_select(&ctx, &plan)?;
                 if *analyze {
@@ -459,503 +236,140 @@ impl RowDatabase {
                         *ctx.rows_scanned.borrow()
                     ));
                 }
-                Ok(RowQueryResult {
-                    schema: Schema::new(vec![mduck_sql::Field {
-                        name: "explain".into(),
-                        table: None,
-                        ty: LogicalType::Text,
-                    }]),
-                    rows: vec![vec![Value::text(text)]],
-                })
+                Ok(QueryResult::single("explain", LogicalType::Text, Value::text(text)))
             }
             Statement::Pragma { name, value } => {
-                // The row engine is single-threaded by design (it stands in
-                // for tuple-at-a-time PostgreSQL): `PRAGMA threads` is
-                // accepted for cross-engine script compatibility but always
-                // reports 1.
-                if name == "threads" {
-                    if let Some(v) = value {
-                        let v = v.as_int().ok_or_else(|| {
-                            SqlError::Bind(format!(
-                                "PRAGMA threads expects an integer, got {v:?}"
-                            ))
-                        })?;
-                        if v < 0 {
-                            return Err(SqlError::OutOfRange(format!(
-                                "PRAGMA threads expects a non-negative value, got {v}"
-                            )));
-                        }
-                    }
-                    let (schema, rows) = mduck_sql::introspect::threads_result(1);
-                    return Ok(RowQueryResult { schema, rows });
-                }
-                if name == "memory_limit" {
-                    if let Some(v) = value {
-                        let limit = mduck_sql::introspect::parse_memory_limit(v)?;
-                        self.limits.write().memory_limit = limit;
-                    }
-                    let (schema, rows) = mduck_sql::introspect::memory_limit_result(
-                        self.limits.read().memory_limit,
-                    );
-                    return Ok(RowQueryResult { schema, rows });
-                }
-                if name == "wal" {
-                    if let Some(v) = value {
-                        let path = match v {
-                            PragmaValue::Str(s) => s.clone(),
-                            PragmaValue::Int(n) => {
-                                return Err(SqlError::Bind(format!(
-                                    "PRAGMA wal expects a path string, got {n}"
-                                )))
-                            }
-                        };
-                        let trimmed = path.trim();
-                        if trimmed.is_empty()
-                            || trimmed.eq_ignore_ascii_case("off")
-                            || trimmed.eq_ignore_ascii_case("none")
-                        {
-                            self.detach_wal();
-                        } else {
-                            self.attach_wal(trimmed)?;
-                        }
-                    }
-                    let shown = self.wal().map(|m| m.wal_path().display().to_string());
-                    let (schema, rows) = mduck_sql::introspect::wal_result(shown);
-                    return Ok(RowQueryResult { schema, rows });
-                }
-                if name == "wal_autocheckpoint" {
-                    if let Some(v) = value {
-                        let n = v.as_int().ok_or_else(|| {
-                            SqlError::Bind(format!(
-                                "PRAGMA wal_autocheckpoint expects a byte count, got {v:?}"
-                            ))
-                        })?;
-                        if n < 0 {
-                            return Err(SqlError::OutOfRange(format!(
-                                "PRAGMA wal_autocheckpoint expects a non-negative byte \
-                                 count, got {n}"
-                            )));
-                        }
-                        match self.wal() {
-                            Some(m) => m.set_auto_checkpoint(n as u64),
-                            None => {
-                                return Err(SqlError::execution(
-                                    "no WAL attached; PRAGMA wal='path' first",
-                                ))
-                            }
-                        }
-                    }
-                    let current = self.wal().map(|m| m.auto_checkpoint()).unwrap_or(0);
-                    let (schema, rows) =
-                        mduck_sql::introspect::wal_autocheckpoint_result(current);
-                    return Ok(RowQueryResult { schema, rows });
-                }
-                match mduck_sql::introspect::pragma(name, value.as_ref())? {
-                    Some((schema, rows)) => Ok(RowQueryResult { schema, rows }),
-                    None => Err(SqlError::Catalog(format!("unknown pragma {name:?}"))),
-                }
+                let value = value.as_ref();
+                self.durable
+                    .pragma(self, name, value)
+                    .unwrap_or_else(|| self.session.pragma(name, value))
             }
             Statement::CreateTable { name, columns, if_not_exists } => {
-                let cols = {
-                    let registry = self.registry.read();
-                    let mut cols = Vec::with_capacity(columns.len());
-                    for (cname, tname) in columns {
-                        cols.push((cname.clone(), registry.resolve_type(tname)?));
-                    }
-                    cols
-                };
-                let needed = {
-                    let _commit = self.commit_lock.lock();
-                    // Pre-check so an IF NOT EXISTS no-op logs nothing and a
-                    // name clash fails before the WAL sees it.
-                    if self.catalog.table_schema(name).is_some() {
-                        if *if_not_exists {
-                            return Ok(RowQueryResult {
-                                schema: Schema::default(),
-                                rows: Vec::new(),
-                            });
-                        }
-                        return Err(SqlError::Catalog(format!("table {name:?} already exists")));
-                    }
-                    let needed = self.wal_append(&WalRecord::CreateTable {
-                        name: name.to_ascii_lowercase(),
-                        columns: cols.clone(),
-                    })?;
-                    self.catalog.create_table(name, cols, *if_not_exists)?;
-                    needed
-                };
-                self.maybe_auto_checkpoint(needed);
-                Ok(RowQueryResult { schema: Schema::default(), rows: Vec::new() })
+                self.durable.create_table(self, name, columns, *if_not_exists)
             }
             Statement::DropTable { name, if_exists } => {
-                let needed = {
-                    let _commit = self.commit_lock.lock();
-                    if self.catalog.table_schema(name).is_none() {
-                        if *if_exists {
-                            return Ok(RowQueryResult {
-                                schema: Schema::default(),
-                                rows: Vec::new(),
-                            });
-                        }
-                        return Err(SqlError::Catalog(format!("table {name:?} does not exist")));
-                    }
-                    let needed = self
-                        .wal_append(&WalRecord::DropTable { name: name.to_ascii_lowercase() })?;
-                    self.catalog.drop_table(name, true)?;
-                    needed
-                };
-                self.maybe_auto_checkpoint(needed);
-                Ok(RowQueryResult { schema: Schema::default(), rows: Vec::new() })
+                self.durable.drop_table(self, name, *if_exists)
             }
             Statement::CreateIndex { name, table, method, column } => {
-                let needed = {
-                    let _commit = self.commit_lock.lock();
-                    self.create_index(name, table, method, column)?;
-                    let resolved = if method.is_empty() {
-                        "BTREE".to_string()
-                    } else {
-                        method.to_uppercase()
-                    };
-                    let record = WalRecord::CreateIndex {
-                        name: name.clone(),
-                        table: table.to_ascii_lowercase(),
-                        method: resolved,
-                        column: column.clone(),
-                    };
-                    match self.wal_append(&record) {
-                        Ok(needed) => needed,
-                        Err(e) => {
-                            // Undo the in-memory index: dropping an access
-                            // path is always safe, and the statement must
-                            // not report failure while leaving it behind.
-                            if let Ok(t) = self.catalog.get(table) {
-                                t.write().indexes.retain(|i| i.name() != name);
-                            }
-                            return Err(e);
+                self.durable.create_index(self, name, table, method, column)
+            }
+            Statement::Checkpoint => self.durable.checkpoint_statement(self),
+            Statement::Insert { table, columns, source } => {
+                // Compute the incoming rows first (they may SELECT from
+                // the target).
+                let incoming = {
+                    let registry = self.registry.read();
+                    match source {
+                        InsertSource::Values(rows) => {
+                            session::eval_values(rows, &self.catalog, &registry)?
+                        }
+                        InsertSource::Select(sel) => {
+                            let plan = Binder::new(&self.catalog, &registry).bind_select(sel)?;
+                            let ctx = RowCtx::new(&self.catalog, &registry, guard);
+                            execute_select(&ctx, &plan, &OuterStack::EMPTY)?
                         }
                     }
                 };
-                self.maybe_auto_checkpoint(needed);
-                Ok(RowQueryResult { schema: Schema::default(), rows: Vec::new() })
-            }
-            Statement::Insert { table, columns, source } => {
-                let (n, needed) = self.insert(table, columns.as_deref(), source)?;
-                self.maybe_auto_checkpoint(needed);
-                Ok(RowQueryResult {
-                    schema: Schema::default(),
-                    rows: vec![vec![Value::Int(n as i64)]],
-                })
+                self.durable.insert(self, guard, table, columns.as_deref(), incoming)
             }
             Statement::Update { table, sets, where_clause } => {
-                let (n, needed) = self.update(table, sets, where_clause.as_ref())?;
-                self.maybe_auto_checkpoint(needed);
-                Ok(RowQueryResult {
-                    schema: Schema::default(),
-                    rows: vec![vec![Value::Int(n as i64)]],
-                })
+                Ok(QueryResult::count(self.modify(table, sets, where_clause.as_ref(), guard)?))
             }
             Statement::Delete { table, where_clause } => {
-                let (n, needed) = self.delete(table, where_clause.as_ref())?;
-                self.maybe_auto_checkpoint(needed);
-                Ok(RowQueryResult {
-                    schema: Schema::default(),
-                    rows: vec![vec![Value::Int(n as i64)]],
-                })
-            }
-            Statement::Checkpoint => {
-                let ran = self.checkpoint()?;
-                let (schema, rows) = mduck_sql::introspect::checkpoint_result(ran);
-                Ok(RowQueryResult { schema, rows })
+                Ok(QueryResult::count(self.modify(table, &[], where_clause.as_ref(), guard)?))
             }
         }
     }
 
     fn create_index(&self, name: &str, table: &str, method: &str, column: &str) -> SqlResult<()> {
-        let method = if method.is_empty() { "BTREE".to_string() } else { method.to_uppercase() };
-        let index_type = self
-            .index_types
-            .read()
-            .get(&method)
-            .ok_or_else(|| SqlError::Catalog(format!("unknown index method {method:?}")))?;
         let t = self.catalog.get(table)?;
         let mut t = t.write();
         let col = t
             .column_index(column)
             .ok_or_else(|| SqlError::Catalog(format!("no column {column:?} in {table:?}")))?;
-        let ty = t.column_types[col].clone();
-        if !index_type.can_index(&ty) {
-            return Err(SqlError::Catalog(format!(
-                "index method {method} cannot index type {}",
-                ty.name()
-            )));
-        }
-        if t.indexes.iter().any(|i| i.name() == name) {
-            return Err(SqlError::Catalog(format!("index {name:?} already exists")));
-        }
-        let existing: Vec<Value> = t.rows.iter().map(|r| r[col].clone()).collect();
-        let index = index_type.create(name, col, &ty, &existing)?;
+        let index = self.index_types.read().build(
+            &t.indexes,
+            name,
+            method,
+            col,
+            &t.column_types[col],
+            || t.rows.iter().map(|r| r[col].clone()).collect(),
+        )?;
         t.indexes.push(index);
         Ok(())
     }
 
-    /// Returns `(rows inserted, auto-checkpoint needed)`. Commit
-    /// discipline: the atomic heap append runs first, then the WAL
-    /// record; a WAL failure rolls the heap back so a statement that
-    /// reported an error is never durable or visible.
-    fn insert(
+    /// UPDATE (`sets` non-empty) or DELETE body; returns the rows
+    /// changed. Every index rebuild is staged before the log append and
+    /// the heap is only written after it, so a guard trip or an I/O error
+    /// anywhere leaves the table untouched and in step with the log.
+    fn modify(
         &self,
         table: &str,
-        columns: Option<&[String]>,
-        source: &InsertSource,
-    ) -> SqlResult<(usize, bool)> {
-        let registry = self.registry.read();
-        let incoming: Vec<Vec<Value>> = match source {
-            InsertSource::Values(rows) => {
-                let mut out = Vec::with_capacity(rows.len());
-                for row in rows {
-                    let mut vals = Vec::with_capacity(row.len());
-                    for e in row {
-                        let bound =
-                            mduck_sql::binder::bind_constant_expr(e, &self.catalog, &registry)?;
-                        vals.push(eval(
-                            &bound,
-                            &[],
-                            &OuterStack::EMPTY,
-                            &mduck_sql::eval::NoSubqueries,
-                        )?);
+        sets: &[(String, Expr)],
+        where_clause: Option<&Expr>,
+        guard: &ExecGuard,
+    ) -> SqlResult<usize> {
+        let dml = BoundDml::bind(&self.catalog, &self.registry.read(), table, sets, where_clause)?;
+        self.durable.commit(self, |commit| {
+            let t = self.catalog.get(table)?;
+            let mut t = t.write();
+            let (n, record) = dml_record(&dml, &t.name, &t.rows, guard)?;
+            let Some(record) = record else { return Ok(0) };
+            let indexes = self.stage(&t, &record)?;
+            commit.log(&record)?;
+            assign(&mut t, record, indexes);
+            Ok(n)
+        })
+    }
+
+    /// The indexes an UPDATE or DELETE record leaves behind, rebuilt from
+    /// the post-statement values without touching the heap. Live
+    /// statements stage, log, then [`assign`]; replay stages and assigns
+    /// — the same path either way.
+    fn stage(&self, t: &HeapTable, record: &WalRecord) -> SqlResult<StagedIndexes> {
+        let index_types = self.index_types.read();
+        let type_of = |c: usize| t.column_types[c].clone();
+        match record {
+            WalRecord::Update { cells, .. } => {
+                // A later cell for the same row and column wins.
+                let mut overlay: BTreeMap<(usize, usize), &Value> = BTreeMap::new();
+                for (row, col, v) in cells {
+                    let (r, c) = (*row as usize, *col as usize);
+                    if r >= t.rows.len() || c >= t.column_names.len() {
+                        return Err(SqlError::corruption(format!(
+                            "update cell ({r}, {c}) outside table {} ({} rows)",
+                            t.name,
+                            t.rows.len()
+                        )));
                     }
-                    out.push(vals);
+                    overlay.insert((r, c), v);
                 }
-                out
-            }
-            InsertSource::Select(sel) => {
-                let mut binder = Binder::new(&self.catalog, &registry);
-                let plan = binder.bind_select(sel)?;
-                let guard = ExecGuard::new(&self.limits.read());
-                let ctx = RowCtx::new(&self.catalog, &registry, &guard);
-                execute_select(&ctx, &plan, &OuterStack::EMPTY)?
-            }
-        };
-        let _commit = self.commit_lock.lock();
-        let t = self.catalog.get(table)?;
-        let mut t = t.write();
-        let rows = match columns {
-            None => incoming,
-            Some(cols) => {
-                let mut mapping = Vec::with_capacity(cols.len());
-                for c in cols {
-                    mapping.push(
-                        t.column_index(c)
-                            .ok_or_else(|| SqlError::Catalog(format!("no column {c:?}")))?,
-                    );
-                }
-                let width = t.column_names.len();
-                incoming
-                    .into_iter()
-                    .map(|row| {
-                        let mut full = vec![Value::Null; width];
-                        for (v, &dst) in row.into_iter().zip(&mapping) {
-                            full[dst] = v;
-                        }
-                        full
-                    })
-                    .collect()
-            }
-        };
-        // Implicit assignment casts to the column types.
-        let types = t.column_types.clone();
-        let mut coerced = Vec::with_capacity(rows.len());
-        for row in rows {
-            let mut cr = Vec::with_capacity(row.len());
-            for (v, ty) in row.into_iter().zip(&types) {
-                if v.is_null() || &v.logical_type() == ty || v.logical_type().coercible_to(ty) {
-                    cr.push(v);
-                } else if let Some(cast) = registry.resolve_cast(&v.logical_type(), ty) {
-                    cr.push(cast(&[v])?);
-                } else {
-                    cr.push(v);
-                }
-            }
-            coerced.push(cr);
-        }
-        let n = coerced.len();
-        let pre_rows = t.rows.len();
-        // Only pay for the WAL copy when a WAL is attached (the attach
-        // itself takes the commit lock we hold, so this cannot race).
-        let record = self.wal.read().is_some().then(|| WalRecord::Insert {
-            table: t.name.clone(),
-            rows: coerced.clone(),
-        });
-        t.append_rows(coerced)?;
-        let needed = match record {
-            None => false,
-            Some(record) => match self.wal_append(&record) {
-                Ok(needed) => needed,
-                Err(e) => {
-                    // Not logged → must not stay visible.
-                    t.truncate_rows(pre_rows);
-                    let all: Vec<usize> = (0..t.column_names.len()).collect();
-                    self.rebuild_indexes(&mut t, &all)?;
-                    return Err(e);
-                }
-            },
-        };
-        Ok((n, needed))
-    }
-
-    fn bind_table_schema(&self, table: &str) -> SqlResult<Schema> {
-        let cols = self
-            .catalog
-            .table_schema(table)
-            .ok_or_else(|| SqlError::Catalog(format!("table {table:?} does not exist")))?;
-        Ok(Schema::new(
-            cols.into_iter()
-                .map(|(n, ty)| mduck_sql::Field {
-                    name: n,
-                    table: Some(table.to_ascii_lowercase()),
-                    ty,
+                let mut cols: Vec<usize> = overlay.keys().map(|(_, c)| *c).collect();
+                cols.sort_unstable();
+                cols.dedup();
+                index_types.rebuild(&t.indexes, &cols, type_of, |col| {
+                    t.rows
+                        .iter()
+                        .enumerate()
+                        .map(|(r, row)| (*overlay.get(&(r, col)).unwrap_or(&&row[col])).clone())
+                        .collect()
                 })
-                .collect(),
-        ))
-    }
-
-    /// Returns `(rows updated, auto-checkpoint needed)`. Commit
-    /// discipline: every new cell and every index rebuild is staged
-    /// before the WAL record is appended; after the append only
-    /// infallible assignments remain, so the table is untouched on any
-    /// error (including a mid-scan eval failure) and never diverges from
-    /// the log.
-    fn update(
-        &self,
-        table: &str,
-        sets: &[(String, mduck_sql::Expr)],
-        where_clause: Option<&mduck_sql::Expr>,
-    ) -> SqlResult<(usize, bool)> {
-        let registry = self.registry.read();
-        let schema = self.bind_table_schema(table)?;
-        let mut binder = Binder::new(&self.catalog, &registry);
-        let bound_sets: SqlResult<Vec<(usize, mduck_sql::BoundExpr)>> = sets
-            .iter()
-            .map(|(col, e)| {
-                let idx = schema
-                    .resolve(None, &col.to_ascii_lowercase())
-                    .map_err(|_| SqlError::Catalog(format!("no column {col:?}")))?;
-                Ok((idx, binder.bind_expr(e, &schema)?))
-            })
-            .collect();
-        let bound_sets = bound_sets?;
-        let bound_where = match where_clause {
-            Some(w) => Some(binder.bind_expr(w, &schema)?),
-            None => None,
-        };
-        let _commit = self.commit_lock.lock();
-        let t = self.catalog.get(table)?;
-        let mut t = t.write();
-        let no_sub = mduck_sql::eval::NoSubqueries;
-        // Stage 1: evaluate everything against the untouched rows.
-        let mut cells: Vec<(u64, u64, Value)> = Vec::new();
-        let mut updated = 0usize;
-        for i in 0..t.rows.len() {
-            let row = &t.rows[i];
-            if let Some(w) = &bound_where {
-                if !matches!(eval(w, row, &OuterStack::EMPTY, &no_sub)?, Value::Bool(true)) {
-                    continue;
-                }
             }
-            for (col, e) in &bound_sets {
-                cells.push((i as u64, *col as u64, eval(e, row, &OuterStack::EMPTY, &no_sub)?));
+            WalRecord::Delete { rows, .. } => {
+                let dead: HashSet<u64> = rows.iter().copied().collect();
+                let all: Vec<usize> = (0..t.column_names.len()).collect();
+                index_types.rebuild(&t.indexes, &all, type_of, |col| {
+                    t.rows
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, _)| !dead.contains(&(*i as u64)))
+                        .map(|(_, row)| row[col].clone())
+                        .collect()
+                })
             }
-            updated += 1;
+            other => Err(SqlError::internal(format!("cannot stage a {} record", other.kind()))),
         }
-        if updated == 0 {
-            return Ok((0, false));
-        }
-        // Stage 2: rebuild affected indexes from the staged values.
-        let mut set_cols: Vec<usize> = bound_sets.iter().map(|(c, _)| *c).collect();
-        set_cols.sort_unstable();
-        set_cols.dedup();
-        let mut overlay: BTreeMap<(usize, usize), &Value> = BTreeMap::new();
-        for (r, c, v) in &cells {
-            overlay.insert((*r as usize, *c as usize), v);
-        }
-        let staged_indexes = self.stage_index_rebuilds(&t, &set_cols, |col| {
-            t.rows
-                .iter()
-                .enumerate()
-                .map(|(r, row)| overlay.get(&(r, col)).map(|v| (*v).clone()).unwrap_or_else(|| row[col].clone()))
-                .collect()
-        })?;
-        // Stage 3: log, then apply (infallible from here on).
-        let needed =
-            self.wal_append(&WalRecord::Update { table: t.name.clone(), cells: cells.clone() })?;
-        for (r, c, v) in cells {
-            t.rows[r as usize][c as usize] = v;
-        }
-        for (slot, index) in staged_indexes {
-            t.indexes[slot] = index;
-        }
-        Ok((updated, needed))
-    }
-
-    /// Returns `(rows deleted, auto-checkpoint needed)`. Same staged
-    /// discipline as `update`: victims are chosen and index rebuilds
-    /// staged before the WAL append; the heap is only compacted after
-    /// the record is durable.
-    fn delete(
-        &self,
-        table: &str,
-        where_clause: Option<&mduck_sql::Expr>,
-    ) -> SqlResult<(usize, bool)> {
-        let registry = self.registry.read();
-        let schema = self.bind_table_schema(table)?;
-        let mut binder = Binder::new(&self.catalog, &registry);
-        let bound_where = match where_clause {
-            Some(w) => Some(binder.bind_expr(w, &schema)?),
-            None => None,
-        };
-        let _commit = self.commit_lock.lock();
-        let t = self.catalog.get(table)?;
-        let mut t = t.write();
-        let no_sub = mduck_sql::eval::NoSubqueries;
-        let mut deleted_rows: Vec<u64> = Vec::new();
-        for (i, row) in t.rows.iter().enumerate() {
-            let delete = match &bound_where {
-                Some(w) => {
-                    matches!(eval(w, row, &OuterStack::EMPTY, &no_sub)?, Value::Bool(true))
-                }
-                None => true,
-            };
-            if delete {
-                deleted_rows.push(i as u64);
-            }
-        }
-        if deleted_rows.is_empty() {
-            return Ok((0, false));
-        }
-        let dead: std::collections::HashSet<u64> = deleted_rows.iter().copied().collect();
-        let all: Vec<usize> = (0..t.column_names.len()).collect();
-        let staged_indexes = self.stage_index_rebuilds(&t, &all, |col| {
-            t.rows
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !dead.contains(&(*i as u64)))
-                .map(|(_, row)| row[col].clone())
-                .collect()
-        })?;
-        let n = deleted_rows.len();
-        let needed =
-            self.wal_append(&WalRecord::Delete { table: t.name.clone(), rows: deleted_rows })?;
-        let mut kept = Vec::with_capacity(t.rows.len() - n);
-        for (i, row) in std::mem::take(&mut t.rows).into_iter().enumerate() {
-            if !dead.contains(&(i as u64)) {
-                kept.push(row);
-            }
-        }
-        t.rows = kept;
-        for (slot, index) in staged_indexes {
-            t.indexes[slot] = index;
-        }
-        Ok((n, needed))
     }
 
     /// Execute a SELECT and return the result together with the analyzed
@@ -965,59 +379,130 @@ impl RowDatabase {
         let result = self.execute(sql)?;
         Ok((result, start.elapsed().as_secs_f64() * 1e3))
     }
+}
 
-    /// Build replacement indexes for every index over one of `cols`,
-    /// without touching the table — `values_of(col)` supplies the
-    /// post-statement values of that column. The caller assigns the
-    /// returned `(slot, index)` pairs once the statement is committed.
-    fn stage_index_rebuilds(
-        &self,
-        t: &crate::catalog::HeapTable,
-        cols: &[usize],
-        values_of: impl Fn(usize) -> Vec<Value>,
-    ) -> SqlResult<Vec<(usize, Box<dyn crate::index::RowIndex>)>> {
-        let index_types = self.index_types.read();
-        let mut staged = Vec::new();
-        for (slot, idx) in t.indexes.iter().enumerate() {
-            let col = idx.column();
-            if !cols.contains(&col) {
-                continue;
-            }
-            let method = idx.method().to_string();
-            let it = index_types
-                .get(&method)
-                .ok_or_else(|| SqlError::Catalog(format!("index method {method} vanished")))?;
-            let ty = t.column_types[col].clone();
-            let values = values_of(col);
-            staged.push((slot, it.create(idx.name(), col, &ty, &values)?));
-        }
-        Ok(staged)
+impl DurableEngine for RowDatabase {
+    const DEFAULT_INDEX_METHOD: &'static str = "BTREE";
+
+    fn catalog(&self) -> &dyn Catalog {
+        &self.catalog
     }
 
-    fn rebuild_indexes(
-        &self,
-        t: &mut crate::catalog::HeapTable,
-        cols: &[usize],
-    ) -> SqlResult<()> {
-        let staged = {
-            let tr: &crate::catalog::HeapTable = t;
-            self.stage_index_rebuilds(tr, cols, |col| {
-                tr.rows.iter().map(|r| r[col].clone()).collect()
-            })?
-        };
-        for (slot, index) in staged {
-            t.indexes[slot] = index;
+    fn registry(&self) -> mduck_sync::RwLockReadGuard<'_, Registry> {
+        self.registry.read()
+    }
+
+    fn snapshot(&self) -> Snapshot {
+        let mut tables = Vec::new();
+        for name in self.catalog.table_names() {
+            let Ok(t) = self.catalog.get(&name) else { continue };
+            let t = t.read();
+            let columns = t.schema();
+            let indexes: Vec<IndexDef> = t
+                .indexes
+                .iter()
+                .map(|i| IndexDef {
+                    name: i.name().to_string(),
+                    method: i.method().to_string(),
+                    column: t.column_names[i.column()].clone(),
+                })
+                .collect();
+            tables.push(TableSnapshot {
+                name: t.name.clone(),
+                columns,
+                indexes,
+                rows: t.rows.clone(),
+            });
         }
-        Ok(())
+        Snapshot { tables }
+    }
+
+    /// Through the same storage paths live statements use.
+    fn apply(&self, record: WalRecord) -> SqlResult<()> {
+        match record {
+            WalRecord::CreateTable { name, columns } => {
+                self.catalog.create_table(&name, columns, false)
+            }
+            WalRecord::DropTable { name } => self.catalog.drop_table(&name, false),
+            WalRecord::CreateIndex { name, table, method, column } => {
+                self.create_index(&name, &table, &method, &column)
+            }
+            WalRecord::Insert { table, rows } => {
+                let t = self.catalog.get(&table)?;
+                let res = t.write().append_rows(rows);
+                res
+            }
+            record @ (WalRecord::Update { .. } | WalRecord::Delete { .. }) => {
+                let t = self.catalog.get(record.table())?;
+                let mut t = t.write();
+                let indexes = self.stage(&t, &record)?;
+                assign(&mut t, record, indexes);
+                Ok(())
+            }
+        }
+    }
+
+    fn drop_index(&self, table: &str, name: &str) {
+        if let Ok(t) = self.catalog.get(table) {
+            t.write().indexes.retain(|i| i.name() != name);
+        }
+    }
+
+    /// The atomic heap append runs first, then the WAL record; a WAL
+    /// failure rolls the heap back through the DELETE staging path, so a
+    /// statement that reported an error is never durable or visible. The
+    /// record's copy of the rows is made only when a WAL is attached.
+    fn insert(
+        &self,
+        table: &str,
+        rows: Cow<'_, [Vec<Value>]>,
+        commit: &Commit<'_>,
+    ) -> SqlResult<usize> {
+        let t = self.catalog.get(table)?;
+        let mut t = t.write();
+        let n = rows.len();
+        let pre_rows = t.rows.len();
+        let record = commit
+            .is_logging()
+            .then(|| WalRecord::Insert { table: t.name.clone(), rows: rows.to_vec() });
+        t.append_rows(rows.into_owned())?;
+        if let Some(record) = record {
+            if let Err(e) = commit.log(&record) {
+                let undo = WalRecord::Delete {
+                    table: t.name.clone(),
+                    rows: (pre_rows as u64..t.rows.len() as u64).collect(),
+                };
+                let indexes = self.stage(&t, &undo)?;
+                assign(&mut t, undo, indexes);
+                return Err(e);
+            }
+        }
+        Ok(n)
     }
 }
 
-/// Decrements the active-query gauge on drop (error paths included).
-struct GaugeGuard;
-
-impl Drop for GaugeGuard {
-    fn drop(&mut self) {
-        mduck_obs::metrics().active_queries.add(-1);
+/// Write a staged UPDATE or DELETE into the heap: overwrite the cells, or
+/// compact away the deleted rows, then install the staged indexes.
+/// Infallible; the record was validated when it was staged.
+fn assign(t: &mut HeapTable, record: WalRecord, indexes: StagedIndexes) {
+    match record {
+        WalRecord::Update { cells, .. } => {
+            for (r, c, v) in cells {
+                t.rows[r as usize][c as usize] = v;
+            }
+        }
+        WalRecord::Delete { rows, .. } => {
+            let dead: HashSet<u64> = rows.into_iter().collect();
+            let mut i = 0u64;
+            t.rows.retain(|_| {
+                i += 1;
+                !dead.contains(&(i - 1))
+            });
+        }
+        _ => {}
+    }
+    for (slot, index) in indexes {
+        t.indexes[slot] = index;
     }
 }
 

@@ -2,58 +2,14 @@
 //! MobilityDB's "with indexes" benchmark scenario.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use mduck_sql::{LogicalType, SqlResult, Value};
 
-/// A live index on one column of a heap table.
-pub trait RowIndex: Send + Sync {
-    fn name(&self) -> &str;
-    fn method(&self) -> &str;
-    fn column(&self) -> usize;
-
-    /// Incremental maintenance on INSERT.
-    fn append(&mut self, values: &[Value], first_row: u64) -> SqlResult<()>;
-
-    /// Probe for `column <op> probe_value`; `None` when the pattern is not
-    /// supported by this index.
-    fn try_scan(&self, op: &str, probe: &Value) -> SqlResult<Option<Vec<u64>>>;
-
-    fn len(&self) -> usize;
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// A registered access method (`USING GIST` / `USING BTREE` / ...).
-pub trait RowIndexType: Send + Sync {
-    fn type_name(&self) -> &str;
-    fn can_index(&self, ty: &LogicalType) -> bool;
-    fn create(
-        &self,
-        index_name: &str,
-        column: usize,
-        column_type: &LogicalType,
-        existing: &[Value],
-    ) -> SqlResult<Box<dyn RowIndex>>;
-}
-
-/// Registry of access methods for a database instance.
-#[derive(Clone, Default)]
-pub struct RowIndexRegistry {
-    types: HashMap<String, Arc<dyn RowIndexType>>,
-}
-
-impl RowIndexRegistry {
-    pub fn register(&mut self, t: Arc<dyn RowIndexType>) {
-        self.types.insert(t.type_name().to_ascii_uppercase(), t);
-    }
-
-    pub fn get(&self, name: &str) -> Option<Arc<dyn RowIndexType>> {
-        self.types.get(&name.to_ascii_uppercase()).cloned()
-    }
-}
+/// The index framework is shared with quackdb ([`mduck_sql::index`]);
+/// these are its row-engine names.
+pub use mduck_sql::index::{
+    IndexType as RowIndexType, IndexTypeRegistry as RowIndexRegistry, TableIndex as RowIndex,
+};
 
 // ---------------------------------------------------------------- B-tree
 

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use crate::ast::{
-    BinaryOp, Cte, Expr, InsertSource, SelectItem, SelectStmt, TableRef, UnaryOp,
+    BinaryOp, Cte, Expr, SelectItem, SelectStmt, TableRef, UnaryOp,
 };
 use crate::bound::{
     BoundAggregate, BoundCte, BoundExpr, BoundFrom, BoundOrder, BoundSelect, Catalog, Field,
@@ -929,25 +929,3 @@ pub fn bind_constant_expr(
     let empty = Schema::default();
     b.bind_expr(e, &empty)
 }
-
-pub use crate::ast::Statement;
-pub use crate::ast::{InsertSource as BoundInsertSource};
-
-// Re-exported to give engines one import point for INSERT binding.
-pub fn bind_insert_select(
-    stmt: &SelectStmt,
-    catalog: &dyn Catalog,
-    registry: &Registry,
-) -> SqlResult<(BoundSelect, usize)> {
-    let mut b = Binder::new(catalog, registry);
-    let plan = b.bind_select(stmt)?;
-    Ok((plan, b.cte_slots()))
-}
-
-// Silence unused-import warning for the re-export above when engines only
-// use parts of it.
-#[allow(unused)]
-fn _uses(_: Option<(Statement, BoundInsertSource)>) {}
-
-#[allow(unused)]
-fn _never_called(_: InsertSource) {}

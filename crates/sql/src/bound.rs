@@ -385,4 +385,6 @@ pub fn split_conjuncts(expr: &BoundExpr, out: &mut Vec<BoundExpr>) {
 pub trait Catalog {
     /// Column names and types of a base table (lower-cased names).
     fn table_schema(&self, name: &str) -> Option<Vec<(String, LogicalType)>>;
+    /// Every base table's name, sorted.
+    fn table_names(&self) -> Vec<String>;
 }

@@ -5,10 +5,9 @@
 //!
 //! * [`pragma`] — resolves `PRAGMA <name> [= value]` statements
 //!   (`metrics`, `reset_metrics`, `reset_spans`, `query_log`,
-//!   `slow_query_ms`, ...) into a `(Schema, rows)` pair, or `None` for
-//!   names this module does not know (the engine reports the error so it
-//!   can mention its own name, and handles per-database settings like
-//!   `threads` and `memory_limit` itself).
+//!   `slow_query_ms`, ...) into a result, or `None` for names this module
+//!   does not know (the per-database settings `threads` and
+//!   `memory_limit` belong to [`crate::session`]).
 //! * [`span_fields`]/[`span_rows`], [`progress_fields`]/[`progress_rows`],
 //!   [`query_log_fields`]/[`query_log_rows`] — the schemas and snapshot
 //!   rows of the `mduck_spans()` / `mduck_progress()` /
@@ -17,6 +16,7 @@
 use crate::ast::PragmaValue;
 use crate::bound::{Field, Schema};
 use crate::error::{SqlError, SqlResult};
+use crate::session::QueryResult;
 use crate::value::{LogicalType, Value};
 
 /// Schema of `PRAGMA metrics`: one row per registered metric.
@@ -156,78 +156,18 @@ pub fn query_log_rows() -> Vec<Vec<Value>> {
         .collect()
 }
 
-fn status_result(status: &str) -> (Schema, Vec<Vec<Value>>) {
-    let schema = Schema::new(vec![Field {
-        name: "status".into(),
-        table: None,
-        ty: LogicalType::Text,
-    }]);
-    (schema, vec![vec![Value::Text(status.into())]])
-}
-
-/// Result of `PRAGMA threads [= N]`: one row with the thread count the
-/// engine will actually use. Shared so both engines answer with the
-/// identical schema (the row engine always reports 1).
-pub fn threads_result(effective: usize) -> (Schema, Vec<Vec<Value>>) {
-    let schema = Schema::new(vec![Field {
-        name: "threads".into(),
-        table: None,
-        ty: LogicalType::Int,
-    }]);
-    (schema, vec![vec![Value::Int(effective as i64)]])
+fn status_result(status: &str) -> QueryResult {
+    QueryResult::single("status", LogicalType::Text, Value::text(status))
 }
 
 /// Result of `PRAGMA memory_limit [= ...]`: the limit now in force,
-/// rendered the way the pragma accepts it (`8MB`, `unlimited`). Shared so
-/// both engines answer with the identical schema.
-pub fn memory_limit_result(limit: Option<u64>) -> (Schema, Vec<Vec<Value>>) {
-    let schema = Schema::new(vec![Field {
-        name: "memory_limit".into(),
-        table: None,
-        ty: LogicalType::Text,
-    }]);
-    let rendered = match limit {
+/// rendered the way the pragma accepts it (`8MB`, `unlimited`).
+pub fn memory_limit_result(limit: Option<u64>) -> QueryResult {
+    let shown = match limit {
         Some(bytes) => mduck_obs::format_bytes(bytes),
         None => "unlimited".to_string(),
     };
-    (schema, vec![vec![Value::text(&rendered)]])
-}
-
-/// Result of `PRAGMA wal [= 'path']`: one row with the attached WAL
-/// path, or `off` for the in-memory default. Shared so both engines
-/// answer with the identical schema.
-pub fn wal_result(path: Option<String>) -> (Schema, Vec<Vec<Value>>) {
-    let schema = Schema::new(vec![Field {
-        name: "wal".into(),
-        table: None,
-        ty: LogicalType::Text,
-    }]);
-    let shown = path.unwrap_or_else(|| "off".into());
-    (schema, vec![vec![Value::text(&shown)]])
-}
-
-/// Result of `PRAGMA wal_autocheckpoint [= bytes]`: the WAL size (in
-/// bytes) past which the engine checkpoints automatically; 0 means
-/// disabled (or no WAL attached).
-pub fn wal_autocheckpoint_result(bytes: u64) -> (Schema, Vec<Vec<Value>>) {
-    let schema = Schema::new(vec![Field {
-        name: "wal_autocheckpoint".into(),
-        table: None,
-        ty: LogicalType::Int,
-    }]);
-    (schema, vec![vec![Value::Int(bytes as i64)]])
-}
-
-/// Result of the `CHECKPOINT` statement: whether a checkpoint actually
-/// ran (`ok`) or the database had no WAL attached (`no wal`).
-pub fn checkpoint_result(ran: bool) -> (Schema, Vec<Vec<Value>>) {
-    let schema = Schema::new(vec![Field {
-        name: "checkpoint".into(),
-        table: None,
-        ty: LogicalType::Text,
-    }]);
-    let status = if ran { "ok" } else { "no wal" };
-    (schema, vec![vec![Value::text(status)]])
+    QueryResult::single("memory_limit", LogicalType::Text, Value::text(shown))
 }
 
 /// Parse the value of `PRAGMA memory_limit = ...`: a byte count, a human
@@ -253,16 +193,14 @@ pub fn parse_memory_limit(value: &PragmaValue) -> SqlResult<Option<u64>> {
     }
 }
 
-/// Resolve a `PRAGMA <name> [= value]` statement. Returns `None` for
-/// unknown names so the calling engine can produce its own error message
-/// (per-database settings — `threads`, `memory_limit` — are also the
-/// engine's job; everything here is process-global).
+/// Resolve a process-global `PRAGMA <name> [= value]` statement; `None`
+/// for names this module does not know.
 pub fn pragma(
     name: &str,
     value: Option<&PragmaValue>,
-) -> SqlResult<Option<(Schema, Vec<Vec<Value>>)>> {
+) -> SqlResult<Option<QueryResult>> {
     match name {
-        "metrics" => Ok(Some((metrics_schema(), metrics_rows()))),
+        "metrics" => Ok(Some(QueryResult { schema: metrics_schema(), rows: metrics_rows() })),
         "reset_metrics" => {
             mduck_obs::metrics().reset();
             Ok(Some(status_result("metrics reset")))
@@ -300,13 +238,8 @@ pub fn pragma(
                     SqlError::execution(format!("cannot open query log {path:?}: {e}"))
                 })?;
             }
-            let schema = Schema::new(vec![Field {
-                name: "query_log".into(),
-                table: None,
-                ty: LogicalType::Text,
-            }]);
             let shown = mduck_obs::query_log_sink_path().unwrap_or_else(|| "off".into());
-            Ok(Some((schema, vec![vec![Value::text(&shown)]])))
+            Ok(Some(QueryResult::single("query_log", LogicalType::Text, Value::text(shown))))
         }
         // Statements at least this slow attach their EXPLAIN ANALYZE
         // profile to the query log.
@@ -321,12 +254,8 @@ pub fn pragma(
                     }
                 }
             }
-            let schema = Schema::new(vec![Field {
-                name: "slow_query_ms".into(),
-                table: None,
-                ty: LogicalType::Int,
-            }]);
-            Ok(Some((schema, vec![vec![Value::Int(mduck_obs::slow_threshold_ms() as i64)]])))
+            let ms = Value::Int(mduck_obs::slow_threshold_ms() as i64);
+            Ok(Some(QueryResult::single("slow_query_ms", LogicalType::Int, ms)))
         }
         _ => Ok(None),
     }
@@ -415,10 +344,10 @@ mod tests {
         assert_eq!(parse_memory_limit(&PragmaValue::Int(-1)).unwrap(), None);
         assert_eq!(parse_memory_limit(&PragmaValue::Str("unlimited".into())).unwrap(), None);
         assert!(parse_memory_limit(&PragmaValue::Str("lots".into())).is_err());
-        let (schema, rows) = memory_limit_result(Some(8 << 20));
-        assert_eq!(schema.fields[0].name, "memory_limit");
-        assert_eq!(rows[0][0], Value::text("8MB"));
-        let (_, rows) = memory_limit_result(None);
-        assert_eq!(rows[0][0], Value::text("unlimited"));
+        let r = memory_limit_result(Some(8 << 20));
+        assert_eq!(r.schema.fields[0].name, "memory_limit");
+        assert_eq!(r.rows[0][0], Value::text("8MB"));
+        let r = memory_limit_result(None);
+        assert_eq!(r.rows[0][0], Value::text("unlimited"));
     }
 }

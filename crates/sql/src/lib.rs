@@ -14,13 +14,16 @@ pub mod ast;
 pub mod binder;
 pub mod bound;
 pub mod builtins;
+pub mod catalog;
 pub mod error;
 pub mod eval;
 pub mod guard;
+pub mod index;
 pub mod introspect;
 pub mod lexer;
 pub mod parser;
 pub mod registry;
+pub mod session;
 pub mod value;
 
 pub use ast::{BinaryOp, Expr, InsertSource, PragmaValue, SelectStmt, Statement, TableRef};
@@ -34,4 +37,5 @@ pub use eval::{compare, eval, OuterStack, SubqueryExec};
 pub use guard::{CancelHandle, ExecGuard, ExecLimits, GuardTrip};
 pub use parser::{parse_script, parse_statement};
 pub use registry::{downcast_partial, AggState, Registry, ScalarFn, ScalarSig};
+pub use session::{QueryResult, Session};
 pub use value::{ExtObject, ExtValue, LogicalType, Value};

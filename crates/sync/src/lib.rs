@@ -4,7 +4,7 @@
 //! fully offline. Unlike raw `std::sync` locks, `read()`/`write()`/`lock()`
 //! here never return a `Result`: a poisoned lock is *recovered* instead of
 //! propagated. That choice is deliberate and part of the engine's no-panic
-//! contract — with the `catch_unwind` backstop in `quackdb::Database`, a
+//! contract — with the `catch_unwind` backstop in `mduck_sql::session`, a
 //! panicking query must not permanently wedge the registry locks of an
 //! embedded database shared by other threads.
 

@@ -1,11 +1,7 @@
 //! Tables (columnar storage) and the database catalog.
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
-use mduck_sync::RwLock;
-
-use mduck_sql::{Catalog, LogicalType, SqlError, SqlResult, Value};
+use mduck_sql::catalog::{BaseTable, Tables};
+use mduck_sql::{LogicalType, SqlError, SqlResult, Value};
 
 use crate::column::{ColumnData, DataChunk};
 use crate::index::TableIndex;
@@ -30,10 +26,6 @@ impl Table {
 
     pub fn row_count(&self) -> usize {
         self.columns.first().map(ColumnData::len).unwrap_or(0)
-    }
-
-    pub fn column_types(&self) -> Vec<LogicalType> {
-        self.columns.iter().map(|c| c.ty.clone()).collect()
     }
 
     pub fn column_index(&self, name: &str) -> Option<usize> {
@@ -121,65 +113,15 @@ impl Table {
     }
 }
 
+impl BaseTable for Table {
+    fn create(name: String, columns: Vec<(String, LogicalType)>) -> Self {
+        Table::new(name, columns)
+    }
+
+    fn schema(&self) -> Vec<(String, LogicalType)> {
+        self.column_names.iter().cloned().zip(self.columns.iter().map(|c| c.ty.clone())).collect()
+    }
+}
+
 /// The database catalog: name → table.
-#[derive(Default, Clone)]
-pub struct DbCatalog {
-    tables: Arc<RwLock<HashMap<String, Arc<RwLock<Table>>>>>,
-}
-
-impl DbCatalog {
-    pub fn create_table(
-        &self,
-        name: &str,
-        columns: Vec<(String, LogicalType)>,
-        if_not_exists: bool,
-    ) -> SqlResult<()> {
-        let lname = name.to_ascii_lowercase();
-        let mut tables = self.tables.write();
-        if tables.contains_key(&lname) {
-            if if_not_exists {
-                return Ok(());
-            }
-            return Err(SqlError::Catalog(format!("table {name:?} already exists")));
-        }
-        tables.insert(lname.clone(), Arc::new(RwLock::new(Table::new(lname, columns))));
-        Ok(())
-    }
-
-    pub fn drop_table(&self, name: &str, if_exists: bool) -> SqlResult<()> {
-        let lname = name.to_ascii_lowercase();
-        let mut tables = self.tables.write();
-        if tables.remove(&lname).is_none() && !if_exists {
-            return Err(SqlError::Catalog(format!("table {name:?} does not exist")));
-        }
-        Ok(())
-    }
-
-    pub fn get(&self, name: &str) -> SqlResult<Arc<RwLock<Table>>> {
-        self.tables
-            .read()
-            .get(&name.to_ascii_lowercase())
-            .cloned()
-            .ok_or_else(|| SqlError::Catalog(format!("table {name:?} does not exist")))
-    }
-
-    pub fn table_names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.tables.read().keys().cloned().collect();
-        v.sort();
-        v
-    }
-}
-
-impl Catalog for DbCatalog {
-    fn table_schema(&self, name: &str) -> Option<Vec<(String, LogicalType)>> {
-        let t = self.tables.read().get(&name.to_ascii_lowercase())?.clone();
-        let t = t.read();
-        Some(
-            t.column_names
-                .iter()
-                .cloned()
-                .zip(t.columns.iter().map(|c| c.ty.clone()))
-                .collect(),
-        )
-    }
-}
+pub type DbCatalog = Tables<Table>;

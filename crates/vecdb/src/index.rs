@@ -1,78 +1,4 @@
-//! The pluggable index framework (§4.1): extensions register an
-//! [`IndexType`] (the paper's `RegisterRTreeIndex`) whose instances attach
-//! to table columns, accept appended rows (index-first path) or a bulk
-//! build (data-first path), and answer optimizer probes for scan injection
-//! (§4.3).
+//! The pluggable index framework (§4.1), shared with the row engine:
+//! see [`mduck_sql::index`].
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
-use mduck_sql::{LogicalType, SqlResult, Value};
-
-/// A live index on one column of one table.
-pub trait TableIndex: Send + Sync {
-    /// The index name (from `CREATE INDEX <name>`).
-    fn name(&self) -> &str;
-    /// The index method (`TRTREE`, ...).
-    fn method(&self) -> &str;
-    /// The indexed column position in the table.
-    fn column(&self) -> usize;
-
-    /// Index-first path (§4.2.1): new rows were appended to the table;
-    /// `values[i]` is the indexed column value of row id `first_row + i`.
-    fn append(&mut self, values: &[Value], first_row: u64) -> SqlResult<()>;
-
-    /// Optimizer probe (§4.3): can this index answer `column <op>
-    /// <constant>`? Returns the matching row ids when it can. `None` means
-    /// the pattern is not indexable (the optimizer keeps the filter).
-    fn try_scan(&self, op: &str, constant: &Value) -> SqlResult<Option<Vec<u64>>>;
-
-    /// Entry count (diagnostics).
-    fn len(&self) -> usize;
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// A registered index implementation (the paper's `IndexType` with
-/// `create_instance` / `create_plan` callbacks).
-pub trait IndexType: Send + Sync {
-    /// The `USING <name>` method name, upper-case (e.g. `TRTREE`).
-    fn type_name(&self) -> &str;
-
-    /// Can the method index a column of this logical type?
-    fn can_index(&self, ty: &LogicalType) -> bool;
-
-    /// Data-first path (§4.2.2): create an index over existing rows. The
-    /// implementation is free to parallelize (Sink/Combine/BulkConstruct).
-    fn create(
-        &self,
-        index_name: &str,
-        column: usize,
-        column_type: &LogicalType,
-        existing: &[Value],
-    ) -> SqlResult<Box<dyn TableIndex>>;
-}
-
-/// Registry of index types, shared by a database instance.
-#[derive(Clone, Default)]
-pub struct IndexTypeRegistry {
-    types: HashMap<String, Arc<dyn IndexType>>,
-}
-
-impl IndexTypeRegistry {
-    pub fn register(&mut self, t: Arc<dyn IndexType>) {
-        self.types.insert(t.type_name().to_ascii_uppercase(), t);
-    }
-
-    pub fn get(&self, name: &str) -> Option<Arc<dyn IndexType>> {
-        self.types.get(&name.to_ascii_uppercase()).cloned()
-    }
-
-    pub fn names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.types.keys().cloned().collect();
-        v.sort();
-        v
-    }
-}
+pub use mduck_sql::index::{IndexType, IndexTypeRegistry, TableIndex};

@@ -191,10 +191,19 @@ mod tests {
     use super::*;
 
     // Tests share the process-global registry, so each test clears it
-    // and uses site names no other test (or the WAL) uses.
+    // and uses site names no other test (or the WAL) uses. Every test
+    // that touches the registry also holds `SERIAL`: `clear_all` in one
+    // test would otherwise disarm a site another test armed between its
+    // `set` and the `check` that expects it to fire.
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn one_shot_fires_on_exact_hit() {
+        let _lock = serial();
         clear_all();
         set("test.site.a", FailAction::Error, 3);
         assert_eq!(check("test.site.a"), FailDecision::Proceed);
@@ -210,6 +219,7 @@ mod tests {
 
     #[test]
     fn raw_draw_is_deterministic_in_seed_site_and_hit() {
+        let _lock = serial();
         clear_all();
         set_seed(99);
         set("test.site.b", FailAction::ShortWrite, 2);

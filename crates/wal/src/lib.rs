@@ -14,15 +14,19 @@
 //! * [`record`] — logical WAL records (one per committed statement).
 //! * [`snapshot`] — checkpoint images and their atomic-rename protocol.
 //! * [`wal`] — the log file, recovery, and the append/checkpoint path.
+//! * [`durable`] — the commit path both engines share: attach/recover,
+//!   the commit lock, DDL commit rules, checkpoints, the WAL pragmas.
 //! * [`failpoint`] — deterministic fault injection for all of the above.
 
 pub mod codec;
 pub mod crc32;
+pub mod durable;
 pub mod failpoint;
 pub mod record;
 pub mod snapshot;
 pub mod wal;
 
+pub use durable::{dml_record, Commit, Durability, DurableEngine};
 pub use failpoint::{FailAction, FailDecision};
 pub use record::WalRecord;
 pub use snapshot::{IndexDef, Snapshot, TableSnapshot};

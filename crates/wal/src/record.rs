@@ -66,6 +66,17 @@ impl WalRecord {
         }
     }
 
+    /// The table the record creates, drops or changes.
+    pub fn table(&self) -> &str {
+        match self {
+            WalRecord::CreateTable { name, .. } | WalRecord::DropTable { name } => name,
+            WalRecord::CreateIndex { table, .. }
+            | WalRecord::Insert { table, .. }
+            | WalRecord::Update { table, .. }
+            | WalRecord::Delete { table, .. } => table,
+        }
+    }
+
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         match self {

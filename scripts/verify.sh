@@ -47,10 +47,13 @@ echo "== durability / crash torture =="
 # assert the recovered state equals the committed statement prefix.
 # Runs serially and with a 4-worker pool: the WAL commit path must be
 # identical under parallel execution. MDUCK_FAILPOINTS itself is
-# exercised in-process via the programmatic API the env var feeds.
+# exercised in-process via the programmatic API the env var feeds. The
+# front-door contract (front_door) runs one script of DDL, DML, pragmas
+# and utility statements on both engines and requires identical results.
 cargo test -q -p mduck-wal
-cargo test -q -p mduck-integration --test durability --test crash_torture
-MDUCK_THREADS=4 cargo test -q -p mduck-integration --test durability --test crash_torture
+cargo test -q -p mduck-integration --test durability --test crash_torture --test front_door
+MDUCK_THREADS=4 cargo test -q -p mduck-integration --test durability --test crash_torture \
+  --test front_door
 
 echo "== benchmark self-check =="
 # The benchmark's own tests (perfbench/, a separate Cargo workspace):

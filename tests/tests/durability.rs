@@ -9,11 +9,11 @@
 //! runs in its own process).
 
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use mduck_rowdb::RowDatabase;
 use mduck_sql::{SqlError, Value};
-use mduck_wal::failpoint;
+use mduck_wal::{failpoint, FailAction};
 use quackdb::Database;
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -315,7 +315,7 @@ fn vec_failed_wal_append_rolls_back_insert() {
     db.execute("INSERT INTO t VALUES (1)").unwrap();
 
     failpoint::clear_all();
-    failpoint::set("wal.append.sync", mduck_wal::FailAction::Error, 1);
+    failpoint::set("wal.append.sync", FailAction::Error, 1);
     let err = db.execute("INSERT INTO t VALUES (2), (3)").unwrap_err();
     assert!(err.to_string().contains("injected"), "{err}");
     failpoint::clear_all();
@@ -337,11 +337,11 @@ fn row_failed_wal_append_rolls_back_update_and_delete() {
     db.execute("INSERT INTO t VALUES (1), (2), (3)").unwrap();
 
     failpoint::clear_all();
-    failpoint::set("wal.append.payload", mduck_wal::FailAction::ShortWrite, 1);
+    failpoint::set("wal.append.payload", FailAction::ShortWrite, 1);
     assert!(db.execute("UPDATE t SET x = x + 10").is_err());
     assert_eq!(ints(&db.execute("SELECT x FROM t ORDER BY x").unwrap().rows), vec![1, 2, 3]);
 
-    failpoint::set("wal.append.header", mduck_wal::FailAction::Error, 1);
+    failpoint::set("wal.append.header", FailAction::Error, 1);
     assert!(db.execute("DELETE FROM t WHERE x = 2").is_err());
     failpoint::clear_all();
     assert_eq!(ints(&db.execute("SELECT x FROM t ORDER BY x").unwrap().rows), vec![1, 2, 3]);
@@ -350,6 +350,70 @@ fn row_failed_wal_append_rolls_back_update_and_delete() {
     let db2 = RowDatabase::open(&path).unwrap();
     assert_eq!(ints(&db2.execute("SELECT x FROM t ORDER BY x").unwrap().rows), vec![1, 2, 3]);
     cleanup(&path);
+}
+
+/// A durable quackdb instance with the row engine's BTREE registered
+/// (the index framework is shared), so one `CREATE INDEX` statement
+/// runs on both engines.
+fn open_vec(path: &PathBuf) -> Box<dyn Exec> {
+    let db = Database::new();
+    db.index_types_mut().register(Arc::new(mduck_rowdb::BTreeIndexType));
+    db.attach_wal(path).unwrap();
+    Box::new(db)
+}
+
+fn open_row(path: &PathBuf) -> Box<dyn Exec> {
+    Box::new(RowDatabase::open(path).unwrap())
+}
+
+#[test]
+fn failed_wal_append_leaves_no_trace_on_both_engines() {
+    let _lock = serial();
+    // Every statement kind, each failing in a different append window.
+    let failing = [
+        ("CREATE TABLE u(y INTEGER)", "wal.append.header", FailAction::Error),
+        ("DROP TABLE t", "wal.append.payload", FailAction::ShortWrite),
+        ("CREATE INDEX t_x ON t USING BTREE (x)", "wal.append.sync", FailAction::Error),
+        ("INSERT INTO t VALUES (4), (5)", "wal.append.sync", FailAction::Error),
+        ("UPDATE t SET x = x + 10", "wal.append.payload", FailAction::ShortWrite),
+        ("DELETE FROM t WHERE x = 2", "wal.append.header", FailAction::Error),
+    ];
+    type Open = fn(&PathBuf) -> Box<dyn Exec>;
+    for (engine, open) in [("vecdb", open_vec as Open), ("rowdb", open_row)] {
+        let path = wal_path(&format!("{engine}_atomic"));
+        let db = open(&path);
+        db.run("CREATE TABLE t(x INTEGER)").unwrap();
+        db.run("INSERT INTO t VALUES (1), (2), (3)").unwrap();
+        let state = |db: &dyn Exec| {
+            (db.run("SHOW TABLES").unwrap(), ints(&db.run("SELECT x FROM t ORDER BY x").unwrap()))
+        };
+        let before = state(&*db);
+        assert_eq!(before.1, vec![1, 2, 3]);
+
+        for (sql, site, action) in failing {
+            failpoint::clear_all();
+            failpoint::set(site, action, 1);
+            let err = db.run(sql).unwrap_err();
+            failpoint::clear_all();
+            assert!(err.to_string().contains("injected"), "{engine} {sql}: {err}");
+            assert_eq!(state(&*db), before, "{engine}: failed {sql} left changes behind");
+        }
+        failpoint::set("wal.append.sync", FailAction::Error, 1);
+        let err = db.insert_rows("t", vec![vec![Value::Int(4)]]).unwrap_err();
+        failpoint::clear_all();
+        assert!(err.to_string().contains("injected"), "{engine} insert_rows: {err}");
+        assert_eq!(state(&*db), before, "{engine}: failed insert_rows left rows behind");
+        // The failed CREATE INDEX was dropped again: its name is free. The
+        // retry is logged, so the reopen below would also fail on a
+        // duplicate index had the failed attempt reached the WAL.
+        db.run("CREATE INDEX t_x ON t USING BTREE (x)").unwrap();
+
+        drop(db);
+        let db = open(&path);
+        assert_eq!(state(&*db), before, "{engine}: a failed statement reached the WAL");
+        assert_eq!(ints(&db.run("SELECT x FROM t WHERE x = 2").unwrap()), vec![2]);
+        cleanup(&path);
+    }
 }
 
 #[test]
@@ -378,6 +442,18 @@ fn memory_limit_trip_mid_insert_leaves_both_engines_unchanged() {
         );
         db.run("PRAGMA memory_limit='unlimited'").unwrap();
         assert!(db.run("SELECT * FROM sink").unwrap().is_empty(), "partial insert leaked");
+        // The SELECT ran under the INSERT's own guard, so the query log
+        // shows its scan and its trip.
+        let log = db
+            .run(
+                "SELECT rows_scanned, guard_trip FROM mduck_query_log() \
+                 WHERE sql = 'INSERT INTO sink SELECT a.x, b.x, c.x FROM src a, src b, src c' \
+                 ORDER BY query_id DESC LIMIT 1",
+            )
+            .unwrap();
+        assert_eq!(log.len(), 1, "tripped INSERT not logged");
+        assert!(matches!(log[0][0], Value::Int(n) if n > 0), "rows_scanned: {log:?}");
+        assert_eq!(log[0][1], Value::text("memory"), "guard_trip: {log:?}");
     }
     drop(vdb);
     drop(rdb);
@@ -390,20 +466,29 @@ fn memory_limit_trip_mid_insert_leaves_both_engines_unchanged() {
     cleanup(&row_path);
 }
 
-/// Object-safe shim so the atomicity test can iterate both engines.
+/// Object-safe shim so the atomicity tests can iterate both engines.
 trait Exec {
     fn run(&self, sql: &str) -> Result<Vec<Vec<Value>>, SqlError>;
+    fn insert_rows(&self, table: &str, rows: Vec<Vec<Value>>) -> Result<usize, SqlError>;
 }
 
 impl Exec for Database {
     fn run(&self, sql: &str) -> Result<Vec<Vec<Value>>, SqlError> {
         self.execute(sql).map(|r| r.rows)
     }
+
+    fn insert_rows(&self, table: &str, rows: Vec<Vec<Value>>) -> Result<usize, SqlError> {
+        Database::insert_rows(self, table, &rows)
+    }
 }
 
 impl Exec for RowDatabase {
     fn run(&self, sql: &str) -> Result<Vec<Vec<Value>>, SqlError> {
         self.execute(sql).map(|r| r.rows)
+    }
+
+    fn insert_rows(&self, table: &str, rows: Vec<Vec<Value>>) -> Result<usize, SqlError> {
+        RowDatabase::insert_rows(self, table, rows)
     }
 }
 
