@@ -54,28 +54,35 @@ impl SpatioTemporalIndex {
             .map(|n| n.get())
             .unwrap_or(1)
             .min(existing.len().div_ceil(4096).max(1));
+        let sink = |part: &[Value], base: u64| -> SqlResult<Vec<(Rect3, u64)>> {
+            let mut local: Vec<(Rect3, u64)> = Vec::with_capacity(part.len());
+            for (i, v) in part.iter().enumerate() {
+                if let Some(rect) = value_box3(v)? {
+                    local.push((rect, base + i as u64));
+                }
+            }
+            Ok(local)
+        };
+        // One partition (fewer than 4096 rows): sink inline, without
+        // spawning a thread.
+        if num_threads == 1 {
+            let tree = RTree::bulk_load(sink(existing, 0)?);
+            return Ok(SpatioTemporalIndex { name: name.to_string(), method, column, tree });
+        }
         // Phase 2 — Combine: thread-local results merge under a mutex.
         let combined: Mutex<Vec<(Rect3, u64)>> = Mutex::new(Vec::with_capacity(existing.len()));
         let chunk_size = existing.len().div_ceil(num_threads).max(1);
         let failure: Mutex<Option<SqlError>> = Mutex::new(None);
         std::thread::scope(|scope| {
             for (pi, part) in existing.chunks(chunk_size).enumerate() {
-                let combined = &combined;
-                let failure = &failure;
-                scope.spawn(move || {
-                    let mut local: Vec<(Rect3, u64)> = Vec::with_capacity(part.len());
-                    let base = (pi * chunk_size) as u64;
-                    for (i, v) in part.iter().enumerate() {
-                        match value_box3(v) {
-                            Ok(Some(rect)) => local.push((rect, base + i as u64)),
-                            Ok(None) => {}
-                            Err(e) => {
-                                *failure.lock().unwrap() = Some(e);
-                                return;
-                            }
-                        }
+                let (combined, failure, sink) = (&combined, &failure, &sink);
+                scope.spawn(move || match sink(part, (pi * chunk_size) as u64) {
+                    Ok(local) => {
+                        combined.lock().unwrap().extend(local);
                     }
-                    combined.lock().unwrap().extend(local);
+                    Err(e) => {
+                        *failure.lock().unwrap() = Some(e);
+                    }
                 });
             }
         });

@@ -268,6 +268,8 @@ define_metrics! {
         rows_filtered,
         rows_joined,
         index_probes,
+        index_join_builds,
+        index_join_candidates,
         full_scans,
         guard_trip_timeout,
         guard_trip_row_budget,

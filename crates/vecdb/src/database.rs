@@ -30,7 +30,7 @@ use mduck_sql::{
 
 use crate::catalog::{DbCatalog, Table};
 use crate::column::ColumnData;
-use crate::exec::{execute_select, execute_select_planned, plan_key, plan_tree, EngineCtx};
+use crate::exec::{execute_select, execute_select_planned, plan_key, plan_select, EngineCtx};
 use crate::explain::{
     op_breakdown, render_plan, render_plan_analyzed, stage_breakdown, AnalyzeData, OpBreakdown,
     StageBreakdown,
@@ -273,8 +273,8 @@ impl Database {
                 } else {
                     let registry = self.registry.read();
                     let plan = Binder::new(&self.catalog, &registry).bind_select(sel)?;
-                    let ctx = EngineCtx::new(&self.catalog, &registry, guard);
-                    render_plan(&plan, plan_tree(&ctx, &plan)?.as_ref())
+                    let ctx = EngineCtx::new(&self.catalog, &registry, &self.index_types, guard);
+                    render_plan(&plan, &plan_select(&ctx, &plan)?)
                 };
                 Ok(QueryResult::single("explain", LogicalType::Text, Value::text(text)))
             }
@@ -305,8 +305,9 @@ impl Database {
                         }
                         InsertSource::Select(sel) => {
                             let plan = Binder::new(&self.catalog, &registry).bind_select(sel)?;
-                            let ctx = EngineCtx::new(&self.catalog, &registry, guard)
-                                .with_threads(self.effective_threads());
+                            let ctx =
+                                EngineCtx::new(&self.catalog, &registry, &self.index_types, guard)
+                                    .with_threads(self.effective_threads());
                             execute_select(&ctx, &plan, &OuterStack::EMPTY)?
                         }
                     }
@@ -354,7 +355,7 @@ impl Database {
             Binder::new(&self.catalog, &registry).bind_select(sel)?
         };
         m.vecdb_bind_ns.observe(bind_start.elapsed().as_nanos() as u64);
-        let mut ctx = EngineCtx::new(&self.catalog, &registry, guard)
+        let mut ctx = EngineCtx::new(&self.catalog, &registry, &self.index_types, guard)
             .with_threads(self.effective_threads())
             .with_progress(progress);
         if profiling {
@@ -363,28 +364,23 @@ impl Database {
         let plan_start = Instant::now();
         let planned = {
             let _s = mduck_obs::span("vecdb.plan");
-            plan_tree(&ctx, &plan)?
+            plan_select(&ctx, &plan)?
         };
         m.vecdb_plan_ns.observe(plan_start.elapsed().as_nanos() as u64);
         let exec_start = Instant::now();
         let rows = {
             let _s = mduck_obs::span("vecdb.exec");
-            execute_select_planned(&ctx, &plan, planned.as_ref(), &OuterStack::EMPTY)?
+            execute_select_planned(&ctx, &plan, &planned, &OuterStack::EMPTY)?
         };
         let exec_elapsed = exec_start.elapsed();
         m.vecdb_exec_ns.observe(exec_elapsed.as_nanos() as u64);
         let total_ms = exec_elapsed.as_secs_f64() * 1e3;
         let (explain, operators, stages) = match &ctx.profile {
             Some(profile) => {
-                let analyze = AnalyzeData {
-                    profile,
-                    plan_key: plan_key(&plan),
-                    total_ms,
-                    result_rows: rows.len(),
-                };
+                let analyze = AnalyzeData { profile, total_ms, result_rows: rows.len() };
                 (
-                    render_plan_analyzed(&plan, planned.as_ref(), &analyze),
-                    planned.as_ref().map(|(t, _)| op_breakdown(t, profile)).unwrap_or_default(),
+                    render_plan_analyzed(&plan, &planned, &analyze),
+                    op_breakdown(&planned, profile),
                     stage_breakdown(plan_key(&plan), profile),
                 )
             }
@@ -542,7 +538,8 @@ pub struct ProfiledQuery {
     pub result: QueryResult,
     /// The `EXPLAIN ANALYZE` rendering.
     pub explain: String,
-    /// Flattened (preorder) per-operator actuals of the join/scan tree.
+    /// Flattened (preorder) per-operator actuals of the join/scan tree,
+    /// followed by those of each CTE body.
     pub operators: Vec<OpBreakdown>,
     /// Post-join stage actuals (aggregate, projection, order_by, ...) of
     /// the top-level plan.

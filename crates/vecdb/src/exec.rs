@@ -6,10 +6,14 @@
 //! materialized late), equality conjuncts become hash joins, and — the
 //! §4.3 mechanism — a filter of the shape `column && constant` over an
 //! indexed column is replaced by an index scan on the registered TRTREE
-//! index.
+//! index. Joins stay in FROM order; a relation with no equality key into
+//! the tree first absorbs the relations keyed only to it, and an `&&`
+//! conjunct across the join is answered by a transient index (DESIGN.md
+//! §12).
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -19,16 +23,21 @@ use mduck_sql::{
     split_conjuncts, BoundExpr, BoundFrom, BoundSelect, ExecGuard, LogicalType, Registry,
     SortKey, SqlError, SqlResult, Value,
 };
+use mduck_sync::RwLock;
 
 use crate::catalog::{DbCatalog, Table};
 use crate::column::{Chunks, ColumnData, DataChunk, VECTOR_SIZE};
 use crate::expr::{eval_vector, filter_chunk};
+use crate::index::{IndexTypeRegistry, TableIndex};
 use crate::parallel::{contiguous_ranges, morsel_map, ParStats, MIN_PARALLEL_MORSELS};
 
 /// Shared execution context for one statement.
 pub struct EngineCtx<'a> {
     pub catalog: &'a DbCatalog,
     pub registry: &'a Registry,
+    /// The database's index methods. Locked only by joins that look for
+    /// (plan) or build (execute) a transient index.
+    pub index_types: &'a RwLock<IndexTypeRegistry>,
     /// Per-statement resource guard: cancellation, deadline, row budget.
     /// Charged at chunk boundaries throughout the executor.
     pub guard: &'a ExecGuard,
@@ -63,6 +72,11 @@ pub struct OpProf {
     /// Bytes of buffers this operator materialized (charged against the
     /// statement's memory guard as they were allocated).
     pub mem_bytes: u64,
+    /// Index joins only: rows the transient index was built over, left
+    /// rows the index answered, and the pairs those answers produced.
+    pub build_rows: u64,
+    pub probes: u64,
+    pub candidates: u64,
 }
 
 /// Actuals for one post-join stage (aggregate, projection, order_by, ...)
@@ -117,10 +131,16 @@ pub fn plan_key(plan: &BoundSelect) -> usize {
 }
 
 impl<'a> EngineCtx<'a> {
-    pub fn new(catalog: &'a DbCatalog, registry: &'a Registry, guard: &'a ExecGuard) -> Self {
+    pub fn new(
+        catalog: &'a DbCatalog,
+        registry: &'a Registry,
+        index_types: &'a RwLock<IndexTypeRegistry>,
+        guard: &'a ExecGuard,
+    ) -> Self {
         EngineCtx {
             catalog,
             registry,
+            index_types,
             guard,
             ctes: RefCell::new(HashMap::new()),
             rows_scanned: RefCell::new(0),
@@ -343,13 +363,22 @@ pub enum PhysOp {
         left: Box<PhysOp>,
         right: Box<PhysOp>,
     },
+    /// A cross product whose `&&` conjunct picks the pairs worth checking:
+    /// `build` (over the right child) is indexed through the index method
+    /// named, and `probe` (over the left child) looks each left row up.
+    /// Every left row is paired with its candidates in ascending right-row
+    /// order; the conjunct itself is re-checked by a Filter above.
+    IndexJoin {
+        left: Box<PhysOp>,
+        right: Box<PhysOp>,
+        method: String,
+        probe: BoundExpr,
+        build: BoundExpr,
+    },
 }
 
 /// Build the physical join tree for a plan's FROM + WHERE.
 pub fn plan_joins(ctx: &EngineCtx<'_>, plan: &BoundSelect) -> SqlResult<(PhysOp, Vec<BoundExpr>)> {
-    if plan.from.is_empty() {
-        return Err(SqlError::execution("cannot plan joins for a FROM-less select"));
-    }
     // Column offsets of each FROM item in the global input schema.
     let mut offsets = Vec::with_capacity(plan.from.len());
     let mut acc = 0usize;
@@ -392,58 +421,60 @@ pub fn plan_joins(ctx: &EngineCtx<'_>, plan: &BoundSelect) -> SqlResult<(PhysOp,
         relations.push(base);
     }
 
-    // Left-deep joins in FROM order, picking up equality keys.
-    let mut tree = relations.remove(0);
+    // Left-deep joins in FROM order, picking up equality keys. A relation
+    // with no key into the tree first absorbs the run of relations keyed
+    // only to it, then joins the tree through an index join when an `&&`
+    // conjunct links the two (DESIGN.md §12).
+    let span = |ri: usize| offsets[ri]..offsets[ri] + widths[ri];
+    let mut rels = relations.into_iter().enumerate().peekable();
+    let Some((_, mut tree)) = rels.next() else {
+        return Err(SqlError::execution("cannot plan joins for a FROM-less select"));
+    };
     let mut width = widths[0];
-    for (ri, rel) in relations.into_iter().enumerate() {
-        let ri = ri + 1;
-        let (rlo, rhi) = (offsets[ri], offsets[ri] + widths[ri]);
-        let mut lkeys = Vec::new();
-        let mut rkeys = Vec::new();
-        for (ci, c) in conjuncts.iter().enumerate() {
-            if used[ci] || c.is_complex() {
-                continue;
-            }
-            if let BoundExpr::Compare { op: BinaryOp::Eq, left, right } = c {
-                let (mut lc, mut rc) = (Vec::new(), Vec::new());
-                left.collect_columns(&mut lc);
-                right.collect_columns(&mut rc);
-                let in_left = |cols: &[usize]| !cols.is_empty() && cols.iter().all(|&x| x < width);
-                let in_right =
-                    |cols: &[usize]| !cols.is_empty() && cols.iter().all(|&x| x >= rlo && x < rhi);
-                if in_left(&lc) && in_right(&rc) {
-                    lkeys.push((**left).clone());
-                    rkeys.push(map_columns(right, &|i| i - rlo));
-                    used[ci] = true;
-                } else if in_right(&lc) && in_left(&rc) {
-                    lkeys.push((**right).clone());
-                    rkeys.push(map_columns(left, &|i| i - rlo));
-                    used[ci] = true;
-                }
-            }
+    while let Some((ri, rel)) = rels.next() {
+        let keys = equi_keys(&conjuncts, &used, 0..width, span(ri));
+        if !keys.is_empty() {
+            tree = hash_join_op(tree, rel, &keys, 0, offsets[ri], &mut used);
+            width = span(ri).end;
+            tree = apply_covered(tree, &conjuncts, &mut used, width);
+            continue;
         }
-        tree = if lkeys.is_empty() {
-            PhysOp::CrossJoin { left: Box::new(tree), right: Box::new(rel) }
-        } else {
-            PhysOp::HashJoin {
+        // Rule 1: hash-join the relations that follow and are keyed only
+        // to this one (by plain columns, whose evaluation cannot fail)
+        // before anything meets the tree. The run keeps its FROM
+        // positions, so the column layout is unchanged.
+        let lo = offsets[ri];
+        let mut right = rel;
+        let mut ends = vec![span(ri).end];
+        while let Some(&(rj, _)) = rels.peek() {
+            let keys = equi_keys(&conjuncts, &used, 0..offsets[rj], span(rj));
+            let absorbable = !keys.is_empty()
+                && keys.iter().all(|(_, l, r)| {
+                    matches!(l, BoundExpr::ColumnRef { index, .. } if *index >= lo)
+                        && matches!(r, BoundExpr::ColumnRef { .. })
+                });
+            let Some((_, next)) = rels.next_if(|_| absorbable) else { break };
+            right = hash_join_op(right, next, &keys, lo, offsets[rj], &mut used);
+            ends.push(span(rj).end);
+        }
+        // Rule 2: an index join when an `&&` conjunct links the tree to
+        // the run; the conjunct itself stays a filter below.
+        let run = lo..ends[ends.len() - 1];
+        tree = match index_link(ctx, &conjuncts, &used, width, run) {
+            Some((method, probe, build)) => PhysOp::IndexJoin {
                 left: Box::new(tree),
-                right: Box::new(rel),
-                left_keys: lkeys,
-                right_keys: rkeys,
-            }
+                right: Box::new(right),
+                method,
+                probe,
+                build,
+            },
+            None => PhysOp::CrossJoin { left: Box::new(tree), right: Box::new(right) },
         };
-        width = rhi;
-        // Apply every remaining simple conjunct that is now fully covered.
-        for (ci, c) in conjuncts.iter().enumerate() {
-            if used[ci] || c.is_complex() {
-                continue;
-            }
-            let mut cols = Vec::new();
-            c.collect_columns(&mut cols);
-            if cols.iter().all(|&x| x < width) {
-                used[ci] = true;
-                tree = PhysOp::Filter { pred: c.clone(), child: Box::new(tree) };
-            }
+        // Covered conjuncts in the stages the one-relation-at-a-time plan
+        // applies them: each FROM position of the run in turn.
+        for end in ends {
+            width = end;
+            tree = apply_covered(tree, &conjuncts, &mut used, width);
         }
     }
     // Anything left (complex predicates with subqueries) runs on top.
@@ -456,16 +487,137 @@ pub fn plan_joins(ctx: &EngineCtx<'_>, plan: &BoundSelect) -> SqlResult<(PhysOp,
     Ok((tree, remaining))
 }
 
-/// [`plan_joins`], or `None` for a FROM-less SELECT, which has no join
-/// tree.
-pub fn plan_tree(
-    ctx: &EngineCtx<'_>,
-    plan: &BoundSelect,
-) -> SqlResult<Option<(PhysOp, Vec<BoundExpr>)>> {
-    if plan.from.is_empty() {
-        return Ok(None);
+/// Do the columns `e` reads lie in `range` (and is there at least one)?
+fn reads_only(e: &BoundExpr, range: &Range<usize>) -> bool {
+    let mut cols = Vec::new();
+    e.collect_columns(&mut cols);
+    !cols.is_empty() && cols.iter().all(|x| range.contains(x))
+}
+
+/// The unused simple equality conjuncts usable as hash-join keys between
+/// columns `left` and the relation at `right`, in written order:
+/// `(conjunct, left-side expression, right-side expression)`.
+fn equi_keys<'c>(
+    conjuncts: &'c [BoundExpr],
+    used: &[bool],
+    left: Range<usize>,
+    right: Range<usize>,
+) -> Vec<(usize, &'c BoundExpr, &'c BoundExpr)> {
+    let mut keys = Vec::new();
+    for (ci, c) in conjuncts.iter().enumerate() {
+        if used[ci] || c.is_complex() {
+            continue;
+        }
+        if let BoundExpr::Compare { op: BinaryOp::Eq, left: a, right: b } = c {
+            if reads_only(a, &left) && reads_only(b, &right) {
+                keys.push((ci, &**a, &**b));
+            } else if reads_only(b, &left) && reads_only(a, &right) {
+                keys.push((ci, &**b, &**a));
+            }
+        }
     }
-    plan_joins(ctx, plan).map(Some)
+    keys
+}
+
+/// Hash-join `left` (whose columns start at global column `left_lo`) with
+/// `right` (starting at `right_lo`) on `keys`, which become used.
+fn hash_join_op(
+    left: PhysOp,
+    right: PhysOp,
+    keys: &[(usize, &BoundExpr, &BoundExpr)],
+    left_lo: usize,
+    right_lo: usize,
+    used: &mut [bool],
+) -> PhysOp {
+    for (ci, _, _) in keys {
+        used[*ci] = true;
+    }
+    PhysOp::HashJoin {
+        left: Box::new(left),
+        right: Box::new(right),
+        left_keys: keys.iter().map(|(_, l, _)| map_columns(l, &|i| i - left_lo)).collect(),
+        right_keys: keys.iter().map(|(_, _, r)| map_columns(r, &|i| i - right_lo)).collect(),
+    }
+}
+
+/// Wrap `tree` in a Filter for every unused simple conjunct now covered
+/// by its first `width` columns, in written order.
+fn apply_covered(
+    mut tree: PhysOp,
+    conjuncts: &[BoundExpr],
+    used: &mut [bool],
+    width: usize,
+) -> PhysOp {
+    for (ci, c) in conjuncts.iter().enumerate() {
+        if used[ci] || c.is_complex() {
+            continue;
+        }
+        let mut cols = Vec::new();
+        c.collect_columns(&mut cols);
+        if cols.iter().all(|&x| x < width) {
+            used[ci] = true;
+            tree = PhysOp::Filter { pred: c.clone(), child: Box::new(tree) };
+        }
+    }
+    tree
+}
+
+/// The first unused `&&` conjunct, in written order, that links an
+/// expression over the tree (columns `0..width`) with one over `right`,
+/// and an index method that can index both argument types: `(method,
+/// probe expression over the tree, build expression over `right`'s own
+/// columns)`. Only strict overloads qualify, so a NULL on either side
+/// can safely yield no candidates.
+fn index_link(
+    ctx: &EngineCtx<'_>,
+    conjuncts: &[BoundExpr],
+    used: &[bool],
+    width: usize,
+    right: Range<usize>,
+) -> Option<(String, BoundExpr, BoundExpr)> {
+    let tree = 0..width;
+    for (ci, c) in conjuncts.iter().enumerate() {
+        let BoundExpr::Call { name, args, strict: true, .. } = c else { continue };
+        if used[ci] || name != "&&" || args.len() != 2 || c.is_complex() {
+            continue;
+        }
+        let (probe, build) = if reads_only(&args[0], &tree) && reads_only(&args[1], &right) {
+            (&args[0], &args[1])
+        } else if reads_only(&args[1], &tree) && reads_only(&args[0], &right) {
+            (&args[1], &args[0])
+        } else {
+            continue;
+        };
+        let (pty, bty) = (probe.ty(), build.ty());
+        let types = ctx.index_types.read();
+        let method = types.names().into_iter().find(|m| {
+            types.get(m).is_some_and(|t| t.can_index(&pty) && t.can_index(&bty))
+        });
+        if let Some(method) = method {
+            let build = map_columns(build, &|i| i - right.start);
+            return Some((method, probe.clone(), build));
+        }
+    }
+    None
+}
+
+/// A SELECT's physical plan, made once before execution: the join tree
+/// and the predicates left above it (`None` for a FROM-less SELECT), and
+/// the plan of each CTE body in declaration order. The trees live for the
+/// whole statement, so `EXPLAIN ANALYZE` renders exactly the nodes whose
+/// actuals were recorded.
+#[derive(Debug)]
+pub struct PlannedSelect {
+    pub tree: Option<(PhysOp, Vec<BoundExpr>)>,
+    pub ctes: Vec<PlannedSelect>,
+}
+
+/// Plan `plan`'s join tree (none for a FROM-less SELECT) and,
+/// recursively, its CTE bodies.
+pub fn plan_select(ctx: &EngineCtx<'_>, plan: &BoundSelect) -> SqlResult<PlannedSelect> {
+    let tree = if plan.from.is_empty() { None } else { Some(plan_joins(ctx, plan)?) };
+    let ctes = plan.ctes.iter().map(|c| plan_select(ctx, &c.plan)).collect::<SqlResult<_>>()?;
+    Ok(PlannedSelect { tree, ctes })
 }
 
 fn base_relation(f: &BoundFrom) -> SqlResult<PhysOp> {
@@ -507,6 +659,7 @@ pub fn op_name(op: &PhysOp) -> &'static str {
         PhysOp::Filter { .. } => "filter",
         PhysOp::HashJoin { .. } => "hash_join",
         PhysOp::CrossJoin { .. } => "cross_product",
+        PhysOp::IndexJoin { .. } => "index_join",
     }
 }
 
@@ -777,12 +930,18 @@ fn run_op(
         PhysOp::CrossJoin { left, right } => {
             let l = execute_op(ctx, left, outer)?;
             let r = execute_op(ctx, right, outer)?;
-            cross_join(ctx, &l, &r, op_key(op))
+            pair_join(ctx, &l, &r, None, outer, &exec, op_key(op))
         }
         PhysOp::HashJoin { left, right, left_keys, right_keys } => {
             let l = execute_op(ctx, left, outer)?;
             let r = execute_op(ctx, right, outer)?;
             hash_join(ctx, &l, &r, left_keys, right_keys, outer, &exec, op_key(op))
+        }
+        PhysOp::IndexJoin { left, right, method, probe, build } => {
+            let l = execute_op(ctx, left, outer)?;
+            let r = execute_op(ctx, right, outer)?;
+            let link = Some((method.as_str(), probe, build));
+            pair_join(ctx, &l, &r, link, outer, &exec, op_key(op))
         }
     }
 }
@@ -1080,44 +1239,6 @@ fn chunk_types(chunks: &Chunks) -> Vec<LogicalType> {
         .unwrap_or_default()
 }
 
-fn cross_join(ctx: &EngineCtx<'_>, l: &Chunks, r: &Chunks, key: usize) -> SqlResult<Chunks> {
-    let rtypes = chunk_types(r);
-    let rflat = flatten(r, rtypes)?;
-    // The flattened build side is a fresh buffer; output chunks are
-    // charged as they are produced so a runaway product trips the memory
-    // limit (or the row budget, whichever is tighter) mid-flight.
-    ctx.charge_op_mem(key, rflat.approx_bytes())?;
-    let mut out = Chunks::default();
-    for lchunk in &l.chunks {
-        // For each left row, repeat it against every right row. The guard
-        // is charged per output chunk.
-        let mut lsel = Vec::new();
-        let mut rsel = Vec::new();
-        for li in 0..lchunk.len {
-            for ri in 0..rflat.len {
-                lsel.push(li);
-                rsel.push(ri);
-                if lsel.len() >= VECTOR_SIZE {
-                    ctx.guard.check_rows(lsel.len())?;
-                    let chunk = combine(lchunk, &lsel, &rflat, &rsel);
-                    ctx.charge_op_mem(key, chunk.approx_bytes())?;
-                    out.chunks.push(chunk);
-                    lsel.clear();
-                    rsel.clear();
-                }
-            }
-        }
-        if !lsel.is_empty() {
-            ctx.guard.check_rows(lsel.len())?;
-            let chunk = combine(lchunk, &lsel, &rflat, &rsel);
-            ctx.charge_op_mem(key, chunk.approx_bytes())?;
-            out.chunks.push(chunk);
-        }
-    }
-    mduck_obs::metrics().rows_joined.inc(out.row_count() as u64);
-    Ok(out)
-}
-
 fn combine(l: &DataChunk, lsel: &[usize], r: &DataChunk, rsel: &[usize]) -> DataChunk {
     let mut cols = Vec::with_capacity(l.columns.len() + r.columns.len());
     for c in &l.columns {
@@ -1127,6 +1248,206 @@ fn combine(l: &DataChunk, lsel: &[usize], r: &DataChunk, rsel: &[usize]) -> Data
         cols.push(c.gather(rsel));
     }
     DataChunk::from_columns(cols)
+}
+
+/// What one left chunk of a cross product or index join produced.
+#[derive(Default)]
+struct PairPart {
+    chunks: Vec<DataChunk>,
+    /// Left rows the index answered (the rest paired with every right row).
+    probes: u64,
+    /// Pairs emitted.
+    pairs: u64,
+    /// Bytes of the emitted chunks (already charged to the guard).
+    bytes: u64,
+}
+
+/// The cross product of `l` and `r` (`link` = `None`), or an index join:
+/// the pairs a transient index over the `build` expression of `link`
+/// (evaluated once per right row, indexed through its method) returns
+/// for the `probe` expression (evaluated once per left row). Pairs come
+/// out in cross-product order: left rows in order, each with its right
+/// rows — or candidates — in ascending order. The index only skips pairs
+/// whose boxes cannot overlap; the `&&` conjunct is re-checked by the
+/// Filter above, so a probe the index cannot answer (declined, no box,
+/// evaluation error) pairs with every right row, and a NULL probe with
+/// none.
+fn pair_join(
+    ctx: &EngineCtx<'_>,
+    l: &Chunks,
+    r: &Chunks,
+    link: Option<(&str, &BoundExpr, &BoundExpr)>,
+    outer: &OuterStack<'_>,
+    exec: &dyn SubqueryExec,
+    key: usize,
+) -> SqlResult<Chunks> {
+    if l.row_count() == 0 || r.row_count() == 0 {
+        return Ok(Chunks::default());
+    }
+    let rflat = flatten(r, chunk_types(r))?;
+    // The flattened right side is a fresh buffer; output chunks are
+    // charged as they are produced so a runaway product trips the memory
+    // limit (or the row budget, whichever is tighter) mid-flight.
+    ctx.charge_op_mem(key, rflat.approx_bytes())?;
+    let m = mduck_obs::metrics();
+    let index = link.and_then(|(method, probe, build)| {
+        let index = build_index(ctx, method, build, &rflat, outer, exec)?;
+        m.index_join_builds.inc(1);
+        Some((index, probe))
+    });
+    let index = index.as_ref().map(|(idx, probe)| (idx.as_ref(), *probe));
+    if let Some(pr) = &ctx.progress {
+        pr.add_total(l.chunks.len() as u64);
+    }
+    let parts = if ctx.parallel_ok(outer) && l.chunks.len() >= MIN_PARALLEL_MORSELS {
+        // The probe expression is simple (the planner only links
+        // conjuncts without subqueries), so workers evaluate it with
+        // `NoSubqueries`.
+        let guard = ctx.guard;
+        let progress = ctx.progress.as_deref();
+        let (parts, stats) = morsel_map(ctx.threads, l.chunks.len(), |i| {
+            let part = pair_chunk(
+                guard,
+                &l.chunks[i],
+                &rflat,
+                index,
+                &OuterStack::EMPTY,
+                &NoSubqueries,
+            )?;
+            if let Some(pr) = progress {
+                pr.add_done(1);
+            }
+            Ok(part)
+        })?;
+        if let Some(stats) = &stats {
+            ctx.record_parallel(key, "pairs", stats);
+        }
+        parts
+    } else {
+        let mut parts = Vec::with_capacity(l.chunks.len());
+        for lchunk in &l.chunks {
+            parts.push(pair_chunk(ctx.guard, lchunk, &rflat, index, outer, exec)?);
+            if let Some(pr) = &ctx.progress {
+                pr.add_done(1);
+            }
+        }
+        parts
+    };
+    let mut out = Chunks::default();
+    let (mut probes, mut pairs, mut bytes) = (0u64, 0u64, 0u64);
+    for part in parts {
+        probes += part.probes;
+        pairs += part.pairs;
+        bytes += part.bytes;
+        out.chunks.extend(part.chunks);
+    }
+    ctx.attribute_op_mem(key, bytes);
+    m.rows_joined.inc(pairs);
+    if link.is_some() {
+        m.index_join_candidates.inc(pairs);
+        if let Some(p) = &ctx.profile {
+            let mut ops = p.ops.borrow_mut();
+            let e = ops.entry(key).or_default();
+            e.build_rows += rflat.len as u64;
+            e.probes += probes;
+            e.candidates += pairs;
+        }
+    }
+    Ok(out)
+}
+
+/// Index the right rows' `build` values through `method`, row id = right
+/// row number. `None` when the values cannot be computed or indexed: the
+/// join then pairs every left row with every right row and lets the
+/// re-check decide, exactly as the cross product does.
+fn build_index(
+    ctx: &EngineCtx<'_>,
+    method: &str,
+    build: &BoundExpr,
+    rflat: &DataChunk,
+    outer: &OuterStack<'_>,
+    exec: &dyn SubqueryExec,
+) -> Option<Box<dyn TableIndex>> {
+    let index_type = ctx.index_types.read().get(method)?;
+    let values = eval_vector(build, rflat, outer, exec).ok()?;
+    let values: Vec<Value> = (0..values.len()).map(|i| values.get(i)).collect();
+    index_type.create("index_join", 0, &build.ty(), &values).ok()
+}
+
+/// Pair every row of one left chunk with its right rows (all of them, or
+/// the candidates `index` returns for its `probe` value), emitting the
+/// pairs in [`VECTOR_SIZE`] chunks charged to the row budget and memory
+/// guard.
+fn pair_chunk(
+    guard: &ExecGuard,
+    lchunk: &DataChunk,
+    rflat: &DataChunk,
+    index: Option<(&dyn TableIndex, &BoundExpr)>,
+    outer: &OuterStack<'_>,
+    exec: &dyn SubqueryExec,
+) -> SqlResult<PairPart> {
+    guard.tick()?;
+    let mut part = PairPart::default();
+    // A chunk whose probe values cannot be computed pairs every row with
+    // every right row; the re-check then meets the same error, if any,
+    // the cross product would have.
+    let probed = index.and_then(|(idx, probe)| {
+        eval_vector(probe, lchunk, outer, exec).ok().map(|values| (idx, values))
+    });
+    let all: Vec<usize> = (0..rflat.len).collect();
+    let (mut lsel, mut rsel) = (Vec::new(), Vec::new());
+    for li in 0..lchunk.len {
+        let hits = probed.as_ref().and_then(|(idx, values)| {
+            let v = values.get(li);
+            if v.is_null() {
+                return Some(Vec::new());
+            }
+            match idx.try_scan("&&", &v) {
+                Ok(Some(ids)) => {
+                    let mut ids: Vec<usize> = ids.into_iter().map(|r| r as usize).collect();
+                    ids.sort_unstable();
+                    Some(ids)
+                }
+                _ => None,
+            }
+        });
+        if hits.is_some() {
+            part.probes += 1;
+        }
+        for &ri in hits.as_deref().unwrap_or(&all) {
+            lsel.push(li);
+            rsel.push(ri);
+            if lsel.len() >= VECTOR_SIZE {
+                emit_pairs(guard, &mut part, lchunk, &mut lsel, rflat, &mut rsel)?;
+            }
+        }
+    }
+    if !lsel.is_empty() {
+        emit_pairs(guard, &mut part, lchunk, &mut lsel, rflat, &mut rsel)?;
+    }
+    Ok(part)
+}
+
+/// Materialize the selected pairs as one output chunk and clear the
+/// selections.
+fn emit_pairs(
+    guard: &ExecGuard,
+    part: &mut PairPart,
+    lchunk: &DataChunk,
+    lsel: &mut Vec<usize>,
+    rflat: &DataChunk,
+    rsel: &mut Vec<usize>,
+) -> SqlResult<()> {
+    guard.check_rows(lsel.len())?;
+    let chunk = combine(lchunk, lsel, rflat, rsel);
+    let bytes = chunk.approx_bytes();
+    guard.charge_mem(bytes)?;
+    part.pairs += lsel.len() as u64;
+    part.bytes += bytes;
+    part.chunks.push(chunk);
+    lsel.clear();
+    rsel.clear();
+    Ok(())
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1234,23 +1555,22 @@ pub fn execute_select(
     execute_select_inner(ctx, plan, None, outer)
 }
 
-/// Execute a bound SELECT against the join tree and remaining predicates
-/// [`plan_tree`] returned for it. `EXPLAIN ANALYZE` plans once up front
-/// so the profiled node keys match the tree it renders afterwards.
+/// Execute a bound SELECT with the trees [`plan_select`] made for it.
+/// `EXPLAIN ANALYZE` plans once up front so the profiled node keys match
+/// the trees it renders afterwards.
 pub fn execute_select_planned(
     ctx: &EngineCtx<'_>,
     plan: &BoundSelect,
-    planned: Option<&(PhysOp, Vec<BoundExpr>)>,
+    planned: &PlannedSelect,
     outer: &OuterStack<'_>,
 ) -> SqlResult<Vec<Vec<Value>>> {
-    let planned = planned.map(|(tree, remaining)| (tree, remaining.as_slice()));
-    execute_select_inner(ctx, plan, planned, outer)
+    execute_select_inner(ctx, plan, Some(planned), outer)
 }
 
 fn execute_select_inner(
     ctx: &EngineCtx<'_>,
     plan: &BoundSelect,
-    planned: Option<(&PhysOp, &[BoundExpr])>,
+    planned: Option<&PlannedSelect>,
     outer: &OuterStack<'_>,
 ) -> SqlResult<Vec<Vec<Value>>> {
     let exec = PlanExecutor { ctx };
@@ -1259,7 +1579,7 @@ fn execute_select_inner(
     //    earlier ones). Global indices were assigned by the binder in
     //    binding order starting at the count before this plan — recover
     //    them by running a counter alongside.
-    materialize_ctes(ctx, plan, outer)?;
+    materialize_ctes(ctx, plan, planned, outer)?;
 
     // 2. Input relation.
     let run_tree = |tree: &PhysOp, remaining: &[BoundExpr]| -> SqlResult<Chunks> {
@@ -1279,7 +1599,7 @@ fn execute_select_inner(
         c.chunks.push(DataChunk { columns: vec![], len: 1 });
         c
     } else {
-        match planned {
+        match planned.and_then(|p| p.tree.as_ref()) {
             Some((tree, remaining)) => run_tree(tree, remaining)?,
             None => {
                 let (tree, remaining) = plan_joins(ctx, plan)?;
@@ -1455,14 +1775,17 @@ fn execute_select_inner(
 }
 
 /// Materialize the plan's CTEs into the shared context, in declaration
-/// order (later CTEs may reference earlier ones).
+/// order (later CTEs may reference earlier ones), each through its
+/// pre-made plan when there is one.
 fn materialize_ctes(
     ctx: &EngineCtx<'_>,
     plan: &BoundSelect,
+    planned: Option<&PlannedSelect>,
     outer: &OuterStack<'_>,
 ) -> SqlResult<()> {
-    for cte in &plan.ctes {
-        let rows = execute_select(ctx, &cte.plan, outer)?;
+    for (i, cte) in plan.ctes.iter().enumerate() {
+        let cte_planned = planned.and_then(|p| p.ctes.get(i));
+        let rows = execute_select_inner(ctx, &cte.plan, cte_planned, outer)?;
         let types: Vec<LogicalType> = cte
             .plan
             .output_schema

@@ -2,46 +2,53 @@
 //!
 //! `EXPLAIN ANALYZE` renders the same tree annotated with actuals from an
 //! execution [`Profile`]: per-operator exclusive wall time, input/output
-//! cardinalities, and chunk counts for the vectorized pipeline.
+//! cardinalities, and chunk counts for the vectorized pipeline. Each CTE
+//! body follows the main plan under its own `──── CTE <name> ────` header.
 
-use mduck_sql::{BoundExpr, BoundSelect, SortKey};
+use mduck_sql::{BoundSelect, SortKey};
 
-use crate::exec::{op_key, op_name, PhysOp, Profile, ScanFilters};
+use crate::exec::{op_key, op_name, plan_key, PhysOp, PlannedSelect, Profile, ScanFilters};
 
 const BOX_WIDTH: usize = 29;
 
 /// Actuals attached to an `EXPLAIN ANALYZE` rendering.
 pub struct AnalyzeData<'a> {
     pub profile: &'a Profile,
-    /// Key of the top-level plan's post-join stages (`exec::plan_key`).
-    pub plan_key: usize,
     /// End-to-end execution wall time.
     pub total_ms: f64,
     /// Rows in the final result.
     pub result_rows: usize,
 }
 
-/// A [`crate::exec::plan_tree`] result: the join/scan tree and the
-/// predicates left above it, or `None` for a FROM-less SELECT.
-type Planned<'p> = Option<&'p (PhysOp, Vec<BoundExpr>)>;
-
 /// Render the full plan (post-join stages plus the join/scan tree; a
-/// FROM-less SELECT renders a `DUMMY_SCAN` leaf).
-pub fn render_plan(plan: &BoundSelect, planned: Planned<'_>) -> String {
-    render(plan, planned, None)
+/// FROM-less SELECT renders a `DUMMY_SCAN` leaf), then each CTE body.
+pub fn render_plan(plan: &BoundSelect, planned: &PlannedSelect) -> String {
+    let mut out = String::new();
+    render_select(&mut out, plan, planned, None);
+    out
 }
 
 /// Render the plan annotated with actuals (`EXPLAIN ANALYZE`).
 pub fn render_plan_analyzed(
     plan: &BoundSelect,
-    planned: Planned<'_>,
+    planned: &PlannedSelect,
     analyze: &AnalyzeData<'_>,
 ) -> String {
-    render(plan, planned, Some(analyze))
+    let mut out = format!(
+        "Total Time: {:.3} ms\nRows Returned: {}\n",
+        analyze.total_ms, analyze.result_rows
+    );
+    render_select(&mut out, plan, planned, Some(analyze));
+    out
 }
 
-fn render(plan: &BoundSelect, planned: Planned<'_>, analyze: Option<&AnalyzeData<'_>>) -> String {
-    let remaining = planned.map_or(&[][..], |(_, remaining)| remaining.as_slice());
+fn render_select(
+    out: &mut String,
+    plan: &BoundSelect,
+    planned: &PlannedSelect,
+    analyze: Option<&AnalyzeData<'_>>,
+) {
+    let remaining = planned.tree.as_ref().map_or(&[][..], |(_, remaining)| remaining.as_slice());
     // (title, detail, stage-profile name)
     let mut nodes: Vec<(String, Vec<String>, Option<&'static str>)> = Vec::new();
     if plan.limit.is_some() || plan.offset.is_some() {
@@ -89,26 +96,29 @@ fn render(plan: &BoundSelect, planned: Planned<'_>, analyze: Option<&AnalyzeData
         nodes.push(("FILTER".into(), vec![format!("{pred:?}")], stage));
     }
 
-    let mut out = String::new();
-    if let Some(a) = analyze {
-        out.push_str(&format!("Total Time: {:.3} ms\n", a.total_ms));
-        out.push_str(&format!("Rows Returned: {}\n", a.result_rows));
-    }
     for (name, mut detail, stage) in nodes {
         if let (Some(a), Some(stage)) = (analyze, stage) {
-            detail.extend(stage_lines(a, stage));
+            detail.extend(stage_lines(a, plan_key(plan), stage));
         }
-        push_box(&mut out, &name, &detail, true);
+        push_box(out, &name, &detail, true);
     }
-    match planned {
-        Some((tree, _)) => render_op(&mut out, tree, analyze),
-        None => push_box(&mut out, "DUMMY_SCAN", &[], false),
+    match &planned.tree {
+        Some((tree, _)) => render_op(out, tree, analyze),
+        None => push_box(out, "DUMMY_SCAN", &[], false),
     }
-    out
+    for (cte, cte_planned) in plan.ctes.iter().zip(&planned.ctes) {
+        push_divider(out, &format!("CTE {}", cte.name));
+        render_select(out, &cte.plan, cte_planned, analyze);
+    }
 }
 
-fn stage_lines(a: &AnalyzeData<'_>, stage: &'static str) -> Vec<String> {
-    let mut lines = match a.profile.stages.borrow().get(&(a.plan_key, stage)) {
+/// A centred `──── label ────` line between rendered sections.
+fn push_divider(out: &mut String, label: &str) {
+    out.push_str(&format!("{:^width$}\n", format!("──── {label} ────"), width = BOX_WIDTH + 2));
+}
+
+fn stage_lines(a: &AnalyzeData<'_>, key: usize, stage: &'static str) -> Vec<String> {
+    let mut lines = match a.profile.stages.borrow().get(&(key, stage)) {
         Some(s) => {
             let mut l = vec![
                 format!("actual: {:.3} ms", s.elapsed_ns as f64 / 1e6),
@@ -121,7 +131,7 @@ fn stage_lines(a: &AnalyzeData<'_>, stage: &'static str) -> Vec<String> {
         }
         None => Vec::new(),
     };
-    lines.extend(par_lines(a.profile, a.plan_key, stage));
+    lines.extend(par_lines(a.profile, key, stage));
     lines
 }
 
@@ -145,9 +155,9 @@ fn par_lines(profile: &Profile, key: usize, stage: &'static str) -> Vec<String> 
 fn op_children(op: &PhysOp) -> Vec<&PhysOp> {
     match op {
         PhysOp::Filter { child, .. } => vec![child],
-        PhysOp::HashJoin { left, right, .. } | PhysOp::CrossJoin { left, right } => {
-            vec![left, right]
-        }
+        PhysOp::HashJoin { left, right, .. }
+        | PhysOp::CrossJoin { left, right }
+        | PhysOp::IndexJoin { left, right, .. } => vec![left, right],
         _ => Vec::new(),
     }
 }
@@ -185,10 +195,15 @@ fn op_lines(a: &AnalyzeData<'_>, op: &PhysOp) -> Vec<String> {
     if p.execs > 1 {
         lines.push(format!("execs: {}", p.execs));
     }
+    if let PhysOp::IndexJoin { .. } = op {
+        lines.push(format!("build rows: {}", p.build_rows));
+        lines.push(format!("probes: {}", p.probes));
+        lines.push(format!("candidates: {}", p.candidates));
+    }
     // Operator-level parallel stages: scans (fused conjuncts included)
-    // run window by window in parallel, filters above joins chunk by
-    // chunk.
-    for stage in ["scan", "filter"] {
+    // run window by window in parallel; filters above joins, cross
+    // products and index joins left chunk by left chunk.
+    for stage in ["scan", "filter", "pairs"] {
         lines.extend(par_lines(a.profile, op_key(op), stage));
     }
     lines
@@ -234,6 +249,15 @@ fn render_op(out: &mut String, op: &PhysOp, analyze: Option<&AnalyzeData<'_>>) {
             true,
         ),
         PhysOp::CrossJoin { .. } => ("CROSS_PRODUCT", vec![], true),
+        PhysOp::IndexJoin { method, probe, build, .. } => (
+            "INDEX_JOIN",
+            vec![
+                format!("index: {method}"),
+                format!("probe: {probe:?}"),
+                format!("build: {build:?}"),
+            ],
+            true,
+        ),
     };
     if let Some(a) = analyze {
         detail.extend(op_lines(a, op));
@@ -241,16 +265,16 @@ fn render_op(out: &mut String, op: &PhysOp, analyze: Option<&AnalyzeData<'_>>) {
     push_box(out, title, &detail, has_child);
     match op {
         PhysOp::Filter { child, .. } => render_op(out, child, analyze),
-        PhysOp::HashJoin { left, right, .. } => {
+        PhysOp::HashJoin { left, right, .. } | PhysOp::IndexJoin { left, right, .. } => {
             // Render children sequentially (left above right) with a
             // divider — a readable simplification of DuckDB's 2-D layout.
             render_op(out, left, analyze);
-            out.push_str(&format!("{:^width$}\n", "──── build side ────", width = BOX_WIDTH + 2));
+            push_divider(out, "build side");
             render_op(out, right, analyze);
         }
         PhysOp::CrossJoin { left, right } => {
             render_op(out, left, analyze);
-            out.push_str(&format!("{:^width$}\n", "──── right side ────", width = BOX_WIDTH + 2));
+            push_divider(out, "right side");
             render_op(out, right, analyze);
         }
         _ => {}
@@ -303,16 +327,23 @@ pub fn stage_breakdown(plan_key: usize, profile: &Profile) -> Vec<StageBreakdown
     out
 }
 
-/// Flatten an analyzed tree, preorder, into per-operator actuals.
-pub fn op_breakdown(tree: &PhysOp, profile: &Profile) -> Vec<OpBreakdown> {
+/// Flatten an analyzed plan into per-operator actuals: the main tree
+/// preorder, then each CTE body's the same way.
+pub fn op_breakdown(planned: &PlannedSelect, profile: &Profile) -> Vec<OpBreakdown> {
     let mut out = Vec::new();
+    push_breakdown(&mut out, planned, profile);
+    out
+}
+
+fn push_breakdown(out: &mut Vec<OpBreakdown>, planned: &PlannedSelect, profile: &Profile) {
     let ops = profile.ops.borrow();
-    let mut stack = vec![tree];
+    let mut stack: Vec<&PhysOp> = planned.tree.iter().map(|(tree, _)| tree).collect();
     while let Some(op) = stack.pop() {
         let detail = match op {
             PhysOp::SeqScan { table, .. } => table.clone(),
             PhysOp::IndexScan { table, index, .. } => format!("{table}.{index}"),
             PhysOp::CteScan { name, .. } => name.clone(),
+            PhysOp::IndexJoin { method, .. } => method.clone(),
             _ => String::new(),
         };
         let p = ops.get(&op_key(op)).cloned().unwrap_or_default();
@@ -336,7 +367,9 @@ pub fn op_breakdown(tree: &PhysOp, profile: &Profile) -> Vec<OpBreakdown> {
             stack.push(c);
         }
     }
-    out
+    for cte in &planned.ctes {
+        push_breakdown(out, cte, profile);
+    }
 }
 
 fn push_box(out: &mut String, title: &str, detail: &[String], has_child: bool) {

@@ -117,3 +117,114 @@ fn fused_scan_keeps_conjuncts_in_written_order() {
     // x = 2i: i in 6..=49 except i = 10.
     assert_eq!(r.rows[0][0].to_string(), "43");
 }
+
+// ------------------------------------------------------------ join planning
+
+/// The BerlinMOD schema (no rows: plan shapes do not depend on data) with
+/// the MobilityDuck extension loaded.
+fn berlinmod_db() -> Database {
+    let db = Database::new();
+    mobilityduck::load(&db);
+    for stmt in berlinmod::BerlinModData::ddl().split(';') {
+        if !stmt.trim().is_empty() {
+            db.execute(stmt).unwrap();
+        }
+    }
+    db
+}
+
+fn berlinmod_query(id: u32) -> &'static str {
+    berlinmod::benchmark_queries()
+        .into_iter()
+        .find(|(q, _, _)| *q == id)
+        .map(|(_, _, sql)| sql)
+        .unwrap()
+}
+
+/// The title and first detail line of the box after each `──── right
+/// side ────` divider: the right child of every CROSS_PRODUCT, in
+/// rendering order.
+fn cross_product_right_sides(plan: &str) -> Vec<String> {
+    plan.split("──── right side ────")
+        .skip(1)
+        .map(|rest| {
+            let boxes: Vec<&str> = rest
+                .lines()
+                .filter(|l| l.starts_with('│') && !l.contains('─'))
+                .take(2)
+                .map(|l| l.trim_matches(|c| c == '│' || c == ' '))
+                .collect();
+            boxes.join(" ")
+        })
+        .collect()
+}
+
+#[test]
+fn q6_truck_pairs_index_join_without_cross_product() {
+    let db = berlinmod_db();
+    let p = plan(&db, berlinmod_query(6));
+    // t1 ⋈ v1, then the run t2 ⋈ v2, joined through the `&&` conjunct.
+    assert_eq!(p.matches("INDEX_JOIN").count(), 1, "{p}");
+    assert!(p.contains("index: TRTREE"), "{p}");
+    assert_eq!(p.matches("HASH_JOIN").count(), 2, "{p}");
+    assert!(!p.contains("CROSS_PRODUCT"), "{p}");
+}
+
+#[test]
+fn q10_and_q13_use_index_joins() {
+    let db = berlinmod_db();
+    // Q10's join lives in its CTE, rendered under its own header.
+    let p = plan(&db, berlinmod_query(10));
+    let cte = p.find("──── CTE temp ────").unwrap_or_else(|| panic!("no CTE section\n{p}"));
+    let join = p.find("INDEX_JOIN").unwrap_or_else(|| panic!("no index join\n{p}"));
+    assert!(cte < join, "{p}");
+    assert!(!p.contains("CROSS_PRODUCT"), "{p}");
+    // Q13: trips ⋈ vehicles probes the regions' boxes; periods1 (a
+    // tstzspan `&&`, which no index method covers) stays a cross product.
+    let p = plan(&db, berlinmod_query(13));
+    assert!(p.contains("INDEX_JOIN"), "{p}");
+    assert_eq!(cross_product_right_sides(&p), vec!["SEQ_SCAN periods1"], "{p}");
+}
+
+#[test]
+fn q16_keeps_one_trips_cross_product() {
+    let db = berlinmod_db();
+    let p = plan(&db, berlinmod_query(16));
+    // The license pairs (t1 ⋈ l1) × (t2 ⋈ l2) have no spatial link and
+    // stay a cross product of the absorbed run; regions1 is index-joined
+    // and periods1 (tstzspan) crossed.
+    assert_eq!(
+        cross_product_right_sides(&p),
+        vec!["HASH_JOIN col#1 = col#2", "SEQ_SCAN periods1"],
+        "{p}"
+    );
+    assert_eq!(p.matches("INDEX_JOIN").count(), 1, "{p}");
+}
+
+#[test]
+fn select_star_over_absorbed_run_keeps_from_column_order() {
+    let db = db();
+    db.execute("CREATE TABLE c(id INTEGER, z INTEGER)").unwrap();
+    db.execute("INSERT INTO c SELECT i, i * 5 FROM generate_series(1, 100) AS t(i)").unwrap();
+    // `b` has no key into `a`; `c` is keyed to `b` only, so `b ⋈ c` is
+    // hash-joined first and crossed with `a` as one run.
+    let sql = "SELECT * FROM a, b, c WHERE a.x + 150 < b.y AND b.id = c.id";
+    let p = plan(&db, sql);
+    let cross = p.find("CROSS_PRODUCT").expect(&p);
+    assert!(cross < p.find("HASH_JOIN").expect(&p), "{p}");
+    let r = db.execute(sql).unwrap();
+    let names: Vec<&str> = r.schema.fields.iter().map(|f| f.name.as_str()).collect();
+    assert_eq!(names, ["id", "x", "id", "y", "id", "z"]);
+    // The same rows, in the same order, as the one-relation-at-a-time
+    // plan (a key that is not a plain column is never absorbed).
+    let reference = db
+        .execute("SELECT * FROM a, b, c WHERE a.x + 150 < b.y AND b.id + 0 = c.id")
+        .unwrap();
+    let p = plan(&db, "SELECT * FROM a, b, c WHERE a.x + 150 < b.y AND b.id + 0 = c.id");
+    assert!(p.find("HASH_JOIN").expect(&p) < p.find("CROSS_PRODUCT").expect(&p), "{p}");
+    assert!(!r.rows.is_empty());
+    assert_eq!(r.rows, reference.rows);
+    for row in &r.rows {
+        assert!(matches!((&row[2], &row[4]), (a, b) if a == b), "{row:?}");
+    }
+}

@@ -30,9 +30,13 @@ echo "== parallel execution matrix =="
 # (threads=4) regardless of the host's core count. The differential
 # suite itself also pins thread counts per-connection via set_threads.
 # The fused-scan differential suite (scan_pushdown) runs the same
-# matrix: its filtered scans fan out one window per morsel.
-MDUCK_THREADS=1 cargo test -q -p mduck-integration --test parallel_exec --test scan_pushdown
-MDUCK_THREADS=4 cargo test -q -p mduck-integration --test parallel_exec --test scan_pushdown
+# matrix: its filtered scans fan out one window per morsel. So does the
+# index-join differential suite (index_join): its probes fan out one left
+# chunk per morsel.
+MDUCK_THREADS=1 cargo test -q -p mduck-integration --test parallel_exec --test scan_pushdown \
+  --test index_join
+MDUCK_THREADS=4 cargo test -q -p mduck-integration --test parallel_exec --test scan_pushdown \
+  --test index_join
 
 echo "== resource observability =="
 # Memory-limit trips, progress monotonicity, and the query-log contract

@@ -140,6 +140,51 @@ fn vec_explain_and_analyze_from_less_select() {
     assert!(text.contains("PROJECTION") && text.contains("DUMMY_SCAN"), "{text}");
 }
 
+/// A Q10-shaped statement: the whole vehicle-pair join runs inside a
+/// CTE, plus a second, unused CTE with its own join.
+const Q10_SHAPED: &str = "WITH Temp AS (
+       SELECT l1.license AS license1, t2.vehicleid AS car2id, t2.tripid AS trip2
+       FROM trips t1, licenses1 l1, trips t2, vehicles v
+       WHERE t1.vehicleid = l1.vehicleid AND t2.vehicleid = v.vehicleid AND
+             t1.vehicleid <> t2.vehicleid AND
+             t2.trip && expandSpace(t1.trip::STBOX, 3.0)),
+     Other AS (
+       SELECT v.model FROM vehicles v, licenses2 l2 WHERE v.vehicleid = l2.vehicleid)
+     SELECT license1, car2id, count(*) FROM Temp
+     GROUP BY license1, car2id ORDER BY license1, car2id";
+
+#[test]
+fn vec_explain_analyze_renders_cte_bodies() {
+    let net = berlinmod::RoadNetwork::generate(42);
+    let data = berlinmod::BerlinModData::generate(&net, berlinmod::ScaleFactor(0.001), 42);
+    let db = Database::new();
+    mobilityduck::load(&db);
+    data.load_into_quack(&db).unwrap();
+    let pq = db.execute_analyzed(Q10_SHAPED).unwrap();
+    let text = &pq.explain;
+    // Each CTE body renders under its own header, with actuals.
+    let temp = text.find("──── CTE temp ────").unwrap_or_else(|| panic!("{text}"));
+    let other = text.find("──── CTE other ────").unwrap_or_else(|| panic!("{text}"));
+    assert!(temp < other, "{text}");
+    let (temp_text, other_text) = (&text[temp..other], &text[other..]);
+    assert!(temp_text.contains("INDEX_JOIN") && temp_text.contains("candidates:"), "{text}");
+    assert!(other_text.contains("HASH_JOIN"), "{text}");
+    assert!(!text.contains("not executed"), "{text}");
+    // The main tree (a CTE scan) comes first in the operator list, then
+    // the CTE bodies, whose operators carry the statement's time.
+    assert_eq!(pq.operators[0].op, "cte_scan", "{:?}", pq.operators);
+    let body = &pq.operators[1..];
+    for op in ["index_join", "hash_join", "filter", "seq_scan"] {
+        assert!(body.iter().any(|o| o.op == op), "{op} missing: {body:?}");
+    }
+    let body_ms: f64 = body.iter().map(|o| o.elapsed_ms).sum();
+    assert!(
+        body_ms >= 0.5 * pq.total_ms,
+        "CTE operators {body_ms:.3} ms of {:.3} ms total\n{text}",
+        pq.total_ms
+    );
+}
+
 #[test]
 fn vec_offset_without_limit_renders_offset() {
     let db = vec_db();
