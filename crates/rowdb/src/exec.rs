@@ -2,23 +2,28 @@
 //!
 //! Every operator processes one `Vec<Value>` row at a time through the
 //! shared tree-walking evaluator (no vectorized fast paths, no columnar
-//! gathers). The planner mirrors PostgreSQL's choices: hash joins for
-//! equality conjuncts, and — when indexes exist (the paper's "MobilityDB
-//! with indexes" scenario) — index scans for single-table predicates and
-//! GiST-style index nested-loop joins for spatiotemporal join predicates
-//! like Q10's `t2.Trip && expandSpace(t1.trip::STBOX, 3.0)`.
+//! gathers). The planner mirrors PostgreSQL's choices, in FROM order: hash
+//! joins for equality conjuncts, and — when indexes exist (the paper's
+//! "MobilityDB with indexes" scenario) — index scans for single-table
+//! predicates and GiST-style index nested-loop joins for spatiotemporal
+//! join predicates like Q10's `t2.Trip && expandSpace(t1.trip::STBOX, 3.0)`.
+//!
+//! The conjunct bookkeeping (local predicates, equality keys, covered and
+//! leftover conjuncts) and the row tail (HAVING, projection, DISTINCT,
+//! ORDER BY, OFFSET/LIMIT) are `mduck_sql::plan`, shared with quackdb.
+//! This module owns the physical plan: FROM-order joins, pushdown into
+//! base tables only, the index choices, and row-at-a-time execution —
+//! which is what keeps it an independent oracle (DESIGN.md §12).
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use mduck_obs::QueryProgress;
-use mduck_sql::ast::BinaryOp;
 use mduck_sql::eval::{eval, OuterStack, SubqueryExec};
-use mduck_sql::{
-    split_conjuncts, BoundExpr, BoundFrom, BoundSelect, ExecGuard, Registry, SortKey, SqlError,
-    SqlResult, Value,
-};
+use mduck_sql::plan::{index_pattern, series, JoinConjuncts, RowTail};
+use mduck_sql::{BoundExpr, BoundFrom, BoundSelect, ExecGuard, Registry, SqlError, SqlResult, Value};
 
 use crate::catalog::RowCatalog;
 
@@ -137,70 +142,27 @@ struct RowPlan {
 }
 
 fn plan_rows(ctx: &RowCtx<'_>, plan: &BoundSelect) -> SqlResult<RowPlan> {
-    let mut offsets = Vec::with_capacity(plan.from.len());
-    let mut acc = 0usize;
-    for f in &plan.from {
-        offsets.push(acc);
-        acc += f.schema().len();
-    }
-    let widths: Vec<usize> = plan.from.iter().map(|f| f.schema().len()).collect();
+    let mut conj = JoinConjuncts::new(plan);
 
-    let mut conjuncts = Vec::new();
-    if let Some(f) = &plan.filter {
-        split_conjuncts(f, &mut conjuncts);
-    }
-    let mut used = vec![false; conjuncts.len()];
-
-    // Per-relation local predicates (remapped) + optional index probe.
-    // Only base tables receive pushdown; predicates over CTE/subquery/
-    // series sources are applied as post-join filters (they stay correct
-    // because the accumulated row keeps global column positions).
-    let mut sources: Vec<Source> = Vec::new();
+    // Only base tables receive pushdown (their own conjuncts, plus an
+    // index probe for one of them); predicates over CTE/subquery/series
+    // sources are applied as post-join filters (they stay correct because
+    // the accumulated row keeps input column positions).
+    let mut sources: Vec<Source> = Vec::with_capacity(plan.from.len());
     for (ri, f) in plan.from.iter().enumerate() {
-        let (lo, hi) = (offsets[ri], offsets[ri] + widths[ri]);
-        let mut local: Vec<(usize, BoundExpr)> = Vec::new();
-        if matches!(f, BoundFrom::Table { .. }) {
-            for (ci, c) in conjuncts.iter().enumerate() {
-                if used[ci] || c.is_complex() {
-                    continue;
-                }
-                let mut cols = Vec::new();
-                c.collect_columns(&mut cols);
-                if !cols.is_empty() && cols.iter().all(|&x| x >= lo && x < hi) {
-                    local.push((ci, remap_columns(c, lo)));
-                }
-            }
-        }
-        let source = match f {
+        sources.push(match f {
             BoundFrom::Table { name, .. } => {
-                // Try a single-table index probe (constant pattern).
-                let mut probe = None;
-                let mut probe_ci = None;
-                {
-                    let t = ctx.catalog.get(name)?;
-                    let t = t.read();
-                    for (pos, (_, c)) in local.iter().enumerate() {
-                        if let Some((col, op, constant)) = constant_pattern(c) {
-                            if t.indexes.iter().any(|i| i.column() == col) {
-                                probe = Some((op, constant, c.clone()));
-                                probe_ci = Some(pos);
-                                break;
-                            }
-                        }
-                    }
-                }
-                if let Some(pos) = probe_ci {
-                    let (ci, _) = local.remove(pos);
-                    used[ci] = true;
-                }
-                for (ci, _) in &local {
-                    used[*ci] = true;
-                }
-                Source::Table {
-                    name: name.clone(),
-                    filters: local.into_iter().map(|(_, c)| c).collect(),
-                    index_probe: probe,
-                }
+                let mut filters = conj.take_local(ri);
+                let t = ctx.catalog.get(name)?;
+                let t = t.read();
+                let probe = filters.iter().enumerate().find_map(|(pos, c)| {
+                    let (col, op, constant) = index_pattern(c)?;
+                    let indexed = t.indexes.iter().any(|i| i.column() == col);
+                    indexed.then(|| (pos, op.to_string(), constant.clone()))
+                });
+                let index_probe =
+                    probe.map(|(pos, op, constant)| (op, constant, filters.remove(pos)));
+                Source::Table { name: name.clone(), filters, index_probe }
             }
             BoundFrom::Cte { index, .. } => Source::Cte { index: *index },
             BoundFrom::Subquery { plan, .. } => Source::Subquery { plan: plan.clone() },
@@ -208,195 +170,72 @@ fn plan_rows(ctx: &RowCtx<'_>, plan: &BoundSelect) -> SqlResult<RowPlan> {
             BoundFrom::Spans { .. } => Source::Spans,
             BoundFrom::Progress { .. } => Source::Progress,
             BoundFrom::QueryLog { .. } => Source::QueryLog,
-        };
-        sources.push(source);
+        });
     }
 
     let mut it = sources.into_iter();
     let first = it.next().ok_or_else(|| SqlError::execution("empty FROM"))?;
     let mut steps = Vec::new();
-    let mut width = widths[0];
+    let mut width = conj.span(0).end;
     for (k, source) in it.enumerate() {
-        let ri = k + 1;
-        let (rlo, rhi) = (offsets[ri], offsets[ri] + widths[ri]);
-        // Strategy 1: GiST index nested loop when the right side is a base
-        // table with an index on a column compared by a registered
-        // operator against a left-side expression.
-        let mut strategy = None;
-        if let Source::Table { name, index_probe: None, .. } = &source {
-            let t = ctx.catalog.get(name)?;
-            let t = t.read();
-            for (ci, c) in conjuncts.iter().enumerate() {
-                if used[ci] || c.is_complex() {
-                    continue;
-                }
-                if let Some((col, op, probe)) = join_probe_pattern(c, rlo, rhi, width) {
-                    if t.indexes.iter().any(|i| i.column() == col) {
-                        strategy = Some(JoinStrategy::IndexNl {
-                            op,
-                            probe,
-                            original: c.clone(),
-                        });
-                        used[ci] = true;
-                        *ctx.used_index.borrow_mut() = true;
-                        break;
-                    }
-                }
-            }
-        }
-        // Strategy 2: hash join on equality conjuncts.
-        if strategy.is_none() {
-            let mut lkeys = Vec::new();
-            let mut rkeys = Vec::new();
-            for (ci, c) in conjuncts.iter().enumerate() {
-                if used[ci] || c.is_complex() {
-                    continue;
-                }
-                if let BoundExpr::Compare { op: BinaryOp::Eq, left, right } = c {
-                    let (mut lc, mut rc) = (Vec::new(), Vec::new());
-                    left.collect_columns(&mut lc);
-                    right.collect_columns(&mut rc);
-                    let in_left =
-                        |cols: &[usize]| !cols.is_empty() && cols.iter().all(|&x| x < width);
-                    let in_right = |cols: &[usize]| {
-                        !cols.is_empty() && cols.iter().all(|&x| x >= rlo && x < rhi)
-                    };
-                    if in_left(&lc) && in_right(&rc) {
-                        lkeys.push((**left).clone());
-                        rkeys.push(remap_columns(right, rlo));
-                        used[ci] = true;
-                    } else if in_right(&lc) && in_left(&rc) {
-                        lkeys.push((**right).clone());
-                        rkeys.push(remap_columns(left, rlo));
-                        used[ci] = true;
-                    }
-                }
-            }
-            strategy = Some(if lkeys.is_empty() {
-                JoinStrategy::Cross
-            } else {
-                JoinStrategy::Hash { left_keys: lkeys, right_keys: rkeys }
-            });
-        }
-        width = rhi;
-        let mut post = Vec::new();
-        for (ci, c) in conjuncts.iter().enumerate() {
-            if used[ci] || c.is_complex() {
-                continue;
-            }
-            let mut cols = Vec::new();
-            c.collect_columns(&mut cols);
-            if cols.iter().all(|&x| x < width) {
-                used[ci] = true;
-                post.push(c.clone());
-            }
-        }
-        steps.push(JoinStep { source, strategy: strategy.unwrap(), post_filters: post });
-    }
-    let remaining: Vec<BoundExpr> = conjuncts
-        .into_iter()
-        .zip(used)
-        .filter(|(_, u)| !u)
-        .map(|(c, _)| c)
-        .collect();
-    Ok(RowPlan { first, steps, remaining })
-}
-
-/// `col <op> literal` over the local column space.
-fn constant_pattern(c: &BoundExpr) -> Option<(usize, String, Value)> {
-    match c {
-        BoundExpr::Call { name, args, .. } if args.len() == 2 => match (&args[0], &args[1]) {
-            (BoundExpr::ColumnRef { index, .. }, BoundExpr::Literal(v)) => {
-                Some((*index, name.clone(), v.clone()))
-            }
-            (BoundExpr::Literal(v), BoundExpr::ColumnRef { index, .. }) if name == "&&" => {
-                Some((*index, name.clone(), v.clone()))
+        let span = conj.span(k + 1);
+        let index_nl = match &source {
+            Source::Table { name, index_probe: None, .. } => {
+                index_nl(ctx, &conj, name, width, &span)?
             }
             _ => None,
-        },
-        BoundExpr::Compare { op: BinaryOp::Eq, left, right } => match (&**left, &**right) {
-            (BoundExpr::ColumnRef { index, .. }, BoundExpr::Literal(v))
-            | (BoundExpr::Literal(v), BoundExpr::ColumnRef { index, .. }) => {
-                Some((*index, "=".into(), v.clone()))
+        };
+        let strategy = match index_nl {
+            Some((ci, strategy)) => {
+                conj.take(ci);
+                *ctx.used_index.borrow_mut() = true;
+                strategy
             }
-            _ => None,
-        },
-        _ => None,
+            None => {
+                let keys = conj.equi_keys(0..width, span.clone());
+                if keys.is_empty() {
+                    JoinStrategy::Cross
+                } else {
+                    let (left_keys, right_keys) = conj.take_keys(&keys, 0, span.start);
+                    JoinStrategy::Hash { left_keys, right_keys }
+                }
+            }
+        };
+        width = span.end;
+        steps.push(JoinStep { source, strategy, post_filters: conj.take_covered(width) });
     }
+    Ok(RowPlan { first, steps, remaining: conj.into_remaining() })
 }
 
-/// `right_col <op> expr(left)` join pattern (commuting `&&`). Returns the
-/// right column (local), operator, and the probe expression over the left
-/// row (global indices, which equal left-local indices).
-fn join_probe_pattern(
-    c: &BoundExpr,
-    rlo: usize,
-    rhi: usize,
-    left_width: usize,
-) -> Option<(usize, String, BoundExpr)> {
-    let BoundExpr::Call { name, args, .. } = c else { return None };
-    if args.len() != 2 {
-        return None;
-    }
-    let col_of_right = |e: &BoundExpr| match e {
-        BoundExpr::ColumnRef { index, .. } if *index >= rlo && *index < rhi => Some(*index - rlo),
-        _ => None,
-    };
-    let over_left = |e: &BoundExpr| {
-        let mut cols = Vec::new();
-        e.collect_columns(&mut cols);
-        !cols.is_empty() && cols.iter().all(|&x| x < left_width)
-    };
-    if let Some(col) = col_of_right(&args[0]) {
-        if over_left(&args[1]) {
-            return Some((col, name.clone(), args[1].clone()));
-        }
-    }
-    if name == "&&" || name == "=" {
-        if let Some(col) = col_of_right(&args[1]) {
-            if over_left(&args[0]) {
-                return Some((col, name.clone(), args[0].clone()));
-            }
-        }
-    }
-    None
-}
-
-fn remap_columns(e: &BoundExpr, offset: usize) -> BoundExpr {
-    use BoundExpr::*;
-    match e {
-        ColumnRef { index, ty } => ColumnRef { index: index - offset, ty: ty.clone() },
-        Call { name, func, args, ty, strict } => Call {
-            name: name.clone(),
-            func: func.clone(),
-            args: args.iter().map(|a| remap_columns(a, offset)).collect(),
-            ty: ty.clone(),
-            strict: *strict,
-        },
-        Compare { op, left, right } => Compare {
-            op: *op,
-            left: Box::new(remap_columns(left, offset)),
-            right: Box::new(remap_columns(right, offset)),
-        },
-        Arith { op, left, right, ty } => Arith {
-            op: *op,
-            left: Box::new(remap_columns(left, offset)),
-            right: Box::new(remap_columns(right, offset)),
-            ty: ty.clone(),
-        },
-        And(es) => And(es.iter().map(|x| remap_columns(x, offset)).collect()),
-        Or(es) => Or(es.iter().map(|x| remap_columns(x, offset)).collect()),
-        Not(x) => Not(Box::new(remap_columns(x, offset))),
-        IsNull { expr, negated } => {
-            IsNull { expr: Box::new(remap_columns(expr, offset)), negated: *negated }
-        }
-        InList { expr, list, negated } => InList {
-            expr: Box::new(remap_columns(expr, offset)),
-            list: list.iter().map(|x| remap_columns(x, offset)).collect(),
-            negated: *negated,
-        },
-        other => other.clone(),
-    }
+/// GiST index nested loop onto base table `name` (columns `right`): the
+/// first unplaced call, in written order, whose argument over `right` is a
+/// column of `name` with an index and whose other argument reads only the
+/// tree's columns `0..width`. The indexed column must come first unless
+/// the operator commutes (`&&`, `=`). Returns the conjunct and the join.
+fn index_nl(
+    ctx: &RowCtx<'_>,
+    conj: &JoinConjuncts,
+    name: &str,
+    width: usize,
+    right: &Range<usize>,
+) -> SqlResult<Option<(usize, JoinStrategy)>> {
+    let t = ctx.catalog.get(name)?;
+    let t = t.read();
+    Ok(conj
+        .links(0..width, right.clone())
+        .find(|l| {
+            let BoundExpr::ColumnRef { index, .. } = l.build else { return false };
+            (l.build_first || l.name == "&&" || l.name == "=")
+                && t.indexes.iter().any(|i| i.column() == index - right.start)
+        })
+        .map(|l| {
+            let strategy = JoinStrategy::IndexNl {
+                op: l.name.to_string(),
+                probe: l.probe.clone(),
+                original: l.call.clone(),
+            };
+            (l.conjunct, strategy)
+        }))
 }
 
 /// Render a PostgreSQL-style indented text plan for EXPLAIN.
@@ -581,22 +420,7 @@ fn scan_source(
         }
         Source::Subquery { plan } => execute_select(ctx, plan, outer),
         Source::Series { args } => {
-            let vals: SqlResult<Vec<Value>> =
-                args.iter().map(|a| eval(a, &[], outer, &exec)).collect();
-            let vals = vals?;
-            let start = vals[0].as_int()?;
-            let stop = if vals.len() > 1 { vals[1].as_int()? } else { start };
-            let step = if vals.len() > 2 { vals[2].as_int()? } else { 1 };
-            if step == 0 {
-                return Err(SqlError::execution("generate_series step must be nonzero"));
-            }
-            let mut out = Vec::new();
-            let mut v = start;
-            while (step > 0 && v <= stop) || (step < 0 && v >= stop) {
-                out.push(vec![Value::Int(v)]);
-                v += step;
-            }
-            Ok(out)
+            Ok(series(args, outer, &exec)?.map(|v| vec![Value::Int(v)]).collect())
         }
         Source::Spans => Ok(mduck_sql::introspect::span_rows()),
         Source::Progress => Ok(mduck_sql::introspect::progress_rows()),
@@ -727,114 +551,39 @@ pub fn execute_select(
                 }
             };
             mduck_obs::metrics().rows_joined.inc(acc.len() as u64);
-            for f in &step.post_filters {
-                let before = acc.len();
-                let mut kept = Vec::with_capacity(acc.len());
-                for row in acc {
-                    if matches!(eval(f, &row, outer, &exec)?, Value::Bool(true)) {
-                        kept.push(row);
-                    }
-                }
-                mduck_obs::metrics().rows_filtered.inc((before - kept.len()) as u64);
-                acc = kept;
-            }
+            acc = filter_rows(acc, &step.post_filters, outer, &exec)?;
         }
-        for f in &rp.remaining {
-            let before = acc.len();
-            let mut kept = Vec::with_capacity(acc.len());
-            for row in acc {
-                if matches!(eval(f, &row, outer, &exec)?, Value::Bool(true)) {
-                    kept.push(row);
-                }
-            }
-            mduck_obs::metrics().rows_filtered.inc((before - kept.len()) as u64);
-            acc = kept;
-        }
-        acc
+        filter_rows(acc, &rp.remaining, outer, &exec)?
     };
 
-    // Aggregation.
+    // Aggregation, then the shared tail.
     if plan.aggregated {
         rows = aggregate_rows(ctx, plan, rows, outer)?;
-        if let Some(h) = &plan.having {
-            let mut kept = Vec::with_capacity(rows.len());
-            for row in rows {
-                if matches!(eval(h, &row, outer, &exec)?, Value::Bool(true)) {
-                    kept.push(row);
-                }
-            }
-            rows = kept;
-        }
     }
+    let mut tail = RowTail::new(plan);
+    tail.project(plan, rows, outer, &exec)?;
+    tail.finish(plan, ctx.guard, outer, &exec, |_, _, _, _| {})
+}
 
-    // Projection.
-    let needs_env = plan.order_by.iter().any(|o| matches!(o.key, SortKey::Input(_)));
-    let mut out_rows: Vec<Row> = Vec::with_capacity(rows.len());
-    let mut env_rows: Vec<Row> = Vec::new();
-    for row in rows {
-        let mut out = Vec::with_capacity(plan.projections.len());
-        for p in &plan.projections {
-            out.push(eval(p, &row, outer, &exec)?);
-        }
-        out_rows.push(out);
-        if needs_env {
-            env_rows.push(row);
-        }
-    }
-
-    // DISTINCT.
-    if plan.distinct {
-        let mut seen = std::collections::HashSet::new();
-        let mut kept = Vec::with_capacity(out_rows.len());
-        let mut kept_env = Vec::new();
-        for (i, row) in out_rows.into_iter().enumerate() {
-            let mut key = Vec::new();
-            for v in &row {
-                v.hash_key(&mut key);
-            }
-            if seen.insert(key) {
-                if needs_env {
-                    kept_env.push(env_rows[i].clone());
-                }
+/// Keep the rows every predicate holds on, one predicate at a time.
+fn filter_rows(
+    mut rows: Vec<Row>,
+    preds: &[BoundExpr],
+    outer: &OuterStack<'_>,
+    exec: &dyn SubqueryExec,
+) -> SqlResult<Vec<Row>> {
+    for f in preds {
+        let before = rows.len();
+        let mut kept = Vec::with_capacity(rows.len());
+        for row in rows {
+            if matches!(eval(f, &row, outer, exec)?, Value::Bool(true)) {
                 kept.push(row);
             }
         }
-        out_rows = kept;
-        env_rows = kept_env;
+        mduck_obs::metrics().rows_filtered.inc((before - kept.len()) as u64);
+        rows = kept;
     }
-
-    // ORDER BY.
-    if !plan.order_by.is_empty() {
-        let mut keyed: Vec<(Vec<Value>, Row)> = Vec::with_capacity(out_rows.len());
-        for (i, row) in out_rows.into_iter().enumerate() {
-            let mut keys = Vec::with_capacity(plan.order_by.len());
-            for o in &plan.order_by {
-                keys.push(match &o.key {
-                    SortKey::Output(j) => row[*j].clone(),
-                    SortKey::Input(e) => eval(e, &env_rows[i], outer, &exec)?,
-                });
-            }
-            keyed.push((keys, row));
-        }
-        let mut cmp_err = None;
-        keyed.sort_by(|(a, _), (b, _)| {
-            mduck_sql::cmp_order_keys(a, b, &plan.order_by, &mut cmp_err)
-        });
-        if let Some(e) = cmp_err {
-            return Err(e);
-        }
-        out_rows = keyed.into_iter().map(|(_, r)| r).collect();
-    }
-
-    // OFFSET / LIMIT.
-    if let Some(off) = plan.offset {
-        let off = off as usize;
-        out_rows = if off >= out_rows.len() { Vec::new() } else { out_rows.split_off(off) };
-    }
-    if let Some(lim) = plan.limit {
-        out_rows.truncate(lim as usize);
-    }
-    Ok(out_rows)
+    Ok(rows)
 }
 
 fn aggregate_rows(

@@ -185,36 +185,89 @@ impl BoundExpr {
 
     /// Collect column indices referenced at the current depth.
     pub fn collect_columns(&self, out: &mut Vec<usize>) {
+        self.for_each_column(&mut |i| out.push(i));
+    }
+
+    /// Visit every column index referenced at the current depth, in
+    /// written order. Subquery bodies have their own column space and are
+    /// not entered.
+    pub fn for_each_column(&self, f: &mut impl FnMut(usize)) {
         match self {
-            BoundExpr::ColumnRef { index, .. } => out.push(*index),
-            BoundExpr::Call { args, .. } => args.iter().for_each(|a| a.collect_columns(out)),
+            BoundExpr::ColumnRef { index, .. } => f(*index),
+            BoundExpr::Literal(_)
+            | BoundExpr::OuterRef { .. }
+            | BoundExpr::ScalarSubquery { .. }
+            | BoundExpr::Exists { .. } => {}
+            BoundExpr::Call { args, .. } => args.iter().for_each(|a| a.for_each_column(f)),
             BoundExpr::Compare { left, right, .. } | BoundExpr::Arith { left, right, .. } => {
-                left.collect_columns(out);
-                right.collect_columns(out);
+                left.for_each_column(f);
+                right.for_each_column(f);
             }
-            BoundExpr::And(es) | BoundExpr::Or(es) => {
-                es.iter().for_each(|e| e.collect_columns(out))
-            }
-            BoundExpr::Not(e) => e.collect_columns(out),
-            BoundExpr::IsNull { expr, .. } => expr.collect_columns(out),
+            BoundExpr::And(es) | BoundExpr::Or(es) => es.iter().for_each(|e| e.for_each_column(f)),
+            BoundExpr::Not(e) => e.for_each_column(f),
+            BoundExpr::IsNull { expr, .. } => expr.for_each_column(f),
             BoundExpr::InList { expr, list, .. } => {
-                expr.collect_columns(out);
-                list.iter().for_each(|e| e.collect_columns(out));
+                expr.for_each_column(f);
+                list.iter().for_each(|e| e.for_each_column(f));
             }
             BoundExpr::Case { operand, branches, else_expr, .. } => {
                 if let Some(o) = operand {
-                    o.collect_columns(out);
+                    o.for_each_column(f);
                 }
                 for (c, v) in branches {
-                    c.collect_columns(out);
-                    v.collect_columns(out);
+                    c.for_each_column(f);
+                    v.for_each_column(f);
                 }
                 if let Some(e) = else_expr {
-                    e.collect_columns(out);
+                    e.for_each_column(f);
                 }
             }
-            BoundExpr::Quantified { left, .. } => left.collect_columns(out),
-            _ => {}
+            BoundExpr::Quantified { left, .. } => left.for_each_column(f),
+        }
+    }
+
+    /// A copy of `self` with every column index `i` at the current depth
+    /// renumbered to `f(i)` — the columns [`BoundExpr::for_each_column`]
+    /// visits. Pushes a predicate below a join, onto one relation, or onto
+    /// a scan's predicate chunk.
+    pub fn map_columns(&self, f: &dyn Fn(usize) -> usize) -> BoundExpr {
+        use BoundExpr::*;
+        let map = |e: &BoundExpr| Box::new(e.map_columns(f));
+        match self {
+            ColumnRef { index, ty } => ColumnRef { index: f(*index), ty: ty.clone() },
+            Literal(_) | OuterRef { .. } | ScalarSubquery { .. } | Exists { .. } => self.clone(),
+            Call { name, func, args, ty, strict } => Call {
+                name: name.clone(),
+                func: func.clone(),
+                args: args.iter().map(|a| a.map_columns(f)).collect(),
+                ty: ty.clone(),
+                strict: *strict,
+            },
+            Compare { op, left, right } => Compare { op: *op, left: map(left), right: map(right) },
+            Arith { op, left, right, ty } => {
+                Arith { op: *op, left: map(left), right: map(right), ty: ty.clone() }
+            }
+            And(es) => And(es.iter().map(|x| x.map_columns(f)).collect()),
+            Or(es) => Or(es.iter().map(|x| x.map_columns(f)).collect()),
+            Not(x) => Not(map(x)),
+            IsNull { expr, negated } => IsNull { expr: map(expr), negated: *negated },
+            InList { expr, list, negated } => InList {
+                expr: map(expr),
+                list: list.iter().map(|x| x.map_columns(f)).collect(),
+                negated: *negated,
+            },
+            Case { operand, branches, else_expr, ty } => Case {
+                operand: operand.as_deref().map(map),
+                branches: branches
+                    .iter()
+                    .map(|(c, v)| (c.map_columns(f), v.map_columns(f)))
+                    .collect(),
+                else_expr: else_expr.as_deref().map(map),
+                ty: ty.clone(),
+            },
+            Quantified { op, all, left, plan } => {
+                Quantified { op: *op, all: *all, left: map(left), plan: plan.clone() }
+            }
         }
     }
 }

@@ -22,6 +22,7 @@ pub mod index;
 pub mod introspect;
 pub mod lexer;
 pub mod parser;
+pub mod plan;
 pub mod registry;
 pub mod session;
 pub mod value;

@@ -9,7 +9,9 @@
 //! index. Joins stay in FROM order; a relation with no equality key into
 //! the tree first absorbs the relations keyed only to it, and an `&&`
 //! conjunct across the join is answered by a transient index (DESIGN.md
-//! §12).
+//! §12). Which conjuncts are local, keyed or covered, and the row tail
+//! after projection, come from `mduck_sql::plan`, shared with the row
+//! engine.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -17,11 +19,11 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
-use mduck_sql::ast::BinaryOp;
-use mduck_sql::eval::{eval, NoSubqueries, OuterStack, SubqueryExec};
+use mduck_sql::eval::{NoSubqueries, OuterStack, SubqueryExec};
+use mduck_sql::plan::{index_pattern, series, EquiKey, JoinConjuncts, RowTail};
 use mduck_sql::{
-    split_conjuncts, BoundExpr, BoundFrom, BoundSelect, ExecGuard, LogicalType, Registry,
-    SortKey, SqlError, SqlResult, Value,
+    BoundExpr, BoundFrom, BoundSelect, ExecGuard, LogicalType, Registry, SqlError, SqlResult,
+    Value,
 };
 use mduck_sync::RwLock;
 
@@ -225,17 +227,8 @@ impl<'a> EngineCtx<'a> {
         }
     }
 
-    /// Charge + attribute for a post-join stage (aggregate, order_by).
-    fn charge_stage_mem(&self, plan: &BoundSelect, name: &'static str, bytes: u64) -> SqlResult<()> {
-        if bytes == 0 {
-            return Ok(());
-        }
-        let check = self.guard.charge_mem(bytes);
-        self.attribute_stage_mem(plan, name, bytes);
-        check
-    }
-
-    /// Profile-only attribution for worker-charged stage buffers.
+    /// Profile-only attribution of stage buffers already charged to the
+    /// guard (by workers, or by the shared row tail).
     fn attribute_stage_mem(&self, plan: &BoundSelect, name: &'static str, bytes: u64) {
         if bytes == 0 {
             return;
@@ -289,7 +282,7 @@ impl ScanFilters {
                 c.collect_columns(&mut columns);
                 columns.sort_unstable();
                 columns.dedup();
-                let dense = map_columns(c, &|i| columns.partition_point(|&x| x < i));
+                let dense = c.map_columns(&|i| columns.partition_point(|&x| x < i));
                 (columns, dense)
             })
             .collect();
@@ -379,88 +372,62 @@ pub enum PhysOp {
 
 /// Build the physical join tree for a plan's FROM + WHERE.
 pub fn plan_joins(ctx: &EngineCtx<'_>, plan: &BoundSelect) -> SqlResult<(PhysOp, Vec<BoundExpr>)> {
-    // Column offsets of each FROM item in the global input schema.
-    let mut offsets = Vec::with_capacity(plan.from.len());
-    let mut acc = 0usize;
-    for f in &plan.from {
-        offsets.push(acc);
-        acc += f.schema().len();
-    }
-    let widths: Vec<usize> = plan.from.iter().map(|f| f.schema().len()).collect();
+    let mut conj = JoinConjuncts::new(plan);
 
-    let mut conjuncts = Vec::new();
-    if let Some(f) = &plan.filter {
-        split_conjuncts(f, &mut conjuncts);
-    }
-    let mut used = vec![false; conjuncts.len()];
-
-    // Base relations with pushed-down filters / injected index scans.
-    let mut relations: Vec<PhysOp> = Vec::new();
+    // Base relations with their own conjuncts (written order) fused into
+    // the scan or, for non-table relations, as Filters above them.
+    let mut relations: Vec<PhysOp> = Vec::with_capacity(plan.from.len());
     for (ri, f) in plan.from.iter().enumerate() {
-        let (lo, hi) = (offsets[ri], offsets[ri] + widths[ri]);
-        // This relation's own conjuncts, in written order (no subqueries,
-        // columns all local).
-        let mut preds = Vec::new();
-        for (ci, c) in conjuncts.iter().enumerate() {
-            if used[ci] || c.is_complex() {
-                continue;
-            }
-            let mut cols = Vec::new();
-            c.collect_columns(&mut cols);
-            if !cols.is_empty() && cols.iter().all(|&x| x >= lo && x < hi) {
-                used[ci] = true;
-                preds.push(map_columns(c, &|i| i - lo));
-            }
-        }
-        let base = match base_relation(f)? {
+        let preds = conj.take_local(ri);
+        relations.push(match base_relation(f)? {
             PhysOp::SeqScan { table, .. } => table_scan(ctx, table, preds)?,
-            other => preds
-                .into_iter()
-                .fold(other, |child, pred| PhysOp::Filter { pred, child: Box::new(child) }),
-        };
-        relations.push(base);
+            other => filtered(other, preds),
+        });
     }
 
     // Left-deep joins in FROM order, picking up equality keys. A relation
     // with no key into the tree first absorbs the run of relations keyed
     // only to it, then joins the tree through an index join when an `&&`
     // conjunct links the two (DESIGN.md §12).
-    let span = |ri: usize| offsets[ri]..offsets[ri] + widths[ri];
     let mut rels = relations.into_iter().enumerate().peekable();
     let Some((_, mut tree)) = rels.next() else {
         return Err(SqlError::execution("cannot plan joins for a FROM-less select"));
     };
-    let mut width = widths[0];
+    let mut width = conj.span(0).end;
     while let Some((ri, rel)) = rels.next() {
-        let keys = equi_keys(&conjuncts, &used, 0..width, span(ri));
+        let span = conj.span(ri);
+        let keys = conj.equi_keys(0..width, span.clone());
         if !keys.is_empty() {
-            tree = hash_join_op(tree, rel, &keys, 0, offsets[ri], &mut used);
-            width = span(ri).end;
-            tree = apply_covered(tree, &conjuncts, &mut used, width);
+            tree = hash_join_op(tree, rel, &mut conj, &keys, 0, span.start);
+            width = span.end;
+            tree = filtered(tree, conj.take_covered(width));
             continue;
         }
         // Rule 1: hash-join the relations that follow and are keyed only
         // to this one (by plain columns, whose evaluation cannot fail)
         // before anything meets the tree. The run keeps its FROM
         // positions, so the column layout is unchanged.
-        let lo = offsets[ri];
+        let lo = span.start;
         let mut right = rel;
-        let mut ends = vec![span(ri).end];
+        let mut ends = vec![span.end];
         while let Some(&(rj, _)) = rels.peek() {
-            let keys = equi_keys(&conjuncts, &used, 0..offsets[rj], span(rj));
+            let next_span = conj.span(rj);
+            let keys = conj.equi_keys(0..next_span.start, next_span.clone());
             let absorbable = !keys.is_empty()
-                && keys.iter().all(|(_, l, r)| {
-                    matches!(l, BoundExpr::ColumnRef { index, .. } if *index >= lo)
-                        && matches!(r, BoundExpr::ColumnRef { .. })
+                && keys.iter().all(|&k| {
+                    conj.key_sides(k).is_some_and(|(l, r)| {
+                        matches!(l, BoundExpr::ColumnRef { index, .. } if *index >= lo)
+                            && matches!(r, BoundExpr::ColumnRef { .. })
+                    })
                 });
             let Some((_, next)) = rels.next_if(|_| absorbable) else { break };
-            right = hash_join_op(right, next, &keys, lo, offsets[rj], &mut used);
-            ends.push(span(rj).end);
+            right = hash_join_op(right, next, &mut conj, &keys, lo, next_span.start);
+            ends.push(next_span.end);
         }
         // Rule 2: an index join when an `&&` conjunct links the tree to
         // the run; the conjunct itself stays a filter below.
         let run = lo..ends[ends.len() - 1];
-        tree = match index_link(ctx, &conjuncts, &used, width, run) {
+        tree = match index_link(ctx, &conj, width, run) {
             Some((method, probe, build)) => PhysOp::IndexJoin {
                 left: Box::new(tree),
                 right: Box::new(right),
@@ -474,131 +441,53 @@ pub fn plan_joins(ctx: &EngineCtx<'_>, plan: &BoundSelect) -> SqlResult<(PhysOp,
         // applies them: each FROM position of the run in turn.
         for end in ends {
             width = end;
-            tree = apply_covered(tree, &conjuncts, &mut used, width);
+            tree = filtered(tree, conj.take_covered(width));
         }
     }
     // Anything left (complex predicates with subqueries) runs on top.
-    let remaining: Vec<BoundExpr> = conjuncts
-        .into_iter()
-        .zip(used)
-        .filter(|(_, u)| !u)
-        .map(|(c, _)| c)
-        .collect();
-    Ok((tree, remaining))
+    Ok((tree, conj.into_remaining()))
 }
 
-/// Do the columns `e` reads lie in `range` (and is there at least one)?
-fn reads_only(e: &BoundExpr, range: &Range<usize>) -> bool {
-    let mut cols = Vec::new();
-    e.collect_columns(&mut cols);
-    !cols.is_empty() && cols.iter().all(|x| range.contains(x))
+/// `child` under one Filter per predicate, the first innermost.
+fn filtered(child: PhysOp, preds: Vec<BoundExpr>) -> PhysOp {
+    preds.into_iter().fold(child, |child, pred| PhysOp::Filter { pred, child: Box::new(child) })
 }
 
-/// The unused simple equality conjuncts usable as hash-join keys between
-/// columns `left` and the relation at `right`, in written order:
-/// `(conjunct, left-side expression, right-side expression)`.
-fn equi_keys<'c>(
-    conjuncts: &'c [BoundExpr],
-    used: &[bool],
-    left: Range<usize>,
-    right: Range<usize>,
-) -> Vec<(usize, &'c BoundExpr, &'c BoundExpr)> {
-    let mut keys = Vec::new();
-    for (ci, c) in conjuncts.iter().enumerate() {
-        if used[ci] || c.is_complex() {
-            continue;
-        }
-        if let BoundExpr::Compare { op: BinaryOp::Eq, left: a, right: b } = c {
-            if reads_only(a, &left) && reads_only(b, &right) {
-                keys.push((ci, &**a, &**b));
-            } else if reads_only(b, &left) && reads_only(a, &right) {
-                keys.push((ci, &**b, &**a));
-            }
-        }
-    }
-    keys
-}
-
-/// Hash-join `left` (whose columns start at global column `left_lo`) with
-/// `right` (starting at `right_lo`) on `keys`, which become used.
+/// Hash-join `left` (whose columns start at input column `left_lo`) with
+/// `right` (starting at `right_lo`) on `keys`, which become placed.
 fn hash_join_op(
     left: PhysOp,
     right: PhysOp,
-    keys: &[(usize, &BoundExpr, &BoundExpr)],
+    conj: &mut JoinConjuncts,
+    keys: &[EquiKey],
     left_lo: usize,
     right_lo: usize,
-    used: &mut [bool],
 ) -> PhysOp {
-    for (ci, _, _) in keys {
-        used[*ci] = true;
-    }
-    PhysOp::HashJoin {
-        left: Box::new(left),
-        right: Box::new(right),
-        left_keys: keys.iter().map(|(_, l, _)| map_columns(l, &|i| i - left_lo)).collect(),
-        right_keys: keys.iter().map(|(_, _, r)| map_columns(r, &|i| i - right_lo)).collect(),
-    }
+    let (left_keys, right_keys) = conj.take_keys(keys, left_lo, right_lo);
+    PhysOp::HashJoin { left: Box::new(left), right: Box::new(right), left_keys, right_keys }
 }
 
-/// Wrap `tree` in a Filter for every unused simple conjunct now covered
-/// by its first `width` columns, in written order.
-fn apply_covered(
-    mut tree: PhysOp,
-    conjuncts: &[BoundExpr],
-    used: &mut [bool],
-    width: usize,
-) -> PhysOp {
-    for (ci, c) in conjuncts.iter().enumerate() {
-        if used[ci] || c.is_complex() {
-            continue;
-        }
-        let mut cols = Vec::new();
-        c.collect_columns(&mut cols);
-        if cols.iter().all(|&x| x < width) {
-            used[ci] = true;
-            tree = PhysOp::Filter { pred: c.clone(), child: Box::new(tree) };
-        }
-    }
-    tree
-}
-
-/// The first unused `&&` conjunct, in written order, that links an
-/// expression over the tree (columns `0..width`) with one over `right`,
-/// and an index method that can index both argument types: `(method,
-/// probe expression over the tree, build expression over `right`'s own
-/// columns)`. Only strict overloads qualify, so a NULL on either side
-/// can safely yield no candidates.
+/// The first unplaced strict `&&` conjunct, in written order, that links
+/// an expression over the tree (columns `0..width`) with one over
+/// `right`, and an index method that can index both argument types:
+/// `(method, probe expression over the tree, build expression over
+/// `right`'s own columns)`. Only strict overloads qualify, so a NULL on
+/// either side can safely yield no candidates.
 fn index_link(
     ctx: &EngineCtx<'_>,
-    conjuncts: &[BoundExpr],
-    used: &[bool],
+    conj: &JoinConjuncts,
     width: usize,
     right: Range<usize>,
 ) -> Option<(String, BoundExpr, BoundExpr)> {
-    let tree = 0..width;
-    for (ci, c) in conjuncts.iter().enumerate() {
-        let BoundExpr::Call { name, args, strict: true, .. } = c else { continue };
-        if used[ci] || name != "&&" || args.len() != 2 || c.is_complex() {
-            continue;
-        }
-        let (probe, build) = if reads_only(&args[0], &tree) && reads_only(&args[1], &right) {
-            (&args[0], &args[1])
-        } else if reads_only(&args[1], &tree) && reads_only(&args[0], &right) {
-            (&args[1], &args[0])
-        } else {
-            continue;
-        };
-        let (pty, bty) = (probe.ty(), build.ty());
+    let lo = right.start;
+    conj.links(0..width, right).filter(|l| l.strict && l.name == "&&").find_map(|l| {
+        let (pty, bty) = (l.probe.ty(), l.build.ty());
         let types = ctx.index_types.read();
         let method = types.names().into_iter().find(|m| {
             types.get(m).is_some_and(|t| t.can_index(&pty) && t.can_index(&bty))
-        });
-        if let Some(method) = method {
-            let build = map_columns(build, &|i| i - right.start);
-            return Some((method, probe.clone(), build));
-        }
-    }
-    None
+        })?;
+        Some((method, l.probe.clone(), l.build.map_columns(&|i| i - lo)))
+    })
 }
 
 /// A SELECT's physical plan, made once before execution: the join tree
@@ -687,82 +576,27 @@ fn table_scan(ctx: &EngineCtx<'_>, table: String, mut preds: Vec<BoundExpr>) -> 
     Ok(PhysOp::SeqScan { table, filters: ScanFilters::new(preds) })
 }
 
-/// Recognize `col <op> constant` (or commuted) over an indexed column of
-/// `table`. Returns `(index name, operator, constant)` when an index
-/// covers the column.
+/// Recognize `col <op> constant` (or commuted `&&`) over an indexed
+/// column of `table`. Returns `(index name, operator, constant)` when an
+/// index covers the column. Equality comparisons (`Compare =`) are
+/// declined: the index scan does not re-check its hits.
 fn match_index_pattern(
     ctx: &EngineCtx<'_>,
     table: &str,
     pred: &BoundExpr,
 ) -> SqlResult<Option<(String, String, Value)>> {
-    let BoundExpr::Call { name: op, args, .. } = pred else {
-        return Ok(None);
-    };
-    if args.len() != 2 {
+    if !matches!(pred, BoundExpr::Call { .. }) {
         return Ok(None);
     }
-    // `&&` commutes; other operators are used as written.
-    let (col, constant) = match (&args[0], &args[1]) {
-        (BoundExpr::ColumnRef { index, .. }, BoundExpr::Literal(v)) => (*index, v.clone()),
-        (BoundExpr::Literal(v), BoundExpr::ColumnRef { index, .. }) if op == "&&" => {
-            (*index, v.clone())
-        }
-        _ => return Ok(None),
+    let Some((col, op, constant)) = index_pattern(pred) else {
+        return Ok(None);
     };
     let t = ctx.catalog.get(table)?;
     let t = t.read();
     Ok(t.indexes
         .iter()
         .find(|idx| idx.column() == col)
-        .map(|idx| (idx.name().to_string(), op.clone(), constant)))
-}
-
-/// Renumber the column references of `e` through `f` (push a predicate
-/// below a join, or onto a scan's predicate chunk).
-fn map_columns(e: &BoundExpr, f: &dyn Fn(usize) -> usize) -> BoundExpr {
-    use BoundExpr::*;
-    match e {
-        ColumnRef { index, ty } => ColumnRef { index: f(*index), ty: ty.clone() },
-        Call { name, func, args, ty, strict } => Call {
-            name: name.clone(),
-            func: func.clone(),
-            args: args.iter().map(|a| map_columns(a, f)).collect(),
-            ty: ty.clone(),
-            strict: *strict,
-        },
-        Compare { op, left, right } => Compare {
-            op: *op,
-            left: Box::new(map_columns(left, f)),
-            right: Box::new(map_columns(right, f)),
-        },
-        Arith { op, left, right, ty } => Arith {
-            op: *op,
-            left: Box::new(map_columns(left, f)),
-            right: Box::new(map_columns(right, f)),
-            ty: ty.clone(),
-        },
-        And(es) => And(es.iter().map(|x| map_columns(x, f)).collect()),
-        Or(es) => Or(es.iter().map(|x| map_columns(x, f)).collect()),
-        Not(x) => Not(Box::new(map_columns(x, f))),
-        IsNull { expr, negated } => {
-            IsNull { expr: Box::new(map_columns(expr, f)), negated: *negated }
-        }
-        InList { expr, list, negated } => InList {
-            expr: Box::new(map_columns(expr, f)),
-            list: list.iter().map(|x| map_columns(x, f)).collect(),
-            negated: *negated,
-        },
-        Case { operand, branches, else_expr, ty } => Case {
-            operand: operand.as_ref().map(|o| Box::new(map_columns(o, f))),
-            branches: branches
-                .iter()
-                .map(|(c, v)| (map_columns(c, f), map_columns(v, f)))
-                .collect(),
-            else_expr: else_expr.as_ref().map(|x| Box::new(map_columns(x, f))),
-            ty: ty.clone(),
-        },
-        other => other.clone(),
-    }
+        .map(|idx| (idx.name().to_string(), op.to_string(), constant.clone())))
 }
 
 // ------------------------------------------------------------ execution
@@ -863,37 +697,15 @@ fn run_op(
             Ok(out)
         }
         PhysOp::Series { args } => {
-            let vals: SqlResult<Vec<Value>> =
-                args.iter().map(|a| eval(a, &[], outer, &exec)).collect();
-            let vals = vals?;
-            let Some(first) = vals.first() else {
-                return Err(SqlError::execution("generate_series requires arguments"));
-            };
-            let start = first.as_int()?;
-            let stop = if vals.len() > 1 { vals[1].as_int()? } else { start };
-            let step = if vals.len() > 2 { vals[2].as_int()? } else { 1 };
-            if step == 0 {
-                return Err(SqlError::execution("generate_series step must be nonzero"));
-            }
             let mut out = Chunks::default();
             let mut chunk = DataChunk::new(&[LogicalType::Int]);
-            let mut v = start;
-            loop {
-                let more = (step > 0 && v <= stop) || (step < 0 && v >= stop);
-                if !more {
-                    break;
-                }
+            for v in series(args, outer, &exec)? {
                 chunk.push_row(&[Value::Int(v)])?;
                 if chunk.len >= VECTOR_SIZE {
                     ctx.guard.check_rows(chunk.len)?;
                     out.chunks
                         .push(std::mem::replace(&mut chunk, DataChunk::new(&[LogicalType::Int])));
                 }
-                // `stop` may be i64::MAX; stepping past it must not overflow.
-                v = match v.checked_add(step) {
-                    Some(next) => next,
-                    None => break,
-                };
             }
             if chunk.len > 0 {
                 ctx.guard.check_rows(chunk.len)?;
@@ -1620,13 +1432,9 @@ fn execute_select_inner(
 
     // 4 + 5. HAVING + projection.
     let proj_start = Instant::now();
-    let mut out_rows: Vec<Vec<Value>> = Vec::new();
-    let mut env_kept: Vec<Vec<Value>> = Vec::new();
-    let needs_env = plan
-        .order_by
-        .iter()
-        .any(|o| matches!(o.key, SortKey::Input(_)));
+    let mut tail = RowTail::new(plan);
     if env_is_input {
+        let keep_env = tail.keep_env;
         let simple = plan.projections.iter().all(|p| !p.is_complex());
         if ctx.parallel_ok(outer) && simple && input.chunks.len() >= MIN_PARALLEL_MORSELS {
             // Parallel projection: each worker projects whole chunks into
@@ -1650,7 +1458,7 @@ fn execute_select_inner(
                 let mut env: Vec<Vec<Value>> = Vec::new();
                 for i in 0..chunk.len {
                     rows.push(proj_cols.iter().map(|c| c.get(i)).collect());
-                    if needs_env {
+                    if keep_env {
                         env.push(chunk.row(i));
                     }
                 }
@@ -1663,8 +1471,8 @@ fn execute_select_inner(
                 ctx.record_parallel(plan_key(plan), "projection", stats);
             }
             for (rows, env) in parts {
-                out_rows.extend(rows);
-                env_kept.extend(env);
+                tail.rows.extend(rows);
+                tail.env.extend(env);
             }
         } else {
             for chunk in &input.chunks {
@@ -1677,101 +1485,23 @@ fn execute_select_inner(
                     .collect();
                 let proj_cols = proj_cols?;
                 for i in 0..chunk.len {
-                    out_rows.push(proj_cols.iter().map(|c| c.get(i)).collect());
-                    if needs_env {
-                        env_kept.push(chunk.row(i));
+                    tail.rows.push(proj_cols.iter().map(|c| c.get(i)).collect());
+                    if keep_env {
+                        tail.env.push(chunk.row(i));
                     }
                 }
             }
         }
     } else {
-        for row in env_rows {
-            if let Some(h) = &plan.having {
-                if !matches!(eval(h, &row, outer, &exec)?, Value::Bool(true)) {
-                    continue;
-                }
-            }
-            let mut out = Vec::with_capacity(plan.projections.len());
-            for p in &plan.projections {
-                out.push(eval(p, &row, outer, &exec)?);
-            }
-            out_rows.push(out);
-            if needs_env {
-                env_kept.push(row);
-            }
-        }
+        tail.project(plan, env_rows, outer, &exec)?;
     }
-    ctx.record_stage(plan, "projection", proj_start, out_rows.len());
+    ctx.record_stage(plan, "projection", proj_start, tail.rows.len());
 
-    // 6. DISTINCT.
-    if plan.distinct {
-        let t = Instant::now();
-        let mut seen = std::collections::HashSet::new();
-        let mut kept_out = Vec::with_capacity(out_rows.len());
-        let mut kept_env = Vec::new();
-        for (i, row) in out_rows.into_iter().enumerate() {
-            let mut key = Vec::new();
-            for v in &row {
-                v.hash_key(&mut key);
-            }
-            if seen.insert(key) {
-                if needs_env {
-                    kept_env.push(env_kept[i].clone());
-                }
-                kept_out.push(row);
-            }
-        }
-        out_rows = kept_out;
-        env_kept = kept_env;
-        ctx.record_stage(plan, "distinct", t, out_rows.len());
-    }
-
-    // 7. ORDER BY. Rows are *moved* into the keyed vector and moved back
-    // out after sorting — the sort permutation is applied without cloning
-    // a single output row.
-    if !plan.order_by.is_empty() {
-        let t = Instant::now();
-        let mut keyed: Vec<(Vec<Value>, Vec<Value>)> = Vec::with_capacity(out_rows.len());
-        let mut key_bytes = 0u64;
-        for (i, row) in out_rows.into_iter().enumerate() {
-            let mut keys = Vec::with_capacity(plan.order_by.len());
-            for o in &plan.order_by {
-                let v = match &o.key {
-                    SortKey::Output(j) => row[*j].clone(),
-                    SortKey::Input(e) => eval(e, &env_kept[i], outer, &exec)?,
-                };
-                key_bytes += 32 + v.approx_bytes();
-                keys.push(v);
-            }
-            keyed.push((keys, row));
-        }
-        // The sort key vector is the stage's own allocation (rows are
-        // moved, not copied).
-        ctx.charge_stage_mem(plan, "order_by", key_bytes)?;
-        let mut cmp_err = None;
-        keyed.sort_by(|(a, _), (b, _)| {
-            mduck_sql::cmp_order_keys(a, b, &plan.order_by, &mut cmp_err)
-        });
-        if let Some(e) = cmp_err {
-            return Err(e);
-        }
-        out_rows = keyed.into_iter().map(|(_, row)| row).collect();
-        ctx.record_stage(plan, "order_by", t, out_rows.len());
-    }
-
-    // 8. OFFSET / LIMIT.
-    if plan.offset.is_some() || plan.limit.is_some() {
-        let t = Instant::now();
-        if let Some(off) = plan.offset {
-            let off = off as usize;
-            out_rows = if off >= out_rows.len() { Vec::new() } else { out_rows.split_off(off) };
-        }
-        if let Some(lim) = plan.limit {
-            out_rows.truncate(lim as usize);
-        }
-        ctx.record_stage(plan, "limit", t, out_rows.len());
-    }
-    Ok(out_rows)
+    // 6–8. DISTINCT, ORDER BY, OFFSET / LIMIT.
+    tail.finish(plan, ctx.guard, outer, &exec, |name, start, rows, bytes| {
+        ctx.attribute_stage_mem(plan, name, bytes);
+        ctx.record_stage(plan, name, start, rows);
+    })
 }
 
 /// Materialize the plan's CTEs into the shared context, in declaration

@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
-# Reproducible benchmark baseline: Figure 12 at SF-0.001.
+# Figure 12 benchmark run at SF-0.001.
 #
-# Runs the BerlinMOD query suite on both engines and leaves three
-# machine-readable reports at the repo root — `BENCH_queries.json`
-# (per-query runtimes + peak memory per engine/thread-count),
-# `BENCH_operators.json` (the vectorized engine's per-operator EXPLAIN
-# ANALYZE breakdown, including per-operator memory), and
-# `BENCH_durability.json` (WAL-on vs in-memory ingest overhead and
-# recovery time). The human-readable tables land in results/.
+# Runs the BerlinMOD query suite on both engines. The human-readable
+# table lands in results/. The run also writes two machine-readable
+# reports at the repo root: `BENCH_queries.json` (per-query runtimes +
+# peak memory per engine/thread-count) and `BENCH_operators.json` (the
+# vectorized engine's per-operator EXPLAIN ANALYZE breakdown, including
+# per-operator memory). Both are generated output of this run, not a
+# committed baseline, and are git-ignored.
 #
 #   RUNS=5 scripts/bench.sh        # more samples per query (default 3)
 #   SF=0.002 scripts/bench.sh      # a different scale factor
@@ -27,10 +27,4 @@ echo "== fig12 @ SF-${SF}, ${RUNS} runs =="
 ./target/release/fig12_berlinmod --sf "$SF" --runs "$RUNS" \
   | tee "results/fig12_sf${SF#0.}_baseline.txt"
 
-echo "== durability @ SF-${SF}, ${RUNS} runs =="
-# WAL-on vs in-memory ingest overhead plus cold recovery time for both
-# engines; leaves BENCH_durability.json at the repo root.
-./target/release/durability_ingest --sf "$SF" --runs "$RUNS" \
-  | tee "results/durability_sf${SF#0.}_baseline.txt"
-
-echo "bench: wrote BENCH_queries.json, BENCH_operators.json, BENCH_durability.json, results/fig12_sf${SF#0.}_baseline.txt, results/durability_sf${SF#0.}_baseline.txt"
+echo "bench: wrote BENCH_queries.json, BENCH_operators.json, results/fig12_sf${SF#0.}_baseline.txt"

@@ -14,7 +14,9 @@
 #
 # The allowlist keys each vetted site as "<file>:<normalized code>", so
 # entries survive unrelated line-number drift but a *new* unwrap — even
-# in an already-listed file — fails the gate. Every entry is an audited
+# in an already-listed file — fails the gate. So does a *stale* entry, one
+# that no longer matches a site: the list stays exactly the set of vetted
+# sites, and a removed site cannot silently re-enter. Every entry is an audited
 # invariant (e.g. a slice whose bounds were checked on the previous
 # line, or "non-empty by construction"); see the comments in the file.
 #
@@ -108,10 +110,15 @@ if [[ "${1:-}" == "--update-allowlist" ]]; then
   exit 0
 fi
 
-NEW="$(comm -23 "$CURRENT" <(grep -v '^#' "$ALLOWLIST" 2>/dev/null | sort) || true)"
+VETTED="$(mktemp)"
+trap 'rm -f "$CURRENT" "$VETTED"' EXIT
+grep -v -e '^#' -e '^$' "$ALLOWLIST" 2>/dev/null | sort > "$VETTED" || true
+
+NEW="$(comm -23 "$CURRENT" "$VETTED" || true)"
+STALE="$(comm -13 "$CURRENT" "$VETTED" || true)"
 
 TOTAL=$(grep -c . "$CURRENT" || true)
-echo "panic-lint: $TOTAL panic sites in library source, $(printf '%s' "$NEW" | grep -c . || true) unvetted"
+echo "panic-lint: $TOTAL panic sites in library source, $(printf '%s' "$NEW" | grep -c . || true) unvetted, $(printf '%s' "$STALE" | grep -c . || true) stale"
 
 if [[ -n "$NEW" ]]; then
   echo
@@ -121,5 +128,14 @@ if [[ -n "$NEW" ]]; then
   echo "Convert them to typed errors (SqlError / TemporalError / GeoError)."
   echo "If a site is a genuinely unreachable invariant, audit it and run"
   echo "scripts/lint_panics.sh --update-allowlist."
+fi
+if [[ -n "$STALE" ]]; then
+  echo
+  echo "Stale entries in $ALLOWLIST (no such site in crates/*/src):"
+  echo "$STALE"
+  echo
+  echo "Delete them from the allowlist."
+fi
+if [[ -n "$NEW" || -n "$STALE" ]]; then
   exit 1
 fi

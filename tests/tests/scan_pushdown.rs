@@ -169,6 +169,50 @@ fn later_conjuncts_only_see_earlier_survivors() {
     p.check_error(&format!("SELECT id FROM t WHERE id > {VECTOR_SIZE} AND 100 / d > 0"));
 }
 
+/// `CASE` conjuncts over a join: a filter local to the second relation,
+/// and a hash-join key over it. Both are renumbered onto that relation's
+/// own columns, which must reach inside the `CASE`.
+#[test]
+fn case_conjuncts_over_a_join_agree_with_row_engine() {
+    let p = Pair::new();
+    load_t(&p, VECTOR_SIZE + 10);
+    p.exec("CREATE TABLE u(z INTEGER)");
+    p.exec("INSERT INTO u SELECT i FROM generate_series(0, 3) AS g(i)");
+    p.check(
+        "SELECT id, a, z FROM t, u WHERE CASE WHEN u.z > 1 THEN true ELSE false END \
+         ORDER BY id, z",
+    );
+    p.check(
+        "SELECT id, z FROM t, u WHERE t.a = CASE WHEN u.z = 1 THEN 1 ELSE 2 END ORDER BY id, z",
+    );
+}
+
+/// `generate_series` relations filtered and joined on both engines, up
+/// to the `i64` bounds: the series stops at `stop` without stepping past
+/// it.
+#[test]
+fn series_relations_agree_with_row_engine() {
+    let p = Pair::new();
+    p.check("SELECT i FROM generate_series(1, 10, 3) AS g(i) WHERE i > 1 ORDER BY i");
+    p.check("SELECT i FROM generate_series(5, 1, -2) AS g(i) ORDER BY i");
+    p.check("SELECT count(*) FROM generate_series(3, 1) AS g(i)");
+    let rows = p.check(
+        "SELECT i FROM generate_series(9223372036854775805, 9223372036854775807, 2) AS g(i) \
+         ORDER BY i",
+    );
+    assert_eq!(rows, vec![vec![Value::Int(i64::MAX - 2)], vec![Value::Int(i64::MAX)]]);
+    let rows = p.check(
+        "SELECT i FROM generate_series(-9223372036854775807 + 1, -9223372036854775807 - 1, -1) \
+         AS g(i) ORDER BY i",
+    );
+    assert_eq!(rows.len(), 3);
+    p.check(
+        "SELECT a.i, b.i FROM generate_series(1, 4) AS a(i), generate_series(2, 6, 2) AS b(i) \
+         WHERE a.i = b.i ORDER BY a.i",
+    );
+    p.check_error("SELECT i FROM generate_series(1, 5, 0) AS g(i)");
+}
+
 #[test]
 fn scans_after_insert_update_delete() {
     let p = Pair::new();
