@@ -191,15 +191,10 @@ fn plan_rows(ctx: &RowCtx<'_>, plan: &BoundSelect) -> SqlResult<RowPlan> {
                 *ctx.used_index.borrow_mut() = true;
                 strategy
             }
-            None => {
-                let keys = conj.equi_keys(0..width, span.clone());
-                if keys.is_empty() {
-                    JoinStrategy::Cross
-                } else {
-                    let (left_keys, right_keys) = conj.take_keys(&keys, 0, span.start);
-                    JoinStrategy::Hash { left_keys, right_keys }
-                }
-            }
+            None => match conj.take_keys(0..width, span.clone(), 0) {
+                (left_keys, _) if left_keys.is_empty() => JoinStrategy::Cross,
+                (left_keys, right_keys) => JoinStrategy::Hash { left_keys, right_keys },
+            },
         };
         width = span.end;
         steps.push(JoinStep { source, strategy, post_filters: conj.take_covered(width) });
@@ -221,21 +216,22 @@ fn index_nl(
 ) -> SqlResult<Option<(usize, JoinStrategy)>> {
     let t = ctx.catalog.get(name)?;
     let t = t.read();
-    Ok(conj
-        .links(0..width, right.clone())
-        .find(|l| {
-            let BoundExpr::ColumnRef { index, .. } = l.build else { return false };
-            (l.build_first || l.name == "&&" || l.name == "=")
-                && t.indexes.iter().any(|i| i.column() == index - right.start)
-        })
-        .map(|l| {
+    Ok(conj.links(0..width, right.clone()).find_map(|l| {
+        let (BoundExpr::Call { name, .. }, BoundExpr::ColumnRef { index, .. }) = (l.call, l.build)
+        else {
+            return None;
+        };
+        let commutes = name == "&&" || name == "=";
+        let indexed = t.indexes.iter().any(|i| i.column() == index - right.start);
+        ((l.build_first || commutes) && indexed).then(|| {
             let strategy = JoinStrategy::IndexNl {
-                op: l.name.to_string(),
+                op: name.clone(),
                 probe: l.probe.clone(),
                 original: l.call.clone(),
             };
             (l.conjunct, strategy)
-        }))
+        })
+    }))
 }
 
 /// Render a PostgreSQL-style indented text plan for EXPLAIN.

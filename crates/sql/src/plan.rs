@@ -73,31 +73,12 @@ pub fn series(
     Ok(std::iter::successors(Some(start), move |v| v.checked_add(step)).take_while(more))
 }
 
-/// The two sides of an `a = b` comparison.
-fn equality(c: &BoundExpr) -> Option<(&BoundExpr, &BoundExpr)> {
-    match c {
-        BoundExpr::Compare { op: BinaryOp::Eq, left, right } => Some((left, right)),
-        _ => None,
-    }
-}
-
-/// An unused `a = b` conjunct usable as a hash-join key between a column
-/// range and a relation.
-#[derive(Debug, Clone, Copy)]
-pub struct EquiKey {
-    conjunct: usize,
-    /// `b` reads the left side and `a` the relation.
-    swapped: bool,
-}
-
 /// A two-argument call conjunct with one argument over the join tree and
 /// the other over the relation joining it.
 pub struct Link<'c> {
     pub conjunct: usize,
     /// The call itself.
     pub call: &'c BoundExpr,
-    pub name: &'c str,
-    pub strict: bool,
     /// The argument over the tree's columns.
     pub probe: &'c BoundExpr,
     /// The argument over the relation's columns (input numbering).
@@ -168,41 +149,55 @@ impl JoinConjuncts {
         local
     }
 
-    /// The unplaced equalities usable as hash-join keys between the
-    /// columns `left` and the relation at `right`, in written order.
-    pub fn equi_keys(&self, left: Range<usize>, right: Range<usize>) -> Vec<EquiKey> {
-        let mut keys = Vec::new();
-        for (conjunct, c) in self.unused() {
-            let Some((a, b)) = equality(c) else { continue };
-            if reads_only(a, &left) && reads_only(b, &right) {
-                keys.push(EquiKey { conjunct, swapped: false });
-            } else if reads_only(b, &left) && reads_only(a, &right) {
-                keys.push(EquiKey { conjunct, swapped: true });
-            }
+    /// Conjunct `ci` as a hash-join key between the columns `left` and
+    /// the relation at `right`: its `(left side, relation side)`, if it is
+    /// an unplaced simple equality with one side over each.
+    fn key(
+        &self,
+        ci: usize,
+        left: &Range<usize>,
+        right: &Range<usize>,
+    ) -> Option<(&BoundExpr, &BoundExpr)> {
+        let c = &self.conjuncts[ci];
+        let BoundExpr::Compare { op: BinaryOp::Eq, left: a, right: b } = c else { return None };
+        if self.used[ci] || c.is_complex() {
+            None
+        } else if reads_only(a, left) && reads_only(b, right) {
+            Some((a, b))
+        } else if reads_only(b, left) && reads_only(a, right) {
+            Some((b, a))
+        } else {
+            None
         }
-        keys
     }
 
-    /// A key's `(left side, relation side)`, in input numbering.
-    pub fn key_sides(&self, key: EquiKey) -> Option<(&BoundExpr, &BoundExpr)> {
-        let (a, b) = equality(&self.conjuncts[key.conjunct])?;
-        Some(if key.swapped { (b, a) } else { (a, b) })
+    /// The hash-join keys between the columns `left` and the relation at
+    /// `right`, in written order: `(left side, relation side)`, in input
+    /// numbering.
+    pub fn equi_keys(
+        &self,
+        left: Range<usize>,
+        right: Range<usize>,
+    ) -> impl Iterator<Item = (&BoundExpr, &BoundExpr)> {
+        (0..self.conjuncts.len()).filter_map(move |ci| self.key(ci, &left, &right))
     }
 
-    /// Place `keys`: the left-side expressions renumbered so column
-    /// `left_lo` is 0, and the relation-side ones so `right_lo` is.
+    /// Place the [`equi_keys`](Self::equi_keys) between `left` and
+    /// `right`: the left sides renumbered so column `left_lo` is 0, the
+    /// relation sides so `right.start` is. Empty when there are none.
     pub fn take_keys(
         &mut self,
-        keys: &[EquiKey],
+        left: Range<usize>,
+        right: Range<usize>,
         left_lo: usize,
-        right_lo: usize,
     ) -> (Vec<BoundExpr>, Vec<BoundExpr>) {
-        let mut sides = (Vec::with_capacity(keys.len()), Vec::with_capacity(keys.len()));
-        for &key in keys {
-            let Some((l, r)) = self.key_sides(key) else { continue };
-            sides.0.push(l.map_columns(&|i| i - left_lo));
-            sides.1.push(r.map_columns(&|i| i - right_lo));
-            self.used[key.conjunct] = true;
+        let mut sides = (Vec::new(), Vec::new());
+        for ci in 0..self.conjuncts.len() {
+            if let Some((l, r)) = self.key(ci, &left, &right) {
+                sides.0.push(l.map_columns(&|i| i - left_lo));
+                sides.1.push(r.map_columns(&|i| i - right.start));
+                self.used[ci] = true;
+            }
         }
         sides
     }
@@ -212,7 +207,7 @@ impl JoinConjuncts {
     /// written order.
     pub fn links(&self, tree: Range<usize>, right: Range<usize>) -> impl Iterator<Item = Link<'_>> {
         self.unused().filter_map(move |(conjunct, c)| {
-            let BoundExpr::Call { name, args, strict, .. } = c else { return None };
+            let BoundExpr::Call { args, .. } = c else { return None };
             let [a, b] = args.as_slice() else { return None };
             let (probe, build, build_first) = if reads_only(a, &tree) && reads_only(b, &right) {
                 (a, b, false)
@@ -221,7 +216,7 @@ impl JoinConjuncts {
             } else {
                 return None;
             };
-            Some(Link { conjunct, call: c, name, strict: *strict, probe, build, build_first })
+            Some(Link { conjunct, call: c, probe, build, build_first })
         })
     }
 
@@ -254,16 +249,40 @@ impl JoinConjuncts {
 /// A SELECT's output rows on their way out, with the environment row
 /// each came from while ORDER BY still needs it (`SortKey::Input`).
 pub struct RowTail {
-    pub rows: Vec<Row>,
+    rows: Vec<Row>,
     /// One per row when `keep_env`, else empty.
-    pub env: Vec<Row>,
-    pub keep_env: bool,
+    env: Vec<Row>,
+    keep_env: bool,
 }
 
 impl RowTail {
     pub fn new(plan: &BoundSelect) -> Self {
         let keep_env = plan.order_by.iter().any(|o| matches!(o.key, SortKey::Input(_)));
         RowTail { rows: Vec::new(), env: Vec::new(), keep_env }
+    }
+
+    /// The output rows so far.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// Add an output row; `env` makes the environment row it came from,
+    /// and is called only when ORDER BY needs that row.
+    pub fn push(&mut self, row: Row, env: impl FnOnce() -> Row) {
+        self.rows.push(row);
+        if self.keep_env {
+            self.env.push(env());
+        }
+    }
+
+    /// Add `other`'s rows after these (`other` made for the same plan).
+    pub fn append(&mut self, mut other: RowTail) {
+        self.rows.append(&mut other.rows);
+        self.env.append(&mut other.env);
     }
 
     /// HAVING (aggregated plans only), then the projections, over
@@ -287,10 +306,7 @@ impl RowTail {
             for p in &plan.projections {
                 out.push(eval(p, &row, outer, exec)?);
             }
-            self.rows.push(out);
-            if self.keep_env {
-                self.env.push(row);
-            }
+            self.push(out, || row);
         }
         Ok(())
     }

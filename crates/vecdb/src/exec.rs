@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mduck_sql::eval::{NoSubqueries, OuterStack, SubqueryExec};
-use mduck_sql::plan::{index_pattern, series, EquiKey, JoinConjuncts, RowTail};
+use mduck_sql::plan::{index_pattern, series, JoinConjuncts, RowTail};
 use mduck_sql::{
     BoundExpr, BoundFrom, BoundSelect, ExecGuard, LogicalType, Registry, SqlError, SqlResult,
     Value,
@@ -396,9 +396,9 @@ pub fn plan_joins(ctx: &EngineCtx<'_>, plan: &BoundSelect) -> SqlResult<(PhysOp,
     let mut width = conj.span(0).end;
     while let Some((ri, rel)) = rels.next() {
         let span = conj.span(ri);
-        let keys = conj.equi_keys(0..width, span.clone());
-        if !keys.is_empty() {
-            tree = hash_join_op(tree, rel, &mut conj, &keys, 0, span.start);
+        let keys = conj.take_keys(0..width, span.clone(), 0);
+        if !keys.0.is_empty() {
+            tree = hash_join_op(tree, rel, keys);
             width = span.end;
             tree = filtered(tree, conj.take_covered(width));
             continue;
@@ -412,16 +412,17 @@ pub fn plan_joins(ctx: &EngineCtx<'_>, plan: &BoundSelect) -> SqlResult<(PhysOp,
         let mut ends = vec![span.end];
         while let Some(&(rj, _)) = rels.peek() {
             let next_span = conj.span(rj);
-            let keys = conj.equi_keys(0..next_span.start, next_span.clone());
-            let absorbable = !keys.is_empty()
-                && keys.iter().all(|&k| {
-                    conj.key_sides(k).is_some_and(|(l, r)| {
+            let absorbable = {
+                let mut keys = conj.equi_keys(0..next_span.start, next_span.clone()).peekable();
+                keys.peek().is_some()
+                    && keys.all(|(l, r)| {
                         matches!(l, BoundExpr::ColumnRef { index, .. } if *index >= lo)
                             && matches!(r, BoundExpr::ColumnRef { .. })
                     })
-                });
+            };
             let Some((_, next)) = rels.next_if(|_| absorbable) else { break };
-            right = hash_join_op(right, next, &mut conj, &keys, lo, next_span.start);
+            let keys = conj.take_keys(0..next_span.start, next_span.clone(), lo);
+            right = hash_join_op(right, next, keys);
             ends.push(next_span.end);
         }
         // Rule 2: an index join when an `&&` conjunct links the tree to
@@ -453,17 +454,12 @@ fn filtered(child: PhysOp, preds: Vec<BoundExpr>) -> PhysOp {
     preds.into_iter().fold(child, |child, pred| PhysOp::Filter { pred, child: Box::new(child) })
 }
 
-/// Hash-join `left` (whose columns start at input column `left_lo`) with
-/// `right` (starting at `right_lo`) on `keys`, which become placed.
+/// Hash-join `left` with `right` on `(left keys, right keys)`.
 fn hash_join_op(
     left: PhysOp,
     right: PhysOp,
-    conj: &mut JoinConjuncts,
-    keys: &[EquiKey],
-    left_lo: usize,
-    right_lo: usize,
+    (left_keys, right_keys): (Vec<BoundExpr>, Vec<BoundExpr>),
 ) -> PhysOp {
-    let (left_keys, right_keys) = conj.take_keys(keys, left_lo, right_lo);
     PhysOp::HashJoin { left: Box::new(left), right: Box::new(right), left_keys, right_keys }
 }
 
@@ -480,7 +476,10 @@ fn index_link(
     right: Range<usize>,
 ) -> Option<(String, BoundExpr, BoundExpr)> {
     let lo = right.start;
-    conj.links(0..width, right).filter(|l| l.strict && l.name == "&&").find_map(|l| {
+    let strict_overlap = |c: &BoundExpr| {
+        matches!(c, BoundExpr::Call { name, strict: true, .. } if name == "&&")
+    };
+    conj.links(0..width, right).filter(|l| strict_overlap(l.call)).find_map(|l| {
         let (pty, bty) = (l.probe.ty(), l.build.ty());
         let types = ctx.index_types.read();
         let method = types.names().into_iter().find(|m| {
@@ -1434,7 +1433,6 @@ fn execute_select_inner(
     let proj_start = Instant::now();
     let mut tail = RowTail::new(plan);
     if env_is_input {
-        let keep_env = tail.keep_env;
         let simple = plan.projections.iter().all(|p| !p.is_complex());
         if ctx.parallel_ok(outer) && simple && input.chunks.len() >= MIN_PARALLEL_MORSELS {
             // Parallel projection: each worker projects whole chunks into
@@ -1454,25 +1452,20 @@ fn execute_select_inner(
                     .map(|p| eval_vector(p, chunk, &OuterStack::EMPTY, &NoSubqueries))
                     .collect();
                 let proj_cols = proj_cols?;
-                let mut rows: Vec<Vec<Value>> = Vec::with_capacity(chunk.len);
-                let mut env: Vec<Vec<Value>> = Vec::new();
+                let mut part = RowTail::new(plan);
                 for i in 0..chunk.len {
-                    rows.push(proj_cols.iter().map(|c| c.get(i)).collect());
-                    if keep_env {
-                        env.push(chunk.row(i));
-                    }
+                    part.push(proj_cols.iter().map(|c| c.get(i)).collect(), || chunk.row(i));
                 }
                 if let Some(pr) = progress {
                     pr.add_done(1);
                 }
-                Ok((rows, env))
+                Ok(part)
             })?;
             if let Some(stats) = &stats {
                 ctx.record_parallel(plan_key(plan), "projection", stats);
             }
-            for (rows, env) in parts {
-                tail.rows.extend(rows);
-                tail.env.extend(env);
+            for part in parts {
+                tail.append(part);
             }
         } else {
             for chunk in &input.chunks {
@@ -1485,17 +1478,14 @@ fn execute_select_inner(
                     .collect();
                 let proj_cols = proj_cols?;
                 for i in 0..chunk.len {
-                    tail.rows.push(proj_cols.iter().map(|c| c.get(i)).collect());
-                    if keep_env {
-                        tail.env.push(chunk.row(i));
-                    }
+                    tail.push(proj_cols.iter().map(|c| c.get(i)).collect(), || chunk.row(i));
                 }
             }
         }
     } else {
         tail.project(plan, env_rows, outer, &exec)?;
     }
-    ctx.record_stage(plan, "projection", proj_start, tail.rows.len());
+    ctx.record_stage(plan, "projection", proj_start, tail.len());
 
     // 6–8. DISTINCT, ORDER BY, OFFSET / LIMIT.
     tail.finish(plan, ctx.guard, outer, &exec, |name, start, rows, bytes| {
