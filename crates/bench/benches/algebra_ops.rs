@@ -1,9 +1,12 @@
 //! Micro-benchmarks of the temporal algebra itself (the ablation DESIGN.md
 //! calls out): synchronization-heavy operators (tdwithin, tdistance),
-//! restriction (atTime/atGeometry), and the WKB-vs-native `_gs` geometry
+//! restriction (atTime/atGeometry), the spatial kernels behind Query 5
+//! (`distance` between trajectory collections) and Queries 13/16
+//! (`eIntersects` against a region), and the WKB-vs-native `_gs` geometry
 //! round trip of §6.3.
 
 use mduck_bench::micro::bench_function;
+use mduck_geo::algorithms::{collect, distance};
 use mduck_geo::point::Point;
 use mduck_geo::{gserialized, wkb, Geometry};
 use mduck_temporal::span::TstzSpan;
@@ -45,6 +48,29 @@ fn main() {
     ]])
     .unwrap();
     bench_function("atgeometry_200", || a.at_geometry(&square).unwrap().map(|t| t.length()));
+
+    // Query 5's kernel: the minimum distance between two vehicles'
+    // collected trajectories, 15 trips of 30 instants (~435 segments) each.
+    let trips = |dx: f64, phase: f64| {
+        let shifted = (0..15).map(|k| {
+            let t = make_trip(30, phase + k as f64 * 0.4);
+            t.trajectory().map_points(&|p| Point::new(p.x + dx, p.y))
+        });
+        collect(shifted.collect())
+    };
+    let (left, right) = (trips(0.0, 0.0), trips(2500.0, 0.2));
+    bench_function("distance_multilinestring", || distance(&left, &right));
+    // Queries 13 and 16: eIntersects of a 30-instant trip and a region.
+    let trip30 = make_trip(30, 0.3);
+    let region = Geometry::polygon(vec![vec![
+        Point::new(900.0, -200.0),
+        Point::new(1300.0, -200.0),
+        Point::new(1300.0, 200.0),
+        Point::new(900.0, 200.0),
+        Point::new(900.0, -200.0),
+    ]])
+    .unwrap();
+    bench_function("eintersects_region", || trip30.eintersects(&region));
 
     // The §6.3 conversion-overhead ablation: WKB round trip vs native.
     let traj = a.trajectory();

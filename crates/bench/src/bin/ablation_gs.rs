@@ -38,6 +38,10 @@ const Q5_GS: &str = "WITH Temp1(license1, trajs) AS (
  FROM Temp1 t1, Temp2 t2
  ORDER BY license1, license2";
 
+/// Runs per formulation and scale; the table reports their median. Three
+/// runs let one noisy run move a cell by a quarter.
+const RUNS: usize = 7;
+
 fn main() {
     let small = std::env::args().any(|a| a == "--small");
     let sfs: &[f64] = if small { &[0.001] } else { &[0.001, 0.002, 0.005] };
@@ -45,13 +49,14 @@ fn main() {
     for &sf in sfs {
         eprintln!("preparing SF-{sf} ...");
         let env = BenchEnv::prepare(ScaleFactor(sf), 42);
-        let (wkb_ms, n1) = env.run_median(Scenario::MobilityDuck, Q5_WKB, 3);
-        let (gs_ms, n2) = env.run_median(Scenario::MobilityDuck, Q5_GS, 3);
+        let (wkb_ms, n1) = env.run_median(Scenario::MobilityDuck, Q5_WKB, RUNS);
+        let (gs_ms, n2) = env.run_median(Scenario::MobilityDuck, Q5_GS, RUNS);
         assert_eq!(n1, n2, "the two formulations must return the same rows");
-        // Cross-check one value.
+        // The same license pairs, at the same distances.
         let a = env.vdb.execute(Q5_WKB).unwrap().rows;
         let b = env.vdb.execute(Q5_GS).unwrap().rows;
         for (ra, rb) in a.iter().zip(&b) {
+            assert_eq!(ra[..2], rb[..2], "the formulations pair different licenses");
             let (da, db) = (ra[2].as_float().unwrap(), rb[2].as_float().unwrap());
             assert!((da - db).abs() <= 1e-6 * da.abs().max(1.0), "distances diverge");
         }

@@ -82,7 +82,7 @@ impl AggState for SeqBuildState {
             self.srid = t.srid;
         }
         for i in t.temp.instants() {
-            self.instants.push(i.clone());
+            self.instants.push(*i);
         }
         Ok(())
     }

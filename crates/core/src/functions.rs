@@ -528,7 +528,7 @@ fn register_spatial_relationships(reg: &mut Registry) {
                 |args| {
                     let a = value_to_tgeom(&args[0])?;
                     let b = value_to_tgeom(&args[1])?;
-                    match a.tdwithin(&b, args[2].as_float()?) {
+                    match a.tdwithin(b, args[2].as_float()?) {
                         Some(t) => Ok(MdTBool(t).into_value()),
                         None => Ok(Value::Null),
                     }
@@ -542,7 +542,7 @@ fn register_spatial_relationships(reg: &mut Registry) {
                 |args| {
                     let a = value_to_tgeom(&args[0])?;
                     let b = value_to_tgeom(&args[1])?;
-                    Ok(Value::Bool(a.edwithin(&b, args[2].as_float()?)))
+                    Ok(Value::Bool(a.edwithin(b, args[2].as_float()?)))
                 },
             );
             reg.register_scalar(
@@ -552,7 +552,7 @@ fn register_spatial_relationships(reg: &mut Registry) {
                 |args| {
                     let a = value_to_tgeom(&args[0])?;
                     let b = value_to_tgeom(&args[1])?;
-                    Ok(Value::Bool(a.adwithin(&b, args[2].as_float()?)))
+                    Ok(Value::Bool(a.adwithin(b, args[2].as_float()?)))
                 },
             );
             // tdistance.
@@ -563,7 +563,7 @@ fn register_spatial_relationships(reg: &mut Registry) {
                 |args| {
                     let a = value_to_tgeom(&args[0])?;
                     let b = value_to_tgeom(&args[1])?;
-                    match a.tdistance(&b) {
+                    match a.tdistance(b) {
                         Some(t) => Ok(MdTFloat(t).into_value()),
                         None => Ok(Value::Null),
                     }

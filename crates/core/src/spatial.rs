@@ -63,10 +63,10 @@ pub fn register_spatial(reg: &mut Registry) {
             );
         }
         reg.register_scalar("st_astext", vec![a_ty.clone()], LogicalType::Text, |a| {
-            Ok(Value::text(mduck_geo::wkt::to_wkt(&value_to_geometry(&a[0])?, None)))
+            Ok(Value::text(mduck_geo::wkt::to_wkt(&*value_to_geometry(&a[0])?, None)))
         });
         reg.register_scalar("st_asewkt", vec![a_ty.clone()], LogicalType::Text, |a| {
-            Ok(Value::text(mduck_geo::wkt::to_ewkt(&value_to_geometry(&a[0])?, None)))
+            Ok(Value::text(mduck_geo::wkt::to_ewkt(&*value_to_geometry(&a[0])?, None)))
         });
         reg.register_scalar("st_length", vec![a_ty.clone()], LogicalType::Float, |a| {
             Ok(Value::Float(value_to_geometry(&a[0])?.length()))
@@ -94,7 +94,8 @@ pub fn register_spatial(reg: &mut Registry) {
         // pays a parse.
         reg.register_scalar("st_collect", vec![LogicalType::List], LogicalType::Blob, |a| {
             let items = a[0].as_list()?;
-            let geoms: SqlResult<Vec<Geometry>> = items.iter().map(value_to_geometry).collect();
+            let geoms: SqlResult<Vec<Geometry>> =
+                items.iter().map(|v| Ok(value_to_geometry(v)?.into_owned())).collect();
             let collected = algorithms::collect(geoms?);
             Ok(Value::blob(mduck_geo::wkb::to_wkb(&collected)))
         });
@@ -136,26 +137,16 @@ pub fn register_spatial(reg: &mut Registry) {
         lt("geometry"),
         |a| {
             let g = value_to_geometry(&a[0])?;
-            Ok(MdGeom(g.with_srid(a[1].as_int()? as i32)).into_value())
+            Ok(MdGeom(g.into_owned().with_srid(a[1].as_int()? as i32)).into_value())
         },
     );
 
     // ---- the `_gs` fast path (§6.3): native representation end to end.
     reg.register_scalar("collect_gs", vec![LogicalType::List], lt("geometry"), |a| {
         let items = a[0].as_list()?;
-        let geoms: SqlResult<Vec<Geometry>> = items
-            .iter()
-            .map(|v| {
-                // Fast path: native values clone the Arc'd structure
-                // without any decoding.
-                if let Value::Ext(e) = v {
-                    if let Some(g) = e.downcast::<MdGeom>() {
-                        return Ok(g.0.clone());
-                    }
-                }
-                value_to_geometry(v)
-            })
-            .collect();
+        // Native values are copied without any decoding.
+        let geoms: SqlResult<Vec<Geometry>> =
+            items.iter().map(|v| Ok(value_to_geometry(v)?.into_owned())).collect();
         Ok(MdGeom(algorithms::collect(geoms?)).into_value())
     });
     reg.register_scalar(

@@ -3,6 +3,7 @@
 //! aliased BLOBs whose contents only the extension's functions interpret).
 
 use std::any::Any;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use mduck_geo::{gserialized, Geometry};
@@ -217,14 +218,15 @@ pub fn lt(name: &str) -> LogicalType {
 /// the native GEOMETRY ext type, a WKB/native BLOB, or WKT text. This is
 /// the proxy layer of §6.2/§7 — BLOB-borne geometries are decoded on every
 /// call, which is precisely the overhead the `_gs` fast path avoids.
-pub fn value_to_geometry(v: &Value) -> SqlResult<Geometry> {
+/// Native values are borrowed, not copied.
+pub fn value_to_geometry(v: &Value) -> SqlResult<Cow<'_, Geometry>> {
     match v {
         Value::Ext(e) => {
             if let Some(g) = e.downcast::<MdGeom>() {
-                return Ok(g.0.clone());
+                return Ok(Cow::Borrowed(&g.0));
             }
             if let Some(b) = e.downcast::<MdStbox>() {
-                return b.0.to_geometry().map_err(to_exec);
+                return b.0.to_geometry().map(Cow::Owned).map_err(to_exec);
             }
             Err(mduck_sql::SqlError::execution(format!(
                 "expected a geometry, got {}",
@@ -232,27 +234,28 @@ pub fn value_to_geometry(v: &Value) -> SqlResult<Geometry> {
             )))
         }
         Value::Blob(b) => {
-            if gserialized::is_native(b) {
-                gserialized::from_native(b).map_err(to_exec)
+            let g = if gserialized::is_native(b) {
+                gserialized::from_native(b)
             } else {
-                mduck_geo::wkb::from_wkb(b).map_err(to_exec)
-            }
+                mduck_geo::wkb::from_wkb(b)
+            };
+            g.map(Cow::Owned).map_err(to_exec)
         }
-        Value::Text(s) => mduck_geo::wkt::parse_wkt(s).map_err(to_exec),
+        Value::Text(s) => mduck_geo::wkt::parse_wkt(s).map(Cow::Owned).map_err(to_exec),
         other => Err(mduck_sql::SqlError::execution(format!(
             "expected a geometry, got {other:?}"
         ))),
     }
 }
 
-/// Extract a tgeompoint (accepting both tgeompoint and tgeometry values).
-pub fn value_to_tgeom(v: &Value) -> SqlResult<TGeomPoint> {
+/// Borrow a tgeompoint (accepting both tgeompoint and tgeometry values).
+pub fn value_to_tgeom(v: &Value) -> SqlResult<&TGeomPoint> {
     let e = v.as_ext()?;
     if let Some(t) = e.downcast::<MdTGeomPoint>() {
-        return Ok(t.0.clone());
+        return Ok(&t.0);
     }
     if let Some(t) = e.downcast::<MdTGeometry>() {
-        return Ok(t.0.clone());
+        return Ok(&t.0);
     }
     Err(mduck_sql::SqlError::execution(format!(
         "expected a temporal geometry, got {}",
@@ -326,16 +329,16 @@ mod tests {
         let g = mduck_geo::wkt::parse_wkt("POINT(1 2)").unwrap();
         // Native ext value.
         let v = MdGeom(g.clone()).into_value();
-        assert_eq!(value_to_geometry(&v).unwrap(), g);
+        assert_eq!(*value_to_geometry(&v).unwrap(), g);
         // WKB blob.
         let v = Value::blob(mduck_geo::wkb::to_wkb(&g));
-        assert_eq!(value_to_geometry(&v).unwrap(), g);
+        assert_eq!(*value_to_geometry(&v).unwrap(), g);
         // Native blob.
         let v = Value::blob(gserialized::to_native(&g));
-        assert_eq!(value_to_geometry(&v).unwrap(), g);
+        assert_eq!(*value_to_geometry(&v).unwrap(), g);
         // WKT text.
         let v = Value::text("POINT(1 2)");
-        assert_eq!(value_to_geometry(&v).unwrap(), g);
+        assert_eq!(*value_to_geometry(&v).unwrap(), g);
         assert!(value_to_geometry(&Value::Int(3)).is_err());
     }
 
@@ -343,7 +346,7 @@ mod tests {
     fn tgeom_and_stbox_extraction() {
         let t = parse_tgeompoint("[Point(0 0)@2025-01-01, Point(2 2)@2025-01-02]").unwrap();
         let v = MdTGeomPoint(t.clone()).into_value();
-        assert_eq!(value_to_tgeom(&v).unwrap(), t);
+        assert_eq!(value_to_tgeom(&v).unwrap(), &t);
         let b = value_to_stbox(&v).unwrap();
         assert_eq!(b.rect.unwrap().xmax, 2.0);
         assert!(b.period.is_some());

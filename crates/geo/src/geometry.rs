@@ -1,5 +1,8 @@
 //! The [`Geometry`] enum: the subset of simple features the paper exercises.
 
+use std::ops::ControlFlow;
+
+use crate::algorithms::Features;
 use crate::error::{GeoError, GeoResult};
 use crate::point::{Point, Rect};
 use crate::SRID_UNKNOWN;
@@ -164,62 +167,23 @@ impl Geometry {
 
     /// Axis-aligned bounding box; `None` for empty geometries.
     pub fn bounding_rect(&self) -> Option<Rect> {
-        fn fold(rect: Option<Rect>, p: Point) -> Option<Rect> {
-            Some(match rect {
-                None => Rect::from_point(p),
-                Some(mut r) => {
-                    r.expand_to(p);
-                    r
-                }
-            })
-        }
-        let mut rect = None;
-        self.for_each_point(&mut |p| rect = fold(rect, p));
-        rect
+        crate::algorithms::features_rect(self)
     }
 
     /// Visit every coordinate in the geometry.
     pub fn for_each_point(&self, f: &mut impl FnMut(Point)) {
-        match &self.data {
-            GeomData::Point(p) => f(*p),
-            GeomData::LineString(ps) | GeomData::MultiPoint(ps) => {
-                ps.iter().copied().for_each(f)
-            }
-            GeomData::Polygon(rings) | GeomData::MultiLineString(rings) => {
-                for r in rings {
-                    r.iter().copied().for_each(&mut *f);
-                }
-            }
-            GeomData::GeometryCollection(gs) => {
-                for g in gs {
-                    g.for_each_point(f);
-                }
-            }
-        }
+        let _ = self.visit_points(&mut |p| {
+            f(p);
+            ControlFlow::Continue(())
+        });
     }
 
     /// Every line segment in the geometry (linestrings, polygon rings).
     pub fn for_each_segment(&self, f: &mut impl FnMut(Point, Point)) {
-        match &self.data {
-            GeomData::Point(_) | GeomData::MultiPoint(_) => {}
-            GeomData::LineString(ps) => {
-                for w in ps.windows(2) {
-                    f(w[0], w[1]);
-                }
-            }
-            GeomData::Polygon(rings) | GeomData::MultiLineString(rings) => {
-                for r in rings {
-                    for w in r.windows(2) {
-                        f(w[0], w[1]);
-                    }
-                }
-            }
-            GeomData::GeometryCollection(gs) => {
-                for g in gs {
-                    g.for_each_segment(f);
-                }
-            }
-        }
+        let _ = self.visit_segments(&mut |p, q| {
+            f(p, q);
+            ControlFlow::Continue(())
+        });
     }
 
     /// Sum of segment lengths (0 for point kinds, perimeter for polygons).

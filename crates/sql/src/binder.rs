@@ -143,11 +143,12 @@ impl<'a> Binder<'a> {
             for (e, _) in &projection_exprs {
                 projections.push(self.bind_expr(e, &input_schema)?);
             }
-            let having = match &stmt.having {
-                Some(h) => Some(self.bind_expr(h, &input_schema)?),
-                None => None,
-            };
-            (input_schema.clone(), Vec::new(), Vec::new(), projections, having)
+            if stmt.having.is_some() {
+                return Err(SqlError::Bind(
+                    "HAVING needs GROUP BY or an aggregate; use WHERE to filter rows".into(),
+                ));
+            }
+            (input_schema.clone(), Vec::new(), Vec::new(), projections, None)
         };
 
         // ---- output schema

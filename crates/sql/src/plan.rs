@@ -285,8 +285,8 @@ impl RowTail {
         self.env.append(&mut other.env);
     }
 
-    /// HAVING (aggregated plans only), then the projections, over
-    /// environment rows.
+    /// HAVING, then the projections, over environment rows. Only
+    /// aggregated plans carry a HAVING: the binder rejects it elsewhere.
     pub fn project(
         &mut self,
         plan: &BoundSelect,
@@ -294,10 +294,9 @@ impl RowTail {
         outer: &OuterStack<'_>,
         exec: &dyn SubqueryExec,
     ) -> SqlResult<()> {
-        let having = plan.having.as_ref().filter(|_| plan.aggregated);
         self.rows.reserve(env_rows.len());
         for row in env_rows {
-            if let Some(h) = having {
+            if let Some(h) = &plan.having {
                 if !matches!(eval(h, &row, outer, exec)?, Value::Bool(true)) {
                     continue;
                 }

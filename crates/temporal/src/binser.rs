@@ -49,7 +49,7 @@ pub fn tgeompoint_to_bytes(t: &TGeomPoint) -> Vec<u8> {
         Temporal::SequenceSet(_) => 2,
     });
     out.extend_from_slice(&(seqs.len() as u32).to_le_bytes());
-    for s in &seqs {
+    for s in seqs.iter() {
         out.push(interp_tag(s.interp));
         out.push(s.lower_inc as u8);
         out.push(s.upper_inc as u8);
@@ -99,7 +99,7 @@ pub fn tgeompoint_from_bytes(b: &[u8]) -> TemporalResult<TGeomPoint> {
                 .into_iter()
                 .next()
                 .ok_or_else(|| TemporalError::Parse("instant without sequence".into()))?;
-            Temporal::Instant(s.instants()[0].clone())
+            Temporal::Instant(s.instants()[0])
         }
         _ => Temporal::from_sequences(seqs)?,
     };

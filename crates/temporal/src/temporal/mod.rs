@@ -23,6 +23,7 @@ pub use restrict::*;
 pub use spatial::*;
 pub use sync::*;
 
+use std::borrow::Cow;
 use std::fmt;
 
 use mduck_geo::point::Point;
@@ -156,7 +157,7 @@ impl TValue for Point {
 }
 
 /// A single `value@timestamp`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TInstant<V: TValue> {
     pub value: V,
     pub t: TimestampTz,
@@ -339,15 +340,86 @@ pub type TFloat = Temporal<f64>;
 /// `ttext`.
 pub type TText = Temporal<String>;
 
+/// The instants of a temporal value in time order, borrowed from it.
+/// Indexing walks the sequences, so it costs one step per sequence.
+#[derive(Debug, Clone, Copy)]
+pub enum Instants<'a, V: TValue> {
+    /// The instants of an instant or of one sequence.
+    Slice(&'a [TInstant<V>]),
+    /// The instants of every sequence of a set.
+    Sequences(&'a [TSequence<V>]),
+}
+
+/// Iterator over [`Instants`].
+pub type InstantsIter<'a, V> = std::iter::Chain<
+    std::slice::Iter<'a, TInstant<V>>,
+    std::iter::FlatMap<
+        std::slice::Iter<'a, TSequence<V>>,
+        &'a [TInstant<V>],
+        fn(&'a TSequence<V>) -> &'a [TInstant<V>],
+    >,
+>;
+
+impl<'a, V: TValue> Instants<'a, V> {
+    pub fn iter(&self) -> InstantsIter<'a, V> {
+        let (head, seqs): (&'a [TInstant<V>], &'a [TSequence<V>]) = match *self {
+            Instants::Slice(s) => (s, &[]),
+            Instants::Sequences(ss) => (&[], ss),
+        };
+        let seq_instants: fn(&'a TSequence<V>) -> &'a [TInstant<V>] = TSequence::instants;
+        head.iter().chain(seqs.iter().flat_map(seq_instants))
+    }
+
+    pub fn len(&self) -> usize {
+        match self {
+            Instants::Slice(s) => s.len(),
+            Instants::Sequences(ss) => ss.iter().map(TSequence::num_instants).sum(),
+        }
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl<V: TValue> std::ops::Index<usize> for Instants<'_, V> {
+    type Output = TInstant<V>;
+
+    fn index(&self, idx: usize) -> &TInstant<V> {
+        match self {
+            Instants::Slice(s) => &s[idx],
+            Instants::Sequences(ss) => {
+                let mut rest = idx;
+                for s in &ss[..ss.len() - 1] {
+                    if rest < s.instants.len() {
+                        return &s.instants[rest];
+                    }
+                    rest -= s.instants.len();
+                }
+                // Past the end, the last sequence's bounds check panics,
+                // as indexing a slice does.
+                &ss[ss.len() - 1].instants[rest]
+            }
+        }
+    }
+}
+
+impl<'a, V: TValue> IntoIterator for Instants<'a, V> {
+    type Item = &'a TInstant<V>;
+    type IntoIter = InstantsIter<'a, V>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
 impl<V: TValue> Temporal<V> {
     /// All instants in temporal order.
-    pub fn instants(&self) -> Vec<&TInstant<V>> {
+    pub fn instants(&self) -> Instants<'_, V> {
         match self {
-            Temporal::Instant(i) => vec![i],
-            Temporal::Sequence(s) => s.instants.iter().collect(),
-            Temporal::SequenceSet(ss) => {
-                ss.sequences.iter().flat_map(|s| s.instants.iter()).collect()
-            }
+            Temporal::Instant(i) => Instants::Slice(std::slice::from_ref(i)),
+            Temporal::Sequence(s) => Instants::Slice(&s.instants),
+            Temporal::SequenceSet(ss) => Instants::Sequences(&ss.sequences),
         }
     }
 
@@ -359,15 +431,18 @@ impl<V: TValue> Temporal<V> {
         }
     }
 
-    /// The sequences of the value (an instant becomes a one-instant
-    /// discrete view; used by generic algorithms).
-    pub fn as_sequences(&self) -> Vec<TSequence<V>> {
+    /// The sequences of the value, borrowed; only an instant is copied,
+    /// into a one-instant discrete sequence (used by generic algorithms).
+    pub fn as_sequences(&self) -> Cow<'_, [TSequence<V>]> {
         match self {
-            Temporal::Instant(i) => {
-                vec![TSequence::discrete(vec![i.clone()]).expect("valid singleton")]
-            }
-            Temporal::Sequence(s) => vec![s.clone()],
-            Temporal::SequenceSet(ss) => ss.sequences.clone(),
+            Temporal::Instant(i) => Cow::Owned(vec![TSequence {
+                instants: vec![i.clone()],
+                lower_inc: true,
+                upper_inc: true,
+                interp: Interp::Discrete,
+            }]),
+            Temporal::Sequence(s) => Cow::Borrowed(std::slice::from_ref(s)),
+            Temporal::SequenceSet(ss) => Cow::Borrowed(&ss.sequences),
         }
     }
 
@@ -653,8 +728,8 @@ mod tests {
     fn sequence_validation() {
         let i1 = TInstant::new(1.0, ts("2025-01-01"));
         let i2 = TInstant::new(2.0, ts("2025-01-02"));
-        assert!(TSequence::new(vec![i1.clone(), i2.clone()], true, true, Interp::Linear).is_ok());
-        assert!(TSequence::new(vec![i2.clone(), i1.clone()], true, true, Interp::Linear).is_err());
+        assert!(TSequence::new(vec![i1, i2], true, true, Interp::Linear).is_ok());
+        assert!(TSequence::new(vec![i2, i1], true, true, Interp::Linear).is_err());
         assert!(TSequence::<f64>::new(vec![], true, true, Interp::Linear).is_err());
         // Linear rejected for step-only base types.
         let b1 = TInstant::new(true, ts("2025-01-01"));

@@ -31,33 +31,32 @@ impl<V: TValue> TSequence<V> {
     }
 
     /// Restrict a sequence to a period; `None` when the result is empty.
+    /// The kept instants are found by binary search.
     pub fn at_period(&self, p: &TstzSpan) -> Option<TSequence<V>> {
+        let instants = self.instants();
         if self.interp == Interp::Discrete {
-            let kept: Vec<TInstant<V>> = self
-                .instants()
-                .iter()
-                .filter(|i| p.contains_value(i.t))
-                .cloned()
-                .collect();
-            if kept.is_empty() {
+            // The instants inside `p` are one contiguous window.
+            let lo = instants.partition_point(|i| i.t <= p.lower && !p.contains_value(i.t));
+            let hi = lo + instants[lo..].partition_point(|i| p.contains_value(i.t));
+            if lo == hi {
                 return None;
             }
+            let kept = instants[lo..hi].to_vec();
             return Some(TSequence::discrete(kept).expect("filtered instants stay ordered"));
         }
         let ix = self.period().intersection(p)?;
-        let mut instants: Vec<TInstant<V>> = Vec::new();
+        // The instants strictly inside the intersection.
+        let lo = instants.partition_point(|i| i.t <= ix.lower);
+        let hi = lo.max(instants.partition_point(|i| i.t < ix.upper));
+        let mut kept: Vec<TInstant<V>> = Vec::with_capacity(hi - lo + 2);
         // Boundary instant at the new lower bound.
-        instants.push(TInstant::new(self.interpolate_raw(ix.lower), ix.lower));
-        for i in self.instants() {
-            if i.t > ix.lower && i.t < ix.upper {
-                instants.push(i.clone());
-            }
-        }
+        kept.push(TInstant::new(self.interpolate_raw(ix.lower), ix.lower));
+        kept.extend_from_slice(&instants[lo..hi]);
         if ix.upper > ix.lower {
-            instants.push(TInstant::new(self.interpolate_raw(ix.upper), ix.upper));
+            kept.push(TInstant::new(self.interpolate_raw(ix.upper), ix.upper));
         }
         Some(
-            TSequence::new(instants, ix.lower_inc, ix.upper_inc, self.interp)
+            TSequence::new(kept, ix.lower_inc, ix.upper_inc, self.interp)
                 .expect("restriction preserves ordering"),
         )
     }
@@ -78,7 +77,7 @@ impl<V: TValue> Temporal<V> {
     pub fn at_periodset(&self, ps: &TstzSpanSet) -> Option<Temporal<V>> {
         let mut seqs: Vec<TSequence<V>> = Vec::new();
         for span in ps.spans() {
-            for s in self.as_sequences() {
+            for s in self.as_sequences().iter() {
                 if let Some(r) = s.at_period(span) {
                     seqs.push(r);
                 }
@@ -112,7 +111,7 @@ impl<V: TValue> Temporal<V> {
         V: SolveCrossing,
     {
         let mut out: Vec<TSequence<V>> = Vec::new();
-        for s in self.as_sequences() {
+        for s in self.as_sequences().iter() {
             match s.interp {
                 Interp::Discrete => {
                     let kept: Vec<TInstant<V>> = s
@@ -125,8 +124,8 @@ impl<V: TValue> Temporal<V> {
                         out.push(TSequence::discrete(kept).expect("ordered"));
                     }
                 }
-                Interp::Step => step_runs_equal(&s, v, &mut out),
-                Interp::Linear => linear_pieces_equal(&s, v, &mut out),
+                Interp::Step => step_runs_equal(s, v, &mut out),
+                Interp::Linear => linear_pieces_equal(s, v, &mut out),
             }
         }
         out.sort_by_key(|s| s.start().t);
@@ -144,7 +143,7 @@ impl<V: TValue> Temporal<V> {
         let mut seqs: Vec<TSequence<V>> = Vec::new();
         for v in vs {
             if let Some(t) = self.at_value(v) {
-                seqs.extend(t.as_sequences());
+                seqs.extend(t.as_sequences().iter().cloned());
             }
         }
         seqs.sort_by_key(|s| s.start().t);

@@ -3,7 +3,12 @@
 //! `tDwithin`, `eDwithin`, `eIntersects` — the functions the BerlinMOD
 //! queries exercise.
 
-use mduck_geo::algorithms::{clip_segment_to_rings, geometry_covers_point, intersects};
+use std::ops::ControlFlow;
+
+use mduck_geo::algorithms::{
+    clip_segment_to_rings, features_distance, features_intersect, geometry_covers_point,
+    Features,
+};
 use mduck_geo::geometry::GeomData;
 use mduck_geo::point::Point;
 use mduck_geo::Geometry;
@@ -99,7 +104,7 @@ impl TGeomPoint {
     pub fn trajectory(&self) -> Geometry {
         let seqs = self.temp.as_sequences();
         let mut parts: Vec<Geometry> = Vec::new();
-        for s in &seqs {
+        for s in seqs.iter() {
             parts.push(seq_trajectory(s));
         }
         let g = if parts.len() == 1 {
@@ -113,7 +118,7 @@ impl TGeomPoint {
     /// Total length traveled, in the units of the SRID (`length()`).
     pub fn length(&self) -> f64 {
         let mut total = 0.0;
-        for s in self.temp.as_sequences() {
+        for s in self.temp.as_sequences().iter() {
             if s.interp == Interp::Linear {
                 for w in s.instants().windows(2) {
                     total += w[0].value.distance(&w[1].value);
@@ -126,7 +131,7 @@ impl TGeomPoint {
     /// Speed as a step `tfloat` in units/second (`speed()`).
     pub fn speed(&self) -> TemporalResult<TFloat> {
         let mut seqs: Vec<TSequence<f64>> = Vec::new();
-        for s in self.temp.as_sequences() {
+        for s in self.temp.as_sequences().iter() {
             if s.interp != Interp::Linear || s.num_instants() < 2 {
                 continue;
             }
@@ -169,19 +174,19 @@ impl TGeomPoint {
             match &prim.data {
                 GeomData::Point(p) => {
                     if let Some(t) = self.temp.at_value(p) {
-                        seqs.extend(t.as_sequences());
+                        seqs.extend(t.as_sequences().iter().cloned());
                     }
                 }
                 GeomData::MultiPoint(ps) => {
                     for p in ps {
                         if let Some(t) = self.temp.at_value(p) {
-                            seqs.extend(t.as_sequences());
+                            seqs.extend(t.as_sequences().iter().cloned());
                         }
                     }
                 }
                 GeomData::Polygon(rings) => {
-                    for s in self.temp.as_sequences() {
-                        restrict_seq_to_rings(&s, rings, &mut seqs);
+                    for s in self.temp.as_sequences().iter() {
+                        restrict_seq_to_rings(s, rings, &mut seqs);
                     }
                 }
                 other => {
@@ -319,15 +324,17 @@ impl TGeomPoint {
         }
     }
 
-    /// Ever within distance of a static geometry.
+    /// Ever within distance of a static geometry: the distance from the
+    /// trajectory, read from the instants without building it.
     pub fn edwithin_geo(&self, g: &Geometry, d: f64) -> bool {
-        mduck_geo::algorithms::distance(&self.trajectory(), g) <= d
+        features_distance(&TrajectoryFeatures(&self.temp), g) <= d
     }
 
     /// Does the moving point ever intersect the geometry
-    /// (`eIntersects`)?
+    /// (`eIntersects`)? Equal to `intersects(&self.trajectory(), g)`, but
+    /// tests the instants and segments directly.
     pub fn eintersects(&self, g: &Geometry) -> bool {
-        intersects(&self.trajectory(), g)
+        features_intersect(&TrajectoryFeatures(&self.temp), g)
     }
 
     /// Is the moving point always inside the geometry (`aIntersects`-style
@@ -336,7 +343,7 @@ impl TGeomPoint {
         // Every instant inside, and (for linear movement) every segment
         // fully inside; for convex-ish district polygons checking segment
         // midpoints alongside endpoints is exact enough for benchmarks.
-        for s in self.temp.as_sequences() {
+        for s in self.temp.as_sequences().iter() {
             for w in s.instants().windows(2) {
                 let mid = w[0].value.lerp(&w[1].value, 0.5);
                 if !geometry_covers_point(g, mid) {
@@ -358,16 +365,86 @@ impl TGeomPoint {
     }
 }
 
+/// The features of a moving point's [`TGeomPoint::trajectory`], read from
+/// its instants without building the geometry. A linear sequence of two
+/// or more instants is a line through its positions, a position repeated
+/// by the next instant dropped; a line that never moves is a bare point,
+/// and so is every position of any other sequence.
+struct TrajectoryFeatures<'a>(&'a Temporal<Point>);
+
+impl<'a> TrajectoryFeatures<'a> {
+    /// Each sequence's instants, and whether they draw a line.
+    fn parts(&self) -> impl Iterator<Item = (&'a [TInstant<Point>], bool)> {
+        let (head, seqs): (&'a [TInstant<Point>], &'a [TSequence<Point>]) = match self.0 {
+            Temporal::Instant(i) => (std::slice::from_ref(i), &[]),
+            Temporal::Sequence(s) => (&[], std::slice::from_ref(s)),
+            Temporal::SequenceSet(ss) => (&[], ss.sequences()),
+        };
+        let head = (!head.is_empty()).then_some((head, false));
+        head.into_iter().chain(
+            seqs.iter()
+                .map(|s| (s.instants(), s.interp == Interp::Linear && s.num_instants() > 1)),
+        )
+    }
+}
+
+/// The positions of a line, each repeat of the previous one dropped.
+fn line_vertices(instants: &[TInstant<Point>]) -> impl Iterator<Item = Point> + '_ {
+    let mut prev: Option<Point> = None;
+    instants.iter().map(|i| i.value).filter(move |&p| prev.replace(p) != Some(p))
+}
+
+fn moves(instants: &[TInstant<Point>]) -> bool {
+    instants.windows(2).any(|w| w[0].value != w[1].value)
+}
+
+impl Features for TrajectoryFeatures<'_> {
+    fn visit_points<F: FnMut(Point) -> ControlFlow<()>>(&self, f: &mut F) -> ControlFlow<()> {
+        self.parts().try_for_each(|(instants, line)| {
+            if line {
+                line_vertices(instants).try_for_each(&mut *f)
+            } else {
+                instants.iter().try_for_each(|i| f(i.value))
+            }
+        })
+    }
+
+    fn visit_segments<F: FnMut(Point, Point) -> ControlFlow<()>>(
+        &self,
+        f: &mut F,
+    ) -> ControlFlow<()> {
+        self.parts().filter(|&(_, line)| line).try_for_each(|(instants, _)| {
+            let mut vertices = line_vertices(instants);
+            let Some(mut prev) = vertices.next() else {
+                return ControlFlow::Continue(());
+            };
+            vertices.try_for_each(|p| {
+                let from = std::mem::replace(&mut prev, p);
+                f(from, p)
+            })
+        })
+    }
+
+    fn visit_bare_points<F: FnMut(Point) -> ControlFlow<()>>(&self, f: &mut F) -> ControlFlow<()> {
+        self.parts().try_for_each(|(instants, line)| match (line, instants) {
+            (false, _) => instants.iter().try_for_each(|i| f(i.value)),
+            (true, [first, ..]) if !moves(instants) => f(first.value),
+            _ => ControlFlow::Continue(()),
+        })
+    }
+
+    fn visit_polygons<F: FnMut(&[Vec<Point>]) -> ControlFlow<()>>(
+        &self,
+        _f: &mut F,
+    ) -> ControlFlow<()> {
+        ControlFlow::Continue(())
+    }
+}
+
 /// The trajectory of a single sequence.
 fn seq_trajectory(s: &TSequence<Point>) -> Geometry {
-    let pts: Vec<Point> = s.instants().iter().map(|i| i.value).collect();
-    if s.interp == Interp::Linear && pts.len() > 1 {
-        let mut dedup: Vec<Point> = Vec::with_capacity(pts.len());
-        for p in pts {
-            if dedup.last() != Some(&p) {
-                dedup.push(p);
-            }
-        }
+    if s.interp == Interp::Linear && s.num_instants() > 1 {
+        let dedup: Vec<Point> = line_vertices(s.instants()).collect();
         if dedup.len() == 1 {
             Geometry::from_point(dedup[0])
         } else {
@@ -375,7 +452,7 @@ fn seq_trajectory(s: &TSequence<Point>) -> Geometry {
         }
     } else {
         let mut distinct: Vec<Point> = Vec::new();
-        for p in pts {
+        for p in s.instants().iter().map(|i| i.value) {
             if !distinct.contains(&p) {
                 distinct.push(p);
             }

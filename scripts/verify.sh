@@ -66,6 +66,12 @@ echo "== benchmark self-check =="
 # correctness oracle fails here, before anyone runs the benchmark.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "== Query 5 formulations agree =="
+# The §6.3 ablation at SF-0.001: the WKB proxy-layer and the native `_gs`
+# formulations of Query 5 must return the same license pairs at the same
+# distances on generated trajectories. Nothing else runs both.
+cargo run --release -q -p mduck-bench --bin ablation_gs -- --small
+
 echo "== clippy =="
 # Scoped to the bug classes this codebase has actually shipped
 # (panicking arithmetic/slicing in parsers); unwrap/expect policing is

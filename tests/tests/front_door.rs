@@ -149,6 +149,10 @@ fn front_door_script_is_identical_on_both_engines() {
         ("DELETE FROM t WHERE a = 99", count(0)),
         ("SELECT a, b FROM t ORDER BY a", t_rows(&[(1, "one"), (2, "TWO"), (3, "three")])),
         ("SELECT b FROM t WHERE a = 3", text("b", "three")),
+        // HAVING without GROUP BY or an aggregate is a bind error, not a
+        // clause both engines silently ignore.
+        ("SELECT a FROM t HAVING a > 1", bind()),
+        ("SELECT a FROM t WHERE a > 0 HAVING b = 'one'", bind()),
         ("PRAGMA threads = 1000", range()),
         ("PRAGMA threads = -1", range()),
         ("PRAGMA threads = 'many'", bind()),
@@ -198,6 +202,22 @@ fn front_door_script_is_identical_on_both_engines() {
     }
     cleanup(&vpath);
     cleanup(&rpath);
+}
+
+#[test]
+fn having_without_aggregate_is_the_same_bind_error_on_both_engines() {
+    let (vdb, rdb) = engines();
+    vdb.execute("CREATE TABLE h(x INTEGER)").unwrap();
+    rdb.execute("CREATE TABLE h(x INTEGER)").unwrap();
+    let sql = "SELECT x FROM h HAVING x > 1";
+    let (v, r) = (vdb.execute(sql).unwrap_err(), rdb.execute(sql).unwrap_err());
+    assert!(matches!(v, SqlError::Bind(_)), "{v}");
+    assert_eq!(v.to_string(), r.to_string());
+    assert!(v.to_string().contains("HAVING"), "{v}");
+    // With an aggregate the same clause filters groups.
+    let sql = "SELECT count(*) FROM h HAVING count(*) > 1";
+    assert!(vdb.execute(sql).unwrap().rows.is_empty());
+    assert!(rdb.execute(sql).unwrap().rows.is_empty());
 }
 
 #[test]

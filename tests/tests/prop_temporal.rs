@@ -5,8 +5,8 @@ use mduck_prng::{RngExt, SeedableRng, StdRng};
 
 use mduck_temporal::span::{parse_span, FloatSpan, Span};
 use mduck_temporal::spanset::SpanSet;
-use mduck_temporal::temporal::{Interp, TGeomPoint, TInstant, TSequence, Temporal};
-use mduck_temporal::TimestampTz;
+use mduck_temporal::temporal::{Interp, TGeomPoint, TInstant, TSequence, TValue, Temporal};
+use mduck_temporal::{TimestampTz, TstzSpan};
 
 const CASES: usize = 256;
 
@@ -240,6 +240,235 @@ fn trajectory_length_matches_instant_polyline() {
         let rect = b.rect.unwrap();
         for i in a.temp.instants() {
             assert!(rect.contains_point(&i.value));
+        }
+    }
+}
+
+// ------------------------------------------------ kernel pins: atTime
+
+/// A step, linear or discrete `tfloat` sequence on a one-second grid, so
+/// that period bounds often fall on instants.
+fn gen_grid_seq(rng: &mut StdRng, interp: Interp, from: i64) -> TSequence<f64> {
+    let base = 1_700_000_000_000_000i64;
+    let mut t = from;
+    let instants: Vec<TInstant<f64>> = (0..rng.random_range(1usize..10))
+        .map(|_| {
+            t += rng.random_range(1i64..5);
+            let v = rng.random_range(-50i64..50) as f64 * 0.3;
+            TInstant::new(v, TimestampTz(base + t * 1_000_000))
+        })
+        .collect();
+    TSequence::new(instants, rng.random_bool(0.5), rng.random_bool(0.5), interp).unwrap()
+}
+
+/// Any subtype: an instant, one sequence of any interpolation, or a
+/// sequence set of step or linear sequences with gaps between them.
+fn gen_grid_temporal(rng: &mut StdRng) -> Temporal<f64> {
+    let interp = [Interp::Discrete, Interp::Step, Interp::Linear][rng.random_range(0usize..3)];
+    match rng.random_range(0u32..4) {
+        0 => Temporal::Instant(*gen_grid_seq(rng, Interp::Discrete, 0).start()),
+        1 | 2 => Temporal::Sequence(gen_grid_seq(rng, interp, 0)),
+        _ => {
+            let interp = if interp == Interp::Discrete { Interp::Linear } else { interp };
+            let mut from = 0;
+            let seqs = (0..rng.random_range(1usize..4))
+                .map(|_| {
+                    let s = gen_grid_seq(rng, interp, from);
+                    from = (s.end().t.0 - 1_700_000_000_000_000) / 1_000_000 + 1;
+                    s
+                })
+                .collect();
+            Temporal::from_sequences(seqs).unwrap()
+        }
+    }
+}
+
+/// The value of `s` at `t` by a linear scan, interpolated as
+/// `TSequence::at_period` does.
+fn scan_value(s: &TSequence<f64>, t: TimestampTz) -> f64 {
+    let instants = s.instants();
+    if let Some(i) = instants.iter().find(|i| i.t == t) {
+        return i.value;
+    }
+    let k = instants.iter().position(|i| i.t > t).unwrap();
+    let (a, b) = (&instants[k - 1], &instants[k]);
+    match s.interp {
+        Interp::Linear => {
+            let frac = (t.0 - a.t.0) as f64 / (b.t.0 - a.t.0) as f64;
+            <f64 as TValue>::lerp(&a.value, &b.value, frac)
+        }
+        _ => a.value,
+    }
+}
+
+/// `at_period` by a linear scan over every instant: the reference the
+/// binary-searched restriction must match exactly.
+fn scan_at_period(s: &TSequence<f64>, p: &TstzSpan) -> Option<TSequence<f64>> {
+    if s.interp == Interp::Discrete {
+        let kept: Vec<TInstant<f64>> =
+            s.instants().iter().filter(|i| p.contains_value(i.t)).cloned().collect();
+        return (!kept.is_empty()).then(|| TSequence::discrete(kept).unwrap());
+    }
+    let ix = s.period().intersection(p)?;
+    let mut kept = vec![TInstant::new(scan_value(s, ix.lower), ix.lower)];
+    kept.extend(s.instants().iter().filter(|i| i.t > ix.lower && i.t < ix.upper).cloned());
+    if ix.upper > ix.lower {
+        kept.push(TInstant::new(scan_value(s, ix.upper), ix.upper));
+    }
+    Some(TSequence::new(kept, ix.lower_inc, ix.upper_inc, s.interp).unwrap())
+}
+
+#[test]
+fn at_period_matches_a_linear_scan() {
+    let mut rng = StdRng::seed_from_u64(0x5ea_000b);
+    let base = 1_700_000_000_000_000i64;
+    for _ in 0..CASES * 4 {
+        let t = gen_grid_temporal(&mut rng);
+        let lo = rng.random_range(-2i64..30);
+        let hi = lo + rng.random_range(0i64..12);
+        let (li, ui) = if lo == hi {
+            (true, true)
+        } else {
+            (rng.random_bool(0.5), rng.random_bool(0.5))
+        };
+        let at = |s: i64| TimestampTz(base + s * 1_000_000);
+        let p = TstzSpan::new(at(lo), at(hi), li, ui).unwrap();
+        let want = Temporal::from_sequences(
+            t.as_sequences().iter().filter_map(|s| scan_at_period(s, &p)).collect(),
+        )
+        .ok();
+        assert_eq!(t.at_period(&p), want, "{t} at {p}");
+    }
+}
+
+// ------------------------------------------------ kernel pins: eIntersects
+
+/// A coordinate on a small grid, so positions repeat and segments touch,
+/// or a continuous one.
+fn gen_xy(rng: &mut StdRng, grid: bool) -> mduck_geo::Point {
+    let c = |rng: &mut StdRng| {
+        if grid {
+            rng.random_range(-5i64..6) as f64
+        } else {
+            rng.random_range(-5.0..5.0f64)
+        }
+    };
+    mduck_geo::Point::new(c(rng), c(rng))
+}
+
+/// A moving point of any subtype and interpolation. A third of the
+/// instants repeat the previous position: stationary stretches.
+fn gen_moving(rng: &mut StdRng, grid: bool) -> TGeomPoint {
+    let base = 1_700_000_000_000_000i64;
+    let mut t = 0i64;
+    let mut seq = |rng: &mut StdRng, interp: Interp| {
+        let mut prev = gen_xy(rng, grid);
+        let instants: Vec<TInstant<mduck_geo::Point>> = (0..rng.random_range(1usize..10))
+            .map(|_| {
+                t += rng.random_range(1i64..4);
+                if rng.random_range(0u32..3) != 0 {
+                    prev = gen_xy(rng, grid);
+                }
+                TInstant::new(prev, TimestampTz(base + t * 1_000_000))
+            })
+            .collect();
+        t += 1;
+        TSequence::new(instants, true, true, interp).unwrap()
+    };
+    let interp = [Interp::Discrete, Interp::Step, Interp::Linear, Interp::Linear]
+        [rng.random_range(0usize..4)];
+    let temp = match rng.random_range(0u32..3) {
+        0 => Temporal::from_sequences(vec![seq(rng, interp)]).unwrap(),
+        _ => {
+            let interp = if interp == Interp::Discrete { Interp::Linear } else { interp };
+            let seqs = (0..rng.random_range(1usize..4)).map(|_| seq(rng, interp)).collect();
+            Temporal::from_sequences(seqs).unwrap()
+        }
+    };
+    TGeomPoint::new(temp, 0)
+}
+
+/// A static geometry of any kind, sometimes through a position of `near`
+/// so that exact incidences occur, or across the middle of one of its
+/// moves, where no position lies.
+fn gen_static(rng: &mut StdRng, grid: bool, near: &TGeomPoint) -> mduck_geo::Geometry {
+    use mduck_geo::Geometry;
+    let instants = near.temp.instants();
+    let k = rng.random_range(0..instants.len());
+    let moves = k + 1 < instants.len() && instants[k].value != instants[k + 1].value;
+    if moves && rng.random_bool(0.3) {
+        let (p, q) = (instants[k].value, instants[k + 1].value);
+        let m = mduck_geo::Point::new((p.x + q.x) * 0.5, (p.y + q.y) * 0.5);
+        let (dx, dy) = (q.x - p.x, q.y - p.y);
+        let at = |s: f64| mduck_geo::Point::new(m.x - dy * s, m.y + dx * s);
+        return if rng.random_bool(0.5) {
+            // A short segment across the move's midpoint.
+            Geometry::linestring(vec![at(-0.25), at(0.25)]).unwrap()
+        } else {
+            // A small square around it.
+            let r = 0.1;
+            let corner = |sx: f64, sy: f64| mduck_geo::Point::new(m.x + sx * r, m.y + sy * r);
+            let ring =
+                vec![corner(-1.0, -1.0), corner(1.0, -1.0), corner(1.0, 1.0), corner(-1.0, 1.0)];
+            Geometry::polygon(vec![ring]).unwrap()
+        };
+    }
+    let at = |rng: &mut StdRng| {
+        if rng.random_bool(0.4) {
+            instants[rng.random_range(0..instants.len())].value
+        } else {
+            gen_xy(rng, grid)
+        }
+    };
+    match rng.random_range(0u32..6) {
+        0 => Geometry::from_point(at(rng)),
+        1 => Geometry::multipoint((0..rng.random_range(1usize..4)).map(|_| at(rng)).collect()),
+        2 => {
+            let n = rng.random_range(2usize..5);
+            Geometry::linestring((0..n).map(|_| at(rng)).collect()).unwrap()
+        }
+        3 | 4 => {
+            let (c, r) = (at(rng), rng.random_range(1i64..4) as f64);
+            let square = |r: f64| {
+                vec![
+                    mduck_geo::Point::new(c.x - r, c.y - r),
+                    mduck_geo::Point::new(c.x + r, c.y - r),
+                    mduck_geo::Point::new(c.x + r, c.y + r),
+                    mduck_geo::Point::new(c.x - r, c.y + r),
+                    mduck_geo::Point::new(c.x - r, c.y - r),
+                ]
+            };
+            let rings = if rng.random_bool(0.5) {
+                vec![square(r), square(r * 0.5)]
+            } else {
+                vec![square(r)]
+            };
+            Geometry::polygon(rings).unwrap()
+        }
+        _ => {
+            let (p, q) = (at(rng), at(rng));
+            Geometry::collection(vec![Geometry::from_point(p), Geometry::from_point(q)])
+        }
+    }
+}
+
+#[test]
+fn eintersects_and_edwithin_match_the_built_trajectory() {
+    use mduck_geo::algorithms::{distance, intersects};
+    let mut rng = StdRng::seed_from_u64(0x5ea_000c);
+    for _ in 0..CASES * 4 {
+        let grid = rng.random_bool(0.6);
+        let t = gen_moving(&mut rng, grid);
+        let g = gen_static(&mut rng, grid, &t);
+        let traj = t.trajectory();
+        let ctx = || format!("{} vs {}", t.as_text(), mduck_geo::wkt::to_wkt(&g, None));
+        assert_eq!(t.eintersects(&g), intersects(&traj, &g), "{}", ctx());
+        // eDwithin at exactly the trajectory's distance holds, and one ulp
+        // below it does not: the distances agree bit for bit.
+        let d = distance(&traj, &g);
+        assert!(t.edwithin_geo(&g, d), "{}", ctx());
+        if d > 0.0 {
+            assert!(!t.edwithin_geo(&g, d.next_down()), "{}", ctx());
         }
     }
 }
