@@ -4,7 +4,10 @@
 //! Prints runtimes in milliseconds plus a per-query winner summary.
 //!
 //! Pass `--small` to run SF-0.001 only; `--runs N` to change the sample
-//! count (default 3, median reported).
+//! count (default 3, median reported); `--skip 12` to leave a query out,
+//! `--skip-baselines 12` to run it on MobilityDuck only (the row-engine
+//! baselines join in FROM order, and Q12's FROM order pairs trips with
+//! trips).
 //!
 //! Besides the plain-text tables, the run emits two machine-readable
 //! reports into the working directory:
@@ -33,12 +36,15 @@ fn main() {
         .position(|a| a == "--sf")
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse().ok());
-    let skip: Vec<u32> = args
-        .iter()
-        .position(|a| a == "--skip")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.split(',').filter_map(|x| x.parse().ok()).collect())
-        .unwrap_or_default();
+    let ids = |flag: &str| -> Vec<u32> {
+        args.iter()
+            .position(|a| a == flag)
+            .and_then(|i| args.get(i + 1))
+            .map(|v| v.split(',').filter_map(|x| x.parse().ok()).collect())
+            .unwrap_or_default()
+    };
+    let skip = ids("--skip");
+    let skip_baselines = ids("--skip-baselines");
     let single;
     let sfs: &[f64] = if let Some(sf) = sf_arg {
         single = [sf];
@@ -85,6 +91,11 @@ fn main() {
             let mut cells = vec![format!("Q{id}")];
             let mut times = Vec::new();
             for (si, sc) in scenarios.iter().enumerate() {
+                if *sc != Scenario::MobilityDuck && skip_baselines.contains(&id) {
+                    times.push(f64::INFINITY);
+                    cells.push("skipped".into());
+                    continue;
+                }
                 let mut record = |stats: mduck_bench::RunStats, threads: usize| {
                     // Peak memory of the most recent sample: every
                     // `execute()` logs its statement (with the guard's

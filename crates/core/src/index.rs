@@ -13,30 +13,48 @@ use std::sync::Mutex;
 
 use mduck_rtree::{RTree, Rect3};
 use mduck_sql::{LogicalType, SqlError, SqlResult, Value};
+use mduck_temporal::STBox;
 
-use crate::types::{value_to_stbox, MdStbox, MdTGeomPoint, MdTGeometry};
+use crate::types::{to_exec, value_to_stbox, MdStbox, MdTGeomPoint, MdTGeometry, MdTstzSpan};
 
-/// Extract the 3-D (x, y, t) box of an indexable value; `None` for NULLs.
-pub fn value_box3(v: &Value) -> SqlResult<Option<Rect3>> {
+/// The box an indexable value is indexed under: its `stbox`, or a
+/// time-only box for a `tstzspan`; `None` for NULLs.
+pub fn value_stbox(v: &Value) -> SqlResult<Option<STBox>> {
     if v.is_null() {
         return Ok(None);
     }
-    let b = value_to_stbox(v)?;
+    if let Some(span) = v.as_ext()?.downcast::<MdTstzSpan>() {
+        return Ok(Some(STBox { srid: 0, rect: None, period: Some(span.0) }));
+    }
+    value_to_stbox(v).map(Some)
+}
+
+/// The 3-D (x, y, t) R-tree box of an index box. Span bounds are closed
+/// (the tree's overlap test is closed), so the tree returns a superset of
+/// the `&&` matches; missing dimensions span the whole axis.
+fn box3(b: &STBox) -> Rect3 {
     let (lo, hi) = b.to_xyt();
-    Ok(Some(Rect3::new(lo, hi)))
+    Rect3::new(lo, hi)
 }
 
 /// Can a column of this type carry a TRTREE index?
 pub fn is_indexable(ty: &LogicalType) -> bool {
-    matches!(ty, LogicalType::Ext(name) if matches!(&**name, "stbox" | "tgeompoint" | "tgeometry"))
+    matches!(ty, LogicalType::Ext(name)
+        if matches!(&**name, "stbox" | "tgeompoint" | "tgeometry" | "tstzspan"))
 }
 
 /// Shared index core used by both engines' registrations.
+///
+/// Besides the tree, the index keeps each entry's exact box (by row id),
+/// so an `&&` scan returns exactly the rows whose boxes overlap the probe:
+/// the tree's closed bounds only pick the candidates.
 pub struct SpatioTemporalIndex {
     name: String,
     method: &'static str,
     column: usize,
     tree: RTree,
+    /// The exact box of each row id; `None` for a NULL value.
+    boxes: Vec<Option<STBox>>,
 }
 
 impl SpatioTemporalIndex {
@@ -54,65 +72,93 @@ impl SpatioTemporalIndex {
             .map(|n| n.get())
             .unwrap_or(1)
             .min(existing.len().div_ceil(4096).max(1));
-        let sink = |part: &[Value], base: u64| -> SqlResult<Vec<(Rect3, u64)>> {
-            let mut local: Vec<(Rect3, u64)> = Vec::with_capacity(part.len());
-            for (i, v) in part.iter().enumerate() {
-                if let Some(rect) = value_box3(v)? {
-                    local.push((rect, base + i as u64));
-                }
-            }
-            Ok(local)
+        let sink = |part: &[Value]| -> SqlResult<Vec<Option<STBox>>> {
+            part.iter().map(value_stbox).collect()
         };
         // One partition (fewer than 4096 rows): sink inline, without
         // spawning a thread.
-        if num_threads == 1 {
-            let tree = RTree::bulk_load(sink(existing, 0)?);
-            return Ok(SpatioTemporalIndex { name: name.to_string(), method, column, tree });
-        }
-        // Phase 2 — Combine: thread-local results merge under a mutex.
-        let combined: Mutex<Vec<(Rect3, u64)>> = Mutex::new(Vec::with_capacity(existing.len()));
-        let chunk_size = existing.len().div_ceil(num_threads).max(1);
-        let failure: Mutex<Option<SqlError>> = Mutex::new(None);
-        std::thread::scope(|scope| {
-            for (pi, part) in existing.chunks(chunk_size).enumerate() {
-                let (combined, failure, sink) = (&combined, &failure, &sink);
-                scope.spawn(move || match sink(part, (pi * chunk_size) as u64) {
-                    Ok(local) => {
-                        combined.lock().unwrap().extend(local);
-                    }
-                    Err(e) => {
-                        *failure.lock().unwrap() = Some(e);
-                    }
-                });
+        let boxes = if num_threads == 1 {
+            sink(existing)?
+        } else {
+            // Phase 2 — Combine: thread-local results merge under a mutex,
+            // each at its partition's place.
+            let chunk_size = existing.len().div_ceil(num_threads).max(1);
+            let parts = existing.chunks(chunk_size).count();
+            let combined: Mutex<Vec<Vec<Option<STBox>>>> = Mutex::new(vec![Vec::new(); parts]);
+            let failure: Mutex<Option<SqlError>> = Mutex::new(None);
+            std::thread::scope(|scope| {
+                for (pi, part) in existing.chunks(chunk_size).enumerate() {
+                    let (combined, failure, sink) = (&combined, &failure, &sink);
+                    scope.spawn(move || match sink(part) {
+                        Ok(local) => {
+                            combined.lock().expect("sink threads do not panic")[pi] = local;
+                        }
+                        Err(e) => {
+                            *failure.lock().unwrap() = Some(e);
+                        }
+                    });
+                }
+            });
+            if let Some(e) = failure.into_inner().unwrap() {
+                return Err(e);
             }
-        });
-        if let Some(e) = failure.into_inner().unwrap() {
-            return Err(e);
-        }
+            combined.into_inner().expect("sink threads do not panic").concat()
+        };
         // Phase 3 — BulkConstruct.
-        let tree = RTree::bulk_load(combined.into_inner().unwrap());
-        Ok(SpatioTemporalIndex { name: name.to_string(), method, column, tree })
+        let items = boxes
+            .iter()
+            .enumerate()
+            .filter_map(|(i, b)| b.as_ref().map(|b| (box3(b), i as u64)))
+            .collect();
+        let tree = RTree::bulk_load(items);
+        Ok(SpatioTemporalIndex { name: name.to_string(), method, column, tree, boxes })
     }
 
     fn append_values(&mut self, values: &[Value], first_row: u64) -> SqlResult<()> {
-        for (i, v) in values.iter().enumerate() {
-            if let Some(rect) = value_box3(v)? {
-                self.tree.insert(rect, first_row + i as u64);
+        let boxes = values.iter().map(value_stbox).collect::<SqlResult<Vec<_>>>()?;
+        for (i, b) in boxes.into_iter().enumerate() {
+            let row = first_row + i as u64;
+            if let Some(b) = &b {
+                self.tree.insert(box3(b), row);
             }
+            let slot = row as usize;
+            if self.boxes.len() <= slot {
+                self.boxes.resize(slot + 1, None);
+            }
+            self.boxes[slot] = b;
         }
         Ok(())
     }
 
     fn scan(&self, op: &str, constant: &Value) -> SqlResult<Option<Vec<u64>>> {
         // The scan matcher (§4.3): overlap (and containment, which implies
-        // box overlap) against an stbox/tgeompoint constant.
+        // box overlap) against an indexable constant. `&&` hits are exact;
+        // `@>` and `<@` return the overlapping candidates.
         if op != "&&" && op != "@>" && op != "<@" {
             return Ok(None);
         }
-        let Some(rect) = value_box3(constant)? else {
-            return Ok(Some(Vec::new()));
+        // A constant with no box (`tstzspan @> timestamptz`) declines:
+        // the scan then evaluates the predicate itself.
+        let probe = match value_stbox(constant) {
+            Ok(Some(probe)) => probe,
+            Ok(None) => return Ok(Some(Vec::new())),
+            Err(_) => return Ok(None),
         };
-        Ok(Some(self.tree.search(&rect)))
+        let mut hits = self.tree.search(&box3(&probe));
+        if op == "&&" {
+            let mut failure = None;
+            hits.retain(|&row| match self.boxes.get(row as usize) {
+                Some(Some(b)) => b.overlaps(&probe).unwrap_or_else(|e| {
+                    failure.get_or_insert(e);
+                    false
+                }),
+                _ => false,
+            });
+            if let Some(e) = failure {
+                return Err(to_exec(e));
+            }
+        }
+        Ok(Some(hits))
     }
 }
 
@@ -136,8 +182,8 @@ impl quackdb::TableIndex for TRTreeIndex {
     }
     fn try_scan(&self, op: &str, constant: &Value) -> SqlResult<Option<Vec<u64>>> {
         // quackdb serves index hits without re-checking them, so answer
-        // only `&&`, where box overlap is the predicate itself; `@>` and
-        // `<@` decline and run as a filtered scan (the row engine's GIST
+        // only `&&`, whose hits the index checks exactly; `@>` and `<@`
+        // decline and run as a filtered scan (the row engine's GIST
         // re-checks its candidates and answers all three).
         if op != "&&" {
             return Ok(None);
@@ -248,6 +294,7 @@ impl quackdb::IndexType for GeomRTreeIndexType {
                 method: "RTREE",
                 column,
                 tree: RTree::new(),
+                boxes: Vec::new(),
             },
         };
         // Bulk path: collect boxes then STR-pack.

@@ -75,13 +75,14 @@ impl RTree {
         // STR: sort by x-center, tile, sort each tile by y-center, then cut
         // into nodes (time is the minor axis: mobility data clusters
         // spatially first).
-        let mut level: Vec<Node> = str_pack_level(&mut leaves, true);
+        let axes = tiling_axes(&leaves);
+        let mut level: Vec<Node> = str_pack_level(&mut leaves, true, axes);
         while level.len() > 1 {
             let mut entries: Vec<Entry> = level
                 .into_iter()
                 .map(|n| Entry::Node { rect: n.bounding_rect(), child: Box::new(n) })
                 .collect();
-            level = str_pack_level(&mut entries, false);
+            level = str_pack_level(&mut entries, false, axes);
         }
         let root = level.pop().expect("non-empty input yields a root");
         RTree { root, len }
@@ -119,8 +120,23 @@ impl RTree {
     }
 }
 
-/// Pack a flat list of entries into nodes of ≤ `MAX_ENTRIES` using STR.
-fn str_pack_level(entries: &mut Vec<Entry>, leaf: bool) -> Vec<Node> {
+/// The two axes STR tiles on: x then y, unless no entry has a finite
+/// extent on one of them. Time-only boxes (infinite x and y, whose
+/// centers all coincide) then tile on time, so they still prune.
+fn tiling_axes(entries: &[Entry]) -> (usize, usize) {
+    let bounded = |d: usize, r: &Rect3| r.min[d].is_finite() || r.max[d].is_finite();
+    let finite: Vec<usize> =
+        (0..3).filter(|&d| entries.iter().any(|e| bounded(d, e.rect()))).collect();
+    match finite[..] {
+        [] => (0, 1),
+        [a] => (a, a),
+        [a, b, ..] => (a, b),
+    }
+}
+
+/// Pack a flat list of entries into nodes of ≤ `MAX_ENTRIES` using STR,
+/// slabs cut along `axes.0` and each slab sorted along `axes.1`.
+fn str_pack_level(entries: &mut Vec<Entry>, leaf: bool, axes: (usize, usize)) -> Vec<Node> {
     let n = entries.len();
     let node_cap = MAX_ENTRIES;
     let num_nodes = n.div_ceil(node_cap);
@@ -130,13 +146,13 @@ fn str_pack_level(entries: &mut Vec<Entry>, leaf: bool) -> Vec<Node> {
 
     // total_cmp: degenerate input rects (e.g. infinite extents whose
     // center is NaN) must not panic index construction.
-    entries.sort_by(|a, b| a.rect().center(0).total_cmp(&b.rect().center(0)));
+    entries.sort_by(|a, b| a.rect().center(axes.0).total_cmp(&b.rect().center(axes.0)));
     let mut nodes = Vec::with_capacity(num_nodes);
     let mut rest: &mut [Entry] = entries.as_mut_slice();
     while !rest.is_empty() {
         let take = per_slab.min(rest.len()).max(1);
         let (slab, tail) = rest.split_at_mut(take);
-        slab.sort_by(|a, b| a.rect().center(1).total_cmp(&b.rect().center(1)));
+        slab.sort_by(|a, b| a.rect().center(axes.1).total_cmp(&b.rect().center(axes.1)));
         for chunk in slab.chunks_mut(node_cap) {
             let mut node = if leaf { Node::new_leaf() } else { Node::new_inner() };
             for e in chunk.iter_mut() {
@@ -263,6 +279,38 @@ mod tests {
         assert!(t.height() <= 4, "height {} too tall for 10k entries", t.height());
         let hits = t.search(&r(-2000.0, -2000.0, 2000.0, 2000.0));
         assert_eq!(hits.len(), 10_000);
+    }
+
+    #[test]
+    fn time_only_bulk_load_tiles_on_time() {
+        // Time-only boxes, loaded out of time order: each leaf must cover
+        // a narrow time range, or a probe visits every leaf.
+        let n = 1024u64;
+        let items: Vec<(Rect3, u64)> = (0..n)
+            .map(|i| {
+                let t = ((i * 389) % n) as f64 * 10.0;
+                let inf = f64::INFINITY;
+                (Rect3::new([-inf, -inf, t], [inf, inf, t + 5.0]), i)
+            })
+            .collect();
+        let t = RTree::bulk_load(items);
+        t.check_invariants();
+        let mut leaves = Vec::new();
+        fn collect<'a>(node: &'a Node, out: &mut Vec<&'a Node>) {
+            if node.leaf {
+                out.push(node);
+            }
+            for e in &node.entries {
+                if let Entry::Node { child, .. } = e {
+                    collect(child, out);
+                }
+            }
+        }
+        collect(&t.root, &mut leaves);
+        let probe = Rect3::new([0.0, 0.0, 5000.0], [1.0, 1.0, 5001.0]);
+        let touched = leaves.iter().filter(|l| l.bounding_rect().intersects(&probe)).count();
+        assert!(touched <= 2, "{touched} of {} leaves overlap one instant", leaves.len());
+        assert_eq!(t.search(&probe).len(), 1);
     }
 
     #[test]

@@ -226,6 +226,46 @@ impl BoundExpr {
         }
     }
 
+    /// Does `f` hold for `self` or an expression inside it? Subquery
+    /// bodies are not entered (a `Quantified`'s left operand is).
+    pub fn any(&self, f: &mut impl FnMut(&BoundExpr) -> bool) -> bool {
+        if f(self) {
+            return true;
+        }
+        match self {
+            BoundExpr::Literal(_)
+            | BoundExpr::ColumnRef { .. }
+            | BoundExpr::OuterRef { .. }
+            | BoundExpr::ScalarSubquery { .. }
+            | BoundExpr::Exists { .. } => false,
+            BoundExpr::Call { args, .. } => args.iter().any(|a| a.any(f)),
+            BoundExpr::Compare { left, right, .. } | BoundExpr::Arith { left, right, .. } => {
+                left.any(f) || right.any(f)
+            }
+            BoundExpr::And(es) | BoundExpr::Or(es) => es.iter().any(|e| e.any(f)),
+            BoundExpr::Not(e) | BoundExpr::IsNull { expr: e, .. } => e.any(f),
+            BoundExpr::InList { expr, list, .. } => expr.any(f) || list.iter().any(|e| e.any(f)),
+            BoundExpr::Case { operand, branches, else_expr, .. } => {
+                operand.as_deref().is_some_and(|o| o.any(f))
+                    || branches.iter().any(|(c, v)| c.any(f) || v.any(f))
+                    || else_expr.as_deref().is_some_and(|e| e.any(f))
+            }
+            BoundExpr::Quantified { left, .. } => left.any(f),
+        }
+    }
+
+    /// Does `self` hold a subquery (scalar, quantified or EXISTS)?
+    pub fn has_subquery(&self) -> bool {
+        self.any(&mut |e| {
+            matches!(
+                e,
+                BoundExpr::ScalarSubquery { .. }
+                    | BoundExpr::Quantified { .. }
+                    | BoundExpr::Exists { .. }
+            )
+        })
+    }
+
     /// A copy of `self` with every column index `i` at the current depth
     /// renumbered to `f(i)` — the columns [`BoundExpr::for_each_column`]
     /// visits. Pushes a predicate below a join, onto one relation, or onto

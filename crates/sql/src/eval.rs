@@ -16,6 +16,20 @@ use crate::value::Value;
 pub trait SubqueryExec {
     /// Execute the plan with the given outer-row stack; returns all rows.
     fn execute(&self, plan: &BoundSelect, outer: &OuterStack<'_>) -> SqlResult<Vec<Vec<Value>>>;
+
+    /// The value of `quantified` (a [`BoundExpr::Quantified`] whose left
+    /// operand evaluated to the non-NULL `left`) for the environment row
+    /// `row`, when the engine can answer it without running the subquery
+    /// for this row ([`crate::quantified`]); `None` runs it.
+    fn quantified(
+        &self,
+        _quantified: &BoundExpr,
+        _left: &Value,
+        _row: &[Value],
+        _outer: &OuterStack<'_>,
+    ) -> Option<SqlResult<Value>> {
+        None
+    }
 }
 
 /// Stack of environment rows for correlated evaluation. `frames[len-1]` is
@@ -182,6 +196,9 @@ pub fn eval(
             let l = eval(left, row, outer, exec)?;
             if l.is_null() {
                 return Ok(Value::Null);
+            }
+            if let Some(v) = exec.quantified(expr, &l, row, outer) {
+                return v;
             }
             let rows = run_subplan(plan, row, outer, exec)?;
             let mut saw_null = false;

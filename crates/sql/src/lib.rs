@@ -23,6 +23,7 @@ pub mod introspect;
 pub mod lexer;
 pub mod parser;
 pub mod plan;
+pub mod quantified;
 pub mod registry;
 pub mod session;
 pub mod value;

@@ -18,7 +18,7 @@ use crate::bound::{cmp_order_keys, split_conjuncts, BoundExpr, BoundSelect, Sort
 use crate::error::{SqlError, SqlResult};
 use crate::eval::{eval, OuterStack, SubqueryExec};
 use crate::guard::ExecGuard;
-use crate::value::Value;
+use crate::value::{LogicalType, Value};
 
 type Row = Vec<Value>;
 
@@ -51,6 +51,154 @@ pub fn index_pattern(c: &BoundExpr) -> Option<(usize, &str, &Value)> {
             _ => None,
         },
         _ => None,
+    }
+}
+
+/// The share of pairs an equality between two relations' columns keeps
+/// (a join key), as the join-order cost model guesses it.
+pub const JOIN_KEY_SELECTIVITY: f64 = 0.005;
+
+/// The share of rows a WHERE conjunct keeps, as the join-order cost model
+/// guesses it: a fixed figure per kind of conjunct (DESIGN.md §12) — an
+/// equality between columns, any other equality, `&&`, anything else.
+pub fn selectivity(c: &BoundExpr) -> f64 {
+    match c {
+        BoundExpr::Compare { op: BinaryOp::Eq, left, right } => {
+            let reads = |e: &BoundExpr| e.any(&mut |x| matches!(x, BoundExpr::ColumnRef { .. }));
+            if reads(left) && reads(right) {
+                JOIN_KEY_SELECTIVITY
+            } else {
+                0.1
+            }
+        }
+        BoundExpr::Call { name, .. } if name == "&&" => 0.1,
+        _ => 0.25,
+    }
+}
+
+/// Every expression of one SELECT block, at its own depth: WHERE, GROUP
+/// BY, aggregate arguments, HAVING, projections and ORDER BY keys.
+pub(crate) fn block_exprs(plan: &BoundSelect) -> impl Iterator<Item = &BoundExpr> {
+    let order = plan.order_by.iter().filter_map(|o| match &o.key {
+        SortKey::Input(e) => Some(e),
+        SortKey::Output(_) => None,
+    });
+    plan.filter
+        .iter()
+        .chain(&plan.group_by)
+        .chain(plan.aggregates.iter().flat_map(|a| &a.args))
+        .chain(&plan.having)
+        .chain(&plan.projections)
+        .chain(order)
+}
+
+/// Values of this type that compare equal are the same value and render
+/// the same (no `0.0`/`-0.0`, no `1 mon`/`30 days`, no extension types).
+pub(crate) fn compares_by_identity(ty: &LogicalType) -> bool {
+    matches!(
+        ty,
+        LogicalType::Bool
+            | LogicalType::Int
+            | LogicalType::Text
+            | LogicalType::Blob
+            | LogicalType::Timestamp
+            | LogicalType::Date
+    )
+}
+
+/// The order contract of the join-order pass: may `plan`'s FROM items be
+/// joined in any order without changing its result?
+///
+/// - ORDER BY names every output column, so rows it ties are identical
+///   and the sorted result does not depend on the join's row order;
+/// - every output column has a type whose compare-equal values render
+///   identically;
+/// - the join feeds no order-sensitive aggregate: only `count`, and `min`
+///   / `max` over such types, grouped by such types;
+/// - no expression holds a subquery, whose body may read this block's
+///   columns by position.
+pub fn order_insensitive(plan: &BoundSelect) -> bool {
+    let outputs = plan.output_schema.len();
+    let mut sorted = vec![false; outputs];
+    for o in &plan.order_by {
+        if let SortKey::Output(j) = o.key {
+            if let Some(s) = sorted.get_mut(j) {
+                *s = true;
+            }
+        }
+    }
+    let aggregates_ok = plan.group_by.iter().all(|g| compares_by_identity(&g.ty()))
+        && plan.aggregates.iter().all(|a| match a.name.as_str() {
+            "count" => true,
+            "min" | "max" => a.args.iter().all(|e| compares_by_identity(&e.ty())),
+            _ => false,
+        });
+    outputs > 0
+        && sorted.iter().all(|s| *s)
+        && plan.output_schema.fields.iter().all(|f| compares_by_identity(&f.ty))
+        && (!plan.aggregated || aggregates_ok)
+        && !block_exprs(plan).any(BoundExpr::has_subquery)
+}
+
+/// Rewrite `plan` to join its FROM items in `order` (`order[k]` is the
+/// item that moves to position `k`): permute `from` and the input schema,
+/// and renumber every expression that reads input columns. The output is
+/// unchanged. Only for blocks whose expressions hold no subquery
+/// ([`order_insensitive`] checks that).
+pub fn permute_from(plan: &mut BoundSelect, order: &[usize]) {
+    let widths: Vec<usize> = plan.from.iter().map(|f| f.schema().len()).collect();
+    let starts = |seq: &mut dyn Iterator<Item = usize>| {
+        let mut at = 0;
+        let mut out = vec![0; widths.len()];
+        for ri in seq {
+            out[ri] = at;
+            at += widths[ri];
+        }
+        out
+    };
+    let old_start = starts(&mut (0..widths.len()));
+    let new_start = starts(&mut order.iter().copied());
+    let mut owner = Vec::new();
+    for (ri, w) in widths.iter().enumerate() {
+        owner.extend(std::iter::repeat_n(ri, *w));
+    }
+    let map = |i: usize| {
+        let ri = owner[i];
+        new_start[ri] + (i - old_start[ri])
+    };
+    let mut from: Vec<_> = std::mem::take(&mut plan.from).into_iter().enumerate().collect();
+    let mut rank = vec![0; order.len()];
+    for (k, &ri) in order.iter().enumerate() {
+        rank[ri] = k;
+    }
+    from.sort_by_key(|(ri, _)| rank[*ri]);
+    plan.from = from.into_iter().map(|(_, f)| f).collect();
+    let mut fields: Vec<_> =
+        std::mem::take(&mut plan.input_schema.fields).into_iter().enumerate().collect();
+    fields.sort_by_key(|(i, _)| map(*i));
+    plan.input_schema.fields = fields.into_iter().map(|(_, f)| f).collect();
+    if let Some(f) = &plan.filter {
+        plan.filter = Some(f.map_columns(&map));
+    }
+    for g in &mut plan.group_by {
+        *g = g.map_columns(&map);
+    }
+    for a in &mut plan.aggregates {
+        for arg in &mut a.args {
+            *arg = arg.map_columns(&map);
+        }
+    }
+    if !plan.aggregated {
+        // The projections and ORDER BY read the input row itself.
+        plan.env_schema = plan.input_schema.clone();
+        for p in &mut plan.projections {
+            *p = p.map_columns(&map);
+        }
+        for o in &mut plan.order_by {
+            if let SortKey::Input(e) = &o.key {
+                o.key = SortKey::Input(e.map_columns(&map));
+            }
+        }
     }
 }
 

@@ -272,9 +272,10 @@ impl Database {
                     self.run_select(sel, guard, progress, true)?.explain
                 } else {
                     let registry = self.registry.read();
-                    let plan = Binder::new(&self.catalog, &registry).bind_select(sel)?;
+                    let mut plan = Binder::new(&self.catalog, &registry).bind_select(sel)?;
                     let ctx = EngineCtx::new(&self.catalog, &registry, &self.index_types, guard);
-                    render_plan(&plan, &plan_select(&ctx, &plan)?)
+                    let planned = plan_select(&ctx, &mut plan)?;
+                    render_plan(&plan, &planned)
                 };
                 Ok(QueryResult::single("explain", LogicalType::Text, Value::text(text)))
             }
@@ -350,7 +351,7 @@ impl Database {
         let _query_span = mduck_obs::span("vecdb.query");
         let registry = self.registry.read();
         let bind_start = Instant::now();
-        let plan = {
+        let mut plan = {
             let _s = mduck_obs::span("vecdb.bind");
             Binder::new(&self.catalog, &registry).bind_select(sel)?
         };
@@ -364,7 +365,7 @@ impl Database {
         let plan_start = Instant::now();
         let planned = {
             let _s = mduck_obs::span("vecdb.plan");
-            plan_select(&ctx, &plan)?
+            plan_select(&ctx, &mut plan)?
         };
         m.vecdb_plan_ns.observe(plan_start.elapsed().as_nanos() as u64);
         let exec_start = Instant::now();

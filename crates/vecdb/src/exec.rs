@@ -20,7 +20,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mduck_sql::eval::{NoSubqueries, OuterStack, SubqueryExec};
-use mduck_sql::plan::{index_pattern, series, JoinConjuncts, RowTail};
+use mduck_sql::plan::{index_pattern, selectivity, series, JoinConjuncts, RowTail};
+use mduck_sql::quantified::{decorrelate, QuantifiedSets};
 use mduck_sql::{
     BoundExpr, BoundFrom, BoundSelect, ExecGuard, LogicalType, Registry, SqlError, SqlResult,
     Value,
@@ -31,6 +32,7 @@ use crate::catalog::{DbCatalog, Table};
 use crate::column::{Chunks, ColumnData, DataChunk, VECTOR_SIZE};
 use crate::expr::{eval_vector, filter_chunk};
 use crate::index::{IndexTypeRegistry, TableIndex};
+use crate::join_order::reorder_joins;
 use crate::parallel::{contiguous_ranges, morsel_map, ParStats, MIN_PARALLEL_MORSELS};
 
 /// Shared execution context for one statement.
@@ -239,8 +241,20 @@ impl<'a> EngineCtx<'a> {
     }
 }
 
+/// Runs the subqueries of the expressions one operator or one SELECT
+/// block evaluates.
 struct PlanExecutor<'a, 'b> {
     ctx: &'b EngineCtx<'a>,
+    /// Decorrelated `op ALL/ANY` subqueries, by the address of the
+    /// subquery plan (alive, so unique, while this executor is): their
+    /// per-key summaries, or `None` when they run per row.
+    quantified: RefCell<HashMap<usize, Option<QuantifiedSets>>>,
+}
+
+impl<'a, 'b> PlanExecutor<'a, 'b> {
+    fn new(ctx: &'b EngineCtx<'a>) -> Self {
+        PlanExecutor { ctx, quantified: RefCell::default() }
+    }
 }
 
 impl SubqueryExec for PlanExecutor<'_, '_> {
@@ -251,6 +265,38 @@ impl SubqueryExec for PlanExecutor<'_, '_> {
         let r = execute_select(self.ctx, plan, outer);
         self.ctx.guard.exit_subquery();
         r
+    }
+
+    /// `x op ALL/ANY (subquery)` in a block that runs once per statement
+    /// (no outer rows, so the CTEs it may read cannot change): the
+    /// subquery runs once, decorrelated, and its per-key summaries answer
+    /// every row. A subquery that cannot be decorrelated, or whose
+    /// decorrelated run fails, runs per row as written, so it fails
+    /// exactly where it failed before.
+    fn quantified(
+        &self,
+        quantified: &BoundExpr,
+        left: &Value,
+        row: &[Value],
+        outer: &OuterStack<'_>,
+    ) -> Option<SqlResult<Value>> {
+        let BoundExpr::Quantified { op, all, left: left_expr, plan } = quantified else {
+            return None;
+        };
+        if !outer.is_empty() {
+            return None;
+        }
+        let key = &**plan as *const BoundSelect as usize;
+        if !self.quantified.borrow().contains_key(&key) {
+            let sets = decorrelate(*op, left_expr, plan).and_then(|d| {
+                let rows = self.execute(&d.plan, &OuterStack::EMPTY).ok()?;
+                Some(QuantifiedSets::new(rows, d.outer_keys))
+            });
+            self.quantified.borrow_mut().insert(key, sets);
+        }
+        let cache = self.quantified.borrow();
+        let sets = cache.get(&key)?.as_ref()?;
+        Some(Ok(sets.answer(*op, *all, left, row)))
     }
 }
 
@@ -340,10 +386,12 @@ pub enum PhysOp {
         types: Vec<LogicalType>,
     },
     /// A predicate over a join result or a non-table relation (base
-    /// tables fuse theirs into the scan).
+    /// tables fuse theirs into the scan). `est` is the planner's row
+    /// estimate (`None` over a relation of unknown size), as on the joins.
     Filter {
         pred: BoundExpr,
         child: Box<PhysOp>,
+        est: Option<f64>,
     },
     HashJoin {
         left: Box<PhysOp>,
@@ -351,10 +399,12 @@ pub enum PhysOp {
         left_keys: Vec<BoundExpr>,
         /// Remapped to the right child's local column space.
         right_keys: Vec<BoundExpr>,
+        est: Option<f64>,
     },
     CrossJoin {
         left: Box<PhysOp>,
         right: Box<PhysOp>,
+        est: Option<f64>,
     },
     /// A cross product whose `&&` conjunct picks the pairs worth checking:
     /// `build` (over the right child) is indexed through the index method
@@ -367,21 +417,41 @@ pub enum PhysOp {
         method: String,
         probe: BoundExpr,
         build: BoundExpr,
+        est: Option<f64>,
     },
 }
 
-/// Build the physical join tree for a plan's FROM + WHERE.
+impl PhysOp {
+    /// The planner's row estimate of a join or Filter.
+    pub fn est(&self) -> Option<f64> {
+        match self {
+            PhysOp::Filter { est, .. }
+            | PhysOp::HashJoin { est, .. }
+            | PhysOp::CrossJoin { est, .. }
+            | PhysOp::IndexJoin { est, .. } => *est,
+            _ => None,
+        }
+    }
+}
+
+/// Build the physical join tree for a plan's FROM + WHERE, in FROM order
+/// (the join-order pass has already put the FROM items in the order to
+/// join them). Joins and Filters carry the cost model's row estimates.
 pub fn plan_joins(ctx: &EngineCtx<'_>, plan: &BoundSelect) -> SqlResult<(PhysOp, Vec<BoundExpr>)> {
     let mut conj = JoinConjuncts::new(plan);
 
     // Base relations with their own conjuncts (written order) fused into
     // the scan or, for non-table relations, as Filters above them.
-    let mut relations: Vec<PhysOp> = Vec::with_capacity(plan.from.len());
+    let mut relations: Vec<(PhysOp, Option<f64>)> = Vec::with_capacity(plan.from.len());
     for (ri, f) in plan.from.iter().enumerate() {
         let preds = conj.take_local(ri);
         relations.push(match base_relation(f)? {
-            PhysOp::SeqScan { table, .. } => table_scan(ctx, table, preds)?,
-            other => filtered(other, preds),
+            PhysOp::SeqScan { table, .. } => {
+                let rows = ctx.catalog.get(&table)?.read().row_count() as f64;
+                let est = preds.iter().fold(rows, |n, p| n * selectivity(p));
+                (table_scan(ctx, table, preds)?, Some(est))
+            }
+            other => filtered((other, None), preds),
         });
     }
 
@@ -428,15 +498,15 @@ pub fn plan_joins(ctx: &EngineCtx<'_>, plan: &BoundSelect) -> SqlResult<(PhysOp,
         // Rule 2: an index join when an `&&` conjunct links the tree to
         // the run; the conjunct itself stays a filter below.
         let run = lo..ends[ends.len() - 1];
+        let ((left, lest), (right, rest)) = (tree, right);
+        let (left, right) = (Box::new(left), Box::new(right));
+        let pairs = lest.zip(rest).map(|(l, r)| l * r);
         tree = match index_link(ctx, &conj, width, run) {
-            Some((method, probe, build)) => PhysOp::IndexJoin {
-                left: Box::new(tree),
-                right: Box::new(right),
-                method,
-                probe,
-                build,
-            },
-            None => PhysOp::CrossJoin { left: Box::new(tree), right: Box::new(right) },
+            Some((method, probe, build, sel)) => {
+                let est = pairs.map(|n| n * sel);
+                (PhysOp::IndexJoin { left, right, method, probe, build, est }, est)
+            }
+            None => (PhysOp::CrossJoin { left, right, est: pairs }, pairs),
         };
         // Covered conjuncts in the stages the one-relation-at-a-time plan
         // applies them: each FROM position of the run in turn.
@@ -446,46 +516,68 @@ pub fn plan_joins(ctx: &EngineCtx<'_>, plan: &BoundSelect) -> SqlResult<(PhysOp,
         }
     }
     // Anything left (complex predicates with subqueries) runs on top.
-    Ok((tree, conj.into_remaining()))
+    Ok((tree.0, conj.into_remaining()))
 }
 
-/// `child` under one Filter per predicate, the first innermost.
-fn filtered(child: PhysOp, preds: Vec<BoundExpr>) -> PhysOp {
-    preds.into_iter().fold(child, |child, pred| PhysOp::Filter { pred, child: Box::new(child) })
+/// `child` under one Filter per predicate, the first innermost, with its
+/// row estimate carried up through each predicate's selectivity.
+fn filtered((child, est): (PhysOp, Option<f64>), preds: Vec<BoundExpr>) -> (PhysOp, Option<f64>) {
+    preds.into_iter().fold((child, est), |(child, est), pred| {
+        let est = est.map(|n| n * selectivity(&pred));
+        (PhysOp::Filter { pred, child: Box::new(child), est }, est)
+    })
 }
 
-/// Hash-join `left` with `right` on `(left keys, right keys)`.
+/// Hash-join `left` with `right` on `(left keys, right keys)`; each key
+/// keeps [`JOIN_KEY_SELECTIVITY`](mduck_sql::plan::JOIN_KEY_SELECTIVITY)
+/// of the pairs.
 fn hash_join_op(
-    left: PhysOp,
-    right: PhysOp,
+    (left, lest): (PhysOp, Option<f64>),
+    (right, rest): (PhysOp, Option<f64>),
     (left_keys, right_keys): (Vec<BoundExpr>, Vec<BoundExpr>),
-) -> PhysOp {
-    PhysOp::HashJoin { left: Box::new(left), right: Box::new(right), left_keys, right_keys }
+) -> (PhysOp, Option<f64>) {
+    let sel = mduck_sql::plan::JOIN_KEY_SELECTIVITY.powi(left_keys.len() as i32);
+    let est = lest.zip(rest).map(|(l, r)| l * r * sel);
+    let op = PhysOp::HashJoin {
+        left: Box::new(left),
+        right: Box::new(right),
+        left_keys,
+        right_keys,
+        est,
+    };
+    (op, est)
+}
+
+/// The first index method, by name, that can index values of both types.
+pub fn index_method(ctx: &EngineCtx<'_>, a: &LogicalType, b: &LogicalType) -> Option<String> {
+    let types = ctx.index_types.read();
+    types
+        .names()
+        .into_iter()
+        .find(|m| types.get(m).is_some_and(|t| t.can_index(a) && t.can_index(b)))
 }
 
 /// The first unplaced strict `&&` conjunct, in written order, that links
 /// an expression over the tree (columns `0..width`) with one over
 /// `right`, and an index method that can index both argument types:
 /// `(method, probe expression over the tree, build expression over
-/// `right`'s own columns)`. Only strict overloads qualify, so a NULL on
-/// either side can safely yield no candidates.
+/// `right`'s own columns, the conjunct's selectivity)`. Only strict
+/// overloads qualify, so a NULL on either side can safely yield no
+/// candidates.
 fn index_link(
     ctx: &EngineCtx<'_>,
     conj: &JoinConjuncts,
     width: usize,
     right: Range<usize>,
-) -> Option<(String, BoundExpr, BoundExpr)> {
+) -> Option<(String, BoundExpr, BoundExpr, f64)> {
     let lo = right.start;
     let strict_overlap = |c: &BoundExpr| {
         matches!(c, BoundExpr::Call { name, strict: true, .. } if name == "&&")
     };
     conj.links(0..width, right).filter(|l| strict_overlap(l.call)).find_map(|l| {
-        let (pty, bty) = (l.probe.ty(), l.build.ty());
-        let types = ctx.index_types.read();
-        let method = types.names().into_iter().find(|m| {
-            types.get(m).is_some_and(|t| t.can_index(&pty) && t.can_index(&bty))
-        })?;
-        Some((method, l.probe.clone(), l.build.map_columns(&|i| i - lo)))
+        let method = index_method(ctx, &l.probe.ty(), &l.build.ty())?;
+        let build = l.build.map_columns(&|i| i - lo);
+        Some((method, l.probe.clone(), build, selectivity(l.call)))
     })
 }
 
@@ -500,11 +592,17 @@ pub struct PlannedSelect {
     pub ctes: Vec<PlannedSelect>,
 }
 
-/// Plan `plan`'s join tree (none for a FROM-less SELECT) and,
-/// recursively, its CTE bodies.
-pub fn plan_select(ctx: &EngineCtx<'_>, plan: &BoundSelect) -> SqlResult<PlannedSelect> {
+/// Put the FROM items of every block of `plan` in join order (the
+/// join-order pass), then plan its join tree (none for a FROM-less
+/// SELECT) and, recursively, its CTE bodies.
+pub fn plan_select(ctx: &EngineCtx<'_>, plan: &mut BoundSelect) -> SqlResult<PlannedSelect> {
+    reorder_joins(ctx, plan)?;
+    plan_trees(ctx, plan)
+}
+
+fn plan_trees(ctx: &EngineCtx<'_>, plan: &BoundSelect) -> SqlResult<PlannedSelect> {
     let tree = if plan.from.is_empty() { None } else { Some(plan_joins(ctx, plan)?) };
-    let ctes = plan.ctes.iter().map(|c| plan_select(ctx, &c.plan)).collect::<SqlResult<_>>()?;
+    let ctes = plan.ctes.iter().map(|c| plan_trees(ctx, &c.plan)).collect::<SqlResult<_>>()?;
     Ok(PlannedSelect { tree, ctes })
 }
 
@@ -650,7 +748,7 @@ fn run_op(
     op: &PhysOp,
     outer: &OuterStack<'_>,
 ) -> SqlResult<Chunks> {
-    let exec = PlanExecutor { ctx };
+    let exec = PlanExecutor::new(ctx);
     match op {
         PhysOp::SeqScan { table, filters } => {
             let t = ctx.catalog.get(table)?;
@@ -734,21 +832,21 @@ fn run_op(
             ctx.charge_op_mem(op_key(op), out.approx_bytes())?;
             Ok(out)
         }
-        PhysOp::Filter { pred, child } => {
+        PhysOp::Filter { pred, child, .. } => {
             let input = execute_op(ctx, child, outer)?;
             filter_chunks(ctx, input, pred, outer, &exec, op_key(op))
         }
-        PhysOp::CrossJoin { left, right } => {
+        PhysOp::CrossJoin { left, right, .. } => {
             let l = execute_op(ctx, left, outer)?;
             let r = execute_op(ctx, right, outer)?;
             pair_join(ctx, &l, &r, None, outer, &exec, op_key(op))
         }
-        PhysOp::HashJoin { left, right, left_keys, right_keys } => {
+        PhysOp::HashJoin { left, right, left_keys, right_keys, .. } => {
             let l = execute_op(ctx, left, outer)?;
             let r = execute_op(ctx, right, outer)?;
             hash_join(ctx, &l, &r, left_keys, right_keys, outer, &exec, op_key(op))
         }
-        PhysOp::IndexJoin { left, right, method, probe, build } => {
+        PhysOp::IndexJoin { left, right, method, probe, build, .. } => {
             let l = execute_op(ctx, left, outer)?;
             let r = execute_op(ctx, right, outer)?;
             let link = Some((method.as_str(), probe, build));
@@ -952,7 +1050,9 @@ fn scan_window(
 /// Apply `pred` across all chunks. `key` names the owning operator or
 /// plan for parallel actuals. Fans out to the morsel pool when the
 /// statement allows it and the predicate carries no subqueries (workers
-/// evaluate with [`NoSubqueries`] and an empty outer stack).
+/// evaluate with [`NoSubqueries`] and an empty outer stack). A chunk every
+/// row of which passes moves to the output as it is; only partly kept
+/// chunks are copied, and charged to the memory guard.
 fn filter_chunks(
     ctx: &EngineCtx<'_>,
     input: Chunks,
@@ -977,20 +1077,20 @@ fn filter_chunks(
             let sel = filter_chunk(pred, chunk, &OuterStack::EMPTY, &NoSubqueries)?;
             let dropped = (chunk.len - sel.len()) as u64;
             let kept = if sel.len() == chunk.len {
-                Some(chunk.clone())
+                Kept::All
             } else if sel.is_empty() {
-                None
+                Kept::None
             } else {
-                Some(chunk.select(&sel))
+                // The kept copy is a fresh buffer: charge the shared guard
+                // from the worker so the memory limit trips mid-stage.
+                let part = chunk.select(&sel);
+                guard.charge_mem(part.approx_bytes())?;
+                Kept::Part(part)
             };
-            // The kept copy is a fresh buffer: charge the shared guard
-            // from the worker so the memory limit trips mid-stage.
-            let bytes = kept.as_ref().map_or(0, DataChunk::approx_bytes);
-            guard.charge_mem(bytes)?;
             if let Some(pr) = progress {
                 pr.add_done(1);
             }
-            Ok((kept, dropped, bytes))
+            Ok((kept, dropped))
         })?;
         if let Some(stats) = &stats {
             ctx.record_parallel(key, "filter", stats);
@@ -1000,11 +1100,15 @@ fn filter_chunks(
         let mut counters = mduck_obs::WorkerCounters::default();
         let mut out = Chunks::default();
         let mut bytes = 0u64;
-        for (kept, dropped, b) in results {
+        for (chunk, (kept, dropped)) in input.chunks.into_iter().zip(results) {
             counters.rows_filtered += dropped;
-            bytes += b;
-            if let Some(c) = kept {
-                out.chunks.push(c);
+            match kept {
+                Kept::All => out.chunks.push(chunk),
+                Kept::None => {}
+                Kept::Part(part) => {
+                    bytes += part.approx_bytes();
+                    out.chunks.push(part);
+                }
             }
         }
         counters.flush();
@@ -1013,22 +1117,32 @@ fn filter_chunks(
     }
     let mut out = Chunks::default();
     let mut dropped = 0u64;
-    for chunk in &input.chunks {
+    let mut bytes = 0u64;
+    for chunk in input.chunks {
         ctx.guard.tick()?;
-        let sel = filter_chunk(pred, chunk, outer, exec)?;
+        let sel = filter_chunk(pred, &chunk, outer, exec)?;
         dropped += (chunk.len - sel.len()) as u64;
         if sel.len() == chunk.len {
-            out.chunks.push(chunk.clone());
+            out.chunks.push(chunk);
         } else if !sel.is_empty() {
-            out.chunks.push(chunk.select(&sel));
+            let part = chunk.select(&sel);
+            bytes += part.approx_bytes();
+            out.chunks.push(part);
         }
         if let Some(pr) = &ctx.progress {
             pr.add_done(1);
         }
     }
-    ctx.charge_op_mem(key, out.approx_bytes())?;
+    ctx.charge_op_mem(key, bytes)?;
     mduck_obs::metrics().rows_filtered.inc(dropped);
     Ok(out)
+}
+
+/// What a Filter keeps of one chunk.
+enum Kept {
+    All,
+    None,
+    Part(DataChunk),
 }
 
 /// Flatten chunks into one big chunk (join build sides).
@@ -1384,7 +1498,7 @@ fn execute_select_inner(
     planned: Option<&PlannedSelect>,
     outer: &OuterStack<'_>,
 ) -> SqlResult<Vec<Vec<Value>>> {
-    let exec = PlanExecutor { ctx };
+    let exec = PlanExecutor::new(ctx);
 
     // 1. Materialize this plan's CTEs (in order; later ones may reference
     //    earlier ones). Global indices were assigned by the binder in
@@ -1557,7 +1671,7 @@ fn aggregate(
     input: &Chunks,
     outer: &OuterStack<'_>,
 ) -> SqlResult<Vec<Vec<Value>>> {
-    let exec = PlanExecutor { ctx };
+    let exec = PlanExecutor::new(ctx);
     let make_group = |key_bytes: Vec<u8>, keys: Vec<Value>| -> Group {
         Group {
             key_bytes,

@@ -156,7 +156,7 @@ fn op_children(op: &PhysOp) -> Vec<&PhysOp> {
     match op {
         PhysOp::Filter { child, .. } => vec![child],
         PhysOp::HashJoin { left, right, .. }
-        | PhysOp::CrossJoin { left, right }
+        | PhysOp::CrossJoin { left, right, .. }
         | PhysOp::IndexJoin { left, right, .. } => vec![left, right],
         _ => Vec::new(),
     }
@@ -184,9 +184,14 @@ fn op_lines(a: &AnalyzeData<'_>, op: &PhysOp) -> Vec<String> {
             .map(|c| c.rows_out)
             .sum()
     };
+    let est = match op.est() {
+        Some(n) if n < 10.0 => format!(" (est: {n:.1})"),
+        Some(n) => format!(" (est: {n:.0})"),
+        None => String::new(),
+    };
     let mut lines = vec![
         format!("actual: {:.3} ms", p.elapsed_ns.saturating_sub(child_ns) as f64 / 1e6),
-        format!("rows: {} → {}", rows_in, p.rows_out),
+        format!("rows: {} → {}{est}", rows_in, p.rows_out),
         format!("chunks: {}", p.chunks_out),
     ];
     if p.mem_bytes > 0 {
@@ -272,7 +277,7 @@ fn render_op(out: &mut String, op: &PhysOp, analyze: Option<&AnalyzeData<'_>>) {
             push_divider(out, "build side");
             render_op(out, right, analyze);
         }
-        PhysOp::CrossJoin { left, right } => {
+        PhysOp::CrossJoin { left, right, .. } => {
             render_op(out, left, analyze);
             push_divider(out, "right side");
             render_op(out, right, analyze);

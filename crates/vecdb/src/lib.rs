@@ -23,6 +23,7 @@ pub mod exec;
 pub mod explain;
 pub mod expr;
 pub mod index;
+pub mod join_order;
 pub mod parallel;
 
 pub use catalog::{DbCatalog, Table};

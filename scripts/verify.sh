@@ -32,11 +32,13 @@ echo "== parallel execution matrix =="
 # The fused-scan differential suite (scan_pushdown) runs the same
 # matrix: its filtered scans fan out one window per morsel. So does the
 # index-join differential suite (index_join): its probes fan out one left
-# chunk per morsel.
+# chunk per morsel. So does the join-order differential suite
+# (join_order): reordered joins and decorrelated ALL/ANY subqueries
+# against the row engine's FROM-order, per-row results.
 MDUCK_THREADS=1 cargo test -q -p mduck-integration --test parallel_exec --test scan_pushdown \
-  --test index_join
+  --test index_join --test join_order
 MDUCK_THREADS=4 cargo test -q -p mduck-integration --test parallel_exec --test scan_pushdown \
-  --test index_join
+  --test index_join --test join_order
 
 echo "== resource observability =="
 # Memory-limit trips, progress monotonicity, and the query-log contract

@@ -368,3 +368,103 @@ fn explain_analyze_and_metrics_report_the_join() {
     assert!(metric(&p.vec, "index_join_builds") > builds);
     assert!(metric(&p.vec, "index_join_candidates") >= candidates + emitted);
 }
+
+/// Index scans (TRTREE on quackdb, GIST on the row engine) return exactly
+/// the rows `&&` accepts: the R-tree closes every span bound, so a
+/// half-open span touching the probe is a candidate the index must drop.
+/// `tstzspan` columns are indexed as time-only boxes.
+#[test]
+fn index_scans_return_exactly_the_rows_overlap_accepts() {
+    let cases: [(&str, &[&str], &[&str]); 2] = [
+        (
+            "STBOX",
+            &[
+                "'STBOX XT(((1,1),(2,2)),[2025-01-01, 2025-01-02))'::stbox",
+                "'STBOX XT(((1,1),(2,2)),[2025-01-01, 2025-01-02])'::stbox",
+                "'STBOX XT(((5,5),(6,6)),[2025-01-02, 2025-01-03])'::stbox",
+                "'STBOX T([2025-01-03, 2025-01-05))'::stbox",
+                "NULL",
+            ],
+            &[
+                "'STBOX XT(((1,1),(2,2)),[2025-01-02, 2025-01-04])'::stbox",
+                "'STBOX XT(((0,0),(9,9)),[2025-01-05, 2025-01-06])'::stbox",
+                "'STBOX T([2025-01-02, 2025-01-02])'::stbox",
+            ],
+        ),
+        (
+            "TSTZSPAN",
+            &[
+                "'[2025-01-01, 2025-01-02)'::tstzspan",
+                "'[2025-01-01, 2025-01-02]'::tstzspan",
+                "'(2025-01-02, 2025-01-03]'::tstzspan",
+                "'[2025-01-03, 2025-01-05)'::tstzspan",
+                "NULL",
+            ],
+            &[
+                "'[2025-01-02, 2025-01-04]'::tstzspan",
+                "'(2025-01-01, 2025-01-02)'::tstzspan",
+                "'[2025-01-05, 2025-01-06]'::tstzspan",
+                "'[2025-01-02, 2025-01-02]'::tstzspan",
+            ],
+        ),
+    ];
+    for (ty, values, probes) in cases {
+        let p = Pair::new();
+        p.exec(&format!("CREATE TABLE b(id INTEGER, v {ty})"));
+        let rows: Vec<String> =
+            values.iter().enumerate().map(|(i, v)| format!("({i}, {v})")).collect();
+        p.exec(&format!("INSERT INTO b VALUES {}", rows.join(", ")));
+        let mut queries: Vec<String> = probes
+            .iter()
+            .map(|probe| format!("SELECT id FROM b WHERE v && {probe} ORDER BY id"))
+            .collect();
+        if ty == "TSTZSPAN" {
+            // No box for a timestamp: the GIST scan declines.
+            let q = "SELECT id FROM b WHERE v @> '2025-01-02'::timestamptz ORDER BY id";
+            queries.push(q.into());
+        }
+        let before: Vec<_> = queries
+            .iter()
+            .map(|q| strings(&p.row.execute(q).unwrap_or_else(|e| panic!("{e}\n{q}")).rows))
+            .collect();
+        p.vec.execute("CREATE INDEX bi ON b USING TRTREE(v)").unwrap();
+        p.row.execute("CREATE INDEX bi ON b USING GIST(v)").unwrap();
+        for (q, want) in queries.iter().zip(&before) {
+            assert!(p.plan(q).contains("TRTREE_INDEX_SCAN") || q.contains("@>"), "{}", p.plan(q));
+            let vec = strings(&p.vec.execute(q).unwrap_or_else(|e| panic!("{e}\n{q}")).rows);
+            let row = strings(&p.row.execute(q).unwrap_or_else(|e| panic!("{e}\n{q}")).rows);
+            assert_eq!(&vec, want, "TRTREE\n{q}");
+            assert_eq!(&row, want, "GIST\n{q}");
+        }
+    }
+    // A half-open day touching a closed probe, on one row.
+    let p = Pair::new();
+    p.exec("CREATE TABLE b(id INTEGER, box STBOX)");
+    p.vec.execute("CREATE INDEX bi ON b USING TRTREE(box)").unwrap();
+    p.exec("INSERT INTO b VALUES (1, 'STBOX XT(((1,1),(2,2)),[2025-01-01, 2025-01-02))')");
+    let q = "SELECT id FROM b \
+             WHERE box && 'STBOX XT(((1,1),(2,2)),[2025-01-02, 2025-01-04])'::stbox";
+    assert!(p.vec.execute(q).unwrap().rows.is_empty());
+}
+
+/// A box of another SRID fails the statement with the index as without
+/// it, on both engines.
+#[test]
+fn index_scans_report_srid_mismatches() {
+    let p = Pair::new();
+    p.exec("CREATE TABLE b(id INTEGER, box STBOX)");
+    p.exec("INSERT INTO b VALUES (1, 'SRID=4326;STBOX X((1,1),(2,2))'::stbox)");
+    let q = "SELECT id FROM b WHERE box && 'SRID=3857;STBOX X((0,0),(3,3))'::stbox";
+    let errors = |p: &Pair| {
+        let vec = p.vec.execute(q).err().map(|e| e.to_string()).unwrap_or_default();
+        let row = p.row.execute(q).err().map(|e| e.to_string()).unwrap_or_default();
+        (vec, row)
+    };
+    let (vec, row) = errors(&p);
+    assert!(vec.contains("SRID") && row.contains("SRID"), "{vec} / {row}");
+    p.vec.execute("CREATE INDEX bi ON b USING TRTREE(box)").unwrap();
+    p.row.execute("CREATE INDEX bi ON b USING GIST(box)").unwrap();
+    assert!(p.plan(q).contains("TRTREE_INDEX_SCAN"));
+    let (vec_idx, row_idx) = errors(&p);
+    assert!(vec_idx.contains("SRID") && row_idx.contains("SRID"), "{vec_idx} / {row_idx}");
+}
