@@ -79,7 +79,7 @@ impl AggState for SeqBuildState {
         }
         let t = value_to_tgeom(&args[0])?;
         if self.srid == 0 {
-            self.srid = t.srid;
+            self.srid = t.srid();
         }
         for i in t.temp.instants() {
             self.instants.push(*i);

@@ -228,7 +228,7 @@ fn register_accessors(reg: &mut Registry) {
             Ok(MdTFloat(t.speed().map_err(to_exec)?).into_value())
         });
         reg.register_scalar("srid", vec![src.clone()], LogicalType::Int, |a| {
-            Ok(Value::Int(value_to_tgeom(&a[0])?.srid as i64))
+            Ok(Value::Int(value_to_tgeom(&a[0])?.srid() as i64))
         });
         reg.register_scalar("astext", vec![src.clone()], LogicalType::Text, |a| {
             // tgeometry values print through their wrapper (which hides the
@@ -372,7 +372,7 @@ fn register_restrictions(reg: &mut Registry) {
             let t = value_to_tgeom(&a[0])?;
             let p = value_to_period(&a[1])?;
             match t.temp.minus_period(&p) {
-                Some(r) => Ok(MdTGeomPoint(TGeomPoint::new(r, t.srid)).into_value()),
+                Some(r) => Ok(MdTGeomPoint(TGeomPoint::new(r, t.srid())).into_value()),
                 None => Ok(Value::Null),
             }
         });
@@ -480,7 +480,7 @@ fn register_transformations(reg: &mut Registry) {
             let t = value_to_tgeom(&a[0])?;
             let to = a[1].as_int()? as i32;
             let mapped = t.temp.map_values(|p| {
-                let g = Geometry::from_point(*p).with_srid(t.srid);
+                let g = Geometry::from_point(*p).with_srid(t.srid());
                 mduck_geo::transform::transform(&g, to)
                     .ok()
                     .and_then(|g| g.as_point())
@@ -509,7 +509,7 @@ fn register_transformations(reg: &mut Registry) {
             .collect::<SqlResult<_>>()?;
         Ok(MdTGeomPoint(TGeomPoint::new(
             Temporal::from_sequences(seqs).map_err(to_exec)?,
-            t.srid,
+            t.srid(),
         ))
         .into_value())
     });
@@ -760,7 +760,7 @@ fn register_operators(reg: &mut Registry) {
     span_ops!(MdTstzSpan, "tstzspan");
     span_ops!(MdDateSpan, "datespan");
 
-    // tstzspan @> timestamptz (Query 3).
+    // tstzspan @> timestamptz (Query 3), and timestamptz <@ tstzspan.
     reg.register_scalar(
         "@>",
         vec![lt("tstzspan"), LogicalType::Timestamp],
@@ -768,6 +768,15 @@ fn register_operators(reg: &mut Registry) {
         |a| {
             let p = value_to_period(&a[0])?;
             Ok(Value::Bool(p.contains_value(value_to_ts(&a[1])?)))
+        },
+    );
+    reg.register_scalar(
+        "<@",
+        vec![LogicalType::Timestamp, lt("tstzspan")],
+        LogicalType::Bool,
+        |a| {
+            let p = value_to_period(&a[1])?;
+            Ok(Value::Bool(p.contains_value(value_to_ts(&a[0])?)))
         },
     );
     reg.register_scalar(
@@ -988,7 +997,7 @@ fn register_constructors(reg: &mut Registry) {
             instants.sort_by_key(|i| i.t);
             instants.dedup_by(|a, b| a.t == b.t);
             let seq = TSequence::new(instants, true, true, Interp::Linear).map_err(to_exec)?;
-            Ok(MdTGeomPoint(TGeomPoint::new(Temporal::Sequence(seq), x.srid)).into_value())
+            Ok(MdTGeomPoint(TGeomPoint::new(Temporal::Sequence(seq), x.srid())).into_value())
         },
     );
     // tbool/tint/tfloat instant constructors.

@@ -270,12 +270,12 @@ fn register_more_accessors(reg: &mut Registry) {
     for src in [lt("tgeompoint"), lt("tgeometry")] {
         reg.register_scalar("startvalue", vec![src.clone()], LogicalType::Blob, |a| {
             let t = value_to_tgeom(&a[0])?;
-            let g = mduck_geo::Geometry::from_point(t.temp.start_value()).with_srid(t.srid);
+            let g = mduck_geo::Geometry::from_point(t.temp.start_value()).with_srid(t.srid());
             Ok(Value::blob(mduck_geo::wkb::to_wkb(&g)))
         });
         reg.register_scalar("endvalue", vec![src], LogicalType::Blob, |a| {
             let t = value_to_tgeom(&a[0])?;
-            let g = mduck_geo::Geometry::from_point(t.temp.end_value()).with_srid(t.srid);
+            let g = mduck_geo::Geometry::from_point(t.temp.end_value()).with_srid(t.srid());
             Ok(Value::blob(mduck_geo::wkb::to_wkb(&g)))
         });
     }

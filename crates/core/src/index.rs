@@ -13,15 +13,21 @@ use std::sync::Mutex;
 
 use mduck_rtree::{RTree, Rect3};
 use mduck_sql::{LogicalType, SqlError, SqlResult, Value};
-use mduck_temporal::STBox;
+use mduck_temporal::{STBox, TimestampTz, TstzSpan};
 
 use crate::types::{to_exec, value_to_stbox, MdStbox, MdTGeomPoint, MdTGeometry, MdTstzSpan};
 
 /// The box an indexable value is indexed under: its `stbox`, or a
-/// time-only box for a `tstzspan`; `None` for NULLs.
+/// time-only box for a `tstzspan`, or the singleton time-only box `[t, t]`
+/// for a `timestamptz` (so `span @> t` is `span && [t, t]`); `None` for
+/// NULLs.
 pub fn value_stbox(v: &Value) -> SqlResult<Option<STBox>> {
     if v.is_null() {
         return Ok(None);
+    }
+    if let Value::Timestamp(t) = v {
+        let period = TstzSpan::singleton(TimestampTz(*t));
+        return Ok(Some(STBox { srid: 0, rect: None, period: Some(period) }));
     }
     if let Some(span) = v.as_ext()?.downcast::<MdTstzSpan>() {
         return Ok(Some(STBox { srid: 0, rect: None, period: Some(span.0) }));
@@ -137,8 +143,8 @@ impl SpatioTemporalIndex {
         if op != "&&" && op != "@>" && op != "<@" {
             return Ok(None);
         }
-        // A constant with no box (`tstzspan @> timestamptz`) declines:
-        // the scan then evaluates the predicate itself.
+        // A constant that cannot be boxed declines: the scan then
+        // evaluates the predicate itself.
         let probe = match value_stbox(constant) {
             Ok(Some(probe)) => probe,
             Ok(None) => return Ok(Some(Vec::new())),

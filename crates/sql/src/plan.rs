@@ -371,6 +371,12 @@ impl JoinConjuncts {
     /// Place the conjuncts the first `width` input columns cover, in
     /// written order.
     pub fn take_covered(&mut self, width: usize) -> Vec<BoundExpr> {
+        self.take_covered_indexed(width).into_iter().map(|(_, c)| c).collect()
+    }
+
+    /// [`take_covered`](Self::take_covered), each conjunct with its
+    /// written position (the `conjunct` of a [`Link`]).
+    pub fn take_covered_indexed(&mut self, width: usize) -> Vec<(usize, BoundExpr)> {
         let mut covered = Vec::new();
         for ci in 0..self.conjuncts.len() {
             let c = &self.conjuncts[ci];
@@ -381,7 +387,7 @@ impl JoinConjuncts {
             c.for_each_column(&mut |i| within &= i < width);
             if within {
                 self.used[ci] = true;
-                covered.push(c.clone());
+                covered.push((ci, c.clone()));
             }
         }
         covered

@@ -42,8 +42,8 @@ pub fn tgeompoint_to_bytes(t: &TGeomPoint) -> Vec<u8> {
     let n_points: usize = seqs.iter().map(|s| s.num_instants()).sum();
     let mut out = Vec::with_capacity(16 + seqs.len() * 8 + n_points * 24);
     out.push(MAGIC_TGEOM);
-    out.extend_from_slice(&t.srid.to_le_bytes());
-    out.push(match &t.temp {
+    out.extend_from_slice(&t.srid().to_le_bytes());
+    out.push(match &*t.temp {
         Temporal::Instant(_) => 0u8,
         Temporal::Sequence(_) => 1,
         Temporal::SequenceSet(_) => 2,

@@ -10,7 +10,7 @@ use mduck_geo::algorithms::{
     Features,
 };
 use mduck_geo::geometry::GeomData;
-use mduck_geo::point::Point;
+use mduck_geo::point::{Point, Rect};
 use mduck_geo::Geometry;
 
 use crate::boxes::STBox;
@@ -22,35 +22,74 @@ use crate::temporal::{
 };
 use crate::time::{Interval, TimestampTz, USECS_PER_SEC};
 
-/// A temporal geometry point: a [`Temporal<Point>`] plus the SRID shared by
-/// all its positions.
+/// A temporal geometry point: its [`Positions`] plus the SRID shared by
+/// all of them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TGeomPoint {
-    pub temp: Temporal<Point>,
-    pub srid: i32,
+    pub temp: Positions,
+    srid: i32,
+}
+
+/// The positions of a [`TGeomPoint`] over time: a [`Temporal<Point>`] and
+/// its spatial extent, computed once when the value is built (MEOS keeps
+/// the bounding box in the temporal header). It is read-only — it derefs
+/// to the temporal value and gives no mutable access — so the extent
+/// always describes the instants it was computed from.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Positions {
+    temp: Temporal<Point>,
+    extent: Rect,
+}
+
+impl Positions {
+    fn new(temp: Temporal<Point>) -> Self {
+        let mut extent = Rect::from_point(temp.start_value());
+        for i in temp.instants() {
+            extent.expand_to(i.value);
+        }
+        Positions { temp, extent }
+    }
+
+    /// The smallest rectangle holding every position.
+    pub fn extent(&self) -> Rect {
+        self.extent
+    }
+}
+
+impl std::ops::Deref for Positions {
+    type Target = Temporal<Point>;
+
+    fn deref(&self) -> &Temporal<Point> {
+        &self.temp
+    }
 }
 
 /// Parse a `tgeompoint` literal (optionally `SRID=n;`-prefixed).
 pub fn parse_tgeompoint(s: &str) -> TemporalResult<TGeomPoint> {
     let (temp, srid) = parse_temporal::<Point>(s)?;
-    Ok(TGeomPoint { temp, srid: srid.unwrap_or(0) })
+    Ok(TGeomPoint::new(temp, srid.unwrap_or(0)))
 }
 
 impl std::fmt::Display for TGeomPoint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.temp)
+        write!(f, "{}", *self.temp)
     }
 }
 
 impl TGeomPoint {
     /// Build from a temporal point and SRID.
     pub fn new(temp: Temporal<Point>, srid: i32) -> Self {
-        TGeomPoint { temp, srid }
+        TGeomPoint { temp: Positions::new(temp), srid }
     }
 
     /// An instant tgeompoint.
     pub fn instant(p: Point, t: TimestampTz, srid: i32) -> Self {
-        TGeomPoint { temp: Temporal::Instant(TInstant::new(p, t)), srid }
+        TGeomPoint::new(Temporal::Instant(TInstant::new(p, t)), srid)
+    }
+
+    /// The SRID of every position.
+    pub fn srid(&self) -> i32 {
+        self.srid
     }
 
     /// A linear sequence from (point, timestamp) pairs.
@@ -60,7 +99,7 @@ impl TGeomPoint {
             .map(|(p, t)| TInstant::new(p, t))
             .collect();
         let seq = TSequence::new(instants, true, true, Interp::Linear)?;
-        Ok(TGeomPoint { temp: Temporal::Sequence(seq), srid })
+        Ok(TGeomPoint::new(Temporal::Sequence(seq), srid))
     }
 
     /// `asText` rendering (no SRID prefix).
@@ -71,7 +110,7 @@ impl TGeomPoint {
     /// `asEWKT` rendering (SRID prefix when known).
     pub fn as_ewkt(&self) -> String {
         if self.srid != 0 {
-            format!("SRID={};{}", self.srid, self.temp)
+            format!("SRID={};{}", self.srid, *self.temp)
         } else {
             self.temp.to_string()
         }
@@ -89,13 +128,14 @@ impl TGeomPoint {
             .map(|p| Geometry::from_point(p).with_srid(self.srid))
     }
 
-    /// Spatiotemporal bounding box (`::stbox` cast).
+    /// Spatiotemporal bounding box (`::stbox` cast): the cached extent
+    /// and the bounding period.
     pub fn stbox(&self) -> STBox {
-        let mut rect = mduck_geo::point::Rect::from_point(self.temp.start_value());
-        for i in self.temp.instants() {
-            rect.expand_to(i.value);
+        STBox {
+            srid: self.srid,
+            rect: Some(self.temp.extent()),
+            period: Some(self.temp.timespan()),
         }
-        STBox { srid: self.srid, rect: Some(rect), period: Some(self.temp.timespan()) }
     }
 
     /// The traversed geometry (`trajectory()`): a linestring for moving

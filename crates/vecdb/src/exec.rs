@@ -406,19 +406,39 @@ pub enum PhysOp {
         right: Box<PhysOp>,
         est: Option<f64>,
     },
-    /// A cross product whose `&&` conjunct picks the pairs worth checking:
-    /// `build` (over the right child) is indexed through the index method
-    /// named, and `probe` (over the left child) looks each left row up.
-    /// Every left row is paired with its candidates in ascending right-row
-    /// order; the conjunct itself is re-checked by a Filter above.
+    /// A cross product whose link conjunct `cond` picks the pairs worth
+    /// checking: `build` (over the right child) is indexed through the
+    /// index method named, and `probe` (over the left child) looks each
+    /// left row up with `&&`. Every left row is paired with its candidates
+    /// in ascending right-row order (DESIGN.md §12).
     IndexJoin {
         left: Box<PhysOp>,
         right: Box<PhysOp>,
         method: String,
         probe: BoundExpr,
         build: BoundExpr,
+        cond: BoundExpr,
+        /// `Some` when the join owns `cond`, a strict `&&`, which the
+        /// index answers exactly, so no Filter above re-checks it.
+        /// `None` for a `@>`/`<@` link, which its Filter above
+        /// re-checks.
+        folded: Option<Fold>,
         est: Option<f64>,
     },
+}
+
+/// What an index join that owns its `&&` link runs besides the index,
+/// in the order the Filters of the cross product would have.
+#[derive(Debug, Clone)]
+pub struct Fold {
+    /// The conjuncts the Filters above apply ahead of the link. Only the
+    /// pairs of a probe the index could not answer run them, then the
+    /// link.
+    pub before: Vec<BoundExpr>,
+    /// The strict `&&` conjuncts the Filters would apply right after the
+    /// link, when nothing comes before it: every pair runs them, and
+    /// they get no Filter either.
+    pub after: Vec<BoundExpr>,
 }
 
 impl PhysOp {
@@ -495,28 +515,75 @@ pub fn plan_joins(ctx: &EngineCtx<'_>, plan: &BoundSelect) -> SqlResult<(PhysOp,
             right = hash_join_op(right, next, keys);
             ends.push(next_span.end);
         }
-        // Rule 2: an index join when an `&&` conjunct links the tree to
-        // the run; the conjunct itself stays a filter below.
+        // Rule 2: an index join when a conjunct links the tree to the run.
         let run = lo..ends[ends.len() - 1];
+        let link = index_link(ctx, &conj, width, run.clone());
+        // Covered conjuncts in the stages the one-relation-at-a-time plan
+        // applies them: each FROM position of the run in turn. A folded
+        // link gets no Filter, and neither do the `&&` conjuncts right
+        // after it when nothing comes before it; the conjuncts ahead of
+        // it go with it into the join.
+        let owned = link.as_ref().filter(|l| l.folds).map(|l| l.conjunct);
+        let mut fold = Fold { before: Vec::new(), after: Vec::new() };
+        let mut place = if owned.is_some() { Place::Before } else { Place::Past };
+        let stages: Vec<Vec<BoundExpr>> = ends
+            .iter()
+            .map(|&end| {
+                let mut preds = Vec::new();
+                for (ci, c) in conj.take_covered_indexed(end) {
+                    if Some(ci) == owned {
+                        place = if fold.before.is_empty() { Place::After } else { Place::Past };
+                        continue;
+                    }
+                    match place {
+                        Place::Before => fold.before.push(c.clone()),
+                        Place::After if is_strict_overlap(&c) => {
+                            fold.after.push(c);
+                            continue;
+                        }
+                        Place::After => place = Place::Past,
+                        Place::Past => {}
+                    }
+                    preds.push(c);
+                }
+                preds
+            })
+            .collect();
+        width = run.end;
         let ((left, lest), (right, rest)) = (tree, right);
         let (left, right) = (Box::new(left), Box::new(right));
         let pairs = lest.zip(rest).map(|(l, r)| l * r);
-        tree = match index_link(ctx, &conj, width, run) {
-            Some((method, probe, build, sel)) => {
+        tree = match link {
+            Some(JoinLink { method, probe, build, cond, folds, .. }) => {
+                let sel = fold.after.iter().fold(selectivity(&cond), |s, c| s * selectivity(c));
                 let est = pairs.map(|n| n * sel);
-                (PhysOp::IndexJoin { left, right, method, probe, build, est }, est)
+                let folded = folds.then_some(fold);
+                (PhysOp::IndexJoin { left, right, method, probe, build, cond, folded, est }, est)
             }
             None => (PhysOp::CrossJoin { left, right, est: pairs }, pairs),
         };
-        // Covered conjuncts in the stages the one-relation-at-a-time plan
-        // applies them: each FROM position of the run in turn.
-        for end in ends {
-            width = end;
-            tree = filtered(tree, conj.take_covered(width));
+        for preds in stages {
+            tree = filtered(tree, preds);
         }
     }
     // Anything left (complex predicates with subqueries) runs on top.
     Ok((tree.0, conj.into_remaining()))
+}
+
+/// Where the walk over a join's covered conjuncts is relative to the `&&`
+/// link the join owns.
+#[derive(Clone, Copy)]
+enum Place {
+    /// Ahead of the link.
+    Before,
+    /// In the run of strict `&&` conjuncts right after it.
+    After,
+    /// Past both, or there is no folded link.
+    Past,
+}
+
+fn is_strict_overlap(c: &BoundExpr) -> bool {
+    matches!(c, BoundExpr::Call { name, strict: true, .. } if name == "&&")
 }
 
 /// `child` under one Filter per predicate, the first innermost, with its
@@ -557,27 +624,67 @@ pub fn index_method(ctx: &EngineCtx<'_>, a: &LogicalType, b: &LogicalType) -> Op
         .find(|m| types.get(m).is_some_and(|t| t.can_index(a) && t.can_index(b)))
 }
 
-/// The first unplaced strict `&&` conjunct, in written order, that links
-/// an expression over the tree (columns `0..width`) with one over
-/// `right`, and an index method that can index both argument types:
-/// `(method, probe expression over the tree, build expression over
-/// `right`'s own columns, the conjunct's selectivity)`. Only strict
-/// overloads qualify, so a NULL on either side can safely yield no
-/// candidates.
+/// The index method an index join can answer conjunct `c` through, and
+/// whether the join folds `c` in:
+/// - a strict `&&` whose argument types the method can index: the index
+///   answers it exactly, so the join owns it;
+/// - a strict `tstzspan @> timestamptz` or `timestamptz <@ tstzspan`,
+///   through the method that indexes `tstzspan`: a timestamp is indexed
+///   and probed as its singleton time-only box `[t, t]`, and the
+///   conjunct's Filter re-checks the candidates.
+///
+/// Only strict overloads qualify, so a NULL on either side can safely
+/// yield no candidates.
+pub fn link_method(ctx: &EngineCtx<'_>, c: &BoundExpr) -> Option<(String, bool)> {
+    let BoundExpr::Call { name, strict: true, args, .. } = c else { return None };
+    let [a, b] = args.as_slice() else { return None };
+    let (a, b) = (a.ty(), b.ty());
+    match name.as_str() {
+        "&&" => Some((index_method(ctx, &a, &b)?, true)),
+        "@>" | "<@" => {
+            let span = LogicalType::ext("tstzspan");
+            let (container, element) = if name == "@>" { (a, b) } else { (b, a) };
+            if container != span || element != LogicalType::Timestamp {
+                return None;
+            }
+            Some((index_method(ctx, &span, &span)?, false))
+        }
+        _ => None,
+    }
+}
+
+/// The conjunct an index join answers, split into the expression it
+/// probes with (over the tree) and the one it indexes (over the right
+/// side's own columns).
+struct JoinLink {
+    conjunct: usize,
+    method: String,
+    probe: BoundExpr,
+    build: BoundExpr,
+    cond: BoundExpr,
+    folds: bool,
+}
+
+/// The first unplaced conjunct, in written order, that links an
+/// expression over the tree (columns `0..width`) with one over `right`
+/// and that an index method can answer ([`link_method`]).
 fn index_link(
     ctx: &EngineCtx<'_>,
     conj: &JoinConjuncts,
     width: usize,
     right: Range<usize>,
-) -> Option<(String, BoundExpr, BoundExpr, f64)> {
+) -> Option<JoinLink> {
     let lo = right.start;
-    let strict_overlap = |c: &BoundExpr| {
-        matches!(c, BoundExpr::Call { name, strict: true, .. } if name == "&&")
-    };
-    conj.links(0..width, right).filter(|l| strict_overlap(l.call)).find_map(|l| {
-        let method = index_method(ctx, &l.probe.ty(), &l.build.ty())?;
-        let build = l.build.map_columns(&|i| i - lo);
-        Some((method, l.probe.clone(), build, selectivity(l.call)))
+    conj.links(0..width, right).find_map(|l| {
+        let (method, folds) = link_method(ctx, l.call)?;
+        Some(JoinLink {
+            conjunct: l.conjunct,
+            method,
+            probe: l.probe.clone(),
+            build: l.build.map_columns(&|i| i - lo),
+            cond: l.call.clone(),
+            folds,
+        })
     })
 }
 
@@ -846,11 +953,15 @@ fn run_op(
             let r = execute_op(ctx, right, outer)?;
             hash_join(ctx, &l, &r, left_keys, right_keys, outer, &exec, op_key(op))
         }
-        PhysOp::IndexJoin { left, right, method, probe, build, .. } => {
+        PhysOp::IndexJoin { left, right, method, probe, build, cond, folded, .. } => {
             let l = execute_op(ctx, left, outer)?;
             let r = execute_op(ctx, right, outer)?;
-            let link = Some((method.as_str(), probe, build));
-            pair_join(ctx, &l, &r, link, outer, &exec, op_key(op))
+            let (recheck, after) = match folded {
+                Some(fold) => (fold.before.iter().chain([cond]).collect(), &fold.after[..]),
+                None => (Vec::new(), &[][..]),
+            };
+            let link = IndexLink { method, probe, build, recheck: &recheck, after };
+            pair_join(ctx, &l, &r, Some(link), outer, &exec, op_key(op))
         }
     }
 }
@@ -1187,21 +1298,34 @@ struct PairPart {
     bytes: u64,
 }
 
+/// What an index join probes and re-checks with (see [`PhysOp::IndexJoin`]).
+#[derive(Clone, Copy)]
+struct IndexLink<'a> {
+    method: &'a str,
+    probe: &'a BoundExpr,
+    build: &'a BoundExpr,
+    /// The conjuncts the pairs of an unanswered probe must pass, in
+    /// order; empty when a Filter above re-checks the link.
+    recheck: &'a [&'a BoundExpr],
+    /// The conjuncts every pair must pass then ([`Fold::after`]).
+    after: &'a [BoundExpr],
+}
+
 /// The cross product of `l` and `r` (`link` = `None`), or an index join:
 /// the pairs a transient index over the `build` expression of `link`
 /// (evaluated once per right row, indexed through its method) returns
 /// for the `probe` expression (evaluated once per left row). Pairs come
 /// out in cross-product order: left rows in order, each with its right
-/// rows — or candidates — in ascending order. The index only skips pairs
-/// whose boxes cannot overlap; the `&&` conjunct is re-checked by the
-/// Filter above, so a probe the index cannot answer (declined, no box,
-/// evaluation error) pairs with every right row, and a NULL probe with
-/// none.
+/// rows — or candidates — in ascending order. A NULL probe pairs with
+/// none. A probe the index cannot answer (declined, errored, a probe
+/// chunk that fails to evaluate, a build side that fails to index)
+/// pairs with every right row, as the cross product does, and those
+/// pairs run `recheck` (DESIGN.md §12).
 fn pair_join(
     ctx: &EngineCtx<'_>,
     l: &Chunks,
     r: &Chunks,
-    link: Option<(&str, &BoundExpr, &BoundExpr)>,
+    link: Option<IndexLink<'_>>,
     outer: &OuterStack<'_>,
     exec: &dyn SubqueryExec,
     key: usize,
@@ -1215,30 +1339,25 @@ fn pair_join(
     // limit (or the row budget, whichever is tighter) mid-flight.
     ctx.charge_op_mem(key, rflat.approx_bytes())?;
     let m = mduck_obs::metrics();
-    let index = link.and_then(|(method, probe, build)| {
-        let index = build_index(ctx, method, build, &rflat, outer, exec)?;
+    let index = link.and_then(|link| {
+        let index = build_index(ctx, link.method, link.build, &rflat, outer, exec)?;
         m.index_join_builds.inc(1);
-        Some((index, probe))
+        Some(index)
     });
-    let index = index.as_ref().map(|(idx, probe)| (idx.as_ref(), *probe));
+    let index = index.as_deref().zip(link.map(|link| link.probe));
+    let (recheck, after) = link.map_or((&[][..], &[][..]), |link| (link.recheck, link.after));
     if let Some(pr) = &ctx.progress {
         pr.add_total(l.chunks.len() as u64);
     }
     let parts = if ctx.parallel_ok(outer) && l.chunks.len() >= MIN_PARALLEL_MORSELS {
-        // The probe expression is simple (the planner only links
-        // conjuncts without subqueries), so workers evaluate it with
-        // `NoSubqueries`.
+        // The probe expression and the re-checked conjuncts are simple
+        // (the planner only places conjuncts without subqueries), so
+        // workers evaluate them with `NoSubqueries`.
         let guard = ctx.guard;
         let progress = ctx.progress.as_deref();
         let (parts, stats) = morsel_map(ctx.threads, l.chunks.len(), |i| {
-            let part = pair_chunk(
-                guard,
-                &l.chunks[i],
-                &rflat,
-                index,
-                &OuterStack::EMPTY,
-                &NoSubqueries,
-            )?;
+            let pairs = Pairs { guard, rflat: &rflat, recheck, after, outer: &OuterStack::EMPTY };
+            let part = pairs.chunk(&l.chunks[i], index, &NoSubqueries)?;
             if let Some(pr) = progress {
                 pr.add_done(1);
             }
@@ -1249,9 +1368,10 @@ fn pair_join(
         }
         parts
     } else {
+        let pairs = Pairs { guard: ctx.guard, rflat: &rflat, recheck, after, outer };
         let mut parts = Vec::with_capacity(l.chunks.len());
         for lchunk in &l.chunks {
-            parts.push(pair_chunk(ctx.guard, lchunk, &rflat, index, outer, exec)?);
+            parts.push(pairs.chunk(lchunk, index, exec)?);
             if let Some(pr) = &ctx.progress {
                 pr.add_done(1);
             }
@@ -1283,8 +1403,8 @@ fn pair_join(
 
 /// Index the right rows' `build` values through `method`, row id = right
 /// row number. `None` when the values cannot be computed or indexed: the
-/// join then pairs every left row with every right row and lets the
-/// re-check decide, exactly as the cross product does.
+/// join then pairs every left row with every right row and re-checks
+/// them, exactly as the cross product and its Filters do.
 fn build_index(
     ctx: &EngineCtx<'_>,
     method: &str,
@@ -1299,80 +1419,158 @@ fn build_index(
     index_type.create("index_join", 0, &build.ty(), &values).ok()
 }
 
-/// Pair every row of one left chunk with its right rows (all of them, or
-/// the candidates `index` returns for its `probe` value), emitting the
-/// pairs in [`VECTOR_SIZE`] chunks charged to the row budget and memory
-/// guard.
-fn pair_chunk(
-    guard: &ExecGuard,
-    lchunk: &DataChunk,
-    rflat: &DataChunk,
-    index: Option<(&dyn TableIndex, &BoundExpr)>,
-    outer: &OuterStack<'_>,
-    exec: &dyn SubqueryExec,
-) -> SqlResult<PairPart> {
-    guard.tick()?;
-    let mut part = PairPart::default();
-    // A chunk whose probe values cannot be computed pairs every row with
-    // every right row; the re-check then meets the same error, if any,
-    // the cross product would have.
-    let probed = index.and_then(|(idx, probe)| {
-        eval_vector(probe, lchunk, outer, exec).ok().map(|values| (idx, values))
-    });
-    let all: Vec<usize> = (0..rflat.len).collect();
-    let (mut lsel, mut rsel) = (Vec::new(), Vec::new());
-    for li in 0..lchunk.len {
-        let hits = probed.as_ref().and_then(|(idx, values)| {
-            let v = values.get(li);
-            if v.is_null() {
-                return Some(Vec::new());
-            }
-            match idx.try_scan("&&", &v) {
-                Ok(Some(ids)) => {
-                    let mut ids: Vec<usize> = ids.into_iter().map(|r| r as usize).collect();
-                    ids.sort_unstable();
-                    Some(ids)
-                }
-                _ => None,
-            }
-        });
-        if hits.is_some() {
-            part.probes += 1;
-        }
-        for &ri in hits.as_deref().unwrap_or(&all) {
-            lsel.push(li);
-            rsel.push(ri);
-            if lsel.len() >= VECTOR_SIZE {
-                emit_pairs(guard, &mut part, lchunk, &mut lsel, rflat, &mut rsel)?;
-            }
-        }
-    }
-    if !lsel.is_empty() {
-        emit_pairs(guard, &mut part, lchunk, &mut lsel, rflat, &mut rsel)?;
-    }
-    Ok(part)
+/// What pairing one left chunk reads besides the chunk: the flattened
+/// right side and the conjuncts the pairs run ([`IndexLink`]).
+struct Pairs<'a> {
+    guard: &'a ExecGuard,
+    rflat: &'a DataChunk,
+    recheck: &'a [&'a BoundExpr],
+    after: &'a [BoundExpr],
+    outer: &'a OuterStack<'a>,
 }
 
-/// Materialize the selected pairs as one output chunk and clear the
-/// selections.
-fn emit_pairs(
-    guard: &ExecGuard,
-    part: &mut PairPart,
-    lchunk: &DataChunk,
-    lsel: &mut Vec<usize>,
-    rflat: &DataChunk,
-    rsel: &mut Vec<usize>,
-) -> SqlResult<()> {
-    guard.check_rows(lsel.len())?;
-    let chunk = combine(lchunk, lsel, rflat, rsel);
-    let bytes = chunk.approx_bytes();
-    guard.charge_mem(bytes)?;
-    part.pairs += lsel.len() as u64;
-    part.bytes += bytes;
-    part.chunks.push(chunk);
-    lsel.clear();
-    rsel.clear();
-    Ok(())
+/// Pairs selected from one left chunk, not yet emitted.
+#[derive(Default)]
+struct Selection {
+    lsel: Vec<usize>,
+    rsel: Vec<usize>,
+    /// Positions in `lsel`/`rsel` of the pairs that must pass `recheck`.
+    unchecked: Vec<usize>,
+}
+
+impl Pairs<'_> {
+    /// Pair every row of `lchunk` with its right rows (all of them, or the
+    /// candidates `index` returns for its `probe` value), emitting the
+    /// pairs in [`VECTOR_SIZE`] chunks charged to the row budget and
+    /// memory guard.
+    fn chunk(
+        &self,
+        lchunk: &DataChunk,
+        index: Option<(&dyn TableIndex, &BoundExpr)>,
+        exec: &dyn SubqueryExec,
+    ) -> SqlResult<PairPart> {
+        self.guard.tick()?;
+        let mut part = PairPart::default();
+        // A chunk whose probe values cannot be computed pairs every row
+        // with every right row; the re-check then meets the same error, if
+        // any, the cross product would have.
+        let probed = index.and_then(|(idx, probe)| {
+            eval_vector(probe, lchunk, self.outer, exec).ok().map(|values| (idx, values))
+        });
+        let all: Vec<usize> = (0..self.rflat.len).collect();
+        let mut sel = Selection::default();
+        for li in 0..lchunk.len {
+            let hits = probed.as_ref().and_then(|(idx, values)| {
+                let v = values.get(li);
+                if v.is_null() {
+                    return Some(Vec::new());
+                }
+                match idx.try_scan("&&", &v) {
+                    Ok(Some(ids)) => {
+                        let mut ids: Vec<usize> = ids.into_iter().map(|r| r as usize).collect();
+                        ids.sort_unstable();
+                        Some(ids)
+                    }
+                    _ => None,
+                }
+            });
+            if hits.is_some() {
+                part.probes += 1;
+            }
+            let check = hits.is_none() && !self.recheck.is_empty();
+            for &ri in hits.as_deref().unwrap_or(&all) {
+                if check {
+                    sel.unchecked.push(sel.lsel.len());
+                }
+                sel.lsel.push(li);
+                sel.rsel.push(ri);
+                if sel.lsel.len() >= VECTOR_SIZE {
+                    self.emit(&mut part, lchunk, &mut sel, exec)?;
+                }
+            }
+        }
+        if !sel.lsel.is_empty() {
+            self.emit(&mut part, lchunk, &mut sel, exec)?;
+        }
+        Ok(part)
+    }
+
+    /// Materialize the selected pairs as one output chunk, keeping those
+    /// to re-check only if they pass, then only those passing `after`,
+    /// and clear the selection.
+    fn emit(
+        &self,
+        part: &mut PairPart,
+        lchunk: &DataChunk,
+        sel: &mut Selection,
+        exec: &dyn SubqueryExec,
+    ) -> SqlResult<()> {
+        self.guard.check_rows(sel.lsel.len())?;
+        let mut chunk = combine(lchunk, &sel.lsel, self.rflat, &sel.rsel);
+        self.guard.charge_mem(chunk.approx_bytes())?;
+        if !sel.unchecked.is_empty() {
+            chunk = self.recheck_pairs(chunk, &sel.unchecked, exec)?;
+        }
+        for pred in self.after {
+            if chunk.len == 0 {
+                break;
+            }
+            let pass = filter_chunk(pred, &chunk, self.outer, exec)?;
+            if pass.len() < chunk.len {
+                chunk = chunk.select(&pass);
+            }
+        }
+        if chunk.len > 0 {
+            part.pairs += chunk.len as u64;
+            part.bytes += chunk.approx_bytes();
+            part.chunks.push(chunk);
+        }
+        sel.lsel.clear();
+        sel.rsel.clear();
+        sel.unchecked.clear();
+        Ok(())
+    }
+
+    /// `chunk` without the pairs at `rows` (ascending) that fail a
+    /// `recheck` conjunct. The conjuncts run in order, each on the pairs
+    /// the ones before it kept, as the Filters of a cross product would;
+    /// the other pairs stay, in place.
+    fn recheck_pairs(
+        &self,
+        chunk: DataChunk,
+        rows: &[usize],
+        exec: &dyn SubqueryExec,
+    ) -> SqlResult<DataChunk> {
+        // `kept[k]` is the chunk position of row `k` of `checked`.
+        let mut kept = rows.to_vec();
+        let mut checked = (rows.len() < chunk.len).then(|| chunk.select(rows));
+        for pred in self.recheck {
+            if kept.is_empty() {
+                break;
+            }
+            let view = checked.as_ref().unwrap_or(&chunk);
+            let pass = filter_chunk(pred, view, self.outer, exec)?;
+            if pass.len() < view.len {
+                let next = view.select(&pass);
+                kept = pass.iter().map(|&k| kept[k]).collect();
+                checked = Some(next);
+            }
+        }
+        if kept.len() == rows.len() {
+            return Ok(chunk);
+        }
+        let mut rows = rows.iter().peekable();
+        let mut kept = kept.iter().peekable();
+        let sel: Vec<usize> = (0..chunk.len)
+            .filter(|i| {
+                if rows.next_if_eq(&i).is_none() {
+                    return true;
+                }
+                kept.next_if_eq(&i).is_some()
+            })
+            .collect();
+        Ok(chunk.select(&sel))
+    }
 }
 
 #[allow(clippy::too_many_arguments)]

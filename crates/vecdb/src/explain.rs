@@ -254,15 +254,21 @@ fn render_op(out: &mut String, op: &PhysOp, analyze: Option<&AnalyzeData<'_>>) {
             true,
         ),
         PhysOp::CrossJoin { .. } => ("CROSS_PRODUCT", vec![], true),
-        PhysOp::IndexJoin { method, probe, build, .. } => (
-            "INDEX_JOIN",
-            vec![
+        PhysOp::IndexJoin { method, probe, build, cond, folded, .. } => {
+            let mut detail = vec![
                 format!("index: {method}"),
                 format!("probe: {probe:?}"),
                 format!("build: {build:?}"),
-            ],
-            true,
-        ),
+            ];
+            match folded {
+                Some(fold) => {
+                    let conds = [cond].into_iter().chain(&fold.after);
+                    detail.extend(conds.map(|c| format!("cond: {c:?}")));
+                }
+                None => detail.push(format!("link: {cond:?} (re-checked above)")),
+            }
+            ("INDEX_JOIN", detail, true)
+        }
     };
     if let Some(a) = analyze {
         detail.extend(op_lines(a, op));

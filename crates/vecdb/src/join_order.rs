@@ -18,8 +18,8 @@
 //! the order: a hash join when an equality keys the next relation to the
 //! tree; otherwise the run of relations keyed only to that relation is
 //! hash-joined first (Rule 1) and the run meets the tree through an
-//! index join when an `&&` conjunct links them (Rule 2), else through a
-//! cross product.
+//! index join when an `&&` or `tstzspan @> timestamptz` conjunct links
+//! them (Rule 2), else through a cross product.
 //!
 //! **Search.** A depth-first walk over left-deep orders, FROM order
 //! first, that prunes any prefix no cheaper than a prefix seen before
@@ -33,7 +33,7 @@ use std::collections::HashMap;
 use mduck_sql::plan::{order_insensitive, permute_from, selectivity};
 use mduck_sql::{split_conjuncts, BoundExpr, BoundFrom, BoundSelect, SqlResult};
 
-use crate::exec::{index_method, EngineCtx};
+use crate::exec::{link_method, EngineCtx};
 
 /// The most FROM items a block may have for the pass to order it.
 const MAX_RELATIONS: usize = 8;
@@ -82,7 +82,7 @@ struct Conjunct {
     /// An equality: per side, the relations it reads and, when it is a
     /// plain column, that column's relation.
     eq: Option<[(Set, Option<usize>); 2]>,
-    /// A strict `&&` whose argument types an index method covers: the
+    /// A conjunct an index join can answer ([`link_method`]): the
     /// relations each argument reads.
     link: Option<[Set; 2]>,
 }
@@ -137,13 +137,8 @@ impl CostModel {
                 _ => None,
             };
             let link = match c {
-                BoundExpr::Call { name, strict: true, args, .. } if name == "&&" => {
-                    match args.as_slice() {
-                        [a, b] if index_method(ctx, &a.ty(), &b.ty()).is_some() => {
-                            Some([rels(a), rels(b)])
-                        }
-                        _ => None,
-                    }
+                BoundExpr::Call { args, .. } if link_method(ctx, c).is_some() => {
+                    Some([rels(&args[0]), rels(&args[1])])
                 }
                 _ => None,
             };
@@ -203,7 +198,7 @@ impl CostModel {
     }
 
     /// Rule 2: the cost of joining `tree` and the open `run`. An index
-    /// join on the first `&&` conjunct linking them costs the pairs it
+    /// join on the first conjunct linking them costs the pairs it
     /// returns plus the run's rows it indexes; a cross product costs
     /// every pair.
     fn close(&self, tree: Set, run: Set) -> f64 {

@@ -216,10 +216,36 @@ fn q13_to_q16_join_without_cross_products_on_loaded_data() {
         let p = plan(&db, berlinmod_query(id));
         assert!(!p.contains("CROSS_PRODUCT"), "Q{id}\n{p}");
     }
-    // Q14's instants1 shares no `&&` conjunct with anything (its instant
-    // meets the trips through `@>`), so it is still crossed — alone.
-    let p = plan(&db, berlinmod_query(14));
-    assert_eq!(cross_product_right_sides(&p), vec!["SEQ_SCAN instants1"], "{p}");
+    // Q3, Q11 and Q14 meet instants1 through `tstzspan @> timestamptz`,
+    // an index-join link whose Filter stays above the join.
+    for id in [3, 11, 14] {
+        let p = plan(&db, berlinmod_query(id));
+        assert!(!p.contains("CROSS_PRODUCT"), "Q{id}\n{p}");
+        assert!(p.contains("link: @>("), "Q{id}\n{p}");
+    }
+    // Every index join names its link, and no `&&` Filter sits directly
+    // above one: the join owns its `&&` link and the `&&` conjuncts
+    // right after it (Q16's top join owns both of `t2`'s).
+    for (id, _, sql) in berlinmod::benchmark_queries() {
+        let p = plan(&db, sql);
+        let lines: Vec<&str> = p.lines().map(|l| l.trim_matches(|c| c == '│' || c == ' ')).collect();
+        // Each box's title and detail lines, top to bottom.
+        let boxes: Vec<(&str, &[&str])> = (1..lines.len())
+            .filter(|&i| lines[i - 1].starts_with('┌'))
+            .map(|i| {
+                let end = (i..lines.len()).find(|&j| lines[j].starts_with('└')).unwrap_or(i);
+                (lines[i], &lines[(i + 2).min(end)..end])
+            })
+            .collect();
+        for (k, (_, detail)) in boxes.iter().enumerate().filter(|(_, b)| b.0 == "INDEX_JOIN") {
+            assert_eq!(detail[0], "index: TRTREE", "Q{id}\n{p}");
+            let named = |l: &&str| l.starts_with("cond: &&(") || l.starts_with("link: @>(");
+            assert!(detail.iter().any(named), "Q{id}: no link\n{p}");
+            if let Some(("FILTER", above)) = k.checked_sub(1).map(|a| boxes[a]) {
+                assert!(!above[0].starts_with("&&("), "Q{id}: `&&` Filter above\n{p}");
+            }
+        }
+    }
     // Q16 meets each trip side with its regions and periods before the
     // sides meet: the top join reads a few hundred rows, where FROM order
     // paired every (t1 ⋈ l1) row with every (t2 ⋈ l2) row.

@@ -208,11 +208,68 @@ fn conjunct_after_another_cross_side_conjunct() {
     );
     assert!(!rows.is_empty());
     let p_text = p.plan("SELECT a.id FROM ta a, tb b WHERE a.id < b.id * 60 AND a.trip && b.trip");
-    // Both conjuncts re-run over the candidates, in written order (the
-    // later-written filter renders first, above the earlier one).
-    let lt = p_text.find("(col#0 < (col#2 * lit(Int(").expect(&p_text);
-    let ov = p_text.find("&&([col#1, col#4])").expect(&p_text);
-    assert!(ov < lt && lt < p_text.find("INDEX_JOIN").expect(&p_text), "{p_text}");
+    // The join owns the `&&` conjunct: the `<` Filter sits directly above
+    // it, and no Filter re-checks `&&`.
+    let boxes = box_titles(&p_text);
+    let join = boxes.iter().position(|(t, _)| t == "INDEX_JOIN").expect(&p_text);
+    assert!(join > 0, "{p_text}");
+    let (title, detail) = &boxes[join - 1];
+    assert_eq!(title, "FILTER", "{p_text}");
+    assert!(detail.starts_with("(col#0 < (col#2 * lit(Int("), "{p_text}");
+    assert!(boxes.iter().all(|(t, d)| t != "FILTER" || !d.contains("&&")), "{p_text}");
+    assert!(p_text.contains("cond: &&([col#1, col#4])"), "{p_text}");
+}
+
+/// The strict `&&` conjuncts right after the link go into the join too
+/// when nothing comes before the link: every pair runs them there, in
+/// written order, and no `&&` Filter is left.
+#[test]
+fn overlap_conjuncts_right_after_the_link_fold_too() {
+    let p = Pair::new();
+    // The second `&&` keeps the pairs whose `b` trip lies partly in the
+    // lower-left quarter of the area.
+    let quarter = "{{expandSpace(b.trip::STBOX, a.id * 0.0) && 'STBOX X((0,0),(700,700))'::stbox}}";
+    let sql = format!(
+        "SELECT a.id, b.id FROM ta a, tb b WHERE {{{{a.trip && b.trip}}}} AND {quarter} AND a.id < b.id * 60"
+    );
+    let sql = sql.as_str();
+    let all = p.check("SELECT a.id, b.id FROM ta a, tb b WHERE {{a.trip && b.trip}} AND a.id < b.id * 60", "TRTREE");
+    let rows = p.check(sql, "TRTREE");
+    assert!(!rows.is_empty() && rows.len() < all.len(), "{} of {}", rows.len(), all.len());
+    let plan = p.plan(&variants(sql).0);
+    let boxes = box_titles(&plan);
+    let join = boxes.iter().position(|(t, _)| t == "INDEX_JOIN").expect(&plan);
+    assert_eq!(boxes[join - 1].0, "FILTER", "{plan}");
+    assert!(boxes[join - 1].1.starts_with("(col#0 < "), "{plan}");
+    assert_eq!(plan.matches("cond: &&(").count(), 2, "{plan}");
+    assert!(boxes.iter().all(|(t, d)| t != "FILTER" || !d.contains("&&")), "{plan}");
+    // After another conjunct, an `&&` stays a Filter.
+    let sql = format!(
+        "SELECT a.id, b.id FROM ta a, tb b WHERE {{{{a.trip && b.trip}}}} AND a.id < b.id * 60 AND {quarter}"
+    );
+    let sql = sql.as_str();
+    p.check(sql, "TRTREE");
+    let plan = p.plan(&variants(sql).0);
+    assert_eq!(plan.matches("cond: &&(").count(), 1, "{plan}");
+    assert!(box_titles(&plan).iter().any(|(t, d)| t == "FILTER" && d.starts_with("&&(")), "{plan}");
+    // So does every `&&` after the link when a conjunct comes before it.
+    let sql = format!(
+        "SELECT a.id, b.id FROM ta a, tb b WHERE a.id < b.id * 60 AND {{{{a.trip && b.trip}}}} AND {quarter}"
+    );
+    let sql = sql.as_str();
+    p.check(sql, "TRTREE");
+    assert_eq!(p.plan(&variants(sql).0).matches("cond: &&(").count(), 1);
+}
+
+/// Each box of an EXPLAIN rendering, top to bottom: its title and its
+/// first detail line.
+fn box_titles(plan: &str) -> Vec<(String, String)> {
+    let lines: Vec<&str> = plan.lines().collect();
+    let text = |l: &str| l.trim_matches(|c| c == '│' || c == ' ').to_string();
+    (0..lines.len())
+        .filter(|&i| i > 0 && lines[i - 1].starts_with('┌'))
+        .map(|i| (text(lines[i]), lines.get(i + 2).map_or(String::new(), |l| text(l))))
+        .collect()
 }
 
 #[test]
@@ -419,9 +476,13 @@ fn index_scans_return_exactly_the_rows_overlap_accepts() {
             .map(|probe| format!("SELECT id FROM b WHERE v && {probe} ORDER BY id"))
             .collect();
         if ty == "TSTZSPAN" {
-            // No box for a timestamp: the GIST scan declines.
-            let q = "SELECT id FROM b WHERE v @> '2025-01-02'::timestamptz ORDER BY id";
-            queries.push(q.into());
+            // A timestamp probes as its singleton box `[t, t]`: the GIST
+            // scan re-checks the candidates, TRTREE declines `@>`. The
+            // instants lie on inclusive and exclusive bounds.
+            for t in ["2025-01-01", "2025-01-02", "2025-01-03", "2025-01-05", "2025-01-07"] {
+                queries.push(format!("SELECT id FROM b WHERE v @> '{t}'::timestamptz ORDER BY id"));
+            }
+            queries.push("SELECT id FROM b WHERE v @> NULL::timestamptz ORDER BY id".into());
         }
         let before: Vec<_> = queries
             .iter()
@@ -467,4 +528,188 @@ fn index_scans_report_srid_mismatches() {
     assert!(p.plan(q).contains("TRTREE_INDEX_SCAN"));
     let (vec_idx, row_idx) = errors(&p);
     assert!(vec_idx.contains("SRID") && row_idx.contains("SRID"), "{vec_idx} / {row_idx}");
+}
+
+/// `2025-01-01` at minute `m` past midnight.
+fn minute(m: u64) -> String {
+    format!("2025-01-01 {:02}:{:02}:00", m / 60, m % 60)
+}
+
+/// Span table `sp` (probe side, LEFT_ROWS spans on a whole-minute grid
+/// between 08:00 and 13:30, random bound inclusivity, NULL every 13th),
+/// instant table `it` (40 whole minutes in the same window, so many lie
+/// exactly on span bounds, NULL every 9th) and an empty instant table
+/// `ie`.
+fn span_tables() -> Pair {
+    let p = Pair::new();
+    p.exec("CREATE TABLE sp(id INTEGER, p TSTZSPAN)");
+    p.exec("CREATE TABLE it(id INTEGER, t TIMESTAMPTZ)");
+    p.exec("CREATE TABLE ie(id INTEGER, t TIMESTAMPTZ)");
+    let mut rng = Lcg(11);
+    let rows: Vec<String> = (1..=LEFT_ROWS)
+        .map(|i| {
+            if i % 13 == 0 {
+                return format!("({i}, NULL)");
+            }
+            let lo = 8 * 60 + rng.below(300);
+            let hi = lo + 1 + rng.below(30);
+            let l = if rng.below(2) == 0 { '[' } else { '(' };
+            let u = if rng.below(2) == 0 { ']' } else { ')' };
+            format!("({i}, '{l}{}, {}{u}'::tstzspan)", minute(lo), minute(hi))
+        })
+        .collect();
+    p.exec(&format!("INSERT INTO sp VALUES {}", rows.join(", ")));
+    let rows: Vec<String> = (1..=40)
+        .map(|i| match i % 9 {
+            0 => format!("({i}, NULL)"),
+            _ => format!("({i}, '{}'::timestamptz)", minute(8 * 60 + rng.below(330))),
+        })
+        .collect();
+    p.exec(&format!("INSERT INTO it VALUES {}", rows.join(", ")));
+    p
+}
+
+/// `tstzspan @> timestamptz` and `timestamptz <@ tstzspan` link an index
+/// join: a timestamp is the singleton time-only box `[t, t]`, on the
+/// probe side or the build side. The link keeps its Filter above the
+/// join, and the rows equal the cross product's, in its order.
+#[test]
+fn span_contains_timestamp_links_an_index_join() {
+    let p = span_tables();
+    let sql = "SELECT s.id, i.id FROM sp s, it i WHERE {{s.p @> i.t}}";
+    let rows = p.check(sql, "TRTREE");
+    assert!(rows.len() > 100, "{} rows", rows.len());
+    let plan = p.plan(&variants(sql).0);
+    assert!(plan.contains("link: @>([col#1, col#3])"), "{plan}");
+    let boxes = box_titles(&plan);
+    let join = boxes.iter().position(|(t, _)| t == "INDEX_JOIN").expect(&plan);
+    assert_eq!(boxes[join - 1], ("FILTER".into(), "@>([col#1, col#3])".into()), "{plan}");
+    // The index answers every probe, NULL spans included.
+    p.vec.set_threads(1);
+    let explain = p.vec.execute_analyzed(&variants(sql).0).unwrap().explain;
+    assert!(explain.contains(&format!("probes: {LEFT_ROWS}")), "{explain}");
+    // Instants exactly on a bound: inclusive bounds keep them, exclusive
+    // ones do not.
+    p.exec("CREATE TABLE sq(id INTEGER, p TSTZSPAN)");
+    p.exec("CREATE TABLE iq(id INTEGER, t TIMESTAMPTZ)");
+    let spans = ["[09:00, 09:10)", "(09:00, 09:10]", "[09:00, 09:10]", "(09:00, 09:10)"];
+    let rows: Vec<String> = spans
+        .iter()
+        .enumerate()
+        .map(|(i, s)| format!("({}, '{}'::tstzspan)", i + 1, s.replace(", ", ", 2025-01-01 ")))
+        .collect();
+    p.exec(&format!(
+        "INSERT INTO sq VALUES {}, (5, NULL)",
+        rows.join(", ").replace("'[", "'[2025-01-01 ").replace("'(", "'(2025-01-01 ")
+    ));
+    let instants = ["09:00", "09:10", "09:05", "08:59", "09:11"];
+    let rows: Vec<String> = instants
+        .iter()
+        .enumerate()
+        .map(|(i, t)| format!("({}, '2025-01-01 {t}'::timestamptz)", i + 1))
+        .collect();
+    p.exec(&format!("INSERT INTO iq VALUES {}, (6, NULL)", rows.join(", ")));
+    let pairs = |rows: Vec<Vec<Value>>| strings(&rows).into_iter().map(|r| r.join("-")).collect::<Vec<_>>();
+    let want = ["1-1", "1-3", "2-2", "2-3", "3-1", "3-2", "3-3", "4-3"];
+    let rows = p.check("SELECT s.id, i.id FROM sq s, iq i WHERE {{s.p @> i.t}}", "TRTREE");
+    assert_eq!(pairs(rows), want);
+    let rows = p.check("SELECT s.id, i.id FROM iq i, sq s WHERE {{i.t <@ s.p}}", "TRTREE");
+    let mut got = pairs(rows);
+    got.sort();
+    assert_eq!(got, want);
+    // The timestamp on the probe side, the spans indexed.
+    p.check("SELECT i.id, s.id FROM it i, sp s WHERE {{s.p @> i.t}}", "TRTREE");
+    // `<@`, both ways round.
+    p.check("SELECT s.id, i.id FROM sp s, it i WHERE {{i.t <@ s.p}}", "TRTREE");
+    p.check("SELECT i.id, s.id FROM it i, sp s WHERE {{i.t <@ s.p}}", "TRTREE");
+    // A conjunct written before the link, and one after it.
+    p.check(
+        "SELECT s.id, i.id FROM sp s, it i WHERE s.id % 7 < i.id % 5 AND {{s.p @> i.t}}",
+        "TRTREE",
+    );
+    p.check(
+        "SELECT i.id, s.id, s.p FROM it i, sp s WHERE {{i.t <@ s.p}} AND s.id % 3 <> i.id % 3",
+        "TRTREE",
+    );
+    // Empty sides, as tables and emptied by their own conjuncts.
+    assert!(p.check("SELECT s.id FROM sp s, ie e WHERE {{s.p @> e.t}}", "TRTREE").is_empty());
+    assert!(p.check("SELECT s.id FROM ie e, sp s WHERE {{e.t <@ s.p}}", "TRTREE").is_empty());
+    let q = "SELECT s.id FROM sp s, it i WHERE i.id < 0 AND {{s.p @> i.t}}";
+    assert!(p.check(q, "TRTREE").is_empty());
+}
+
+/// The row engine's GIST index-nested-loop join answers `span @> t`
+/// through the singleton box too, with the rows it returns without the
+/// index.
+#[test]
+fn gist_index_nested_loop_answers_span_contains_timestamp() {
+    let p = span_tables();
+    let sql = "SELECT i.id, s.id FROM it i, sp s WHERE s.p @> i.t ORDER BY i.id, s.id";
+    let before = strings(&p.row.execute(sql).unwrap().rows);
+    assert!(!before.is_empty());
+    p.row.execute("CREATE INDEX spi ON sp USING GIST(p)").unwrap();
+    let plan = strings(&p.row.execute(&format!("EXPLAIN {sql}")).unwrap().rows);
+    assert!(format!("{plan:?}").contains("index probe: @>"), "{plan:?}");
+    assert_eq!(strings(&p.row.execute(sql).unwrap().rows), before);
+}
+
+/// A folded `&&` re-checks the pairs of every probe the index cannot
+/// answer, so each statement returns the rows, or raises the error, of
+/// the cross product and its Filters. Of the SRID-4326 boxes in `sa`, every
+/// 50th is replaced by a box of another SRID covering the whole area: its
+/// probe errors in the index and pairs with every right row, while the
+/// other probes of its chunk are answered.
+#[test]
+fn folded_overlap_falls_back_to_the_filtered_cross_product() {
+    let p = Pair::new();
+    p.exec("CREATE TABLE sa(id INTEGER, b STBOX)");
+    p.exec("CREATE TABLE sb(id INTEGER, b STBOX)");
+    let mut rng = Lcg(13);
+    let mut boxes = |i: usize, other_srid: bool| {
+        if other_srid {
+            return format!("({i}, 'SRID=3857;STBOX X((0,0),(2000,2000))'::stbox)");
+        }
+        let (x, y) = (rng.below(1800), rng.below(1800));
+        format!("({i}, 'SRID=4326;STBOX X(({x},{y}),({},{}))'::stbox)", x + 150, y + 150)
+    };
+    let rows: Vec<String> = (1..=LEFT_ROWS).map(|i| boxes(i, i % 50 == 0)).collect();
+    p.exec(&format!("INSERT INTO sa VALUES {}", rows.join(", ")));
+    let rows: Vec<String> = (1..=RIGHT_ROWS).map(|i| boxes(i, false)).collect();
+    p.exec(&format!("INSERT INTO sb VALUES {}", rows.join(", ")));
+
+    // SRID mismatch: the cross product's error.
+    let err = p.check_error("SELECT a.id, b.id FROM sa a, sb b WHERE {{a.b && b.b}}");
+    assert!(err.contains("SRID"), "{err}");
+    let sql = "SELECT a.id, b.id FROM sa a, sb b WHERE {{a.b && b.b}} AND a.id % 50 <> b.id * 0";
+    assert!(p.check_error(sql).contains("SRID"));
+    let sql = "SELECT a.id, b.id FROM sa a, sb b WHERE {{a.b && b.b}} AND {{b.b && a.b}}";
+    assert!(p.check_error(sql).contains("SRID"));
+    // A conjunct written before `&&` drops the mismatched pairs first, in
+    // the join as in the Filters; the answered probes keep their
+    // candidates in cross-product order around the fallen-back ones.
+    let sql = "SELECT a.id, b.id FROM sa a, sb b WHERE a.id % 50 <> b.id * 0 AND {{a.b && b.b}}";
+    let rows = p.check(sql, "TRTREE");
+    assert!(rows.len() > 100, "{} rows", rows.len());
+    p.vec.set_threads(1);
+    let explain = p.vec.execute_analyzed(&variants(sql).0).unwrap().explain;
+    let fell_back = LEFT_ROWS / 50;
+    assert!(explain.contains(&format!("probes: {}", LEFT_ROWS - fell_back)), "{explain}");
+
+    // Time-only against space-only boxes share no dimension.
+    let sql = "SELECT t.id, s.id FROM tt t, sx s WHERE t.id < s.id - 100 AND {{t.b && s.b}}";
+    assert!(p.check(sql, "TRTREE").is_empty());
+    let err = p.check_error("SELECT t.id, s.id FROM tt t, sx s WHERE t.id < s.id AND {{t.b && s.b}}");
+    assert!(err.contains("share no dimension"), "{err}");
+
+    // A build side that fails to evaluate (a division by zero on every
+    // fifth right row) indexes nothing: every probe falls back.
+    let build = "expandSpace(b.trip::STBOX, 10 / (b.id % 5))";
+    let err = p.check_error(&format!("SELECT a.id, b.id FROM ta a, tb b WHERE {{{{a.trip && {build}}}}}"));
+    assert!(err.contains("division by zero"), "{err}");
+    let sql = format!(
+        "SELECT a.id, b.id FROM ta a, tb b WHERE b.id % 5 <> a.id * 0 AND {{{{a.trip && {build}}}}}"
+    );
+    assert!(!p.check(&sql, "TRTREE").is_empty());
+    let explain = p.vec.execute_analyzed(&variants(&sql).0).unwrap().explain;
+    assert!(explain.contains("probes: 0"), "{explain}");
 }

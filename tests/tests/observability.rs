@@ -168,6 +168,11 @@ fn vec_explain_analyze_renders_cte_bodies() {
     assert!(temp < other, "{text}");
     let (temp_text, other_text) = (&text[temp..other], &text[other..]);
     assert!(temp_text.contains("INDEX_JOIN") && temp_text.contains("candidates:"), "{text}");
+    // The join owns its `&&` conjunct: it names it, and no Filter
+    // re-checks it.
+    assert!(temp_text.contains("cond: &&("), "{text}");
+    let trimmed = |l: &str| l.trim_matches(|c| c == '│' || c == ' ').to_string();
+    assert!(!temp_text.lines().any(|l| trimmed(l).starts_with("&&(")), "{text}");
     assert!(other_text.contains("HASH_JOIN"), "{text}");
     assert!(!text.contains("not executed"), "{text}");
     // The main tree (a CTE scan) comes first in the operator list, then

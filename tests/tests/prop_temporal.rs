@@ -472,3 +472,77 @@ fn eintersects_and_edwithin_match_the_built_trajectory() {
         }
     }
 }
+
+/// The box of `t` by a walk over its instants: the extent of every
+/// position, the SRID and the bounding period.
+fn walked_stbox(t: &TGeomPoint) -> mduck_temporal::STBox {
+    let (mut xmin, mut ymin) = (f64::INFINITY, f64::INFINITY);
+    let (mut xmax, mut ymax) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+    for i in t.temp.instants() {
+        (xmin, xmax) = (xmin.min(i.value.x), xmax.max(i.value.x));
+        (ymin, ymax) = (ymin.min(i.value.y), ymax.max(i.value.y));
+    }
+    mduck_temporal::STBox {
+        srid: t.srid(),
+        rect: Some(mduck_geo::point::Rect::new(xmin, ymin, xmax, ymax)),
+        period: Some(t.temp.timespan()),
+    }
+}
+
+/// A `tgeompoint` computes its extent once, when it is built: every way
+/// of building one caches the extent a walk over its instants finds, and
+/// `stbox()` renders that walk's box byte for byte.
+#[test]
+fn cached_box_matches_a_walk_over_the_instants() {
+    use mduck_temporal::binser::{tgeompoint_from_bytes, tgeompoint_to_bytes};
+    use mduck_temporal::temporal::parse_tgeompoint;
+    use mduck_temporal::time::Interval;
+
+    let mut rng = StdRng::seed_from_u64(0x5ea_000c);
+    let mut checked = 0;
+    for _ in 0..CASES {
+        let grid = rng.random_bool(0.5);
+        let srid = [0, 3405, 4326][rng.random_range(0usize..3)];
+        let moving = gen_moving(&mut rng, grid);
+        // Parse and decode keep the SRID; the others inherit it.
+        let t = parse_tgeompoint(&format!("SRID={srid};{}", *moving.temp)).unwrap();
+        let mut built = vec![
+            ("parse", t.clone()),
+            ("binser", tgeompoint_from_bytes(&tgeompoint_to_bytes(&t)).unwrap()),
+        ];
+        let trip = gen_trip(&mut rng, 0..50);
+        let points = trip.temp.instants().into_iter().map(|i| (i.value, i.t)).collect();
+        built.push(("linear_seq", TGeomPoint::linear_seq(points, srid).unwrap()));
+        let first = t.temp.instants().into_iter().next().unwrap();
+        built.push(("instant", TGeomPoint::instant(first.value, first.t, srid)));
+        let span = t.temp.timespan();
+        let (lo, hi) = (span.lower.0, span.upper.0);
+        let cut = |rng: &mut StdRng| TimestampTz(rng.random_range(lo..=hi));
+        let (a, b) = (cut(&mut rng), cut(&mut rng));
+        let period = TstzSpan::new(a.min(b), a.max(b), true, rng.random_bool(0.5) || a == b);
+        if let Ok(p) = &period {
+            built.extend(t.at_period(p).map(|r| ("at_period", r)));
+            let (c, d) = (cut(&mut rng), cut(&mut rng));
+            if let Ok(q) = TstzSpan::new(c.min(d), c.max(d), true, true) {
+                let set = SpanSet::new(vec![*p, q]).unwrap();
+                built.extend(t.at_periodset(&set).map(|r| ("at_periodset", r)));
+            }
+        }
+        let g = gen_static(&mut rng, grid, &t);
+        if let Ok(r) = t.at_geometry(&g) {
+            built.extend(r.map(|r| ("at_geometry", r)));
+        }
+        let at = t.temp.instants().into_iter().nth(rng.random_range(0..t.temp.num_instants())).unwrap();
+        built.extend(t.at_value(at.value).map(|r| ("at_value", r)));
+        let delta = Interval { months: 0, days: rng.random_range(-3..4), usecs: 1_500_000 };
+        built.push(("shift_time", t.shift_time(&delta)));
+        for (how, v) in built {
+            let walked = walked_stbox(&v);
+            assert_eq!(Some(v.temp.extent()), walked.rect, "{how}: {}", v.as_ewkt());
+            assert_eq!(v.stbox().to_string(), walked.to_string(), "{how}: {}", v.as_ewkt());
+            assert_eq!(v.srid(), srid, "{how}");
+            checked += 1;
+        }
+    }
+    assert!(checked > CASES * 8, "{checked} values");
+}
