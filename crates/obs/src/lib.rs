@@ -38,7 +38,7 @@ pub mod querylog;
 pub mod span;
 
 pub use mem::{format_bytes, parse_bytes, MemTracker};
-pub use metrics::{metrics, Counter, Gauge, Histogram, MetricSnapshot, Metrics, WorkerCounters};
+pub use metrics::{metrics, Counter, Gauge, Histogram, MetricSnapshot, Metrics};
 pub use progress::{progress_snapshot, reset_progress, ProgressSnapshot, QueryProgress};
 pub use querylog::{
     log_query, next_query_id, query_log_sink_active, query_log_sink_path, query_log_snapshot,

@@ -317,30 +317,6 @@ pub fn metrics() -> &'static Metrics {
     REGISTRY.get_or_init(Metrics::default)
 }
 
-/// Thread-local counters for one morsel worker.
-///
-/// Workers never touch the shared atomics while running (no contended
-/// cache lines on the hot path); the coordinator merges every worker's
-/// counts and flushes the total into the global registry once per
-/// parallel stage.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerCounters {
-    /// Rows dropped by predicate evaluation.
-    pub rows_filtered: u64,
-}
-
-impl WorkerCounters {
-    pub fn merge(&mut self, other: &WorkerCounters) {
-        self.rows_filtered += other.rows_filtered;
-    }
-
-    /// Flush merged counts into the global registry — one call per
-    /// parallel stage, not per worker.
-    pub fn flush(&self) {
-        metrics().rows_filtered.inc(self.rows_filtered);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

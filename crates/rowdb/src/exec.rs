@@ -22,6 +22,8 @@ use std::sync::Arc;
 
 use mduck_obs::QueryProgress;
 use mduck_sql::eval::{eval, OuterStack, SubqueryExec};
+use mduck_sql::index::probe_column;
+use mduck_sql::introspect::Introspection;
 use mduck_sql::plan::{index_pattern, series, JoinConjuncts, RowTail};
 use mduck_sql::{BoundExpr, BoundFrom, BoundSelect, ExecGuard, Registry, SqlError, SqlResult, Value};
 
@@ -104,25 +106,27 @@ fn detoast_row(ctx: &RowCtx<'_>, row: &Row) -> SqlResult<Row> {
 
 /// A relation source with pushed-down predicates.
 enum Source {
-    Table { name: String, filters: Vec<BoundExpr>, index_probe: Option<(String, Value, BoundExpr)> },
+    /// A base table; `index_probe` is `(column, op, constant, conjunct)`
+    /// when the conjunct `column <op> constant` probes its indexes.
+    Table {
+        name: String,
+        filters: Vec<BoundExpr>,
+        index_probe: Option<(usize, String, Value, BoundExpr)>,
+    },
     Cte { index: usize },
     Subquery { plan: Box<BoundSelect> },
     Series { args: Vec<BoundExpr> },
-    /// `mduck_spans()`: snapshot of the tracing-span ring buffer.
-    Spans,
-    /// `mduck_progress()`: snapshot of the live query-progress registry.
-    Progress,
-    /// `mduck_query_log()`: snapshot of the in-memory query history.
-    QueryLog,
+    /// `mduck_spans()`, `mduck_progress()` or `mduck_query_log()`.
+    Introspect(Introspection),
 }
 
 /// How the next relation joins onto the accumulated left side.
 enum JoinStrategy {
     /// Hash join on equality keys (right keys remapped locally).
     Hash { left_keys: Vec<BoundExpr>, right_keys: Vec<BoundExpr> },
-    /// GiST index nested loop: probe the right table's index with an
-    /// expression over the left row.
-    IndexNl { op: String, probe: BoundExpr, original: BoundExpr },
+    /// GiST index nested loop: probe the right table's indexes on
+    /// `column` with an expression over the left row.
+    IndexNl { column: usize, op: String, probe: BoundExpr, original: BoundExpr },
     /// Plain nested loop (cross product).
     Cross,
 }
@@ -158,18 +162,16 @@ fn plan_rows(ctx: &RowCtx<'_>, plan: &BoundSelect) -> SqlResult<RowPlan> {
                 let probe = filters.iter().enumerate().find_map(|(pos, c)| {
                     let (col, op, constant) = index_pattern(c)?;
                     let indexed = t.indexes.iter().any(|i| i.column() == col);
-                    indexed.then(|| (pos, op.to_string(), constant.clone()))
+                    indexed.then(|| (pos, col, op.to_string(), constant.clone()))
                 });
-                let index_probe =
-                    probe.map(|(pos, op, constant)| (op, constant, filters.remove(pos)));
+                let index_probe = probe
+                    .map(|(pos, col, op, constant)| (col, op, constant, filters.remove(pos)));
                 Source::Table { name: name.clone(), filters, index_probe }
             }
             BoundFrom::Cte { index, .. } => Source::Cte { index: *index },
             BoundFrom::Subquery { plan, .. } => Source::Subquery { plan: plan.clone() },
             BoundFrom::Series { args, .. } => Source::Series { args: args.clone() },
-            BoundFrom::Spans { .. } => Source::Spans,
-            BoundFrom::Progress { .. } => Source::Progress,
-            BoundFrom::QueryLog { .. } => Source::QueryLog,
+            BoundFrom::Introspect { function, .. } => Source::Introspect(*function),
         });
     }
 
@@ -222,9 +224,11 @@ fn index_nl(
             return None;
         };
         let commutes = name == "&&" || name == "=";
-        let indexed = t.indexes.iter().any(|i| i.column() == index - right.start);
+        let column = index - right.start;
+        let indexed = t.indexes.iter().any(|i| i.column() == column);
         ((l.build_first || commutes) && indexed).then(|| {
             let strategy = JoinStrategy::IndexNl {
+                column,
                 op: name.clone(),
                 probe: l.probe.clone(),
                 original: l.call.clone(),
@@ -291,7 +295,7 @@ pub fn explain_select(ctx: &RowCtx<'_>, plan: &BoundSelect) -> SqlResult<String>
 fn render_source(out: &mut String, pad: &str, s: &Source) {
     match s {
         Source::Table { name, filters, index_probe } => {
-            if let Some((op, _, _)) = index_probe {
+            if let Some((_, op, _, _)) = index_probe {
                 out.push_str(&format!("{pad}Index Scan on {name} ({op} probe)\n"));
             } else {
                 out.push_str(&format!("{pad}Seq Scan on {name}"));
@@ -304,9 +308,9 @@ fn render_source(out: &mut String, pad: &str, s: &Source) {
         Source::Cte { index } => out.push_str(&format!("{pad}CTE Scan (slot {index})\n")),
         Source::Subquery { .. } => out.push_str(&format!("{pad}Subquery Scan\n")),
         Source::Series { .. } => out.push_str(&format!("{pad}Function Scan on generate_series\n")),
-        Source::Spans => out.push_str(&format!("{pad}Function Scan on mduck_spans\n")),
-        Source::Progress => out.push_str(&format!("{pad}Function Scan on mduck_progress\n")),
-        Source::QueryLog => out.push_str(&format!("{pad}Function Scan on mduck_query_log\n")),
+        Source::Introspect(function) => {
+            out.push_str(&format!("{pad}Function Scan on {}\n", function.name()))
+        }
     }
 }
 
@@ -324,14 +328,8 @@ fn scan_source(
             let t = t.read();
             let mut out = Vec::new();
             let candidate_rows: Option<Vec<u64>> = match index_probe {
-                Some((op, constant, _)) => {
-                    let mut hit = None;
-                    for idx in &t.indexes {
-                        if let Some(rows) = idx.try_scan(op, constant)? {
-                            hit = Some(rows);
-                            break;
-                        }
-                    }
+                Some((column, op, constant, _)) => {
+                    let hit = probe_column(&t.indexes, *column, op, constant)?;
                     if hit.is_some() {
                         *ctx.used_index.borrow_mut() = true;
                     }
@@ -351,7 +349,7 @@ fn scan_source(
             };
             let candidates;
             match (candidate_rows, index_probe) {
-                (Some(mut ids), Some((_, _, original))) => {
+                (Some(mut ids), Some((_, _, _, original))) => {
                     ids.sort_unstable();
                     candidates = ids.len();
                     *ctx.rows_scanned.borrow_mut() += ids.len();
@@ -390,7 +388,7 @@ fn scan_source(
                             pr.add_done(1);
                         }
                         let row = detoast_row(ctx, stored)?;
-                        if let Some((_, _, original)) = index_probe {
+                        if let Some((_, _, _, original)) = index_probe {
                             if !matches!(
                                 eval(original, &row, outer, &exec)?,
                                 Value::Bool(true)
@@ -418,9 +416,7 @@ fn scan_source(
         Source::Series { args } => {
             Ok(series(args, outer, &exec)?.map(|v| vec![Value::Int(v)]).collect())
         }
-        Source::Spans => Ok(mduck_sql::introspect::span_rows()),
-        Source::Progress => Ok(mduck_sql::introspect::progress_rows()),
-        Source::QueryLog => Ok(mduck_sql::introspect::query_log_rows()),
+        Source::Introspect(function) => Ok(mduck_sql::introspect::rows(*function)),
     }
 }
 
@@ -498,7 +494,7 @@ pub fn execute_select(
                     }
                     out
                 }
-                JoinStrategy::IndexNl { op, probe, original } => {
+                JoinStrategy::IndexNl { column, op, probe, original } => {
                     let Source::Table { name, filters, .. } = &step.source else {
                         return Err(SqlError::execution("index NL join needs a base table"));
                     };
@@ -510,14 +506,7 @@ pub fn execute_select(
                         if probe_val.is_null() {
                             continue;
                         }
-                        let mut ids = None;
-                        for idx in &t.indexes {
-                            if let Some(hit) = idx.try_scan(op, &probe_val)? {
-                                ids = Some(hit);
-                                break;
-                            }
-                        }
-                        let Some(ids) = ids else {
+                        let Some(ids) = probe_column(&t.indexes, *column, op, &probe_val)? else {
                             return Err(SqlError::execution(
                                 "planned index NL join but no index accepted the probe",
                             ));

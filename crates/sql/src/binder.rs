@@ -12,6 +12,7 @@ use crate::bound::{
     Schema, SortKey,
 };
 use crate::error::{SqlError, SqlResult};
+use crate::introspect::Introspection;
 use crate::registry::Registry;
 use crate::value::{LogicalType, Value};
 
@@ -286,7 +287,7 @@ impl<'a> Binder<'a> {
                 let lname = name.to_ascii_lowercase();
                 // Zero-argument introspection table functions share one
                 // shape: alias-qualified fields from `introspect`.
-                if let Some(fields_fn) = introspection_fn(&lname) {
+                if let Some(function) = Introspection::by_name(&lname) {
                     if !args.is_empty() {
                         return Err(SqlError::Bind(format!("{lname} takes no arguments")));
                     }
@@ -294,12 +295,8 @@ impl<'a> Binder<'a> {
                         .as_ref()
                         .map(|a| a.to_ascii_lowercase())
                         .unwrap_or_else(|| lname.clone());
-                    let schema = Schema::new(fields_fn(&alias));
-                    out.push(match lname.as_str() {
-                        "mduck_spans" => BoundFrom::Spans { alias, schema },
-                        "mduck_progress" => BoundFrom::Progress { alias, schema },
-                        _ => BoundFrom::QueryLog { alias, schema },
-                    });
+                    let schema = Schema::new(function.fields(&alias));
+                    out.push(BoundFrom::Introspect { function, alias, schema });
                     return Ok(());
                 }
                 if lname != "generate_series" && lname != "range" {
@@ -796,16 +793,6 @@ impl<'a> Binder<'a> {
             ty: ret,
             strict: sig.strict,
         })
-    }
-}
-
-/// Schema builder for the zero-argument introspection table functions.
-fn introspection_fn(name: &str) -> Option<fn(&str) -> Vec<crate::bound::Field>> {
-    match name {
-        "mduck_spans" => Some(crate::introspect::span_fields),
-        "mduck_progress" => Some(crate::introspect::progress_fields),
-        "mduck_query_log" => Some(crate::introspect::query_log_fields),
-        _ => None,
     }
 }
 

@@ -395,12 +395,8 @@ pub enum BoundFrom {
     Subquery { plan: Box<BoundSelect>, alias: String, schema: Schema },
     /// `generate_series(start, stop[, step])`.
     Series { args: Vec<BoundExpr>, alias: String, schema: Schema },
-    /// `mduck_spans()`: snapshot of the tracing-span ring buffer.
-    Spans { alias: String, schema: Schema },
-    /// `mduck_progress()`: snapshot of the live-progress registry.
-    Progress { alias: String, schema: Schema },
-    /// `mduck_query_log()`: snapshot of the query-log history.
-    QueryLog { alias: String, schema: Schema },
+    /// `mduck_spans()`, `mduck_progress()` or `mduck_query_log()`.
+    Introspect { function: crate::introspect::Introspection, alias: String, schema: Schema },
 }
 
 impl BoundFrom {
@@ -410,9 +406,7 @@ impl BoundFrom {
             | BoundFrom::Cte { schema, .. }
             | BoundFrom::Subquery { schema, .. }
             | BoundFrom::Series { schema, .. }
-            | BoundFrom::Spans { schema, .. }
-            | BoundFrom::Progress { schema, .. }
-            | BoundFrom::QueryLog { schema, .. } => schema,
+            | BoundFrom::Introspect { schema, .. } => schema,
         }
     }
 }

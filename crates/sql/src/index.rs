@@ -36,6 +36,24 @@ pub trait TableIndex: Send + Sync {
     }
 }
 
+/// Answer `column <op> constant` through the indexes of a table on that
+/// column: the rows of the first one that answers, or `None` when none
+/// does (or none is on the column). Indexes on other columns are never
+/// asked: their answer would be for the wrong column.
+pub fn probe_column(
+    indexes: &[Box<dyn TableIndex>],
+    column: usize,
+    op: &str,
+    constant: &Value,
+) -> SqlResult<Option<Vec<u64>>> {
+    for index in indexes.iter().filter(|i| i.column() == column) {
+        if let Some(rows) = index.try_scan(op, constant)? {
+            return Ok(Some(rows));
+        }
+    }
+    Ok(None)
+}
+
 /// A registered index implementation (the paper's `IndexType` with
 /// `create_instance` / `create_plan` callbacks).
 pub trait IndexType: Send + Sync {

@@ -8,10 +8,9 @@
 //!   `slow_query_ms`, ...) into a result, or `None` for names this module
 //!   does not know (the per-database settings `threads` and
 //!   `memory_limit` belong to [`crate::session`]).
-//! * [`span_fields`]/[`span_rows`], [`progress_fields`]/[`progress_rows`],
-//!   [`query_log_fields`]/[`query_log_rows`] — the schemas and snapshot
-//!   rows of the `mduck_spans()` / `mduck_progress()` /
-//!   `mduck_query_log()` table functions.
+//! * [`Introspection`] and [`rows`] — the schemas and snapshot rows of
+//!   the `mduck_spans()` / `mduck_progress()` / `mduck_query_log()`
+//!   table functions.
 
 use crate::ast::PragmaValue;
 use crate::bound::{Field, Schema};
@@ -45,9 +44,99 @@ pub fn metrics_rows() -> Vec<Vec<Value>> {
         .collect()
 }
 
+/// A zero-argument introspection table function.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Introspection {
+    /// `mduck_spans()`: snapshot of the tracing-span ring buffer.
+    Spans,
+    /// `mduck_progress()`: snapshot of the live-progress registry.
+    Progress,
+    /// `mduck_query_log()`: snapshot of the query-log history.
+    QueryLog,
+}
+
+impl Introspection {
+    /// The function called `name` (lower-case), if there is one.
+    pub fn by_name(name: &str) -> Option<Self> {
+        [Introspection::Spans, Introspection::Progress, Introspection::QueryLog]
+            .into_iter()
+            .find(|f| f.name() == name)
+    }
+
+    /// The function's SQL name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Introspection::Spans => "mduck_spans",
+            Introspection::Progress => "mduck_progress",
+            Introspection::QueryLog => "mduck_query_log",
+        }
+    }
+
+    /// The function's columns, qualified by the binder-assigned alias.
+    pub fn fields(self, alias: &str) -> Vec<Field> {
+        match self {
+            Introspection::Spans => span_fields(alias),
+            Introspection::Progress => progress_fields(alias),
+            Introspection::QueryLog => query_log_fields(alias),
+        }
+    }
+}
+
+/// A snapshot of what `function` reports, oldest first, shaped for its
+/// [`Introspection::fields`].
+pub fn rows(function: Introspection) -> Vec<Vec<Value>> {
+    match function {
+        Introspection::Spans => mduck_obs::spans_snapshot()
+            .into_iter()
+            .map(|s| {
+                vec![
+                    Value::Int(s.id as i64),
+                    s.parent.map(|p| Value::Int(p as i64)).unwrap_or(Value::Null),
+                    Value::Text(s.name.into()),
+                    Value::Int(s.depth as i64),
+                    Value::Int(s.start_us as i64),
+                    Value::Int(s.duration_us as i64),
+                    Value::Text(s.thread.into()),
+                ]
+            })
+            .collect(),
+        Introspection::Progress => mduck_obs::progress_snapshot()
+            .into_iter()
+            .map(|p| {
+                vec![
+                    Value::Int(p.id as i64),
+                    Value::Text(p.sql.into()),
+                    Value::Int(p.units_done as i64),
+                    Value::Int(p.units_total as i64),
+                    Value::Float(p.fraction),
+                    Value::Bool(p.finished),
+                ]
+            })
+            .collect(),
+        Introspection::QueryLog => mduck_obs::query_log_snapshot()
+            .into_iter()
+            .map(|r| {
+                vec![
+                    Value::Int(r.id as i64),
+                    Value::Text(r.engine.into()),
+                    Value::Text(r.sql.into()),
+                    Value::Float(r.duration_us as f64 / 1000.0),
+                    Value::Int(r.rows_returned as i64),
+                    Value::Int(r.rows_scanned as i64),
+                    r.guard_trip.map(Value::text).unwrap_or(Value::Null),
+                    Value::Int(r.mem_peak as i64),
+                    Value::Int(r.threads as i64),
+                    r.error.map(|e| Value::text(&e)).unwrap_or(Value::Null),
+                    r.profile.map(|p| Value::text(&p)).unwrap_or(Value::Null),
+                ]
+            })
+            .collect(),
+    }
+}
+
 /// Schema of the `mduck_spans()` table function, columns qualified by the
 /// binder-assigned alias.
-pub fn span_fields(alias: &str) -> Vec<Field> {
+fn span_fields(alias: &str) -> Vec<Field> {
     let table = Some(alias.to_string());
     let f = |name: &str, ty: LogicalType| Field { name: name.into(), table: table.clone(), ty };
     vec![
@@ -61,28 +150,9 @@ pub fn span_fields(alias: &str) -> Vec<Field> {
     ]
 }
 
-/// Snapshot of the finished-span ring buffer, oldest first, shaped for
-/// [`span_fields`].
-pub fn span_rows() -> Vec<Vec<Value>> {
-    mduck_obs::spans_snapshot()
-        .into_iter()
-        .map(|s| {
-            vec![
-                Value::Int(s.id as i64),
-                s.parent.map(|p| Value::Int(p as i64)).unwrap_or(Value::Null),
-                Value::Text(s.name.into()),
-                Value::Int(s.depth as i64),
-                Value::Int(s.start_us as i64),
-                Value::Int(s.duration_us as i64),
-                Value::Text(s.thread.into()),
-            ]
-        })
-        .collect()
-}
-
 /// Schema of the `mduck_progress()` table function: one row per registry
 /// entry (in-flight statements plus a tail of recently finished ones).
-pub fn progress_fields(alias: &str) -> Vec<Field> {
+fn progress_fields(alias: &str) -> Vec<Field> {
     let table = Some(alias.to_string());
     let f = |name: &str, ty: LogicalType| Field { name: name.into(), table: table.clone(), ty };
     vec![
@@ -95,27 +165,10 @@ pub fn progress_fields(alias: &str) -> Vec<Field> {
     ]
 }
 
-/// Snapshot of the progress registry, oldest first, shaped for
-/// [`progress_fields`].
-pub fn progress_rows() -> Vec<Vec<Value>> {
-    mduck_obs::progress_snapshot()
-        .into_iter()
-        .map(|p| {
-            vec![
-                Value::Int(p.id as i64),
-                Value::Text(p.sql.into()),
-                Value::Int(p.units_done as i64),
-                Value::Int(p.units_total as i64),
-                Value::Float(p.fraction),
-                Value::Bool(p.finished),
-            ]
-        })
-        .collect()
-}
-
 /// Schema of the `mduck_query_log()` table function: one row per logged
-/// statement, identical on both engines.
-pub fn query_log_fields(alias: &str) -> Vec<Field> {
+/// statement, identical on both engines. `scripts/lint_metrics.sh` checks
+/// the query-log JSONL fields against it.
+fn query_log_fields(alias: &str) -> Vec<Field> {
     let table = Some(alias.to_string());
     let f = |name: &str, ty: LogicalType| Field { name: name.into(), table: table.clone(), ty };
     vec![
@@ -131,29 +184,6 @@ pub fn query_log_fields(alias: &str) -> Vec<Field> {
         f("error", LogicalType::Text),
         f("profile", LogicalType::Text),
     ]
-}
-
-/// Snapshot of the query-log history, oldest first, shaped for
-/// [`query_log_fields`].
-pub fn query_log_rows() -> Vec<Vec<Value>> {
-    mduck_obs::query_log_snapshot()
-        .into_iter()
-        .map(|r| {
-            vec![
-                Value::Int(r.id as i64),
-                Value::Text(r.engine.into()),
-                Value::Text(r.sql.into()),
-                Value::Float(r.duration_us as f64 / 1000.0),
-                Value::Int(r.rows_returned as i64),
-                Value::Int(r.rows_scanned as i64),
-                r.guard_trip.map(Value::text).unwrap_or(Value::Null),
-                Value::Int(r.mem_peak as i64),
-                Value::Int(r.threads as i64),
-                r.error.map(|e| Value::text(&e)).unwrap_or(Value::Null),
-                r.profile.map(|p| Value::text(&p)).unwrap_or(Value::Null),
-            ]
-        })
-        .collect()
 }
 
 fn status_result(status: &str) -> QueryResult {
@@ -265,6 +295,16 @@ pub fn pragma(
 mod tests {
     use super::*;
 
+    /// The span ring, the progress registry and the query log are
+    /// process-global and `pragma_dispatch` resets all three, so the tests
+    /// that read them hold this lock: a reset must not land between a
+    /// test's write and its read.
+    static GLOBALS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn lock_globals() -> std::sync::MutexGuard<'static, ()> {
+        GLOBALS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn metrics_rows_match_schema() {
         let schema = metrics_schema();
@@ -279,16 +319,18 @@ mod tests {
 
     #[test]
     fn span_rows_match_fields() {
+        let _globals = lock_globals();
         let _s = mduck_obs::span("introspect.test_span");
         drop(_s);
-        let fields = span_fields("s");
-        let rows = span_rows();
+        let fields = Introspection::Spans.fields("s");
+        let rows = rows(Introspection::Spans);
         assert!(rows.iter().all(|r| r.len() == fields.len()));
         assert!(rows.iter().any(|r| r[2] == Value::Text("introspect.test_span".into())));
     }
 
     #[test]
     fn pragma_dispatch() {
+        let _globals = lock_globals();
         assert!(pragma("metrics", None).unwrap().is_some());
         assert!(pragma("reset_spans", None).unwrap().is_some());
         assert!(pragma("reset_query_log", None).unwrap().is_some());
@@ -300,12 +342,13 @@ mod tests {
 
     #[test]
     fn progress_and_query_log_rows_match_fields() {
+        let _globals = lock_globals();
         let p = mduck_obs::QueryProgress::begin("SELECT introspect_progress");
         p.add_total(4);
         p.add_done(4);
         p.finish();
-        let fields = progress_fields("p");
-        let rows = progress_rows();
+        let fields = Introspection::Progress.fields("p");
+        let rows = rows(Introspection::Progress);
         assert!(rows.iter().all(|r| r.len() == fields.len()));
         assert!(rows
             .iter()
@@ -324,8 +367,8 @@ mod tests {
             error: None,
             profile: None,
         });
-        let fields = query_log_fields("q");
-        let rows = query_log_rows();
+        let fields = Introspection::QueryLog.fields("q");
+        let rows = super::rows(Introspection::QueryLog);
         assert!(rows.iter().all(|r| r.len() == fields.len()));
         let row = rows
             .iter()

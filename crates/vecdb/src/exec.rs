@@ -13,6 +13,7 @@
 //! after projection, come from `mduck_sql::plan`, shared with the row
 //! engine.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -20,6 +21,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mduck_sql::eval::{NoSubqueries, OuterStack, SubqueryExec};
+use mduck_sql::index::probe_column;
+use mduck_sql::introspect::Introspection;
 use mduck_sql::plan::{index_pattern, selectivity, series, JoinConjuncts, RowTail};
 use mduck_sql::quantified::{decorrelate, QuantifiedSets};
 use mduck_sql::{
@@ -167,14 +170,6 @@ impl<'a> EngineCtx<'a> {
         self
     }
 
-    /// True when a stage may fan out to the worker pool: more than one
-    /// thread configured and no correlated outer context (workers use
-    /// [`NoSubqueries`] and cannot see outer rows; per-stage gating
-    /// additionally requires the expressions involved to be non-complex).
-    pub fn parallel_ok(&self, outer: &OuterStack<'_>) -> bool {
-        self.threads > 1 && outer.is_empty()
-    }
-
     /// Turn on per-operator/per-stage actuals (`EXPLAIN ANALYZE`).
     pub fn enable_profiling(&mut self) {
         self.profile = Some(Profile::default());
@@ -238,6 +233,83 @@ impl<'a> EngineCtx<'a> {
         if let Some(p) = &self.profile {
             p.stages.borrow_mut().entry((plan_key(plan), name)).or_default().mem_bytes += bytes;
         }
+    }
+
+    /// Run morsels `0..n` of one stage, handing each output to `sink` in
+    /// morsel order: the one place a stage decides whether to fan out.
+    ///
+    /// With more than one thread, no correlated outer rows, `simple`
+    /// expressions (no subqueries) and at least [`MIN_PARALLEL_MORSELS`]
+    /// morsels, `work` runs on the worker pool with an empty outer stack
+    /// and [`NoSubqueries`], and the outputs reach `sink` once every
+    /// morsel is done. Otherwise each morsel runs in turn with the
+    /// caller's `outer`/`exec` and goes straight to `sink`, so nothing is
+    /// buffered on the way.
+    ///
+    /// Either way the guard is ticked once per morsel, the statement's
+    /// progress counts the morsels, the rows `work` dropped reach the
+    /// `rows_filtered` metric, and the bytes it charged to the guard are
+    /// attributed to `key`; a fanned-out run records its actuals under
+    /// `(key, stage)`.
+    #[allow(clippy::too_many_arguments)]
+    fn morsels<T: Send>(
+        &self,
+        n: usize,
+        key: usize,
+        stage: &'static str,
+        simple: bool,
+        outer: &OuterStack<'_>,
+        exec: &dyn SubqueryExec,
+        work: impl Fn(usize, &OuterStack<'_>, &dyn SubqueryExec) -> SqlResult<Morsel<T>> + Sync,
+        mut sink: impl FnMut(T) -> SqlResult<()>,
+    ) -> SqlResult<()> {
+        let (guard, progress) = (self.guard, self.progress.as_deref());
+        if let Some(pr) = progress {
+            pr.add_total(n as u64);
+        }
+        let run = |i: usize, outer: &OuterStack<'_>, exec: &dyn SubqueryExec| {
+            guard.tick()?;
+            let morsel = work(i, outer, exec)?;
+            if let Some(pr) = progress {
+                pr.add_done(1);
+            }
+            Ok(morsel)
+        };
+        let (mut bytes, mut dropped) = (0u64, 0u64);
+        let mut take = |m: Morsel<T>| {
+            bytes += m.bytes;
+            dropped += m.dropped;
+            sink(m.out)
+        };
+        if self.threads > 1 && outer.is_empty() && simple && n >= MIN_PARALLEL_MORSELS {
+            let (outs, stats) =
+                morsel_map(self.threads, n, |i| run(i, &OuterStack::EMPTY, &NoSubqueries))?;
+            self.record_parallel(key, stage, &stats);
+            outs.into_iter().try_for_each(&mut take)?;
+        } else {
+            for i in 0..n {
+                take(run(i, outer, exec)?)?;
+            }
+        }
+        self.attribute_op_mem(key, bytes);
+        mduck_obs::metrics().rows_filtered.inc(dropped);
+        Ok(())
+    }
+}
+
+/// What one morsel produced, and what [`EngineCtx::morsels`] accounts
+/// for it.
+struct Morsel<T> {
+    out: T,
+    /// Bytes the morsel materialized, already charged to the guard.
+    bytes: u64,
+    /// Rows its predicates dropped.
+    dropped: u64,
+}
+
+impl<T> Morsel<T> {
+    fn new(out: T) -> Self {
+        Morsel { out, bytes: 0, dropped: 0 }
     }
 }
 
@@ -350,13 +422,14 @@ pub enum PhysOp {
         filters: ScanFilters,
     },
     /// §4.3 index-scan injection: `column <op> constant` answered by the
-    /// index named, then the relation's other conjuncts (`filters`) over
-    /// the candidates. When the index declines at run time the table is
-    /// scanned with `fallback`: the indexed predicate followed by
-    /// `filters`.
+    /// indexes on table column `column` (`index` names the first), then
+    /// the relation's other conjuncts (`filters`) over the candidates.
+    /// When they decline at run time the table is scanned with
+    /// `fallback`: the indexed predicate followed by `filters`.
     IndexScan {
         table: String,
         index: String,
+        column: usize,
         op: String,
         constant: Value,
         filters: ScanFilters,
@@ -373,16 +446,10 @@ pub enum PhysOp {
     Series {
         args: Vec<BoundExpr>,
     },
-    /// `mduck_spans()`: snapshot of the tracing-span ring buffer.
-    SpansScan {
-        types: Vec<LogicalType>,
-    },
-    /// `mduck_progress()`: snapshot of the live-progress registry.
-    ProgressScan {
-        types: Vec<LogicalType>,
-    },
-    /// `mduck_query_log()`: snapshot of the query-log history.
-    QueryLogScan {
+    /// `mduck_spans()`, `mduck_progress()` or `mduck_query_log()`: a
+    /// snapshot of what the function reports.
+    Introspect {
+        function: Introspection,
         types: Vec<LogicalType>,
     },
     /// A predicate over a join result or a non-table relation (base
@@ -726,13 +793,8 @@ fn base_relation(f: &BoundFrom) -> SqlResult<PhysOp> {
             types: schema.fields.iter().map(|fl| fl.ty.clone()).collect(),
         },
         BoundFrom::Series { args, .. } => PhysOp::Series { args: args.clone() },
-        BoundFrom::Spans { schema, .. } => PhysOp::SpansScan {
-            types: schema.fields.iter().map(|fl| fl.ty.clone()).collect(),
-        },
-        BoundFrom::Progress { schema, .. } => PhysOp::ProgressScan {
-            types: schema.fields.iter().map(|fl| fl.ty.clone()).collect(),
-        },
-        BoundFrom::QueryLog { schema, .. } => PhysOp::QueryLogScan {
+        BoundFrom::Introspect { function, schema, .. } => PhysOp::Introspect {
+            function: *function,
             types: schema.fields.iter().map(|fl| fl.ty.clone()).collect(),
         },
     })
@@ -746,9 +808,11 @@ pub fn op_name(op: &PhysOp) -> &'static str {
         PhysOp::CteScan { .. } => "cte_scan",
         PhysOp::SubqueryScan { .. } => "subquery_scan",
         PhysOp::Series { .. } => "generate_series",
-        PhysOp::SpansScan { .. } => "spans_scan",
-        PhysOp::ProgressScan { .. } => "progress_scan",
-        PhysOp::QueryLogScan { .. } => "query_log_scan",
+        PhysOp::Introspect { function, .. } => match function {
+            Introspection::Spans => "spans_scan",
+            Introspection::Progress => "progress_scan",
+            Introspection::QueryLog => "query_log_scan",
+        },
         PhysOp::Filter { .. } => "filter",
         PhysOp::HashJoin { .. } => "hash_join",
         PhysOp::CrossJoin { .. } => "cross_product",
@@ -761,7 +825,8 @@ pub fn op_name(op: &PhysOp) -> &'static str {
 /// sequential scan with every conjunct fused in.
 fn table_scan(ctx: &EngineCtx<'_>, table: String, mut preds: Vec<BoundExpr>) -> SqlResult<PhysOp> {
     for pos in 0..preds.len() {
-        if let Some((index, op, constant)) = match_index_pattern(ctx, &table, &preds[pos])? {
+        let matched = match_index_pattern(ctx, &table, &preds[pos])?;
+        if let Some((index, column, op, constant)) = matched {
             *ctx.used_index_scan.borrow_mut() = true;
             let indexed = preds.remove(pos);
             let mut fallback = Vec::with_capacity(preds.len() + 1);
@@ -770,6 +835,7 @@ fn table_scan(ctx: &EngineCtx<'_>, table: String, mut preds: Vec<BoundExpr>) -> 
             return Ok(PhysOp::IndexScan {
                 table,
                 index,
+                column,
                 op,
                 constant,
                 filters: ScanFilters::new(preds),
@@ -781,14 +847,14 @@ fn table_scan(ctx: &EngineCtx<'_>, table: String, mut preds: Vec<BoundExpr>) -> 
 }
 
 /// Recognize `col <op> constant` (or commuted `&&`) over an indexed
-/// column of `table`. Returns `(index name, operator, constant)` when an
-/// index covers the column. Equality comparisons (`Compare =`) are
+/// column of `table`. Returns `(index name, column, operator, constant)`
+/// when an index covers the column. Equality comparisons (`Compare =`) are
 /// declined: the index scan does not re-check its hits.
 fn match_index_pattern(
     ctx: &EngineCtx<'_>,
     table: &str,
     pred: &BoundExpr,
-) -> SqlResult<Option<(String, String, Value)>> {
+) -> SqlResult<Option<(String, usize, String, Value)>> {
     if !matches!(pred, BoundExpr::Call { .. }) {
         return Ok(None);
     }
@@ -800,7 +866,7 @@ fn match_index_pattern(
     Ok(t.indexes
         .iter()
         .find(|idx| idx.column() == col)
-        .map(|idx| (idx.name().to_string(), op.to_string(), constant.clone())))
+        .map(|idx| (idx.name().to_string(), col, op.to_string(), constant.clone())))
 }
 
 // ------------------------------------------------------------ execution
@@ -862,17 +928,10 @@ fn run_op(
             let t = t.read();
             scan_table(ctx, op, &t, ScanRows::All, filters, outer, &exec)
         }
-        PhysOp::IndexScan { table, index: _, op: iop, constant, filters, fallback } => {
+        PhysOp::IndexScan { table, column, op: iop, constant, filters, fallback, .. } => {
             let t = ctx.catalog.get(table)?;
             let t = t.read();
-            let mut hit = None;
-            for idx in &t.indexes {
-                if let Some(rows) = idx.try_scan(iop, constant)? {
-                    hit = Some(rows);
-                    break;
-                }
-            }
-            match hit {
+            match probe_column(&t.indexes, *column, iop, constant)? {
                 Some(rows) => {
                     let mut rows: Vec<usize> = rows.into_iter().map(|r| r as usize).collect();
                     rows.sort_unstable();
@@ -918,22 +977,8 @@ fn run_op(
             ctx.charge_op_mem(op_key(op), out.approx_bytes())?;
             Ok(out)
         }
-        PhysOp::SpansScan { types } => {
-            let rows = mduck_sql::introspect::span_rows();
-            ctx.guard.check_rows(rows.len())?;
-            let out = Chunks::from_rows(types, &rows)?;
-            ctx.charge_op_mem(op_key(op), out.approx_bytes())?;
-            Ok(out)
-        }
-        PhysOp::ProgressScan { types } => {
-            let rows = mduck_sql::introspect::progress_rows();
-            ctx.guard.check_rows(rows.len())?;
-            let out = Chunks::from_rows(types, &rows)?;
-            ctx.charge_op_mem(op_key(op), out.approx_bytes())?;
-            Ok(out)
-        }
-        PhysOp::QueryLogScan { types } => {
-            let rows = mduck_sql::introspect::query_log_rows();
+        PhysOp::Introspect { function, types } => {
+            let rows = mduck_sql::introspect::rows(*function);
             ctx.guard.check_rows(rows.len())?;
             let out = Chunks::from_rows(types, &rows)?;
             ctx.charge_op_mem(op_key(op), out.approx_bytes())?;
@@ -946,12 +991,13 @@ fn run_op(
         PhysOp::CrossJoin { left, right, .. } => {
             let l = execute_op(ctx, left, outer)?;
             let r = execute_op(ctx, right, outer)?;
-            pair_join(ctx, &l, &r, None, outer, &exec, op_key(op))
+            pair_join(ctx, &l, &r, JoinKind::Cross, outer, &exec, op_key(op))
         }
         PhysOp::HashJoin { left, right, left_keys, right_keys, .. } => {
             let l = execute_op(ctx, left, outer)?;
             let r = execute_op(ctx, right, outer)?;
-            hash_join(ctx, &l, &r, left_keys, right_keys, outer, &exec, op_key(op))
+            let kind = JoinKind::Hash(left_keys, right_keys);
+            pair_join(ctx, &l, &r, kind, outer, &exec, op_key(op))
         }
         PhysOp::IndexJoin { left, right, method, probe, build, cond, folded, .. } => {
             let l = execute_op(ctx, left, outer)?;
@@ -961,7 +1007,7 @@ fn run_op(
                 None => (Vec::new(), &[][..]),
             };
             let link = IndexLink { method, probe, build, recheck: &recheck, after };
-            pair_join(ctx, &l, &r, Some(link), outer, &exec, op_key(op))
+            pair_join(ctx, &l, &r, JoinKind::Index(link), outer, &exec, op_key(op))
         }
     }
 }
@@ -1025,17 +1071,8 @@ impl Window<'_> {
     }
 }
 
-/// What one scan window produced.
-struct ScanPart {
-    chunk: Option<DataChunk>,
-    /// Rows the fused conjuncts dropped.
-    dropped: u64,
-    /// Bytes materialized: predicate chunks plus the surviving rows.
-    bytes: u64,
-}
-
 /// Scan `rows` of `table` with `filters` fused in, one [`VECTOR_SIZE`]
-/// window at a time (one window = one morsel on the parallel path).
+/// window per morsel.
 ///
 /// Every visited row is charged to the row budget and the scan
 /// statistics up front, as an unfiltered scan would; only the predicate
@@ -1051,63 +1088,38 @@ fn scan_table(
     outer: &OuterStack<'_>,
     exec: &dyn SubqueryExec,
 ) -> SqlResult<Chunks> {
-    let key = op_key(op);
     let visited = rows.len(table);
     if let ScanRows::All = rows {
         mduck_obs::metrics().full_scans.inc(1);
     }
     note_scanned(ctx, op, visited)?;
-    let windows = visited.div_ceil(VECTOR_SIZE);
-    if let Some(pr) = &ctx.progress {
-        pr.add_total(windows as u64);
-    }
-    let parts = if ctx.parallel_ok(outer) && windows >= MIN_PARALLEL_MORSELS {
-        // Fused conjuncts are never complex (the planner keeps subquery
-        // predicates above the joins), so workers evaluate them with
-        // `NoSubqueries`. Workers charge the shared guard as they
-        // materialize; the coordinator attributes the bytes to the node
-        // afterwards (the profile is not thread-safe).
-        let guard = ctx.guard;
-        let progress = ctx.progress.as_deref();
-        let (parts, stats) = morsel_map(ctx.threads, windows, |w| {
-            guard.tick()?;
-            let part = scan_window(table, rows, w, filters, &OuterStack::EMPTY, &NoSubqueries)?;
-            guard.charge_mem(part.bytes)?;
-            if let Some(pr) = progress {
-                pr.add_done(1);
-            }
-            Ok(part)
-        })?;
-        if let Some(stats) = &stats {
-            ctx.record_parallel(key, "scan", stats);
-        }
-        ctx.attribute_op_mem(key, parts.iter().map(|p| p.bytes).sum());
-        parts
-    } else {
-        let mut parts = Vec::with_capacity(windows);
-        for w in 0..windows {
-            ctx.guard.tick()?;
-            let part = scan_window(table, rows, w, filters, outer, exec)?;
-            ctx.charge_op_mem(key, part.bytes)?;
-            if let Some(pr) = &ctx.progress {
-                pr.add_done(1);
-            }
-            parts.push(part);
-        }
-        parts
-    };
+    let guard = ctx.guard;
     let mut out = Chunks::default();
-    let mut dropped = 0u64;
-    for part in parts {
-        dropped += part.dropped;
-        out.chunks.extend(part.chunk);
-    }
-    mduck_obs::metrics().rows_filtered.inc(dropped);
+    // Fused conjuncts are simple: the planner keeps subquery predicates
+    // above the joins.
+    ctx.morsels(
+        visited.div_ceil(VECTOR_SIZE),
+        op_key(op),
+        "scan",
+        true,
+        outer,
+        exec,
+        |w, outer, exec| {
+            let window = scan_window(table, rows, w, filters, outer, exec)?;
+            guard.charge_mem(window.bytes)?;
+            Ok(window)
+        },
+        |chunk| {
+            out.chunks.extend(chunk);
+            Ok(())
+        },
+    )?;
     Ok(out)
 }
 
 /// Window `w` of a fused scan: evaluate each conjunct on its own columns
 /// for the rows still alive, then gather the survivors of every column.
+/// Its bytes are the predicate chunks plus the surviving rows.
 fn scan_window(
     table: &Table,
     rows: ScanRows<'_>,
@@ -1115,7 +1127,7 @@ fn scan_window(
     filters: &ScanFilters,
     outer: &OuterStack<'_>,
     exec: &dyn SubqueryExec,
-) -> SqlResult<ScanPart> {
+) -> SqlResult<Morsel<Option<DataChunk>>> {
     let window = rows.window(table, w);
     let mut bytes = 0u64;
     // Surviving table row ids; `None` while every row of the window is
@@ -1155,15 +1167,13 @@ fn scan_window(
     };
     let kept = chunk.as_ref().map_or(0, |c| c.len);
     bytes += chunk.as_ref().map_or(0, DataChunk::approx_bytes);
-    Ok(ScanPart { chunk, dropped: (window.len() - kept) as u64, bytes })
+    Ok(Morsel { out: chunk, bytes, dropped: (window.len() - kept) as u64 })
 }
 
-/// Apply `pred` across all chunks. `key` names the owning operator or
-/// plan for parallel actuals. Fans out to the morsel pool when the
-/// statement allows it and the predicate carries no subqueries (workers
-/// evaluate with [`NoSubqueries`] and an empty outer stack). A chunk every
-/// row of which passes moves to the output as it is; only partly kept
-/// chunks are copied, and charged to the memory guard.
+/// Apply `pred` across all chunks, one chunk per morsel. `key` names the
+/// owning operator or plan for parallel actuals. A chunk every row of
+/// which passes moves to the output as it is; only partly kept chunks
+/// are copied, and charged to the memory guard as they are made.
 fn filter_chunks(
     ctx: &EngineCtx<'_>,
     input: Chunks,
@@ -1172,80 +1182,44 @@ fn filter_chunks(
     exec: &dyn SubqueryExec,
     key: usize,
 ) -> SqlResult<Chunks> {
-    if let Some(pr) = &ctx.progress {
-        pr.add_total(input.chunks.len() as u64);
-    }
-    if ctx.parallel_ok(outer)
-        && !pred.is_complex()
-        && input.chunks.len() >= MIN_PARALLEL_MORSELS
-    {
-        let guard = ctx.guard;
-        let chunks = &input.chunks;
-        let progress = ctx.progress.as_deref();
-        let (results, stats) = morsel_map(ctx.threads, chunks.len(), |i| {
-            guard.tick()?;
+    let guard = ctx.guard;
+    let chunks = &input.chunks;
+    let mut kept = Vec::with_capacity(chunks.len());
+    ctx.morsels(
+        chunks.len(),
+        key,
+        "filter",
+        !pred.is_complex(),
+        outer,
+        exec,
+        |i, outer, exec| {
             let chunk = &chunks[i];
-            let sel = filter_chunk(pred, chunk, &OuterStack::EMPTY, &NoSubqueries)?;
+            let sel = filter_chunk(pred, chunk, outer, exec)?;
             let dropped = (chunk.len - sel.len()) as u64;
-            let kept = if sel.len() == chunk.len {
-                Kept::All
-            } else if sel.is_empty() {
-                Kept::None
-            } else {
-                // The kept copy is a fresh buffer: charge the shared guard
-                // from the worker so the memory limit trips mid-stage.
-                let part = chunk.select(&sel);
-                guard.charge_mem(part.approx_bytes())?;
-                Kept::Part(part)
-            };
-            if let Some(pr) = progress {
-                pr.add_done(1);
+            if sel.len() == chunk.len {
+                return Ok(Morsel { out: Kept::All, bytes: 0, dropped });
             }
-            Ok((kept, dropped))
-        })?;
-        if let Some(stats) = &stats {
-            ctx.record_parallel(key, "filter", stats);
-        }
-        // Per-worker counters are merged by the coordinator and flushed
-        // into the global registry exactly once per stage.
-        let mut counters = mduck_obs::WorkerCounters::default();
-        let mut out = Chunks::default();
-        let mut bytes = 0u64;
-        for (chunk, (kept, dropped)) in input.chunks.into_iter().zip(results) {
-            counters.rows_filtered += dropped;
-            match kept {
-                Kept::All => out.chunks.push(chunk),
-                Kept::None => {}
-                Kept::Part(part) => {
-                    bytes += part.approx_bytes();
-                    out.chunks.push(part);
-                }
+            if sel.is_empty() {
+                return Ok(Morsel { out: Kept::None, bytes: 0, dropped });
             }
-        }
-        counters.flush();
-        ctx.attribute_op_mem(key, bytes);
-        return Ok(out);
-    }
-    let mut out = Chunks::default();
-    let mut dropped = 0u64;
-    let mut bytes = 0u64;
-    for chunk in input.chunks {
-        ctx.guard.tick()?;
-        let sel = filter_chunk(pred, &chunk, outer, exec)?;
-        dropped += (chunk.len - sel.len()) as u64;
-        if sel.len() == chunk.len {
-            out.chunks.push(chunk);
-        } else if !sel.is_empty() {
             let part = chunk.select(&sel);
-            bytes += part.approx_bytes();
-            out.chunks.push(part);
-        }
-        if let Some(pr) = &ctx.progress {
-            pr.add_done(1);
+            let bytes = part.approx_bytes();
+            guard.charge_mem(bytes)?;
+            Ok(Morsel { out: Kept::Part(part), bytes, dropped })
+        },
+        |k| {
+            kept.push(k);
+            Ok(())
+        },
+    )?;
+    let mut out = Chunks::default();
+    for (chunk, kept) in input.chunks.into_iter().zip(kept) {
+        match kept {
+            Kept::All => out.chunks.push(chunk),
+            Kept::None => {}
+            Kept::Part(part) => out.chunks.push(part),
         }
     }
-    ctx.charge_op_mem(key, bytes)?;
-    mduck_obs::metrics().rows_filtered.inc(dropped);
     Ok(out)
 }
 
@@ -1286,16 +1260,26 @@ fn combine(l: &DataChunk, lsel: &[usize], r: &DataChunk, rsel: &[usize]) -> Data
     DataChunk::from_columns(cols)
 }
 
-/// What one left chunk of a cross product or index join produced.
+/// What one left chunk of a join produced.
 #[derive(Default)]
 struct PairPart {
     chunks: Vec<DataChunk>,
-    /// Left rows the index answered (the rest paired with every right row).
+    /// Left rows whose candidates came from the index or hash table (the
+    /// rest paired with every right row).
     probes: u64,
     /// Pairs emitted.
     pairs: u64,
-    /// Bytes of the emitted chunks (already charged to the guard).
-    bytes: u64,
+}
+
+/// How a join pairs its left rows with its right rows.
+#[derive(Clone, Copy)]
+enum JoinKind<'a> {
+    /// The cross product.
+    Cross,
+    /// An index join ([`PhysOp::IndexJoin`]).
+    Index(IndexLink<'a>),
+    /// A hash join on `(left keys, right keys)`.
+    Hash(&'a [BoundExpr], &'a [BoundExpr]),
 }
 
 /// What an index join probes and re-checks with (see [`PhysOp::IndexJoin`]).
@@ -1311,21 +1295,22 @@ struct IndexLink<'a> {
     after: &'a [BoundExpr],
 }
 
-/// The cross product of `l` and `r` (`link` = `None`), or an index join:
-/// the pairs a transient index over the `build` expression of `link`
-/// (evaluated once per right row, indexed through its method) returns
-/// for the `probe` expression (evaluated once per left row). Pairs come
-/// out in cross-product order: left rows in order, each with its right
-/// rows — or candidates — in ascending order. A NULL probe pairs with
-/// none. A probe the index cannot answer (declined, errored, a probe
-/// chunk that fails to evaluate, a build side that fails to index)
-/// pairs with every right row, as the cross product does, and those
-/// pairs run `recheck` (DESIGN.md §12).
+/// Join `l` with `r`, one left chunk per morsel. Pairs come out in
+/// cross-product order: left rows in order, each with its right rows in
+/// ascending order — every right row (the cross product), the hits of a
+/// transient index over the `build` expression of an index join
+/// (evaluated once per right row, indexed through its method) for the
+/// `probe` expression, or the right rows a hash join's keys match. A
+/// NULL probe or key pairs with none. A probe the index cannot answer
+/// (declined, errored, a probe chunk that fails to evaluate, a build side
+/// that fails to index) pairs with every right row, as the cross product
+/// does, and those pairs run `recheck` (DESIGN.md §12). A key that fails
+/// to evaluate fails the join.
 fn pair_join(
     ctx: &EngineCtx<'_>,
     l: &Chunks,
     r: &Chunks,
-    link: Option<IndexLink<'_>>,
+    kind: JoinKind<'_>,
     outer: &OuterStack<'_>,
     exec: &dyn SubqueryExec,
     key: usize,
@@ -1339,63 +1324,55 @@ fn pair_join(
     // limit (or the row budget, whichever is tighter) mid-flight.
     ctx.charge_op_mem(key, rflat.approx_bytes())?;
     let m = mduck_obs::metrics();
-    let index = link.and_then(|link| {
-        let index = build_index(ctx, link.method, link.build, &rflat, outer, exec)?;
-        m.index_join_builds.inc(1);
-        Some(index)
-    });
-    let index = index.as_deref().zip(link.map(|link| link.probe));
-    let (recheck, after) = link.map_or((&[][..], &[][..]), |link| (link.recheck, link.after));
-    if let Some(pr) = &ctx.progress {
-        pr.add_total(l.chunks.len() as u64);
-    }
-    let parts = if ctx.parallel_ok(outer) && l.chunks.len() >= MIN_PARALLEL_MORSELS {
-        // The probe expression and the re-checked conjuncts are simple
-        // (the planner only places conjuncts without subqueries), so
-        // workers evaluate them with `NoSubqueries`.
-        let guard = ctx.guard;
-        let progress = ctx.progress.as_deref();
-        let (parts, stats) = morsel_map(ctx.threads, l.chunks.len(), |i| {
-            let pairs = Pairs { guard, rflat: &rflat, recheck, after, outer: &OuterStack::EMPTY };
-            let part = pairs.chunk(&l.chunks[i], index, &NoSubqueries)?;
-            if let Some(pr) = progress {
-                pr.add_done(1);
-            }
-            Ok(part)
-        })?;
-        if let Some(stats) = &stats {
-            ctx.record_parallel(key, "pairs", stats);
+    let (index, table);
+    let (candidates, recheck, after) = match kind {
+        JoinKind::Cross => (Candidates::All, &[][..], &[][..]),
+        JoinKind::Index(link) => {
+            index = build_index(ctx, link.method, link.build, &rflat, outer, exec);
+            let candidates = match &index {
+                Some(index) => {
+                    m.index_join_builds.inc(1);
+                    Candidates::Index(&**index, link.probe)
+                }
+                None => Candidates::All,
+            };
+            (candidates, link.recheck, link.after)
         }
-        parts
-    } else {
-        let pairs = Pairs { guard: ctx.guard, rflat: &rflat, recheck, after, outer };
-        let mut parts = Vec::with_capacity(l.chunks.len());
-        for lchunk in &l.chunks {
-            parts.push(pairs.chunk(lchunk, index, exec)?);
-            if let Some(pr) = &ctx.progress {
-                pr.add_done(1);
-            }
+        JoinKind::Hash(left_keys, right_keys) => {
+            table = build_hash(ctx, right_keys, &rflat, outer, exec, key)?;
+            (Candidates::Hash(&table, left_keys), &[][..], &[][..])
         }
-        parts
     };
+    let all: Vec<usize> = (0..rflat.len).collect();
+    let pairs = Pairs { guard: ctx.guard, rflat: &rflat, all: &all, candidates, recheck, after };
     let mut out = Chunks::default();
-    let (mut probes, mut pairs, mut bytes) = (0u64, 0u64, 0u64);
-    for part in parts {
-        probes += part.probes;
-        pairs += part.pairs;
-        bytes += part.bytes;
-        out.chunks.extend(part.chunks);
-    }
-    ctx.attribute_op_mem(key, bytes);
-    m.rows_joined.inc(pairs);
-    if link.is_some() {
-        m.index_join_candidates.inc(pairs);
+    let (mut probes, mut emitted) = (0u64, 0u64);
+    // The probe, the keys and the re-checked conjuncts are simple: the
+    // planner places only conjuncts without subqueries.
+    ctx.morsels(
+        l.chunks.len(),
+        key,
+        "pairs",
+        true,
+        outer,
+        exec,
+        |i, outer, exec| pairs.chunk(&l.chunks[i], outer, exec),
+        |part| {
+            probes += part.probes;
+            emitted += part.pairs;
+            out.chunks.extend(part.chunks);
+            Ok(())
+        },
+    )?;
+    m.rows_joined.inc(emitted);
+    if let JoinKind::Index(_) = kind {
+        m.index_join_candidates.inc(emitted);
         if let Some(p) = &ctx.profile {
             let mut ops = p.ops.borrow_mut();
             let e = ops.entry(key).or_default();
             e.build_rows += rflat.len as u64;
             e.probes += probes;
-            e.candidates += pairs;
+            e.candidates += emitted;
         }
     }
     Ok(out)
@@ -1419,14 +1396,116 @@ fn build_index(
     index_type.create("index_join", 0, &build.ty(), &values).ok()
 }
 
+/// The right row numbers of each key of `right_keys` over `rflat`, in
+/// ascending order; rows with a NULL key are left out. A rough
+/// per-entry estimate for the table is charged up front.
+fn build_hash(
+    ctx: &EngineCtx<'_>,
+    right_keys: &[BoundExpr],
+    rflat: &DataChunk,
+    outer: &OuterStack<'_>,
+    exec: &dyn SubqueryExec,
+    key_op: usize,
+) -> SqlResult<HashMap<Vec<u8>, Vec<usize>>> {
+    ctx.charge_op_mem(key_op, rflat.len as u64 * 48)?;
+    let key_cols: Vec<ColumnData> = right_keys
+        .iter()
+        .map(|k| eval_vector(k, rflat, outer, exec))
+        .collect::<SqlResult<_>>()?;
+    let mut table: HashMap<Vec<u8>, Vec<usize>> = HashMap::with_capacity(rflat.len);
+    let mut key = Vec::new();
+    for i in 0..rflat.len {
+        if hash_key(&key_cols, i, &mut key) {
+            table.entry(key.clone()).or_default().push(i);
+        }
+    }
+    Ok(table)
+}
+
+/// Write row `i`'s key over `cols` into `key`; false when a key value is
+/// NULL (the row matches nothing).
+fn hash_key(cols: &[ColumnData], i: usize, key: &mut Vec<u8>) -> bool {
+    key.clear();
+    for c in cols {
+        let v = c.get(i);
+        if v.is_null() {
+            return false;
+        }
+        v.hash_key(key);
+    }
+    true
+}
+
+/// Where the right rows a left row pairs with come from.
+#[derive(Clone, Copy)]
+enum Candidates<'a> {
+    /// Every right row.
+    All,
+    /// The index's hits for the left row's `probe` value.
+    Index(&'a dyn TableIndex, &'a BoundExpr),
+    /// The hash table's rows for the left row's key.
+    Hash(&'a HashMap<Vec<u8>, Vec<usize>>, &'a [BoundExpr]),
+}
+
+impl<'a> Candidates<'a> {
+    /// One left chunk's probe values: the index probe or the hash keys;
+    /// `None` when every row pairs with every right row.
+    fn probe(
+        self,
+        lchunk: &DataChunk,
+        outer: &OuterStack<'_>,
+        exec: &dyn SubqueryExec,
+    ) -> SqlResult<Option<Vec<ColumnData>>> {
+        Ok(match self {
+            Candidates::All => None,
+            // A chunk whose probe values cannot be computed pairs every
+            // row with every right row; the re-check then meets the same
+            // error, if any, the cross product would have.
+            Candidates::Index(_, probe) => {
+                eval_vector(probe, lchunk, outer, exec).ok().map(|values| vec![values])
+            }
+            Candidates::Hash(_, keys) => Some(
+                keys.iter().map(|k| eval_vector(k, lchunk, outer, exec)).collect::<SqlResult<_>>()?,
+            ),
+        })
+    }
+
+    /// Left row `li`'s candidates, ascending, from its probe values
+    /// `cols`; `None` when the index cannot answer.
+    fn hits(self, cols: &[ColumnData], li: usize, key: &mut Vec<u8>) -> Option<Cow<'a, [usize]>> {
+        match self {
+            Candidates::All => None,
+            Candidates::Index(index, _) => {
+                let v = cols[0].get(li);
+                if v.is_null() {
+                    return Some(Cow::Borrowed(&[]));
+                }
+                let Ok(Some(ids)) = index.try_scan("&&", &v) else { return None };
+                let mut ids: Vec<usize> = ids.into_iter().map(|r| r as usize).collect();
+                ids.sort_unstable();
+                Some(Cow::Owned(ids))
+            }
+            Candidates::Hash(table, _) => {
+                if !hash_key(cols, li, key) {
+                    return Some(Cow::Borrowed(&[]));
+                }
+                Some(Cow::Borrowed(table.get(key).map_or(&[][..], Vec::as_slice)))
+            }
+        }
+    }
+}
+
 /// What pairing one left chunk reads besides the chunk: the flattened
-/// right side and the conjuncts the pairs run ([`IndexLink`]).
+/// right side, where each left row's candidates come from, and the
+/// conjuncts the pairs run ([`IndexLink`]).
 struct Pairs<'a> {
     guard: &'a ExecGuard,
     rflat: &'a DataChunk,
+    /// Every right row number.
+    all: &'a [usize],
+    candidates: Candidates<'a>,
     recheck: &'a [&'a BoundExpr],
     after: &'a [BoundExpr],
-    outer: &'a OuterStack<'a>,
 }
 
 /// Pairs selected from one left chunk, not yet emitted.
@@ -1439,58 +1518,38 @@ struct Selection {
 }
 
 impl Pairs<'_> {
-    /// Pair every row of `lchunk` with its right rows (all of them, or the
-    /// candidates `index` returns for its `probe` value), emitting the
-    /// pairs in [`VECTOR_SIZE`] chunks charged to the row budget and
-    /// memory guard.
+    /// Pair every row of `lchunk` with its candidates, emitting the pairs
+    /// in [`VECTOR_SIZE`] chunks charged to the row budget and memory
+    /// guard.
     fn chunk(
         &self,
         lchunk: &DataChunk,
-        index: Option<(&dyn TableIndex, &BoundExpr)>,
+        outer: &OuterStack<'_>,
         exec: &dyn SubqueryExec,
-    ) -> SqlResult<PairPart> {
-        self.guard.tick()?;
-        let mut part = PairPart::default();
-        // A chunk whose probe values cannot be computed pairs every row
-        // with every right row; the re-check then meets the same error, if
-        // any, the cross product would have.
-        let probed = index.and_then(|(idx, probe)| {
-            eval_vector(probe, lchunk, self.outer, exec).ok().map(|values| (idx, values))
-        });
-        let all: Vec<usize> = (0..self.rflat.len).collect();
+    ) -> SqlResult<Morsel<PairPart>> {
+        let mut part = Morsel::new(PairPart::default());
+        let probed = self.candidates.probe(lchunk, outer, exec)?;
         let mut sel = Selection::default();
+        let mut key = Vec::new();
         for li in 0..lchunk.len {
-            let hits = probed.as_ref().and_then(|(idx, values)| {
-                let v = values.get(li);
-                if v.is_null() {
-                    return Some(Vec::new());
-                }
-                match idx.try_scan("&&", &v) {
-                    Ok(Some(ids)) => {
-                        let mut ids: Vec<usize> = ids.into_iter().map(|r| r as usize).collect();
-                        ids.sort_unstable();
-                        Some(ids)
-                    }
-                    _ => None,
-                }
-            });
+            let hits = probed.as_ref().and_then(|cols| self.candidates.hits(cols, li, &mut key));
             if hits.is_some() {
-                part.probes += 1;
+                part.out.probes += 1;
             }
             let check = hits.is_none() && !self.recheck.is_empty();
-            for &ri in hits.as_deref().unwrap_or(&all) {
+            for &ri in hits.as_deref().unwrap_or(self.all) {
                 if check {
                     sel.unchecked.push(sel.lsel.len());
                 }
                 sel.lsel.push(li);
                 sel.rsel.push(ri);
                 if sel.lsel.len() >= VECTOR_SIZE {
-                    self.emit(&mut part, lchunk, &mut sel, exec)?;
+                    self.emit(&mut part, lchunk, &mut sel, outer, exec)?;
                 }
             }
         }
         if !sel.lsel.is_empty() {
-            self.emit(&mut part, lchunk, &mut sel, exec)?;
+            self.emit(&mut part, lchunk, &mut sel, outer, exec)?;
         }
         Ok(part)
     }
@@ -1500,30 +1559,31 @@ impl Pairs<'_> {
     /// and clear the selection.
     fn emit(
         &self,
-        part: &mut PairPart,
+        part: &mut Morsel<PairPart>,
         lchunk: &DataChunk,
         sel: &mut Selection,
+        outer: &OuterStack<'_>,
         exec: &dyn SubqueryExec,
     ) -> SqlResult<()> {
         self.guard.check_rows(sel.lsel.len())?;
         let mut chunk = combine(lchunk, &sel.lsel, self.rflat, &sel.rsel);
         self.guard.charge_mem(chunk.approx_bytes())?;
         if !sel.unchecked.is_empty() {
-            chunk = self.recheck_pairs(chunk, &sel.unchecked, exec)?;
+            chunk = self.recheck_pairs(chunk, &sel.unchecked, outer, exec)?;
         }
         for pred in self.after {
             if chunk.len == 0 {
                 break;
             }
-            let pass = filter_chunk(pred, &chunk, self.outer, exec)?;
+            let pass = filter_chunk(pred, &chunk, outer, exec)?;
             if pass.len() < chunk.len {
                 chunk = chunk.select(&pass);
             }
         }
         if chunk.len > 0 {
-            part.pairs += chunk.len as u64;
+            part.out.pairs += chunk.len as u64;
             part.bytes += chunk.approx_bytes();
-            part.chunks.push(chunk);
+            part.out.chunks.push(chunk);
         }
         sel.lsel.clear();
         sel.rsel.clear();
@@ -1539,6 +1599,7 @@ impl Pairs<'_> {
         &self,
         chunk: DataChunk,
         rows: &[usize],
+        outer: &OuterStack<'_>,
         exec: &dyn SubqueryExec,
     ) -> SqlResult<DataChunk> {
         // `kept[k]` is the chunk position of row `k` of `checked`.
@@ -1549,7 +1610,7 @@ impl Pairs<'_> {
                 break;
             }
             let view = checked.as_ref().unwrap_or(&chunk);
-            let pass = filter_chunk(pred, view, self.outer, exec)?;
+            let pass = filter_chunk(pred, view, outer, exec)?;
             if pass.len() < view.len {
                 let next = view.select(&pass);
                 kept = pass.iter().map(|&k| kept[k]).collect();
@@ -1571,100 +1632,6 @@ impl Pairs<'_> {
             .collect();
         Ok(chunk.select(&sel))
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn hash_join(
-    ctx: &EngineCtx<'_>,
-    l: &Chunks,
-    r: &Chunks,
-    left_keys: &[BoundExpr],
-    right_keys: &[BoundExpr],
-    outer: &OuterStack<'_>,
-    exec: &dyn SubqueryExec,
-    key_op: usize,
-) -> SqlResult<Chunks> {
-    // Build on the right side. The flattened build chunk plus a rough
-    // per-entry estimate for the hash table itself are charged up front —
-    // the build side is the operator's dominant allocation.
-    let rtypes = chunk_types(r);
-    let rflat = flatten(r, rtypes)?;
-    ctx.charge_op_mem(key_op, rflat.approx_bytes() + rflat.len as u64 * 48)?;
-    let mut table: HashMap<Vec<u8>, Vec<usize>> = HashMap::with_capacity(rflat.len);
-    if rflat.len > 0 {
-        let key_cols: SqlResult<Vec<ColumnData>> = right_keys
-            .iter()
-            .map(|k| eval_vector(k, &rflat, outer, exec))
-            .collect();
-        let key_cols = key_cols?;
-        let mut key = Vec::new();
-        for i in 0..rflat.len {
-            key.clear();
-            let mut has_null = false;
-            for kc in &key_cols {
-                let v = kc.get(i);
-                if v.is_null() {
-                    has_null = true;
-                    break;
-                }
-                v.hash_key(&mut key);
-            }
-            if !has_null {
-                table.entry(key.clone()).or_default().push(i);
-            }
-        }
-    }
-    let mut out = Chunks::default();
-    for lchunk in &l.chunks {
-        if lchunk.len == 0 {
-            continue;
-        }
-        let key_cols: SqlResult<Vec<ColumnData>> = left_keys
-            .iter()
-            .map(|k| eval_vector(k, lchunk, outer, exec))
-            .collect();
-        let key_cols = key_cols?;
-        let mut lsel = Vec::new();
-        let mut rsel = Vec::new();
-        let mut key = Vec::new();
-        for i in 0..lchunk.len {
-            key.clear();
-            let mut has_null = false;
-            for kc in &key_cols {
-                let v = kc.get(i);
-                if v.is_null() {
-                    has_null = true;
-                    break;
-                }
-                v.hash_key(&mut key);
-            }
-            if has_null {
-                continue;
-            }
-            if let Some(matches) = table.get(&key) {
-                for &ri in matches {
-                    lsel.push(i);
-                    rsel.push(ri);
-                    if lsel.len() >= VECTOR_SIZE {
-                        ctx.guard.check_rows(lsel.len())?;
-                        let chunk = combine(lchunk, &lsel, &rflat, &rsel);
-                        ctx.charge_op_mem(key_op, chunk.approx_bytes())?;
-                        out.chunks.push(chunk);
-                        lsel.clear();
-                        rsel.clear();
-                    }
-                }
-            }
-        }
-        if !lsel.is_empty() {
-            ctx.guard.check_rows(lsel.len())?;
-            let chunk = combine(lchunk, &lsel, &rflat, &rsel);
-            ctx.charge_op_mem(key_op, chunk.approx_bytes())?;
-            out.chunks.push(chunk);
-        }
-    }
-    mduck_obs::metrics().rows_joined.inc(out.row_count() as u64);
-    Ok(out)
 }
 
 // ------------------------------------------------------------ full select
@@ -1745,55 +1712,34 @@ fn execute_select_inner(
     let proj_start = Instant::now();
     let mut tail = RowTail::new(plan);
     if env_is_input {
-        let simple = plan.projections.iter().all(|p| !p.is_complex());
-        if ctx.parallel_ok(outer) && simple && input.chunks.len() >= MIN_PARALLEL_MORSELS {
-            // Parallel projection: each worker projects whole chunks into
-            // row vectors, reassembled in chunk order.
-            let guard = ctx.guard;
-            let chunks = &input.chunks;
-            let projections = &plan.projections;
-            let progress = ctx.progress.as_deref();
-            if let Some(pr) = progress {
-                pr.add_total(chunks.len() as u64);
-            }
-            let (parts, stats) = morsel_map(ctx.threads, chunks.len(), |ci| {
+        // Each morsel projects one chunk into row vectors.
+        let (guard, chunks) = (ctx.guard, &input.chunks);
+        ctx.morsels(
+            chunks.len(),
+            plan_key(plan),
+            "projection",
+            plan.projections.iter().all(|p| !p.is_complex()),
+            outer,
+            &exec,
+            |ci, outer, exec| {
                 let chunk = &chunks[ci];
                 guard.check_rows(chunk.len)?;
-                let proj_cols: SqlResult<Vec<ColumnData>> = projections
+                let proj_cols: Vec<ColumnData> = plan
+                    .projections
                     .iter()
-                    .map(|p| eval_vector(p, chunk, &OuterStack::EMPTY, &NoSubqueries))
-                    .collect();
-                let proj_cols = proj_cols?;
+                    .map(|p| eval_vector(p, chunk, outer, exec))
+                    .collect::<SqlResult<_>>()?;
                 let mut part = RowTail::new(plan);
                 for i in 0..chunk.len {
                     part.push(proj_cols.iter().map(|c| c.get(i)).collect(), || chunk.row(i));
                 }
-                if let Some(pr) = progress {
-                    pr.add_done(1);
-                }
-                Ok(part)
-            })?;
-            if let Some(stats) = &stats {
-                ctx.record_parallel(plan_key(plan), "projection", stats);
-            }
-            for part in parts {
+                Ok(Morsel::new(part))
+            },
+            |part| {
                 tail.append(part);
-            }
-        } else {
-            for chunk in &input.chunks {
-                ctx.guard.check_rows(chunk.len)?;
-                // Vectorized projection straight off the input chunks.
-                let proj_cols: SqlResult<Vec<ColumnData>> = plan
-                    .projections
-                    .iter()
-                    .map(|p| eval_vector(p, chunk, outer, &exec))
-                    .collect();
-                let proj_cols = proj_cols?;
-                for i in 0..chunk.len {
-                    tail.push(proj_cols.iter().map(|c| c.get(i)).collect(), || chunk.row(i));
-                }
-            }
-        }
+                Ok(())
+            },
+        )?;
     } else {
         tail.project(plan, env_rows, outer, &exec)?;
     }
@@ -1853,16 +1799,16 @@ struct GroupSet {
 /// Hash aggregation: returns the environment rows
 /// `[group keys ++ aggregate results]`.
 ///
-/// Three execution paths, chosen per statement:
-/// 1. **Two-phase parallel** — every aggregate state supports
-///    [`mduck_sql::AggState::exact_merge`] and none is DISTINCT: workers
-///    fold *contiguous* chunk ranges into partial group sets, merged
-///    serially in range order.
-/// 2. **Hybrid parallel** — some state merges inexactly (float sums) or
-///    is DISTINCT: workers only evaluate group keys / arguments per
-///    chunk; the state fold stays serial in chunk order.
-/// 3. **Serial** — complex expressions (subqueries), correlated context,
-///    or too little input.
+/// Two strategies, chosen by the aggregates alone; either fans out
+/// through [`EngineCtx::morsels`] when the stage may:
+/// 1. **Two-phase** — every aggregate state supports
+///    [`mduck_sql::AggState::exact_merge`] and none is DISTINCT: each
+///    morsel folds a *contiguous* chunk range into a partial group set,
+///    and the partials merge in range order.
+/// 2. **Per chunk** — some state merges inexactly (float sums) or is
+///    DISTINCT: each morsel evaluates one chunk's group keys and
+///    arguments, and the fold into the one group set runs in chunk
+///    order as the morsels' outputs arrive.
 fn aggregate(
     ctx: &EngineCtx<'_>,
     plan: &BoundSelect,
@@ -1959,99 +1905,79 @@ fn aggregate(
         Ok(())
     };
 
-    let n = input.chunks.len();
-    let complex = plan.group_by.iter().any(BoundExpr::is_complex)
-        || plan
+    let simple = !plan.group_by.iter().any(BoundExpr::is_complex)
+        && !plan
             .aggregates
             .iter()
             .any(|a| a.args.iter().any(BoundExpr::is_complex));
-    let parallel = ctx.parallel_ok(outer) && !complex && n >= MIN_PARALLEL_MORSELS;
     // DISTINCT gates updates *before* they reach the state, so partial
-    // states would double-count across workers — those statements use the
-    // hybrid path, as do aggregates whose merge is not exact (float sums).
-    let two_phase = parallel
-        && !plan.aggregates.iter().any(|a| a.distinct)
+    // states would double-count across ranges — those statements fold
+    // per chunk, as do aggregates whose merge is not exact (float sums).
+    let two_phase = !plan.aggregates.iter().any(|a| a.distinct)
         && plan.aggregates.iter().all(|a| (a.factory)().exact_merge());
 
     let mut set = GroupSet::default();
-    let progress = ctx.progress.as_deref();
+    let chunks = &input.chunks;
     if two_phase {
-        // Phase 1: contiguous chunk ranges → partial group sets. Ranges
-        // (rather than dynamic single-chunk claiming) keep every state's
-        // update order a subsequence of the serial order.
-        let chunks = &input.chunks;
-        let ranges = contiguous_ranges(n, ctx.threads);
-        if let Some(pr) = progress {
-            pr.add_total(ranges.len() as u64);
-        }
-        let (partials, stats) = morsel_map(ctx.threads, ranges.len(), |ri| {
-            let mut part = GroupSet::default();
-            for chunk in &chunks[ranges[ri].clone()] {
-                guard.check_rows(chunk.len)?;
-                let (key_cols, arg_cols) =
-                    eval_cols(chunk, &OuterStack::EMPTY, &NoSubqueries)?;
-                fold_cols(&mut part, chunk.len, &key_cols, &arg_cols)?;
-            }
-            if let Some(pr) = progress {
-                pr.add_done(1);
-            }
-            Ok(part)
-        })?;
-        if let Some(stats) = &stats {
-            ctx.record_parallel(plan_key(plan), "aggregate", stats);
-        }
-        // Phase 2: merge partials in range order — group discovery order
-        // and state contents match a serial left-to-right run exactly.
-        for partial in partials {
-            for mut g in partial.groups {
-                match set.index.get(&g.key_bytes) {
-                    Some(&gi) => {
-                        let dst = &mut set.groups[gi];
-                        for (s, o) in dst.states.iter_mut().zip(g.states.iter_mut()) {
-                            s.merge(&mut **o)?;
+        // Contiguous chunk ranges → partial group sets. Ranges (rather
+        // than single chunks) keep every state's update order a
+        // subsequence of the serial order.
+        let ranges = contiguous_ranges(chunks.len(), ctx.threads);
+        ctx.morsels(
+            ranges.len(),
+            plan_key(plan),
+            "aggregate",
+            simple,
+            outer,
+            &exec,
+            |ri, outer, exec| {
+                let mut part = GroupSet::default();
+                for chunk in &chunks[ranges[ri].clone()] {
+                    guard.check_rows(chunk.len)?;
+                    let (key_cols, arg_cols) = eval_cols(chunk, outer, exec)?;
+                    fold_cols(&mut part, chunk.len, &key_cols, &arg_cols)?;
+                }
+                Ok(Morsel::new(part))
+            },
+            // Merging the partials in range order keeps group discovery
+            // order and state contents equal to one left-to-right fold.
+            |partial| {
+                if set.groups.is_empty() {
+                    set = partial;
+                    return Ok(());
+                }
+                for mut g in partial.groups {
+                    match set.index.get(&g.key_bytes) {
+                        Some(&gi) => {
+                            let dst = &mut set.groups[gi];
+                            for (s, o) in dst.states.iter_mut().zip(g.states.iter_mut()) {
+                                s.merge(&mut **o)?;
+                            }
+                        }
+                        None => {
+                            set.index.insert(g.key_bytes.clone(), set.groups.len());
+                            set.groups.push(g);
                         }
                     }
-                    None => {
-                        set.index.insert(g.key_bytes.clone(), set.groups.len());
-                        set.groups.push(g);
-                    }
                 }
-            }
-        }
-    } else if parallel {
-        // Hybrid: parallel expression evaluation, serial state fold.
-        let chunks = &input.chunks;
-        if let Some(pr) = progress {
-            pr.add_total(n as u64);
-        }
-        let (cols, stats) = morsel_map(ctx.threads, n, |i| {
-            let chunk = &chunks[i];
-            guard.check_rows(chunk.len)?;
-            let (key_cols, arg_cols) = eval_cols(chunk, &OuterStack::EMPTY, &NoSubqueries)?;
-            if let Some(pr) = progress {
-                pr.add_done(1);
-            }
-            Ok((chunk.len, key_cols, arg_cols))
-        })?;
-        if let Some(stats) = &stats {
-            ctx.record_parallel(plan_key(plan), "aggregate", stats);
-        }
-        for (len, key_cols, arg_cols) in &cols {
-            ctx.guard.tick()?;
-            fold_cols(&mut set, *len, key_cols, arg_cols)?;
-        }
+                Ok(())
+            },
+        )?;
     } else {
-        if let Some(pr) = progress {
-            pr.add_total(input.chunks.len() as u64);
-        }
-        for chunk in &input.chunks {
-            ctx.guard.check_rows(chunk.len)?;
-            let (key_cols, arg_cols) = eval_cols(chunk, outer, &exec)?;
-            fold_cols(&mut set, chunk.len, &key_cols, &arg_cols)?;
-            if let Some(pr) = progress {
-                pr.add_done(1);
-            }
-        }
+        ctx.morsels(
+            chunks.len(),
+            plan_key(plan),
+            "aggregate",
+            simple,
+            outer,
+            &exec,
+            |i, outer, exec| {
+                let chunk = &chunks[i];
+                guard.check_rows(chunk.len)?;
+                Ok(Morsel::new((chunk.len, eval_cols(chunk, outer, exec)?)))
+            },
+            |(len, (key_cols, arg_cols))| fold_cols(&mut set, len, &key_cols, &arg_cols),
+        )?;
     }
     // Attribute the surviving group table to the stage for `EXPLAIN
     // ANALYZE`; the guard was already charged group-by-group above.

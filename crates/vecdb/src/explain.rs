@@ -225,6 +225,7 @@ fn with_filters(mut detail: Vec<String>, filters: &ScanFilters) -> Vec<String> {
 }
 
 fn render_op(out: &mut String, op: &PhysOp, analyze: Option<&AnalyzeData<'_>>) {
+    let introspect_title;
     let (title, mut detail, has_child): (&str, Vec<String>, bool) = match op {
         PhysOp::SeqScan { table, filters } => {
             ("SEQ_SCAN", with_filters(vec![table.clone()], filters), false)
@@ -240,9 +241,10 @@ fn render_op(out: &mut String, op: &PhysOp, analyze: Option<&AnalyzeData<'_>>) {
         PhysOp::CteScan { name, .. } => ("CTE_SCAN", vec![name.clone()], false),
         PhysOp::SubqueryScan { .. } => ("SUBQUERY_SCAN", vec![], false),
         PhysOp::Series { .. } => ("GENERATE_SERIES", vec![], false),
-        PhysOp::SpansScan { .. } => ("SPANS_SCAN", vec!["mduck_spans()".into()], false),
-        PhysOp::ProgressScan { .. } => ("PROGRESS_SCAN", vec!["mduck_progress()".into()], false),
-        PhysOp::QueryLogScan { .. } => ("QUERY_LOG_SCAN", vec!["mduck_query_log()".into()], false),
+        PhysOp::Introspect { function, .. } => {
+            introspect_title = op_name(op).to_ascii_uppercase();
+            (&introspect_title, vec![format!("{}()", function.name())], false)
+        }
         PhysOp::Filter { pred, .. } => ("FILTER", vec![format!("{pred:?}")], true),
         PhysOp::HashJoin { left_keys, right_keys, .. } => (
             "HASH_JOIN",

@@ -13,7 +13,7 @@
 //! 2. **Exact-only state merging.** Two-phase aggregation is used only
 //!    for states that opt into [`mduck_sql::AggState::exact_merge`]
 //!    (count, min/max, list, string_agg, extent, sequence builders);
-//!    float sums fall back to the hybrid path — parallel expression
+//!    float sums fold per chunk instead — parallel expression
 //!    evaluation, serial state folding in chunk order — because IEEE 754
 //!    addition is not associative.
 //! 3. **Shared guard.** The per-statement [`mduck_sql::ExecGuard`] is
@@ -63,23 +63,16 @@ struct WorkerOut<T> {
 /// Map `work` over morsel indexes `0..n` on up to `threads` workers and
 /// return the results **in input order** plus the pool's actuals.
 ///
-/// Runs serially (stats `None`) when the pool is not worth it. On error
-/// the queue is stopped, the fleet drains, and the error with the lowest
+/// Whether a stage is worth the pool is the caller's decision
+/// (`EngineCtx::morsels`); this always spawns the workers. On error the
+/// queue is stopped, the fleet drains, and the error with the lowest
 /// morsel index is returned — the same error a serial left-to-right run
 /// would have hit first, keeping failure behaviour deterministic.
-pub fn morsel_map<T, F>(threads: usize, n: usize, work: F) -> SqlResult<(Vec<T>, Option<ParStats>)>
+pub fn morsel_map<T, F>(threads: usize, n: usize, work: F) -> SqlResult<(Vec<T>, ParStats)>
 where
     T: Send,
     F: Fn(usize) -> SqlResult<T> + Sync,
 {
-    if threads <= 1 || n < MIN_PARALLEL_MORSELS {
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            out.push(work(i)?);
-        }
-        return Ok((out, None));
-    }
-
     let workers = threads.min(n);
     let queue = MorselQueue::new(n);
     let queue = &queue;
@@ -155,7 +148,7 @@ where
     m.parallel_stages.inc(1);
     m.parallel_workers_spawned.inc(workers as u64);
     m.morsels_dispatched.inc(n as u64);
-    Ok((out?, Some(stats)))
+    Ok((out?, stats))
 }
 
 /// Split `0..n` into at most `parts` contiguous, near-equal ranges.
@@ -187,22 +180,9 @@ mod tests {
     fn morsel_map_preserves_input_order() {
         let (out, stats) = morsel_map(4, 100, |i| Ok(i * 2)).unwrap();
         assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
-        let stats = stats.expect("parallel path");
         assert_eq!(stats.workers, 4);
         assert_eq!(stats.morsels(), 100);
         assert_eq!(stats.morsels_per_worker.len(), 4);
-    }
-
-    #[test]
-    fn morsel_map_serial_fallbacks() {
-        let (out, stats) = morsel_map(1, 10, |i| Ok(i)).unwrap();
-        assert_eq!(out.len(), 10);
-        assert!(stats.is_none(), "threads=1 must not spawn workers");
-        let (out, stats) = morsel_map(8, 1, |i| Ok(i)).unwrap();
-        assert_eq!(out, vec![0]);
-        assert!(stats.is_none(), "one morsel must not spawn workers");
-        let (out, _) = morsel_map::<usize, _>(4, 0, |_| unreachable!()).unwrap();
-        assert!(out.is_empty());
     }
 
     #[test]

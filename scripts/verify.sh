@@ -42,8 +42,11 @@ MDUCK_THREADS=4 cargo test -q -p mduck-integration --test parallel_exec --test s
 
 echo "== resource observability =="
 # Memory-limit trips, progress monotonicity, and the query-log contract
-# must hold with a real worker pool, not just the serial path: parallel
-# workers charge the same statement scope and must surface the trip.
+# must hold on the serial path and with a real worker pool: one routine
+# (`EngineCtx::morsels`) does the progress and memory accounting for
+# both, and parallel workers charge the same statement scope and must
+# surface the trip.
+MDUCK_THREADS=1 cargo test -q -p mduck-integration --test resource_obs
 MDUCK_THREADS=4 cargo test -q -p mduck-integration --test resource_obs
 
 echo "== durability / crash torture =="

@@ -12,7 +12,7 @@ use std::time::Duration;
 use berlinmod::{benchmark_queries, BerlinModData, RoadNetwork, ScaleFactor};
 use mduck_rowdb::RowDatabase;
 use mduck_sql::{SqlError, Value};
-use quackdb::{Database, ExecGuard, ExecLimits};
+use quackdb::{Database, ExecGuard, ExecLimits, VECTOR_SIZE};
 
 const PARALLEL_THREADS: usize = 4;
 
@@ -88,8 +88,8 @@ fn parallel_stages_run_and_match() {
     );
 }
 
-/// Aggregates that cannot merge exactly (float sum/avg) take the hybrid
-/// path; DISTINCT aggregates must not double-count across workers.
+/// Aggregates that cannot merge exactly (float sum/avg) fold per chunk;
+/// DISTINCT aggregates must not double-count across workers.
 #[test]
 fn inexact_and_distinct_aggregates_match_serial() {
     let db = Database::new();
@@ -100,7 +100,7 @@ fn inexact_and_distinct_aggregates_match_serial() {
     .unwrap();
     for sql in [
         // Float sums are order-sensitive: byte-identity requires the
-        // serial fold order, which the hybrid path preserves.
+        // serial fold order, which the per-chunk fold preserves.
         "SELECT g, sum(x), avg(x) FROM m GROUP BY g ORDER BY g",
         "SELECT g, count(DISTINCT x) FROM m GROUP BY g ORDER BY g",
         "SELECT sum(x) FROM m",
@@ -110,6 +110,79 @@ fn inexact_and_distinct_aggregates_match_serial() {
         db.set_threads(PARALLEL_THREADS);
         let parallel = db.execute(sql).unwrap();
         assert_eq!(serial.rows, parallel.rows, "parallel differs on {sql}");
+    }
+}
+
+/// Stages that must not fan out although a worker pool is configured: a
+/// correlated subquery's body (its scan with a fused filter, a Filter
+/// above a join, a projection, both GROUP BY strategies), and a
+/// top-level predicate holding a subquery. Each runs on multi-window
+/// input at 1 and 4 threads; the results are byte-identical and equal
+/// the row engine's, and a statement that fails in its third window
+/// fails with the same error everywhere.
+#[test]
+fn serial_stages_under_a_worker_pool_match() {
+    let n = 3 * VECTOR_SIZE + 500;
+    // The only row whose division fails (third window), and a later row
+    // whose cast would fail with another error (fourth window).
+    let bad = 2 * VECTOR_SIZE + 5;
+    let (vdb, rdb) = (Database::new(), RowDatabase::new());
+    for sql in [
+        "CREATE TABLE big(id INTEGER, g INTEGER, v INTEGER, s TEXT)".to_string(),
+        format!(
+            "INSERT INTO big SELECT i, i % 4, (i * 37) % 1000, \
+             CASE WHEN i = {} THEN 'x' ELSE i::text END \
+             FROM generate_series(1, {n}) AS t(i)",
+            n - 100
+        ),
+        "CREATE TABLE small(k INTEGER)".to_string(),
+        "INSERT INTO small VALUES (0), (1), (2), (3)".to_string(),
+    ] {
+        vdb.execute(&sql).unwrap();
+        rdb.execute(&sql).unwrap();
+    }
+    let queries = [
+        // Fused correlated scan filter, hash join, Filter above the join.
+        "SELECT s.k, (SELECT count(*) FROM big b, small s2 WHERE b.id % 7 <> s.k \
+         AND b.g = s2.k AND b.v + s2.k > s.k * 100) AS c FROM small s ORDER BY s.k",
+        // Correlated projection over every window.
+        "SELECT s.k FROM small s WHERE s.k * 2 + 700 IN \
+         (SELECT b.v - s.k FROM big b WHERE b.id % 5 <> s.k) ORDER BY s.k",
+        // Correlated GROUP BY: exactly merging states, then DISTINCT and a
+        // float average.
+        "SELECT s.k FROM small s WHERE s.k IN (SELECT b.g FROM big b WHERE b.id % 3 <> s.k \
+         GROUP BY b.g HAVING min(b.v) + count(*) > 1100) ORDER BY s.k",
+        "SELECT s.k FROM small s WHERE s.k IN (SELECT b.g FROM big b WHERE b.id % 3 <> s.k \
+         GROUP BY b.g HAVING count(DISTINCT b.v % 97) + avg(b.v) > 590) ORDER BY s.k",
+        // A top-level predicate with a subquery, over every window.
+        "SELECT b.id, b.v FROM big b \
+         WHERE b.v > (SELECT avg(s.k) * 400 FROM small s WHERE s.k <> b.g) ORDER BY b.id",
+    ];
+    for sql in queries {
+        vdb.set_threads(1);
+        let serial = vdb.execute(sql).unwrap_or_else(|e| panic!("serial: {e}\n{sql}"));
+        vdb.set_threads(PARALLEL_THREADS);
+        let pooled = vdb.execute(sql).unwrap_or_else(|e| panic!("pooled: {e}\n{sql}"));
+        assert_eq!(serial.rows, pooled.rows, "threads 1 vs {PARALLEL_THREADS}\n{sql}");
+        let row = rdb.execute(sql).unwrap_or_else(|e| panic!("rowdb: {e}\n{sql}"));
+        assert_eq!(string_rows(&serial.rows), string_rows(&row.rows), "vs rowdb\n{sql}");
+        assert!(!serial.rows.is_empty(), "an empty result shows nothing\n{sql}");
+    }
+    let failing = format!("100 / (b.id - {bad}) + b.s::integer > 0");
+    for sql in [
+        format!(
+            "SELECT s.k, (SELECT count(*) FROM big b WHERE b.id % 7 <> s.k AND {failing}) \
+             FROM small s ORDER BY s.k"
+        ),
+        format!("SELECT count(*) FROM big b WHERE {failing}"),
+    ] {
+        let expected = rdb.execute(&sql).expect_err("rowdb must fail").to_string();
+        assert!(expected.contains("division by zero"), "{expected}");
+        for threads in [1, PARALLEL_THREADS] {
+            vdb.set_threads(threads);
+            let err = vdb.execute(&sql).expect_err("vecdb must fail").to_string();
+            assert_eq!(err, expected, "threads {threads}\n{sql}");
+        }
     }
 }
 

@@ -311,6 +311,55 @@ fn index_scan_residual_filters_and_declined_fallback() {
     assert_eq!(scan.rows_out, 3);
 }
 
+/// A table with an index on each of two columns: an index scan and the
+/// row engine's index nested-loop join must probe the index on the
+/// column the predicate reads, never the other one. Both engines, with
+/// indexes, must agree with the row engine without any.
+#[test]
+fn two_indexed_columns_probe_the_planned_column() {
+    let p = Pair::new();
+    let plain = RowDatabase::new();
+    mobilityduck::load_row(&plain);
+    let setup = [
+        "CREATE TABLE t(id INTEGER, a TGEOMPOINT, b TGEOMPOINT)",
+        // Row 1's `a` and row 2's `b` lie in x ∈ [0, 1]; the other two
+        // trips lie in x ∈ [50, 51].
+        "INSERT INTO t VALUES \
+         (1, '[Point(0 0)@2025-01-01 08:00:00, Point(1 0)@2025-01-01 09:00:00]'::tgeompoint, \
+             '[Point(50 0)@2025-01-01 08:00:00, Point(51 0)@2025-01-01 09:00:00]'::tgeompoint), \
+         (2, '[Point(50 0)@2025-01-01 08:00:00, Point(51 0)@2025-01-01 09:00:00]'::tgeompoint, \
+             '[Point(0 0)@2025-01-01 08:00:00, Point(1 0)@2025-01-01 09:00:00]'::tgeompoint)",
+        "CREATE TABLE q(qid INTEGER, box STBOX)",
+        "INSERT INTO q VALUES (10, 'STBOX X((-1,-1),(2,1))'::stbox), \
+         (20, 'STBOX X((49,-1),(52,1))'::stbox)",
+    ];
+    for sql in setup {
+        p.exec(sql);
+        plain.execute(sql).unwrap();
+    }
+    p.vec.execute("CREATE INDEX ia ON t USING TRTREE(a)").unwrap();
+    p.vec.execute("CREATE INDEX ib ON t USING TRTREE(b)").unwrap();
+    p.row.execute("CREATE INDEX ia ON t USING GIST(a)").unwrap();
+    p.row.execute("CREATE INDEX ib ON t USING GIST(b)").unwrap();
+
+    let scan = "SELECT id FROM t WHERE b && 'STBOX X((-1,-1),(2,1))'::stbox ORDER BY id";
+    let plan = p.vec.execute(&format!("EXPLAIN {scan}")).unwrap().rows[0][0].to_string();
+    assert!(plan.contains("index: ib"), "{plan}");
+    let row_plan = p.row.execute(&format!("EXPLAIN {scan}")).unwrap().rows[0][0].to_string();
+    assert!(row_plan.contains("Index Scan"), "{row_plan}");
+    assert_eq!(p.check(scan), vec![vec![Value::Int(2)]]);
+
+    let join = "SELECT q.qid, t.id FROM q, t WHERE t.b && q.box ORDER BY q.qid, t.id";
+    let row_plan = p.row.execute(&format!("EXPLAIN {join}")).unwrap().rows[0][0].to_string();
+    assert!(row_plan.contains("index probe"), "{row_plan}");
+    let expected = vec![vec![Value::Int(10), Value::Int(2)], vec![Value::Int(20), Value::Int(1)]];
+    for sql in [scan, join] {
+        let unindexed = plain.execute(sql).unwrap().rows;
+        assert_eq!(p.check(sql), unindexed, "{sql}");
+    }
+    assert_eq!(p.check(join), expected);
+}
+
 #[test]
 fn fused_scan_reports_visited_and_emitted_rows() {
     let p = Pair::new();
