@@ -10,8 +10,11 @@
 //!   partial ORDER BY the plan is the FROM-order plan.
 //! - `x op ALL/ANY (subquery)`, correlated and not, over NULL operands,
 //!   NULL and duplicate keys, and empty and missing sets.
+//! - The EXPLAIN text of the BerlinMOD and use-case queries at SF-0.001
+//!   matches `golden/join_order_plans.txt`, so a planner change that
+//!   moves a plan shows as a diff there.
 
-use berlinmod::{benchmark_queries, BerlinModData, RoadNetwork, ScaleFactor};
+use berlinmod::{benchmark_queries, usecase_queries, BerlinModData, RoadNetwork, ScaleFactor};
 use mduck_rowdb::RowDatabase;
 use mduck_sql::Value;
 use quackdb::{Database, ExecLimits};
@@ -140,6 +143,29 @@ fn q12_at_sf_001_equals_the_indexed_row_engine_on_a_permuted_text() {
     assert!(p.matches("INDEX_JOIN").count() >= 2, "{p}");
     let got = vec_rows(&vdb, q12);
     assert_eq!(canonical(&got), canonical(&row_rows(&rdb, &permuted)));
+}
+
+/// The EXPLAIN text of the 17 BerlinMOD queries and the 6 use-case
+/// queries at SF-0.001, seed 1, each under a `== <name> ==` header.
+fn berlinmod_plans() -> String {
+    let net = RoadNetwork::generate(1);
+    let data = BerlinModData::generate(&net, ScaleFactor(0.001), 1);
+    let vdb = Database::new();
+    mobilityduck::load(&vdb);
+    data.load_into_quack(&vdb).unwrap();
+    let queries = benchmark_queries().into_iter().map(|(id, _, sql)| (format!("Q{id}"), sql));
+    let usecases = usecase_queries().into_iter().map(|(name, sql)| (name.to_string(), sql));
+    queries.chain(usecases).map(|(name, sql)| format!("== {name} ==\n{}\n", plan(&vdb, sql))).collect()
+}
+
+#[test]
+fn berlinmod_plans_match_the_golden_text() {
+    let got = berlinmod_plans();
+    let want = include_str!("golden/join_order_plans.txt");
+    for (g, w) in got.split("\n== ").zip(want.split("\n== ")) {
+        assert_eq!(g, w, "the plan moved");
+    }
+    assert_eq!(got, want);
 }
 
 // ------------------------------------------------------------ join graphs
