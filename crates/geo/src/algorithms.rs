@@ -290,9 +290,9 @@ pub fn distance(a: &Geometry, b: &Geometry) -> f64 {
 /// neither operand has segments; each vertex of a segment-less operand
 /// against the other's segments and vertices; else segment–segment and
 /// bare point–segment. Where both operands have segments, a
-/// branch-and-bound over boxes of runs of [`RUN`] consecutive segments
+/// branch-and-bound over boxes of runs of `RUN` consecutive segments
 /// skips run pairs whose box distance exceeds the best distance so far
-/// (plus a slack, see [`BOX_SLACK`]), so the result equals the exhaustive
+/// (plus a slack, see `BOX_SLACK`), so the result equals the exhaustive
 /// minimum bit for bit.
 pub fn features_distance<A: Features, B: Features>(a: &A, b: &B) -> f64 {
     if polygon_covers_vertex(a, b) || polygon_covers_vertex(b, a) {
@@ -405,7 +405,7 @@ pub fn intersects(a: &Geometry, b: &Geometry) -> bool {
 /// [`intersects`] over any two feature sources: true exactly when their
 /// boxes meet and [`features_distance`] is 0. It stops at the first
 /// containment or zero-distance pair, and skips every segment whose box
-/// lies beyond [`BOX_SLACK`] of the other operand's box or segment.
+/// lies beyond `BOX_SLACK` of the other operand's box or segment.
 pub fn features_intersect<A: Features, B: Features>(a: &A, b: &B) -> bool {
     let (Some(ra), Some(rb)) = (features_rect(a), features_rect(b)) else {
         return false; // an empty geometry intersects nothing
@@ -467,7 +467,7 @@ fn bare_points_touch(a: &impl Features, b: &impl Features, rb: &Rect, slack: f64
     .is_break()
 }
 
-/// Parameter intervals of segment `a`→`b` (as fractions of [0,1]) that lie
+/// Parameter intervals of segment `a`→`b` (as fractions of \[0, 1\]) that lie
 /// inside polygon `rings`. This is the clipping kernel behind `atGeometry`:
 /// a temporal segment restricted to a district polygon.
 ///

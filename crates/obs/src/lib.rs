@@ -3,13 +3,13 @@
 //! The measurement layer every perf PR measures itself against. Two
 //! facilities, both dependency-free and cheap enough to stay always-on:
 //!
-//! * **Metrics** ([`metrics`]): a process-global registry of named
+//! * **Metrics** ([`metrics()`]): a process-global registry of named
 //!   counters, gauges, and log-scale histograms. Hot paths hold a
 //!   `&'static` handle and pay one relaxed atomic add per event — no
 //!   locks, no hashing. SQL surfaces the registry through
 //!   `PRAGMA metrics` / `PRAGMA reset_metrics` in both engines.
 //!
-//! * **Spans** ([`span`]): a thread-local span stack whose finished spans
+//! * **Spans** ([`span()`]): a thread-local span stack whose finished spans
 //!   land in a bounded in-memory ring buffer, queryable from SQL via the
 //!   `mduck_spans()` table function. Query phases (parse → bind → plan →
 //!   execute) are spanned always; per-operator spans are emitted when a

@@ -3,7 +3,7 @@
 //!
 //! Every metric is a plain atomic, so incrementing from a hot loop costs
 //! one relaxed `fetch_add` — no locks, no name hashing. The full set of
-//! names is declared once in the [`define_metrics!`] invocation below;
+//! names is declared once in the `define_metrics!` invocation below;
 //! `scripts/lint_metrics.sh` parses that block to enforce `snake_case`
 //! and uniqueness, and `PRAGMA metrics` renders [`Metrics::snapshot`].
 

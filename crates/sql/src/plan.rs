@@ -297,42 +297,11 @@ impl JoinConjuncts {
         local
     }
 
-    /// Conjunct `ci` as a hash-join key between the columns `left` and
-    /// the relation at `right`: its `(left side, relation side)`, if it is
-    /// an unplaced simple equality with one side over each.
-    fn key(
-        &self,
-        ci: usize,
-        left: &Range<usize>,
-        right: &Range<usize>,
-    ) -> Option<(&BoundExpr, &BoundExpr)> {
-        let c = &self.conjuncts[ci];
-        let BoundExpr::Compare { op: BinaryOp::Eq, left: a, right: b } = c else { return None };
-        if self.used[ci] || c.is_complex() {
-            None
-        } else if reads_only(a, left) && reads_only(b, right) {
-            Some((a, b))
-        } else if reads_only(b, left) && reads_only(a, right) {
-            Some((b, a))
-        } else {
-            None
-        }
-    }
-
-    /// The hash-join keys between the columns `left` and the relation at
-    /// `right`, in written order: `(left side, relation side)`, in input
-    /// numbering.
-    pub fn equi_keys(
-        &self,
-        left: Range<usize>,
-        right: Range<usize>,
-    ) -> impl Iterator<Item = (&BoundExpr, &BoundExpr)> {
-        (0..self.conjuncts.len()).filter_map(move |ci| self.key(ci, &left, &right))
-    }
-
-    /// Place the [`equi_keys`](Self::equi_keys) between `left` and
-    /// `right`: the left sides renumbered so column `left_lo` is 0, the
-    /// relation sides so `right.start` is. Empty when there are none.
+    /// Place the hash-join keys between the columns `left` and the
+    /// relation at `right`: the unplaced simple equalities with one side
+    /// over each, in written order. The left sides are renumbered so column
+    /// `left_lo` is 0, the relation sides so `right.start` is. Empty when
+    /// there are none.
     pub fn take_keys(
         &mut self,
         left: Range<usize>,
@@ -340,12 +309,21 @@ impl JoinConjuncts {
         left_lo: usize,
     ) -> (Vec<BoundExpr>, Vec<BoundExpr>) {
         let mut sides = (Vec::new(), Vec::new());
-        for ci in 0..self.conjuncts.len() {
-            if let Some((l, r)) = self.key(ci, &left, &right) {
-                sides.0.push(l.map_columns(&|i| i - left_lo));
-                sides.1.push(r.map_columns(&|i| i - right.start));
-                self.used[ci] = true;
+        for (ci, c) in self.conjuncts.iter().enumerate() {
+            let BoundExpr::Compare { op: BinaryOp::Eq, left: a, right: b } = c else { continue };
+            if self.used[ci] || c.is_complex() {
+                continue;
             }
+            let (l, r) = if reads_only(a, &left) && reads_only(b, &right) {
+                (a, b)
+            } else if reads_only(b, &left) && reads_only(a, &right) {
+                (b, a)
+            } else {
+                continue;
+            };
+            sides.0.push(l.map_columns(&|i| i - left_lo));
+            sides.1.push(r.map_columns(&|i| i - right.start));
+            self.used[ci] = true;
         }
         sides
     }

@@ -8,7 +8,7 @@
 //! ([`QuantifiedSets`]): whether the key's set holds a NULL, and the
 //! minimum and maximum of its other values. For `<`, `<=`, `>` and `>=`
 //! that decides each outer row exactly as comparing against every value
-//! of its set does ([`crate::eval`]), including NULL operands, NULLs in
+//! of its set does ([`crate::eval()`]), including NULL operands, NULLs in
 //! the set, and empty sets (a NULL or unmatched key has one).
 
 use std::cmp::Ordering;
@@ -95,8 +95,9 @@ fn correlation(c: &BoundExpr) -> Option<(usize, &BoundExpr)> {
 /// Does a block at `level` subqueries below the decorrelated one read the
 /// outer row, or a row further out? CTE bodies, FROM subqueries and
 /// `generate_series` arguments run at their block's level; expression
-/// subqueries one level deeper.
-fn reaches_out(plan: &BoundSelect, level: usize) -> bool {
+/// subqueries one level deeper. At level 0: does `plan` read any row
+/// outside itself?
+pub fn reaches_out(plan: &BoundSelect, level: usize) -> bool {
     let expr_reaches = |e: &BoundExpr| {
         e.any(&mut |x| match x {
             BoundExpr::OuterRef { depth, .. } => *depth > level,

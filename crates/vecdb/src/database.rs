@@ -42,8 +42,8 @@ pub use mduck_sql::QueryResult;
 
 /// An in-process database instance (the DuckDB substrate).
 ///
-/// Extensions install themselves by mutating [`Database::registry`] and
-/// [`Database::index_types`] at load time, exactly as MobilityDuck
+/// Extensions install themselves by mutating [`Database::registry_mut`] and
+/// [`Database::index_types_mut`] at load time, exactly as MobilityDuck
 /// registers its types, functions, casts, operators, and the TRTREE index
 /// type against DuckDB (§3.3–§4.1).
 pub struct Database {

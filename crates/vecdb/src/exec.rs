@@ -1,33 +1,30 @@
-//! Physical planning and vectorized execution of bound SELECT plans.
+//! The physical plan ([`PhysOp`]) and vectorized execution of bound
+//! SELECT plans.
 //!
-//! The planner mirrors DuckDB's behaviour the paper relies on:
+//! The plan mirrors DuckDB's behaviour the paper relies on:
 //! single-relation predicates are pushed below joins and fused into the
 //! base-table scan (evaluated on the stored columns, surviving rows
-//! materialized late), equality conjuncts become hash joins, and — the
-//! §4.3 mechanism — a filter of the shape `column && constant` over an
-//! indexed column is replaced by an index scan on the registered TRTREE
-//! index. Joins stay in FROM order; a relation with no equality key into
-//! the tree first absorbs the relations keyed only to it, and an `&&`
-//! conjunct across the join is answered by a transient index (DESIGN.md
-//! §12). Which conjuncts are local, keyed or covered, and the row tail
-//! after projection, come from `mduck_sql::plan`, shared with the row
-//! engine.
+//! materialized late), and — the §4.3 mechanism — a filter of the shape
+//! `column && constant` over an indexed column is replaced by an index
+//! scan on the registered TRTREE index. The join order and the join tree
+//! over it (hash joins, absorbed runs, index joins over transient
+//! indexes, their estimates) come from one cost model in
+//! [`crate::join_order`] (DESIGN.md §12). The row tail after projection
+//! comes from `mduck_sql::plan`, shared with the row engine.
 
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
 use mduck_sql::eval::{NoSubqueries, OuterStack, SubqueryExec};
 use mduck_sql::index::probe_column;
 use mduck_sql::introspect::Introspection;
-use mduck_sql::plan::{index_pattern, selectivity, series, JoinConjuncts, RowTail};
-use mduck_sql::quantified::{decorrelate, QuantifiedSets};
+use mduck_sql::plan::{series, RowTail};
+use mduck_sql::quantified::{decorrelate, reaches_out, QuantifiedSets};
 use mduck_sql::{
-    BoundExpr, BoundFrom, BoundSelect, ExecGuard, LogicalType, Registry, SqlError, SqlResult,
-    Value,
+    BoundExpr, BoundSelect, ExecGuard, LogicalType, Registry, SqlError, SqlResult, Value,
 };
 use mduck_sync::RwLock;
 
@@ -35,7 +32,7 @@ use crate::catalog::{DbCatalog, Table};
 use crate::column::{Chunks, ColumnData, DataChunk, VECTOR_SIZE};
 use crate::expr::{eval_vector, filter_chunk};
 use crate::index::{IndexTypeRegistry, TableIndex};
-use crate::join_order::reorder_joins;
+use crate::join_order::{plan_joins, reorder_joins};
 use crate::parallel::{contiguous_ranges, morsel_map, ParStats, MIN_PARALLEL_MORSELS};
 
 /// Shared execution context for one statement.
@@ -50,10 +47,6 @@ pub struct EngineCtx<'a> {
     pub guard: &'a ExecGuard,
     /// Materialized CTEs by global index.
     pub ctes: RefCell<HashMap<usize, Arc<Chunks>>>,
-    /// Statistics: rows read by scans (EXPLAIN ANALYZE-style diagnostics).
-    pub rows_scanned: RefCell<usize>,
-    /// True when the optimizer injected at least one index scan.
-    pub used_index_scan: RefCell<bool>,
     /// Per-operator/per-stage actuals, populated only under
     /// `EXPLAIN ANALYZE` (see [`EngineCtx::enable_profiling`]).
     pub profile: Option<Profile>,
@@ -150,8 +143,6 @@ impl<'a> EngineCtx<'a> {
             index_types,
             guard,
             ctes: RefCell::new(HashMap::new()),
-            rows_scanned: RefCell::new(0),
-            used_index_scan: RefCell::new(false),
             profile: None,
             threads: 1,
             progress: None,
@@ -249,8 +240,8 @@ impl<'a> EngineCtx<'a> {
     /// Either way the guard is ticked once per morsel, the statement's
     /// progress counts the morsels, the rows `work` dropped reach the
     /// `rows_filtered` metric, and the bytes it charged to the guard are
-    /// attributed to `key`; a fanned-out run records its actuals under
-    /// `(key, stage)`.
+    /// returned, for the caller to attribute to its operator or stage; a
+    /// fanned-out run records its actuals under `(key, stage)`.
     #[allow(clippy::too_many_arguments)]
     fn morsels<T: Send>(
         &self,
@@ -262,7 +253,7 @@ impl<'a> EngineCtx<'a> {
         exec: &dyn SubqueryExec,
         work: impl Fn(usize, &OuterStack<'_>, &dyn SubqueryExec) -> SqlResult<Morsel<T>> + Sync,
         mut sink: impl FnMut(T) -> SqlResult<()>,
-    ) -> SqlResult<()> {
+    ) -> SqlResult<u64> {
         let (guard, progress) = (self.guard, self.progress.as_deref());
         if let Some(pr) = progress {
             pr.add_total(n as u64);
@@ -291,9 +282,8 @@ impl<'a> EngineCtx<'a> {
                 take(run(i, outer, exec)?)?;
             }
         }
-        self.attribute_op_mem(key, bytes);
         mduck_obs::metrics().rows_filtered.inc(dropped);
-        Ok(())
+        Ok(bytes)
     }
 }
 
@@ -321,22 +311,40 @@ struct PlanExecutor<'a, 'b> {
     /// subquery plan (alive, so unique, while this executor is): their
     /// per-key summaries, or `None` when they run per row.
     quantified: RefCell<HashMap<usize, Option<QuantifiedSets>>>,
+    /// The rows of the expression subqueries that read no outer row,
+    /// keyed the same way.
+    uncorrelated: RefCell<HashMap<usize, Vec<Vec<Value>>>>,
 }
 
 impl<'a, 'b> PlanExecutor<'a, 'b> {
     fn new(ctx: &'b EngineCtx<'a>) -> Self {
-        PlanExecutor { ctx, quantified: RefCell::default() }
+        PlanExecutor { ctx, quantified: RefCell::default(), uncorrelated: RefCell::default() }
     }
-}
 
-impl SubqueryExec for PlanExecutor<'_, '_> {
-    fn execute(&self, plan: &BoundSelect, outer: &OuterStack<'_>) -> SqlResult<Vec<Vec<Value>>> {
-        // Correlated subqueries re-enter the executor once per outer row;
-        // the guard bounds both the depth and (via tick) the wall clock.
+    /// Run `plan` as a subquery. Correlated subqueries re-enter the
+    /// executor once per outer row; the guard bounds both the depth and
+    /// (via tick) the wall clock.
+    fn run(&self, plan: &BoundSelect, outer: &OuterStack<'_>) -> SqlResult<Vec<Vec<Value>>> {
         self.ctx.guard.enter_subquery()?;
         let r = execute_select(self.ctx, plan, outer);
         self.ctx.guard.exit_subquery();
         r
+    }
+}
+
+impl SubqueryExec for PlanExecutor<'_, '_> {
+    /// A subquery that reads no outer row returns the same rows for every
+    /// row, so it runs once per block execution; a failed run is not kept.
+    fn execute(&self, plan: &BoundSelect, outer: &OuterStack<'_>) -> SqlResult<Vec<Vec<Value>>> {
+        let key = plan as *const BoundSelect as usize;
+        if let Some(rows) = self.uncorrelated.borrow().get(&key) {
+            return Ok(rows.clone());
+        }
+        let rows = self.run(plan, outer)?;
+        if !reaches_out(plan, 0) {
+            self.uncorrelated.borrow_mut().insert(key, rows.clone());
+        }
+        Ok(rows)
     }
 
     /// `x op ALL/ANY (subquery)` in a block that runs once per statement
@@ -361,7 +369,7 @@ impl SubqueryExec for PlanExecutor<'_, '_> {
         let key = &**plan as *const BoundSelect as usize;
         if !self.quantified.borrow().contains_key(&key) {
             let sets = decorrelate(*op, left_expr, plan).and_then(|d| {
-                let rows = self.execute(&d.plan, &OuterStack::EMPTY).ok()?;
+                let rows = self.run(&d.plan, &OuterStack::EMPTY).ok()?;
                 Some(QuantifiedSets::new(rows, d.outer_keys))
             });
             self.quantified.borrow_mut().insert(key, sets);
@@ -521,240 +529,6 @@ impl PhysOp {
     }
 }
 
-/// Build the physical join tree for a plan's FROM + WHERE, in FROM order
-/// (the join-order pass has already put the FROM items in the order to
-/// join them). Joins and Filters carry the cost model's row estimates.
-pub fn plan_joins(ctx: &EngineCtx<'_>, plan: &BoundSelect) -> SqlResult<(PhysOp, Vec<BoundExpr>)> {
-    let mut conj = JoinConjuncts::new(plan);
-
-    // Base relations with their own conjuncts (written order) fused into
-    // the scan or, for non-table relations, as Filters above them.
-    let mut relations: Vec<(PhysOp, Option<f64>)> = Vec::with_capacity(plan.from.len());
-    for (ri, f) in plan.from.iter().enumerate() {
-        let preds = conj.take_local(ri);
-        relations.push(match base_relation(f)? {
-            PhysOp::SeqScan { table, .. } => {
-                let rows = ctx.catalog.get(&table)?.read().row_count() as f64;
-                let est = preds.iter().fold(rows, |n, p| n * selectivity(p));
-                (table_scan(ctx, table, preds)?, Some(est))
-            }
-            other => filtered((other, None), preds),
-        });
-    }
-
-    // Left-deep joins in FROM order, picking up equality keys. A relation
-    // with no key into the tree first absorbs the run of relations keyed
-    // only to it, then joins the tree through an index join when an `&&`
-    // conjunct links the two (DESIGN.md §12).
-    let mut rels = relations.into_iter().enumerate().peekable();
-    let Some((_, mut tree)) = rels.next() else {
-        return Err(SqlError::execution("cannot plan joins for a FROM-less select"));
-    };
-    let mut width = conj.span(0).end;
-    while let Some((ri, rel)) = rels.next() {
-        let span = conj.span(ri);
-        let keys = conj.take_keys(0..width, span.clone(), 0);
-        if !keys.0.is_empty() {
-            tree = hash_join_op(tree, rel, keys);
-            width = span.end;
-            tree = filtered(tree, conj.take_covered(width));
-            continue;
-        }
-        // Rule 1: hash-join the relations that follow and are keyed only
-        // to this one (by plain columns, whose evaluation cannot fail)
-        // before anything meets the tree. The run keeps its FROM
-        // positions, so the column layout is unchanged.
-        let lo = span.start;
-        let mut right = rel;
-        let mut ends = vec![span.end];
-        while let Some(&(rj, _)) = rels.peek() {
-            let next_span = conj.span(rj);
-            let absorbable = {
-                let mut keys = conj.equi_keys(0..next_span.start, next_span.clone()).peekable();
-                keys.peek().is_some()
-                    && keys.all(|(l, r)| {
-                        matches!(l, BoundExpr::ColumnRef { index, .. } if *index >= lo)
-                            && matches!(r, BoundExpr::ColumnRef { .. })
-                    })
-            };
-            let Some((_, next)) = rels.next_if(|_| absorbable) else { break };
-            let keys = conj.take_keys(0..next_span.start, next_span.clone(), lo);
-            right = hash_join_op(right, next, keys);
-            ends.push(next_span.end);
-        }
-        // Rule 2: an index join when a conjunct links the tree to the run.
-        let run = lo..ends[ends.len() - 1];
-        let link = index_link(ctx, &conj, width, run.clone());
-        // Covered conjuncts in the stages the one-relation-at-a-time plan
-        // applies them: each FROM position of the run in turn. A folded
-        // link gets no Filter, and neither do the `&&` conjuncts right
-        // after it when nothing comes before it; the conjuncts ahead of
-        // it go with it into the join.
-        let owned = link.as_ref().filter(|l| l.folds).map(|l| l.conjunct);
-        let mut fold = Fold { before: Vec::new(), after: Vec::new() };
-        let mut place = if owned.is_some() { Place::Before } else { Place::Past };
-        let stages: Vec<Vec<BoundExpr>> = ends
-            .iter()
-            .map(|&end| {
-                let mut preds = Vec::new();
-                for (ci, c) in conj.take_covered_indexed(end) {
-                    if Some(ci) == owned {
-                        place = if fold.before.is_empty() { Place::After } else { Place::Past };
-                        continue;
-                    }
-                    match place {
-                        Place::Before => fold.before.push(c.clone()),
-                        Place::After if is_strict_overlap(&c) => {
-                            fold.after.push(c);
-                            continue;
-                        }
-                        Place::After => place = Place::Past,
-                        Place::Past => {}
-                    }
-                    preds.push(c);
-                }
-                preds
-            })
-            .collect();
-        width = run.end;
-        let ((left, lest), (right, rest)) = (tree, right);
-        let (left, right) = (Box::new(left), Box::new(right));
-        let pairs = lest.zip(rest).map(|(l, r)| l * r);
-        tree = match link {
-            Some(JoinLink { method, probe, build, cond, folds, .. }) => {
-                let sel = fold.after.iter().fold(selectivity(&cond), |s, c| s * selectivity(c));
-                let est = pairs.map(|n| n * sel);
-                let folded = folds.then_some(fold);
-                (PhysOp::IndexJoin { left, right, method, probe, build, cond, folded, est }, est)
-            }
-            None => (PhysOp::CrossJoin { left, right, est: pairs }, pairs),
-        };
-        for preds in stages {
-            tree = filtered(tree, preds);
-        }
-    }
-    // Anything left (complex predicates with subqueries) runs on top.
-    Ok((tree.0, conj.into_remaining()))
-}
-
-/// Where the walk over a join's covered conjuncts is relative to the `&&`
-/// link the join owns.
-#[derive(Clone, Copy)]
-enum Place {
-    /// Ahead of the link.
-    Before,
-    /// In the run of strict `&&` conjuncts right after it.
-    After,
-    /// Past both, or there is no folded link.
-    Past,
-}
-
-fn is_strict_overlap(c: &BoundExpr) -> bool {
-    matches!(c, BoundExpr::Call { name, strict: true, .. } if name == "&&")
-}
-
-/// `child` under one Filter per predicate, the first innermost, with its
-/// row estimate carried up through each predicate's selectivity.
-fn filtered((child, est): (PhysOp, Option<f64>), preds: Vec<BoundExpr>) -> (PhysOp, Option<f64>) {
-    preds.into_iter().fold((child, est), |(child, est), pred| {
-        let est = est.map(|n| n * selectivity(&pred));
-        (PhysOp::Filter { pred, child: Box::new(child), est }, est)
-    })
-}
-
-/// Hash-join `left` with `right` on `(left keys, right keys)`; each key
-/// keeps [`JOIN_KEY_SELECTIVITY`](mduck_sql::plan::JOIN_KEY_SELECTIVITY)
-/// of the pairs.
-fn hash_join_op(
-    (left, lest): (PhysOp, Option<f64>),
-    (right, rest): (PhysOp, Option<f64>),
-    (left_keys, right_keys): (Vec<BoundExpr>, Vec<BoundExpr>),
-) -> (PhysOp, Option<f64>) {
-    let sel = mduck_sql::plan::JOIN_KEY_SELECTIVITY.powi(left_keys.len() as i32);
-    let est = lest.zip(rest).map(|(l, r)| l * r * sel);
-    let op = PhysOp::HashJoin {
-        left: Box::new(left),
-        right: Box::new(right),
-        left_keys,
-        right_keys,
-        est,
-    };
-    (op, est)
-}
-
-/// The first index method, by name, that can index values of both types.
-pub fn index_method(ctx: &EngineCtx<'_>, a: &LogicalType, b: &LogicalType) -> Option<String> {
-    let types = ctx.index_types.read();
-    types
-        .names()
-        .into_iter()
-        .find(|m| types.get(m).is_some_and(|t| t.can_index(a) && t.can_index(b)))
-}
-
-/// The index method an index join can answer conjunct `c` through, and
-/// whether the join folds `c` in:
-/// - a strict `&&` whose argument types the method can index: the index
-///   answers it exactly, so the join owns it;
-/// - a strict `tstzspan @> timestamptz` or `timestamptz <@ tstzspan`,
-///   through the method that indexes `tstzspan`: a timestamp is indexed
-///   and probed as its singleton time-only box `[t, t]`, and the
-///   conjunct's Filter re-checks the candidates.
-///
-/// Only strict overloads qualify, so a NULL on either side can safely
-/// yield no candidates.
-pub fn link_method(ctx: &EngineCtx<'_>, c: &BoundExpr) -> Option<(String, bool)> {
-    let BoundExpr::Call { name, strict: true, args, .. } = c else { return None };
-    let [a, b] = args.as_slice() else { return None };
-    let (a, b) = (a.ty(), b.ty());
-    match name.as_str() {
-        "&&" => Some((index_method(ctx, &a, &b)?, true)),
-        "@>" | "<@" => {
-            let span = LogicalType::ext("tstzspan");
-            let (container, element) = if name == "@>" { (a, b) } else { (b, a) };
-            if container != span || element != LogicalType::Timestamp {
-                return None;
-            }
-            Some((index_method(ctx, &span, &span)?, false))
-        }
-        _ => None,
-    }
-}
-
-/// The conjunct an index join answers, split into the expression it
-/// probes with (over the tree) and the one it indexes (over the right
-/// side's own columns).
-struct JoinLink {
-    conjunct: usize,
-    method: String,
-    probe: BoundExpr,
-    build: BoundExpr,
-    cond: BoundExpr,
-    folds: bool,
-}
-
-/// The first unplaced conjunct, in written order, that links an
-/// expression over the tree (columns `0..width`) with one over `right`
-/// and that an index method can answer ([`link_method`]).
-fn index_link(
-    ctx: &EngineCtx<'_>,
-    conj: &JoinConjuncts,
-    width: usize,
-    right: Range<usize>,
-) -> Option<JoinLink> {
-    let lo = right.start;
-    conj.links(0..width, right).find_map(|l| {
-        let (method, folds) = link_method(ctx, l.call)?;
-        Some(JoinLink {
-            conjunct: l.conjunct,
-            method,
-            probe: l.probe.clone(),
-            build: l.build.map_columns(&|i| i - lo),
-            cond: l.call.clone(),
-            folds,
-        })
-    })
-}
-
 /// A SELECT's physical plan, made once before execution: the join tree
 /// and the predicates left above it (`None` for a FROM-less SELECT), and
 /// the plan of each CTE body in declaration order. The trees live for the
@@ -780,26 +554,6 @@ fn plan_trees(ctx: &EngineCtx<'_>, plan: &BoundSelect) -> SqlResult<PlannedSelec
     Ok(PlannedSelect { tree, ctes })
 }
 
-fn base_relation(f: &BoundFrom) -> SqlResult<PhysOp> {
-    Ok(match f {
-        BoundFrom::Table { name, .. } => {
-            PhysOp::SeqScan { table: name.clone(), filters: ScanFilters::default() }
-        }
-        BoundFrom::Cte { index, alias, .. } => {
-            PhysOp::CteScan { index: *index, name: alias.clone() }
-        }
-        BoundFrom::Subquery { plan, schema, .. } => PhysOp::SubqueryScan {
-            plan: plan.clone(),
-            types: schema.fields.iter().map(|fl| fl.ty.clone()).collect(),
-        },
-        BoundFrom::Series { args, .. } => PhysOp::Series { args: args.clone() },
-        BoundFrom::Introspect { function, schema, .. } => PhysOp::Introspect {
-            function: *function,
-            types: schema.fields.iter().map(|fl| fl.ty.clone()).collect(),
-        },
-    })
-}
-
 /// Stable snake_case operator name (span labels, bench breakdowns).
 pub fn op_name(op: &PhysOp) -> &'static str {
     match op {
@@ -820,60 +574,11 @@ pub fn op_name(op: &PhysOp) -> &'static str {
     }
 }
 
-/// The scan of base table `table` with its local conjuncts (written
-/// order): an index scan when one conjunct matches an index, else a
-/// sequential scan with every conjunct fused in.
-fn table_scan(ctx: &EngineCtx<'_>, table: String, mut preds: Vec<BoundExpr>) -> SqlResult<PhysOp> {
-    for pos in 0..preds.len() {
-        let matched = match_index_pattern(ctx, &table, &preds[pos])?;
-        if let Some((index, column, op, constant)) = matched {
-            *ctx.used_index_scan.borrow_mut() = true;
-            let indexed = preds.remove(pos);
-            let mut fallback = Vec::with_capacity(preds.len() + 1);
-            fallback.push(indexed);
-            fallback.extend(preds.iter().cloned());
-            return Ok(PhysOp::IndexScan {
-                table,
-                index,
-                column,
-                op,
-                constant,
-                filters: ScanFilters::new(preds),
-                fallback: ScanFilters::new(fallback),
-            });
-        }
-    }
-    Ok(PhysOp::SeqScan { table, filters: ScanFilters::new(preds) })
-}
-
-/// Recognize `col <op> constant` (or commuted `&&`) over an indexed
-/// column of `table`. Returns `(index name, column, operator, constant)`
-/// when an index covers the column. Equality comparisons (`Compare =`) are
-/// declined: the index scan does not re-check its hits.
-fn match_index_pattern(
-    ctx: &EngineCtx<'_>,
-    table: &str,
-    pred: &BoundExpr,
-) -> SqlResult<Option<(String, usize, String, Value)>> {
-    if !matches!(pred, BoundExpr::Call { .. }) {
-        return Ok(None);
-    }
-    let Some((col, op, constant)) = index_pattern(pred) else {
-        return Ok(None);
-    };
-    let t = ctx.catalog.get(table)?;
-    let t = t.read();
-    Ok(t.indexes
-        .iter()
-        .find(|idx| idx.column() == col)
-        .map(|idx| (idx.name().to_string(), col, op.to_string(), constant.clone())))
-}
-
 // ------------------------------------------------------------ execution
 
 /// Execute a physical tree, producing chunks.
 ///
-/// This is a thin observability wrapper around [`run_op`]: it bumps the
+/// This is a thin observability wrapper around `run_op`: it bumps the
 /// global chunk counter and, under `EXPLAIN ANALYZE`, records per-node
 /// actuals (inclusive wall time, output rows/chunks) and a tracing span.
 pub fn execute_op(
@@ -903,12 +608,11 @@ pub fn execute_op(
     result
 }
 
-/// Charge `n` scanned rows to the guard, the statement statistic, the
-/// global metric, and (under profiling) the scan node itself.
+/// Charge `n` scanned rows to the guard, the global metric, and (under
+/// profiling) the scan node itself.
 fn note_scanned(ctx: &EngineCtx<'_>, op: &PhysOp, n: usize) -> SqlResult<()> {
     ctx.guard.check_rows(n)?;
     ctx.guard.note_scanned(n);
-    *ctx.rows_scanned.borrow_mut() += n;
     mduck_obs::metrics().rows_scanned.inc(n as u64);
     if let Some(p) = &ctx.profile {
         p.ops.borrow_mut().entry(op_key(op)).or_default().rows_scanned += n as u64;
@@ -986,7 +690,9 @@ fn run_op(
         }
         PhysOp::Filter { pred, child, .. } => {
             let input = execute_op(ctx, child, outer)?;
-            filter_chunks(ctx, input, pred, outer, &exec, op_key(op))
+            let (out, bytes) = filter_chunks(ctx, input, pred, outer, &exec, op_key(op))?;
+            ctx.attribute_op_mem(op_key(op), bytes);
+            Ok(out)
         }
         PhysOp::CrossJoin { left, right, .. } => {
             let l = execute_op(ctx, left, outer)?;
@@ -1097,7 +803,7 @@ fn scan_table(
     let mut out = Chunks::default();
     // Fused conjuncts are simple: the planner keeps subquery predicates
     // above the joins.
-    ctx.morsels(
+    let bytes = ctx.morsels(
         visited.div_ceil(VECTOR_SIZE),
         op_key(op),
         "scan",
@@ -1114,6 +820,7 @@ fn scan_table(
             Ok(())
         },
     )?;
+    ctx.attribute_op_mem(op_key(op), bytes);
     Ok(out)
 }
 
@@ -1173,7 +880,8 @@ fn scan_window(
 /// Apply `pred` across all chunks, one chunk per morsel. `key` names the
 /// owning operator or plan for parallel actuals. A chunk every row of
 /// which passes moves to the output as it is; only partly kept chunks
-/// are copied, and charged to the memory guard as they are made.
+/// are copied, and charged to the memory guard as they are made. Returns
+/// the output and the bytes copied, for the owner to attribute.
 fn filter_chunks(
     ctx: &EngineCtx<'_>,
     input: Chunks,
@@ -1181,11 +889,11 @@ fn filter_chunks(
     outer: &OuterStack<'_>,
     exec: &dyn SubqueryExec,
     key: usize,
-) -> SqlResult<Chunks> {
+) -> SqlResult<(Chunks, u64)> {
     let guard = ctx.guard;
     let chunks = &input.chunks;
     let mut kept = Vec::with_capacity(chunks.len());
-    ctx.morsels(
+    let bytes = ctx.morsels(
         chunks.len(),
         key,
         "filter",
@@ -1220,7 +928,7 @@ fn filter_chunks(
             Kept::Part(part) => out.chunks.push(part),
         }
     }
-    Ok(out)
+    Ok((out, bytes))
 }
 
 /// What a Filter keeps of one chunk.
@@ -1349,7 +1057,7 @@ fn pair_join(
     let (mut probes, mut emitted) = (0u64, 0u64);
     // The probe, the keys and the re-checked conjuncts are simple: the
     // planner places only conjuncts without subqueries.
-    ctx.morsels(
+    let bytes = ctx.morsels(
         l.chunks.len(),
         key,
         "pairs",
@@ -1364,6 +1072,7 @@ fn pair_join(
             Ok(())
         },
     )?;
+    ctx.attribute_op_mem(key, bytes);
     m.rows_joined.inc(emitted);
     if let JoinKind::Index(_) = kind {
         m.index_join_candidates.inc(emitted);
@@ -1677,7 +1386,9 @@ fn execute_select_inner(
         if !remaining.is_empty() {
             let t = Instant::now();
             for pred in remaining {
-                chunks = filter_chunks(ctx, chunks, pred, outer, &exec, plan_key(plan))?;
+                let bytes;
+                (chunks, bytes) = filter_chunks(ctx, chunks, pred, outer, &exec, plan_key(plan))?;
+                ctx.attribute_stage_mem(plan, "filter", bytes);
             }
             ctx.record_stage(plan, "filter", t, chunks.row_count());
         }

@@ -87,6 +87,11 @@ cargo clippy --workspace --all-targets -- \
   -D clippy::out_of_bounds_indexing \
   -D clippy::unchecked_duration_subtraction
 
+echo "== rustdoc links =="
+# Broken, ambiguous or private intra-doc links fail the build, so a
+# moved or renamed item cannot leave a dangling link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "== panic lint =="
 scripts/lint_panics.sh
 

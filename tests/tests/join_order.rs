@@ -9,7 +9,9 @@
 //!   output column the reordered plan returns the FROM-order rows; with a
 //!   partial ORDER BY the plan is the FROM-order plan.
 //! - `x op ALL/ANY (subquery)`, correlated and not, over NULL operands,
-//!   NULL and duplicate keys, and empty and missing sets.
+//!   NULL and duplicate keys, and empty and missing sets; a subquery that
+//!   reads no outer row runs once.
+//! - A block of 70 FROM items plans and runs.
 //! - The EXPLAIN text of the BerlinMOD and use-case queries at SF-0.001
 //!   matches `golden/join_order_plans.txt`, so a planner change that
 //!   moves a plan shows as a diff there.
@@ -17,7 +19,7 @@
 use berlinmod::{benchmark_queries, usecase_queries, BerlinModData, RoadNetwork, ScaleFactor};
 use mduck_rowdb::RowDatabase;
 use mduck_sql::Value;
-use quackdb::{Database, ExecLimits};
+use quackdb::{Database, ExecGuard, ExecLimits};
 
 /// A small deterministic generator (64-bit LCG) for the test data.
 struct Lcg(u64);
@@ -304,6 +306,25 @@ fn a_cheaper_order_is_taken_and_ties_keep_from_order() {
     assert!(scans[0].contains("big") && scans[1].contains("tiny"), "{p}");
 }
 
+/// A block of more FROM items than a machine word has bits: groups of 7
+/// relations keyed one to the next, each group a Rule 1 run crossed with
+/// the groups before it, plan and return the row engine's rows.
+#[test]
+fn seventy_from_items_plan_as_runs() {
+    let (vdb, rdb) = (Database::new(), RowDatabase::new());
+    for sql in ["CREATE TABLE w(k INTEGER)", "INSERT INTO w VALUES (1), (2)"] {
+        vdb.execute(sql).unwrap();
+        rdb.execute(sql).unwrap();
+    }
+    let from: Vec<String> = (0..70).map(|i| format!("w a{i}")).collect();
+    let keys: Vec<String> =
+        (1..70).filter(|i| i % 7 != 0).map(|i| format!("a{i}.k = a{}.k", i - 1)).collect();
+    let sql = format!("SELECT count(*) FROM {} WHERE {}", from.join(", "), keys.join(" AND "));
+    assert_eq!(vec_rows(&vdb, &sql), vec![vec![Value::Int(1024)]]);
+    assert_eq!(vec_rows(&vdb, &sql), row_rows(&rdb, &sql));
+    assert_eq!(plan(&vdb, &sql).matches("CROSS_PRODUCT").count(), 9);
+}
+
 // ------------------------------------------------------------ ALL / ANY
 
 /// `o(id, k, x)` against `i(k, y)`: keys 1 (two values), 2 (a value and a
@@ -349,6 +370,37 @@ fn quantified_subqueries_match_per_row_evaluation() {
             }
         }
     }
+}
+
+/// A subquery that reads no outer row runs once for the block, not once
+/// per row, and returns what the row engine's per-row runs return.
+#[test]
+fn an_uncorrelated_subquery_runs_once() {
+    let (vdb, rdb) = (Database::new(), RowDatabase::new());
+    for sql in [
+        "CREATE TABLE big(b INTEGER)",
+        "CREATE TABLE s(k INTEGER)",
+        "INSERT INTO big SELECT n FROM generate_series(1, 3000) AS t(n)",
+        "INSERT INTO s SELECT n * 7 FROM generate_series(1, 40) AS t(n)",
+    ] {
+        vdb.execute(sql).unwrap();
+        rdb.execute(sql).unwrap();
+    }
+    let scalar = "SELECT b FROM big WHERE b > (SELECT min(k) FROM s) + 2900 ORDER BY b";
+    for sql in [
+        scalar,
+        "SELECT b FROM big WHERE b IN (SELECT k FROM s) ORDER BY b",
+        "SELECT b FROM big WHERE EXISTS (SELECT k FROM s WHERE k > 270) AND b < 4 ORDER BY b",
+        "SELECT b, (SELECT max(k) FROM s WHERE k < 30) FROM big WHERE b % 1000 = 0 ORDER BY b",
+        "SELECT b FROM big WHERE b = (SELECT k FROM s WHERE k = big.b) ORDER BY b",
+    ] {
+        let want = row_rows(&rdb, sql);
+        assert!(!want.is_empty(), "{sql}");
+        assert_eq!(vec_rows(&vdb, sql), want, "{sql}");
+    }
+    let guard = ExecGuard::new(&ExecLimits::default());
+    assert_eq!(vdb.execute_with_guard(scalar, &guard).unwrap().rows.len(), 93);
+    assert_eq!(guard.rows_scanned(), 3000 + 40, "big once and s once");
 }
 
 #[test]

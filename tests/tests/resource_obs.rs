@@ -81,6 +81,19 @@ fn vec_memory_limit_trips_hash_agg_serial_and_parallel() {
     assert!(db.execute(AGG_SQL).is_ok());
 }
 
+/// The FILTER above the join tree copies the part of a chunk its
+/// subquery predicate keeps, and its box reports those bytes.
+#[test]
+fn a_subquery_filter_reports_the_rows_it_copies() {
+    let db = Database::new();
+    db.execute("CREATE TABLE f(a INTEGER)").unwrap();
+    db.execute("INSERT INTO f SELECT n FROM generate_series(1, 100) AS t(n)").unwrap();
+    let pq = db.execute_analyzed("SELECT a FROM f WHERE a > (SELECT 60)").unwrap();
+    assert_eq!(pq.result.rows.len(), 40);
+    let filter = pq.explain.split('┌').find(|b| b.contains("FILTER")).unwrap_or_default();
+    assert!(filter.contains("mem: "), "no mem line on the FILTER:\n{}", pq.explain);
+}
+
 #[test]
 fn row_memory_limit_trips_hash_agg() {
     let data = sf001();
