@@ -269,6 +269,12 @@ impl JoinConjuncts {
         self.spans[ri].clone()
     }
 
+    /// The WHERE conjuncts in written order, placed or not: the numbering
+    /// of [`Link::conjunct`] and [`take_covered_indexed`](Self::take_covered_indexed).
+    pub fn conjuncts(&self) -> &[BoundExpr] {
+        &self.conjuncts
+    }
+
     /// The unplaced simple conjuncts, in written order.
     fn unused(&self) -> impl Iterator<Item = (usize, &BoundExpr)> {
         self.conjuncts

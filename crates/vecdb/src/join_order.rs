@@ -28,9 +28,7 @@ use mduck_sql::plan::{
     index_pattern, order_insensitive, permute_from, selectivity, JoinConjuncts,
     JOIN_KEY_SELECTIVITY,
 };
-use mduck_sql::{
-    split_conjuncts, BinaryOp, BoundExpr, BoundFrom, BoundSelect, LogicalType, SqlError, SqlResult,
-};
+use mduck_sql::{BinaryOp, BoundExpr, BoundFrom, BoundSelect, LogicalType, SqlError, SqlResult};
 
 use crate::exec::{EngineCtx, Fold, PhysOp, ScanFilters};
 
@@ -55,7 +53,7 @@ pub fn reorder_joins(ctx: &EngineCtx<'_>, plan: &mut BoundSelect) -> SqlResult<(
     if plan.from.len() < 2 || plan.from.len() > MAX_RELATIONS || !order_insensitive(plan) {
         return Ok(());
     }
-    if let Some(order) = CostModel::new(ctx, plan)?.best_order() {
+    if let Some(order) = CostModel::new(ctx, plan, &JoinConjuncts::new(plan))?.best_order() {
         permute_from(plan, &order);
     }
     Ok(())
@@ -69,8 +67,8 @@ type Planned = (PhysOp, Option<f64>);
 /// put the FROM items in the order to join them). Returns the tree and
 /// the conjuncts left for above it (those with subqueries).
 pub fn plan_joins(ctx: &EngineCtx<'_>, plan: &BoundSelect) -> SqlResult<(PhysOp, Vec<BoundExpr>)> {
-    let model = CostModel::new(ctx, plan)?;
     let mut conj = JoinConjuncts::new(plan);
+    let model = CostModel::new(ctx, plan, &conj)?;
 
     let from = plan.from.iter().enumerate();
     let relations = from.map(|(ri, f)| relation(ctx, f, conj.take_local(ri), model.base[ri]));
@@ -191,6 +189,7 @@ fn close_run(
         let (l, (method, _)) = (found?, c.link.clone()?);
         Some((c.sel, method, l.probe.clone(), l.build.map_columns(&|i| i - width), l.call.clone()))
     });
+    let owned = owned.filter(|_| link.is_some());
     // The covered conjuncts by stage, in written order within each; the
     // folded link's `before` are those ahead of it, its `after` the strict
     // `&&` run right behind it when nothing is ahead.
@@ -286,8 +285,7 @@ type Side = (Set, Option<usize>);
 /// What the model needs of one simple WHERE conjunct over two or more
 /// relations.
 struct Conjunct {
-    /// Its position among the WHERE conjuncts as written, the numbering of
-    /// [`JoinConjuncts`].
+    /// Its position in [`JoinConjuncts::conjuncts`].
     written: usize,
     rels: Set,
     sel: f64,
@@ -345,7 +343,7 @@ enum Step<'m> {
 }
 
 impl CostModel {
-    fn new(ctx: &EngineCtx<'_>, plan: &BoundSelect) -> SqlResult<CostModel> {
+    fn new(ctx: &EngineCtx<'_>, plan: &BoundSelect, conj: &JoinConjuncts) -> SqlResult<CostModel> {
         let (mut base, mut owner) = (Vec::new(), Vec::new());
         for (ri, f) in plan.from.iter().enumerate() {
             base.push(match f {
@@ -367,12 +365,8 @@ impl CostModel {
             };
             (rels, plain)
         };
-        let mut all = Vec::new();
-        if let Some(f) = &plan.filter {
-            split_conjuncts(f, &mut all);
-        }
         let mut conjuncts = Vec::new();
-        for (written, c) in all.iter().enumerate().filter(|(_, c)| !c.is_complex()) {
+        for (written, c) in conj.conjuncts().iter().enumerate().filter(|(_, c)| !c.is_complex()) {
             let (rels, sel) = (side(c).0, selectivity(c));
             match rels.first() {
                 Some(&ri) if rels.len() == 1 => base[ri] = base[ri].map(|n| n * sel),
