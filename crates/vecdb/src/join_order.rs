@@ -22,7 +22,7 @@
 //! (DESIGN.md §12). [`plan_joins`] replays the steps over the final order,
 //! taking each step's conjuncts from [`JoinConjuncts`].
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use mduck_sql::plan::{
     index_pattern, order_insensitive, permute_from, selectivity, JoinConjuncts,
@@ -34,6 +34,7 @@ use crate::exec::{EngineCtx, Fold, PhysOp, ScanFilters};
 
 /// The most FROM items a block may have for the pass to order it.
 const MAX_RELATIONS: usize = 8;
+const _: () = assert!(MAX_RELATIONS <= 64, "the search keys its states by their first words");
 
 /// Relative margin by which an order must beat FROM order.
 const MARGIN: f64 = 1e-9;
@@ -259,11 +260,16 @@ fn hash_join(
 fn link_method(ctx: &EngineCtx<'_>, c: &BoundExpr) -> Option<(String, bool)> {
     let BoundExpr::Call { name, strict: true, args, .. } = c else { return None };
     let [a, b] = args.as_slice() else { return None };
-    let (a, b, span) = (a.ty(), b.ty(), LogicalType::ext("tstzspan"));
     let (indexed, folds) = match name.as_str() {
-        "&&" => ([a, b], true),
-        "@>" if a == span && b == LogicalType::Timestamp => ([a.clone(), a], false),
-        "<@" if b == span && a == LogicalType::Timestamp => ([b.clone(), b], false),
+        "&&" => ([a.ty(), b.ty()], true),
+        "@>" | "<@" => {
+            let span = LogicalType::ext("tstzspan");
+            let (container, element) = if name == "@>" { (a, b) } else { (b, a) };
+            if container.ty() != span || element.ty() != LogicalType::Timestamp {
+                return None;
+            }
+            ([span.clone(), span], false)
+        }
         _ => return None,
     };
     // The first method, by name, that can index both argument types.
@@ -275,8 +281,55 @@ fn link_method(ctx: &EngineCtx<'_>, c: &BoundExpr) -> Option<(String, bool)> {
 
 // ------------------------------------------------------------ the model
 
-/// A set of FROM items, by position.
-type Set = BTreeSet<usize>;
+/// A set of FROM items, by position, a bit each: items 0 to 63 in the
+/// word, so the sets of a block that small never allocate, and the set of
+/// the rest, less 64, behind it. That set is there only when it holds an
+/// item, so equal sets compare equal.
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
+struct Set(u64, Option<Box<Set>>);
+
+impl Set {
+    fn one(ri: usize) -> Set {
+        let mut set = Set::default();
+        set.insert(ri);
+        set
+    }
+
+    fn insert(&mut self, ri: usize) {
+        match ri.checked_sub(64) {
+            None => self.0 |= 1 << ri,
+            Some(ri) => self.1.get_or_insert_default().insert(ri),
+        }
+    }
+
+    fn contains(&self, ri: usize) -> bool {
+        match ri.checked_sub(64) {
+            None => (self.0 >> ri) & 1 == 1,
+            Some(ri) => self.1.as_ref().is_some_and(|high| high.contains(ri)),
+        }
+    }
+
+    fn union(&self, other: &Set) -> Set {
+        let high = match (&self.1, &other.1) {
+            (Some(a), Some(b)) => Some(Box::new(a.union(b))),
+            (a, b) => a.clone().or_else(|| b.clone()),
+        };
+        Set(self.0 | other.0, high)
+    }
+
+    fn is_subset(&self, of: &Set) -> bool {
+        self.0 & !of.0 == 0
+            && match (&self.1, &of.1) {
+                (None, _) => true,
+                (Some(a), Some(b)) => a.is_subset(b),
+                (Some(_), None) => false,
+            }
+    }
+
+    fn len(&self) -> u32 {
+        self.0.count_ones() + self.1.as_ref().map_or(0, |high| high.len())
+    }
+}
 
 /// One argument of a two-argument conjunct: the relations it reads and,
 /// when it is a plain column, that column's relation.
@@ -319,11 +372,11 @@ struct At {
 impl At {
     /// The plan of relation `ri` alone.
     fn new(model: &CostModel, ri: usize) -> At {
-        At { tree: Set::from([ri]), run: Set::new(), tree_rows: model.base[ri], run_rows: None }
+        At { tree: Set::one(ri), run: Set::default(), tree_rows: model.base[ri], run_rows: None }
     }
 
     fn joined(&self, ri: usize) -> bool {
-        self.tree.contains(&ri) || self.run.contains(&ri)
+        self.tree.contains(ri) || self.run.contains(ri)
     }
 }
 
@@ -355,7 +408,7 @@ impl CostModel {
             owner.extend(std::iter::repeat_n(ri, f.schema().len()));
         }
         let side = |e: &BoundExpr| {
-            let mut rels = Set::new();
+            let mut rels = Set::default();
             e.for_each_column(&mut |i| {
                 rels.insert(owner[i]);
             });
@@ -368,9 +421,14 @@ impl CostModel {
         let mut conjuncts = Vec::new();
         for (written, c) in conj.conjuncts().iter().enumerate().filter(|(_, c)| !c.is_complex()) {
             let (rels, sel) = (side(c).0, selectivity(c));
-            match rels.first() {
-                Some(&ri) if rels.len() == 1 => base[ri] = base[ri].map(|n| n * sel),
-                Some(_) => {
+            match rels.len() {
+                0 => {}
+                1 => {
+                    if let Some(ri) = (0..base.len()).find(|&ri| rels.contains(ri)) {
+                        base[ri] = base[ri].map(|n| n * sel);
+                    }
+                }
+                _ => {
                     let sides = match c {
                         BoundExpr::Compare { left, right, .. } => Some([side(left), side(right)]),
                         BoundExpr::Call { args, .. } if args.len() == 2 => {
@@ -382,7 +440,6 @@ impl CostModel {
                     let link = link_method(ctx, c);
                     conjuncts.push(Conjunct { written, rels, sel, sides, eq, link });
                 }
-                None => {}
             }
         }
         Ok(CostModel { base, conjuncts })
@@ -391,7 +448,8 @@ impl CostModel {
     /// Estimated rows of the relations `set` joined, every conjunct over
     /// them applied.
     fn rows(&self, set: &Set) -> Option<f64> {
-        let product = set.iter().map(|&ri| self.base[ri]).product::<Option<f64>>()?;
+        let joined = (0..self.base.len()).filter(|&ri| set.contains(ri));
+        let product = joined.map(|ri| self.base[ri]).product::<Option<f64>>()?;
         let covered = self.conjuncts.iter().filter(|c| c.rels.is_subset(set));
         Some(covered.fold(product, |n, c| n * c.sel))
     }
@@ -399,9 +457,8 @@ impl CostModel {
     /// The equalities keying relation `ri` to the relations `to`: per key,
     /// its side over `to` then its side over `ri`.
     fn keys<'m>(&'m self, to: &'m Set, ri: usize) -> impl Iterator<Item = [&'m Side; 2]> + 'm {
-        let keys = move |t: &Side, r: &Side| {
-            !t.0.is_empty() && t.0.is_subset(to) && r.0.len() == 1 && r.0.contains(&ri)
-        };
+        let keys =
+            move |t: &Side, r: &Side| t.0.len() > 0 && t.0.is_subset(to) && r.0 == Set::one(ri);
         self.conjuncts.iter().filter(|c| c.eq).filter_map(move |c| match c.sides.as_ref()? {
             [a, b] if keys(a, b) => Some([a, b]),
             [a, b] if keys(b, a) => Some([b, a]),
@@ -420,29 +477,26 @@ impl CostModel {
         let hash_rows = |rows: Option<f64>, ri: usize, keys: usize| {
             rows.zip(self.base[ri]).map(|(l, r)| l * r * JOIN_KEY_SELECTIVITY.powi(keys as i32))
         };
-        if !at.run.is_empty() {
+        if at.run.len() > 0 {
             // Rule 1: `next` joins the run when every key from the
             // relations so far to it is a plain column of the run equal to
             // a plain column of `next`.
             if let Some(ri) = next {
-                let so_far = at.tree.union(&at.run).copied().collect();
-                let keys: Vec<_> = self.keys(&so_far, ri).collect();
-                let plain = |[t, r]: &[&Side; 2]| {
-                    t.1.is_some_and(|rel| at.run.contains(&rel)) && r.1.is_some()
-                };
-                if !keys.is_empty() && keys.iter().all(plain) {
+                let (so_far, mut keys, mut plain) = (at.tree.union(&at.run), 0, true);
+                for [t, r] in self.keys(&so_far, ri) {
+                    keys += 1;
+                    plain &= t.1.is_some_and(|rel| at.run.contains(rel)) && r.1.is_some();
+                }
+                if keys > 0 && plain {
                     after.run.insert(ri);
-                    after.run_rows = hash_rows(at.run_rows, ri, keys.len());
-                    return Some((Step::Absorb { keys: keys.len(), rows: after.run_rows }, after));
+                    after.run_rows = hash_rows(at.run_rows, ri, keys);
+                    return Some((Step::Absorb { keys, rows: after.run_rows }, after));
                 }
             }
             // Rule 2: the first link, in written order, between the tree
             // and the run.
             let linked = |a: &Side, b: &Side| {
-                !a.0.is_empty()
-                    && !b.0.is_empty()
-                    && a.0.is_subset(&at.tree)
-                    && b.0.is_subset(&at.run)
+                a.0.len() > 0 && b.0.len() > 0 && a.0.is_subset(&at.tree) && b.0.is_subset(&at.run)
             };
             let link = self
                 .conjuncts
@@ -450,13 +504,13 @@ impl CostModel {
                 .filter(|c| c.link.is_some())
                 .find(|c| c.sides.as_ref().is_some_and(|[a, b]| linked(a, b) || linked(b, a)));
             let pairs = at.tree_rows.zip(at.run_rows).map(|(l, r)| l * r);
-            after.tree.append(&mut after.run);
+            (after.tree, after.run) = (at.tree.union(&at.run), Set::default());
             return Some((Step::Close { link, pairs }, after));
         }
         let ri = next?;
         let keys = self.keys(&at.tree, ri).count();
         if keys == 0 {
-            after.run = Set::from([ri]);
+            after.run = Set::one(ri);
             after.run_rows = self.base[ri];
             return Some((Step::Open, after));
         }
@@ -483,13 +537,13 @@ impl CostModel {
     /// relation not joined yet, depth-first (see the module comment).
     fn visit(&self, search: &mut Search, at: At, cost: f64) {
         let bound = search.best.as_ref().map_or(f64::INFINITY, |(best, _)| best * (1.0 - MARGIN));
-        let seen = search.memo.entry((at.tree.clone(), at.run.clone())).or_insert(f64::INFINITY);
+        let seen = search.memo.entry((at.tree.0, at.run.0)).or_insert(f64::INFINITY);
         if cost >= bound || *seen <= cost {
             return;
         }
         *seen = cost;
-        let rest: Vec<usize> = (0..self.base.len()).filter(|&ri| !at.joined(ri)).collect();
-        if rest.is_empty() {
+        let mut rest = (0..self.base.len()).filter(|&ri| !at.joined(ri)).peekable();
+        if rest.peek().is_none() {
             let total = self.advance(&mut at.clone(), None, cost);
             if total < bound || search.best.is_none() {
                 search.best = Some((total, search.order.clone()));
@@ -518,18 +572,21 @@ impl CostModel {
                 Step::Open => Some(0.0),
             }
             .unwrap_or(f64::INFINITY);
-            *at = At { tree_rows: self.rows(&after.tree), ..after };
+            let grew = after.tree != at.tree;
+            *at =
+                At { tree_rows: if grew { self.rows(&after.tree) } else { at.tree_rows }, ..after };
         }
         cost
     }
 }
 
 /// The state of the walk over orders: the cheapest cost seen for each
-/// (joined relations, open run), the order so far, and the cheapest
-/// complete order with its cost.
+/// (joined relations, open run), by their first words as it orders at most
+/// [`MAX_RELATIONS`] items, the order so far, and the cheapest complete
+/// order with its cost.
 #[derive(Default)]
 struct Search {
-    memo: HashMap<(Set, Set), f64>,
+    memo: HashMap<(u64, u64), f64>,
     order: Vec<usize>,
     best: Option<(f64, Vec<usize>)>,
 }
