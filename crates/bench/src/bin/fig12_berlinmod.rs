@@ -63,7 +63,7 @@ fn main() {
 
     // wins[scenario] across all (query, sf) cells.
     let mut wins = [0usize; 3];
-    let mut duck_beats_both = vec![true; 18]; // indexed by query id
+    let mut duck_beats_both = [true; 18]; // indexed by query id
     let mut query_records: Vec<Json> = Vec::new();
     let mut operator_records: Vec<Json> = Vec::new();
     // (query, sf, serial p50, parallel p50) for the threads summary.

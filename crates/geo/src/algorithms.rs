@@ -226,28 +226,176 @@ fn polygon_covers_vertex(a: &impl Features, b: &impl Features) -> bool {
 /// a pair is skipped only when its box lies clearly beyond the bound.
 const BOX_SLACK: f64 = 1e-10;
 
-/// The slack for boxes over `a` and `b`: infinite, which disables
-/// pruning, when a coordinate is not finite or so large that squaring it
-/// could overflow; never below 1e-150, under which squared distances lose
-/// their precision to underflow.
-fn box_slack(a: &impl Features, b: &impl Features) -> f64 {
-    let mut extent = 0.0f64;
-    let mut visit = |p: Point| {
-        let (x, y) = (p.x.abs(), p.y.abs());
-        // Written so that NaN stops the visit too.
-        if !(x <= 1e150 && y <= 1e150) {
-            return ControlFlow::Break(());
-        }
-        extent = extent.max(x).max(y);
-        ControlFlow::Continue(())
-    };
-    if a.visit_points(&mut visit).is_break() || b.visit_points(&mut visit).is_break() {
-        return f64::INFINITY;
+/// The largest coordinate magnitude of `p`; infinite when a coordinate
+/// is NaN.
+pub fn magnitude(p: Point) -> f64 {
+    if p.x.is_nan() || p.y.is_nan() {
+        f64::INFINITY
+    } else {
+        p.x.abs().max(p.y.abs())
     }
-    (extent * BOX_SLACK).max(1e-150)
 }
 
-fn segment_rect(p: Point, q: Point) -> Rect {
+/// The box slack for coordinates of at most `magnitude`: infinite, which
+/// disables pruning, when a coordinate is not finite or so large that
+/// squaring it could overflow; never below 1e-150, under which squared
+/// distances lose their precision to underflow.
+pub fn slack_for(magnitude: f64) -> f64 {
+    if magnitude <= 1e150 {
+        (magnitude * BOX_SLACK).max(1e-150)
+    } else {
+        f64::INFINITY
+    }
+}
+
+/// The largest coordinate magnitude of `a`'s vertices.
+fn features_magnitude(a: &impl Features) -> f64 {
+    let mut m = 0.0f64;
+    let _ = a.visit_points(&mut |p| {
+        m = m.max(magnitude(p));
+        stop_if(m == f64::INFINITY)
+    });
+    m
+}
+
+/// The slack for boxes over `a` and `b`.
+fn box_slack(a: &impl Features, b: &impl Features) -> f64 {
+    slack_for(features_magnitude(a).max(features_magnitude(b)))
+}
+
+/// A box grown by a slack, for sorting points against it: a point's code
+/// has a bit for each side of the box it lies beyond, and none when it is
+/// near. A segment whose ends share a bit lies beyond the box: its own box
+/// misses it. An infinite slack puts every point near.
+#[derive(Debug, Clone, Copy)]
+pub struct Near {
+    rect: Rect,
+    bounded: bool,
+}
+
+impl Near {
+    pub fn new(rect: Rect, slack: f64) -> Near {
+        Near { rect: rect.expand_by(slack), bounded: slack.is_finite() }
+    }
+
+    /// The sides of the box `p` lies beyond; 0 when it is near.
+    #[inline]
+    pub fn code(&self, p: Point) -> u8 {
+        if !self.bounded {
+            return 0;
+        }
+        let r = &self.rect;
+        u8::from(p.x < r.xmin)
+            | u8::from(p.x > r.xmax) << 1
+            | u8::from(p.y < r.ymin) << 2
+            | u8::from(p.y > r.ymax) << 3
+    }
+}
+
+/// A geometry prepared for many intersection tests against the parts of
+/// one path (the static operand of `eIntersects`): its box, the largest
+/// magnitude of its coordinates, whether it has segments, and whether
+/// every ring of its polygons is closed. Each test is one of the
+/// feature tests [`features_intersect`] runs, answered the same way.
+pub struct Target<'a> {
+    geom: &'a Geometry,
+    rect: Rect,
+    magnitude: f64,
+    has_segments: bool,
+    has_polygons: bool,
+    closed_rings: bool,
+}
+
+impl<'a> Target<'a> {
+    /// `None` for an empty geometry, which intersects nothing.
+    pub fn new(geom: &'a Geometry) -> Option<Target<'a>> {
+        let rect = features_rect(geom)?;
+        let (mut has_polygons, mut closed_rings) = (false, true);
+        let _ = geom.visit_polygons(&mut |rings| {
+            has_polygons = true;
+            closed_rings &= rings.iter().all(|r| r.first() == r.last());
+            ControlFlow::Continue(())
+        });
+        Some(Target {
+            geom,
+            rect,
+            magnitude: features_magnitude(geom),
+            has_segments: has_segments(geom),
+            has_polygons,
+            closed_rings,
+        })
+    }
+
+    /// The bounding box of every vertex.
+    pub fn rect(&self) -> Rect {
+        self.rect
+    }
+
+    /// The largest coordinate magnitude (see [`magnitude`]).
+    pub fn magnitude(&self) -> f64 {
+        self.magnitude
+    }
+
+    /// Does the geometry have a segment?
+    pub fn has_segments(&self) -> bool {
+        self.has_segments
+    }
+
+    /// Does a polygon cover `p` ([`point_in_rings`])? A point `far`
+    /// beyond the slack of the box is outside every closed ring: it is on
+    /// no edge, and a horizontal ray from it crosses each closed ring an
+    /// even number of times. An open ring (possible from WKB) can hold far
+    /// points, so then every point is tested.
+    pub fn covers(&self, p: Point, far: bool) -> bool {
+        if !self.has_polygons || (far && self.closed_rings) {
+            return false;
+        }
+        self.geom.visit_polygons(&mut |rings| stop_if(point_in_rings(p, rings))).is_break()
+    }
+
+    /// Is `p` at distance 0 from a segment?
+    pub fn segment_at(&self, p: Point) -> bool {
+        self.geom
+            .visit_segments(&mut |q1, q2| stop_if(point_segment_distance(p, q1, q2) == 0.0))
+            .is_break()
+    }
+
+    /// Is `p` at distance 0 from a vertex?
+    pub fn vertex_at(&self, p: Point) -> bool {
+        self.geom.visit_points(&mut |q| stop_if(p.distance(&q) == 0.0)).is_break()
+    }
+
+    /// Is a segment at distance 0 from segment `p1`–`p2`? Segments whose
+    /// boxes lie beyond `slack` of each other are skipped.
+    pub fn segment_meets(&self, p1: Point, p2: Point, slack: f64) -> bool {
+        let sa = segment_rect(p1, p2);
+        self.geom
+            .visit_segments(&mut |q1, q2| {
+                stop_if(
+                    sa.distance(&segment_rect(q1, q2)) <= slack
+                        && segment_segment_distance(p1, p2, q1, q2) == 0.0,
+                )
+            })
+            .is_break()
+    }
+
+    /// Is a bare point at distance 0 from segment `p1`–`p2`?
+    pub fn bare_point_on(&self, p1: Point, p2: Point) -> bool {
+        self.geom
+            .visit_bare_points(&mut |q| stop_if(point_segment_distance(q, p1, p2) == 0.0))
+            .is_break()
+    }
+
+    /// Is a vertex at distance 0 from segment `p1`–`p2`?
+    pub fn vertex_on(&self, p1: Point, p2: Point) -> bool {
+        self.geom
+            .visit_points(&mut |q| stop_if(point_segment_distance(q, p1, p2) == 0.0))
+            .is_break()
+    }
+}
+
+/// The bounding box of segment `p`–`q`.
+pub fn segment_rect(p: Point, q: Point) -> Rect {
     Rect::new(p.x, p.y, q.x, q.y)
 }
 

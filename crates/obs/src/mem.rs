@@ -142,11 +142,11 @@ pub fn format_bytes(bytes: u64) -> String {
     const KB: u64 = 1 << 10;
     const MB: u64 = 1 << 20;
     const GB: u64 = 1 << 30;
-    if bytes >= GB && bytes % GB == 0 {
+    if bytes >= GB && bytes.is_multiple_of(GB) {
         format!("{}GB", bytes / GB)
-    } else if bytes >= MB && bytes % MB == 0 {
+    } else if bytes >= MB && bytes.is_multiple_of(MB) {
         format!("{}MB", bytes / MB)
-    } else if bytes >= KB && bytes % KB == 0 {
+    } else if bytes >= KB && bytes.is_multiple_of(KB) {
         format!("{}KB", bytes / KB)
     } else {
         format!("{bytes}B")

@@ -230,11 +230,11 @@ macro_rules! define_metrics {
         impl Metrics {
             /// All metrics, in declaration order.
             pub fn snapshot(&self) -> Vec<MetricSnapshot> {
-                let mut out = Vec::new();
-                $(out.push(self.$cname.snapshot(stringify!($cname)));)*
-                $(out.push(self.$gname.snapshot(stringify!($gname)));)*
-                $(out.push(self.$hname.snapshot(stringify!($hname)));)*
-                out
+                vec![
+                    $(self.$cname.snapshot(stringify!($cname)),)*
+                    $(self.$gname.snapshot(stringify!($gname)),)*
+                    $(self.$hname.snapshot(stringify!($hname)),)*
+                ]
             }
 
             /// Zero every metric (`PRAGMA reset_metrics`).

@@ -50,7 +50,16 @@ impl Rect3 {
     /// where relative comparisons are what matters).
     pub fn volume(&self) -> f64 {
         (0..3)
-            .map(|d| (self.max[d] - self.min[d]).min(1e18).max(0.0))
+            .map(|d| {
+                // An axis whose bounds are the same infinity has a NaN
+                // length, which counts as the cap.
+                let len = self.max[d] - self.min[d];
+                if len.is_nan() {
+                    1e18
+                } else {
+                    len.clamp(0.0, 1e18)
+                }
+            })
             .product()
     }
 

@@ -700,7 +700,7 @@ impl<'a> Binder<'a> {
         // Fold constant casts.
         if let BoundExpr::Literal(v) = &inner {
             if !v.is_null() {
-                return Ok(BoundExpr::Literal(cast(&[v.clone()])?));
+                return Ok(BoundExpr::Literal(cast(std::slice::from_ref(v))?));
             }
         }
         Ok(BoundExpr::Call {

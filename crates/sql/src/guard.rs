@@ -278,7 +278,7 @@ impl ExecGuard {
         // Always check on the first tick (so a statement with few chunk
         // boundaries still observes an already-expired deadline), then
         // every DEADLINE_STRIDE-th to keep Instant::now() off hot loops.
-        if t == 1 || t % DEADLINE_STRIDE == 0 {
+        if t == 1 || t.is_multiple_of(DEADLINE_STRIDE) {
             self.check_deadline()?;
         }
         Ok(())

@@ -5,7 +5,7 @@
 //! for scan injection (§4.3). Each engine keeps its own registry of
 //! methods (TRTREE/RTREE on quackdb, BTREE/GIST on the row engine).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::{LogicalType, SqlError, SqlResult, Value};
@@ -78,10 +78,12 @@ pub trait IndexType: Send + Sync {
 /// pairs; installing them cannot fail.
 pub type StagedIndexes = Vec<(usize, Box<dyn TableIndex>)>;
 
-/// Registry of index types, shared by a database instance.
+/// Registry of index types, shared by a database instance, in name
+/// order.
 #[derive(Clone, Default)]
 pub struct IndexTypeRegistry {
-    types: HashMap<String, Arc<dyn IndexType>>,
+    /// Keyed by the upper-cased method name.
+    types: BTreeMap<String, Arc<dyn IndexType>>,
 }
 
 impl IndexTypeRegistry {
@@ -93,10 +95,10 @@ impl IndexTypeRegistry {
         self.types.get(&name.to_ascii_uppercase()).cloned()
     }
 
-    pub fn names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.types.keys().cloned().collect();
-        v.sort();
-        v
+    /// The first method, by name, for which `f` holds; nothing is
+    /// allocated.
+    pub fn find(&self, f: impl Fn(&dyn IndexType) -> bool) -> Option<&str> {
+        self.types.iter().find(|(_, t)| f(t.as_ref())).map(|(name, _)| name.as_str())
     }
 
     fn method(&self, method: &str) -> SqlResult<Arc<dyn IndexType>> {

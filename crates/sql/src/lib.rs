@@ -38,6 +38,6 @@ pub use error::{SqlError, SqlResult};
 pub use eval::{compare, eval, OuterStack, SubqueryExec};
 pub use guard::{CancelHandle, ExecGuard, ExecLimits, GuardTrip};
 pub use parser::{parse_script, parse_statement};
-pub use registry::{downcast_partial, AggState, Registry, ScalarFn, ScalarSig};
+pub use registry::{downcast_partial, AggState, FusionRule, Registry, ScalarFn, ScalarSig};
 pub use session::{QueryResult, Session};
 pub use value::{ExtObject, ExtValue, LogicalType, Value};

@@ -75,6 +75,27 @@ pub struct AggregateSig {
     pub factory: Arc<dyn Fn() -> Box<dyn AggState> + Send + Sync>,
 }
 
+/// One rule of the fusion table an extension registers (the analogue of a
+/// DuckDB optimizer extension): a call to `outer` whose first argument —
+/// or, when `commutes`, its second — is a call to `inner`, seen through a
+/// call named `through` when one wraps it, becomes a call to `fused` over
+/// `inner`'s arguments followed by `outer`'s other arguments. The rule
+/// applies only where `fused` resolves over those argument types to the
+/// type `outer` returns. Only quackdb's planner applies the table; the
+/// fused function must return what the written calls return, and fail
+/// where they fail.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FusionRule {
+    pub outer: &'static str,
+    pub inner: &'static str,
+    pub fused: &'static str,
+    /// `outer` is symmetric in its two arguments.
+    pub commutes: bool,
+    /// A call that keeps `inner`'s value, such as a cast that only changes
+    /// its representation.
+    pub through: Option<&'static str>,
+}
+
 /// Decoder turning a serialized extension value back into a runtime
 /// [`Value`] (the detoast path of row stores).
 pub type ExtDecoder = Arc<dyn Fn(&[u8]) -> SqlResult<Value> + Send + Sync>;
@@ -88,6 +109,7 @@ pub struct Registry {
     casts: HashMap<(LogicalType, LogicalType), ScalarFn>,
     types: HashMap<String, LogicalType>,
     ext_codecs: HashMap<String, ExtDecoder>,
+    fusions: Vec<FusionRule>,
 }
 
 impl Registry {
@@ -266,6 +288,18 @@ impl Registry {
         self.casts.insert((from, to), Arc::new(func));
     }
 
+    // ---------------------------------------------------------- fusion rules
+
+    /// Add a rule to the fusion table.
+    pub fn register_fusion(&mut self, rule: FusionRule) {
+        self.fusions.push(rule);
+    }
+
+    /// The fusion table, in registration order.
+    pub fn fusions(&self) -> &[FusionRule] {
+        &self.fusions
+    }
+
     // ---------------------------------------------------------- ext codecs
 
     /// Register the binary decoder of an extension type. The matching
@@ -301,6 +335,7 @@ impl std::fmt::Debug for Registry {
             .field("aggregates", &self.aggregates.len())
             .field("casts", &self.casts.len())
             .field("types", &self.types.len())
+            .field("fusions", &self.fusions.len())
             .finish()
     }
 }

@@ -160,7 +160,7 @@ impl<T: SetValue> Set<T> {
 
     /// Map values, then renormalize.
     pub fn map(&self, f: impl Fn(&T) -> T) -> Set<T> {
-        Set::new(self.values.iter().map(|v| f(v)).collect()).expect("non-empty")
+        Set::new(self.values.iter().map(f).collect()).expect("non-empty")
     }
 }
 
@@ -408,7 +408,7 @@ mod tests {
     fn floatset_shift() {
         let s: FloatSet = parse_set("{1.5, 2.5}").unwrap();
         assert_eq!(s.shift(1.0).values(), &[2.5, 3.5]);
-        assert_eq!(s.mem_size() > 0, true);
+        assert!(s.mem_size() > 0);
     }
 
     #[test]

@@ -15,6 +15,7 @@ mod parse;
 mod restrict;
 mod spatial;
 mod sync;
+mod window;
 
 pub use agg::*;
 pub use boolops::*;
@@ -22,6 +23,7 @@ pub use parse::*;
 pub use restrict::*;
 pub use spatial::*;
 pub use sync::*;
+pub use window::*;
 
 use std::borrow::Cow;
 use std::fmt;

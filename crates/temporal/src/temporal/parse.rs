@@ -160,7 +160,7 @@ mod tests {
         let t = parse_tint("1@2025-01-01").unwrap();
         assert_eq!(t.to_string(), "1@2025-01-01 00:00:00+00");
         let t = parse_tbool("t@2025-01-01 12:00:00").unwrap();
-        assert_eq!(t.start_value(), true);
+        assert!(t.start_value());
         let t = parse_ttext(r#""hello @ there"@2025-01-01"#).unwrap();
         assert_eq!(t.start_value(), "hello @ there");
     }

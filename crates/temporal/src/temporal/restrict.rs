@@ -5,7 +5,7 @@
 use crate::error::TemporalResult;
 use crate::span::TstzSpan;
 use crate::spanset::TstzSpanSet;
-use crate::temporal::{Interp, TInstant, TSequence, TValue, Temporal};
+use crate::temporal::{Interp, TInstant, TSequence, TValue, Temporal, Window};
 use crate::time::TimestampTz;
 
 impl<V: TValue> TSequence<V> {
@@ -14,62 +14,38 @@ impl<V: TValue> TSequence<V> {
     /// `[start, end]`.
     pub(crate) fn interpolate_raw(&self, t: TimestampTz) -> V {
         debug_assert!(t >= self.start().t && t <= self.end().t);
-        match self.instants().binary_search_by(|i| i.t.cmp(&t)) {
-            Ok(idx) => self.instants()[idx].value.clone(),
-            Err(idx) => {
-                let a = &self.instants()[idx - 1];
-                let b = &self.instants()[idx];
-                match self.interp {
-                    Interp::Step | Interp::Discrete => a.value.clone(),
-                    Interp::Linear => {
-                        let frac = (t.0 - a.t.0) as f64 / (b.t.0 - a.t.0) as f64;
-                        V::lerp(&a.value, &b.value, frac)
-                    }
-                }
+        self.interpolate_at(self.instants().partition_point(|i| i.t < t), t)
+    }
+
+    /// [`TSequence::interpolate_raw`] at `t`, given `idx`, the index of
+    /// the first instant at or after `t`: its value when it is at `t`,
+    /// else the value between it and the instant before.
+    pub(crate) fn interpolate_at(&self, idx: usize, t: TimestampTz) -> V {
+        let instants = self.instants();
+        if instants[idx].t == t {
+            return instants[idx].value.clone();
+        }
+        let (a, b) = (&instants[idx - 1], &instants[idx]);
+        match self.interp {
+            Interp::Step | Interp::Discrete => a.value.clone(),
+            Interp::Linear => {
+                let frac = (t.0 - a.t.0) as f64 / (b.t.0 - a.t.0) as f64;
+                V::lerp(&a.value, &b.value, frac)
             }
         }
     }
 
     /// Restrict a sequence to a period; `None` when the result is empty.
-    /// The kept instants are found by binary search.
+    /// The kept instants are found by binary search ([`Window::of`]).
     pub fn at_period(&self, p: &TstzSpan) -> Option<TSequence<V>> {
-        let instants = self.instants();
-        if self.interp == Interp::Discrete {
-            // The instants inside `p` are one contiguous window.
-            let lo = instants.partition_point(|i| i.t <= p.lower && !p.contains_value(i.t));
-            let hi = lo + instants[lo..].partition_point(|i| p.contains_value(i.t));
-            if lo == hi {
-                return None;
-            }
-            let kept = instants[lo..hi].to_vec();
-            return Some(TSequence::discrete(kept).expect("filtered instants stay ordered"));
-        }
-        let ix = self.period().intersection(p)?;
-        // The instants strictly inside the intersection.
-        let lo = instants.partition_point(|i| i.t <= ix.lower);
-        let hi = lo.max(instants.partition_point(|i| i.t < ix.upper));
-        let mut kept: Vec<TInstant<V>> = Vec::with_capacity(hi - lo + 2);
-        // Boundary instant at the new lower bound.
-        kept.push(TInstant::new(self.interpolate_raw(ix.lower), ix.lower));
-        kept.extend_from_slice(&instants[lo..hi]);
-        if ix.upper > ix.lower {
-            kept.push(TInstant::new(self.interpolate_raw(ix.upper), ix.upper));
-        }
-        Some(
-            TSequence::new(kept, ix.lower_inc, ix.upper_inc, self.interp)
-                .expect("restriction preserves ordering"),
-        )
+        Window::of(self, Some(p)).map(|w| w.to_sequence())
     }
 }
 
 impl<V: TValue> Temporal<V> {
     /// Restrict to a period (`atTime(temp, tstzspan)`).
     pub fn at_period(&self, p: &TstzSpan) -> Option<Temporal<V>> {
-        let seqs: Vec<TSequence<V>> = self
-            .as_sequences()
-            .iter()
-            .filter_map(|s| s.at_period(p))
-            .collect();
+        let seqs = self.windows(Some(p)).map(|w| w.to_sequence()).collect();
         Temporal::from_sequences(seqs).ok()
     }
 
@@ -112,27 +88,40 @@ impl<V: TValue> Temporal<V> {
     {
         let mut out: Vec<TSequence<V>> = Vec::new();
         for s in self.as_sequences().iter() {
-            match s.interp {
-                Interp::Discrete => {
-                    let kept: Vec<TInstant<V>> = s
-                        .instants()
-                        .iter()
-                        .filter(|i| &i.value == v)
-                        .cloned()
-                        .collect();
-                    if !kept.is_empty() {
-                        out.push(TSequence::discrete(kept).expect("ordered"));
-                    }
-                }
-                Interp::Step => step_runs_equal(s, v, &mut out),
-                Interp::Linear => linear_pieces_equal(s, v, &mut out),
-            }
+            value_pieces(s, v, &mut |piece| out.push(piece.to_sequence(v)));
         }
         out.sort_by_key(|s| s.start().t);
         out.dedup_by(|a, b| {
             a.num_instants() == 1 && b.num_instants() == 1 && a.start().t == b.start().t
         });
         Temporal::from_sequences(out).ok()
+    }
+
+    /// `startTimestamp(atValues(self, v))` without building the
+    /// restriction: the time of the first piece of [`Temporal::at_value`],
+    /// `None` where that is `None` — no piece, or pieces that do not form a
+    /// valid sequence set. One pass over the pieces, in the order `at_value`
+    /// sorts them into.
+    pub fn at_value_start(&self, v: &V) -> Option<TimestampTz>
+    where
+        V: SolveCrossing,
+    {
+        let mut first = None;
+        let mut last: Option<Piece<'_, V>> = None;
+        let mut valid = true;
+        for s in self.as_sequences().iter() {
+            value_pieces(s, v, &mut |piece| {
+                if let Some(prev) = &last {
+                    if prev.len() == 1 && piece.len() == 1 && prev.start() == piece.start() {
+                        return; // `at_value` dedups it
+                    }
+                    valid &= prev.period().left_of(&piece.period());
+                }
+                first.get_or_insert(piece.start());
+                last = Some(piece);
+            });
+        }
+        first.filter(|_| valid)
     }
 
     /// Restrict to several values at once.
@@ -206,14 +195,107 @@ impl SolveCrossing for mduck_geo::Point {
     }
 }
 
-/// Step interpolation: maximal runs of instants with value `v` become
-/// subsequences holding until the next change.
-fn step_runs_equal<V: TValue>(s: &TSequence<V>, v: &V, out: &mut Vec<TSequence<V>>) {
+/// One piece of [`Temporal::at_value`]'s result.
+enum Piece<'a, V: TValue> {
+    /// The instants of a discrete sequence equal to the value: `len` of
+    /// them, from `first` to `last`.
+    Matching { instants: &'a [TInstant<V>], len: usize, first: TimestampTz, last: TimestampTz },
+    /// A run of instants equal to the value; with step interpolation the
+    /// value holds `until` the next instant.
+    Run {
+        instants: &'a [TInstant<V>],
+        until: Option<TimestampTz>,
+        lower_inc: bool,
+        upper_inc: bool,
+        interp: Interp,
+    },
+    /// The value at one instant: an isolated instant or a crossing.
+    At(TimestampTz, Interp),
+}
+
+impl<V: TValue> Piece<'_, V> {
+    fn len(&self) -> usize {
+        match self {
+            Piece::Matching { len, .. } => *len,
+            Piece::Run { instants, until, .. } => instants.len() + usize::from(until.is_some()),
+            Piece::At(..) => 1,
+        }
+    }
+
+    fn start(&self) -> TimestampTz {
+        match self {
+            Piece::Matching { first, .. } => *first,
+            Piece::Run { instants, .. } => instants[0].t,
+            Piece::At(t, _) => *t,
+        }
+    }
+
+    /// The bounding period of [`Piece::to_sequence`].
+    fn period(&self) -> TstzSpan {
+        let (upper, lower_inc, upper_inc) = match self {
+            Piece::Matching { last, .. } => (*last, true, true),
+            Piece::Run { instants, until, lower_inc, upper_inc, .. } => {
+                let single = self.len() == 1;
+                let upper = until.unwrap_or(instants[instants.len() - 1].t);
+                (upper, *lower_inc || single, *upper_inc || single)
+            }
+            Piece::At(t, _) => (*t, true, true),
+        };
+        TstzSpan { lower: self.start(), upper, lower_inc, upper_inc }
+    }
+
+    fn to_sequence(&self, v: &V) -> TSequence<V> {
+        match self {
+            Piece::Matching { instants, .. } => {
+                let kept = instants.iter().filter(|i| &i.value == v).cloned().collect();
+                TSequence::discrete(kept).expect("ordered")
+            }
+            Piece::Run { instants, until, lower_inc, upper_inc, interp } => {
+                let mut kept = instants.to_vec();
+                kept.extend(until.map(|t| TInstant::new(v.clone(), t)));
+                TSequence::new(kept, *lower_inc, *upper_inc, *interp).expect("ordered run")
+            }
+            Piece::At(t, interp) => {
+                TSequence::new(vec![TInstant::new(v.clone(), *t)], true, true, *interp)
+                    .expect("singleton")
+            }
+        }
+    }
+}
+
+/// Visit the pieces of sequence `s` where its value equals `v`, in time
+/// order.
+///
+/// - Discrete: the instants equal to `v`.
+/// - Step: each maximal run of instants equal to `v`, holding until the
+///   next change.
+/// - Linear: equality holds on constant runs equal to `v`, at instants
+///   whose value is `v`, and at interior crossings.
+fn value_pieces<'a, V: TValue + SolveCrossing>(
+    s: &'a TSequence<V>,
+    v: &'a V,
+    f: &mut impl FnMut(Piece<'a, V>),
+) {
     let instants = s.instants();
     let n = instants.len();
+    if s.interp == Interp::Discrete {
+        let mut matches = instants.iter().filter(|i| &i.value == v);
+        if let Some(first) = matches.next() {
+            let (len, last) = matches.fold((1, first.t), |(n, _), i| (n + 1, i.t));
+            f(Piece::Matching { instants, len, first: first.t, last });
+        }
+        return;
+    }
     let mut i = 0;
     while i < n {
         if &instants[i].value != v {
+            if s.interp == Interp::Linear && i + 1 < n {
+                let (a, b) = (&instants[i], &instants[i + 1]);
+                if let Some(frac) = V::solve_crossing(&a.value, &b.value, v) {
+                    let t = TimestampTz(a.t.0 + ((b.t.0 - a.t.0) as f64 * frac).round() as i64);
+                    f(Piece::At(t, s.interp));
+                }
+            }
             i += 1;
             continue;
         }
@@ -221,81 +303,21 @@ fn step_runs_equal<V: TValue>(s: &TSequence<V>, v: &V, out: &mut Vec<TSequence<V
         while i + 1 < n && &instants[i + 1].value == v {
             i += 1;
         }
-        // Run covers instants [run_start ..= i]; with step interpolation the
-        // value holds until the *next* instant (exclusive) or sequence end.
-        let mut kept: Vec<TInstant<V>> = instants[run_start..=i].to_vec();
-        let lower_inc = if run_start == 0 { s.lower_inc } else { true };
-        let (upper_inc, upper_t) = if i + 1 < n {
-            (false, Some(instants[i + 1].t))
-        } else {
-            (s.upper_inc, None)
-        };
-        if let Some(ut) = upper_t {
-            kept.push(TInstant::new(v.clone(), ut));
-        }
-        if kept.len() == 1 {
-            out.push(
-                TSequence::new(kept, true, true, Interp::Step).expect("singleton sequence"),
-            );
-        } else {
-            out.push(
-                TSequence::new(kept, lower_inc, upper_inc, Interp::Step)
-                    .expect("run instants ordered"),
-            );
-        }
-        i += 1;
-    }
-}
-
-/// Linear interpolation: equality holds on constant segments equal to `v`,
-/// at instants whose value is `v`, and at interior crossings.
-fn linear_pieces_equal<V: TValue + SolveCrossing>(
-    s: &TSequence<V>,
-    v: &V,
-    out: &mut Vec<TSequence<V>>,
-) {
-    let instants = s.instants();
-    let n = instants.len();
-    fn push_instant<V: TValue>(
-        out: &mut Vec<TSequence<V>>,
-        interp: Interp,
-        val: V,
-        t: TimestampTz,
-    ) {
-        out.push(
-            TSequence::new(vec![TInstant::new(val, t)], true, true, interp)
-                .expect("singleton"),
-        );
-    }
-    let mut i = 0;
-    while i < n {
-        if &instants[i].value == v {
-            // Extend over constant run equal to v.
-            let run_start = i;
-            while i + 1 < n && &instants[i + 1].value == v {
-                i += 1;
-            }
-            if i > run_start {
-                let kept = instants[run_start..=i].to_vec();
-                let lower_inc = if run_start == 0 { s.lower_inc } else { true };
-                let upper_inc = if i == n - 1 { s.upper_inc } else { true };
-                out.push(
-                    TSequence::new(kept, lower_inc, upper_inc, s.interp).expect("ordered run"),
-                );
-            } else {
-                let included = (run_start > 0 || s.lower_inc)
-                    && (run_start < n - 1 || s.upper_inc || n == 1);
-                if included {
-                    push_instant(out, s.interp, v.clone(), instants[run_start].t);
-                }
-            }
-        } else if i + 1 < n {
-            let a = &instants[i];
-            let b = &instants[i + 1];
-            if let Some(frac) = V::solve_crossing(&a.value, &b.value, v) {
-                let t = TimestampTz(a.t.0 + ((b.t.0 - a.t.0) as f64 * frac).round() as i64);
-                push_instant(out, s.interp, v.clone(), t);
-            }
+        let lower_inc = run_start > 0 || s.lower_inc;
+        let run = &instants[run_start..=i];
+        if s.interp == Interp::Step {
+            // The run holds until the *next* instant (exclusive) or the
+            // sequence end.
+            let (until, upper_inc) = match instants.get(i + 1) {
+                Some(next) => (Some(next.t), false),
+                None => (None, s.upper_inc),
+            };
+            f(Piece::Run { instants: run, until, lower_inc, upper_inc, interp: Interp::Step });
+        } else if i > run_start {
+            let upper_inc = i + 1 < n || s.upper_inc;
+            f(Piece::Run { instants: run, until: None, lower_inc, upper_inc, interp: s.interp });
+        } else if (run_start > 0 || s.lower_inc) && (run_start < n - 1 || s.upper_inc || n == 1) {
+            f(Piece::At(instants[run_start].t, s.interp));
         }
         i += 1;
     }

@@ -6,8 +6,8 @@
 use std::ops::ControlFlow;
 
 use mduck_geo::algorithms::{
-    clip_segment_to_rings, features_distance, features_intersect, geometry_covers_point,
-    Features,
+    self, clip_segment_to_rings, features_distance, geometry_covers_point, segment_rect, Features,
+    Near, Target,
 };
 use mduck_geo::geometry::GeomData;
 use mduck_geo::point::{Point, Rect};
@@ -18,7 +18,7 @@ use crate::error::{TemporalError, TemporalResult};
 use crate::span::TstzSpan;
 use crate::spanset::TstzSpanSet;
 use crate::temporal::{
-    parse_temporal, synchronize, Interp, TFloat, TInstant, TSequence, Temporal,
+    parse_temporal, synchronize, Interp, TFloat, TInstant, TSequence, Temporal, Window,
 };
 use crate::time::{Interval, TimestampTz, USECS_PER_SEC};
 
@@ -30,29 +30,39 @@ pub struct TGeomPoint {
     srid: i32,
 }
 
-/// The positions of a [`TGeomPoint`] over time: a [`Temporal<Point>`] and
-/// its spatial extent, computed once when the value is built (MEOS keeps
-/// the bounding box in the temporal header). It is read-only — it derefs
-/// to the temporal value and gives no mutable access — so the extent
-/// always describes the instants it was computed from.
+/// The positions of a [`TGeomPoint`] over time: a [`Temporal<Point>`], its
+/// spatial extent and the largest magnitude of its coordinates, computed
+/// once when the value is built (MEOS keeps the bounding box in the
+/// temporal header). It is read-only — it derefs to the temporal value and
+/// gives no mutable access — so both always describe the instants they
+/// were computed from.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Positions {
     temp: Temporal<Point>,
     extent: Rect,
+    magnitude: f64,
 }
 
 impl Positions {
     fn new(temp: Temporal<Point>) -> Self {
         let mut extent = Rect::from_point(temp.start_value());
+        let mut magnitude = 0.0f64;
         for i in temp.instants() {
             extent.expand_to(i.value);
+            magnitude = magnitude.max(algorithms::magnitude(i.value));
         }
-        Positions { temp, extent }
+        Positions { temp, extent, magnitude }
     }
 
     /// The smallest rectangle holding every position.
     pub fn extent(&self) -> Rect {
         self.extent
+    }
+
+    /// The largest coordinate magnitude of any position; infinite when a
+    /// coordinate is NaN (see [`algorithms::magnitude`]).
+    pub fn magnitude(&self) -> f64 {
+        self.magnitude
     }
 }
 
@@ -157,15 +167,20 @@ impl TGeomPoint {
 
     /// Total length traveled, in the units of the SRID (`length()`).
     pub fn length(&self) -> f64 {
-        let mut total = 0.0;
-        for s in self.temp.as_sequences().iter() {
-            if s.interp == Interp::Linear {
-                for w in s.instants().windows(2) {
-                    total += w[0].value.distance(&w[1].value);
-                }
-            }
-        }
-        total
+        self.whole().length()
+    }
+
+    /// The positions inside `p`, read in place: the value `atTime` would
+    /// build, without building it. `None` exactly when [`Self::at_period`]
+    /// is `None`.
+    pub fn during<'a>(&'a self, p: &'a TstzSpan) -> Option<During<'a>> {
+        let during = During { positions: &self.temp, period: Some(p) };
+        during.windows().next().map(|_| during)
+    }
+
+    /// Every position.
+    fn whole(&self) -> During<'_> {
+        During { positions: &self.temp, period: None }
     }
 
     /// Speed as a step `tfloat` in units/second (`speed()`).
@@ -308,52 +323,52 @@ impl TGeomPoint {
     /// Temporal within-distance (`tDwithin`): a `tbool` that is true
     /// exactly while the two moving points are within `d` of each other.
     /// Per synchronized segment the quadratic `|c + v·u|² ≤ d²` is solved
-    /// exactly.
+    /// exactly, over the stretches `walk_dwithin` merges in place.
     pub fn tdwithin(&self, other: &TGeomPoint, d: f64) -> Option<crate::temporal::TBool> {
-        let synced = synchronize(&self.temp, &other.temp);
         let mut seqs: Vec<TSequence<bool>> = Vec::new();
-        for s in synced {
-            let period = s.period();
-            let mut true_spans: Vec<TstzSpan> = Vec::new();
-            if s.samples.len() == 1 {
-                let (t, a, b) = &s.samples[0];
-                let within = a.distance(b) <= d;
-                seqs.push(
-                    TSequence::new(
-                        vec![TInstant::new(within, *t)],
-                        true,
-                        true,
-                        Interp::Step,
-                    )
-                    .expect("singleton"),
-                );
-                continue;
+        let mut true_spans: Vec<TstzSpan> = Vec::new();
+        let _ = walk_dwithin(self, other, d, &mut |e| {
+            match e {
+                Within::Instant(t, within) => seqs.push(
+                    TSequence::new(vec![TInstant::new(within, t)], true, true, Interp::Step)
+                        .expect("singleton"),
+                ),
+                Within::Span { within, .. } => true_spans.push(within),
+                Within::Close(stretch) => seqs.extend(spatial_tbool_from_intervals(
+                    &stretch,
+                    std::mem::take(&mut true_spans),
+                )),
             }
-            for k in 0..s.samples.len() - 1 {
-                let (t0, a0, b0) = &s.samples[k];
-                let (t1, a1, b1) = &s.samples[k + 1];
-                let c = *a0 - *b0;
-                let v = (*a1 - *a0) - (*b1 - *b0);
-                for (u0, u1) in solve_within(c, v, d) {
-                    let span_lo = TimestampTz(t0.0 + ((t1.0 - t0.0) as f64 * u0).round() as i64);
-                    let span_hi = TimestampTz(t0.0 + ((t1.0 - t0.0) as f64 * u1).round() as i64);
-                    if let Ok(sp) = TstzSpan::new(span_lo, span_hi, true, true) {
-                        true_spans.push(sp);
-                    }
-                }
-            }
-            seqs.extend(spatial_tbool_from_intervals(&period, true_spans));
-        }
+            ControlFlow::Continue(())
+        });
         Temporal::from_sequences(seqs).ok()
     }
 
+    /// `whenTrue(tDwithin(self, other, d))` without building the `tbool`:
+    /// the times the two are within `d`, clipped to each synchronized
+    /// stretch; `None` when there are none.
+    pub fn when_dwithin(&self, other: &TGeomPoint, d: f64) -> Option<TstzSpanSet> {
+        let mut spans: Vec<TstzSpan> = Vec::new();
+        let _ = walk_dwithin(self, other, d, &mut |e| {
+            match e {
+                Within::Instant(t, within) => spans.extend(within.then(|| TstzSpan::singleton(t))),
+                Within::Span { within, stretch } => spans.extend(within.intersection(&stretch)),
+                Within::Close(_) => {}
+            }
+            ControlFlow::Continue(())
+        });
+        TstzSpanSet::new(spans).ok()
+    }
+
     /// Ever within distance (`eDwithin`, Query 6 / the §6.2 close-pairs
-    /// demo).
+    /// demo): `tDwithin` is ever true. Stops at the first time they are.
     pub fn edwithin(&self, other: &TGeomPoint, d: f64) -> bool {
-        match self.tdwithin(other, d) {
-            Some(t) => t.ever_true(),
-            None => false,
-        }
+        walk_dwithin(self, other, d, &mut |e| match e {
+            Within::Instant(_, within) => stop_if(within),
+            Within::Span { within, stretch } => stop_if(within.intersection(&stretch).is_some()),
+            Within::Close(_) => ControlFlow::Continue(()),
+        })
+        .is_break()
     }
 
     /// Always within distance (`aDwithin`), over the synchronized time.
@@ -372,28 +387,31 @@ impl TGeomPoint {
 
     /// Does the moving point ever intersect the geometry
     /// (`eIntersects`)? Equal to `intersects(&self.trajectory(), g)`, but
-    /// tests the instants and segments directly.
+    /// tests the instants and segments directly, in one pass
+    /// ([`During::eintersects`] over every position).
     pub fn eintersects(&self, g: &Geometry) -> bool {
-        features_intersect(&TrajectoryFeatures(&self.temp), g)
+        self.whole().eintersects(g)
     }
 
-    /// Is the moving point always inside the geometry (`aIntersects`-style
-    /// check over polygons)?
+    /// `startTimestamp(atValues(self, p))` without building the
+    /// restriction ([`Temporal::at_value_start`]).
+    pub fn first_time_at(&self, p: Point) -> Option<TimestampTz> {
+        self.temp.at_value_start(&p)
+    }
+
+    /// Is the moving point always inside the geometry (`aIntersects`)?
+    /// Every instant is covered, and along each move of a linear sequence
+    /// the stretches covered by the geometry's polygons and the line
+    /// segments it runs along leave no gap.
     pub fn always_inside(&self, g: &Geometry) -> bool {
-        // Every instant inside, and (for linear movement) every segment
-        // fully inside; for convex-ish district polygons checking segment
-        // midpoints alongside endpoints is exact enough for benchmarks.
         for s in self.temp.as_sequences().iter() {
-            for w in s.instants().windows(2) {
-                let mid = w[0].value.lerp(&w[1].value, 0.5);
-                if !geometry_covers_point(g, mid) {
-                    return false;
-                }
+            if s.instants().iter().any(|i| !geometry_covers_point(g, i.value)) {
+                return false;
             }
-            for i in s.instants() {
-                if !geometry_covers_point(g, i.value) {
-                    return false;
-                }
+            if s.interp == Interp::Linear
+                && s.instants().windows(2).any(|w| !move_covered(w[0].value, w[1].value, g))
+            {
+                return false;
             }
         }
         true
@@ -527,10 +545,8 @@ fn restrict_seq_to_rings(
     // Collect per-segment inside-intervals in time, then merge into runs.
     let instants = s.instants();
     let mut spans: Vec<(TimestampTz, TimestampTz)> = Vec::new();
-    if instants.len() == 1 {
-        if point_in_rings(instants[0].value, rings) {
-            spans.push((instants[0].t, instants[0].t));
-        }
+    if instants.len() == 1 && point_in_rings(instants[0].value, rings) {
+        spans.push((instants[0].t, instants[0].t));
     }
     for w in instants.windows(2) {
         let (a, b) = (&w[0], &w[1]);
@@ -562,25 +578,345 @@ fn restrict_seq_to_rings(
     }
 }
 
-/// Solve `|c + v·u| ≤ d` for `u ∈ [0, 1]`; returns the (0 or 1) interval.
-fn solve_within(c: Point, v: Point, d: f64) -> Vec<(f64, f64)> {
+/// Solve `|c + v·u| ≤ d` for `u ∈ [0, 1]`; returns the interval, if any.
+fn solve_within(c: Point, v: Point, d: f64) -> Option<(f64, f64)> {
     let a = v.dot(v);
     if a == 0.0 {
-        return if c.norm() <= d { vec![(0.0, 1.0)] } else { vec![] };
+        return (c.norm() <= d).then_some((0.0, 1.0));
     }
     let b = 2.0 * c.dot(v);
     let cc = c.dot(c) - d * d;
     let disc = b * b - 4.0 * a * cc;
     if disc < 0.0 {
-        return vec![];
+        return None;
     }
     let sq = disc.sqrt();
     let u0 = ((-b - sq) / (2.0 * a)).max(0.0);
     let u1 = ((-b + sq) / (2.0 * a)).min(1.0);
-    if u0 > u1 {
-        vec![]
+    (u0 <= u1).then_some((u0, u1))
+}
+
+/// Stop a walk when `hit` holds.
+fn stop_if(hit: bool) -> ControlFlow<()> {
+    if hit {
+        ControlFlow::Break(())
     } else {
-        vec![(u0, u1)]
+        ControlFlow::Continue(())
+    }
+}
+
+/// What [`walk_dwithin`] reports, stretch by stretch.
+enum Within {
+    /// A stretch of one instant, and whether the points are within the
+    /// distance there.
+    Instant(TimestampTz, bool),
+    /// The points are `within` the distance over this closed span of a
+    /// longer `stretch` (one per synchronized segment, possibly reaching
+    /// beyond the stretch's open bounds).
+    Span { within: TstzSpan, stretch: TstzSpan },
+    /// A longer stretch ends; its `Span`s came before.
+    Close(TstzSpan),
+}
+
+/// Walk the stretches of time where both `a` and `b` are defined — the
+/// stretches [`synchronize`] samples, in the same order, with the same
+/// samples — reporting where they are within `d` of each other. Each
+/// operand's instants are merged in place, with no sample list. A pair
+/// of synchronized segments whose boxes are farther apart than `d`, by
+/// more than the solver's rounding could bridge, is skipped unsolved.
+fn walk_dwithin(
+    a: &TGeomPoint,
+    b: &TGeomPoint,
+    d: f64,
+    f: &mut impl FnMut(Within) -> ControlFlow<()>,
+) -> ControlFlow<()> {
+    let m = a.temp.magnitude().max(b.temp.magnitude());
+    // The rounding of the quadratic's roots grows as m²/d near tangency.
+    let slack = if d > 0.0 { 1e-12 * (m + m * m / d) } else { f64::INFINITY };
+    let reach = if slack.is_finite() { d + slack } else { f64::INFINITY };
+    let (sas, sbs) = (a.temp.as_sequences(), b.temp.as_sequences());
+    let instant = |t: TimestampTz, pa: Point, pb: Point| Within::Instant(t, pa.distance(&pb) <= d);
+    if sas.iter().any(|s| s.interp == Interp::Discrete) {
+        // Only shared instants are defined; a discrete value is one sequence.
+        for sb in sbs.iter() {
+            for ia in sas[0].instants() {
+                if let Some(pb) = sb.value_at(ia.t) {
+                    f(instant(ia.t, ia.value, pb))?;
+                }
+            }
+        }
+        return ControlFlow::Continue(());
+    }
+    if sbs.iter().any(|s| s.interp == Interp::Discrete) {
+        for sa in sas.iter() {
+            for ib in sbs[0].instants() {
+                if let Some(pa) = sa.value_at(ib.t) {
+                    f(instant(ib.t, pa, ib.value))?;
+                }
+            }
+        }
+        return ControlFlow::Continue(());
+    }
+    // Both continuous: intersect the two ordered, disjoint sequence lists.
+    let (mut i, mut j) = (0, 0);
+    while let (Some(sa), Some(sb)) = (sas.get(i), sbs.get(j)) {
+        let (pa, pb) = (sa.period(), sb.period());
+        if let Some(ix) = pa.intersection(&pb) {
+            if ix.lower == ix.upper {
+                let t = ix.lower;
+                f(instant(t, sa.interpolate_raw(t), sb.interpolate_raw(t)))?;
+            } else {
+                walk_segments(sa, sb, &ix, &mut |(t0, a0, b0), (t1, a1, b1)| {
+                    if segment_rect(a0, a1).distance(&segment_rect(b0, b1)) > reach {
+                        return ControlFlow::Continue(());
+                    }
+                    let c = a0 - b0;
+                    let v = (a1 - a0) - (b1 - b0);
+                    let Some((u0, u1)) = solve_within(c, v, d) else {
+                        return ControlFlow::Continue(());
+                    };
+                    let at = |u: f64| TimestampTz(t0.0 + ((t1.0 - t0.0) as f64 * u).round() as i64);
+                    match TstzSpan::new(at(u0), at(u1), true, true) {
+                        Ok(within) => f(Within::Span { within, stretch: ix }),
+                        Err(_) => ControlFlow::Continue(()),
+                    }
+                })?;
+                f(Within::Close(ix))?;
+            }
+        }
+        // Move past whichever sequence ends first.
+        let a_first = match pa.upper.cmp(&pb.upper) {
+            std::cmp::Ordering::Less => true,
+            std::cmp::Ordering::Greater => false,
+            std::cmp::Ordering::Equal => !pa.upper_inc || pb.upper_inc,
+        };
+        if a_first {
+            i += 1;
+        } else {
+            j += 1;
+        }
+    }
+    ControlFlow::Continue(())
+}
+
+/// Visit each pair of consecutive samples `(t, a(t), b(t))` of two
+/// continuous sequences over their intersection `ix` (longer than an
+/// instant): its bounds and every instant of either strictly inside it,
+/// in time order. Each operand's position at a sample comes from the
+/// instant at it, else from the two around it.
+fn walk_segments(
+    sa: &TSequence<Point>,
+    sb: &TSequence<Point>,
+    ix: &TstzSpan,
+    f: &mut impl FnMut(Sample, Sample) -> ControlFlow<()>,
+) -> ControlFlow<()> {
+    let (ia, ib) = (sa.instants(), sb.instants());
+    // The first instant of each at or after the current sample.
+    let first_at = |instants: &[TInstant<Point>]| instants.partition_point(|x| x.t < ix.lower);
+    let (mut i, mut j) = (first_at(ia), first_at(ib));
+    let mut t = ix.lower;
+    let mut prev = (t, sa.interpolate_at(i, t), sb.interpolate_at(j, t));
+    while t < ix.upper {
+        while ia[i].t <= t {
+            i += 1;
+        }
+        while ib[j].t <= t {
+            j += 1;
+        }
+        t = ia[i].t.min(ib[j].t).min(ix.upper);
+        let next = (t, sa.interpolate_at(i, t), sb.interpolate_at(j, t));
+        f(prev, next)?;
+        prev = next;
+    }
+    ControlFlow::Continue(())
+}
+
+/// One synchronized sample: a time and both positions.
+type Sample = (TimestampTz, Point, Point);
+
+/// Is the straight move `a`→`b` covered by `g` all along: do the stretches
+/// of it inside `g`'s polygons ([`clip_segment_to_rings`]) and along its
+/// line segments leave no gap between 0 and 1? Its ends are covered points
+/// already; a stationary move has nothing more to cover.
+fn move_covered(a: Point, b: Point, g: &Geometry) -> bool {
+    if a == b {
+        return true;
+    }
+    let mut covered: Vec<(f64, f64)> = Vec::new();
+    let _ = g.visit_polygons(&mut |rings| {
+        covered.extend(clip_segment_to_rings(a, b, rings));
+        ControlFlow::Continue(())
+    });
+    let d = b - a;
+    let len_sq = d.dot(d);
+    let _ = g.visit_segments(&mut |q1, q2| {
+        // A line segment covers a stretch only when both its ends lie on
+        // the move's line.
+        if (q1 - a).cross(d) == 0.0 && (q2 - a).cross(d) == 0.0 {
+            let (t1, t2) = ((q1 - a).dot(d) / len_sq, (q2 - a).dot(d) / len_sq);
+            let (lo, hi) = (t1.min(t2).max(0.0), t1.max(t2).min(1.0));
+            if lo <= hi {
+                covered.push((lo, hi));
+            }
+        }
+        ControlFlow::Continue(())
+    });
+    covered.sort_by(|x, y| x.0.total_cmp(&y.0));
+    let mut reach = 0.0;
+    for (lo, hi) in covered {
+        if lo > reach + 1e-12 {
+            return false;
+        }
+        reach = f64::max(reach, hi);
+    }
+    reach >= 1.0 - 1e-12
+}
+
+/// The positions of a [`TGeomPoint`] inside a period (or all of them),
+/// read in place through [`Temporal::windows`]: what `atTime` would copy.
+/// The fused kernels behind `eIntersects(x, p, g)` and `length(x, p)` run
+/// over it, and `eIntersects(x, g)` and `length(x)` run the same code over
+/// every position.
+#[derive(Clone, Copy)]
+pub struct During<'a> {
+    positions: &'a Positions,
+    period: Option<&'a TstzSpan>,
+}
+
+impl<'a> During<'a> {
+    fn windows(&self) -> impl Iterator<Item = Window<'a, Point>> + Clone + 'a {
+        self.positions.windows(self.period)
+    }
+
+    /// `length(atTime(x, p))`: the summed length of the linear windows,
+    /// added up in the order `length` adds up the restricted value.
+    pub fn length(&self) -> f64 {
+        let mut total = 0.0;
+        for w in self.windows().filter(|w| w.interp == Interp::Linear) {
+            let mut prev: Option<Point> = None;
+            for i in w.instants() {
+                if let Some(q) = prev {
+                    total += q.distance(&i.value);
+                }
+                prev = Some(i.value);
+            }
+        }
+        total
+    }
+
+    /// `eIntersects(atTime(x, p), g)`: equal to `intersects` of the
+    /// trajectory of the positions (the feature rules of
+    /// `TrajectoryFeatures`) with `g`, in one pass over the positions.
+    ///
+    /// - The box of every position is the cached extent, grown by the few
+    ///   ulps by which the positions the windows interpolate at their
+    ///   bounds may round outside it; a `g` whose box it misses is not met.
+    /// - The slack comes from the cached magnitude, so it is never below
+    ///   the slack `intersects` computes over the same operands, and every
+    ///   vertex or segment whose box lies beyond it of `g`'s box is
+    ///   skipped ([`Near`]): it cannot be at distance 0 from any part of
+    ///   `g`.
+    /// - The tests are the ones `intersects`'s case analysis runs: one
+    ///   holding in either case ends the pass (when the part that met `g`
+    ///   lies in `g`'s box); a bare position meeting a vertex of a `g` with
+    ///   segments counts only when the path turns out to have no segments.
+    /// - A hit counts only when the exact box of the positions meets
+    ///   `g`'s box, as `intersects` requires; that box is walked only when
+    ///   the pass ends with such a hit.
+    pub fn eintersects(&self, g: &Geometry) -> bool {
+        let Some(target) = Target::new(g) else {
+            return false; // an empty geometry intersects nothing
+        };
+        let rb = target.rect();
+        // A position interpolated between two others rounds to within
+        // 2.5 ulps of their magnitude outside their box.
+        let m = self.positions.magnitude() * (1.0 + 4.0 * f64::EPSILON);
+        if !self.positions.extent().expand_by(4.0 * f64::EPSILON * m).intersects(&rb) {
+            return false;
+        }
+        let slack = algorithms::slack_for(m.max(target.magnitude()));
+        let near = Near::new(rb, slack);
+        let g_lines = target.has_segments();
+        // The path has a segment: a linear window that moves.
+        let mut lines = false;
+        // A hit outside `g`'s box (it counts if the exact box meets it).
+        let mut found = false;
+        // A bare position at a vertex of `g`, which has segments: a hit
+        // only when the path has none.
+        let mut found_without_lines = false;
+        let hit = |at: Rect, found: &mut bool| {
+            *found = true;
+            at.intersects(&rb)
+        };
+        // The tests of a bare position (one that ends no segment), with
+        // its code against `near`.
+        let bare = |p: Point, code: u8, found: &mut bool, found_without_lines: &mut bool| {
+            if !g_lines || code != 0 {
+                return false;
+            }
+            if target.segment_at(p) {
+                return hit(Rect::from_point(p), found);
+            }
+            *found_without_lines |= target.vertex_at(p);
+            false
+        };
+        for w in self.windows() {
+            let line = w.is_line();
+            let (mut first, mut prev, mut moved) = (None, None, false);
+            let flow = w.try_for_each(|i| {
+                let p = i.value;
+                let code = near.code(p);
+                let met = target.covers(p, code != 0)
+                    || (!g_lines && code == 0 && target.vertex_at(p));
+                if met && hit(Rect::from_point(p), &mut found) {
+                    return ControlFlow::Break(());
+                }
+                if !line {
+                    return stop_if(bare(p, code, &mut found, &mut found_without_lines));
+                }
+                // A line's vertices: each repeat of the previous one dropped.
+                let Some((q, q_code)) = prev.replace((p, code)) else {
+                    first = Some((p, code));
+                    return ControlFlow::Continue(());
+                };
+                if q == p {
+                    return ControlFlow::Continue(());
+                }
+                (lines, moved) = (true, true);
+                if q_code & code != 0 {
+                    return ControlFlow::Continue(()); // the segment lies beyond `near`
+                }
+                let met = if g_lines {
+                    target.segment_meets(q, p, slack) || target.bare_point_on(q, p)
+                } else {
+                    target.vertex_on(q, p)
+                };
+                stop_if(met && hit(segment_rect(q, p), &mut found))
+            });
+            if flow.is_break() {
+                return true;
+            }
+            // A line that never moves is a bare point.
+            if let (false, Some((p, code))) = (moved, first) {
+                if bare(p, code, &mut found, &mut found_without_lines) {
+                    return true;
+                }
+            }
+        }
+        if !(found || (!lines && found_without_lines)) {
+            return false;
+        }
+        // The exact box of the positions, built as `features_rect` does.
+        let mut rect: Option<Rect> = None;
+        for w in self.windows() {
+            for i in w.instants() {
+                match &mut rect {
+                    None => rect = Some(Rect::from_point(i.value)),
+                    Some(r) => r.expand_to(i.value),
+                }
+            }
+        }
+        rect.is_some_and(|r| r.intersects(&rb))
     }
 }
 
@@ -785,6 +1121,29 @@ mod tests {
         let far = parse_wkt("POLYGON((100 100,110 100,110 110,100 110,100 100))").unwrap();
         assert!(!t.eintersects(&far));
         assert!(t.edwithin_geo(&far, 200.0));
+    }
+
+    #[test]
+    fn always_inside_sees_a_notch() {
+        let notched = parse_wkt("POLYGON((0 0,10 0,10 10,3 10,3 5,2 5,2 10,0 10,0 0))").unwrap();
+        // Both ends are covered, but the move crosses the notch at x in [2, 3].
+        let across = tg("[Point(1 8)@2025-01-01, Point(6 8)@2025-01-02]");
+        assert!(!across.always_inside(&notched));
+        let below = tg("[Point(1 4)@2025-01-01, Point(6 4)@2025-01-02]");
+        assert!(below.always_inside(&notched));
+        // A step sequence is only ever at its instants.
+        let jump = tg("Interp=Step;[Point(1 8)@2025-01-01, Point(6 8)@2025-01-02]");
+        assert!(jump.always_inside(&notched));
+        // Along line segments, across the vertex between two of them.
+        let road = parse_wkt("LINESTRING(0 0,3 0,10 0,10 5)").unwrap();
+        assert!(tg("[Point(1 0)@2025-01-01, Point(8 0)@2025-01-02]").always_inside(&road));
+        assert!(!tg("[Point(8 0)@2025-01-01, Point(10 2)@2025-01-02]").always_inside(&road));
+        // Two polygons sharing an edge cover a move across it.
+        let pair = parse_wkt(
+            "GEOMETRYCOLLECTION(POLYGON((0 0,5 0,5 5,0 5,0 0)),POLYGON((5 0,9 0,9 5,5 5,5 0)))",
+        )
+        .unwrap();
+        assert!(tg("[Point(1 1)@2025-01-01, Point(8 4)@2025-01-02]").always_inside(&pair));
     }
 
     #[test]

@@ -58,36 +58,30 @@ fn sync_pair<A: TValue, B: TValue>(
     out: &mut Vec<SyncedSeq<A, B>>,
 ) {
     // Discrete operands: only shared instants are defined.
-    if sa.interp == Interp::Discrete || sb.interp == Interp::Discrete {
+    if sa.interp == Interp::Discrete {
         for ia in sa.instants() {
-            let (va, vb) = match (sa.interp, sb.interp) {
-                (Interp::Discrete, _) => {
-                    let Some(vb) = sb.value_at(ia.t) else { continue };
-                    (ia.value.clone(), vb)
-                }
-                _ => unreachable!("outer loop iterates the discrete side"),
-            };
+            let Some(vb) = sb.value_at(ia.t) else { continue };
             out.push(SyncedSeq {
                 lower_inc: true,
                 upper_inc: true,
                 interp_a: Interp::Discrete,
                 interp_b: Interp::Discrete,
-                samples: vec![(ia.t, va, vb)],
+                samples: vec![(ia.t, ia.value.clone(), vb)],
             });
         }
-        // When only sb is discrete, swap roles by sampling sa at sb's
-        // instants (the branch above handled sa discrete).
-        if sa.interp != Interp::Discrete {
-            for ib in sb.instants() {
-                let Some(va) = sa.value_at(ib.t) else { continue };
-                out.push(SyncedSeq {
-                    lower_inc: true,
-                    upper_inc: true,
-                    interp_a: Interp::Discrete,
-                    interp_b: Interp::Discrete,
-                    samples: vec![(ib.t, va, ib.value.clone())],
-                });
-            }
+        return;
+    }
+    if sb.interp == Interp::Discrete {
+        // Only sb is discrete: sample sa at sb's instants.
+        for ib in sb.instants() {
+            let Some(va) = sa.value_at(ib.t) else { continue };
+            out.push(SyncedSeq {
+                lower_inc: true,
+                upper_inc: true,
+                interp_a: Interp::Discrete,
+                interp_b: Interp::Discrete,
+                samples: vec![(ib.t, va, ib.value.clone())],
+            });
         }
         return;
     }

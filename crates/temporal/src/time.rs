@@ -350,7 +350,7 @@ fn split_num_unit(tok: &str) -> (&str, &str) {
         .find(|(i, c)| c.is_ascii_alphabetic() && *i > 0)
         .map(|(i, _)| i)
         .unwrap_or(tok.len());
-    (&tok[..idx], &tok[idx..].trim_start_matches(' '))
+    (&tok[..idx], tok[idx..].trim_start_matches(' '))
 }
 
 // ---------------------------------------------------------------- printing

@@ -32,6 +32,7 @@ use crate::catalog::{DbCatalog, Table};
 use crate::column::{Chunks, ColumnData, DataChunk, VECTOR_SIZE};
 use crate::expr::{eval_vector, filter_chunk};
 use crate::index::{IndexTypeRegistry, TableIndex};
+use crate::fusion::fuse;
 use crate::join_order::{plan_joins, reorder_joins};
 use crate::parallel::{contiguous_ranges, morsel_map, ParStats, MIN_PARALLEL_MORSELS};
 
@@ -540,10 +541,11 @@ pub struct PlannedSelect {
     pub ctes: Vec<PlannedSelect>,
 }
 
-/// Put the FROM items of every block of `plan` in join order (the
-/// join-order pass), then plan its join tree (none for a FROM-less
-/// SELECT) and, recursively, its CTE bodies.
+/// Fuse the expressions of `plan` (the fusion pass), put the FROM items
+/// of every block in join order (the join-order pass), then plan its join
+/// tree (none for a FROM-less SELECT) and, recursively, its CTE bodies.
 pub fn plan_select(ctx: &EngineCtx<'_>, plan: &mut BoundSelect) -> SqlResult<PlannedSelect> {
+    fuse(ctx.registry, plan);
     reorder_joins(ctx, plan)?;
     plan_trees(ctx, plan)
 }

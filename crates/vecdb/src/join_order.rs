@@ -274,9 +274,8 @@ fn link_method(ctx: &EngineCtx<'_>, c: &BoundExpr) -> Option<(String, bool)> {
     };
     // The first method, by name, that can index both argument types.
     let types = ctx.index_types.read();
-    let can_index =
-        |m: &String| types.get(m).is_some_and(|t| indexed.iter().all(|i| t.can_index(i)));
-    Some((types.names().into_iter().find(can_index)?, folds))
+    let method = types.find(|t| indexed.iter().all(|i| t.can_index(i)))?;
+    Some((method.to_owned(), folds))
 }
 
 // ------------------------------------------------------------ the model

@@ -22,6 +22,7 @@ pub mod database;
 pub mod exec;
 pub mod explain;
 pub mod expr;
+pub mod fusion;
 pub mod index;
 pub mod join_order;
 pub mod parallel;

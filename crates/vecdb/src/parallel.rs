@@ -124,7 +124,7 @@ where
                     slots[i] = Some(t);
                 }
                 if let Some((i, e)) = w.err {
-                    if first_err.as_ref().map_or(true, |(j, _)| i < *j) {
+                    if first_err.as_ref().is_none_or(|(j, _)| i < *j) {
                         first_err = Some((i, e));
                     }
                 }

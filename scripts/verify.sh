@@ -2,10 +2,11 @@
 # Full verify path: build, tests, clippy, and the panic-lint gate.
 #
 # Tier-1 (ROADMAP.md) is `cargo build --release && cargo test -q`; this
-# script is the superset CI should run. Clippy is pinned to the lints
-# that catch the bug classes this codebase has actually shipped
-# (panicking slices/arithmetic in parsers) without flagging the vetted
-# remainder that scripts/panic_allowlist.txt already tracks.
+# script is the superset CI should run. Clippy denies every default
+# warning plus the lints that catch the bug classes this codebase has
+# actually shipped (panicking slices/arithmetic in parsers), without
+# flagging the vetted remainder that scripts/panic_allowlist.txt already
+# tracks.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -34,11 +35,13 @@ echo "== parallel execution matrix =="
 # index-join differential suite (index_join): its probes fan out one left
 # chunk per morsel. So does the join-order differential suite
 # (join_order): reordered joins and decorrelated ALL/ANY subqueries
-# against the row engine's FROM-order, per-row results.
+# against the row engine's FROM-order, per-row results. So does the
+# fusion differential suite (fused_predicates): each fusion rule's fused
+# kernel against the row engine's written composition.
 MDUCK_THREADS=1 cargo test -q -p mduck-integration --test parallel_exec --test scan_pushdown \
-  --test index_join --test join_order
+  --test index_join --test join_order --test fused_predicates
 MDUCK_THREADS=4 cargo test -q -p mduck-integration --test parallel_exec --test scan_pushdown \
-  --test index_join --test join_order
+  --test index_join --test join_order --test fused_predicates
 
 echo "== resource observability =="
 # Memory-limit trips, progress monotonicity, and the query-log contract
@@ -78,14 +81,16 @@ echo "== Query 5 formulations agree =="
 cargo run --release -q -p mduck-bench --bin ablation_gs -- --small
 
 echo "== clippy =="
-# Scoped to the bug classes this codebase has actually shipped
-# (panicking arithmetic/slicing in parsers); unwrap/expect policing is
-# owned by scripts/lint_panics.sh, which carries the audited allowlist.
+# Every default warning fails the gate, and so do the lints for the bug
+# classes this codebase has actually shipped (panicking arithmetic/slicing
+# in parsers); unwrap/expect policing is owned by scripts/lint_panics.sh,
+# which carries the audited allowlist.
 cargo clippy --workspace --all-targets -- \
+  -D warnings \
   -D clippy::panicking_overflow_checks \
   -D clippy::manual_strip \
   -D clippy::out_of_bounds_indexing \
-  -D clippy::unchecked_duration_subtraction
+  -D clippy::unchecked_time_subtraction
 
 echo "== rustdoc links =="
 # Broken, ambiguous or private intra-doc links fail the build, so a

@@ -8,7 +8,7 @@
 //! serially and under `MDUCK_THREADS=4` (the vectorized engine picks
 //! the worker count up from the environment).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use mduck_sql::{SqlError, Value};
@@ -69,7 +69,7 @@ const DUMPS: &[(&str, &str)] = &[
 /// harness is written once.
 trait Engine {
     fn fresh(&self) -> Box<dyn Exec>;
-    fn open(&self, path: &PathBuf) -> Result<Box<dyn Exec>, SqlError>;
+    fn open(&self, path: &Path) -> Result<Box<dyn Exec>, SqlError>;
     fn name(&self) -> &'static str;
 }
 
@@ -84,7 +84,7 @@ impl Engine for Vec_ {
     fn fresh(&self) -> Box<dyn Exec> {
         Box::new(quackdb::Database::new())
     }
-    fn open(&self, path: &PathBuf) -> Result<Box<dyn Exec>, SqlError> {
+    fn open(&self, path: &Path) -> Result<Box<dyn Exec>, SqlError> {
         quackdb::Database::open(path).map(|db| Box::new(db) as Box<dyn Exec>)
     }
     fn name(&self) -> &'static str {
@@ -96,7 +96,7 @@ impl Engine for Row_ {
     fn fresh(&self) -> Box<dyn Exec> {
         Box::new(mduck_rowdb::RowDatabase::new())
     }
-    fn open(&self, path: &PathBuf) -> Result<Box<dyn Exec>, SqlError> {
+    fn open(&self, path: &Path) -> Result<Box<dyn Exec>, SqlError> {
         mduck_rowdb::RowDatabase::open(path).map(|db| Box::new(db) as Box<dyn Exec>)
     }
     fn name(&self) -> &'static str {
@@ -183,18 +183,15 @@ fn torture_one(engine: &dyn Engine, site: &str, hit: u64, action: FailAction) {
     failpoint::set(site, action, hit);
 
     let mut committed: Vec<String> = Vec::new();
-    match engine.open(&path) {
-        Ok(db) => {
-            for sql in workload() {
-                match db.run(&sql) {
-                    Ok(_) => committed.push(sql),
-                    // Process death: nothing later would have run.
-                    Err(_) => break,
-                }
+    // A failpoint firing inside open() means nothing ever committed.
+    if let Ok(db) = engine.open(&path) {
+        for sql in workload() {
+            match db.run(&sql) {
+                Ok(_) => committed.push(sql),
+                // Process death: nothing later would have run.
+                Err(_) => break,
             }
         }
-        // The failpoint fired inside open(): nothing ever committed.
-        Err(_) => {}
     }
 
     failpoint::clear_all();

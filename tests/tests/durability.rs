@@ -44,9 +44,12 @@ fn ints(r: &[Vec<Value>]) -> Vec<i64> {
         .collect()
 }
 
+/// A statement runner over one engine.
+type Runner<'a> = dyn FnMut(&str) -> Result<Vec<Vec<Value>>, SqlError> + 'a;
+
 /// The workload both round-trip tests run: DDL, multi-row INSERT,
 /// UPDATE, DELETE, a second table that is dropped again, and an index.
-fn run_workload(exec: &mut dyn FnMut(&str) -> Result<Vec<Vec<Value>>, SqlError>) {
+fn run_workload(exec: &mut Runner<'_>) {
     exec("CREATE TABLE t(id INTEGER, label TEXT)").unwrap();
     exec("INSERT INTO t VALUES (1, 'one'), (2, 'two'), (3, 'three'), (4, 'four')").unwrap();
     exec("UPDATE t SET label = 'TWO' WHERE id = 2").unwrap();
@@ -58,7 +61,7 @@ fn run_workload(exec: &mut dyn FnMut(&str) -> Result<Vec<Vec<Value>>, SqlError>)
 }
 
 /// What the workload must look like after recovery.
-fn check_workload(exec: &mut dyn FnMut(&str) -> Result<Vec<Vec<Value>>, SqlError>) {
+fn check_workload(exec: &mut Runner<'_>) {
     let rows = exec("SELECT id FROM t ORDER BY id").unwrap();
     assert_eq!(ints(&rows), vec![1, 2, 4, 5]);
     let rows = exec("SELECT label FROM t WHERE id = 2").unwrap();

@@ -79,7 +79,7 @@ fn fuzz_wkb_and_native_never_panic() {
     println!("replayed {replayed} corpus inputs");
 
     let valid_wkb: Vec<Vec<u8>> = wkt_valid_geometries().iter().map(to_wkb).collect();
-    let valid_native: Vec<Vec<u8>> = wkt_valid_geometries().iter().map(|g| to_native(g)).collect();
+    let valid_native: Vec<Vec<u8>> = wkt_valid_geometries().iter().map(to_native).collect();
 
     let mut rng = StdRng::seed_from_u64(0x9E0_B17E5);
     for i in 0..CASES {

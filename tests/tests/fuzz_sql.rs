@@ -142,7 +142,7 @@ fn fuzz_sql_never_panics() {
     });
     println!("replayed {replayed} corpus inputs");
 
-    let mut rng = StdRng::seed_from_u64(0xF0220_5E11);
+    let mut rng = StdRng::seed_from_u64(0x000F_0220_5E11);
     for i in 0..CASES {
         let sql = match rng.random_range(0..4u32) {
             0 => {
@@ -169,7 +169,7 @@ fn fuzz_sql_never_panics() {
 #[test]
 fn fuzz_sql_scripts_never_panic() {
     let db = fresh_db();
-    let mut rng = StdRng::seed_from_u64(0x5C21_97);
+    let mut rng = StdRng::seed_from_u64(0x005C_2197);
     for i in 0..200 {
         let k = rng.random_range(1..4usize);
         let mut script = String::new();

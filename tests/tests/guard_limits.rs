@@ -96,24 +96,24 @@ fn guard_trips_are_counted_in_metrics() {
     let db = Database::new();
     db.set_exec_limits(ExecLimits::default().with_row_budget(10_000));
     assert_exhausted(db.execute("SELECT * FROM generate_series(1, 100000000)"));
-    assert!(m.guard_trip_row_budget.get() >= before + 1, "row-budget trip not counted");
+    assert!(m.guard_trip_row_budget.get() > before, "row-budget trip not counted");
 
     let before = m.guard_trip_timeout.get();
     db.set_exec_limits(ExecLimits::default().with_timeout(Duration::from_millis(20)));
     assert_exhausted(db.execute("SELECT sum(x) FROM generate_series(1, 2000000000) s(x)"));
-    assert!(m.guard_trip_timeout.get() >= before + 1, "timeout trip not counted");
+    assert!(m.guard_trip_timeout.get() > before, "timeout trip not counted");
 
     let before = m.guard_trip_cancel.get();
     db.set_exec_limits(ExecLimits::default());
     let guard = ExecGuard::new(&ExecLimits::default());
     guard.cancel_handle().cancel();
     assert_exhausted(db.execute_with_guard("SELECT * FROM generate_series(1, 1000)", &guard));
-    assert!(m.guard_trip_cancel.get() >= before + 1, "cancellation trip not counted");
+    assert!(m.guard_trip_cancel.get() > before, "cancellation trip not counted");
 
     let before = m.guard_trip_depth.get();
     db.set_exec_limits(ExecLimits::default().with_max_subquery_depth(0));
     assert_exhausted(db.execute("SELECT (SELECT 1)"));
-    assert!(m.guard_trip_depth.get() >= before + 1, "depth trip not counted");
+    assert!(m.guard_trip_depth.get() > before, "depth trip not counted");
 }
 
 #[test]

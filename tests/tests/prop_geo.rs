@@ -354,3 +354,196 @@ fn intersects_is_reference_distance_zero() {
         }
     }
 }
+
+// ------------------------------------------------ kernel pins: eIntersects
+
+mod before {
+    //! A test-only copy of `features_intersect` as `eIntersects` ran it
+    //! over a trajectory before the single-pass kernel.
+
+    use std::ops::ControlFlow;
+
+    use mduck_geo::algorithms::{point_in_rings, point_segment_distance, segment_segment_distance, Features};
+    use mduck_geo::point::{Point, Rect};
+
+    fn stop_if(hit: bool) -> ControlFlow<()> {
+        if hit {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    }
+
+    fn has_segments(a: &impl Features) -> bool {
+        a.visit_segments(&mut |_, _| ControlFlow::Break(())).is_break()
+    }
+
+    fn features_rect(a: &impl Features) -> Option<Rect> {
+        let mut rect: Option<Rect> = None;
+        let _ = a.visit_points(&mut |p| {
+            match &mut rect {
+                None => rect = Some(Rect::from_point(p)),
+                Some(r) => r.expand_to(p),
+            }
+            ControlFlow::Continue(())
+        });
+        rect
+    }
+
+    fn polygon_covers_vertex(a: &impl Features, b: &impl Features) -> bool {
+        a.visit_polygons(&mut |rings| b.visit_points(&mut |p| stop_if(point_in_rings(p, rings))))
+            .is_break()
+    }
+
+    fn box_slack(a: &impl Features, b: &impl Features) -> f64 {
+        let mut extent = 0.0f64;
+        let mut visit = |p: Point| {
+            let (x, y) = (p.x.abs(), p.y.abs());
+            if !(x <= 1e150 && y <= 1e150) {
+                return ControlFlow::Break(());
+            }
+            extent = extent.max(x).max(y);
+            ControlFlow::Continue(())
+        };
+        if a.visit_points(&mut visit).is_break() || b.visit_points(&mut visit).is_break() {
+            return f64::INFINITY;
+        }
+        (extent * 1e-10).max(1e-150)
+    }
+
+    fn segment_rect(p: Point, q: Point) -> Rect {
+        Rect::new(p.x, p.y, q.x, q.y)
+    }
+
+    pub fn features_intersect<A: Features, B: Features>(a: &A, b: &B) -> bool {
+        let (Some(ra), Some(rb)) = (features_rect(a), features_rect(b)) else {
+            return false;
+        };
+        if !ra.intersects(&rb) {
+            return false;
+        }
+        if polygon_covers_vertex(a, b) || polygon_covers_vertex(b, a) {
+            return true;
+        }
+        match (has_segments(a), has_segments(b)) {
+            (false, false) => a
+                .visit_points(&mut |p| b.visit_points(&mut |q| stop_if(p.distance(&q) == 0.0)))
+                .is_break(),
+            (false, true) => points_touch(a, b),
+            (true, false) => points_touch(b, a),
+            (true, true) => segments_touch(a, &ra, b, &rb),
+        }
+    }
+
+    fn points_touch(a: &impl Features, b: &impl Features) -> bool {
+        a.visit_points(&mut |p| {
+            b.visit_segments(&mut |q1, q2| stop_if(point_segment_distance(p, q1, q2) == 0.0))?;
+            b.visit_points(&mut |q| stop_if(p.distance(&q) == 0.0))
+        })
+        .is_break()
+    }
+
+    fn segments_touch(a: &impl Features, ra: &Rect, b: &impl Features, rb: &Rect) -> bool {
+        let slack = box_slack(a, b);
+        let hit = a.visit_segments(&mut |p1, p2| {
+            let sa = segment_rect(p1, p2);
+            if sa.distance(rb) > slack {
+                return ControlFlow::Continue(());
+            }
+            b.visit_segments(&mut |q1, q2| {
+                stop_if(
+                    sa.distance(&segment_rect(q1, q2)) <= slack
+                        && segment_segment_distance(p1, p2, q1, q2) == 0.0,
+                )
+            })
+        });
+        hit.is_break() || bare_points_touch(a, b, rb, slack) || bare_points_touch(b, a, ra, slack)
+    }
+
+    fn bare_points_touch(a: &impl Features, b: &impl Features, rb: &Rect, slack: f64) -> bool {
+        a.visit_bare_points(&mut |p| {
+            if Rect::from_point(p).distance(rb) > slack {
+                return ControlFlow::Continue(());
+            }
+            b.visit_segments(&mut |q1, q2| stop_if(point_segment_distance(p, q1, q2) == 0.0))
+        })
+        .is_break()
+    }
+}
+
+/// A moving point along a generated path: linear (sometimes stepwise or
+/// discrete), split into a sequence set at random vertices, one second per
+/// vertex.
+fn gen_moving_path(rng: &mut StdRng, scale: u32) -> mduck_temporal::temporal::TGeomPoint {
+    use mduck_temporal::temporal::{Interp, TGeomPoint, TInstant, TSequence, Temporal};
+    use mduck_temporal::TimestampTz;
+    let n = rng.random_range(1usize..30);
+    let path = gen_path(rng, scale, n);
+    let interp = [Interp::Linear, Interp::Linear, Interp::Step, Interp::Discrete]
+        [rng.random_range(0usize..4)];
+    let instants: Vec<TInstant<Point>> = path
+        .into_iter()
+        .enumerate()
+        .map(|(i, p)| TInstant::new(p, TimestampTz(1_700_000_000_000_000 + i as i64 * 1_000_000)))
+        .collect();
+    if interp == Interp::Discrete || instants.len() < 4 || rng.random_bool(0.5) {
+        let seq = TSequence::new(instants, true, true, interp).unwrap();
+        return TGeomPoint::new(Temporal::from_sequences(vec![seq]).unwrap(), 0);
+    }
+    let cut = rng.random_range(1..instants.len() - 1);
+    let (a, b) = instants.split_at(cut);
+    let seqs = vec![
+        TSequence::new(a.to_vec(), true, false, interp).unwrap(),
+        TSequence::new(b.to_vec(), true, true, interp).unwrap(),
+    ];
+    TGeomPoint::new(Temporal::from_sequences(seqs).unwrap(), 0)
+}
+
+/// Geometries WKB can carry but the constructors refuse: a ring left
+/// open, a one-vertex ring or line, and an empty collection.
+fn gen_raw_geometry(rng: &mut StdRng, scale: u32) -> Geometry {
+    use mduck_geo::geometry::GeomData;
+    let mut ring = gen_rect_ring(rng, scale);
+    let data = match rng.random_range(0u32..4) {
+        0 => {
+            ring.pop();
+            GeomData::Polygon(vec![ring])
+        }
+        1 => GeomData::Polygon(vec![ring, vec![Point::new(gen_coord(rng, scale), gen_coord(rng, scale))]]),
+        2 => GeomData::LineString(vec![Point::new(gen_coord(rng, scale), gen_coord(rng, scale))]),
+        _ => GeomData::GeometryCollection(vec![]),
+    };
+    wkb::from_wkb(&wkb::to_wkb(&Geometry { srid: 0, data })).unwrap()
+}
+
+/// `eIntersects`, with and without a period, against the copy of the
+/// feature kernel over the built trajectory: every geometry kind, on the
+/// grid (exact incidences), on tenths (rounding) and continuous.
+#[test]
+fn eintersects_matches_the_feature_kernel_over_the_trajectory() {
+    use mduck_temporal::TstzSpan;
+    let mut rng = StdRng::seed_from_u64(0x9e0_0009);
+    let mut met = 0;
+    for _ in 0..CASES * 16 {
+        let scale = rng.random_range(0u32..3);
+        let t = gen_moving_path(&mut rng, scale);
+        let g = match rng.random_range(0u32..8) {
+            0 => gen_raw_geometry(&mut rng, scale),
+            1 => gen_traces(&mut rng, scale),
+            2 => gen_collinear_partner(&mut rng, &t.trajectory()),
+            _ => gen_kernel_geometry(&mut rng, scale, 0),
+        };
+        let ctx = || format!("{} vs {}", t.as_text(), wkt::to_wkt(&g, None));
+        let want = before::features_intersect(&t.trajectory(), &g);
+        assert_eq!(t.eintersects(&g), want, "{}", ctx());
+        met += usize::from(want);
+        let span = t.timespan();
+        let (a, b) = (rng.random_range(span.lower.0..=span.upper.0), rng.random_range(span.lower.0..=span.upper.0));
+        let (lo, hi) = (mduck_temporal::TimestampTz(a.min(b)), mduck_temporal::TimestampTz(a.max(b)));
+        let p = TstzSpan::new(lo, hi, true, rng.random_bool(0.5) || lo == hi).unwrap();
+        let windowed = t.during(&p).map(|w| w.eintersects(&g));
+        let restricted = t.at_period(&p).map(|r| before::features_intersect(&r.trajectory(), &g));
+        assert_eq!(windowed, restricted, "{} at {p}", ctx());
+    }
+    assert!(met > CASES * 2, "{met} met");
+}

@@ -546,3 +546,458 @@ fn cached_box_matches_a_walk_over_the_instants() {
     }
     assert!(checked > CASES * 8, "{checked} values");
 }
+
+// ------------------------------------------------ kernel pins: fused kernels
+//
+// Each fused kernel is pinned bit for bit against a copy of the
+// composition it replaces, as that composition read before the kernels
+// were fused: `atTime` then `eIntersects` or `length`, `tDwithin` then
+// `whenTrue`, and `atValues` then `startTimestamp`.
+
+mod before {
+    //! Test-only copies of the compositions the fused kernels replace.
+
+    use mduck_geo::Point;
+    use mduck_temporal::span::TstzSpan;
+    use mduck_temporal::spanset::TstzSpanSet;
+    use mduck_temporal::temporal::{
+        synchronize, Interp, SolveCrossing, TBool, TGeomPoint, TInstant, TSequence, TValue,
+        Temporal,
+    };
+    use mduck_temporal::TimestampTz;
+
+    fn interpolate_raw<V: TValue>(s: &TSequence<V>, t: TimestampTz) -> V {
+        match s.instants().binary_search_by(|i| i.t.cmp(&t)) {
+            Ok(idx) => s.instants()[idx].value.clone(),
+            Err(idx) => {
+                let a = &s.instants()[idx - 1];
+                let b = &s.instants()[idx];
+                match s.interp {
+                    Interp::Step | Interp::Discrete => a.value.clone(),
+                    Interp::Linear => {
+                        let frac = (t.0 - a.t.0) as f64 / (b.t.0 - a.t.0) as f64;
+                        V::lerp(&a.value, &b.value, frac)
+                    }
+                }
+            }
+        }
+    }
+
+    fn seq_at_period<V: TValue>(s: &TSequence<V>, p: &TstzSpan) -> Option<TSequence<V>> {
+        let instants = s.instants();
+        if s.interp == Interp::Discrete {
+            let lo = instants.partition_point(|i| i.t <= p.lower && !p.contains_value(i.t));
+            let hi = lo + instants[lo..].partition_point(|i| p.contains_value(i.t));
+            if lo == hi {
+                return None;
+            }
+            return Some(TSequence::discrete(instants[lo..hi].to_vec()).unwrap());
+        }
+        let ix = s.period().intersection(p)?;
+        let lo = instants.partition_point(|i| i.t <= ix.lower);
+        let hi = lo.max(instants.partition_point(|i| i.t < ix.upper));
+        let mut kept: Vec<TInstant<V>> = Vec::with_capacity(hi - lo + 2);
+        kept.push(TInstant::new(interpolate_raw(s, ix.lower), ix.lower));
+        kept.extend_from_slice(&instants[lo..hi]);
+        if ix.upper > ix.lower {
+            kept.push(TInstant::new(interpolate_raw(s, ix.upper), ix.upper));
+        }
+        Some(TSequence::new(kept, ix.lower_inc, ix.upper_inc, s.interp).unwrap())
+    }
+
+    /// `atTime(x, p)`.
+    pub fn at_period(x: &TGeomPoint, p: &TstzSpan) -> Option<TGeomPoint> {
+        let seqs: Vec<TSequence<Point>> =
+            x.temp.as_sequences().iter().filter_map(|s| seq_at_period(s, p)).collect();
+        Temporal::from_sequences(seqs).ok().map(|t| TGeomPoint::new(t, x.srid()))
+    }
+
+    /// `length(x)`.
+    pub fn length(x: &TGeomPoint) -> f64 {
+        let mut total = 0.0;
+        for s in x.temp.as_sequences().iter() {
+            if s.interp == Interp::Linear {
+                for w in s.instants().windows(2) {
+                    total += w[0].value.distance(&w[1].value);
+                }
+            }
+        }
+        total
+    }
+
+    fn solve_within(c: Point, v: Point, d: f64) -> Vec<(f64, f64)> {
+        let a = v.dot(v);
+        if a == 0.0 {
+            return if c.norm() <= d { vec![(0.0, 1.0)] } else { vec![] };
+        }
+        let b = 2.0 * c.dot(v);
+        let cc = c.dot(c) - d * d;
+        let disc = b * b - 4.0 * a * cc;
+        if disc < 0.0 {
+            return vec![];
+        }
+        let sq = disc.sqrt();
+        let u0 = ((-b - sq) / (2.0 * a)).max(0.0);
+        let u1 = ((-b + sq) / (2.0 * a)).min(1.0);
+        if u0 > u1 {
+            vec![]
+        } else {
+            vec![(u0, u1)]
+        }
+    }
+
+    fn tbool_from_intervals(period: &TstzSpan, true_spans: Vec<TstzSpan>) -> Vec<TSequence<bool>> {
+        let mut out: Vec<TSequence<bool>> = Vec::new();
+        let make = |v: bool, sp: &TstzSpan| -> TSequence<bool> {
+            if sp.lower == sp.upper {
+                TSequence::new(vec![TInstant::new(v, sp.lower)], true, true, Interp::Step).unwrap()
+            } else {
+                TSequence::new(
+                    vec![TInstant::new(v, sp.lower), TInstant::new(v, sp.upper)],
+                    sp.lower_inc,
+                    sp.upper_inc,
+                    Interp::Step,
+                )
+                .unwrap()
+            }
+        };
+        let trues = match TstzSpanSet::new(true_spans).ok() {
+            Some(ts) => match ts.intersection_span(period) {
+                Some(clipped) => clipped,
+                None => return vec![make(false, period)],
+            },
+            None => return vec![make(false, period)],
+        };
+        let falses = TstzSpanSet::from_span(*period).minus(&trues);
+        let mut pieces: Vec<(bool, TstzSpan)> = trues.spans().iter().map(|s| (true, *s)).collect();
+        if let Some(fs) = falses {
+            pieces.extend(fs.spans().iter().map(|s| (false, *s)));
+        }
+        pieces.sort_by(|a, b| a.1.cmp_span(&b.1));
+        for (v, sp) in pieces {
+            out.push(make(v, &sp));
+        }
+        out
+    }
+
+    /// `tDwithin(a, b, d)`.
+    pub fn tdwithin(a: &TGeomPoint, b: &TGeomPoint, d: f64) -> Option<TBool> {
+        let mut seqs: Vec<TSequence<bool>> = Vec::new();
+        for s in synchronize(&a.temp, &b.temp) {
+            let period = s.period();
+            if s.samples.len() == 1 {
+                let (t, pa, pb) = &s.samples[0];
+                let v = vec![TInstant::new(pa.distance(pb) <= d, *t)];
+                seqs.push(TSequence::new(v, true, true, Interp::Step).unwrap());
+                continue;
+            }
+            let mut true_spans: Vec<TstzSpan> = Vec::new();
+            for k in 0..s.samples.len() - 1 {
+                let (t0, a0, b0) = &s.samples[k];
+                let (t1, a1, b1) = &s.samples[k + 1];
+                let c = *a0 - *b0;
+                let v = (*a1 - *a0) - (*b1 - *b0);
+                for (u0, u1) in solve_within(c, v, d) {
+                    let lo = TimestampTz(t0.0 + ((t1.0 - t0.0) as f64 * u0).round() as i64);
+                    let hi = TimestampTz(t0.0 + ((t1.0 - t0.0) as f64 * u1).round() as i64);
+                    if let Ok(sp) = TstzSpan::new(lo, hi, true, true) {
+                        true_spans.push(sp);
+                    }
+                }
+            }
+            seqs.extend(tbool_from_intervals(&period, true_spans));
+        }
+        Temporal::from_sequences(seqs).ok()
+    }
+
+    fn step_runs_equal<V: TValue>(s: &TSequence<V>, v: &V, out: &mut Vec<TSequence<V>>) {
+        let instants = s.instants();
+        let n = instants.len();
+        let mut i = 0;
+        while i < n {
+            if &instants[i].value != v {
+                i += 1;
+                continue;
+            }
+            let run_start = i;
+            while i + 1 < n && &instants[i + 1].value == v {
+                i += 1;
+            }
+            let mut kept: Vec<TInstant<V>> = instants[run_start..=i].to_vec();
+            let lower_inc = if run_start == 0 { s.lower_inc } else { true };
+            let (upper_inc, upper_t) =
+                if i + 1 < n { (false, Some(instants[i + 1].t)) } else { (s.upper_inc, None) };
+            if let Some(ut) = upper_t {
+                kept.push(TInstant::new(v.clone(), ut));
+            }
+            if kept.len() == 1 {
+                out.push(TSequence::new(kept, true, true, Interp::Step).unwrap());
+            } else {
+                out.push(TSequence::new(kept, lower_inc, upper_inc, Interp::Step).unwrap());
+            }
+            i += 1;
+        }
+    }
+
+    fn linear_pieces_equal<V: TValue + SolveCrossing>(
+        s: &TSequence<V>,
+        v: &V,
+        out: &mut Vec<TSequence<V>>,
+    ) {
+        let instants = s.instants();
+        let n = instants.len();
+        let push_instant = |out: &mut Vec<TSequence<V>>, val: V, t: TimestampTz| {
+            out.push(TSequence::new(vec![TInstant::new(val, t)], true, true, s.interp).unwrap());
+        };
+        let mut i = 0;
+        while i < n {
+            if &instants[i].value == v {
+                let run_start = i;
+                while i + 1 < n && &instants[i + 1].value == v {
+                    i += 1;
+                }
+                if i > run_start {
+                    let kept = instants[run_start..=i].to_vec();
+                    let lower_inc = if run_start == 0 { s.lower_inc } else { true };
+                    let upper_inc = if i == n - 1 { s.upper_inc } else { true };
+                    out.push(TSequence::new(kept, lower_inc, upper_inc, s.interp).unwrap());
+                } else {
+                    let included = (run_start > 0 || s.lower_inc)
+                        && (run_start < n - 1 || s.upper_inc || n == 1);
+                    if included {
+                        push_instant(out, v.clone(), instants[run_start].t);
+                    }
+                }
+            } else if i + 1 < n {
+                let (a, b) = (&instants[i], &instants[i + 1]);
+                if let Some(frac) = V::solve_crossing(&a.value, &b.value, v) {
+                    let t = TimestampTz(a.t.0 + ((b.t.0 - a.t.0) as f64 * frac).round() as i64);
+                    push_instant(out, v.clone(), t);
+                }
+            }
+            i += 1;
+        }
+    }
+
+    /// `atValues(t, v)`.
+    pub fn at_value<V: TValue + SolveCrossing>(t: &Temporal<V>, v: &V) -> Option<Temporal<V>> {
+        let mut out: Vec<TSequence<V>> = Vec::new();
+        for s in t.as_sequences().iter() {
+            match s.interp {
+                Interp::Discrete => {
+                    let kept: Vec<TInstant<V>> =
+                        s.instants().iter().filter(|i| &i.value == v).cloned().collect();
+                    if !kept.is_empty() {
+                        out.push(TSequence::discrete(kept).unwrap());
+                    }
+                }
+                Interp::Step => step_runs_equal(s, v, &mut out),
+                Interp::Linear => linear_pieces_equal(s, v, &mut out),
+            }
+        }
+        out.sort_by_key(|s| s.start().t);
+        out.dedup_by(|a, b| {
+            a.num_instants() == 1 && b.num_instants() == 1 && a.start().t == b.start().t
+        });
+        Temporal::from_sequences(out).ok()
+    }
+}
+
+/// A moving point of any subtype and interpolation on a one-second grid,
+/// with random bounds: stationary stretches, repeated positions, a gap
+/// between sequences that may be a single instant wide.
+fn gen_fused_trip(rng: &mut StdRng, grid: bool, from: i64) -> TGeomPoint {
+    let base = 1_700_000_000_000_000i64;
+    let mut t = from;
+    let mut seq = |rng: &mut StdRng, interp: Interp| {
+        let mut prev = gen_xy(rng, grid);
+        let instants: Vec<TInstant<mduck_geo::Point>> = (0..rng.random_range(1usize..9))
+            .map(|_| {
+                t += rng.random_range(1i64..4);
+                if rng.random_range(0u32..3) != 0 {
+                    prev = gen_xy(rng, grid);
+                }
+                TInstant::new(prev, TimestampTz(base + t * 1_000_000))
+            })
+            .collect();
+        t += rng.random_range(0i64..2);
+        let (li, ui) = (rng.random_bool(0.5), rng.random_bool(0.5));
+        // Touching sequences need one open bound between them.
+        TSequence::new(instants, li, ui && t > 0, interp).unwrap()
+    };
+    let interp = [Interp::Discrete, Interp::Step, Interp::Linear, Interp::Linear]
+        [rng.random_range(0usize..4)];
+    let temp = match rng.random_range(0u32..4) {
+        0 => Temporal::Instant(*seq(rng, Interp::Discrete).start()),
+        1 => Temporal::from_sequences(vec![seq(rng, interp)]).unwrap(),
+        _ => {
+            let interp = if interp == Interp::Discrete { Interp::Linear } else { interp };
+            let seqs: Vec<TSequence<mduck_geo::Point>> =
+                (0..rng.random_range(1usize..4)).map(|_| seq(rng, interp)).collect();
+            match Temporal::from_sequences(seqs.clone()) {
+                Ok(t) => t,
+                Err(_) => Temporal::from_sequences(vec![seqs[0].clone()]).unwrap(),
+            }
+        }
+    };
+    TGeomPoint::new(temp, 0)
+}
+
+/// A period on the same grid around `t`'s time, its bounds often on an
+/// instant, inclusive or exclusive.
+fn gen_fused_period(rng: &mut StdRng, t: &TGeomPoint) -> TstzSpan {
+    let base = 1_700_000_000_000_000i64;
+    let at = |s: i64| TimestampTz(base + s * 1_000_000);
+    let span = t.timespan();
+    let (first, last) = ((span.lower.0 - base) / 1_000_000, (span.upper.0 - base) / 1_000_000);
+    let lo = rng.random_range(first - 3..=last + 1);
+    let hi = lo + rng.random_range(0i64..12);
+    let (li, ui) = if lo == hi { (true, true) } else { (rng.random_bool(0.5), rng.random_bool(0.5)) };
+    TstzSpan::new(at(lo), at(hi), li, ui).unwrap()
+}
+
+#[test]
+fn windowed_eintersects_and_length_match_attime_then_the_kernel() {
+    use mduck_geo::algorithms::intersects;
+    let mut rng = StdRng::seed_from_u64(0x5ea_000d);
+    let (mut met, mut empty) = (0, 0);
+    for _ in 0..CASES * 8 {
+        let grid = rng.random_bool(0.6);
+        let t = gen_fused_trip(&mut rng, grid, 0);
+        let p = gen_fused_period(&mut rng, &t);
+        let g = gen_static(&mut rng, grid, &t);
+        let ctx = || format!("{} at {p} vs {}", t.as_text(), mduck_geo::wkt::to_wkt(&g, None));
+        let restricted = before::at_period(&t, &p);
+        assert_eq!(t.at_period(&p), restricted, "{}", ctx());
+        let during = t.during(&p);
+        assert_eq!(during.is_some(), restricted.is_some(), "{}", ctx());
+        let (Some(during), Some(r)) = (during, restricted) else {
+            empty += 1;
+            continue;
+        };
+        let want = intersects(&r.trajectory(), &g);
+        assert_eq!(during.eintersects(&g), want, "{}", ctx());
+        met += usize::from(want);
+        assert_eq!(during.length().to_bits(), before::length(&r).to_bits(), "{}", ctx());
+        // The unfused forms run the same kernels over every position.
+        assert_eq!(t.eintersects(&g), intersects(&t.trajectory(), &g), "{}", ctx());
+        assert_eq!(t.length().to_bits(), before::length(&t).to_bits(), "{}", ctx());
+    }
+    assert!(met > CASES && empty > CASES / 4, "{met} met, {empty} empty");
+}
+
+#[test]
+fn tdwithin_when_true_and_edwithin_match_the_synchronized_composition() {
+    let mut rng = StdRng::seed_from_u64(0x5ea_000e);
+    let (mut some, mut trues) = (0, 0);
+    for _ in 0..CASES * 8 {
+        let grid = rng.random_bool(0.7);
+        let a = gen_fused_trip(&mut rng, grid, 0);
+        let from = rng.random_range(0i64..10);
+        let b = gen_fused_trip(&mut rng, grid, from);
+        let d = match rng.random_range(0u32..4) {
+            0 => 0.0,
+            1 => rng.random_range(0i64..4) as f64,
+            2 => 2f64.sqrt() * rng.random_range(1i64..3) as f64,
+            _ => rng.random_range(0.0..6.0f64),
+        };
+        let ctx = || format!("{} vs {} within {d}", a.as_text(), b.as_text());
+        let want = before::tdwithin(&a, &b, d);
+        assert_eq!(a.tdwithin(&b, d), want, "{}", ctx());
+        let when = want.as_ref().and_then(|w| w.when_true());
+        assert_eq!(a.when_dwithin(&b, d), when, "{}", ctx());
+        let ever = want.as_ref().is_some_and(|w| w.ever_true());
+        assert_eq!(a.edwithin(&b, d), ever, "{}", ctx());
+        some += usize::from(want.is_some());
+        trues += usize::from(ever);
+    }
+    assert!(some > CASES * 2 && trues > CASES, "{some} defined, {trues} ever true");
+}
+
+#[test]
+fn first_time_at_matches_atvalues_then_start_timestamp() {
+    let mut rng = StdRng::seed_from_u64(0x5ea_000f);
+    let mut hits = 0;
+    for _ in 0..CASES * 8 {
+        let grid = rng.random_bool(0.7);
+        let t = gen_fused_trip(&mut rng, grid, 0);
+        let instants = t.temp.instants();
+        let p = if rng.random_bool(0.7) {
+            instants[rng.random_range(0..instants.len())].value
+        } else {
+            gen_xy(&mut rng, grid)
+        };
+        let want = before::at_value(&t.temp, &p);
+        assert_eq!(t.temp.at_value(&p), want, "{} at {p:?}", t.as_text());
+        let start = want.as_ref().map(|w| w.timespan().lower);
+        assert_eq!(t.first_time_at(p), start, "{} at {p:?}", t.as_text());
+        hits += usize::from(start.is_some());
+    }
+    assert!(hits > CASES * 2, "{hits} hits");
+}
+
+// ------------------------------------------------ aIntersects
+
+/// A region on the integer grid: a rectangle, a rectangle with a hole, a
+/// rectangle with a notch cut into its top, two rectangles sharing an
+/// edge, or an axis-parallel road of two segments.
+fn gen_region(rng: &mut StdRng) -> mduck_geo::Geometry {
+    use mduck_geo::wkt::parse_wkt;
+    let (x, y) = (rng.random_range(-5i64..0), rng.random_range(-5i64..0));
+    let (w, h) = (rng.random_range(3i64..8), rng.random_range(3i64..8));
+    let (x1, y1) = (x + w, y + h);
+    let (nx, ny) = (x + rng.random_range(1..w - 1), y + rng.random_range(1..h));
+    let wkt = match rng.random_range(0u32..5) {
+        0 => format!("POLYGON(({x} {y},{x1} {y},{x1} {y1},{x} {y1},{x} {y}))"),
+        1 => format!(
+            "POLYGON(({x} {y},{x1} {y},{x1} {y1},{x} {y1},{x} {y}),({nx} {},{} {},{} {ny},{nx} {ny},{nx} {}))",
+            y + 1,
+            nx + 1,
+            y + 1,
+            nx + 1,
+            y + 1
+        ),
+        2 => format!(
+            "POLYGON(({x} {y},{x1} {y},{x1} {y1},{} {y1},{} {ny},{nx} {ny},{nx} {y1},{x} {y1},{x} {y}))",
+            nx + 1,
+            nx + 1
+        ),
+        3 => format!(
+            "GEOMETRYCOLLECTION(POLYGON(({x} {y},{nx} {y},{nx} {y1},{x} {y1},{x} {y})),\
+             POLYGON(({nx} {y},{x1} {y},{x1} {y1},{nx} {y1},{nx} {y})))"
+        ),
+        _ => format!("LINESTRING({x} {y},{x1} {y},{x1} {y1})"),
+    };
+    parse_wkt(&wkt).unwrap()
+}
+
+/// `aIntersects` is exact: a moving point is always inside exactly when
+/// every instant is covered and so is every one of 4096 positions along
+/// each move. On the grid a move that leaves the region stays out over at
+/// least 1/280 of its length, so the sampling cannot miss it.
+#[test]
+fn always_inside_matches_dense_sampling() {
+    use mduck_geo::algorithms::geometry_covers_point;
+    let mut rng = StdRng::seed_from_u64(0x5ea_0010);
+    let (mut inside, mut outside) = (0, 0);
+    for _ in 0..CASES * 8 {
+        let g = gen_region(&mut rng);
+        let t = gen_moving(&mut rng, true);
+        let covered = |p| geometry_covers_point(&g, p);
+        let mut want = t.temp.instants().iter().all(|i| covered(i.value));
+        for s in t.temp.as_sequences().iter().filter(|s| s.interp == Interp::Linear) {
+            for w in s.instants().windows(2) {
+                let (a, b) = (w[0].value, w[1].value);
+                want &= (0..=4096).all(|k| covered(a.lerp(&b, k as f64 / 4096.0)));
+            }
+        }
+        let ctx = || format!("{} in {}", t.as_text(), mduck_geo::wkt::to_wkt(&g, None));
+        assert_eq!(t.always_inside(&g), want, "{}", ctx());
+        if want {
+            inside += 1;
+        } else {
+            outside += 1;
+        }
+    }
+    assert!(inside > CASES / 4 && outside > CASES, "{inside} inside, {outside} outside");
+}
