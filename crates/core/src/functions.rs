@@ -1037,60 +1037,59 @@ fn register_constructors(reg: &mut Registry) {
 fn register_fusions(reg: &mut Registry) {
     use mduck_sql::FusionRule;
 
-    for src in [lt("tgeompoint"), lt("tgeometry")] {
-        for geom_ty in [lt("geometry"), LogicalType::Blob] {
-            // eIntersects(atTime(x, p), g): NULL where atTime is NULL, and
-            // then `g` is not decoded.
-            reg.register_scalar(
-                "eintersects",
-                vec![src.clone(), lt("tstzspan"), geom_ty.clone()],
-                LogicalType::Bool,
-                |args| {
-                    let t = value_to_tgeom(&args[0])?;
-                    let p = value_to_period(&args[1])?;
-                    let Some(during) = t.during(&p) else { return Ok(Value::Null) };
-                    let g = value_to_geometry(&args[2])?;
-                    Ok(Value::Bool(during.eintersects(&g)))
-                },
-            );
-            // startTimestamp(atValues(x, g)).
-            reg.register_scalar(
-                "starttimestamp_atvalues",
-                vec![src.clone(), geom_ty],
-                LogicalType::Timestamp,
-                |args| {
-                    let t = value_to_tgeom(&args[0])?;
-                    let g = value_to_geometry(&args[1])?;
-                    let p = g
-                        .as_point()
-                        .ok_or_else(|| SqlError::execution("atValues expects a point geometry"))?;
-                    Ok(t.first_time_at(p).map_or(Value::Null, |ts| Value::Timestamp(ts.0)))
-                },
-            );
-        }
-        // length(atTime(x, p)).
-        reg.register_scalar("length", vec![src.clone(), lt("tstzspan")], LogicalType::Float, |a| {
-            let t = value_to_tgeom(&a[0])?;
-            let p = value_to_period(&a[1])?;
-            Ok(t.during(&p).map_or(Value::Null, |d| Value::Float(d.length())))
-        });
-        // whenTrue(tDwithin(a, b, d)).
-        for b_ty in [lt("tgeompoint"), lt("tgeometry")] {
-            reg.register_scalar(
-                "whentrue_tdwithin",
-                vec![src.clone(), b_ty, LogicalType::Float],
-                lt("tstzspanset"),
-                |args| {
-                    let a = value_to_tgeom(&args[0])?;
-                    let b = value_to_tgeom(&args[1])?;
-                    match a.when_dwithin(b, args[2].as_float()?) {
-                        Some(ps) => Ok(MdTstzSpanSet(ps).into_value()),
-                        None => Ok(Value::Null),
-                    }
-                },
-            );
-        }
+    // The fused overloads take the `tgeompoint`s BerlinMOD queries; over
+    // any other type the compositions stay as written.
+    let src = lt("tgeompoint");
+    for geom_ty in [lt("geometry"), LogicalType::Blob] {
+        // eIntersects(atTime(x, p), g): NULL where atTime is NULL, and
+        // then `g` is not decoded.
+        reg.register_scalar(
+            "eintersects",
+            vec![src.clone(), lt("tstzspan"), geom_ty.clone()],
+            LogicalType::Bool,
+            |args| {
+                let t = value_to_tgeom(&args[0])?;
+                let p = value_to_period(&args[1])?;
+                let Some(during) = t.during(&p) else { return Ok(Value::Null) };
+                let g = value_to_geometry(&args[2])?;
+                Ok(Value::Bool(during.eintersects(&g)))
+            },
+        );
+        // startTimestamp(atValues(x, g)).
+        reg.register_scalar(
+            "starttimestamp_atvalues",
+            vec![src.clone(), geom_ty],
+            LogicalType::Timestamp,
+            |args| {
+                let t = value_to_tgeom(&args[0])?;
+                let g = value_to_geometry(&args[1])?;
+                let p = g
+                    .as_point()
+                    .ok_or_else(|| SqlError::execution("atValues expects a point geometry"))?;
+                Ok(t.first_time_at(p).map_or(Value::Null, |ts| Value::Timestamp(ts.0)))
+            },
+        );
     }
+    // length(atTime(x, p)).
+    reg.register_scalar("length", vec![src.clone(), lt("tstzspan")], LogicalType::Float, |a| {
+        let t = value_to_tgeom(&a[0])?;
+        let p = value_to_period(&a[1])?;
+        Ok(t.during(&p).map_or(Value::Null, |d| Value::Float(d.length())))
+    });
+    // whenTrue(tDwithin(a, b, d)).
+    reg.register_scalar(
+        "whentrue_tdwithin",
+        vec![src.clone(), src, LogicalType::Float],
+        lt("tstzspanset"),
+        |args| {
+            let a = value_to_tgeom(&args[0])?;
+            let b = value_to_tgeom(&args[1])?;
+            match a.when_dwithin(b, args[2].as_float()?) {
+                Some(ps) => Ok(MdTstzSpanSet(ps).into_value()),
+                None => Ok(Value::Null),
+            }
+        },
+    );
 
     let rule =
         |outer, inner, fused| FusionRule { outer, inner, fused, commutes: false, through: None };

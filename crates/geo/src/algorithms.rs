@@ -109,22 +109,83 @@ pub fn geometry_covers_point(g: &Geometry, p: Point) -> bool {
 /// trajectory's features straight from its instants, so `eIntersects`
 /// never builds the trajectory. Every visitor stops as soon as `f` returns
 /// `Break`, and reports whether it did.
+///
+/// A source gives its vertices, segments and bare points in one pass
+/// (`visit_features`); the visitors of one kind default to picking theirs
+/// from it, and [`Geometry`] walks each kind directly.
 pub trait Features {
-    /// Every vertex.
-    fn visit_points<F: FnMut(Point) -> ControlFlow<()>>(&self, f: &mut F) -> ControlFlow<()>;
-    /// Every segment between consecutive vertices of a line or ring.
-    fn visit_segments<F: FnMut(Point, Point) -> ControlFlow<()>>(
-        &self,
-        f: &mut F,
-    ) -> ControlFlow<()>;
-    /// The vertices that end no segment: points, multipoint members and
-    /// one-vertex lines or rings.
-    fn visit_bare_points<F: FnMut(Point) -> ControlFlow<()>>(&self, f: &mut F) -> ControlFlow<()>;
+    /// Every vertex, segment and bare point, in one pass.
+    fn visit_features(&self, sink: &mut impl FeatureSink) -> ControlFlow<()>;
+
     /// The rings of every polygon.
     fn visit_polygons<F: FnMut(&[Vec<Point>]) -> ControlFlow<()>>(
         &self,
         f: &mut F,
     ) -> ControlFlow<()>;
+
+    /// Every vertex.
+    fn visit_points<F: FnMut(Point) -> ControlFlow<()>>(&self, f: &mut F) -> ControlFlow<()> {
+        self.visit_features(&mut Each(|feature| match feature {
+            Feature::Vertex(p) => f(p),
+            _ => ControlFlow::Continue(()),
+        }))
+    }
+
+    /// Every segment between consecutive vertices of a line or ring.
+    fn visit_segments<F: FnMut(Point, Point) -> ControlFlow<()>>(
+        &self,
+        f: &mut F,
+    ) -> ControlFlow<()> {
+        self.visit_features(&mut Each(|feature| match feature {
+            Feature::Segment(p, q) => f(p, q),
+            _ => ControlFlow::Continue(()),
+        }))
+    }
+
+    /// The vertices that end no segment: points, multipoint members and
+    /// one-vertex lines or rings.
+    fn visit_bare_points<F: FnMut(Point) -> ControlFlow<()>>(&self, f: &mut F) -> ControlFlow<()> {
+        self.visit_features(&mut Each(|feature| match feature {
+            Feature::Bare(p) => f(p),
+            _ => ControlFlow::Continue(()),
+        }))
+    }
+
+    /// A box holding every vertex, and whether it is exactly their
+    /// bounding box; `None` without vertices. By default the bounding box,
+    /// walked; a source that keeps a box cached can return it instead.
+    fn bound(&self) -> Option<(Rect, bool)> {
+        features_rect(self).map(|r| (r, true))
+    }
+}
+
+/// What [`Features::visit_features`] reports each feature to; it stops
+/// the visit by returning `Break`. The call runs once per feature, in the
+/// visit's inner loop: an implementation should be `#[inline(always)]`
+/// and keep its common case small.
+pub trait FeatureSink {
+    fn feature(&mut self, feature: Feature) -> ControlFlow<()>;
+}
+
+/// A closure as a [`FeatureSink`].
+struct Each<F>(F);
+
+impl<F: FnMut(Feature) -> ControlFlow<()>> FeatureSink for Each<F> {
+    #[inline(always)]
+    fn feature(&mut self, feature: Feature) -> ControlFlow<()> {
+        (self.0)(feature)
+    }
+}
+
+/// One feature [`Features::visit_features`] reports.
+#[derive(Debug, Clone, Copy)]
+pub enum Feature {
+    /// A vertex ([`Features::visit_points`]).
+    Vertex(Point),
+    /// A segment ([`Features::visit_segments`]).
+    Segment(Point, Point),
+    /// A vertex that ends no segment ([`Features::visit_bare_points`]).
+    Bare(Point),
 }
 
 impl Features for Geometry {
@@ -185,10 +246,40 @@ impl Features for Geometry {
             _ => ControlFlow::Continue(()),
         }
     }
+
+    fn visit_features(&self, sink: &mut impl FeatureSink) -> ControlFlow<()> {
+        fn bare(sink: &mut impl FeatureSink, p: Point) -> ControlFlow<()> {
+            sink.feature(Feature::Vertex(p))?;
+            sink.feature(Feature::Bare(p))
+        }
+        // A line or ring: a bare point when it has one vertex.
+        fn line(sink: &mut impl FeatureSink, ps: &[Point]) -> ControlFlow<()> {
+            if let [p] = ps {
+                return bare(sink, *p);
+            }
+            let mut prev: Option<Point> = None;
+            for &p in ps {
+                sink.feature(Feature::Vertex(p))?;
+                if let Some(q) = prev.replace(p) {
+                    sink.feature(Feature::Segment(q, p))?;
+                }
+            }
+            ControlFlow::Continue(())
+        }
+        match &self.data {
+            GeomData::Point(p) => bare(sink, *p),
+            GeomData::MultiPoint(ps) => ps.iter().try_for_each(|p| bare(sink, *p)),
+            GeomData::LineString(ps) => line(sink, ps),
+            GeomData::Polygon(rings) | GeomData::MultiLineString(rings) => {
+                rings.iter().try_for_each(|r| line(sink, r))
+            }
+            GeomData::GeometryCollection(gs) => gs.iter().try_for_each(|g| g.visit_features(sink)),
+        }
+    }
 }
 
 /// Stop a visit when `hit` holds.
-fn stop_if(hit: bool) -> ControlFlow<()> {
+pub fn stop_if(hit: bool) -> ControlFlow<()> {
     if hit {
         ControlFlow::Break(())
     } else {
@@ -201,7 +292,7 @@ fn has_segments(a: &impl Features) -> bool {
 }
 
 /// The bounding box of `a`'s vertices; `None` when it has none.
-pub(crate) fn features_rect(a: &impl Features) -> Option<Rect> {
+pub fn features_rect<A: Features + ?Sized>(a: &A) -> Option<Rect> {
     let mut rect: Option<Rect> = None;
     let _ = a.visit_points(&mut |p| {
         match &mut rect {
@@ -240,12 +331,17 @@ pub fn magnitude(p: Point) -> f64 {
 /// disables pruning, when a coordinate is not finite or so large that
 /// squaring it could overflow; never below 1e-150, under which squared
 /// distances lose their precision to underflow.
-pub fn slack_for(magnitude: f64) -> f64 {
+fn slack_for(magnitude: f64) -> f64 {
     if magnitude <= 1e150 {
         (magnitude * BOX_SLACK).max(1e-150)
     } else {
         f64::INFINITY
     }
+}
+
+/// The largest coordinate magnitude of the vertices a box holds.
+fn rect_magnitude(r: &Rect) -> f64 {
+    magnitude(Point::new(r.xmin, r.ymin)).max(magnitude(Point::new(r.xmax, r.ymax)))
 }
 
 /// The largest coordinate magnitude of `a`'s vertices.
@@ -268,19 +364,19 @@ fn box_slack(a: &impl Features, b: &impl Features) -> f64 {
 /// near. A segment whose ends share a bit lies beyond the box: its own box
 /// misses it. An infinite slack puts every point near.
 #[derive(Debug, Clone, Copy)]
-pub struct Near {
+struct Near {
     rect: Rect,
     bounded: bool,
 }
 
 impl Near {
-    pub fn new(rect: Rect, slack: f64) -> Near {
+    fn new(rect: Rect, slack: f64) -> Near {
         Near { rect: rect.expand_by(slack), bounded: slack.is_finite() }
     }
 
     /// The sides of the box `p` lies beyond; 0 when it is near.
     #[inline]
-    pub fn code(&self, p: Point) -> u8 {
+    fn code(&self, p: Point) -> u8 {
         if !self.bounded {
             return 0;
         }
@@ -290,13 +386,24 @@ impl Near {
             | u8::from(p.y < r.ymin) << 2
             | u8::from(p.y > r.ymax) << 3
     }
+
+    /// Is `p` near the box?
+    #[inline]
+    fn holds(&self, p: Point) -> bool {
+        self.code(p) == 0
+    }
+
+    /// Does segment `p`–`q` lie beyond the box?
+    #[inline]
+    fn misses(&self, p: Point, q: Point) -> bool {
+        self.code(p) & self.code(q) != 0
+    }
 }
 
-/// A geometry prepared for many intersection tests against the parts of
-/// one path (the static operand of `eIntersects`): its box, the largest
-/// magnitude of its coordinates, whether it has segments, and whether
-/// every ring of its polygons is closed. Each test is one of the
-/// feature tests [`features_intersect`] runs, answered the same way.
+/// A geometry prepared for intersection tests against other operands
+/// (`ST_Intersects`, and `eIntersects` against each moving point): its
+/// box, the largest magnitude of its coordinates, whether it has segments,
+/// and whether every ring of its polygons is closed.
 pub struct Target<'a> {
     geom: &'a Geometry,
     rect: Rect,
@@ -331,66 +438,151 @@ impl<'a> Target<'a> {
         self.rect
     }
 
-    /// The largest coordinate magnitude (see [`magnitude`]).
-    pub fn magnitude(&self) -> f64 {
-        self.magnitude
+    /// Does `a` intersect the geometry? True exactly when their boxes meet
+    /// and [`features_distance`] is 0: when a polygon of either covers a
+    /// vertex of the other, or else a pair of features is at distance 0 —
+    /// vertex–vertex when neither has segments; each vertex of a
+    /// segment-less operand against the other's segments and vertices;
+    /// else segment–segment and bare point–segment.
+    ///
+    /// The features of `a` are read in one [`Features::visit_features`]
+    /// pass, which stops at the first such pair. Every vertex or segment
+    /// of `a` that lies beyond `BOX_SLACK` of the geometry's box is
+    /// skipped: it cannot be at distance 0 from any part of it. So is
+    /// every pair of segments whose boxes lie that far apart.
+    pub fn intersects(&self, a: &impl Features) -> bool {
+        let Some((ra, exact)) = a.bound() else {
+            return false; // an empty geometry intersects nothing
+        };
+        if !ra.intersects(&self.rect) {
+            return false;
+        }
+        let slack = slack_for(rect_magnitude(&ra).max(self.magnitude));
+        let near = Near::new(self.rect, slack);
+        let lines = (has_segments(a), self.has_segments);
+        let hit = a.visit_features(&mut Meet { target: self, lines, near, slack });
+        let hit = hit.is_break()
+            || polygon_covers_vertex(a, self.geom)
+            || (lines == (true, true) && self.bare_point_on(a, &ra, slack));
+        // The boxes meet, unless `ra` is only a bound and the exact box of
+        // `a` misses the geometry's.
+        hit && (exact || features_rect(a).is_some_and(|r| r.intersects(&self.rect)))
     }
 
-    /// Does the geometry have a segment?
-    pub fn has_segments(&self) -> bool {
-        self.has_segments
+    /// The tests of a feature of an operand `a` that [`Meet`] did not
+    /// skip; `a_lines` and `g_lines` say which operand has segments.
+    #[inline(never)]
+    fn test(
+        &self,
+        feature: Feature,
+        (a_lines, g_lines): (bool, bool),
+        near: &Near,
+        slack: f64,
+    ) -> ControlFlow<()> {
+        match feature {
+            Feature::Vertex(p) => {
+                let code = near.code(p);
+                if self.covers(p, code) {
+                    return ControlFlow::Break(());
+                }
+                if code != 0 {
+                    return ControlFlow::Continue(());
+                }
+                if !a_lines && g_lines {
+                    self.segment_at(p)?;
+                }
+                if !a_lines || !g_lines {
+                    self.vertex_at(p)?;
+                }
+                ControlFlow::Continue(())
+            }
+            Feature::Segment(p, q) if g_lines => self.segment_meets(p, q, slack),
+            Feature::Segment(p, q) => self.vertex_on(p, q),
+            Feature::Bare(p) => self.segment_at(p),
+        }
     }
 
-    /// Does a polygon cover `p` ([`point_in_rings`])? A point `far`
-    /// beyond the slack of the box is outside every closed ring: it is on
-    /// no edge, and a horizontal ray from it crosses each closed ring an
-    /// even number of times. An open ring (possible from WKB) can hold far
-    /// points, so then every point is tested.
-    pub fn covers(&self, p: Point, far: bool) -> bool {
-        if !self.has_polygons || (far && self.closed_rings) {
+    /// Does a polygon cover `p` ([`point_in_rings`])? A point whose `code`
+    /// puts it beyond the slack of the box is outside every closed ring:
+    /// it is on no edge, and a horizontal ray from it crosses each closed
+    /// ring an even number of times. An open ring (possible from WKB) can
+    /// hold far points, so then every point is tested.
+    fn covers(&self, p: Point, code: u8) -> bool {
+        if !self.has_polygons || (code != 0 && self.closed_rings) {
             return false;
         }
         self.geom.visit_polygons(&mut |rings| stop_if(point_in_rings(p, rings))).is_break()
     }
 
-    /// Is `p` at distance 0 from a segment?
-    pub fn segment_at(&self, p: Point) -> bool {
-        self.geom
-            .visit_segments(&mut |q1, q2| stop_if(point_segment_distance(p, q1, q2) == 0.0))
-            .is_break()
+    /// Break when `p` is at distance 0 from a vertex.
+    fn vertex_at(&self, p: Point) -> ControlFlow<()> {
+        self.geom.visit_points(&mut |q| stop_if(p.distance(&q) == 0.0))
     }
 
-    /// Is `p` at distance 0 from a vertex?
-    pub fn vertex_at(&self, p: Point) -> bool {
-        self.geom.visit_points(&mut |q| stop_if(p.distance(&q) == 0.0)).is_break()
+    /// Break when `p` is at distance 0 from a segment.
+    fn segment_at(&self, p: Point) -> ControlFlow<()> {
+        self.geom.visit_segments(&mut |q1, q2| stop_if(point_segment_distance(p, q1, q2) == 0.0))
     }
 
-    /// Is a segment at distance 0 from segment `p1`–`p2`? Segments whose
-    /// boxes lie beyond `slack` of each other are skipped.
-    pub fn segment_meets(&self, p1: Point, p2: Point, slack: f64) -> bool {
+    /// Break when a vertex is at distance 0 from segment `p1`–`p2`.
+    fn vertex_on(&self, p1: Point, p2: Point) -> ControlFlow<()> {
+        self.geom.visit_points(&mut |q| stop_if(point_segment_distance(q, p1, p2) == 0.0))
+    }
+
+    /// Break when a segment is at distance 0 from segment `p1`–`p2`,
+    /// skipping those whose boxes lie beyond `slack` of its box.
+    fn segment_meets(&self, p1: Point, p2: Point, slack: f64) -> ControlFlow<()> {
         let sa = segment_rect(p1, p2);
+        self.geom.visit_segments(&mut |q1, q2| {
+            stop_if(
+                sa.distance(&segment_rect(q1, q2)) <= slack
+                    && segment_segment_distance(p1, p2, q1, q2) == 0.0,
+            )
+        })
+    }
+
+    /// Is a bare point of the geometry at distance 0 from a segment of
+    /// `a`? `ra` holds every vertex of `a`.
+    fn bare_point_on(&self, a: &impl Features, ra: &Rect, slack: f64) -> bool {
         self.geom
-            .visit_segments(&mut |q1, q2| {
-                stop_if(
-                    sa.distance(&segment_rect(q1, q2)) <= slack
-                        && segment_segment_distance(p1, p2, q1, q2) == 0.0,
-                )
+            .visit_bare_points(&mut |q| {
+                if Rect::from_point(q).distance(ra) > slack {
+                    return ControlFlow::Continue(());
+                }
+                a.visit_segments(&mut |p1, p2| stop_if(point_segment_distance(q, p1, p2) == 0.0))
             })
             .is_break()
     }
+}
 
-    /// Is a bare point at distance 0 from segment `p1`–`p2`?
-    pub fn bare_point_on(&self, p1: Point, p2: Point) -> bool {
-        self.geom
-            .visit_bare_points(&mut |q| stop_if(point_segment_distance(q, p1, p2) == 0.0))
-            .is_break()
-    }
+/// [`Target::intersects`]' visit of the other operand's features. Most of
+/// them lie beyond `near` and are skipped inline; the rest go to
+/// [`Target::test`], kept out of line so that the skip stays small (a
+/// visit that called one large test per feature took about 1.7 times as
+/// long).
+struct Meet<'t, 'g> {
+    target: &'t Target<'g>,
+    /// Which operand has segments: the other one, and the geometry.
+    lines: (bool, bool),
+    near: Near,
+    slack: f64,
+}
 
-    /// Is a vertex at distance 0 from segment `p1`–`p2`?
-    pub fn vertex_on(&self, p1: Point, p2: Point) -> bool {
-        self.geom
-            .visit_points(&mut |q| stop_if(point_segment_distance(q, p1, p2) == 0.0))
-            .is_break()
+impl FeatureSink for Meet<'_, '_> {
+    #[inline(always)]
+    fn feature(&mut self, feature: Feature) -> ControlFlow<()> {
+        let t = self.target;
+        let beyond = match feature {
+            // A far vertex can still lie in an open ring.
+            Feature::Vertex(p) => !self.near.holds(p) && (t.closed_rings || !t.has_polygons),
+            Feature::Segment(p, q) => self.near.misses(p, q),
+            // Bare points are tested only when both operands have segments.
+            Feature::Bare(p) => !(self.lines == (true, true) && self.near.holds(p)),
+        };
+        if beyond {
+            return ControlFlow::Continue(());
+        }
+        t.test(feature, self.lines, &self.near, self.slack)
     }
 }
 
@@ -545,74 +737,10 @@ fn bare_points_distance(
     best
 }
 
-/// Topological intersection test (`ST_Intersects`).
+/// Topological intersection test (`ST_Intersects`): [`Target::intersects`]
+/// with `b` prepared.
 pub fn intersects(a: &Geometry, b: &Geometry) -> bool {
-    features_intersect(a, b)
-}
-
-/// [`intersects`] over any two feature sources: true exactly when their
-/// boxes meet and [`features_distance`] is 0. It stops at the first
-/// containment or zero-distance pair, and skips every segment whose box
-/// lies beyond `BOX_SLACK` of the other operand's box or segment.
-pub fn features_intersect<A: Features, B: Features>(a: &A, b: &B) -> bool {
-    let (Some(ra), Some(rb)) = (features_rect(a), features_rect(b)) else {
-        return false; // an empty geometry intersects nothing
-    };
-    if !ra.intersects(&rb) {
-        return false;
-    }
-    if polygon_covers_vertex(a, b) || polygon_covers_vertex(b, a) {
-        return true;
-    }
-    match (has_segments(a), has_segments(b)) {
-        (false, false) => a
-            .visit_points(&mut |p| b.visit_points(&mut |q| stop_if(p.distance(&q) == 0.0)))
-            .is_break(),
-        (false, true) => points_touch(a, b),
-        (true, false) => points_touch(b, a),
-        (true, true) => segments_touch(a, &ra, b, &rb),
-    }
-}
-
-/// Is a vertex of the segment-less `a` at distance 0 from a segment or
-/// vertex of `b`?
-fn points_touch(a: &impl Features, b: &impl Features) -> bool {
-    a.visit_points(&mut |p| {
-        b.visit_segments(&mut |q1, q2| stop_if(point_segment_distance(p, q1, q2) == 0.0))?;
-        b.visit_points(&mut |q| stop_if(p.distance(&q) == 0.0))
-    })
-    .is_break()
-}
-
-/// Is a segment or bare point of `a` at distance 0 from one of `b`, when
-/// both have segments? `ra` and `rb` are their bounding boxes.
-fn segments_touch(a: &impl Features, ra: &Rect, b: &impl Features, rb: &Rect) -> bool {
-    let slack = box_slack(a, b);
-    let hit = a.visit_segments(&mut |p1, p2| {
-        let sa = segment_rect(p1, p2);
-        if sa.distance(rb) > slack {
-            return ControlFlow::Continue(());
-        }
-        b.visit_segments(&mut |q1, q2| {
-            stop_if(
-                sa.distance(&segment_rect(q1, q2)) <= slack
-                    && segment_segment_distance(p1, p2, q1, q2) == 0.0,
-            )
-        })
-    });
-    hit.is_break() || bare_points_touch(a, b, rb, slack) || bare_points_touch(b, a, ra, slack)
-}
-
-/// Is a bare point of `a` at distance 0 from a segment of `b`? `rb` is
-/// `b`'s bounding box.
-fn bare_points_touch(a: &impl Features, b: &impl Features, rb: &Rect, slack: f64) -> bool {
-    a.visit_bare_points(&mut |p| {
-        if Rect::from_point(p).distance(rb) > slack {
-            return ControlFlow::Continue(());
-        }
-        b.visit_segments(&mut |q1, q2| stop_if(point_segment_distance(p, q1, q2) == 0.0))
-    })
-    .is_break()
+    Target::new(b).is_some_and(|target| target.intersects(a))
 }
 
 /// Parameter intervals of segment `a`→`b` (as fractions of \[0, 1\]) that lie

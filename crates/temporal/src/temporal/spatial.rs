@@ -6,8 +6,8 @@
 use std::ops::ControlFlow;
 
 use mduck_geo::algorithms::{
-    self, clip_segment_to_rings, features_distance, geometry_covers_point, segment_rect, Features,
-    Near, Target,
+    self, clip_segment_to_rings, features_distance, geometry_covers_point, segment_rect, stop_if,
+    Feature, FeatureSink, Features, Target,
 };
 use mduck_geo::geometry::GeomData;
 use mduck_geo::point::{Point, Rect};
@@ -18,7 +18,8 @@ use crate::error::{TemporalError, TemporalResult};
 use crate::span::TstzSpan;
 use crate::spanset::TstzSpanSet;
 use crate::temporal::{
-    parse_temporal, synchronize, Interp, TFloat, TInstant, TSequence, Temporal, Window,
+    parse_temporal, synchronize, walk_synced, Interp, Sample, Stretch, SyncVisitor, TFloat,
+    TInstant, TSequence, Temporal, Window,
 };
 use crate::time::{Interval, TimestampTz, USECS_PER_SEC};
 
@@ -323,52 +324,31 @@ impl TGeomPoint {
     /// Temporal within-distance (`tDwithin`): a `tbool` that is true
     /// exactly while the two moving points are within `d` of each other.
     /// Per synchronized segment the quadratic `|c + v·u|² ≤ d²` is solved
-    /// exactly, over the stretches `walk_dwithin` merges in place.
+    /// exactly, over the segments [`walk_synced`] visits.
     pub fn tdwithin(&self, other: &TGeomPoint, d: f64) -> Option<crate::temporal::TBool> {
-        let mut seqs: Vec<TSequence<bool>> = Vec::new();
-        let mut true_spans: Vec<TstzSpan> = Vec::new();
-        let _ = walk_dwithin(self, other, d, &mut |e| {
-            match e {
-                Within::Instant(t, within) => seqs.push(
-                    TSequence::new(vec![TInstant::new(within, t)], true, true, Interp::Step)
-                        .expect("singleton"),
-                ),
-                Within::Span { within, .. } => true_spans.push(within),
-                Within::Close(stretch) => seqs.extend(spatial_tbool_from_intervals(
-                    &stretch,
-                    std::mem::take(&mut true_spans),
-                )),
-            }
-            ControlFlow::Continue(())
-        });
-        Temporal::from_sequences(seqs).ok()
+        let mut v = TDwithin {
+            within: WithinDistance::new(self, other, d),
+            seqs: Vec::new(),
+            true_spans: Vec::new(),
+        };
+        let _ = walk_synced(&self.temp, &other.temp, &mut v);
+        Temporal::from_sequences(v.seqs).ok()
     }
 
     /// `whenTrue(tDwithin(self, other, d))` without building the `tbool`:
     /// the times the two are within `d`, clipped to each synchronized
     /// stretch; `None` when there are none.
     pub fn when_dwithin(&self, other: &TGeomPoint, d: f64) -> Option<TstzSpanSet> {
-        let mut spans: Vec<TstzSpan> = Vec::new();
-        let _ = walk_dwithin(self, other, d, &mut |e| {
-            match e {
-                Within::Instant(t, within) => spans.extend(within.then(|| TstzSpan::singleton(t))),
-                Within::Span { within, stretch } => spans.extend(within.intersection(&stretch)),
-                Within::Close(_) => {}
-            }
-            ControlFlow::Continue(())
-        });
-        TstzSpanSet::new(spans).ok()
+        let mut v = WhenWithin::new(self, other, d, false);
+        let _ = walk_synced(&self.temp, &other.temp, &mut v);
+        TstzSpanSet::new(v.spans).ok()
     }
 
     /// Ever within distance (`eDwithin`, Query 6 / the §6.2 close-pairs
     /// demo): `tDwithin` is ever true. Stops at the first time they are.
     pub fn edwithin(&self, other: &TGeomPoint, d: f64) -> bool {
-        walk_dwithin(self, other, d, &mut |e| match e {
-            Within::Instant(_, within) => stop_if(within),
-            Within::Span { within, stretch } => stop_if(within.intersection(&stretch).is_some()),
-            Within::Close(_) => ControlFlow::Continue(()),
-        })
-        .is_break()
+        let mut v = WhenWithin::new(self, other, d, true);
+        walk_synced(&self.temp, &other.temp, &mut v).is_break()
     }
 
     /// Always within distance (`aDwithin`), over the synchronized time.
@@ -382,13 +362,13 @@ impl TGeomPoint {
     /// Ever within distance of a static geometry: the distance from the
     /// trajectory, read from the instants without building it.
     pub fn edwithin_geo(&self, g: &Geometry, d: f64) -> bool {
-        features_distance(&TrajectoryFeatures(&self.temp), g) <= d
+        features_distance(&self.whole(), g) <= d
     }
 
     /// Does the moving point ever intersect the geometry
     /// (`eIntersects`)? Equal to `intersects(&self.trajectory(), g)`, but
-    /// tests the instants and segments directly, in one pass
-    /// ([`During::eintersects`] over every position).
+    /// reads the instants directly ([`During::eintersects`] over every
+    /// position).
     pub fn eintersects(&self, g: &Geometry) -> bool {
         self.whole().eintersects(g)
     }
@@ -423,80 +403,10 @@ impl TGeomPoint {
     }
 }
 
-/// The features of a moving point's [`TGeomPoint::trajectory`], read from
-/// its instants without building the geometry. A linear sequence of two
-/// or more instants is a line through its positions, a position repeated
-/// by the next instant dropped; a line that never moves is a bare point,
-/// and so is every position of any other sequence.
-struct TrajectoryFeatures<'a>(&'a Temporal<Point>);
-
-impl<'a> TrajectoryFeatures<'a> {
-    /// Each sequence's instants, and whether they draw a line.
-    fn parts(&self) -> impl Iterator<Item = (&'a [TInstant<Point>], bool)> {
-        let (head, seqs): (&'a [TInstant<Point>], &'a [TSequence<Point>]) = match self.0 {
-            Temporal::Instant(i) => (std::slice::from_ref(i), &[]),
-            Temporal::Sequence(s) => (&[], std::slice::from_ref(s)),
-            Temporal::SequenceSet(ss) => (&[], ss.sequences()),
-        };
-        let head = (!head.is_empty()).then_some((head, false));
-        head.into_iter().chain(
-            seqs.iter()
-                .map(|s| (s.instants(), s.interp == Interp::Linear && s.num_instants() > 1)),
-        )
-    }
-}
-
 /// The positions of a line, each repeat of the previous one dropped.
 fn line_vertices(instants: &[TInstant<Point>]) -> impl Iterator<Item = Point> + '_ {
     let mut prev: Option<Point> = None;
     instants.iter().map(|i| i.value).filter(move |&p| prev.replace(p) != Some(p))
-}
-
-fn moves(instants: &[TInstant<Point>]) -> bool {
-    instants.windows(2).any(|w| w[0].value != w[1].value)
-}
-
-impl Features for TrajectoryFeatures<'_> {
-    fn visit_points<F: FnMut(Point) -> ControlFlow<()>>(&self, f: &mut F) -> ControlFlow<()> {
-        self.parts().try_for_each(|(instants, line)| {
-            if line {
-                line_vertices(instants).try_for_each(&mut *f)
-            } else {
-                instants.iter().try_for_each(|i| f(i.value))
-            }
-        })
-    }
-
-    fn visit_segments<F: FnMut(Point, Point) -> ControlFlow<()>>(
-        &self,
-        f: &mut F,
-    ) -> ControlFlow<()> {
-        self.parts().filter(|&(_, line)| line).try_for_each(|(instants, _)| {
-            let mut vertices = line_vertices(instants);
-            let Some(mut prev) = vertices.next() else {
-                return ControlFlow::Continue(());
-            };
-            vertices.try_for_each(|p| {
-                let from = std::mem::replace(&mut prev, p);
-                f(from, p)
-            })
-        })
-    }
-
-    fn visit_bare_points<F: FnMut(Point) -> ControlFlow<()>>(&self, f: &mut F) -> ControlFlow<()> {
-        self.parts().try_for_each(|(instants, line)| match (line, instants) {
-            (false, _) => instants.iter().try_for_each(|i| f(i.value)),
-            (true, [first, ..]) if !moves(instants) => f(first.value),
-            _ => ControlFlow::Continue(()),
-        })
-    }
-
-    fn visit_polygons<F: FnMut(&[Vec<Point>]) -> ControlFlow<()>>(
-        &self,
-        _f: &mut F,
-    ) -> ControlFlow<()> {
-        ControlFlow::Continue(())
-    }
 }
 
 /// The trajectory of a single sequence.
@@ -596,143 +506,131 @@ fn solve_within(c: Point, v: Point, d: f64) -> Option<(f64, f64)> {
     (u0 <= u1).then_some((u0, u1))
 }
 
-/// Stop a walk when `hit` holds.
-fn stop_if(hit: bool) -> ControlFlow<()> {
-    if hit {
-        ControlFlow::Break(())
-    } else {
+/// The test of two moving points being within a distance `d`, applied
+/// to the samples [`walk_synced`] visits.
+struct WithinDistance {
+    d: f64,
+    /// The box distance beyond which a pair of segments cannot be within
+    /// `d`, even through the solver's rounding.
+    reach: f64,
+}
+
+impl WithinDistance {
+    fn new(a: &TGeomPoint, b: &TGeomPoint, d: f64) -> Self {
+        let m = a.temp.magnitude().max(b.temp.magnitude());
+        // The rounding of the quadratic's roots grows as m²/d near tangency.
+        let slack = if d > 0.0 { 1e-12 * (m + m * m / d) } else { f64::INFINITY };
+        let reach = if slack.is_finite() { d + slack } else { f64::INFINITY };
+        WithinDistance { d, reach }
+    }
+
+    /// Are the two within the distance at one sample?
+    fn at(&self, &(_, pa, pb): &Sample<Point, Point>) -> bool {
+        pa.distance(&pb) <= self.d
+    }
+
+    /// The closed span of the synchronized segment `from`→`to` over which
+    /// the two are within the distance; it may reach beyond the open
+    /// bounds of the stretch. A pair of segments whose boxes are farther
+    /// apart than `reach` is skipped unsolved.
+    #[inline(always)]
+    fn during(
+        &self,
+        &(t0, a0, b0): &Sample<Point, Point>,
+        &(t1, a1, b1): &Sample<Point, Point>,
+    ) -> Option<TstzSpan> {
+        if segment_rect(a0, a1).distance(&segment_rect(b0, b1)) > self.reach {
+            return None;
+        }
+        let c = a0 - b0;
+        let v = (a1 - a0) - (b1 - b0);
+        let (u0, u1) = solve_within(c, v, self.d)?;
+        let at = |u: f64| TimestampTz(t0.0 + ((t1.0 - t0.0) as f64 * u).round() as i64);
+        TstzSpan::new(at(u0), at(u1), true, true).ok()
+    }
+}
+
+/// Builds `tDwithin`'s `tbool`: per stretch of one instant, whether the
+/// points are within the distance there; per longer stretch, `true` over
+/// the spans they are within it and `false` over the rest.
+struct TDwithin {
+    within: WithinDistance,
+    seqs: Vec<TSequence<bool>>,
+    true_spans: Vec<TstzSpan>,
+}
+
+impl SyncVisitor<Point, Point> for TDwithin {
+    fn start(&mut self, s: &Stretch, first: &Sample<Point, Point>) -> ControlFlow<()> {
+        if s.is_instant() {
+            let at = vec![TInstant::new(self.within.at(first), first.0)];
+            self.seqs.push(
+                TSequence::new(at, true, true, Interp::Step)
+                    .expect("singleton"),
+            );
+        }
+        ControlFlow::Continue(())
+    }
+
+    #[inline(always)]
+    fn step(
+        &mut self,
+        _: &Stretch,
+        from: &Sample<Point, Point>,
+        to: &Sample<Point, Point>,
+    ) -> ControlFlow<()> {
+        self.true_spans.extend(self.within.during(from, to));
+        ControlFlow::Continue(())
+    }
+
+    fn end(&mut self, s: &Stretch) -> ControlFlow<()> {
+        if !s.is_instant() {
+            let spans = std::mem::take(&mut self.true_spans);
+            self.seqs.extend(spatial_tbool_from_intervals(&s.period, spans));
+        }
         ControlFlow::Continue(())
     }
 }
 
-/// What [`walk_dwithin`] reports, stretch by stretch.
-enum Within {
-    /// A stretch of one instant, and whether the points are within the
-    /// distance there.
-    Instant(TimestampTz, bool),
-    /// The points are `within` the distance over this closed span of a
-    /// longer `stretch` (one per synchronized segment, possibly reaching
-    /// beyond the stretch's open bounds).
-    Span { within: TstzSpan, stretch: TstzSpan },
-    /// A longer stretch ends; its `Span`s came before.
-    Close(TstzSpan),
+/// Collects the times two moving points are within the distance, each
+/// span clipped to its stretch; with `first`, stops at the first one.
+struct WhenWithin {
+    within: WithinDistance,
+    spans: Vec<TstzSpan>,
+    first: bool,
 }
 
-/// Walk the stretches of time where both `a` and `b` are defined — the
-/// stretches [`synchronize`] samples, in the same order, with the same
-/// samples — reporting where they are within `d` of each other. Each
-/// operand's instants are merged in place, with no sample list. A pair
-/// of synchronized segments whose boxes are farther apart than `d`, by
-/// more than the solver's rounding could bridge, is skipped unsolved.
-fn walk_dwithin(
-    a: &TGeomPoint,
-    b: &TGeomPoint,
-    d: f64,
-    f: &mut impl FnMut(Within) -> ControlFlow<()>,
-) -> ControlFlow<()> {
-    let m = a.temp.magnitude().max(b.temp.magnitude());
-    // The rounding of the quadratic's roots grows as m²/d near tangency.
-    let slack = if d > 0.0 { 1e-12 * (m + m * m / d) } else { f64::INFINITY };
-    let reach = if slack.is_finite() { d + slack } else { f64::INFINITY };
-    let (sas, sbs) = (a.temp.as_sequences(), b.temp.as_sequences());
-    let instant = |t: TimestampTz, pa: Point, pb: Point| Within::Instant(t, pa.distance(&pb) <= d);
-    if sas.iter().any(|s| s.interp == Interp::Discrete) {
-        // Only shared instants are defined; a discrete value is one sequence.
-        for sb in sbs.iter() {
-            for ia in sas[0].instants() {
-                if let Some(pb) = sb.value_at(ia.t) {
-                    f(instant(ia.t, ia.value, pb))?;
-                }
-            }
-        }
-        return ControlFlow::Continue(());
+impl WhenWithin {
+    fn new(a: &TGeomPoint, b: &TGeomPoint, d: f64, first: bool) -> Self {
+        WhenWithin { within: WithinDistance::new(a, b, d), spans: Vec::new(), first }
     }
-    if sbs.iter().any(|s| s.interp == Interp::Discrete) {
-        for sa in sas.iter() {
-            for ib in sbs[0].instants() {
-                if let Some(pa) = sa.value_at(ib.t) {
-                    f(instant(ib.t, pa, ib.value))?;
-                }
-            }
-        }
-        return ControlFlow::Continue(());
+
+    fn found(&mut self, span: TstzSpan) -> ControlFlow<()> {
+        self.spans.push(span);
+        stop_if(self.first)
     }
-    // Both continuous: intersect the two ordered, disjoint sequence lists.
-    let (mut i, mut j) = (0, 0);
-    while let (Some(sa), Some(sb)) = (sas.get(i), sbs.get(j)) {
-        let (pa, pb) = (sa.period(), sb.period());
-        if let Some(ix) = pa.intersection(&pb) {
-            if ix.lower == ix.upper {
-                let t = ix.lower;
-                f(instant(t, sa.interpolate_raw(t), sb.interpolate_raw(t)))?;
-            } else {
-                walk_segments(sa, sb, &ix, &mut |(t0, a0, b0), (t1, a1, b1)| {
-                    if segment_rect(a0, a1).distance(&segment_rect(b0, b1)) > reach {
-                        return ControlFlow::Continue(());
-                    }
-                    let c = a0 - b0;
-                    let v = (a1 - a0) - (b1 - b0);
-                    let Some((u0, u1)) = solve_within(c, v, d) else {
-                        return ControlFlow::Continue(());
-                    };
-                    let at = |u: f64| TimestampTz(t0.0 + ((t1.0 - t0.0) as f64 * u).round() as i64);
-                    match TstzSpan::new(at(u0), at(u1), true, true) {
-                        Ok(within) => f(Within::Span { within, stretch: ix }),
-                        Err(_) => ControlFlow::Continue(()),
-                    }
-                })?;
-                f(Within::Close(ix))?;
-            }
-        }
-        // Move past whichever sequence ends first.
-        let a_first = match pa.upper.cmp(&pb.upper) {
-            std::cmp::Ordering::Less => true,
-            std::cmp::Ordering::Greater => false,
-            std::cmp::Ordering::Equal => !pa.upper_inc || pb.upper_inc,
-        };
-        if a_first {
-            i += 1;
-        } else {
-            j += 1;
-        }
-    }
-    ControlFlow::Continue(())
 }
 
-/// Visit each pair of consecutive samples `(t, a(t), b(t))` of two
-/// continuous sequences over their intersection `ix` (longer than an
-/// instant): its bounds and every instant of either strictly inside it,
-/// in time order. Each operand's position at a sample comes from the
-/// instant at it, else from the two around it.
-fn walk_segments(
-    sa: &TSequence<Point>,
-    sb: &TSequence<Point>,
-    ix: &TstzSpan,
-    f: &mut impl FnMut(Sample, Sample) -> ControlFlow<()>,
-) -> ControlFlow<()> {
-    let (ia, ib) = (sa.instants(), sb.instants());
-    // The first instant of each at or after the current sample.
-    let first_at = |instants: &[TInstant<Point>]| instants.partition_point(|x| x.t < ix.lower);
-    let (mut i, mut j) = (first_at(ia), first_at(ib));
-    let mut t = ix.lower;
-    let mut prev = (t, sa.interpolate_at(i, t), sb.interpolate_at(j, t));
-    while t < ix.upper {
-        while ia[i].t <= t {
-            i += 1;
+impl SyncVisitor<Point, Point> for WhenWithin {
+    fn start(&mut self, s: &Stretch, first: &Sample<Point, Point>) -> ControlFlow<()> {
+        if s.is_instant() && self.within.at(first) {
+            return self.found(TstzSpan::singleton(first.0));
         }
-        while ib[j].t <= t {
-            j += 1;
-        }
-        t = ia[i].t.min(ib[j].t).min(ix.upper);
-        let next = (t, sa.interpolate_at(i, t), sb.interpolate_at(j, t));
-        f(prev, next)?;
-        prev = next;
+        ControlFlow::Continue(())
     }
-    ControlFlow::Continue(())
-}
 
-/// One synchronized sample: a time and both positions.
-type Sample = (TimestampTz, Point, Point);
+    #[inline(always)]
+    fn step(
+        &mut self,
+        s: &Stretch,
+        from: &Sample<Point, Point>,
+        to: &Sample<Point, Point>,
+    ) -> ControlFlow<()> {
+        match self.within.during(from, to).and_then(|w| w.intersection(&s.period)) {
+            Some(span) => self.found(span),
+            None => ControlFlow::Continue(()),
+        }
+    }
+}
 
 /// Is the straight move `a`→`b` covered by `g` all along: do the stretches
 /// of it inside `g`'s polygons ([`clip_segment_to_rings`]) and along its
@@ -804,119 +702,72 @@ impl<'a> During<'a> {
         total
     }
 
-    /// `eIntersects(atTime(x, p), g)`: equal to `intersects` of the
-    /// trajectory of the positions (the feature rules of
-    /// `TrajectoryFeatures`) with `g`, in one pass over the positions.
-    ///
-    /// - The box of every position is the cached extent, grown by the few
-    ///   ulps by which the positions the windows interpolate at their
-    ///   bounds may round outside it; a `g` whose box it misses is not met.
-    /// - The slack comes from the cached magnitude, so it is never below
-    ///   the slack `intersects` computes over the same operands, and every
-    ///   vertex or segment whose box lies beyond it of `g`'s box is
-    ///   skipped ([`Near`]): it cannot be at distance 0 from any part of
-    ///   `g`.
-    /// - The tests are the ones `intersects`'s case analysis runs: one
-    ///   holding in either case ends the pass (when the part that met `g`
-    ///   lies in `g`'s box); a bare position meeting a vertex of a `g` with
-    ///   segments counts only when the path turns out to have no segments.
-    /// - A hit counts only when the exact box of the positions meets
-    ///   `g`'s box, as `intersects` requires; that box is walked only when
-    ///   the pass ends with such a hit.
+    /// `eIntersects(atTime(x, p), g)`: `intersects` of the trajectory of
+    /// the positions with `g`, read from the windows without building
+    /// either ([`Target::intersects`] over the features below).
     pub fn eintersects(&self, g: &Geometry) -> bool {
-        let Some(target) = Target::new(g) else {
-            return false; // an empty geometry intersects nothing
-        };
-        let rb = target.rect();
-        // A position interpolated between two others rounds to within
-        // 2.5 ulps of their magnitude outside their box.
-        let m = self.positions.magnitude() * (1.0 + 4.0 * f64::EPSILON);
-        if !self.positions.extent().expand_by(4.0 * f64::EPSILON * m).intersects(&rb) {
-            return false;
-        }
-        let slack = algorithms::slack_for(m.max(target.magnitude()));
-        let near = Near::new(rb, slack);
-        let g_lines = target.has_segments();
-        // The path has a segment: a linear window that moves.
-        let mut lines = false;
-        // A hit outside `g`'s box (it counts if the exact box meets it).
-        let mut found = false;
-        // A bare position at a vertex of `g`, which has segments: a hit
-        // only when the path has none.
-        let mut found_without_lines = false;
-        let hit = |at: Rect, found: &mut bool| {
-            *found = true;
-            at.intersects(&rb)
-        };
-        // The tests of a bare position (one that ends no segment), with
-        // its code against `near`.
-        let bare = |p: Point, code: u8, found: &mut bool, found_without_lines: &mut bool| {
-            if !g_lines || code != 0 {
-                return false;
-            }
-            if target.segment_at(p) {
-                return hit(Rect::from_point(p), found);
-            }
-            *found_without_lines |= target.vertex_at(p);
-            false
-        };
+        Target::new(g).is_some_and(|target| target.intersects(self))
+    }
+}
+
+/// The features of the trajectory of the positions (what
+/// [`TGeomPoint::trajectory`] builds from them), read from the windows. A
+/// linear window of two or more instants is a line through its positions,
+/// a position repeated by the next instant dropped; a line that never
+/// moves is a bare point, and so is every position of any other window.
+impl Features for During<'_> {
+    fn visit_polygons<F: FnMut(&[Vec<Point>]) -> ControlFlow<()>>(
+        &self,
+        _f: &mut F,
+    ) -> ControlFlow<()> {
+        ControlFlow::Continue(())
+    }
+
+    fn visit_features(&self, sink: &mut impl FeatureSink) -> ControlFlow<()> {
         for w in self.windows() {
-            let line = w.is_line();
-            let (mut first, mut prev, mut moved) = (None, None, false);
-            let flow = w.try_for_each(|i| {
+            let instants = w.instants();
+            if !w.is_line() {
+                for i in instants {
+                    sink.feature(Feature::Vertex(i.value))?;
+                    sink.feature(Feature::Bare(i.value))?;
+                }
+                continue;
+            }
+            let (mut prev, mut moved): (Option<Point>, bool) = (None, false);
+            for i in instants {
                 let p = i.value;
-                let code = near.code(p);
-                let met = target.covers(p, code != 0)
-                    || (!g_lines && code == 0 && target.vertex_at(p));
-                if met && hit(Rect::from_point(p), &mut found) {
-                    return ControlFlow::Break(());
+                match prev.replace(p) {
+                    None => sink.feature(Feature::Vertex(p))?,
+                    Some(q) if q == p => {}
+                    Some(q) => {
+                        moved = true;
+                        sink.feature(Feature::Vertex(p))?;
+                        sink.feature(Feature::Segment(q, p))?;
+                    }
                 }
-                if !line {
-                    return stop_if(bare(p, code, &mut found, &mut found_without_lines));
-                }
-                // A line's vertices: each repeat of the previous one dropped.
-                let Some((q, q_code)) = prev.replace((p, code)) else {
-                    first = Some((p, code));
-                    return ControlFlow::Continue(());
-                };
-                if q == p {
-                    return ControlFlow::Continue(());
-                }
-                (lines, moved) = (true, true);
-                if q_code & code != 0 {
-                    return ControlFlow::Continue(()); // the segment lies beyond `near`
-                }
-                let met = if g_lines {
-                    target.segment_meets(q, p, slack) || target.bare_point_on(q, p)
-                } else {
-                    target.vertex_on(q, p)
-                };
-                stop_if(met && hit(segment_rect(q, p), &mut found))
-            });
-            if flow.is_break() {
-                return true;
             }
             // A line that never moves is a bare point.
-            if let (false, Some((p, code))) = (moved, first) {
-                if bare(p, code, &mut found, &mut found_without_lines) {
-                    return true;
-                }
+            if let (Some(p), false) = (prev, moved) {
+                sink.feature(Feature::Bare(p))?;
             }
         }
-        if !(found || (!lines && found_without_lines)) {
-            return false;
-        }
-        // The exact box of the positions, built as `features_rect` does.
-        let mut rect: Option<Rect> = None;
-        for w in self.windows() {
-            for i in w.instants() {
-                match &mut rect {
-                    None => rect = Some(Rect::from_point(i.value)),
-                    Some(r) => r.expand_to(i.value),
-                }
+        ControlFlow::Continue(())
+    }
+
+    /// The cached box of every position: exact for all of them; for a
+    /// window, grown by the few ulps by which the positions it
+    /// interpolates at its bounds may round outside it.
+    fn bound(&self) -> Option<(Rect, bool)> {
+        let extent = self.positions.extent();
+        match self.period {
+            None => Some((extent, true)),
+            Some(_) => {
+                // A position interpolated between two others rounds to
+                // within 2.5 ulps of their magnitude outside their box.
+                let m = self.positions.magnitude() * (1.0 + 4.0 * f64::EPSILON);
+                Some((extent.expand_by(4.0 * f64::EPSILON * m), false))
             }
         }
-        rect.is_some_and(|r| r.intersects(&rb))
     }
 }
 

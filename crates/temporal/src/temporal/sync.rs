@@ -2,6 +2,8 @@
 //! machinery beneath every binary temporal operator (`tDwithin`,
 //! `tdistance`, temporal comparisons, `tand`/`tor`).
 
+use std::ops::ControlFlow;
+
 use crate::span::TstzSpan;
 use crate::temporal::{Interp, TSequence, TValue, Temporal};
 use crate::time::TimestampTz;
@@ -33,7 +35,8 @@ impl<A: TValue, B: TValue> SyncedSeq<A, B> {
 }
 
 /// Synchronize two temporal values. Returns one [`SyncedSeq`] per stretch
-/// of time where both are defined (empty when they never overlap).
+/// of time where both are defined (empty when they never overlap): the
+/// stretches [`walk_synced`] visits, in time order.
 ///
 /// Discrete operands contribute degenerate single-sample stretches at the
 /// instants where the other operand is also defined.
@@ -41,83 +44,193 @@ pub fn synchronize<A: TValue, B: TValue>(
     a: &Temporal<A>,
     b: &Temporal<B>,
 ) -> Vec<SyncedSeq<A, B>> {
-    let mut out = Vec::new();
-    let bs = b.as_sequences();
-    for sa in a.as_sequences().iter() {
-        for sb in bs.iter() {
-            sync_pair(sa, sb, &mut out);
-        }
-    }
-    out.sort_by_key(|s| s.samples[0].0);
-    out
+    let mut collect = Collect(Vec::new());
+    let _ = walk_synced(a, b, &mut collect);
+    collect.0
 }
 
-fn sync_pair<A: TValue, B: TValue>(
-    sa: &TSequence<A>,
-    sb: &TSequence<B>,
-    out: &mut Vec<SyncedSeq<A, B>>,
-) {
-    // Discrete operands: only shared instants are defined.
-    if sa.interp == Interp::Discrete {
-        for ia in sa.instants() {
-            let Some(vb) = sb.value_at(ia.t) else { continue };
-            out.push(SyncedSeq {
-                lower_inc: true,
-                upper_inc: true,
-                interp_a: Interp::Discrete,
-                interp_b: Interp::Discrete,
-                samples: vec![(ia.t, ia.value.clone(), vb)],
-            });
-        }
-        return;
-    }
-    if sb.interp == Interp::Discrete {
-        // Only sb is discrete: sample sa at sb's instants.
-        for ib in sb.instants() {
-            let Some(va) = sa.value_at(ib.t) else { continue };
-            out.push(SyncedSeq {
-                lower_inc: true,
-                upper_inc: true,
-                interp_a: Interp::Discrete,
-                interp_b: Interp::Discrete,
-                samples: vec![(ib.t, va, ib.value.clone())],
-            });
-        }
-        return;
+/// Collects each stretch's samples into a [`SyncedSeq`].
+struct Collect<A: TValue, B: TValue>(Vec<SyncedSeq<A, B>>);
+
+impl<A: TValue, B: TValue> SyncVisitor<A, B> for Collect<A, B> {
+    fn start(&mut self, s: &Stretch, first: &Sample<A, B>) -> ControlFlow<()> {
+        self.0.push(SyncedSeq {
+            lower_inc: s.period.lower_inc,
+            upper_inc: s.period.upper_inc,
+            interp_a: s.interp_a,
+            interp_b: s.interp_b,
+            samples: vec![first.clone()],
+        });
+        ControlFlow::Continue(())
     }
 
-    let Some(ix) = sa.period().intersection(&sb.period()) else {
-        return;
+    fn step(&mut self, _: &Stretch, _: &Sample<A, B>, to: &Sample<A, B>) -> ControlFlow<()> {
+        if let Some(last) = self.0.last_mut() {
+            last.samples.push(to.clone());
+        }
+        ControlFlow::Continue(())
+    }
+}
+
+/// One synchronized sample: a time and both operands' values at it.
+pub type Sample<A, B> = (TimestampTz, A, B);
+
+/// A stretch of time where both operands are defined, as [`walk_synced`]
+/// visits it.
+#[derive(Debug, Clone, Copy)]
+pub struct Stretch {
+    /// One instant, or a longer span over which both operands are
+    /// continuous.
+    pub period: TstzSpan,
+    /// How each operand moves between samples (`Discrete` for both at an
+    /// instant a discrete operand shares with the other).
+    pub interp_a: Interp,
+    pub interp_b: Interp,
+}
+
+impl Stretch {
+    /// Is the stretch a single instant (one sample, no step)?
+    pub fn is_instant(&self) -> bool {
+        self.period.lower == self.period.upper
+    }
+}
+
+/// What [`walk_synced`] calls, stretch by stretch, in time order. Any
+/// call stops the walk by returning `Break`.
+///
+/// `step` runs once per synchronized segment, in the walk's inner loop.
+/// An implementation that does real work there should mark it, and what
+/// it calls per segment, `#[inline(always)]`: otherwise each segment pays
+/// a call with its samples in memory, which doubled the time of an
+/// `eDwithin` walk.
+pub trait SyncVisitor<A, B> {
+    /// A stretch begins at its first sample.
+    fn start(&mut self, _stretch: &Stretch, _first: &Sample<A, B>) -> ControlFlow<()> {
+        ControlFlow::Continue(())
+    }
+
+    /// The next sample `to` of the stretch after `from`: a synchronized
+    /// segment, over which each operand moves by its own interpolation.
+    fn step(
+        &mut self,
+        _stretch: &Stretch,
+        _from: &Sample<A, B>,
+        _to: &Sample<A, B>,
+    ) -> ControlFlow<()> {
+        ControlFlow::Continue(())
+    }
+
+    /// The stretch ends; its last sample came before.
+    fn end(&mut self, _stretch: &Stretch) -> ControlFlow<()> {
+        ControlFlow::Continue(())
+    }
+}
+
+/// Walk the stretches of time where both `a` and `b` are defined, sampled
+/// at the stretch bounds and at every instant of either operand strictly
+/// inside them, without collecting the samples. Stops at the first
+/// `Break` of `v`, and reports whether it did.
+///
+/// Continuous operands are merged sequence by sequence, each pair's
+/// instants in place. A discrete operand is defined only at its instants,
+/// so it gives a one-sample stretch at each of them where the other
+/// operand is defined.
+pub fn walk_synced<A: TValue, B: TValue>(
+    a: &Temporal<A>,
+    b: &Temporal<B>,
+    v: &mut impl SyncVisitor<A, B>,
+) -> ControlFlow<()> {
+    let (sas, sbs) = (a.as_sequences(), b.as_sequences());
+    // A discrete value is a single sequence.
+    if sas.iter().any(|s| s.interp == Interp::Discrete) {
+        for sb in sbs.iter() {
+            for ia in sas[0].instants() {
+                if let Some(vb) = sb.value_at(ia.t) {
+                    shared_instant(v, (ia.t, ia.value.clone(), vb))?;
+                }
+            }
+        }
+        return ControlFlow::Continue(());
+    }
+    if sbs.iter().any(|s| s.interp == Interp::Discrete) {
+        for sa in sas.iter() {
+            for ib in sbs[0].instants() {
+                if let Some(va) = sa.value_at(ib.t) {
+                    shared_instant(v, (ib.t, va, ib.value.clone()))?;
+                }
+            }
+        }
+        return ControlFlow::Continue(());
+    }
+    // Both continuous: intersect the two ordered, disjoint sequence lists.
+    let (mut i, mut j) = (0, 0);
+    while let (Some(sa), Some(sb)) = (sas.get(i), sbs.get(j)) {
+        let (pa, pb) = (sa.period(), sb.period());
+        if let Some(period) = pa.intersection(&pb) {
+            let stretch = Stretch { period, interp_a: sa.interp, interp_b: sb.interp };
+            walk_pair(sa, sb, &stretch, v)?;
+        }
+        // Move past whichever sequence ends first.
+        let a_first = match pa.upper.cmp(&pb.upper) {
+            std::cmp::Ordering::Less => true,
+            std::cmp::Ordering::Greater => false,
+            std::cmp::Ordering::Equal => !pa.upper_inc || pb.upper_inc,
+        };
+        if a_first {
+            i += 1;
+        } else {
+            j += 1;
+        }
+    }
+    ControlFlow::Continue(())
+}
+
+/// Report the one-sample stretch at an instant a discrete operand shares
+/// with the other.
+fn shared_instant<A: TValue, B: TValue>(
+    v: &mut impl SyncVisitor<A, B>,
+    sample: Sample<A, B>,
+) -> ControlFlow<()> {
+    let stretch = Stretch {
+        period: TstzSpan::singleton(sample.0),
+        interp_a: Interp::Discrete,
+        interp_b: Interp::Discrete,
     };
-    // Merged timeline: period bounds plus all interior instants of both.
-    let mut times: Vec<TimestampTz> = Vec::with_capacity(sa.num_instants() + sb.num_instants());
-    times.push(ix.lower);
-    for i in sa.instants() {
-        if i.t > ix.lower && i.t < ix.upper {
-            times.push(i.t);
+    v.start(&stretch, &sample)?;
+    v.end(&stretch)
+}
+
+/// Walk the stretch where continuous sequences `sa` and `sb` are both
+/// defined: its bounds and every instant of either strictly inside it, in
+/// time order. Each operand's value at a sample comes from the instant at
+/// it, else from the two around it.
+fn walk_pair<A: TValue, B: TValue>(
+    sa: &TSequence<A>,
+    sb: &TSequence<B>,
+    stretch: &Stretch,
+    v: &mut impl SyncVisitor<A, B>,
+) -> ControlFlow<()> {
+    let ix = &stretch.period;
+    let (ia, ib) = (sa.instants(), sb.instants());
+    // The first instant of each at or after the current sample.
+    let mut i = ia.partition_point(|x| x.t < ix.lower);
+    let mut j = ib.partition_point(|x| x.t < ix.lower);
+    let mut t = ix.lower;
+    let mut prev = (t, sa.interpolate_at(i, t), sb.interpolate_at(j, t));
+    v.start(stretch, &prev)?;
+    while t < ix.upper {
+        while ia[i].t <= t {
+            i += 1;
         }
-    }
-    for i in sb.instants() {
-        if i.t > ix.lower && i.t < ix.upper {
-            times.push(i.t);
+        while ib[j].t <= t {
+            j += 1;
         }
+        t = ia[i].t.min(ib[j].t).min(ix.upper);
+        let next = (t, sa.interpolate_at(i, t), sb.interpolate_at(j, t));
+        v.step(stretch, &prev, &next)?;
+        prev = next;
     }
-    if ix.upper > ix.lower {
-        times.push(ix.upper);
-    }
-    times.sort();
-    times.dedup();
-    let samples: Vec<(TimestampTz, A, B)> = times
-        .into_iter()
-        .map(|t| (t, sa.interpolate_raw(t), sb.interpolate_raw(t)))
-        .collect();
-    out.push(SyncedSeq {
-        lower_inc: ix.lower_inc,
-        upper_inc: ix.upper_inc,
-        interp_a: sa.interp,
-        interp_b: sb.interp,
-        samples,
-    });
+    v.end(stretch)
 }
 
 /// Lift a binary function over two synchronized temporals, producing a new

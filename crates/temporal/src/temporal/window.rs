@@ -3,8 +3,6 @@
 //! (`eIntersects` and `length` over a period) walk it without building
 //! anything.
 
-use std::ops::ControlFlow;
-
 use crate::span::TstzSpan;
 use crate::temporal::{Interp, TInstant, TSequence, TValue, Temporal};
 
@@ -70,35 +68,15 @@ impl<'a, V: TValue> Window<'a, V> {
         })
     }
 
-    /// The number of instants.
-    pub fn len(&self) -> usize {
+    /// The number of instants (at least one).
+    pub(crate) fn len(&self) -> usize {
         self.inner.len() + usize::from(self.head.is_some()) + usize::from(self.tail.is_some())
     }
 
-    /// Never true: a window holds at least one instant.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The instants in time order.
+    /// The instants in time order: the interpolated head, the instants in
+    /// place and the interpolated tail.
     pub fn instants(&self) -> impl Iterator<Item = &TInstant<V>> + '_ {
-        self.head.iter().chain(self.inner).chain(self.tail.iter())
-    }
-
-    /// Call `f` on each instant in time order, stopping at the first
-    /// `Break`: [`Window::instants`] without the chained iterator's
-    /// bookkeeping, for the kernels' hot loops.
-    pub fn try_for_each<B>(
-        &self,
-        mut f: impl FnMut(&TInstant<V>) -> ControlFlow<B>,
-    ) -> ControlFlow<B> {
-        if let Some(head) = &self.head {
-            f(head)?;
-        }
-        for i in self.inner {
-            f(i)?;
-        }
-        self.tail.as_ref().map_or(ControlFlow::Continue(()), f)
+        [self.head.as_slice(), self.inner, self.tail.as_slice()].into_iter().flatten()
     }
 
     /// Does the window draw a line: linear, over two or more instants?

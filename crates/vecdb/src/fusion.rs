@@ -4,9 +4,9 @@
 //! arguments, HAVING, projections, ORDER BY keys, CTE bodies, FROM and
 //! expression subqueries — before the join order is chosen. An extension
 //! registers the rules, as a DuckDB extension registers an optimizer
-//! extension; MobilityDuck's put single-pass kernels in place of
-//! compositions such as `ST_Intersects(trajectory(x), g)` (DESIGN.md §13,
-//! "Fusion rules").
+//! extension; MobilityDuck's put kernels that read the instants in place
+//! instead of compositions such as `ST_Intersects(trajectory(x), g)`
+//! (DESIGN.md §13, "Fusion rules").
 //!
 //! The row engine never applies the table: it runs the written forms, the
 //! oracle the fused ones are checked against.

@@ -1,5 +1,5 @@
 //! The fusion pass (DESIGN.md §13, "Fusion rules"): quackdb's planner
-//! puts single-pass kernels in place of the written compositions
+//! puts in-place kernels in place of the written compositions
 //! `ST_Intersects(trajectory(x), g)`, `eIntersects(atTime(x, p), g)`,
 //! `length(atTime(x, p))`, `whenTrue(tDwithin(a, b, d))` and
 //! `startTimestamp(atValues(x, g))`.

@@ -358,8 +358,9 @@ fn intersects_is_reference_distance_zero() {
 // ------------------------------------------------ kernel pins: eIntersects
 
 mod before {
-    //! A test-only copy of `features_intersect` as `eIntersects` ran it
-    //! over a trajectory before the single-pass kernel.
+    //! A test-only copy of `features_intersect`, the feature kernel
+    //! `ST_Intersects` and `eIntersects` (over the built trajectory) ran
+    //! before the kernel moved onto the prepared `Target`.
 
     use std::ops::ControlFlow;
 
@@ -514,6 +515,29 @@ fn gen_raw_geometry(rng: &mut StdRng, scale: u32) -> Geometry {
         _ => GeomData::GeometryCollection(vec![]),
     };
     wkb::from_wkb(&wkb::to_wkb(&Geometry { srid: 0, data })).unwrap()
+}
+
+/// `ST_Intersects` against the copy of the feature kernel, in both
+/// argument orders: preparing one operand and pruning against its box
+/// changes no answer, also for geometries only WKB can carry.
+#[test]
+fn intersects_matches_the_feature_kernel() {
+    let mut rng = StdRng::seed_from_u64(0x9e0_000a);
+    let mut met = 0;
+    for _ in 0..CASES * 8 {
+        let (a, mut b) = gen_kernel_pair(&mut rng);
+        if rng.random_range(0u32..5) == 0 {
+            let scale = rng.random_range(0u32..3);
+            b = gen_raw_geometry(&mut rng, scale);
+        }
+        for (x, y) in [(&a, &b), (&b, &a)] {
+            let want = before::features_intersect(x, y);
+            let ctx = || format!("{}\n{}", wkt::to_wkt(x, None), wkt::to_wkt(y, None));
+            assert_eq!(intersects(x, y), want, "\n{}", ctx());
+            met += usize::from(want);
+        }
+    }
+    assert!(met > CASES * 2, "{met} met");
 }
 
 /// `eIntersects`, with and without a period, against the copy of the

@@ -552,7 +552,9 @@ fn cached_box_matches_a_walk_over_the_instants() {
 // Each fused kernel is pinned bit for bit against a copy of the
 // composition it replaces, as that composition read before the kernels
 // were fused: `atTime` then `eIntersects` or `length`, `tDwithin` then
-// `whenTrue`, and `atValues` then `startTimestamp`.
+// `whenTrue`, and `atValues` then `startTimestamp`. The in-place merge
+// walk beneath `synchronize` is pinned against the pairwise
+// synchronization it replaced.
 
 mod before {
     //! Test-only copies of the compositions the fused kernels replace.
@@ -561,10 +563,80 @@ mod before {
     use mduck_temporal::span::TstzSpan;
     use mduck_temporal::spanset::TstzSpanSet;
     use mduck_temporal::temporal::{
-        synchronize, Interp, SolveCrossing, TBool, TGeomPoint, TInstant, TSequence, TValue,
+        Interp, SolveCrossing, SyncedSeq, TBool, TGeomPoint, TInstant, TSequence, TValue,
         Temporal,
     };
     use mduck_temporal::TimestampTz;
+
+    /// `synchronize(a, b)`: every pair of sequences synchronized on its
+    /// own, ordered by start.
+    pub fn synchronize<A: TValue, B: TValue>(
+        a: &Temporal<A>,
+        b: &Temporal<B>,
+    ) -> Vec<SyncedSeq<A, B>> {
+        let mut out = Vec::new();
+        let bs = b.as_sequences();
+        for sa in a.as_sequences().iter() {
+            for sb in bs.iter() {
+                sync_pair(sa, sb, &mut out);
+            }
+        }
+        out.sort_by_key(|s| s.samples[0].0);
+        out
+    }
+
+    fn sync_pair<A: TValue, B: TValue>(
+        sa: &TSequence<A>,
+        sb: &TSequence<B>,
+        out: &mut Vec<SyncedSeq<A, B>>,
+    ) {
+        let single = |t, va, vb| SyncedSeq {
+            lower_inc: true,
+            upper_inc: true,
+            interp_a: Interp::Discrete,
+            interp_b: Interp::Discrete,
+            samples: vec![(t, va, vb)],
+        };
+        if sa.interp == Interp::Discrete {
+            for ia in sa.instants() {
+                if let Some(vb) = sb.value_at(ia.t) {
+                    out.push(single(ia.t, ia.value.clone(), vb));
+                }
+            }
+            return;
+        }
+        if sb.interp == Interp::Discrete {
+            for ib in sb.instants() {
+                if let Some(va) = sa.value_at(ib.t) {
+                    out.push(single(ib.t, va, ib.value.clone()));
+                }
+            }
+            return;
+        }
+        let Some(ix) = sa.period().intersection(&sb.period()) else {
+            return;
+        };
+        let mut times: Vec<TimestampTz> = vec![ix.lower];
+        let inner = |t: &TimestampTz| *t > ix.lower && *t < ix.upper;
+        times.extend(sa.instants().iter().map(|i| i.t).filter(inner));
+        times.extend(sb.instants().iter().map(|i| i.t).filter(inner));
+        if ix.upper > ix.lower {
+            times.push(ix.upper);
+        }
+        times.sort();
+        times.dedup();
+        let samples = times
+            .into_iter()
+            .map(|t| (t, interpolate_raw(sa, t), interpolate_raw(sb, t)))
+            .collect();
+        out.push(SyncedSeq {
+            lower_inc: ix.lower_inc,
+            upper_inc: ix.upper_inc,
+            interp_a: sa.interp,
+            interp_b: sb.interp,
+            samples,
+        });
+    }
 
     fn interpolate_raw<V: TValue>(s: &TSequence<V>, t: TimestampTz) -> V {
         match s.instants().binary_search_by(|i| i.t.cmp(&t)) {
@@ -912,6 +984,38 @@ fn tdwithin_when_true_and_edwithin_match_the_synchronized_composition() {
         trues += usize::from(ever);
     }
     assert!(some > CASES * 2 && trues > CASES, "{some} defined, {trues} ever true");
+}
+
+#[test]
+fn synchronize_matches_the_pairwise_synchronization() {
+    use mduck_temporal::temporal::synchronize;
+    let bits = |p: &mduck_geo::Point| (p.x.to_bits(), p.y.to_bits());
+    let mut rng = StdRng::seed_from_u64(0x5ea_0010);
+    let (mut stretches, mut instants) = (0, 0);
+    for _ in 0..CASES * 8 {
+        let grid = rng.random_bool(0.7);
+        let a = gen_fused_trip(&mut rng, grid, 0);
+        let from = rng.random_range(0i64..10);
+        let b = gen_fused_trip(&mut rng, grid, from);
+        let (got, want) = (synchronize(&a.temp, &b.temp), before::synchronize(&a.temp, &b.temp));
+        let ctx = || format!("{} vs {}", a.as_text(), b.as_text());
+        assert_eq!(got.len(), want.len(), "{}", ctx());
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(
+                (g.lower_inc, g.upper_inc, g.interp_a, g.interp_b),
+                (w.lower_inc, w.upper_inc, w.interp_a, w.interp_b),
+                "{}",
+                ctx()
+            );
+            let samples = |s: &[(TimestampTz, mduck_geo::Point, mduck_geo::Point)]| {
+                s.iter().map(|(t, pa, pb)| (*t, bits(pa), bits(pb))).collect::<Vec<_>>()
+            };
+            assert_eq!(samples(&g.samples), samples(&w.samples), "{}", ctx());
+            instants += usize::from(g.samples.len() == 1);
+        }
+        stretches += got.len();
+    }
+    assert!(stretches > CASES * 4 && instants > CASES, "{stretches} stretches, {instants} instants");
 }
 
 #[test]
