@@ -443,7 +443,7 @@ impl<'a> Target<'a> {
     /// vertex of the other, or else a pair of features is at distance 0 —
     /// vertex–vertex when neither has segments; each vertex of a
     /// segment-less operand against the other's segments and vertices;
-    /// else segment–segment and bare point–segment.
+    /// else segment–segment, bare point–segment and bare point–bare point.
     ///
     /// The features of `a` are read in one [`Features::visit_features`]
     /// pass, which stops at the first such pair. Every vertex or segment
@@ -498,8 +498,16 @@ impl<'a> Target<'a> {
             }
             Feature::Segment(p, q) if g_lines => self.segment_meets(p, q, slack),
             Feature::Segment(p, q) => self.vertex_on(p, q),
-            Feature::Bare(p) => self.segment_at(p),
+            Feature::Bare(p) => {
+                self.segment_at(p)?;
+                self.bare_point_at(p)
+            }
         }
+    }
+
+    /// Break when `p` is at distance 0 from a bare point.
+    fn bare_point_at(&self, p: Point) -> ControlFlow<()> {
+        self.geom.visit_bare_points(&mut |q| stop_if(p.distance(&q) == 0.0))
     }
 
     /// Does a polygon cover `p` ([`point_in_rings`])? A point whose `code`
@@ -628,8 +636,9 @@ pub fn distance(a: &Geometry, b: &Geometry) -> f64 {
 /// It is 0 when a vertex of one operand lies in a polygon of the other.
 /// Otherwise it is a minimum over feature pairs: vertex–vertex when
 /// neither operand has segments; each vertex of a segment-less operand
-/// against the other's segments and vertices; else segment–segment and
-/// bare point–segment. Where both operands have segments, a
+/// against the other's segments and vertices; else segment–segment, bare
+/// point–segment and bare point–bare point. Where both operands have
+/// segments, a
 /// branch-and-bound over boxes of runs of `RUN` consecutive segments
 /// skips run pairs whose box distance exceeds the best distance so far
 /// (plus a slack, see `BOX_SLACK`), so the result equals the exhaustive
@@ -680,7 +689,8 @@ fn points_to_features(a: &impl Features, b: &impl Features) -> f64 {
 ///
 /// Vertices that end a segment need no pass of their own:
 /// [`segment_segment_distance`] already takes the minimum over the same
-/// point-to-segment expressions. Only bare points are compared separately.
+/// point-to-segment expressions. Only bare points are compared separately,
+/// against the other's segments and bare points.
 fn segments_distance(a: &impl Features, b: &impl Features) -> f64 {
     let slack = box_slack(a, b);
     let (a_segs, b_segs) = (collect_segments(a), collect_segments(b));
@@ -711,7 +721,14 @@ fn segments_distance(a: &impl Features, b: &impl Features) -> f64 {
         }
     }
     best = bare_points_distance(a, &b_segs, &b_runs, best, slack);
-    bare_points_distance(b, &a_segs, &a_runs, best, slack)
+    best = bare_points_distance(b, &a_segs, &a_runs, best, slack);
+    let _ = a.visit_bare_points(&mut |p| {
+        b.visit_bare_points(&mut |q| {
+            best = best.min(p.distance(&q));
+            ControlFlow::Continue(())
+        })
+    });
+    best
 }
 
 /// `best` lowered by the distance from each bare point of `a` to `segs`,

@@ -290,6 +290,8 @@ define_metrics! {
         wal_records_replayed,
         wal_torn_tails,
         wal_failpoint_trips,
+        plan_cache_hits,
+        plan_cache_misses,
     }
     gauges {
         active_queries,

@@ -33,7 +33,7 @@ static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 #[derive(Debug)]
 pub struct QueryProgress {
     id: u64,
-    sql: String,
+    sql: Arc<str>,
     total: AtomicU64,
     done: AtomicU64,
     /// Monotone floor of the reported fraction, in millionths.
@@ -45,7 +45,7 @@ pub struct QueryProgress {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProgressSnapshot {
     pub id: u64,
-    pub sql: String,
+    pub sql: Arc<str>,
     pub units_done: u64,
     pub units_total: u64,
     pub fraction: f64,
@@ -53,11 +53,12 @@ pub struct ProgressSnapshot {
 }
 
 impl QueryProgress {
-    /// Register a new in-flight statement.
-    pub fn begin(sql: &str) -> Arc<QueryProgress> {
+    /// Register a new in-flight statement; `sql` is shared, not copied
+    /// (the query log keeps the same text).
+    pub fn begin(sql: impl Into<Arc<str>>) -> Arc<QueryProgress> {
         let p = Arc::new(QueryProgress {
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
-            sql: sql.to_string(),
+            sql: sql.into(),
             total: AtomicU64::new(0),
             done: AtomicU64::new(0),
             floor: AtomicU64::new(0),
@@ -221,7 +222,7 @@ mod tests {
         reset_progress();
         let held = QueryProgress::begin("SELECT held");
         for i in 0..FINISHED_RETAINED + 20 {
-            QueryProgress::begin(&format!("SELECT {i}")).finish();
+            QueryProgress::begin(format!("SELECT {i}")).finish();
         }
         let snap = progress_snapshot();
         assert!(snap.len() <= FINISHED_RETAINED + 1);

@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use mduck_sync::Mutex;
 
@@ -36,7 +36,7 @@ pub struct QueryLogRecord {
     pub id: u64,
     /// `"vecdb"` or `"rowdb"`.
     pub engine: &'static str,
-    pub sql: String,
+    pub sql: Arc<str>,
     pub duration_us: u64,
     pub rows_returned: u64,
     pub rows_scanned: u64,
@@ -248,7 +248,7 @@ mod tests {
         QueryLogRecord {
             id,
             engine: "vecdb",
-            sql: sql.to_string(),
+            sql: sql.into(),
             duration_us: 1234,
             rows_returned: 10,
             rows_scanned: 100,

@@ -10,11 +10,17 @@
 //! Timestamps are microseconds since the first span of the process (a
 //! stable monotonic epoch), so records from different threads order
 //! correctly without wall-clock reads.
+//!
+//! Recording is cheap enough for every statement: a span's name is
+//! usually a `&'static str` (no allocation), its thread's label is
+//! formatted once per thread, and the record is complete before the ring's
+//! lock is taken, which is held only to push it.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use mduck_sync::Mutex;
@@ -32,14 +38,14 @@ pub struct SpanRecord {
     pub id: u64,
     /// Id of the enclosing span on the same thread, if any.
     pub parent: Option<u64>,
-    pub name: String,
+    pub name: Cow<'static, str>,
     /// Nesting depth on its thread at creation (roots are 0).
     pub depth: u32,
     /// Start offset in microseconds since the process span epoch.
     pub start_us: u64,
     pub duration_us: u64,
     /// Debug rendering of the originating thread id.
-    pub thread: String,
+    pub thread: Arc<str>,
 }
 
 fn epoch() -> Instant {
@@ -56,6 +62,8 @@ static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
     static STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+    /// The thread's label in its records, formatted once.
+    static THREAD: Arc<str> = format!("{:?}", std::thread::current().id()).into();
 }
 
 /// An in-flight span; finishes (and exports itself) on drop.
@@ -63,7 +71,7 @@ thread_local! {
 pub struct Span {
     id: u64,
     parent: Option<u64>,
-    name: String,
+    name: Cow<'static, str>,
     depth: u32,
     start: Instant,
     start_us: u64,
@@ -77,7 +85,7 @@ impl Span {
 
 /// Open a span as a child of the thread's current innermost span.
 #[must_use = "a span measures the scope it is bound to; dropping it immediately records nothing useful"]
-pub fn span(name: impl Into<String>) -> Span {
+pub fn span(name: impl Into<Cow<'static, str>>) -> Span {
     open(name.into(), None)
 }
 
@@ -86,7 +94,7 @@ pub fn span(name: impl Into<String>) -> Span {
 /// not cross `std::thread::scope`). The span still joins the *calling*
 /// thread's stack so its own children nest normally.
 #[must_use = "a span measures the scope it is bound to; dropping it immediately records nothing useful"]
-pub fn span_with_parent(name: impl Into<String>, parent: Option<u64>) -> Span {
+pub fn span_with_parent(name: impl Into<Cow<'static, str>>, parent: Option<u64>) -> Span {
     open(name.into(), parent)
 }
 
@@ -96,7 +104,7 @@ pub fn current_span_id() -> Option<u64> {
     STACK.with(|s| s.borrow().last().copied())
 }
 
-fn open(name: String, explicit_parent: Option<u64>) -> Span {
+fn open(name: Cow<'static, str>, explicit_parent: Option<u64>) -> Span {
     let start = Instant::now();
     let start_us = start.duration_since(epoch()).as_micros() as u64;
     let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
@@ -126,7 +134,7 @@ impl Drop for Span {
             depth: self.depth,
             start_us: self.start_us,
             duration_us: self.start.elapsed().as_micros() as u64,
-            thread: format!("{:?}", std::thread::current().id()),
+            thread: THREAD.with(Arc::clone),
         };
         let mut ring = ring().lock();
         if ring.len() >= SPAN_BUFFER_CAP {

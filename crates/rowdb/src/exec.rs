@@ -24,7 +24,7 @@ use mduck_obs::QueryProgress;
 use mduck_sql::eval::{eval, OuterStack, SubqueryExec};
 use mduck_sql::index::probe_column;
 use mduck_sql::introspect::Introspection;
-use mduck_sql::plan::{index_pattern, series, JoinConjuncts, RowTail};
+use mduck_sql::plan::{index_literal, series, JoinConjuncts, RowTail};
 use mduck_sql::{BoundExpr, BoundFrom, BoundSelect, ExecGuard, Registry, SqlError, SqlResult, Value};
 
 use crate::catalog::RowCatalog;
@@ -160,7 +160,7 @@ fn plan_rows(ctx: &RowCtx<'_>, plan: &BoundSelect) -> SqlResult<RowPlan> {
                 let t = ctx.catalog.get(name)?;
                 let t = t.read();
                 let probe = filters.iter().enumerate().find_map(|(pos, c)| {
-                    let (col, op, constant) = index_pattern(c)?;
+                    let (col, op, constant) = index_literal(c)?;
                     let indexed = t.indexes.iter().any(|i| i.column() == col);
                     indexed.then(|| (pos, col, op.to_string(), constant.clone()))
                 });

@@ -153,12 +153,34 @@ pub enum TableRef {
     },
 }
 
+/// A literal's slot in a statement template
+/// ([`crate::template::Slots`]), holding the value it has in the
+/// statement the template is parsed from. Slots compare by that value, as
+/// the literals they stand for do, so expressions match (GROUP BY keys,
+/// ORDER BY items) exactly where the written statement's would.
+#[derive(Debug, Clone)]
+pub struct Slot {
+    pub index: usize,
+    pub value: Value,
+}
+
+impl PartialEq for Slot {
+    fn eq(&self, other: &Slot) -> bool {
+        self.value == other.value
+    }
+}
+
 /// Scalar expressions.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     Literal(Value),
+    /// A literal (or `$n` placeholder) of a statement parsed as a template.
+    Param(Slot),
     /// `tstzspan '[2025-01-01, 2025-01-02]'`, `interval '1 day'`, ...
     TypedLiteral { type_name: String, text: String },
+    /// A typed literal of a statement parsed as a template: its text is
+    /// the slot's.
+    TypedParam { type_name: String, slot: Slot },
     /// A (possibly qualified) column reference.
     Column { table: Option<String>, name: String },
     Unary { op: UnaryOp, expr: Box<Expr> },
@@ -182,6 +204,73 @@ pub enum Expr {
         branches: Vec<(Expr, Expr)>,
         else_expr: Option<Box<Expr>>,
     },
+}
+
+impl Expr {
+    /// Visit the template slot of every literal in `self`, subquery
+    /// bodies included.
+    pub fn for_each_slot(&self, f: &mut impl FnMut(usize)) {
+        match self {
+            Expr::Param(slot) | Expr::TypedParam { slot, .. } => f(slot.index),
+            Expr::Literal(_) | Expr::TypedLiteral { .. } | Expr::Column { .. } | Expr::CountStar => {}
+            Expr::Unary { expr, .. } | Expr::Cast { expr, .. } | Expr::IsNull { expr, .. } => {
+                expr.for_each_slot(f)
+            }
+            Expr::Binary { left, right, .. } | Expr::CustomOp { left, right, .. } => {
+                left.for_each_slot(f);
+                right.for_each_slot(f);
+            }
+            Expr::Func { args, .. } => args.iter().for_each(|a| a.for_each_slot(f)),
+            Expr::InList { expr, list, .. } => {
+                expr.for_each_slot(f);
+                list.iter().for_each(|a| a.for_each_slot(f));
+            }
+            Expr::Subquery(q) | Expr::Exists { query: q, .. } => q.for_each_slot(f),
+            Expr::Quantified { left, query, .. } => {
+                left.for_each_slot(f);
+                query.for_each_slot(f);
+            }
+            Expr::Case { operand, branches, else_expr } => {
+                for e in operand.iter().chain(else_expr) {
+                    e.for_each_slot(f);
+                }
+                for (c, v) in branches {
+                    c.for_each_slot(f);
+                    v.for_each_slot(f);
+                }
+            }
+        }
+    }
+}
+
+impl SelectStmt {
+    /// Visit the template slot of every literal in the statement's
+    /// expressions (LIMIT and OFFSET are read as structure by the parser).
+    pub fn for_each_slot(&self, f: &mut impl FnMut(usize)) {
+        fn table(t: &TableRef, f: &mut impl FnMut(usize)) {
+            match t {
+                TableRef::Table { .. } => {}
+                TableRef::Subquery { query, .. } => query.for_each_slot(f),
+                TableRef::Function { args, .. } => args.iter().for_each(|a| a.for_each_slot(f)),
+                TableRef::Join { left, right, on } => {
+                    table(left, f);
+                    table(right, f);
+                    on.for_each_slot(f);
+                }
+            }
+        }
+        for c in &self.ctes {
+            c.query.for_each_slot(f);
+        }
+        for p in &self.projections {
+            if let SelectItem::Expr { expr, .. } = p {
+                expr.for_each_slot(f);
+            }
+        }
+        self.from.iter().for_each(|t| table(t, f));
+        let exprs = self.where_clause.iter().chain(&self.group_by).chain(&self.having);
+        exprs.chain(self.order_by.iter().map(|o| &o.expr)).for_each(|e| e.for_each_slot(f));
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

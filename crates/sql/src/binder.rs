@@ -4,16 +4,15 @@
 
 use std::sync::Arc;
 
-use crate::ast::{
-    BinaryOp, Cte, Expr, SelectItem, SelectStmt, TableRef, UnaryOp,
-};
+use crate::ast::{BinaryOp, Cte, Expr, SelectItem, SelectStmt, Slot, TableRef, UnaryOp};
 use crate::bound::{
     BoundAggregate, BoundCte, BoundExpr, BoundFrom, BoundOrder, BoundSelect, Catalog, Field,
     Schema, SortKey,
 };
 use crate::error::{SqlError, SqlResult};
 use crate::introspect::Introspection;
-use crate::registry::Registry;
+use crate::registry::{Registry, ScalarFn};
+use crate::template::Slots;
 use crate::value::{LogicalType, Value};
 
 /// Visible CTE during binding.
@@ -34,6 +33,8 @@ pub struct Binder<'a> {
     outer: Vec<Schema>,
     /// ON conditions collected while flattening explicit JOINs.
     pending_join_filters: Vec<Expr>,
+    /// The template's slots, when binding one ([`Binder::templated`]).
+    slots: Option<&'a mut Slots>,
 }
 
 impl<'a> Binder<'a> {
@@ -45,7 +46,30 @@ impl<'a> Binder<'a> {
             next_cte: 0,
             outer: Vec::new(),
             pending_join_filters: Vec::new(),
+            slots: None,
         }
+    }
+
+    /// A binder for a statement parsed as a template
+    /// ([`crate::parse_template`]): each literal's slot binds as a
+    /// [`BoundExpr::Param`], each fold over slots becomes a constant
+    /// slot, and each decision taken on a slot's value is recorded in
+    /// `slots` ([`crate::template`]).
+    pub fn templated(catalog: &'a dyn Catalog, registry: &'a Registry, slots: &'a mut Slots) -> Self {
+        Binder { slots: Some(slots), ..Binder::new(catalog, registry) }
+    }
+
+    /// Record that the statement's structure depends on the values of
+    /// `slots` (no-op outside a template).
+    fn structural(&mut self, slots: impl IntoIterator<Item = usize>) {
+        if let Some(s) = self.slots.as_deref_mut() {
+            slots.into_iter().for_each(|slot| s.structural(slot));
+        }
+    }
+
+    /// Fold `func` over constant `args` ([`Slots::fold`]).
+    fn fold(&mut self, func: &ScalarFn, args: &[BoundExpr]) -> Option<SqlResult<BoundExpr>> {
+        Slots::fold(self.slots.as_deref_mut(), func, args)
     }
 
     /// Total number of CTE slots allocated while binding (the execution
@@ -170,6 +194,13 @@ impl<'a> Binder<'a> {
                 Expr::Literal(Value::Int(n)) if *n >= 1 && (*n as usize) <= output_schema.len() => {
                     SortKey::Output(*n as usize - 1)
                 }
+                // An ordinal's slot: which output it names is its value.
+                Expr::Param(slot @ Slot { value: Value::Int(n), .. })
+                    if *n >= 1 && (*n as usize) <= output_schema.len() =>
+                {
+                    self.structural([slot.index]);
+                    SortKey::Output(*n as usize - 1)
+                }
                 Expr::Column { table: None, name } => {
                     let lname = name.to_ascii_lowercase();
                     match output_schema.resolve(None, &lname) {
@@ -178,6 +209,16 @@ impl<'a> Binder<'a> {
                     }
                 }
                 other => {
+                    // Which projection an item with literals matches turns
+                    // on their values, and on the projections' (a
+                    // non-ordinal literal falls here too).
+                    let mut slots = Vec::new();
+                    other.for_each_slot(&mut |s| slots.push(s));
+                    if !slots.is_empty() {
+                        let projections = projection_exprs.iter().map(|(e, _)| e);
+                        projections.for_each(|e| e.for_each_slot(&mut |s| slots.push(s)));
+                        self.structural(slots);
+                    }
                     // Prefer an exact match against a projection.
                     let pos = projection_exprs
                         .iter()
@@ -347,6 +388,14 @@ impl<'a> Binder<'a> {
         let bound_groups: SqlResult<Vec<BoundExpr>> =
             group_by.iter().map(|g| self.bind_expr(g, input)).collect();
         let bound_groups = bound_groups?;
+        // Which expressions are group keys turns on the keys' literals.
+        let mut slots = Vec::new();
+        group_by.iter().for_each(|g| g.for_each_slot(&mut |s| slots.push(s)));
+        if !slots.is_empty() {
+            let rest = projections.iter().map(|(e, _)| e).chain(having);
+            rest.for_each(|e| e.for_each_slot(&mut |s| slots.push(s)));
+            self.structural(slots);
+        }
         let norm_groups: Vec<Expr> = group_by.iter().map(normalize_expr).collect();
 
         // Environment fields: group keys first.
@@ -477,8 +526,9 @@ impl<'a> Binder<'a> {
                 let inner = self.bind_agg_expr(expr, input, norm_groups, aggregates, env_fields)?;
                 Ok(BoundExpr::IsNull { expr: Box::new(inner), negated: *negated })
             }
-            Expr::Literal(v) => Ok(BoundExpr::Literal(v.clone())),
-            Expr::TypedLiteral { type_name, text } => self.bind_typed_literal(type_name, text),
+            Expr::Literal(_) | Expr::Param(_) | Expr::TypedLiteral { .. } | Expr::TypedParam { .. } => {
+                self.bind_expr(e, input)
+            }
             other => Err(SqlError::Bind(format!(
                 "unsupported expression in aggregated context: {other:?}"
             ))),
@@ -527,7 +577,11 @@ impl<'a> Binder<'a> {
     pub fn bind_expr(&mut self, e: &Expr, schema: &Schema) -> SqlResult<BoundExpr> {
         match e {
             Expr::Literal(v) => Ok(BoundExpr::Literal(v.clone())),
-            Expr::TypedLiteral { type_name, text } => self.bind_typed_literal(type_name, text),
+            Expr::Param(slot) => Ok(param(slot)),
+            Expr::TypedLiteral { type_name, text } => {
+                self.bind_typed_literal(type_name, BoundExpr::Literal(Value::text(text)))
+            }
+            Expr::TypedParam { type_name, slot } => self.bind_typed_literal(type_name, param(slot)),
             Expr::Column { table, name } => {
                 let lname = name.to_ascii_lowercase();
                 let ltable = table.as_ref().map(|t| t.to_ascii_lowercase());
@@ -658,10 +712,11 @@ impl<'a> Binder<'a> {
         }
     }
 
-    fn bind_typed_literal(&mut self, type_name: &str, text: &str) -> SqlResult<BoundExpr> {
+    /// `type_name 'text'`, `text` a VARCHAR literal or slot.
+    fn bind_typed_literal(&mut self, type_name: &str, text: BoundExpr) -> SqlResult<BoundExpr> {
         let ty = self.registry.resolve_type(type_name)?;
         if ty == LogicalType::Text {
-            return Ok(BoundExpr::Literal(Value::text(text)));
+            return Ok(text);
         }
         let cast = self
             .registry
@@ -670,8 +725,8 @@ impl<'a> Binder<'a> {
                 SqlError::Bind(format!("no cast from VARCHAR to {}", ty.name()))
             })?;
         // Typed literals fold at bind time: the text is parsed once.
-        let v = cast(&[Value::text(text)])?;
-        Ok(BoundExpr::Literal(v))
+        self.fold(&cast, &[text])
+            .unwrap_or_else(|| Err(SqlError::internal("a typed literal's text is a constant")))
     }
 
     fn finish_cast(&mut self, inner: BoundExpr, type_name: &str) -> SqlResult<BoundExpr> {
@@ -698,10 +753,8 @@ impl<'a> Binder<'a> {
             }
         };
         // Fold constant casts.
-        if let BoundExpr::Literal(v) = &inner {
-            if !v.is_null() {
-                return Ok(BoundExpr::Literal(cast(std::slice::from_ref(v))?));
-            }
+        if let Some(folded) = self.fold(&cast, std::slice::from_ref(&inner)) {
+            return folded;
         }
         Ok(BoundExpr::Call {
             name: format!("cast::{}", target.name()),
@@ -773,18 +826,10 @@ impl<'a> Binder<'a> {
         } else {
             sig.ret.clone()
         };
-        // Constant folding for pure-literal calls.
-        if args.iter().all(|a| matches!(a, BoundExpr::Literal(v) if !v.is_null())) {
-            let vals: Vec<Value> = args
-                .iter()
-                .map(|a| match a {
-                    BoundExpr::Literal(v) => v.clone(),
-                    _ => unreachable!(),
-                })
-                .collect();
-            if let Ok(v) = (sig.func)(&vals) {
-                return Ok(BoundExpr::Literal(v));
-            }
+        // Constant folding for pure-literal calls; a call that fails is
+        // left to fail (or not) where it runs.
+        if let Some(Ok(folded)) = self.fold(&sig.func, &args) {
+            return Ok(folded);
         }
         Ok(BoundExpr::Call {
             name: sig.name.clone(),
@@ -794,6 +839,11 @@ impl<'a> Binder<'a> {
             strict: sig.strict,
         })
     }
+}
+
+/// A template slot, bound: a constant of its value's type.
+fn param(slot: &Slot) -> BoundExpr {
+    BoundExpr::Param { index: slot.index, ty: slot.value.logical_type() }
 }
 
 fn quality_name(table: &Option<String>, name: &str) -> String {
@@ -837,7 +887,9 @@ fn derive_name(e: &Expr) -> String {
         Expr::Func { name, .. } => name.to_ascii_lowercase(),
         Expr::CountStar => "count".into(),
         Expr::Cast { expr, .. } => derive_name(expr),
-        Expr::TypedLiteral { type_name, .. } => type_name.clone(),
+        Expr::TypedLiteral { type_name, .. } | Expr::TypedParam { type_name, .. } => {
+            type_name.clone()
+        }
         _ => "expr".into(),
     }
 }

@@ -69,6 +69,11 @@ impl Schema {
 #[derive(Clone)]
 pub enum BoundExpr {
     Literal(Value),
+    /// Slot `index` of a statement template, a constant of type `ty`
+    /// ([`crate::template::Slots`]). The planner treats it as a constant;
+    /// instantiation ([`BoundSelect::set_params`]) replaces it by its
+    /// [`BoundExpr::Literal`] before anything evaluates it.
+    Param { index: usize, ty: LogicalType },
     /// Column of the current environment row.
     ColumnRef { index: usize, ty: LogicalType },
     /// Column of an enclosing query's row (`depth` scopes up, 1-based).
@@ -107,6 +112,7 @@ impl std::fmt::Debug for BoundExpr {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             BoundExpr::Literal(v) => write!(f, "lit({v:?})"),
+            BoundExpr::Param { index, .. } => write!(f, "${index}"),
             BoundExpr::ColumnRef { index, .. } => write!(f, "col#{index}"),
             BoundExpr::OuterRef { depth, index, .. } => write!(f, "outer#{depth}.{index}"),
             BoundExpr::Call { name, args, .. } => write!(f, "{name}({args:?})"),
@@ -139,7 +145,8 @@ impl BoundExpr {
     pub fn ty(&self) -> LogicalType {
         match self {
             BoundExpr::Literal(v) => v.logical_type(),
-            BoundExpr::ColumnRef { ty, .. }
+            BoundExpr::Param { ty, .. }
+            | BoundExpr::ColumnRef { ty, .. }
             | BoundExpr::OuterRef { ty, .. }
             | BoundExpr::Call { ty, .. }
             | BoundExpr::Arith { ty, .. }
@@ -160,7 +167,7 @@ impl BoundExpr {
     /// outer references)? Vectorized fast paths bail out when true.
     pub fn is_complex(&self) -> bool {
         match self {
-            BoundExpr::Literal(_) | BoundExpr::ColumnRef { .. } => false,
+            BoundExpr::Literal(_) | BoundExpr::Param { .. } | BoundExpr::ColumnRef { .. } => false,
             BoundExpr::OuterRef { .. }
             | BoundExpr::ScalarSubquery { .. }
             | BoundExpr::Quantified { .. }
@@ -195,6 +202,7 @@ impl BoundExpr {
         match self {
             BoundExpr::ColumnRef { index, .. } => f(*index),
             BoundExpr::Literal(_)
+            | BoundExpr::Param { .. }
             | BoundExpr::OuterRef { .. }
             | BoundExpr::ScalarSubquery { .. }
             | BoundExpr::Exists { .. } => {}
@@ -234,6 +242,7 @@ impl BoundExpr {
         }
         match self {
             BoundExpr::Literal(_)
+            | BoundExpr::Param { .. }
             | BoundExpr::ColumnRef { .. }
             | BoundExpr::OuterRef { .. }
             | BoundExpr::ScalarSubquery { .. }
@@ -275,7 +284,9 @@ impl BoundExpr {
         let map = |e: &BoundExpr| Box::new(e.map_columns(f));
         match self {
             ColumnRef { index, ty } => ColumnRef { index: f(*index), ty: ty.clone() },
-            Literal(_) | OuterRef { .. } | ScalarSubquery { .. } | Exists { .. } => self.clone(),
+            Literal(_) | Param { .. } | OuterRef { .. } | ScalarSubquery { .. } | Exists { .. } => {
+                self.clone()
+            }
             Call { name, func, args, ty, strict } => Call {
                 name: name.clone(),
                 func: func.clone(),
@@ -307,6 +318,42 @@ impl BoundExpr {
             },
             Quantified { op, all, left, plan } => {
                 Quantified { op: *op, all: *all, left: map(left), plan: plan.clone() }
+            }
+        }
+    }
+
+    /// Replace each [`BoundExpr::Param`] in `self` by its value in
+    /// `values`, in subquery bodies too: a template's expression
+    /// instantiated.
+    pub fn set_params(&mut self, values: &[Value]) {
+        use BoundExpr::*;
+        let list = |es: &mut [BoundExpr]| es.iter_mut().for_each(|e| e.set_params(values));
+        match self {
+            Param { index, .. } => *self = Literal(values.get(*index).cloned().unwrap_or_default()),
+            Literal(_) | ColumnRef { .. } | OuterRef { .. } => {}
+            Call { args: es, .. } | And(es) | Or(es) => list(es),
+            Compare { left, right, .. } | Arith { left, right, .. } => {
+                left.set_params(values);
+                right.set_params(values);
+            }
+            Not(e) | IsNull { expr: e, .. } => e.set_params(values),
+            InList { expr, list: es, .. } => {
+                expr.set_params(values);
+                list(es);
+            }
+            Case { operand, branches, else_expr, .. } => {
+                for e in operand.iter_mut().chain(else_expr) {
+                    e.set_params(values);
+                }
+                for (c, v) in branches {
+                    c.set_params(values);
+                    v.set_params(values);
+                }
+            }
+            ScalarSubquery { plan, .. } | Exists { plan, .. } => plan.set_params(values),
+            Quantified { left, plan, .. } => {
+                left.set_params(values);
+                plan.set_params(values);
             }
         }
     }
@@ -454,6 +501,35 @@ pub struct BoundSelect {
     /// aggregated).
     pub env_schema: Schema,
     pub output_schema: Schema,
+}
+
+impl BoundSelect {
+    /// Replace each [`BoundExpr::Param`] in `self` by its value in
+    /// `values`: a template's plan instantiated.
+    pub fn set_params(&mut self, values: &[Value]) {
+        let list = |es: &mut [BoundExpr]| es.iter_mut().for_each(|e| e.set_params(values));
+        for c in &mut self.ctes {
+            c.plan.set_params(values);
+        }
+        for f in &mut self.from {
+            match f {
+                BoundFrom::Subquery { plan, .. } => plan.set_params(values),
+                BoundFrom::Series { args, .. } => list(args),
+                BoundFrom::Table { .. } | BoundFrom::Cte { .. } | BoundFrom::Introspect { .. } => {}
+            }
+        }
+        for e in self.filter.iter_mut().chain(&mut self.having) {
+            e.set_params(values);
+        }
+        list(&mut self.group_by);
+        self.aggregates.iter_mut().for_each(|a| list(&mut a.args));
+        list(&mut self.projections);
+        for o in &mut self.order_by {
+            if let SortKey::Input(e) = &mut o.key {
+                e.set_params(values);
+            }
+        }
+    }
 }
 
 /// Split a filter into top-level AND conjuncts.

@@ -2,6 +2,7 @@
 //! (stored lower-cased) to shared, individually locked tables.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use mduck_sync::RwLock;
@@ -16,20 +17,39 @@ pub trait BaseTable: Send + Sync {
     fn schema(&self) -> Vec<(String, LogicalType)>;
 }
 
-/// The database catalog: name → table.
+/// The database catalog: name → table, plus the schema epoch.
 pub struct Tables<T> {
     tables: Arc<RwLock<HashMap<String, Arc<RwLock<T>>>>>,
+    /// Bumped after every change a plan may depend on besides the rows
+    /// (see [`Tables::bump_epoch`]).
+    epoch: Arc<AtomicU64>,
 }
 
 impl<T> Default for Tables<T> {
     fn default() -> Self {
-        Tables { tables: Arc::new(RwLock::new(HashMap::new())) }
+        Tables { tables: Arc::new(RwLock::new(HashMap::new())), epoch: Arc::default() }
     }
 }
 
 impl<T> Clone for Tables<T> {
     fn clone(&self) -> Self {
-        Tables { tables: Arc::clone(&self.tables) }
+        Tables { tables: Arc::clone(&self.tables), epoch: Arc::clone(&self.epoch) }
+    }
+}
+
+impl<T> Tables<T> {
+    /// The schema epoch. A plan made after reading epoch `e` is valid for
+    /// as long as the epoch is still `e`.
+    pub fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::SeqCst)
+    }
+
+    /// Advance the schema epoch. Called *after* each change a plan may
+    /// depend on besides the rows (a table created or dropped, a table's
+    /// index list changed, a registry written, a WAL recovered), so a
+    /// planner that reads the new epoch also sees the change.
+    pub fn bump_epoch(&self) {
+        self.epoch.fetch_add(1, Ordering::SeqCst);
     }
 }
 
@@ -49,14 +69,20 @@ impl<T: BaseTable> Tables<T> {
             return Err(SqlError::Catalog(format!("table {name:?} already exists")));
         }
         tables.insert(lname.clone(), Arc::new(RwLock::new(T::create(lname, columns))));
+        drop(tables);
+        self.bump_epoch();
         Ok(())
     }
 
     pub fn drop_table(&self, name: &str, if_exists: bool) -> SqlResult<()> {
         let lname = name.to_ascii_lowercase();
-        if self.tables.write().remove(&lname).is_none() && !if_exists {
-            return Err(SqlError::Catalog(format!("table {name:?} does not exist")));
+        if self.tables.write().remove(&lname).is_none() {
+            if !if_exists {
+                return Err(SqlError::Catalog(format!("table {name:?} does not exist")));
+            }
+            return Ok(());
         }
+        self.bump_epoch();
         Ok(())
     }
 

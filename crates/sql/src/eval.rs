@@ -66,6 +66,16 @@ impl<'a> OuterStack<'a> {
     }
 }
 
+/// The error of a failing call to `name`: an execution error names the
+/// call it came from. Both engines' evaluators report call errors through
+/// this, so one failing call reads the same wherever it is evaluated.
+pub fn call_error(name: &str, e: SqlError) -> SqlError {
+    match e {
+        SqlError::Execution(m) => SqlError::Execution(format!("{name}: {m}")),
+        other => other,
+    }
+}
+
 /// Evaluate `expr` against `row`, with `outer` available to correlated
 /// subexpressions and `exec` running subplans.
 pub fn eval(
@@ -76,6 +86,9 @@ pub fn eval(
 ) -> SqlResult<Value> {
     match expr {
         BoundExpr::Literal(v) => Ok(v.clone()),
+        BoundExpr::Param { index, .. } => {
+            Err(SqlError::internal(format!("template slot {index} was not instantiated")))
+        }
         BoundExpr::ColumnRef { index, .. } => row
             .get(*index)
             .cloned()
@@ -90,10 +103,7 @@ pub fn eval(
                 }
                 vals.push(v);
             }
-            func(&vals).map_err(|e| match e {
-                SqlError::Execution(m) => SqlError::Execution(format!("{name}: {m}")),
-                other => other,
-            })
+            func(&vals).map_err(|e| call_error(name, e))
         }
         BoundExpr::Compare { op, left, right } => {
             let l = eval(left, row, outer, exec)?;

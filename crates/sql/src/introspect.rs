@@ -96,7 +96,7 @@ pub fn rows(function: Introspection) -> Vec<Vec<Value>> {
                     Value::Int(s.depth as i64),
                     Value::Int(s.start_us as i64),
                     Value::Int(s.duration_us as i64),
-                    Value::Text(s.thread.into()),
+                    Value::Text(s.thread),
                 ]
             })
             .collect(),
@@ -105,7 +105,7 @@ pub fn rows(function: Introspection) -> Vec<Vec<Value>> {
             .map(|p| {
                 vec![
                     Value::Int(p.id as i64),
-                    Value::Text(p.sql.into()),
+                    Value::Text(p.sql),
                     Value::Int(p.units_done as i64),
                     Value::Int(p.units_total as i64),
                     Value::Float(p.fraction),
@@ -119,7 +119,7 @@ pub fn rows(function: Introspection) -> Vec<Vec<Value>> {
                 vec![
                     Value::Int(r.id as i64),
                     Value::Text(r.engine.into()),
-                    Value::Text(r.sql.into()),
+                    Value::Text(r.sql),
                     Value::Float(r.duration_us as f64 / 1000.0),
                     Value::Int(r.rows_returned as i64),
                     Value::Int(r.rows_scanned as i64),

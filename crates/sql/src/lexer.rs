@@ -1,6 +1,7 @@
 //! SQL lexer.
 
 use crate::error::{SqlError, SqlResult};
+use crate::value::Value;
 
 /// A lexical token.
 #[derive(Debug, Clone, PartialEq)]
@@ -19,6 +20,9 @@ pub enum Token {
     Symbol(&'static str),
     /// A non-standard operator symbol (e.g. `<->`, `@>`, `-|-`).
     Op(String),
+    /// Slot `n` of a statement template: a literal or a `$n + 1`
+    /// placeholder ([`template_tokens`]).
+    Param(usize),
     Eof,
 }
 
@@ -34,11 +38,25 @@ const SYMBOLS: &[&str] = &[
     ")", ",", ".", ";", "=", "<", ">", "+", "-", "*", "/", "%", "{", "}", "[", "]", ":",
 ];
 
-/// Tokenize a SQL string.
-pub fn tokenize(input: &str) -> SqlResult<Vec<Token>> {
+/// One token as the scanner reads it: identifiers borrow the input, and a
+/// `$n` placeholder is kept for the callers that accept one.
+enum Lexeme<'s> {
+    Ident(&'s str),
+    QuotedIdent(String),
+    String(String),
+    Integer(i64),
+    Number(f64),
+    Symbol(&'static str),
+    /// `$n` (1-based).
+    Placeholder(usize),
+}
+
+/// The lexeme at or after byte `i` of `input`, skipping whitespace and
+/// comments: its start, its end and itself; `None` at the end. Every
+/// token stream of this crate is read with it: [`tokenize`], the template
+/// tokens of the statement cache and the [`Shape`] key.
+fn lex(input: &str, mut i: usize) -> SqlResult<Option<(usize, usize, Lexeme<'_>)>> {
     let bytes = input.as_bytes();
-    let mut tokens = Vec::new();
-    let mut i = 0usize;
     while i < bytes.len() {
         let c = bytes[i] as char;
         if c.is_whitespace() {
@@ -69,66 +87,19 @@ pub fn tokenize(input: &str) -> SqlResult<Vec<Token>> {
             }
             continue;
         }
-        // String literal.
-        if c == '\'' {
-            let mut s = String::new();
-            i += 1;
-            loop {
-                if i >= bytes.len() {
-                    return Err(SqlError::Lex("unterminated string literal".into()));
-                }
-                if bytes[i] == b'\'' {
-                    if i + 1 < bytes.len() && bytes[i + 1] == b'\'' {
-                        s.push('\'');
-                        i += 2;
-                    } else {
-                        i += 1;
-                        break;
-                    }
-                } else {
-                    // Multi-byte safe: push the full char.
-                    let Some(ch) = input.get(i..).and_then(|s| s.chars().next()) else {
-                        return Err(SqlError::Lex("invalid UTF-8 boundary in string".into()));
-                    };
-                    s.push(ch);
-                    i += ch.len_utf8();
-                }
-            }
-            tokens.push(Token::String(s));
-            continue;
-        }
-        // Quoted identifier.
-        if c == '"' {
-            let mut s = String::new();
-            i += 1;
-            loop {
-                if i >= bytes.len() {
-                    return Err(SqlError::Lex("unterminated quoted identifier".into()));
-                }
-                if bytes[i] == b'"' {
-                    if i + 1 < bytes.len() && bytes[i + 1] == b'"' {
-                        s.push('"');
-                        i += 2;
-                    } else {
-                        i += 1;
-                        break;
-                    }
-                } else {
-                    let Some(ch) = input.get(i..).and_then(|s| s.chars().next()) else {
-                        return Err(SqlError::Lex("invalid UTF-8 boundary in identifier".into()));
-                    };
-                    s.push(ch);
-                    i += ch.len_utf8();
-                }
-            }
-            tokens.push(Token::QuotedIdent(s));
-            continue;
+        let start = i;
+        // String literal / quoted identifier.
+        if c == '\'' || c == '"' {
+            let s = quoted(input, &mut i, c as u8)?;
+            return Ok(Some((start, i, match c {
+                '\'' => Lexeme::String(s),
+                _ => Lexeme::QuotedIdent(s),
+            })));
         }
         // Number.
         if c.is_ascii_digit()
             || (c == '.' && i + 1 < bytes.len() && (bytes[i + 1] as char).is_ascii_digit())
         {
-            let start = i;
             let mut is_float = false;
             while i < bytes.len() {
                 let ch = bytes[i] as char;
@@ -151,62 +122,199 @@ pub fn tokenize(input: &str) -> SqlResult<Vec<Token>> {
                 }
             }
             let text = &input[start..i];
-            if is_float {
-                let v: f64 = text
-                    .parse()
-                    .map_err(|_| SqlError::Lex(format!("bad number {text:?}")))?;
-                tokens.push(Token::Number(v));
-            } else {
-                match text.parse::<i64>() {
-                    Ok(v) => tokens.push(Token::Integer(v)),
-                    Err(_) => {
-                        let v: f64 = text
-                            .parse()
-                            .map_err(|_| SqlError::Lex(format!("bad number {text:?}")))?;
-                        tokens.push(Token::Number(v));
-                    }
-                }
-            }
-            continue;
+            let float = || {
+                text.parse::<f64>()
+                    .map(Lexeme::Number)
+                    .map_err(|_| SqlError::Lex(format!("bad number {text:?}")))
+            };
+            let lexeme = match is_float {
+                true => float()?,
+                false => text.parse::<i64>().map(Lexeme::Integer).or_else(|_| float())?,
+            };
+            return Ok(Some((start, i, lexeme)));
         }
         // Identifier.
         if c.is_ascii_alphabetic() || c == '_' {
-            let start = i;
-            while i < bytes.len() {
-                let ch = bytes[i] as char;
-                if ch.is_ascii_alphanumeric() || ch == '_' {
-                    i += 1;
-                } else {
-                    break;
-                }
+            while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
+                i += 1;
             }
-            tokens.push(Token::Ident(input[start..i].to_string()));
-            continue;
+            return Ok(Some((start, i, Lexeme::Ident(&input[start..i]))));
+        }
+        // Placeholder.
+        if c == '$' && bytes.get(i + 1).is_some_and(u8::is_ascii_digit) {
+            i += 1;
+            while i < bytes.len() && bytes[i].is_ascii_digit() {
+                i += 1;
+            }
+            let n = input[start + 1..i].parse::<usize>().ok().filter(|&n| n > 0);
+            let n = n.ok_or_else(|| {
+                SqlError::Lex(format!("bad placeholder {:?}", &input[start..i]))
+            })?;
+            return Ok(Some((start, i, Lexeme::Placeholder(n))));
         }
         // Symbols (longest match first). Match on bytes: a comment scan
         // can leave `i` inside a multi-byte char, where slicing the &str
         // would panic.
-        let mut matched = false;
-        for sym in SYMBOLS {
-            if bytes[i..].starts_with(sym.as_bytes()) {
-                tokens.push(Token::Symbol(sym));
-                i += sym.len();
-                matched = true;
-                break;
+        if let Some(sym) = SYMBOLS.iter().find(|sym| bytes[i..].starts_with(sym.as_bytes())) {
+            i += sym.len();
+            return Ok(Some((start, i, Lexeme::Symbol(sym))));
+        }
+        return Err(unexpected(input, i));
+    }
+    Ok(None)
+}
+
+/// The body of a quoted string or identifier starting at `*i` (the
+/// opening `quote`), a doubled quote standing for itself; leaves `*i`
+/// after the closing quote.
+fn quoted(input: &str, i: &mut usize, quote: u8) -> SqlResult<String> {
+    let bytes = input.as_bytes();
+    let what = if quote == b'\'' { "string literal" } else { "quoted identifier" };
+    let mut s = String::new();
+    *i += 1;
+    loop {
+        if *i >= bytes.len() {
+            return Err(SqlError::Lex(format!("unterminated {what}")));
+        }
+        if bytes[*i] == quote {
+            if *i + 1 < bytes.len() && bytes[*i + 1] == quote {
+                s.push(quote as char);
+                *i += 2;
+            } else {
+                *i += 1;
+                return Ok(s);
             }
+        } else {
+            // Multi-byte safe: push the full char.
+            let Some(ch) = input.get(*i..).and_then(|s| s.chars().next()) else {
+                let what = if quote == b'\'' { "string" } else { "identifier" };
+                return Err(SqlError::Lex(format!("invalid UTF-8 boundary in {what}")));
+            };
+            s.push(ch);
+            *i += ch.len_utf8();
         }
-        if matched {
-            continue;
+    }
+}
+
+/// The error for a byte no token starts with. `input[i]` is a single
+/// byte; decode the real char for the message so multi-byte input isn't
+/// reported as its mangled first byte.
+fn unexpected(input: &str, i: usize) -> SqlError {
+    SqlError::Lex(match input.get(i..).and_then(|t| t.chars().next()) {
+        Some(ch) => format!("unexpected character {ch:?} at offset {i}"),
+        None => format!("unexpected byte {:#04x} at offset {i}", input.as_bytes()[i]),
+    })
+}
+
+/// Tokenize a SQL string. A `$n` placeholder is only accepted through a
+/// prepared statement ([`Shape`]); here it is an unexpected `$`.
+pub fn tokenize(input: &str) -> SqlResult<Vec<Token>> {
+    template_tokens(input, None)
+}
+
+/// Tokenize `input` as a statement template: with `placeholders` the
+/// number of `$n` placeholders the statement's [`Shape`] counted, each
+/// literal (integer, float or string) becomes a [`Token::Param`] — the
+/// `k`-th literal slot `placeholders + k` — and `$n` becomes slot
+/// `n - 1`. With `None`, literals stay literals.
+pub fn template_tokens(input: &str, placeholders: Option<usize>) -> SqlResult<Vec<Token>> {
+    let mut i = 0;
+    let mut tokens = Vec::new();
+    let mut literals = 0;
+    let mut slot = |token: Token| match placeholders {
+        Some(n) => {
+            literals += 1;
+            Token::Param(n + literals - 1)
         }
-        // `c` is a single byte; decode the real char for the message so
-        // multi-byte input isn't reported as its mangled first byte.
-        return Err(SqlError::Lex(match input.get(i..).and_then(|t| t.chars().next()) {
-            Some(ch) => format!("unexpected character {ch:?} at offset {i}"),
-            None => format!("unexpected byte {:#04x} at offset {i}", bytes[i]),
-        }));
+        None => token,
+    };
+    while let Some((at, end, lexeme)) = lex(input, i)? {
+        i = end;
+        tokens.push(match lexeme {
+            Lexeme::Ident(s) => Token::Ident(s.to_string()),
+            Lexeme::QuotedIdent(s) => Token::QuotedIdent(s),
+            Lexeme::Symbol(s) => Token::Symbol(s),
+            Lexeme::String(s) => slot(Token::String(s)),
+            Lexeme::Integer(v) => slot(Token::Integer(v)),
+            Lexeme::Number(v) => slot(Token::Number(v)),
+            Lexeme::Placeholder(n) if placeholders.is_some() => Token::Param(n - 1),
+            Lexeme::Placeholder(_) => return Err(unexpected(input, at)),
+        });
     }
     tokens.push(Token::Eof);
     Ok(tokens)
+}
+
+/// A statement's shape, the key of the statement cache: its token stream
+/// with each literal replaced by a marker of its kind (`NULL`, `TRUE` and
+/// `FALSE` are identifiers and stay verbatim, and a typed literal keeps
+/// its type name, the identifier before it), plus the literal values in
+/// written order. Two statements of one shape differ only in those
+/// values.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Shape {
+    /// The normalized token stream, one token per space-terminated word.
+    pub key: String,
+    /// The literals, in written order.
+    pub literals: Vec<Value>,
+    /// The highest `$n` placeholder, 0 when there is none.
+    pub placeholders: usize,
+}
+
+impl Shape {
+    /// The shape of `sql`. `$n` placeholders are accepted only when
+    /// `prepared` (a prepared statement's text); elsewhere they
+    /// fail as in [`tokenize`].
+    pub fn of(sql: &str, prepared: bool) -> SqlResult<Shape> {
+        let mut i = 0;
+        let mut shape =
+            Shape { key: String::with_capacity(sql.len()), literals: Vec::new(), placeholders: 0 };
+        let key = &mut shape.key;
+        while let Some((at, end, lexeme)) = lex(sql, i)? {
+            i = end;
+            match lexeme {
+                Lexeme::Ident(s) => key.push_str(s),
+                Lexeme::QuotedIdent(s) => {
+                    key.push('"');
+                    key.push_str(&s.replace('"', "\"\""));
+                    key.push('"');
+                }
+                Lexeme::Symbol(s) => key.push_str(s),
+                Lexeme::String(s) => {
+                    key.push_str("?s");
+                    shape.literals.push(Value::Text(s.into()));
+                }
+                Lexeme::Integer(v) => {
+                    key.push_str("?i");
+                    shape.literals.push(Value::Int(v));
+                }
+                Lexeme::Number(v) => {
+                    key.push_str("?f");
+                    shape.literals.push(Value::Float(v));
+                }
+                Lexeme::Placeholder(n) if prepared => {
+                    key.push('$');
+                    key.push_str(&n.to_string());
+                    shape.placeholders = shape.placeholders.max(n);
+                }
+                Lexeme::Placeholder(_) => return Err(unexpected(sql, at)),
+            }
+            key.push(' ');
+        }
+        Ok(shape)
+    }
+
+    /// The key of this shape run with placeholder values `params`: the
+    /// token key followed by each value's type, since a placeholder binds
+    /// as a constant of its value's type.
+    pub fn key_with(&self, params: &[Value]) -> String {
+        let mut key = self.key.clone();
+        for p in params {
+            key.push('|');
+            key.push_str(&p.logical_type().name());
+        }
+        key
+    }
 }
 
 #[cfg(test)]

@@ -26,6 +26,7 @@ pub mod plan;
 pub mod quantified;
 pub mod registry;
 pub mod session;
+pub mod template;
 pub mod value;
 
 pub use ast::{BinaryOp, Expr, InsertSource, PragmaValue, SelectStmt, Statement, TableRef};
@@ -37,7 +38,9 @@ pub use bound::{
 pub use error::{SqlError, SqlResult};
 pub use eval::{compare, eval, OuterStack, SubqueryExec};
 pub use guard::{CancelHandle, ExecGuard, ExecLimits, GuardTrip};
-pub use parser::{parse_script, parse_statement};
+pub use lexer::Shape;
+pub use parser::{parse_script, parse_statement, parse_template};
 pub use registry::{downcast_partial, AggState, FusionRule, Registry, ScalarFn, ScalarSig};
 pub use session::{QueryResult, Session};
+pub use template::Slots;
 pub use value::{ExtObject, ExtValue, LogicalType, Value};

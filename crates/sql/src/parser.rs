@@ -9,8 +9,15 @@ use std::sync::Arc;
 
 use crate::ast::*;
 use crate::error::{SqlError, SqlResult};
-use crate::lexer::{tokenize, Token};
+use crate::lexer::{template_tokens, tokenize, Token};
+use crate::template::Slots;
 use crate::value::Value;
+
+/// The text of a typed literal: written, or a template's slot.
+enum StringLit {
+    Text(String),
+    Slot(usize),
+}
 
 /// Keywords that cannot be used as bare aliases.
 const RESERVED: &[&str] = &[
@@ -30,18 +37,25 @@ pub const MAX_PARSER_DEPTH: usize = 64;
 
 /// Parse one statement (a trailing `;` is allowed).
 pub fn parse_statement(sql: &str) -> SqlResult<Statement> {
-    let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0, depth: 0 };
-    let stmt = p.statement()?;
-    p.eat_symbol(";");
-    p.expect_eof()?;
-    Ok(stmt)
+    Parser::new(tokenize(sql)?, None).statement_eof()
+}
+
+/// Parse one statement as a template: each literal, and each `$n`
+/// placeholder, is read from `slots` ([`template_tokens`]); the parser
+/// records the slots it negates or reads as structure there. Errors are
+/// those of [`parse_statement`] on the same text.
+pub fn parse_template(sql: &str, slots: &mut Slots) -> SqlResult<Statement> {
+    let tokens = template_tokens(sql, Some(slots.placeholders()))?;
+    match Parser::new(tokens, Some(slots)).statement_eof() {
+        Ok(stmt) => Ok(stmt),
+        // A message may quote a token: give the written statement's.
+        Err(e) => Err(parse_statement(sql).err().unwrap_or(e)),
+    }
 }
 
 /// Parse a sequence of `;`-separated statements.
 pub fn parse_script(sql: &str) -> SqlResult<Vec<Statement>> {
-    let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0, depth: 0 };
+    let mut p = Parser::new(tokenize(sql)?, None);
     let mut out = Vec::new();
     loop {
         while p.eat_symbol(";") {}
@@ -53,13 +67,80 @@ pub fn parse_script(sql: &str) -> SqlResult<Vec<Statement>> {
     Ok(out)
 }
 
-struct Parser {
+struct Parser<'s> {
     tokens: Vec<Token>,
     pos: usize,
     depth: usize,
+    /// The template's slots, when parsing one.
+    slots: Option<&'s mut Slots>,
 }
 
-impl Parser {
+impl<'s> Parser<'s> {
+    fn new(tokens: Vec<Token>, slots: Option<&'s mut Slots>) -> Self {
+        Parser { tokens, pos: 0, depth: 0, slots }
+    }
+
+    fn statement_eof(mut self) -> SqlResult<Statement> {
+        let stmt = self.statement()?;
+        self.eat_symbol(";");
+        self.expect_eof()?;
+        Ok(stmt)
+    }
+
+    /// Slot `index` as an expression leaf.
+    fn slot(&self, index: usize) -> SqlResult<Slot> {
+        let value = self.slots.as_ref().and_then(|s| s.values().get(index)).cloned();
+        let value = value.ok_or_else(|| SqlError::Parse(format!("no value for slot {index}")))?;
+        Ok(Slot { index, value })
+    }
+
+    /// The text of a string literal: a `String` token, or the slot of
+    /// one in a template.
+    fn string_at(&self, pos: usize) -> Option<StringLit> {
+        match self.tokens.get(pos)? {
+            Token::String(s) => Some(StringLit::Text(s.clone())),
+            Token::Param(index) => {
+                let slots = self.slots.as_ref()?;
+                let is_text = matches!(slots.values().get(*index), Some(Value::Text(_)));
+                (slots.is_literal(*index) && is_text).then_some(StringLit::Slot(*index))
+            }
+            _ => None,
+        }
+    }
+
+    /// `type_name 'text'`, its string literal (the current token) consumed.
+    fn typed_literal(&mut self, type_name: String, text: StringLit) -> SqlResult<Expr> {
+        self.pos += 1;
+        Ok(match text {
+            StringLit::Text(text) => Expr::TypedLiteral { type_name, text },
+            StringLit::Slot(index) => Expr::TypedParam { type_name, slot: self.slot(index)? },
+        })
+    }
+
+    /// A LIMIT or OFFSET count: a non-negative integer literal. In a
+    /// template its slot is structural.
+    fn count(&mut self, what: &str) -> SqlResult<u64> {
+        let token = self.next();
+        let value = match &token {
+            Token::Integer(n) => Some(*n),
+            Token::Param(index) => match self.slots.as_mut() {
+                Some(slots) => match slots.values().get(*index) {
+                    Some(&Value::Int(n)) => {
+                        slots.structural(*index);
+                        Some(n)
+                    }
+                    _ => None,
+                },
+                None => None,
+            },
+            _ => None,
+        };
+        match value {
+            Some(n) if n >= 0 => Ok(n as u64),
+            _ => Err(SqlError::Parse(format!("bad {what} {token:?}"))),
+        }
+    }
+
     /// Run `f` one recursion level deeper, refusing past the ceiling.
     fn with_depth<T>(&mut self, f: impl FnOnce(&mut Self) -> SqlResult<T>) -> SqlResult<T> {
         if self.depth >= MAX_PARSER_DEPTH {
@@ -414,20 +495,8 @@ impl Parser {
                 }
             }
         }
-        let mut limit = None;
-        let mut offset = None;
-        if self.eat_kw("limit") {
-            limit = Some(match self.next() {
-                Token::Integer(n) if n >= 0 => n as u64,
-                other => return Err(SqlError::Parse(format!("bad LIMIT {other:?}"))),
-            });
-        }
-        if self.eat_kw("offset") {
-            offset = Some(match self.next() {
-                Token::Integer(n) if n >= 0 => n as u64,
-                other => return Err(SqlError::Parse(format!("bad OFFSET {other:?}"))),
-            });
-        }
+        let limit = if self.eat_kw("limit") { Some(self.count("LIMIT")?) } else { None };
+        let offset = if self.eat_kw("offset") { Some(self.count("OFFSET")?) } else { None };
         Ok(SelectStmt {
             ctes,
             distinct,
@@ -710,10 +779,14 @@ impl Parser {
     fn unary_expr(&mut self) -> SqlResult<Expr> {
         if self.eat_symbol("-") {
             let inner = self.with_depth(|p| p.unary_expr())?;
-            // Fold negative literals.
+            // Fold negative literals (in a template, a literal's slot).
             return Ok(match inner {
                 Expr::Literal(Value::Int(i)) => Expr::Literal(Value::Int(-i)),
                 Expr::Literal(Value::Float(f)) => Expr::Literal(Value::Float(-f)),
+                Expr::Param(slot) => match self.slots.as_mut().and_then(|s| s.negate(slot.index)) {
+                    Some(value) => Expr::Param(Slot { index: slot.index, value }),
+                    None => Expr::Unary { op: UnaryOp::Neg, expr: Box::new(Expr::Param(slot)) },
+                },
                 other => Expr::Unary { op: UnaryOp::Neg, expr: Box::new(other) },
             });
         }
@@ -745,6 +818,10 @@ impl Parser {
             Token::String(s) => {
                 self.pos += 1;
                 Ok(Expr::Literal(Value::Text(Arc::from(s.as_str()))))
+            }
+            Token::Param(index) => {
+                self.pos += 1;
+                Ok(Expr::Param(self.slot(index)?))
             }
             Token::Symbol("(") => {
                 self.pos += 1;
@@ -791,12 +868,8 @@ impl Parser {
                     "interval" => {
                         // `interval '1 day'` or `INTERVAL (expr)`.
                         self.pos += 1;
-                        if let Token::String(text) = self.peek().clone() {
-                            self.pos += 1;
-                            return Ok(Expr::TypedLiteral {
-                                type_name: "interval".into(),
-                                text,
-                            });
+                        if let Some(text) = self.string_at(self.pos) {
+                            return self.typed_literal("interval".into(), text);
                         }
                         if self.eat_symbol("(") {
                             let e = self.expr()?;
@@ -811,10 +884,9 @@ impl Parser {
                     _ => {}
                 }
                 // Typed literal: IDENT 'string'.
-                if let Token::String(text) = self.peek2() {
-                    let text = text.clone();
-                    self.pos += 2;
-                    return Ok(Expr::TypedLiteral { type_name: lower, text });
+                if let Some(text) = self.string_at(self.pos + 1) {
+                    self.pos += 1;
+                    return self.typed_literal(lower, text);
                 }
                 self.pos += 1;
                 // Function call.

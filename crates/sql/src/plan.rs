@@ -32,24 +32,36 @@ fn reads_only(e: &BoundExpr, range: &Range<usize>) -> bool {
     any && all
 }
 
-/// `column <op> literal` over one relation's columns: a two-argument call
-/// with the column first (either way round for the commuting `&&`), or an
-/// equality comparison either way round. Returns the column, the operator
-/// and the literal.
-pub fn index_pattern(c: &BoundExpr) -> Option<(usize, &str, &Value)> {
+/// `column <op> constant` over one relation's columns: a two-argument
+/// call with the column first (either way round for the commuting `&&`),
+/// or an equality comparison either way round. Returns the column, the
+/// operator and the constant, a literal or a template's slot.
+pub fn index_pattern(c: &BoundExpr) -> Option<(usize, &str, &BoundExpr)> {
+    let constant = |e: &BoundExpr| matches!(e, BoundExpr::Literal(_) | BoundExpr::Param { .. });
     match c {
         BoundExpr::Call { name, args, .. } => match args.as_slice() {
-            [BoundExpr::ColumnRef { index, .. }, BoundExpr::Literal(v)] => Some((*index, name, v)),
-            [BoundExpr::Literal(v), BoundExpr::ColumnRef { index, .. }] if name == "&&" => {
-                Some((*index, name, v))
+            [BoundExpr::ColumnRef { index, .. }, k] if constant(k) => Some((*index, name, k)),
+            [k, BoundExpr::ColumnRef { index, .. }] if name == "&&" && constant(k) => {
+                Some((*index, name, k))
             }
             _ => None,
         },
         BoundExpr::Compare { op: BinaryOp::Eq, left, right } => match (&**left, &**right) {
-            (BoundExpr::ColumnRef { index, .. }, BoundExpr::Literal(v))
-            | (BoundExpr::Literal(v), BoundExpr::ColumnRef { index, .. }) => Some((*index, "=", v)),
+            (BoundExpr::ColumnRef { index, .. }, k) | (k, BoundExpr::ColumnRef { index, .. })
+                if constant(k) =>
+            {
+                Some((*index, "=", k))
+            }
             _ => None,
         },
+        _ => None,
+    }
+}
+
+/// [`index_pattern`] with a literal constant, its value.
+pub fn index_literal(c: &BoundExpr) -> Option<(usize, &str, &Value)> {
+    match index_pattern(c)? {
+        (column, op, BoundExpr::Literal(v)) => Some((column, op, v)),
         _ => None,
     }
 }

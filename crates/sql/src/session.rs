@@ -9,7 +9,7 @@
 //! checkpoints) is its durable twin in `mduck_wal::durable`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use mduck_obs::QueryProgress;
@@ -159,6 +159,9 @@ impl Session {
     /// `std::thread::available_parallelism` — never more than the engine
     /// can use.
     pub fn effective_threads(&self) -> usize {
+        // Asked once per process: on Linux each call reads the cgroup's
+        // CPU quota files, tens of microseconds per statement.
+        static CORES: OnceLock<usize> = OnceLock::new();
         let configured = self.threads();
         let n = if configured > 0 {
             configured
@@ -168,7 +171,9 @@ impl Session {
                 .and_then(|v| v.trim().parse::<usize>().ok())
                 .filter(|&n| n > 0)
                 .unwrap_or_else(|| {
-                    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+                    *CORES.get_or_init(|| {
+                        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+                    })
                 })
         };
         n.min(MAX_THREADS).min(self.max_threads)
@@ -209,8 +214,8 @@ impl Session {
         slow_profile: impl FnOnce(&T) -> Option<String>,
     ) -> SqlResult<T> {
         let id = mduck_obs::next_query_id();
-        let sql_text = sql.trim().to_string();
-        let progress = QueryProgress::begin(&sql_text);
+        let sql_text: Arc<str> = sql.trim().into();
+        let progress = QueryProgress::begin(Arc::clone(&sql_text));
         *self.progress.lock() = Some(Arc::clone(&progress));
         let start = Instant::now();
         let result = catch_panics(|| run(&progress));

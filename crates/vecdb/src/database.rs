@@ -3,11 +3,13 @@
 //! The statement front door (`mduck_sql::session`) and the commit path
 //! (`mduck_wal::durable`) are shared with the row engine; this file keeps
 //! what the vectorized engine does differently: columnar storage, the
-//! bind → plan → execute SELECT path, UPDATE/DELETE staging over column
-//! vectors, and index rebuilds.
+//! SELECT path through the statement cache (template → instantiate →
+//! execute, [`crate::cache`]), UPDATE/DELETE staging over column vectors,
+//! and index rebuilds.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet};
+use std::ops::{Deref, DerefMut};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -24,10 +26,11 @@ use mduck_sql::catalog::BaseTable;
 use mduck_sql::eval::OuterStack;
 use mduck_sql::session::{self, ActiveQuery, BoundDml, Logged, Session, MAX_THREADS};
 use mduck_sql::{
-    parse_statement, Binder, Catalog, ExecGuard, ExecLimits, Expr, LogicalType, Registry, SqlError,
-    SqlResult, Value,
+    parse_statement, parse_template, Binder, Catalog, ExecGuard, ExecLimits, Expr, LogicalType,
+    Registry, Shape, Slots, SqlError, SqlResult, Value,
 };
 
+use crate::cache::{CacheStats, Kind, Plan, StatementCache, Template};
 use crate::catalog::{DbCatalog, Table};
 use crate::column::ColumnData;
 use crate::exec::{execute_select, execute_select_planned, plan_key, plan_select, EngineCtx};
@@ -52,6 +55,7 @@ pub struct Database {
     index_types: Arc<RwLock<IndexTypeRegistry>>,
     session: Session,
     durable: Durability,
+    cache: StatementCache,
 }
 
 impl Default for Database {
@@ -69,6 +73,7 @@ impl Database {
             index_types: Arc::new(RwLock::new(IndexTypeRegistry::default())),
             session: Session::new("vecdb", MAX_THREADS),
             durable: Durability::default(),
+            cache: StatementCache::default(),
         }
     }
 
@@ -122,24 +127,28 @@ impl Database {
     }
 
     /// Mutate the function/type/cast registry (extension load hook).
-    pub fn registry_mut(&self) -> mduck_sync::RwLockWriteGuard<'_, Registry> {
-        self.registry.write()
+    /// Cached plans made before the write are not reused after it.
+    pub fn registry_mut(&self) -> EpochGuard<'_, Registry> {
+        EpochGuard { guard: self.registry.write(), catalog: &self.catalog }
     }
 
     pub fn registry(&self) -> mduck_sync::RwLockReadGuard<'_, Registry> {
         self.registry.read()
     }
 
-    /// Mutate the index-type registry (extension load hook).
-    pub fn index_types_mut(&self) -> mduck_sync::RwLockWriteGuard<'_, IndexTypeRegistry> {
-        self.index_types.write()
+    /// Mutate the index-type registry (extension load hook). Cached
+    /// plans made before the write are not reused after it.
+    pub fn index_types_mut(&self) -> EpochGuard<'_, IndexTypeRegistry> {
+        EpochGuard { guard: self.index_types.write(), catalog: &self.catalog }
     }
 
     /// Attach a WAL to a live database (`PRAGMA wal='path'`): recover
     /// the on-disk state into the catalog, then log every later DDL/DML
     /// statement (see [`Durability::attach`]).
     pub fn attach_wal(&self, path: impl AsRef<Path>) -> SqlResult<()> {
-        self.durable.attach(self, path.as_ref())
+        let attached = self.durable.attach(self, path.as_ref());
+        self.catalog.bump_epoch();
+        attached
     }
 
     /// Detach the WAL (`PRAGMA wal='off'`). Already-logged state stays
@@ -175,57 +184,157 @@ impl Database {
         if let Some(result) = session::utility(sql, &self.catalog) {
             return result;
         }
-        let stmt = parse_timed(sql)?;
-        self.execute_logged(sql, &stmt, &self.session.guard())
+        self.execute_with_guard(sql, &self.session.guard())
     }
 
     /// Execute one SQL statement under a caller-supplied guard, so the
     /// caller can keep the [`mduck_sql::CancelHandle`] (to cancel from
     /// another thread) or spend one budget across several statements.
     pub fn execute_with_guard(&self, sql: &str, guard: &ExecGuard) -> SqlResult<QueryResult> {
-        let stmt = parse_timed(sql)?;
-        self.execute_logged(sql, &stmt, guard)
-    }
-
-    /// Shared body of the SQL-text entry points: one logged run through
-    /// the session. Statements that arrive pre-parsed
-    /// ([`Database::execute_statement`]) skip the log — there is no SQL
-    /// text to record for them.
-    fn execute_logged(
-        &self,
-        sql: &str,
-        stmt: &Statement,
-        guard: &ExecGuard,
-    ) -> SqlResult<QueryResult> {
-        match stmt {
-            // While the JSONL sink is live, SELECTs run under profiling so
-            // slow statements can attach their EXPLAIN ANALYZE text.
-            Statement::Select(sel) if mduck_obs::query_log_sink_active() => {
-                Ok(self.run_analyzed_logged(sql, sel, guard)?.result)
-            }
-            _ => self.session.run_logged(
+        let profiling = mduck_obs::query_log_sink_active();
+        match self.front(sql, None)? {
+            Front::Cached(lookup) => Ok(self.run_cached_logged(sql, lookup, guard, profiling)?.result),
+            Front::Parsed(stmt) => self.session.run_logged(
                 sql,
                 guard,
-                |p| self.run_statement(stmt, guard, Some(Arc::clone(p))),
+                |p| self.run_statement(&stmt, guard, Some(Arc::clone(p))),
                 |_| None,
             ),
         }
     }
 
-    /// A profiled SELECT through the logged session wrapper; slow ones
-    /// attach their `EXPLAIN ANALYZE` text to the query log.
-    fn run_analyzed_logged(
+    /// What the statement cache has done: hits, misses and the templates
+    /// it holds.
+    pub fn statement_cache(&self) -> CacheStats {
+        self.cache.stats()
+    }
+
+    /// Prepare a SELECT (or EXPLAIN) whose `$1 … $n` placeholders take
+    /// their values at [`PreparedStatement::execute`]. It runs through the
+    /// statement cache like any SELECT text: executions whose values have
+    /// the same types share one template.
+    ///
+    /// ```
+    /// use quackdb::Database;
+    /// use mduck_sql::Value;
+    ///
+    /// let db = Database::new();
+    /// db.execute("CREATE TABLE t(a INTEGER, b VARCHAR)").unwrap();
+    /// db.execute("INSERT INTO t VALUES (1, 'one'), (2, 'two')").unwrap();
+    /// let by_a = db.prepare("SELECT b FROM t WHERE a = $1").unwrap();
+    /// let r = by_a.execute(&[Value::Int(2)]).unwrap();
+    /// assert_eq!(r.rows[0][0].to_string(), "two");
+    /// ```
+    pub fn prepare(&self, sql: &str) -> SqlResult<PreparedStatement<'_>> {
+        let shape = Shape::of(sql, true)?;
+        if !is_select(&shape) {
+            return Err(SqlError::Bind("only SELECT and EXPLAIN statements can be prepared".into()));
+        }
+        Ok(PreparedStatement { db: self, sql: sql.trim().into(), shape })
+    }
+
+    /// A statement from SQL text: a SELECT or EXPLAIN looked up in the
+    /// statement cache (parsed as a template on a miss), anything else
+    /// parsed. `prepared` is a prepared statement's shape and values.
+    fn front(&self, sql: &str, prepared: Option<(&Shape, &[Value])>) -> SqlResult<Front> {
+        // The key, and the values of the placeholders then the literals.
+        let (key, written, placeholders) = match prepared {
+            Some((shape, params)) => {
+                let written = params.iter().chain(&shape.literals).cloned().collect();
+                (shape.key_with(params), written, params.len())
+            }
+            None => match may_select(sql).then(|| Shape::of(sql, false)) {
+                Some(Ok(shape)) if is_select(&shape) => (shape.key, shape.literals, 0),
+                // Lexing again reports the same error.
+                _ => return Ok(Front::Parsed(Box::new(parse_timed(sql)?))),
+            },
+        };
+        let epoch = self.catalog.epoch();
+        if let Some(template) = self.cache.get(&key, epoch) {
+            return Ok(Front::Cached(Lookup { key, written, epoch, found: Found::Template(template) }));
+        }
+        let (params, literals) = written.split_at(placeholders);
+        let mut slots = Slots::new(params, literals);
+        let stmt = parse_timed_with(|| parse_template(sql, &mut slots))?;
+        let kind = match select_of(&stmt) {
+            Ok((kind, _)) => kind,
+            // Not a SELECT after all (`EXPLAIN INSERT …`): as written.
+            Err(_) if prepared.is_none() => return Ok(Front::Parsed(Box::new(parse_statement(sql)?))),
+            Err(e) => return Err(e),
+        };
+        Ok(Front::Cached(Lookup { key, written, epoch, found: Found::Parsed(Box::new((kind, stmt, slots))) }))
+    }
+
+    /// A SELECT or EXPLAIN through the logged session wrapper. With
+    /// `profiling`, a SELECT records its operators' actuals and a slow one
+    /// attaches its `EXPLAIN ANALYZE` text to the query log.
+    fn run_cached_logged(
         &self,
         sql: &str,
-        sel: &SelectStmt,
+        lookup: Lookup,
         guard: &ExecGuard,
+        profiling: bool,
     ) -> SqlResult<ProfiledQuery> {
+        let profiling = profiling && lookup.kind() == Kind::Select;
         self.session.run_logged(
             sql,
             guard,
-            |p| self.run_select(sel, guard, Some(Arc::clone(p)), true),
-            |pq| Some(pq.explain.clone()),
+            |p| self.run_cached(sql, lookup, guard, Some(Arc::clone(p)), profiling),
+            |pq| profiling.then(|| pq.explain.clone()),
         )
+    }
+
+    /// Run a looked-up statement: instantiate its template on a hit, else
+    /// build the template (bind and plan its slots) and run the plan of
+    /// the statement it was built from, caching the template on its
+    /// shape's second sighting ([`StatementCache::admit`]).
+    fn run_cached(
+        &self,
+        sql: &str,
+        lookup: Lookup,
+        guard: &ExecGuard,
+        progress: Option<Arc<QueryProgress>>,
+        profiling: bool,
+    ) -> SqlResult<ProfiledQuery> {
+        let Lookup { key, written, epoch, found } = lookup;
+        let _query_span = mduck_obs::span("vecdb.query");
+        // `cached`: a template of this shape is in the cache.
+        let (kind, stmt, mut slots, cached) = match found {
+            Found::Template(template) => {
+                let exact = profiling || template.kind == Kind::ExplainAnalyze;
+                if let Some(plan) = template.instantiate(&written, &self.catalog, exact) {
+                    self.cache.count(true);
+                    return self.run_plan(template.kind, &plan, guard, progress, profiling);
+                }
+                // A value the template's structure turns on changed, or a
+                // table it estimated joins over: a template of its own.
+                let (params, literals) = written.split_at(template.slots.placeholders());
+                let mut slots = Slots::new(params, literals);
+                let stmt = parse_template(sql, &mut slots)?;
+                (template.kind, stmt, slots, true)
+            }
+            Found::Parsed(parsed) => {
+                let (kind, stmt, slots) = *parsed;
+                (kind, stmt, slots, false)
+            }
+        };
+        self.cache.count(false);
+        let (plan, counts) = match self.plan(select_of(&stmt)?.1, Some(&mut slots), guard) {
+            Ok(planned) => planned,
+            // A message may quote a literal: the written statement's, run
+            // as written. A prepared statement's is the template's.
+            Err(e) if slots.placeholders() > 0 => return Err(e),
+            Err(_) => return self.run_written(&parse_statement(sql)?, guard, progress, profiling),
+        };
+        if !cached && !self.cache.admit(&key) {
+            // A shape seen once: no copy kept.
+            let own = plan.instantiated(slots.values());
+            return self.run_plan(kind, &own, guard, progress, profiling);
+        }
+        let template = Arc::new(Template::new(kind, epoch, slots, plan, counts));
+        let own = template.own_plan();
+        self.cache.insert(key, Arc::clone(&template));
+        self.run_plan(kind, &own, guard, progress, profiling)
     }
 
     /// Execute a `;`-separated script, returning the last result.
@@ -263,21 +372,9 @@ impl Database {
         progress: Option<Arc<QueryProgress>>,
     ) -> SqlResult<QueryResult> {
         match stmt {
-            Statement::Select(sel) => Ok(self.run_select(sel, guard, progress, false)?.result),
-            Statement::Explain { statement, analyze } => {
-                let Statement::Select(sel) = statement.as_ref() else {
-                    return Err(SqlError::Bind("EXPLAIN supports SELECT".into()));
-                };
-                let text = if *analyze {
-                    self.run_select(sel, guard, progress, true)?.explain
-                } else {
-                    let registry = self.registry.read();
-                    let mut plan = Binder::new(&self.catalog, &registry).bind_select(sel)?;
-                    let ctx = EngineCtx::new(&self.catalog, &registry, &self.index_types, guard);
-                    let planned = plan_select(&ctx, &mut plan)?;
-                    render_plan(&plan, &planned)
-                };
-                Ok(QueryResult::single("explain", LogicalType::Text, Value::text(text)))
+            Statement::Select(_) | Statement::Explain { .. } => {
+                let _query_span = mduck_obs::span("vecdb.query");
+                Ok(self.run_written(stmt, guard, progress, false)?.result)
             }
             Statement::Pragma { name, value } => {
                 let value = value.as_ref();
@@ -328,50 +425,114 @@ impl Database {
     /// result alongside the analyzed plan rendering and a flattened
     /// per-operator breakdown (the programmatic `EXPLAIN ANALYZE`).
     pub fn execute_analyzed(&self, sql: &str) -> SqlResult<ProfiledQuery> {
-        let stmt = parse_timed(sql)?;
-        let Statement::Select(sel) = stmt else {
-            return Err(SqlError::Bind("execute_analyzed supports SELECT".into()));
-        };
-        self.run_analyzed_logged(sql, &sel, &self.session.guard())
+        match self.front(sql, None)? {
+            Front::Cached(lookup) if lookup.kind() == Kind::Select => {
+                self.run_cached_logged(sql, lookup, &self.session.guard(), true)
+            }
+            _ => Err(SqlError::Bind("execute_analyzed supports SELECT".into())),
+        }
     }
 
-    /// Bind, plan and execute one SELECT. With `profiling`, operators
-    /// record their actuals and the result carries the `EXPLAIN ANALYZE`
-    /// rendering plus the per-operator and per-stage breakdowns; without
-    /// it those stay empty.
-    fn run_select(
+    /// Bind, plan and run a parsed SELECT or EXPLAIN, no template kept.
+    fn run_written(
+        &self,
+        stmt: &Statement,
+        guard: &ExecGuard,
+        progress: Option<Arc<QueryProgress>>,
+        profiling: bool,
+    ) -> SqlResult<ProfiledQuery> {
+        let (kind, sel) = select_of(stmt)?;
+        let (plan, _) = self.plan(sel, None, guard)?;
+        self.run_plan(kind, &plan, guard, progress, profiling)
+    }
+
+    /// Bind and plan one SELECT: with `slots`, as a template (each literal
+    /// a slot), recording the row counts its join estimates read.
+    fn plan(
         &self,
         sel: &SelectStmt,
+        slots: Option<&mut Slots>,
+        guard: &ExecGuard,
+    ) -> SqlResult<(Plan, Vec<(String, usize)>)> {
+        let m = mduck_obs::metrics();
+        let registry = self.registry.read();
+        let bind_start = Instant::now();
+        let templated = slots.is_some();
+        let mut bound = {
+            let _s = mduck_obs::span("vecdb.bind");
+            match slots {
+                Some(slots) => Binder::templated(&self.catalog, &registry, slots).bind_select(sel),
+                None => Binder::new(&self.catalog, &registry).bind_select(sel),
+            }?
+        };
+        m.vecdb_bind_ns.observe(bind_start.elapsed().as_nanos() as u64);
+        let mut ctx = EngineCtx::new(&self.catalog, &registry, &self.index_types, guard);
+        if templated {
+            ctx = ctx.recording_counts();
+        }
+        let plan_start = Instant::now();
+        let planned = {
+            let _s = mduck_obs::span("vecdb.plan");
+            plan_select(&ctx, &mut bound)?
+        };
+        m.vecdb_plan_ns.observe(plan_start.elapsed().as_nanos() as u64);
+        let counts = ctx.counts.map(|c| c.into_inner()).unwrap_or_default();
+        Ok((Plan { bound, planned }, counts))
+    }
+
+    /// Run a SELECT's plan as `kind` says: execute it, render it
+    /// (`EXPLAIN`), or execute it profiled and render the actuals
+    /// (`EXPLAIN ANALYZE`). With `profiling`, a SELECT's operators record
+    /// their actuals and the result carries the `EXPLAIN ANALYZE`
+    /// rendering plus the per-operator and per-stage breakdowns; without
+    /// it those stay empty.
+    fn run_plan(
+        &self,
+        kind: Kind,
+        plan: &Plan,
+        guard: &ExecGuard,
+        progress: Option<Arc<QueryProgress>>,
+        profiling: bool,
+    ) -> SqlResult<ProfiledQuery> {
+        let explain = |text: String| ProfiledQuery {
+            result: QueryResult::single("explain", LogicalType::Text, Value::text(text)),
+            explain: String::new(),
+            operators: Vec::new(),
+            stages: Vec::new(),
+            total_ms: 0.0,
+            mem_peak: guard.mem().peak(),
+        };
+        match kind {
+            Kind::Select => self.execute_plan(plan, guard, progress, profiling),
+            Kind::Explain => Ok(explain(render_plan(&plan.bound, &plan.planned))),
+            Kind::ExplainAnalyze => {
+                Ok(explain(self.execute_plan(plan, guard, progress, true)?.explain))
+            }
+        }
+    }
+
+    /// Execute a planned SELECT.
+    fn execute_plan(
+        &self,
+        plan: &Plan,
         guard: &ExecGuard,
         progress: Option<Arc<QueryProgress>>,
         profiling: bool,
     ) -> SqlResult<ProfiledQuery> {
         let _active = ActiveQuery::begin();
         let m = mduck_obs::metrics();
-        let _query_span = mduck_obs::span("vecdb.query");
         let registry = self.registry.read();
-        let bind_start = Instant::now();
-        let mut plan = {
-            let _s = mduck_obs::span("vecdb.bind");
-            Binder::new(&self.catalog, &registry).bind_select(sel)?
-        };
-        m.vecdb_bind_ns.observe(bind_start.elapsed().as_nanos() as u64);
         let mut ctx = EngineCtx::new(&self.catalog, &registry, &self.index_types, guard)
             .with_threads(self.effective_threads())
             .with_progress(progress);
         if profiling {
             ctx.enable_profiling();
         }
-        let plan_start = Instant::now();
-        let planned = {
-            let _s = mduck_obs::span("vecdb.plan");
-            plan_select(&ctx, &mut plan)?
-        };
-        m.vecdb_plan_ns.observe(plan_start.elapsed().as_nanos() as u64);
+        let Plan { bound: plan, planned } = plan;
         let exec_start = Instant::now();
         let rows = {
             let _s = mduck_obs::span("vecdb.exec");
-            execute_select_planned(&ctx, &plan, &planned, &OuterStack::EMPTY)?
+            execute_select_planned(&ctx, plan, planned, &OuterStack::EMPTY)?
         };
         let exec_elapsed = exec_start.elapsed();
         m.vecdb_exec_ns.observe(exec_elapsed.as_nanos() as u64);
@@ -380,15 +541,15 @@ impl Database {
             Some(profile) => {
                 let analyze = AnalyzeData { profile, total_ms, result_rows: rows.len() };
                 (
-                    render_plan_analyzed(&plan, &planned, &analyze),
-                    op_breakdown(&planned, profile),
-                    stage_breakdown(plan_key(&plan), profile),
+                    render_plan_analyzed(plan, planned, &analyze),
+                    op_breakdown(planned, profile),
+                    stage_breakdown(plan_key(plan), profile),
                 )
             }
             None => Default::default(),
         };
         Ok(ProfiledQuery {
-            result: QueryResult { schema: plan.output_schema, rows },
+            result: QueryResult { schema: plan.output_schema.clone(), rows },
             explain,
             operators,
             stages,
@@ -409,6 +570,8 @@ impl Database {
         let values = || t.column_values(col);
         let index = self.index_types.read().build(&t.indexes, name, method, col, &ty, values)?;
         t.indexes.push(index);
+        drop(t);
+        self.catalog.bump_epoch();
         Ok(())
     }
 
@@ -499,6 +662,7 @@ impl DurableEngine for Database {
     fn drop_index(&self, table: &str, name: &str) {
         if let Ok(t) = self.catalog.get(table) {
             t.write().indexes.retain(|i| i.name() != name);
+            self.catalog.bump_epoch();
         }
     }
 
@@ -517,7 +681,12 @@ impl DurableEngine for Database {
         let mut t = t.write();
         let n = rows.len();
         let pre_rows = t.row_count();
-        t.append_rows(&rows)?;
+        if let Err(e) = t.append_rows(&rows) {
+            // A failed append may have dropped indexes.
+            drop(t);
+            self.catalog.bump_epoch();
+            return Err(e);
+        }
         if commit.is_logging() {
             let record = WalRecord::Insert { table: t.name.clone(), rows: rows.into_owned() };
             if let Err(e) = commit.log(&record) {
@@ -557,11 +726,141 @@ impl Logged for ProfiledQuery {
     }
 }
 
+/// A SELECT prepared by [`Database::prepare`].
+pub struct PreparedStatement<'db> {
+    db: &'db Database,
+    sql: String,
+    shape: Shape,
+}
+
+impl PreparedStatement<'_> {
+    /// How many `$n` values [`PreparedStatement::execute`] takes: the
+    /// highest `n` written.
+    pub fn param_count(&self) -> usize {
+        self.shape.placeholders
+    }
+
+    /// Execute with `$1 … $n` bound to `params`, each a constant of its
+    /// value's type.
+    pub fn execute(&self, params: &[Value]) -> SqlResult<QueryResult> {
+        if params.len() != self.param_count() {
+            return Err(SqlError::Bind(format!(
+                "prepared statement takes {} parameters, got {}",
+                self.param_count(),
+                params.len()
+            )));
+        }
+        let (db, guard) = (self.db, self.db.session.guard());
+        match db.front(&self.sql, Some((&self.shape, params)))? {
+            Front::Cached(lookup) => Ok(db.run_cached_logged(&self.sql, lookup, &guard, false)?.result),
+            Front::Parsed(_) => Err(SqlError::internal("a prepared statement is a SELECT")),
+        }
+    }
+}
+
+/// A statement from SQL text ([`Database::front`]).
+enum Front {
+    Cached(Lookup),
+    Parsed(Box<Statement>),
+}
+
+/// A SELECT or EXPLAIN read through the statement cache: its shape's key,
+/// the values of its placeholders and literals, the schema epoch it was
+/// looked up at, and its template or, on a miss, its statement parsed as
+/// one.
+struct Lookup {
+    key: String,
+    written: Vec<Value>,
+    epoch: u64,
+    found: Found,
+}
+
+enum Found {
+    Template(Arc<Template>),
+    Parsed(Box<(Kind, Statement, Slots)>),
+}
+
+impl Lookup {
+    fn kind(&self) -> Kind {
+        match &self.found {
+            Found::Template(t) => t.kind,
+            Found::Parsed(parsed) => parsed.0,
+        }
+    }
+}
+
+/// The SELECT a statement runs and how: `Err` unless it is a SELECT or
+/// an EXPLAIN of one.
+fn select_of(stmt: &Statement) -> SqlResult<(Kind, &SelectStmt)> {
+    match stmt {
+        Statement::Select(sel) => Ok((Kind::Select, sel)),
+        Statement::Explain { statement, analyze } => match &**statement {
+            Statement::Select(sel) if *analyze => Ok((Kind::ExplainAnalyze, sel)),
+            Statement::Select(sel) => Ok((Kind::Explain, sel)),
+            _ => Err(SqlError::Bind("EXPLAIN supports SELECT".into())),
+        },
+        _ => Err(SqlError::Bind("only SELECT and EXPLAIN statements can be prepared".into())),
+    }
+}
+
+/// Can `sql` be a SELECT or EXPLAIN? Its first word is one of theirs, or
+/// it starts with a comment: a cheap look that spares any other
+/// statement the shape's lexing pass.
+fn may_select(sql: &str) -> bool {
+    let sql = sql.trim_start();
+    let word = sql.split(|c: char| !c.is_ascii_alphabetic()).next().unwrap_or_default();
+    sql.starts_with("--") || sql.starts_with("/*") || starts_select(word)
+}
+
+/// Does the statement of `shape` start as a SELECT or EXPLAIN does?
+fn is_select(shape: &Shape) -> bool {
+    starts_select(shape.key.split(' ').next().unwrap_or_default())
+}
+
+/// Is `word` the first word of a SELECT or EXPLAIN?
+fn starts_select(word: &str) -> bool {
+    ["select", "with", "explain"].iter().any(|kw| word.eq_ignore_ascii_case(kw))
+}
+
+/// A write guard on one of the database's registries that advances the
+/// catalog's schema epoch when released, so no plan made before the
+/// write is reused after it.
+pub struct EpochGuard<'a, T> {
+    guard: mduck_sync::RwLockWriteGuard<'a, T>,
+    catalog: &'a DbCatalog,
+}
+
+impl<T> Deref for EpochGuard<'_, T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.guard
+    }
+}
+
+impl<T> DerefMut for EpochGuard<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.guard
+    }
+}
+
+impl<T> Drop for EpochGuard<'_, T> {
+    fn drop(&mut self) {
+        // Still held: a planner that reads the new epoch waits for the
+        // write to finish.
+        self.catalog.bump_epoch();
+    }
+}
+
 /// Parse one statement, feeding the parse-phase latency histogram.
 fn parse_timed(sql: &str) -> SqlResult<Statement> {
+    parse_timed_with(|| parse_statement(sql))
+}
+
+fn parse_timed_with(parse: impl FnOnce() -> SqlResult<Statement>) -> SqlResult<Statement> {
     let _s = mduck_obs::span("vecdb.parse");
     let start = Instant::now();
-    let stmt = parse_statement(sql);
+    let stmt = parse();
     mduck_obs::metrics().vecdb_parse_ns.observe(start.elapsed().as_nanos() as u64);
     stmt
 }

@@ -57,6 +57,9 @@ pub struct EngineCtx<'a> {
     /// Live completion estimate for this statement, fed at morsel/chunk
     /// granularity; `None` on paths nobody polls (subordinate executions).
     pub progress: Option<Arc<mduck_obs::QueryProgress>>,
+    /// While a statement template is planned: the row count of each table
+    /// a join estimate read, so the template can tell when it is stale.
+    pub counts: Option<RefCell<Vec<(String, usize)>>>,
 }
 
 /// Actuals recorded for one physical operator across all its executions
@@ -147,6 +150,7 @@ impl<'a> EngineCtx<'a> {
             profile: None,
             threads: 1,
             progress: None,
+            counts: None,
         }
     }
 
@@ -159,6 +163,13 @@ impl<'a> EngineCtx<'a> {
     /// Builder: attach a live-progress handle for this statement.
     pub fn with_progress(mut self, progress: Option<Arc<mduck_obs::QueryProgress>>) -> Self {
         self.progress = progress;
+        self
+    }
+
+    /// Builder: record the row counts join estimates read
+    /// ([`EngineCtx::counts`]).
+    pub fn recording_counts(mut self) -> Self {
+        self.counts = Some(RefCell::default());
         self
     }
 
@@ -419,6 +430,11 @@ impl ScanFilters {
     pub fn is_empty(&self) -> bool {
         self.conjuncts.is_empty()
     }
+
+    fn set_params(&mut self, values: &[Value]) {
+        let dense = self.dense.iter_mut().map(|(_, e)| e);
+        self.conjuncts.iter_mut().chain(dense).for_each(|e| e.set_params(values));
+    }
 }
 
 /// The join/scan tree (everything above it — aggregation, projection,
@@ -440,7 +456,8 @@ pub enum PhysOp {
         index: String,
         column: usize,
         op: String,
-        constant: Value,
+        /// A literal; a slot in a statement template's plan.
+        constant: BoundExpr,
         filters: ScanFilters,
         fallback: ScanFilters,
     },
@@ -518,6 +535,41 @@ pub struct Fold {
 }
 
 impl PhysOp {
+    /// Replace each template slot in the tree by its value in `values`
+    /// ([`BoundExpr::set_params`]).
+    pub fn set_params(&mut self, values: &[Value]) {
+        match self {
+            PhysOp::SeqScan { filters, .. } => filters.set_params(values),
+            PhysOp::IndexScan { constant, filters, fallback, .. } => {
+                constant.set_params(values);
+                filters.set_params(values);
+                fallback.set_params(values);
+            }
+            PhysOp::CteScan { .. } | PhysOp::Introspect { .. } => {}
+            PhysOp::SubqueryScan { plan, .. } => plan.set_params(values),
+            PhysOp::Series { args } => args.iter_mut().for_each(|e| e.set_params(values)),
+            PhysOp::Filter { pred, child, .. } => {
+                pred.set_params(values);
+                child.set_params(values);
+            }
+            PhysOp::HashJoin { left, right, left_keys, right_keys, .. } => {
+                left.set_params(values);
+                right.set_params(values);
+                left_keys.iter_mut().chain(right_keys).for_each(|e| e.set_params(values));
+            }
+            PhysOp::CrossJoin { left, right, .. } => {
+                left.set_params(values);
+                right.set_params(values);
+            }
+            PhysOp::IndexJoin { left, right, probe, build, cond, folded, .. } => {
+                left.set_params(values);
+                right.set_params(values);
+                let folded = folded.iter_mut().flat_map(|f| f.before.iter_mut().chain(&mut f.after));
+                [probe, build, cond].into_iter().chain(folded).for_each(|e| e.set_params(values));
+            }
+        }
+    }
+
     /// The planner's row estimate of a join or Filter.
     pub fn est(&self) -> Option<f64> {
         match self {
@@ -535,10 +587,21 @@ impl PhysOp {
 /// the plan of each CTE body in declaration order. The trees live for the
 /// whole statement, so `EXPLAIN ANALYZE` renders exactly the nodes whose
 /// actuals were recorded.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PlannedSelect {
     pub tree: Option<(PhysOp, Vec<BoundExpr>)>,
     pub ctes: Vec<PlannedSelect>,
+}
+
+impl PlannedSelect {
+    /// Replace each template slot by its value in `values`.
+    pub fn set_params(&mut self, values: &[Value]) {
+        if let Some((op, rest)) = &mut self.tree {
+            op.set_params(values);
+            rest.iter_mut().for_each(|e| e.set_params(values));
+        }
+        self.ctes.iter_mut().for_each(|c| c.set_params(values));
+    }
 }
 
 /// Fuse the expressions of `plan` (the fusion pass), put the FROM items
@@ -637,6 +700,9 @@ fn run_op(
         PhysOp::IndexScan { table, column, op: iop, constant, filters, fallback, .. } => {
             let t = ctx.catalog.get(table)?;
             let t = t.read();
+            let BoundExpr::Literal(constant) = constant else {
+                return Err(SqlError::internal("index scan over an uninstantiated template slot"));
+            };
             match probe_column(&t.indexes, *column, iop, constant)? {
                 Some(rows) => {
                     let mut rows: Vec<usize> = rows.into_iter().map(|r| r as usize).collect();

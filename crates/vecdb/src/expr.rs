@@ -10,7 +10,7 @@ use std::borrow::Cow;
 use std::cmp::Ordering;
 
 use mduck_sql::ast::BinaryOp;
-use mduck_sql::eval::{eval, OuterStack, SubqueryExec};
+use mduck_sql::eval::{call_error, eval, OuterStack, SubqueryExec};
 use mduck_sql::{BoundExpr, LogicalType, SqlError, SqlResult, Value};
 
 use crate::column::{ColumnData, DataChunk, Payload};
@@ -101,7 +101,7 @@ pub fn eval_vector(
             }
             Ok(out)
         }
-        BoundExpr::Call { func, args, strict, ty, .. } if !expr.is_complex() => {
+        BoundExpr::Call { name, func, args, strict, ty } if !expr.is_complex() => {
             // Evaluate arguments vectorized, then dispatch the scalar
             // function row by row (the DuckDB extension-UDF pattern).
             let arg_cols: SqlResult<Vec<Cow<'_, ColumnData>>> = args
@@ -121,7 +121,7 @@ pub fn eval_vector(
                     }
                     scratch.push(v);
                 }
-                out.push(&func(&scratch)?)?;
+                out.push(&func(&scratch).map_err(|e| call_error(name, e))?)?;
             }
             Ok(out)
         }

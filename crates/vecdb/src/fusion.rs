@@ -49,7 +49,7 @@ fn fuse_select(registry: &Registry, plan: &mut BoundSelect) {
 fn fuse_expr(registry: &Registry, e: &mut BoundExpr) {
     use BoundExpr::*;
     match e {
-        Literal(_) | ColumnRef { .. } | OuterRef { .. } => return,
+        Literal(_) | Param { .. } | ColumnRef { .. } | OuterRef { .. } => return,
         Call { args, .. } => args.iter_mut().for_each(|a| fuse_expr(registry, a)),
         Compare { left, right, .. } | Arith { left, right, .. } => {
             fuse_expr(registry, left);

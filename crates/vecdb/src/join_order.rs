@@ -400,7 +400,12 @@ impl CostModel {
         for (ri, f) in plan.from.iter().enumerate() {
             base.push(match f {
                 BoundFrom::Table { name, .. } => {
-                    Some(ctx.catalog.get(name)?.read().row_count() as f64)
+                    let rows = ctx.catalog.get(name)?.read().row_count();
+                    // A block of one table estimates no join.
+                    if let Some(counts) = ctx.counts.as_ref().filter(|_| plan.from.len() > 1) {
+                        counts.borrow_mut().push((name.clone(), rows));
+                    }
+                    Some(rows as f64)
                 }
                 _ => None,
             });

@@ -16,6 +16,7 @@
 //! assert_eq!(r.rows[0][0].to_string(), "two");
 //! ```
 
+pub mod cache;
 pub mod catalog;
 pub mod column;
 pub mod database;
@@ -27,9 +28,10 @@ pub mod index;
 pub mod join_order;
 pub mod parallel;
 
+pub use cache::CacheStats;
 pub use catalog::{DbCatalog, Table};
 pub use column::{Chunks, ColumnData, DataChunk, Payload, VECTOR_SIZE};
-pub use database::{Database, QueryResult};
+pub use database::{Database, EpochGuard, PreparedStatement, QueryResult};
 pub use exec::{execute_select, EngineCtx, PhysOp};
 pub use index::{IndexType, IndexTypeRegistry, TableIndex};
 pub use mduck_sql::{CancelHandle, ExecGuard, ExecLimits};

@@ -37,11 +37,13 @@ echo "== parallel execution matrix =="
 # (join_order): reordered joins and decorrelated ALL/ANY subqueries
 # against the row engine's FROM-order, per-row results. So does the
 # fusion differential suite (fused_predicates): each fusion rule's fused
-# kernel against the row engine's written composition.
+# kernel against the row engine's written composition. So does the
+# statement-cache suite (plan_cache): instantiated templates against the
+# same statements bound and planned afresh, and against the row engine.
 MDUCK_THREADS=1 cargo test -q -p mduck-integration --test parallel_exec --test scan_pushdown \
-  --test index_join --test join_order --test fused_predicates
+  --test index_join --test join_order --test fused_predicates --test plan_cache
 MDUCK_THREADS=4 cargo test -q -p mduck-integration --test parallel_exec --test scan_pushdown \
-  --test index_join --test join_order --test fused_predicates
+  --test index_join --test join_order --test fused_predicates --test plan_cache
 
 echo "== resource observability =="
 # Memory-limit trips, progress monotonicity, and the query-log contract

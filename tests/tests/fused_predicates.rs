@@ -336,3 +336,31 @@ fn starttimestamp_of_atvalues_is_the_first_hit() {
         &["starttimestamp_atvalues"],
     );
 }
+
+/// A failing call names itself in its error on both engines, evaluated
+/// vectorized (a plain conjunct) or row by row (inside a CASE): one
+/// message for one failure, with no fusion renaming the call.
+#[test]
+fn a_failing_call_reads_the_same_everywhere() {
+    let p = Pair::new();
+    let plain = "SELECT g.id FROM geoms g, bad b WHERE ST_Intersects(g.g, b.g) ORDER BY g.id";
+    let in_case = "SELECT g.id FROM geoms g, bad b \
+                   WHERE CASE WHEN g.id >= 0 THEN ST_Intersects(g.g, b.g) END ORDER BY g.id";
+    let mut messages = Vec::new();
+    for sql in [plain, in_case] {
+        let want = match p.row.execute(sql) {
+            Err(e) => e.to_string(),
+            Ok(r) => panic!("rowdb returned {} rows\n{sql}", r.rows.len()),
+        };
+        for threads in [1, PARALLEL_THREADS] {
+            p.vec.set_threads(threads);
+            match p.vec.execute(sql) {
+                Err(e) => assert_eq!(e.to_string(), want, "threads={threads}\n{sql}"),
+                Ok(r) => panic!("vecdb returned {} rows\n{sql}", r.rows.len()),
+            }
+        }
+        assert!(want.starts_with("execution error: st_intersects: "), "{want}");
+        messages.push(want);
+    }
+    assert_eq!(messages[0], messages[1]);
+}

@@ -133,7 +133,7 @@ fn transform_roundtrip_mercator() {
 /// both operands, every vertex against every segment.
 fn reference_distance(a: &Geometry, b: &Geometry) -> f64 {
     use mduck_geo::algorithms::{
-        geometry_covers_point, point_segment_distance, segment_segment_distance,
+        geometry_covers_point, point_segment_distance, segment_segment_distance, Features,
     };
     use mduck_geo::geometry::GeomData;
     let mut best = f64::INFINITY;
@@ -190,6 +190,20 @@ fn reference_distance(a: &Geometry, b: &Geometry) -> f64 {
     for q in &b_pts {
         for (p1, p2) in &a_segs {
             best = best.min(point_segment_distance(*q, *p1, *p2));
+        }
+    }
+    // Bare points (vertices that end no segment) against each other.
+    let bare = |g: &Geometry| {
+        let mut pts = Vec::new();
+        let _ = g.visit_bare_points(&mut |p| {
+            pts.push(p);
+            std::ops::ControlFlow::Continue(())
+        });
+        pts
+    };
+    for p in &bare(a) {
+        for q in &bare(b) {
+            best = best.min(p.distance(q));
         }
     }
     best
@@ -458,7 +472,13 @@ mod before {
                 )
             })
         });
-        hit.is_break() || bare_points_touch(a, b, rb, slack) || bare_points_touch(b, a, ra, slack)
+        hit.is_break()
+            || bare_points_touch(a, b, rb, slack)
+            || bare_points_touch(b, a, ra, slack)
+            || a.visit_bare_points(&mut |p| {
+                b.visit_bare_points(&mut |q| stop_if(p.distance(&q) == 0.0))
+            })
+            .is_break()
     }
 
     fn bare_points_touch(a: &impl Features, b: &impl Features, rb: &Rect, slack: f64) -> bool {
@@ -570,4 +590,45 @@ fn eintersects_matches_the_feature_kernel_over_the_trajectory() {
         assert_eq!(windowed, restricted, "{} at {p}", ctx());
     }
     assert!(met > CASES * 2, "{met} met");
+}
+
+/// Two operands that both have segments and share only a bare point
+/// (a vertex that ends no segment) intersect, at distance 0: the bare
+/// points of the two are compared with each other too.
+#[test]
+fn bare_points_meet_bare_points() {
+    let a = wkt::parse_wkt("GEOMETRYCOLLECTION(LINESTRING(0 0,5 0),POINT(9 9))").unwrap();
+    let b = wkt::parse_wkt("GEOMETRYCOLLECTION(LINESTRING(20 20,30 30),POINT(9 9))").unwrap();
+    for (x, y) in [(&a, &b), (&b, &a)] {
+        assert!(intersects(x, y));
+        assert_eq!(distance(x, y), 0.0);
+        assert_eq!(reference_distance(x, y), 0.0);
+        assert!(before::features_intersect(x, y));
+    }
+    // Apart, the bare points' own distance is the minimum.
+    let c = wkt::parse_wkt("GEOMETRYCOLLECTION(LINESTRING(20 20,30 30),POINT(9 12))").unwrap();
+    assert!(!intersects(&a, &c));
+    assert_eq!(distance(&a, &c), 3.0);
+    assert_eq!(distance(&a, &c), reference_distance(&a, &c));
+}
+
+/// A trip whose stationary part (a one-instant sequence, a bare point of
+/// its trajectory) sits on a collection's bare point ever intersects it.
+#[test]
+fn a_stationary_trip_part_meets_a_bare_point() {
+    use mduck_temporal::temporal::{Interp, TGeomPoint, TInstant, TSequence, Temporal};
+    use mduck_temporal::TimestampTz;
+    let at = |x: f64, y: f64, s: i64| {
+        TInstant::new(Point::new(x, y), TimestampTz(1_700_000_000_000_000 + s * 1_000_000))
+    };
+    let seqs = vec![
+        TSequence::new(vec![at(20.0, 20.0, 0), at(30.0, 30.0, 1)], true, true, Interp::Linear)
+            .unwrap(),
+        TSequence::new(vec![at(9.0, 9.0, 5)], true, true, Interp::Linear).unwrap(),
+    ];
+    let t = TGeomPoint::new(Temporal::from_sequences(seqs).unwrap(), 0);
+    let g = wkt::parse_wkt("GEOMETRYCOLLECTION(LINESTRING(0 0,5 0),POINT(9 9))").unwrap();
+    assert!(t.eintersects(&g));
+    assert!(before::features_intersect(&t.trajectory(), &g));
+    assert!(intersects(&t.trajectory(), &g));
 }
