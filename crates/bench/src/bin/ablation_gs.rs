@@ -7,6 +7,8 @@
 //! The paper motivates `_gs` by the "heavy" casting between WKB_BLOB and
 //! GEOMETRY; this binary measures exactly that gap.
 
+#![forbid(unsafe_code)]
+
 use berlinmod::ScaleFactor;
 use mduck_bench::{render_table, BenchEnv, Scenario};
 

@@ -18,6 +18,8 @@
 //! - `BENCH_operators.json` — the vectorized engine's per-operator
 //!   `EXPLAIN ANALYZE` breakdown for every (query, scale factor).
 
+#![forbid(unsafe_code)]
+
 use berlinmod::{benchmark_queries, ScaleFactor};
 use mduck_bench::json::Json;
 use mduck_bench::{render_table, BenchEnv, Scenario};

@@ -2,6 +2,8 @@
 //! §4.4 overlap query once the optimizer has injected the TRTREE index
 //! scan.
 
+#![forbid(unsafe_code)]
+
 fn main() {
     let db = quackdb::Database::new();
     mobilityduck::load(&db);

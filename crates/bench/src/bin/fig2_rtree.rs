@@ -5,6 +5,8 @@
 //!
 //! Pass `--small` to stop at 100k rows (CI-friendly).
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use mduck_bench::render_table;

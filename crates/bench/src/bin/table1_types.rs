@@ -2,6 +2,8 @@
 //! against the live type registry (a type only prints as supported if it
 //! is actually registered and parseable).
 
+#![forbid(unsafe_code)]
+
 use mduck_bench::render_table;
 use mduck_sql::Registry;
 

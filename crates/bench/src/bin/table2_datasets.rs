@@ -3,6 +3,8 @@
 //!
 //! Pass `--small` to only generate the two smallest factors (quick check).
 
+#![forbid(unsafe_code)]
+
 use berlinmod::{BerlinModData, RoadNetwork, ScaleFactor};
 use mduck_bench::{human_size, render_table};
 

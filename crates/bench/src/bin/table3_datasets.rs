@@ -1,6 +1,8 @@
 //! Regenerates **Table 3**: the benchmark datasets at SF-0.001 / 0.002 /
 //! 0.005 / 0.01 (vehicles, trips).
 
+#![forbid(unsafe_code)]
+
 use berlinmod::{BerlinModData, RoadNetwork, ScaleFactor};
 use mduck_bench::render_table;
 

@@ -5,6 +5,8 @@
 //! the shared scenario plumbing: engine setup, timing, and plain-text
 //! table rendering.
 
+#![forbid(unsafe_code)]
+
 pub mod json;
 pub mod micro;
 

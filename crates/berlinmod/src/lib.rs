@@ -7,6 +7,8 @@
 //! engines ([`dataset`]), the 17 benchmark queries and the §6.2 use-case
 //! analytics ([`queries`]), and GeoJSON exports ([`geojson`]).
 
+#![forbid(unsafe_code)]
+
 pub mod dataset;
 pub mod geojson;
 pub mod network;

@@ -6,14 +6,14 @@
 //! Index construction follows §4.2 exactly: the *index-first* `Append`
 //! path inserts incrementally through `rtree_insert`, and the *data-first*
 //! `CREATE INDEX` path runs the three-phase pipeline — parallel `Sink`
-//! into thread-local collections, mutex-protected `Combine`, then
-//! `BulkConstruct`.
-
-use std::sync::Mutex;
+//! into partition-local collections on the shared worker pool, an
+//! in-order `Combine`, then `BulkConstruct`.
 
 use mduck_rtree::{RTree, Rect3};
-use mduck_sql::{LogicalType, SqlError, SqlResult, Value};
+use mduck_sql::session::auto_threads;
+use mduck_sql::{LogicalType, SqlResult, Value};
 use mduck_temporal::{STBox, TimestampTz, TstzSpan};
+use quackdb::parallel::morsel_map;
 
 use crate::types::{to_exec, value_to_stbox, MdStbox, MdTGeomPoint, MdTGeometry, MdTstzSpan};
 
@@ -71,44 +71,22 @@ impl SpatioTemporalIndex {
         column: usize,
         existing: &[Value],
     ) -> SqlResult<Self> {
-        // Phase 1 — Sink: threads scan partitions into thread-local
-        // collections. Partition count scales with the data, mirroring
-        // DuckDB's parallel table scan.
-        let num_threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(existing.len().div_ceil(4096).max(1));
-        let sink = |part: &[Value]| -> SqlResult<Vec<Option<STBox>>> {
-            part.iter().map(value_stbox).collect()
+        // Phase 1 — Sink: workers of the shared pool box partitions of
+        // the rows into partition-local collections. Partition count scales
+        // with the data, mirroring DuckDB's parallel table scan; fewer than
+        // 4096 rows are one partition, boxed inline.
+        let parts = auto_threads().min(existing.len().div_ceil(4096)).max(1);
+        let chunk_size = existing.len().div_ceil(parts).max(1);
+        let partitions: Vec<&[Value]> = existing.chunks(chunk_size).collect();
+        let sink = |pi: usize| -> SqlResult<Vec<Option<STBox>>> {
+            partitions[pi].iter().map(value_stbox).collect()
         };
-        // One partition (fewer than 4096 rows): sink inline, without
-        // spawning a thread.
-        let boxes = if num_threads == 1 {
-            sink(existing)?
-        } else {
-            // Phase 2 — Combine: thread-local results merge under a mutex,
-            // each at its partition's place.
-            let chunk_size = existing.len().div_ceil(num_threads).max(1);
-            let parts = existing.chunks(chunk_size).count();
-            let combined: Mutex<Vec<Vec<Option<STBox>>>> = Mutex::new(vec![Vec::new(); parts]);
-            let failure: Mutex<Option<SqlError>> = Mutex::new(None);
-            std::thread::scope(|scope| {
-                for (pi, part) in existing.chunks(chunk_size).enumerate() {
-                    let (combined, failure, sink) = (&combined, &failure, &sink);
-                    scope.spawn(move || match sink(part) {
-                        Ok(local) => {
-                            combined.lock().expect("sink threads do not panic")[pi] = local;
-                        }
-                        Err(e) => {
-                            *failure.lock().unwrap() = Some(e);
-                        }
-                    });
-                }
-            });
-            if let Some(e) = failure.into_inner().unwrap() {
-                return Err(e);
-            }
-            combined.into_inner().expect("sink threads do not panic").concat()
+        let boxes = match partitions.len() {
+            0 => Vec::new(),
+            1 => sink(0)?,
+            // Phase 2 — Combine: the partitions' collections concatenate
+            // in partition order; the lowest partition's error wins.
+            n => morsel_map(n, n, sink)?.0.concat(),
         };
         // Phase 3 — BulkConstruct.
         let items = boxes

@@ -21,6 +21,8 @@
 //! assert_eq!(r.rows[0][0].to_string(), "2 days");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod aggregates;
 pub mod casts;
 pub mod functions;

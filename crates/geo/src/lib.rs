@@ -17,6 +17,8 @@
 //!
 //! Everything is 2-D; the paper's evaluation never exercises Z.
 
+#![forbid(unsafe_code)]
+
 pub mod algorithms;
 pub mod error;
 pub mod geometry;

@@ -31,6 +31,8 @@
 //! The crate deliberately knows nothing about SQL or either engine; the
 //! `mduck-sql` frontend owns the SQL-facing projection of this data.
 
+#![forbid(unsafe_code)]
+
 pub mod mem;
 pub mod metrics;
 pub mod progress;

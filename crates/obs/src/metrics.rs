@@ -278,6 +278,7 @@ define_metrics! {
         guard_trip_memory,
         parallel_stages,
         parallel_workers_spawned,
+        pool_threads_started,
         morsels_dispatched,
         spans_dropped,
         queries_logged,

@@ -14,6 +14,8 @@
 //! (`StdRng::seed_from_u64`, `rng.random_range(lo..hi)`), so call sites
 //! only swap the import path.
 
+#![forbid(unsafe_code)]
+
 /// Seeding by a single `u64`, like `rand::SeedableRng::seed_from_u64`.
 pub trait SeedableRng: Sized {
     fn seed_from_u64(seed: u64) -> Self;

@@ -11,6 +11,8 @@
 //! registry with `quackdb`, so benchmark differences isolate the execution
 //! model — exactly the variable the paper's Figure 12 varies.
 
+#![forbid(unsafe_code)]
+
 pub mod catalog;
 pub mod database;
 pub mod exec;

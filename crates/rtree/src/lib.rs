@@ -7,6 +7,8 @@
 //! axis-aligned boxes — two spatial axes plus time — with a `u64` payload
 //! (a row identifier).
 
+#![forbid(unsafe_code)]
+
 mod node;
 
 pub use node::Rect3;

@@ -10,6 +10,8 @@
 //! Sharing the frontend isolates exactly the variable the paper's
 //! evaluation varies: the execution model.
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod binder;
 pub mod bound;

@@ -24,7 +24,24 @@ use crate::{
 };
 
 /// Hard ceiling on the worker pool size (sanity bound for PRAGMA input).
-pub const MAX_THREADS: usize = 256;
+pub const MAX_THREADS: usize = mduck_sync::MAX_THREADS;
+
+/// The thread count of an auto-configured database: the `MDUCK_THREADS`
+/// environment variable, or `std::thread::available_parallelism`, at
+/// most [`MAX_THREADS`]. Read once per process: on Linux each
+/// `available_parallelism` call reads the cgroup's CPU quota files, tens
+/// of microseconds.
+pub fn auto_threads() -> usize {
+    static AUTO: OnceLock<usize> = OnceLock::new();
+    *AUTO.get_or_init(|| {
+        std::env::var("MDUCK_THREADS")
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
+            .min(MAX_THREADS)
+    })
+}
 
 /// A query result: output schema plus materialized rows.
 #[derive(Debug, Clone)]
@@ -155,26 +172,12 @@ impl Session {
     }
 
     /// The thread count statements actually execute with: the configured
-    /// value, or (when auto) the `MDUCK_THREADS` environment variable, or
-    /// `std::thread::available_parallelism` — never more than the engine
-    /// can use.
+    /// value, or (when auto) [`auto_threads`] — never more than the
+    /// engine can use.
     pub fn effective_threads(&self) -> usize {
-        // Asked once per process: on Linux each call reads the cgroup's
-        // CPU quota files, tens of microseconds per statement.
-        static CORES: OnceLock<usize> = OnceLock::new();
-        let configured = self.threads();
-        let n = if configured > 0 {
-            configured
-        } else {
-            std::env::var("MDUCK_THREADS")
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|&n| n > 0)
-                .unwrap_or_else(|| {
-                    *CORES.get_or_init(|| {
-                        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-                    })
-                })
+        let n = match self.threads() {
+            0 => auto_threads(),
+            n => n,
         };
         n.min(MAX_THREADS).min(self.max_threads)
     }

@@ -8,6 +8,12 @@
 //! panicking query must not permanently wedge the registry locks of an
 //! embedded database shared by other threads.
 
+#![deny(unsafe_code)]
+
+pub mod pool;
+
+pub use pool::{pool, Pool, Ran, MAX_THREADS};
+
 use std::sync::PoisonError;
 
 /// A reader-writer lock that recovers from poisoning.

@@ -15,6 +15,8 @@
 //!   including the synchronized spatial relationships (`tDwithin`,
 //!   `eDwithin`, `eIntersects`) the paper's benchmark queries use.
 
+#![forbid(unsafe_code)]
+
 pub mod binser;
 pub mod boxes;
 pub mod error;

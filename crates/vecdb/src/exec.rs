@@ -15,6 +15,7 @@
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -26,7 +27,7 @@ use mduck_sql::quantified::{decorrelate, reaches_out, QuantifiedSets};
 use mduck_sql::{
     BoundExpr, BoundSelect, ExecGuard, LogicalType, Registry, SqlError, SqlResult, Value,
 };
-use mduck_sync::RwLock;
+use mduck_sync::{Mutex, RwLock};
 
 use crate::catalog::{DbCatalog, Table};
 use crate::column::{Chunks, ColumnData, DataChunk, VECTOR_SIZE};
@@ -312,6 +313,108 @@ struct Morsel<T> {
 impl<T> Morsel<T> {
     fn new(out: T) -> Self {
         Morsel { out, bytes: 0, dropped: 0 }
+    }
+}
+
+/// Rows a chunk needs before a split stage cuts it into ranges: below
+/// this, the copies a range makes cost more than a second thread saves.
+const SPLIT_ROWS: usize = 64;
+/// Rows below which a chunk's range is not split further.
+const MIN_RANGE_ROWS: usize = 16;
+/// Ranges a split stage cuts one chunk into, at most.
+const RANGES_PER_CHUNK: usize = 8;
+
+/// Does any of `exprs` call a function? Only such stages split their
+/// chunks into row ranges: a call is where a row costs microseconds (the
+/// extension's kernels), not nanoseconds.
+fn calls_function<'e>(exprs: impl IntoIterator<Item = &'e BoundExpr>) -> bool {
+    exprs.into_iter().any(|e| e.any(&mut |x| matches!(x, BoundExpr::Call { .. })))
+}
+
+/// The morsels of one stage over a chunk list (DESIGN.md §8): one per
+/// chunk, or, for a *split* stage, each chunk's fixed row ranges. A stage
+/// splits when it is `costly` (its expressions call a function), its
+/// expressions are simple (no subqueries or outer rows) and some chunk
+/// has at least [`SPLIT_ROWS`] rows. The split depends on the plan
+/// and the chunk lengths only, so every thread count runs the same
+/// morsels in the same order and fails with the same error.
+struct StageMorsels<'e> {
+    /// `(chunk, rows)` per morsel, in input order.
+    ranges: Vec<(usize, Range<usize>)>,
+    /// The stage's expressions; for a split stage, renumbered onto a
+    /// chunk of `columns`.
+    exprs: Vec<Cow<'e, BoundExpr>>,
+    /// For a split stage, the chunk columns the expressions read,
+    /// ascending: a range copies only these, as [`ScanFilters`] does.
+    columns: Option<Vec<usize>>,
+}
+
+impl<'e> StageMorsels<'e> {
+    fn new(exprs: Vec<&'e BoundExpr>, costly: bool, chunks: &[DataChunk]) -> Self {
+        let whole = |exprs: Vec<&'e BoundExpr>| StageMorsels {
+            ranges: chunks.iter().enumerate().map(|(c, chunk)| (c, 0..chunk.len)).collect(),
+            exprs: exprs.into_iter().map(Cow::Borrowed).collect(),
+            columns: None,
+        };
+        if !costly
+            || exprs.iter().any(|e| e.is_complex())
+            || !chunks.iter().any(|c| c.len >= SPLIT_ROWS)
+        {
+            return whole(exprs);
+        }
+        let mut columns = Vec::new();
+        exprs.iter().for_each(|e| e.collect_columns(&mut columns));
+        columns.sort_unstable();
+        columns.dedup();
+        // A column out of range is the expressions' error to report.
+        if columns.last().is_some_and(|&i| chunks.iter().any(|c| i >= c.columns.len())) {
+            return whole(exprs);
+        }
+        let dense = |i| columns.partition_point(|&x| x < i);
+        let exprs = exprs.iter().map(|e| Cow::Owned(e.map_columns(&dense))).collect();
+        let mut ranges = Vec::new();
+        for (c, chunk) in chunks.iter().enumerate() {
+            let parts = match chunk.len {
+                n if n < SPLIT_ROWS => 1,
+                n => (n / MIN_RANGE_ROWS).min(RANGES_PER_CHUNK),
+            };
+            match chunk.len {
+                0 => ranges.push((c, 0..0)),
+                n => ranges.extend(contiguous_ranges(n, parts).into_iter().map(|r| (c, r))),
+            }
+        }
+        StageMorsels { ranges, exprs, columns: Some(columns) }
+    }
+
+    fn len(&self) -> usize {
+        self.ranges.len()
+    }
+
+    fn expr(&self, i: usize) -> &BoundExpr {
+        &self.exprs[i]
+    }
+
+    /// Morsel `m`: its chunk, its rows, and what [`StageMorsels::expr`]
+    /// evaluates on — the chunk itself, or the range's rows of the
+    /// columns a split stage reads.
+    fn view<'c>(
+        &self,
+        chunks: &'c [DataChunk],
+        m: usize,
+    ) -> (usize, Range<usize>, Cow<'c, DataChunk>) {
+        let (c, rows) = self.ranges[m].clone();
+        let chunk = &chunks[c];
+        let view = match &self.columns {
+            None => Cow::Borrowed(chunk),
+            Some(columns) => Cow::Owned(DataChunk {
+                columns: columns
+                    .iter()
+                    .map(|&i| chunk.columns[i].slice(rows.start, rows.len()))
+                    .collect(),
+                len: rows.len(),
+            }),
+        };
+        (c, rows, view)
     }
 }
 
@@ -945,11 +1048,14 @@ fn scan_window(
     Ok(Morsel { out: chunk, bytes, dropped: (window.len() - kept) as u64 })
 }
 
-/// Apply `pred` across all chunks, one chunk per morsel. `key` names the
-/// owning operator or plan for parallel actuals. A chunk every row of
-/// which passes moves to the output as it is; only partly kept chunks
-/// are copied, and charged to the memory guard as they are made. Returns
-/// the output and the bytes copied, for the owner to attribute.
+/// Apply `pred` across all chunks, one chunk (or, for a split stage,
+/// one row range) per morsel. `key` names the owning operator or plan for
+/// parallel actuals. A chunk every row of which passes moves to the
+/// output as it is; only partly kept chunks are copied, and charged to
+/// the memory guard as they are made. A split chunk's ranges are stitched
+/// back into one output chunk, so the output has the input's chunk
+/// boundaries either way. Returns the output and the bytes copied, for
+/// the owner to attribute.
 fn filter_chunks(
     ctx: &EngineCtx<'_>,
     input: Chunks,
@@ -960,31 +1066,40 @@ fn filter_chunks(
 ) -> SqlResult<(Chunks, u64)> {
     let guard = ctx.guard;
     let chunks = &input.chunks;
-    let mut kept = Vec::with_capacity(chunks.len());
+    let morsels = StageMorsels::new(vec![pred], calls_function([pred]), chunks);
+    let stitch = Stitch::new(chunks);
+    let mut kept: Vec<Kept> = chunks.iter().map(|_| Kept::None).collect();
     let bytes = ctx.morsels(
-        chunks.len(),
+        morsels.len(),
         key,
         "filter",
         !pred.is_complex(),
         outer,
         exec,
-        |i, outer, exec| {
-            let chunk = &chunks[i];
-            let sel = filter_chunk(pred, chunk, outer, exec)?;
-            let dropped = (chunk.len - sel.len()) as u64;
+        |m, outer, exec| {
+            let (c, rows, view) = morsels.view(chunks, m);
+            let sel = filter_chunk(morsels.expr(0), &view, outer, exec)?;
+            let dropped = (rows.len() - sel.len()) as u64;
+            let chunk = &chunks[c];
+            let sel: Vec<usize> = sel.into_iter().map(|j| rows.start + j).collect();
+            let Some(sel) = stitch.put(c, chunk.len, rows, sel).map(|s| s.concat()) else {
+                return Ok(Morsel { out: None, bytes: 0, dropped });
+            };
             if sel.len() == chunk.len {
-                return Ok(Morsel { out: Kept::All, bytes: 0, dropped });
+                return Ok(Morsel { out: Some((c, Kept::All)), bytes: 0, dropped });
             }
             if sel.is_empty() {
-                return Ok(Morsel { out: Kept::None, bytes: 0, dropped });
+                return Ok(Morsel { out: None, bytes: 0, dropped });
             }
             let part = chunk.select(&sel);
             let bytes = part.approx_bytes();
             guard.charge_mem(bytes)?;
-            Ok(Morsel { out: Kept::Part(part), bytes, dropped })
+            Ok(Morsel { out: Some((c, Kept::Part(part))), bytes, dropped })
         },
-        |k| {
-            kept.push(k);
+        |out| {
+            if let Some((c, k)) = out {
+                kept[c] = k;
+            }
             Ok(())
         },
     )?;
@@ -997,6 +1112,43 @@ fn filter_chunks(
         }
     }
     Ok((out, bytes))
+}
+
+/// What the ranges of a split stage kept, per chunk, until the range
+/// that completes its chunk takes all of it (in row order) to build the
+/// chunk's output — on whichever worker ran that range, so the copying
+/// stays parallel.
+struct Stitch<P>(Vec<Mutex<Slot<P>>>);
+
+/// One chunk's rows not yet accounted for, and the parts its ranges kept
+/// so far, by first row.
+struct Slot<P> {
+    left: usize,
+    parts: Vec<(usize, P)>,
+}
+
+impl<P> Stitch<P> {
+    fn new(chunks: &[DataChunk]) -> Self {
+        Stitch(chunks.iter().map(|c| Mutex::new(Slot { left: c.len, parts: Vec::new() })).collect())
+    }
+
+    /// Record what range `rows` of chunk `c` (of `len` rows) kept.
+    /// Returns the kept parts of the whole chunk, in row order, once
+    /// every row of it is accounted for.
+    fn put(&self, c: usize, len: usize, rows: Range<usize>, part: P) -> Option<Vec<P>> {
+        if rows.len() == len {
+            return Some(vec![part]);
+        }
+        let mut slot = self.0[c].lock();
+        slot.left -= rows.len();
+        slot.parts.push((rows.start, part));
+        if slot.left > 0 {
+            return None;
+        }
+        let mut parts = std::mem::take(&mut slot.parts);
+        parts.sort_unstable_by_key(|p| p.0);
+        Some(parts.into_iter().map(|p| p.1).collect())
+    }
 }
 
 /// What a Filter keeps of one chunk.
@@ -1036,10 +1188,13 @@ fn combine(l: &DataChunk, lsel: &[usize], r: &DataChunk, rsel: &[usize]) -> Data
     DataChunk::from_columns(cols)
 }
 
-/// What one left chunk of a join produced.
+/// What one left chunk (or one range of it) of a join produced.
 #[derive(Default)]
 struct PairPart {
     chunks: Vec<DataChunk>,
+    /// Pairs kept but not yet in `chunks`: (left row, right row).
+    lsel: Vec<usize>,
+    rsel: Vec<usize>,
     /// Left rows whose candidates came from the index or hash table (the
     /// rest paired with every right row).
     probes: u64,
@@ -1071,7 +1226,8 @@ struct IndexLink<'a> {
     after: &'a [BoundExpr],
 }
 
-/// Join `l` with `r`, one left chunk per morsel. Pairs come out in
+/// Join `l` with `r`, one left chunk (or, split, one range of it) per
+/// morsel (DESIGN.md §8). Pairs come out in
 /// cross-product order: left rows in order, each with its right rows in
 /// ascending order — every right row (the cross product), the hits of a
 /// transient index over the `build` expression of an index join
@@ -1081,7 +1237,8 @@ struct IndexLink<'a> {
 /// (declined, errored, a probe chunk that fails to evaluate, a build side
 /// that fails to index) pairs with every right row, as the cross product
 /// does, and those pairs run `recheck` (DESIGN.md §12). A key that fails
-/// to evaluate fails the join.
+/// to evaluate fails the join. The pairs kept from one left chunk go out
+/// in [`VECTOR_SIZE`] chunks.
 fn pair_join(
     ctx: &EngineCtx<'_>,
     l: &Chunks,
@@ -1101,38 +1258,66 @@ fn pair_join(
     ctx.charge_op_mem(key, rflat.approx_bytes())?;
     let m = mduck_obs::metrics();
     let (index, table);
-    let (candidates, recheck, after) = match kind {
-        JoinKind::Cross => (Candidates::All, &[][..], &[][..]),
+    let (candidates, probe_exprs, recheck, after) = match kind {
+        JoinKind::Cross => (Candidates::All, Vec::new(), &[][..], &[][..]),
         JoinKind::Index(link) => {
-            index = build_index(ctx, link.method, link.build, &rflat, outer, exec);
+            index = build_index(ctx, link.method, link.build, &rflat, outer, exec, key);
             let candidates = match &index {
                 Some(index) => {
                     m.index_join_builds.inc(1);
-                    Candidates::Index(&**index, link.probe)
+                    Candidates::Index(&**index)
                 }
                 None => Candidates::All,
             };
-            (candidates, link.recheck, link.after)
+            (candidates, vec![link.probe], link.recheck, link.after)
         }
         JoinKind::Hash(left_keys, right_keys) => {
             table = build_hash(ctx, right_keys, &rflat, outer, exec, key)?;
-            (Candidates::Hash(&table, left_keys), &[][..], &[][..])
+            (Candidates::Hash(&table), left_keys.iter().collect(), &[][..], &[][..])
         }
     };
+    // A left chunk splits into row ranges when its probe values or the
+    // conjuncts its pairs run call a function.
+    let costly =
+        calls_function(probe_exprs.iter().copied().chain(recheck.iter().copied()).chain(after));
+    let morsels = StageMorsels::new(probe_exprs, costly, &l.chunks);
     let all: Vec<usize> = (0..rflat.len).collect();
     let pairs = Pairs { guard: ctx.guard, rflat: &rflat, all: &all, candidates, recheck, after };
+    let stitch = Stitch::new(&l.chunks);
     let mut out = Chunks::default();
     let (mut probes, mut emitted) = (0u64, 0u64);
     // The probe, the keys and the re-checked conjuncts are simple: the
     // planner places only conjuncts without subqueries.
     let bytes = ctx.morsels(
-        l.chunks.len(),
+        morsels.len(),
         key,
         "pairs",
         true,
         outer,
         exec,
-        |i, outer, exec| pairs.chunk(&l.chunks[i], outer, exec),
+        |m, outer, exec| {
+            let (c, rows, view) = morsels.view(&l.chunks, m);
+            let lchunk = &l.chunks[c];
+            let whole = rows.len() == lchunk.len;
+            let probed = candidates.probe(&view, &morsels, outer, exec)?;
+            let mut part = pairs.chunk(lchunk, rows.clone(), probed, whole, outer, exec)?;
+            if whole {
+                return Ok(part);
+            }
+            // A range keeps its pairs as row numbers; the range that
+            // completes its left chunk emits the chunk's pairs in row
+            // order, so ranges do not cut the join's output chunks.
+            let kept = (std::mem::take(&mut part.out.lsel), std::mem::take(&mut part.out.rsel));
+            ctx.guard.charge_mem(16 * kept.0.len() as u64)?;
+            if let Some(ranges) = stitch.put(c, lchunk.len, rows, kept) {
+                for (lsel, rsel) in ranges {
+                    part.out.lsel.extend(lsel);
+                    part.out.rsel.extend(rsel);
+                }
+                pairs.flush(&mut part, lchunk, true)?;
+            }
+            Ok(part)
+        },
         |part| {
             probes += part.probes;
             emitted += part.pairs;
@@ -1166,10 +1351,30 @@ fn build_index(
     rflat: &DataChunk,
     outer: &OuterStack<'_>,
     exec: &dyn SubqueryExec,
+    key: usize,
 ) -> Option<Box<dyn TableIndex>> {
     let index_type = ctx.index_types.read().get(method)?;
-    let values = eval_vector(build, rflat, outer, exec).ok()?;
-    let values: Vec<Value> = (0..values.len()).map(|i| values.get(i)).collect();
+    // The build values, range by range when `build` calls a function.
+    let chunks = std::slice::from_ref(rflat);
+    let morsels = StageMorsels::new(vec![build], calls_function([build]), chunks);
+    let mut values = Vec::with_capacity(rflat.len);
+    ctx.morsels(
+        morsels.len(),
+        key,
+        "build",
+        true,
+        outer,
+        exec,
+        |m, outer, exec| {
+            let (_, _, view) = morsels.view(chunks, m);
+            eval_vector(morsels.expr(0), &view, outer, exec).map(Morsel::new)
+        },
+        |col| {
+            values.extend((0..col.len()).map(|i| col.get(i)));
+            Ok(())
+        },
+    )
+    .ok()?;
     index_type.create("index_join", 0, &build.ty(), &values).ok()
 }
 
@@ -1218,18 +1423,20 @@ fn hash_key(cols: &[ColumnData], i: usize, key: &mut Vec<u8>) -> bool {
 enum Candidates<'a> {
     /// Every right row.
     All,
-    /// The index's hits for the left row's `probe` value.
-    Index(&'a dyn TableIndex, &'a BoundExpr),
+    /// The index's hits for the left row's probe value.
+    Index(&'a dyn TableIndex),
     /// The hash table's rows for the left row's key.
-    Hash(&'a HashMap<Vec<u8>, Vec<usize>>, &'a [BoundExpr]),
+    Hash(&'a HashMap<Vec<u8>, Vec<usize>>),
 }
 
 impl<'a> Candidates<'a> {
-    /// One left chunk's probe values: the index probe or the hash keys;
-    /// `None` when every row pairs with every right row.
+    /// The probe values of one morsel's left rows (`view`): the index
+    /// probe or the hash keys, `morsels`' expressions; `None` when every
+    /// row pairs with every right row.
     fn probe(
         self,
-        lchunk: &DataChunk,
+        view: &DataChunk,
+        morsels: &StageMorsels<'_>,
         outer: &OuterStack<'_>,
         exec: &dyn SubqueryExec,
     ) -> SqlResult<Option<Vec<ColumnData>>> {
@@ -1238,22 +1445,24 @@ impl<'a> Candidates<'a> {
             // A chunk whose probe values cannot be computed pairs every
             // row with every right row; the re-check then meets the same
             // error, if any, the cross product would have.
-            Candidates::Index(_, probe) => {
-                eval_vector(probe, lchunk, outer, exec).ok().map(|values| vec![values])
+            Candidates::Index(_) => {
+                eval_vector(morsels.expr(0), view, outer, exec).ok().map(|values| vec![values])
             }
-            Candidates::Hash(_, keys) => Some(
-                keys.iter().map(|k| eval_vector(k, lchunk, outer, exec)).collect::<SqlResult<_>>()?,
+            Candidates::Hash(_) => Some(
+                (0..morsels.exprs.len())
+                    .map(|k| eval_vector(morsels.expr(k), view, outer, exec))
+                    .collect::<SqlResult<_>>()?,
             ),
         })
     }
 
-    /// Left row `li`'s candidates, ascending, from its probe values
-    /// `cols`; `None` when the index cannot answer.
-    fn hits(self, cols: &[ColumnData], li: usize, key: &mut Vec<u8>) -> Option<Cow<'a, [usize]>> {
+    /// The candidates of the `j`-th probed row, ascending, from the probe
+    /// values `cols`; `None` when the index cannot answer.
+    fn hits(self, cols: &[ColumnData], j: usize, key: &mut Vec<u8>) -> Option<Cow<'a, [usize]>> {
         match self {
             Candidates::All => None,
-            Candidates::Index(index, _) => {
-                let v = cols[0].get(li);
+            Candidates::Index(index) => {
+                let v = cols[0].get(j);
                 if v.is_null() {
                     return Some(Cow::Borrowed(&[]));
                 }
@@ -1262,8 +1471,8 @@ impl<'a> Candidates<'a> {
                 ids.sort_unstable();
                 Some(Cow::Owned(ids))
             }
-            Candidates::Hash(table, _) => {
-                if !hash_key(cols, li, key) {
+            Candidates::Hash(table) => {
+                if !hash_key(cols, j, key) {
                     return Some(Cow::Borrowed(&[]));
                 }
                 Some(Cow::Borrowed(table.get(key).map_or(&[][..], Vec::as_slice)))
@@ -1295,21 +1504,26 @@ struct Selection {
 }
 
 impl Pairs<'_> {
-    /// Pair every row of `lchunk` with its candidates, emitting the pairs
-    /// in [`VECTOR_SIZE`] chunks charged to the row budget and memory
-    /// guard.
+    /// Pair the rows `rows` of `lchunk` with their candidates (`probed`
+    /// holds their probe values, from [`Candidates::probe`]), checking
+    /// them [`VECTOR_SIZE`] candidates at a time against the row budget.
+    /// With `emit`, the kept pairs go out as chunks of [`VECTOR_SIZE`]
+    /// rows, charged to the memory guard as they are made; otherwise they
+    /// stay in the part's `lsel`/`rsel`.
     fn chunk(
         &self,
         lchunk: &DataChunk,
+        rows: Range<usize>,
+        probed: Option<Vec<ColumnData>>,
+        emit: bool,
         outer: &OuterStack<'_>,
         exec: &dyn SubqueryExec,
     ) -> SqlResult<Morsel<PairPart>> {
         let mut part = Morsel::new(PairPart::default());
-        let probed = self.candidates.probe(lchunk, outer, exec)?;
         let mut sel = Selection::default();
         let mut key = Vec::new();
-        for li in 0..lchunk.len {
-            let hits = probed.as_ref().and_then(|cols| self.candidates.hits(cols, li, &mut key));
+        for (j, li) in rows.enumerate() {
+            let hits = probed.as_ref().and_then(|cols| self.candidates.hits(cols, j, &mut key));
             if hits.is_some() {
                 part.out.probes += 1;
             }
@@ -1321,46 +1535,73 @@ impl Pairs<'_> {
                 sel.lsel.push(li);
                 sel.rsel.push(ri);
                 if sel.lsel.len() >= VECTOR_SIZE {
-                    self.emit(&mut part, lchunk, &mut sel, outer, exec)?;
+                    self.keep(&mut part.out, lchunk, &mut sel, outer, exec)?;
+                    if emit {
+                        self.flush(&mut part, lchunk, false)?;
+                    }
                 }
             }
         }
         if !sel.lsel.is_empty() {
-            self.emit(&mut part, lchunk, &mut sel, outer, exec)?;
+            self.keep(&mut part.out, lchunk, &mut sel, outer, exec)?;
+        }
+        if emit {
+            self.flush(&mut part, lchunk, true)?;
         }
         Ok(part)
     }
 
-    /// Materialize the selected pairs as one output chunk, keeping those
-    /// to re-check only if they pass, then only those passing `after`,
-    /// and clear the selection.
-    fn emit(
+    /// Keep the selected pairs that pass `recheck` (those that must) and
+    /// then `after`, appending them to `part`'s kept pairs, and clear
+    /// the selection. The conjuncts run on the pairs materialized; pairs
+    /// no conjunct checks are kept as they are.
+    fn keep(
         &self,
-        part: &mut Morsel<PairPart>,
+        part: &mut PairPart,
         lchunk: &DataChunk,
         sel: &mut Selection,
         outer: &OuterStack<'_>,
         exec: &dyn SubqueryExec,
     ) -> SqlResult<()> {
         self.guard.check_rows(sel.lsel.len())?;
-        let mut chunk = combine(lchunk, &sel.lsel, self.rflat, &sel.rsel);
-        self.guard.charge_mem(chunk.approx_bytes())?;
-        if !sel.unchecked.is_empty() {
-            chunk = self.recheck_pairs(chunk, &sel.unchecked, outer, exec)?;
-        }
-        for pred in self.after {
-            if chunk.len == 0 {
-                break;
+        // Positions in `sel` of the pairs kept so far; `None` while all are.
+        let mut kept: Option<Vec<usize>> = None;
+        if !sel.unchecked.is_empty() || !self.after.is_empty() {
+            let mut chunk = combine(lchunk, &sel.lsel, self.rflat, &sel.rsel);
+            self.guard.charge_mem(chunk.approx_bytes())?;
+            if !sel.unchecked.is_empty() {
+                kept = self.recheck_pairs(&chunk, &sel.unchecked, outer, exec)?;
+                if let Some(k) = &kept {
+                    chunk = chunk.select(k);
+                }
             }
-            let pass = filter_chunk(pred, &chunk, outer, exec)?;
-            if pass.len() < chunk.len {
-                chunk = chunk.select(&pass);
+            for (i, pred) in self.after.iter().enumerate() {
+                if chunk.len == 0 {
+                    break;
+                }
+                let pass = filter_chunk(pred, &chunk, outer, exec)?;
+                if pass.len() == chunk.len {
+                    continue;
+                }
+                // The last conjunct's survivors need no copy of their own.
+                if i + 1 < self.after.len() {
+                    chunk = chunk.select(&pass);
+                }
+                kept = Some(match kept {
+                    None => pass,
+                    Some(k) => pass.iter().map(|&p| k[p]).collect(),
+                });
             }
         }
-        if chunk.len > 0 {
-            part.out.pairs += chunk.len as u64;
-            part.bytes += chunk.approx_bytes();
-            part.out.chunks.push(chunk);
+        match kept {
+            None => {
+                part.lsel.append(&mut sel.lsel);
+                part.rsel.append(&mut sel.rsel);
+            }
+            Some(k) => {
+                part.lsel.extend(k.iter().map(|&p| sel.lsel[p]));
+                part.rsel.extend(k.iter().map(|&p| sel.rsel[p]));
+            }
         }
         sel.lsel.clear();
         sel.rsel.clear();
@@ -1368,17 +1609,38 @@ impl Pairs<'_> {
         Ok(())
     }
 
-    /// `chunk` without the pairs at `rows` (ascending) that fail a
-    /// `recheck` conjunct. The conjuncts run in order, each on the pairs
-    /// the ones before it kept, as the Filters of a cross product would;
-    /// the other pairs stay, in place.
+    /// Materialize `part`'s kept pairs as output chunks of
+    /// [`VECTOR_SIZE`] rows, charged to the memory guard; a last partial
+    /// chunk only when `all`.
+    fn flush(&self, part: &mut Morsel<PairPart>, lchunk: &DataChunk, all: bool) -> SqlResult<()> {
+        let out = &mut part.out;
+        let n = if all { out.lsel.len() } else { out.lsel.len() / VECTOR_SIZE * VECTOR_SIZE };
+        for start in (0..n).step_by(VECTOR_SIZE) {
+            let rows = start..n.min(start + VECTOR_SIZE);
+            let chunk = combine(lchunk, &out.lsel[rows.clone()], self.rflat, &out.rsel[rows]);
+            let bytes = chunk.approx_bytes();
+            self.guard.charge_mem(bytes)?;
+            out.pairs += chunk.len as u64;
+            part.bytes += bytes;
+            out.chunks.push(chunk);
+        }
+        out.lsel.drain(..n);
+        out.rsel.drain(..n);
+        Ok(())
+    }
+
+    /// The positions of `chunk`'s rows that stay when the pairs at `rows`
+    /// (ascending) must pass every `recheck` conjunct, `None` when all
+    /// do. The conjuncts run in order, each on the pairs the ones before
+    /// it kept, as the Filters of a cross product would; the other pairs
+    /// stay.
     fn recheck_pairs(
         &self,
-        chunk: DataChunk,
+        chunk: &DataChunk,
         rows: &[usize],
         outer: &OuterStack<'_>,
         exec: &dyn SubqueryExec,
-    ) -> SqlResult<DataChunk> {
+    ) -> SqlResult<Option<Vec<usize>>> {
         // `kept[k]` is the chunk position of row `k` of `checked`.
         let mut kept = rows.to_vec();
         let mut checked = (rows.len() < chunk.len).then(|| chunk.select(rows));
@@ -1386,7 +1648,7 @@ impl Pairs<'_> {
             if kept.is_empty() {
                 break;
             }
-            let view = checked.as_ref().unwrap_or(&chunk);
+            let view = checked.as_ref().unwrap_or(chunk);
             let pass = filter_chunk(pred, view, outer, exec)?;
             if pass.len() < view.len {
                 let next = view.select(&pass);
@@ -1395,19 +1657,20 @@ impl Pairs<'_> {
             }
         }
         if kept.len() == rows.len() {
-            return Ok(chunk);
+            return Ok(None);
         }
         let mut rows = rows.iter().peekable();
         let mut kept = kept.iter().peekable();
-        let sel: Vec<usize> = (0..chunk.len)
-            .filter(|i| {
-                if rows.next_if_eq(&i).is_none() {
-                    return true;
-                }
-                kept.next_if_eq(&i).is_some()
-            })
-            .collect();
-        Ok(chunk.select(&sel))
+        Ok(Some(
+            (0..chunk.len)
+                .filter(|i| {
+                    if rows.next_if_eq(&i).is_none() {
+                        return true;
+                    }
+                    kept.next_if_eq(&i).is_some()
+                })
+                .collect(),
+        ))
     }
 }
 
@@ -1491,26 +1754,27 @@ fn execute_select_inner(
     let proj_start = Instant::now();
     let mut tail = RowTail::new(plan);
     if env_is_input {
-        // Each morsel projects one chunk into row vectors.
+        // Each morsel projects one chunk, or one range of a chunk, into
+        // row vectors.
         let (guard, chunks) = (ctx.guard, &input.chunks);
+        let exprs: Vec<&BoundExpr> = plan.projections.iter().collect();
+        let morsels = StageMorsels::new(exprs, calls_function(&plan.projections), chunks);
         ctx.morsels(
-            chunks.len(),
+            morsels.len(),
             plan_key(plan),
             "projection",
             plan.projections.iter().all(|p| !p.is_complex()),
             outer,
             &exec,
-            |ci, outer, exec| {
-                let chunk = &chunks[ci];
-                guard.check_rows(chunk.len)?;
-                let proj_cols: Vec<ColumnData> = plan
-                    .projections
-                    .iter()
-                    .map(|p| eval_vector(p, chunk, outer, exec))
+            |m, outer, exec| {
+                let (c, rows, view) = morsels.view(chunks, m);
+                guard.check_rows(rows.len())?;
+                let proj_cols: Vec<ColumnData> = (0..plan.projections.len())
+                    .map(|p| eval_vector(morsels.expr(p), &view, outer, exec))
                     .collect::<SqlResult<_>>()?;
                 let mut part = RowTail::new(plan);
-                for i in 0..chunk.len {
-                    part.push(proj_cols.iter().map(|c| c.get(i)).collect(), || chunk.row(i));
+                for (j, i) in rows.enumerate() {
+                    part.push(proj_cols.iter().map(|c| c.get(j)).collect(), || chunks[c].row(i));
                 }
                 Ok(Morsel::new(part))
             },
@@ -1607,24 +1871,35 @@ fn aggregate(
                 .collect(),
         }
     };
+    // DISTINCT gates updates *before* they reach the state, so partial
+    // states would double-count across ranges — those statements fold
+    // per chunk, as do aggregates whose merge is not exact (float sums).
+    let two_phase = !plan.aggregates.iter().any(|a| a.distinct)
+        && plan.aggregates.iter().all(|a| (a.factory)().exact_merge());
+    // The group keys, then every aggregate's arguments. Only the per-chunk
+    // strategy splits chunks into ranges: two-phase morsels are chunk
+    // ranges already.
+    let exprs: Vec<&BoundExpr> =
+        plan.group_by.iter().chain(plan.aggregates.iter().flat_map(|a| &a.args)).collect();
+    let costly = !two_phase && calls_function(exprs.iter().copied());
+    let chunks = &input.chunks;
+    let morsels = StageMorsels::new(exprs, costly, chunks);
     // Vectorized evaluation of group keys and aggregate arguments.
     let eval_cols = |chunk: &DataChunk,
                      outer: &OuterStack<'_>,
                      exec: &dyn SubqueryExec|
      -> SqlResult<(Vec<ColumnData>, Vec<Vec<ColumnData>>)> {
-        let key_cols: SqlResult<Vec<ColumnData>> = plan
-            .group_by
-            .iter()
-            .map(|g| eval_vector(g, chunk, outer, exec))
-            .collect();
+        let ng = plan.group_by.len();
+        let key_cols: SqlResult<Vec<ColumnData>> =
+            (0..ng).map(|i| eval_vector(morsels.expr(i), chunk, outer, exec)).collect();
+        let mut next = ng;
         let arg_cols: SqlResult<Vec<Vec<ColumnData>>> = plan
             .aggregates
             .iter()
             .map(|a| {
-                a.args
-                    .iter()
-                    .map(|arg| eval_vector(arg, chunk, outer, exec))
-                    .collect()
+                let first = next;
+                next += a.args.len();
+                (first..next).map(|i| eval_vector(morsels.expr(i), chunk, outer, exec)).collect()
             })
             .collect();
         Ok((key_cols?, arg_cols?))
@@ -1689,14 +1964,7 @@ fn aggregate(
             .aggregates
             .iter()
             .any(|a| a.args.iter().any(BoundExpr::is_complex));
-    // DISTINCT gates updates *before* they reach the state, so partial
-    // states would double-count across ranges — those statements fold
-    // per chunk, as do aggregates whose merge is not exact (float sums).
-    let two_phase = !plan.aggregates.iter().any(|a| a.distinct)
-        && plan.aggregates.iter().all(|a| (a.factory)().exact_merge());
-
     let mut set = GroupSet::default();
-    let chunks = &input.chunks;
     if two_phase {
         // Contiguous chunk ranges → partial group sets. Ranges (rather
         // than single chunks) keep every state's update order a
@@ -1744,16 +2012,16 @@ fn aggregate(
         )?;
     } else {
         ctx.morsels(
-            chunks.len(),
+            morsels.len(),
             plan_key(plan),
             "aggregate",
             simple,
             outer,
             &exec,
-            |i, outer, exec| {
-                let chunk = &chunks[i];
-                guard.check_rows(chunk.len)?;
-                Ok(Morsel::new((chunk.len, eval_cols(chunk, outer, exec)?)))
+            |m, outer, exec| {
+                let (_, rows, view) = morsels.view(chunks, m);
+                guard.check_rows(rows.len())?;
+                Ok(Morsel::new((rows.len(), eval_cols(&view, outer, exec)?)))
             },
             |(len, (key_cols, arg_cols))| fold_cols(&mut set, len, &key_cols, &arg_cols),
         )?;

@@ -206,9 +206,10 @@ fn op_lines(a: &AnalyzeData<'_>, op: &PhysOp) -> Vec<String> {
         lines.push(format!("candidates: {}", p.candidates));
     }
     // Operator-level parallel stages: scans (fused conjuncts included)
-    // run window by window in parallel; filters above joins, cross
-    // products and index joins left chunk by left chunk.
-    for stage in ["scan", "filter", "pairs"] {
+    // run window by window in parallel; filters above joins chunk by
+    // chunk, and joins left chunk by left chunk; a transient index's
+    // build values and a split stage's chunks go range by range.
+    for stage in ["scan", "filter", "build", "pairs"] {
         lines.extend(par_lines(a.profile, op_key(op), stage));
     }
     lines

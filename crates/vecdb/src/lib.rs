@@ -16,6 +16,8 @@
 //! assert_eq!(r.rows[0][0].to_string(), "two");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod catalog;
 pub mod column;

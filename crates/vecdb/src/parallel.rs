@@ -3,8 +3,8 @@
 //! The engine splits each stage's input — the list of 2048-row
 //! [`crate::column::DataChunk`]s — into *morsels* (one chunk, or one
 //! contiguous chunk range for order-sensitive aggregation) and dispatches
-//! them to a [`std::thread::scope`] worker pool built on the in-repo
-//! [`mduck_sync::MorselQueue`]. Three invariants make parallel results
+//! them to the process-wide [`mduck_sync::pool()`] of parked helpers, which
+//! claim them from a [`mduck_sync::MorselQueue`]. Three invariants make parallel results
 //! byte-identical to the serial engine:
 //!
 //! 1. **Order-preserving reassembly.** Workers claim morsel indexes
@@ -21,7 +21,7 @@
 //!    deadline, and cancellation are charged globally; the first error
 //!    stops the queue and the fleet drains.
 //!
-//! Worker panics are contained by the scope join and surfaced as
+//! Worker panics are caught by the pool and surfaced as
 //! [`SqlError::Internal`] — never unwrapped.
 
 use std::time::Instant;
@@ -36,13 +36,14 @@ pub const MIN_PARALLEL_MORSELS: usize = 2;
 /// `EXPLAIN ANALYZE` and the metrics registry.
 #[derive(Debug, Default, Clone)]
 pub struct ParStats {
-    /// Workers actually spawned (≤ configured threads).
+    /// Workers that joined the stage (≤ configured threads): the caller
+    /// and every helper that started before the morsels ran out.
     pub workers: usize,
     /// Summed per-worker busy time (total CPU time across threads).
     pub busy_ns: u64,
     /// Busy time of the slowest worker (the stage's critical path).
     pub max_worker_ns: u64,
-    /// Morsels processed by each worker, in spawn order.
+    /// Morsels processed by each worker, in finishing order.
     pub morsels_per_worker: Vec<u64>,
 }
 
@@ -60,91 +61,77 @@ struct WorkerOut<T> {
     err: Option<(usize, SqlError)>,
 }
 
-/// Map `work` over morsel indexes `0..n` on up to `threads` workers and
-/// return the results **in input order** plus the pool's actuals.
+/// Map `work` over morsel indexes `0..n` on up to `threads` workers of
+/// the process-wide [`mduck_sync::pool()`] and return the results **in
+/// input order** plus the pool's actuals.
 ///
 /// Whether a stage is worth the pool is the caller's decision
-/// (`EngineCtx::morsels`); this always spawns the workers. On error the
-/// queue is stopped, the fleet drains, and the error with the lowest
-/// morsel index is returned — the same error a serial left-to-right run
-/// would have hit first, keeping failure behaviour deterministic.
+/// (`EngineCtx::morsels`). The calling thread is always one of the
+/// workers; helpers join while morsels are left. On error the queue is
+/// stopped, the workers drain, and the error with the lowest morsel
+/// index is returned — the same error a serial left-to-right run would
+/// have hit first, keeping failure behaviour deterministic.
 pub fn morsel_map<T, F>(threads: usize, n: usize, work: F) -> SqlResult<(Vec<T>, ParStats)>
 where
     T: Send,
     F: Fn(usize) -> SqlResult<T> + Sync,
 {
-    let workers = threads.min(n);
     let queue = MorselQueue::new(n);
-    let queue = &queue;
-    let work = &work;
-    // Span stacks are thread-local, so a worker thread would otherwise
+    // Span stacks are thread-local, so a helper thread would otherwise
     // record its span as a root: capture the coordinator's current span
     // and re-parent every worker span under it, keeping `mduck_spans()`
     // trees connected across the pool.
     let parent = mduck_obs::current_span_id();
-    let joined: Vec<std::thread::Result<WorkerOut<T>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(move || {
-                    let _span = mduck_obs::span_with_parent("vecdb.worker", parent);
-                    let start = Instant::now();
-                    let mut items = Vec::new();
-                    let mut err = None;
-                    while let Some(i) = queue.claim() {
-                        match work(i) {
-                            Ok(t) => items.push((i, t)),
-                            Err(e) => {
-                                err = Some((i, e));
-                                queue.stop();
-                                break;
-                            }
-                        }
-                    }
-                    WorkerOut { items, busy_ns: start.elapsed().as_nanos() as u64, err }
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join()).collect()
+    let ran = mduck_sync::pool().run(threads.min(n), || {
+        let _span = mduck_obs::span_with_parent("vecdb.worker", parent);
+        let start = Instant::now();
+        let mut items = Vec::new();
+        let mut err = None;
+        while let Some(i) = queue.claim() {
+            match work(i) {
+                Ok(t) => items.push((i, t)),
+                Err(e) => {
+                    err = Some((i, e));
+                    queue.stop();
+                    break;
+                }
+            }
+        }
+        WorkerOut { items, busy_ns: start.elapsed().as_nanos() as u64, err }
     });
 
+    let m = mduck_obs::metrics();
+    m.pool_threads_started.inc(ran.started as u64);
+    let workers = ran.workers();
     let mut stats = ParStats { workers, ..ParStats::default() };
     let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
     slots.resize_with(n, || None);
     let mut first_err: Option<(usize, SqlError)> = None;
-    let mut panicked = false;
-    for res in joined {
-        match res {
-            Ok(w) => {
-                stats.busy_ns += w.busy_ns;
-                stats.max_worker_ns = stats.max_worker_ns.max(w.busy_ns);
-                stats
-                    .morsels_per_worker
-                    .push(w.items.len() as u64 + u64::from(w.err.is_some()));
-                for (i, t) in w.items {
-                    slots[i] = Some(t);
-                }
-                if let Some((i, e)) = w.err {
-                    if first_err.as_ref().is_none_or(|(j, _)| i < *j) {
-                        first_err = Some((i, e));
-                    }
-                }
+    for w in ran.outputs {
+        stats.busy_ns += w.busy_ns;
+        stats.max_worker_ns = stats.max_worker_ns.max(w.busy_ns);
+        stats.morsels_per_worker.push(w.items.len() as u64 + u64::from(w.err.is_some()));
+        for (i, t) in w.items {
+            slots[i] = Some(t);
+        }
+        if let Some((i, e)) = w.err {
+            if first_err.as_ref().is_none_or(|(j, _)| i < *j) {
+                first_err = Some((i, e));
             }
-            // A worker panic is a bug by the engine's no-panic contract,
-            // but it must degrade to an error, never an unwrap.
-            Err(_) => panicked = true,
         }
     }
     if let Some((_, e)) = first_err {
         return Err(e);
     }
-    if panicked {
+    // A worker panic is a bug by the engine's no-panic contract, but it
+    // must degrade to an error, never an unwrap.
+    if ran.panics > 0 {
         return Err(SqlError::internal("parallel worker panicked"));
     }
     let out: SqlResult<Vec<T>> = slots
         .into_iter()
         .map(|s| s.ok_or_else(|| SqlError::internal("parallel worker dropped a morsel")))
         .collect();
-    let m = mduck_obs::metrics();
     m.parallel_stages.inc(1);
     m.parallel_workers_spawned.inc(workers as u64);
     m.morsels_dispatched.inc(n as u64);
@@ -180,9 +167,11 @@ mod tests {
     fn morsel_map_preserves_input_order() {
         let (out, stats) = morsel_map(4, 100, |i| Ok(i * 2)).unwrap();
         assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
-        assert_eq!(stats.workers, 4);
+        // The caller always works; a helper joins only while morsels are
+        // left, so between 1 and 4 workers ran.
+        assert!((1..=4).contains(&stats.workers), "{stats:?}");
         assert_eq!(stats.morsels(), 100);
-        assert_eq!(stats.morsels_per_worker.len(), 4);
+        assert_eq!(stats.morsels_per_worker.len(), stats.workers);
     }
 
     #[test]

@@ -18,6 +18,8 @@
 //!   the commit lock, DDL commit rules, checkpoints, the WAL pragmas.
 //! * [`failpoint`] — deterministic fault injection for all of the above.
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 pub mod crc32;
 pub mod durable;

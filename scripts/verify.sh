@@ -24,11 +24,18 @@ echo "== observability tests =="
 cargo test -q -p mduck-obs
 cargo test -q -p mduck-integration --test observability --test guard_limits
 
+echo "== worker pool stress =="
+# The process-wide pool of parked helpers (mduck_sync::pool): four
+# submitters run thousands of stages over two helpers, and every morsel
+# must be claimed exactly once. Run optimized, where races are likeliest.
+cargo test -q --release -p mduck-sync stress_every_morsel_is_claimed_once
+
 echo "== parallel execution matrix =="
 # Morsel-driven parallelism must be byte-identical to serial execution.
 # MDUCK_THREADS overrides the auto-detected worker count, so the matrix
-# exercises both the serial path (threads=1) and a real worker pool
-# (threads=4) regardless of the host's core count. The differential
+# exercises the serial path (threads=1), two workers (threads=2, a
+# 2-core host's own count) and a larger pool (threads=4) regardless of
+# the host's core count. The differential
 # suite itself also pins thread counts per-connection via set_threads.
 # The fused-scan differential suite (scan_pushdown) runs the same
 # matrix: its filtered scans fan out one window per morsel. So does the
@@ -41,6 +48,8 @@ echo "== parallel execution matrix =="
 # statement-cache suite (plan_cache): instantiated templates against the
 # same statements bound and planned afresh, and against the row engine.
 MDUCK_THREADS=1 cargo test -q -p mduck-integration --test parallel_exec --test scan_pushdown \
+  --test index_join --test join_order --test fused_predicates --test plan_cache
+MDUCK_THREADS=2 cargo test -q -p mduck-integration --test parallel_exec --test scan_pushdown \
   --test index_join --test join_order --test fused_predicates --test plan_cache
 MDUCK_THREADS=4 cargo test -q -p mduck-integration --test parallel_exec --test scan_pushdown \
   --test index_join --test join_order --test fused_predicates --test plan_cache

@@ -1,5 +1,7 @@
 //! Shared helpers for the integration and fuzz test suites.
 
+#![forbid(unsafe_code)]
+
 pub mod fuzz {
     //! Deterministic fuzzing support: a regression corpus on disk plus a
     //! no-panic runner.

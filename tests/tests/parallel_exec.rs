@@ -186,6 +186,84 @@ fn serial_stages_under_a_worker_pool_match() {
     }
 }
 
+/// A projection that calls functions splits each chunk into fixed row
+/// ranges, at every thread count. Two calls failing on different rows of
+/// one chunk therefore report the lower row's failure, the one the row
+/// engine meets first, and report it at 1 and at 4 threads alike.
+#[test]
+fn split_projection_reports_the_same_error_at_every_thread_count() {
+    let (vdb, rdb) = (Database::new(), RowDatabase::new());
+    for sql in [
+        "CREATE TABLE e(i INTEGER, s TEXT, t TEXT)",
+        "INSERT INTO e SELECT i, CASE WHEN i = 700 THEN 'x700' ELSE i::text END, \
+         CASE WHEN i = 20 THEN 'y20' ELSE i::text END FROM generate_series(1, 1000) AS g(i)",
+    ] {
+        vdb.execute(sql).unwrap();
+        rdb.execute(sql).unwrap();
+    }
+    // `s` fails at row 700 and `t` at row 20: the error is `t`'s.
+    let sql = "SELECT s::integer, t::double FROM e";
+    let expected = rdb.execute(sql).expect_err("rowdb must fail").to_string();
+    assert!(expected.contains("DOUBLE"), "{expected}");
+    for threads in [1, PARALLEL_THREADS] {
+        vdb.set_threads(threads);
+        let err = vdb.execute(sql).expect_err("vecdb must fail").to_string();
+        assert!(err.contains("DOUBLE"), "threads {threads}: {err}");
+        assert!(expected.ends_with(&err), "threads {threads}: {err} vs rowdb {expected}");
+    }
+}
+
+/// BerlinMOD Q5's projection computes `distance_gs` over 100 rows, one
+/// chunk: its row ranges fan out (EXPLAIN ANALYZE reports the morsels
+/// under the projection), and the rows equal the serial run's.
+#[test]
+fn q5_projection_fans_out_over_row_ranges() {
+    let (vdb, _) = berlinmod_envs();
+    let (_, _, q5) = benchmark_queries().into_iter().find(|q| q.0 == 5).expect("Q5");
+    vdb.set_threads(1);
+    let serial = vdb.execute(q5).expect("Q5 serial");
+    vdb.set_threads(PARALLEL_THREADS);
+    let parallel = vdb.execute(q5).expect("Q5 parallel");
+    assert_eq!(serial.rows, parallel.rows);
+    let explain = vdb.execute(&format!("EXPLAIN ANALYZE {q5}")).expect("EXPLAIN ANALYZE Q5");
+    let text = explain.rows[0][0].to_string();
+    let projection = text.find("distance_gs").expect("Q5 projects distance_gs");
+    let rest = &text[projection..];
+    let box_end = rest.find('┘').expect("the projection box closes");
+    let morsels: usize = rest[..box_end]
+        .split("morsels: ")
+        .nth(1)
+        .and_then(|m| m.split_whitespace().next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no morsels line under the projection:\n{text}"));
+    assert!(rest[..box_end].contains("parallel: "), "{text}");
+    assert!(morsels >= 2, "{morsels} morsels:\n{text}");
+}
+
+/// A database at `threads = 1` never touches the worker pool: all 17
+/// BerlinMOD queries run without starting a pool thread. The check runs
+/// in a child process of its own, where no other test can start one.
+#[test]
+fn serial_database_starts_no_pool_thread() {
+    const CHILD: &str = "MDUCK_TEST_SERIAL_POOL_CHILD";
+    if std::env::var_os(CHILD).is_none() {
+        let status = std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args(["--exact", "serial_database_starts_no_pool_thread", "--test-threads", "1"])
+            .env(CHILD, "1")
+            .env("MDUCK_THREADS", "1")
+            .status()
+            .expect("run the test binary again");
+        assert!(status.success(), "the child run failed: {status}");
+        return;
+    }
+    let (vdb, _) = berlinmod_envs();
+    vdb.set_threads(1);
+    for (id, _, sql) in benchmark_queries() {
+        vdb.execute(sql).unwrap_or_else(|e| panic!("Q{id}: {e}"));
+    }
+    assert_eq!(mduck_obs::metrics().pool_threads_started.get(), 0);
+}
+
 /// The row budget is one shared atomic: workers charging chunks in
 /// parallel must trip it and surface `ResourceExhausted`, leaving the
 /// database usable.
