@@ -27,21 +27,6 @@ impl AggState for ExtentState {
             None => Value::Null,
         })
     }
-    fn exact_merge(&self) -> bool {
-        true
-    }
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
-    }
-    fn merge(&mut self, other: &mut dyn AggState) -> SqlResult<()> {
-        // Bounding-box union is pure min/max comparison — no rounding, so
-        // partial extents merge exactly.
-        let o = mduck_sql::downcast_partial::<ExtentState>(other)?;
-        if let Some(b) = o.agg.finish() {
-            self.agg.add_stbox(&b).map_err(to_exec)?;
-        }
-        Ok(())
-    }
 }
 
 struct TCountState {
@@ -96,23 +81,6 @@ impl AggState for SeqBuildState {
         let seq = TSequence::new(instants, true, true, Interp::Linear).map_err(to_exec)?;
         Ok(MdTGeomPoint(TGeomPoint::new(Temporal::Sequence(seq), self.srid)).into_value())
     }
-    fn exact_merge(&self) -> bool {
-        true
-    }
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
-    }
-    fn merge(&mut self, other: &mut dyn AggState) -> SqlResult<()> {
-        // Finalize sorts by timestamp and dedups keeping the first of each
-        // equal-timestamp run, so appending in range order reproduces the
-        // serial result exactly.
-        let o = mduck_sql::downcast_partial::<SeqBuildState>(other)?;
-        if self.srid == 0 {
-            self.srid = o.srid;
-        }
-        self.instants.append(&mut o.instants);
-        Ok(())
-    }
 }
 
 /// Builds a linear trip from raw (x, y, t) observations:
@@ -140,17 +108,6 @@ impl AggState for SeqBuildXyState {
         instants.dedup_by(|a, b| a.t == b.t);
         let seq = TSequence::new(instants, true, true, Interp::Linear).map_err(to_exec)?;
         Ok(MdTGeomPoint(TGeomPoint::new(Temporal::Sequence(seq), 0)).into_value())
-    }
-    fn exact_merge(&self) -> bool {
-        true
-    }
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
-    }
-    fn merge(&mut self, other: &mut dyn AggState) -> SqlResult<()> {
-        let o = mduck_sql::downcast_partial::<SeqBuildXyState>(other)?;
-        self.samples.append(&mut o.samples);
-        Ok(())
     }
 }
 

@@ -215,16 +215,6 @@ impl AggState for CountState {
     fn finalize(&mut self) -> SqlResult<Value> {
         Ok(Value::Int(self.n))
     }
-    fn exact_merge(&self) -> bool {
-        true
-    }
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
-    }
-    fn merge(&mut self, other: &mut dyn AggState) -> SqlResult<()> {
-        self.n += crate::registry::downcast_partial::<CountState>(other)?.n;
-        Ok(())
-    }
 }
 
 struct SumState {
@@ -312,23 +302,6 @@ impl AggState for MinMaxState {
     fn finalize(&mut self) -> SqlResult<Value> {
         Ok(self.best.clone())
     }
-    fn exact_merge(&self) -> bool {
-        true
-    }
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
-    }
-    fn merge(&mut self, other: &mut dyn AggState) -> SqlResult<()> {
-        // Re-feeding the later partial's best through `update` reuses the
-        // strictly-better replacement rule, so ties keep the earlier
-        // (serial first-seen) value.
-        let o = crate::registry::downcast_partial::<MinMaxState>(other)?;
-        let best = std::mem::replace(&mut o.best, Value::Null);
-        if best.is_null() {
-            return Ok(());
-        }
-        self.update(&[best])
-    }
 }
 
 struct ListState {
@@ -342,19 +315,6 @@ impl AggState for ListState {
     }
     fn finalize(&mut self) -> SqlResult<Value> {
         Ok(Value::List(Arc::new(std::mem::take(&mut self.items))))
-    }
-    fn exact_merge(&self) -> bool {
-        true
-    }
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
-    }
-    fn merge(&mut self, other: &mut dyn AggState) -> SqlResult<()> {
-        // `self` covers the earlier chunk range: appending keeps serial
-        // input order.
-        let o = crate::registry::downcast_partial::<ListState>(other)?;
-        self.items.append(&mut o.items);
-        Ok(())
     }
 }
 
@@ -379,22 +339,6 @@ impl AggState for StringAggState {
         } else {
             Ok(Value::text(self.parts.join(&self.sep)))
         }
-    }
-    fn exact_merge(&self) -> bool {
-        true
-    }
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
-    }
-    fn merge(&mut self, other: &mut dyn AggState) -> SqlResult<()> {
-        let o = crate::registry::downcast_partial::<StringAggState>(other)?;
-        if !o.parts.is_empty() {
-            // Serial updates let the last row's separator win; the later
-            // partial holds that row.
-            self.sep = std::mem::take(&mut o.sep);
-            self.parts.append(&mut o.parts);
-        }
-        Ok(())
     }
 }
 

@@ -42,7 +42,7 @@ pub use eval::{compare, eval, OuterStack, SubqueryExec};
 pub use guard::{CancelHandle, ExecGuard, ExecLimits, GuardTrip};
 pub use lexer::Shape;
 pub use parser::{parse_script, parse_statement, parse_template};
-pub use registry::{downcast_partial, AggState, FusionRule, Registry, ScalarFn, ScalarSig};
+pub use registry::{AggState, FusionRule, Registry, ScalarFn, ScalarSig};
 pub use session::{QueryResult, Session};
 pub use template::Slots;
 pub use value::{ExtObject, ExtValue, LogicalType, Value};

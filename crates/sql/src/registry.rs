@@ -27,43 +27,12 @@ pub struct ScalarSig {
     pub strict: bool,
 }
 
-/// Incremental aggregate state.
+/// Incremental aggregate state. Both engines feed one group's state its
+/// rows in input order, one [`AggState::update`] per row, at every thread
+/// count, and never merge two states.
 pub trait AggState: Send {
     fn update(&mut self, args: &[Value]) -> SqlResult<()>;
     fn finalize(&mut self) -> SqlResult<Value>;
-
-    /// Two-phase parallel aggregation opt-in. A state returning `true`
-    /// promises that folding partial states built over contiguous,
-    /// in-order input ranges (via [`AggState::merge`], left to right)
-    /// produces a result **bit-identical** to serial accumulation.
-    /// Float `sum`/`avg` must opt out: merging partial sums reorders the
-    /// additions, and IEEE 754 addition is not associative.
-    fn exact_merge(&self) -> bool {
-        false
-    }
-
-    /// Downcast hook for [`AggState::merge`] implementations; states
-    /// opting into merging return `Some(self)`.
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        None
-    }
-
-    /// Fold `other` — a partial state covering the input range *after*
-    /// `self`'s — into `self`. Called only when [`AggState::exact_merge`]
-    /// is `true`; `other` is the same concrete type by construction.
-    fn merge(&mut self, other: &mut dyn AggState) -> SqlResult<()> {
-        let _ = other;
-        Err(SqlError::internal("aggregate state does not support merging"))
-    }
-}
-
-/// Downcast a partial aggregate state to the concrete type a
-/// [`AggState::merge`] implementation expects.
-pub fn downcast_partial<T: 'static>(other: &mut dyn AggState) -> SqlResult<&mut T> {
-    other
-        .as_any_mut()
-        .and_then(|a| a.downcast_mut::<T>())
-        .ok_or_else(|| SqlError::internal("partial aggregate state type mismatch"))
 }
 
 /// One overload of an aggregate function.

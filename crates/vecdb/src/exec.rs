@@ -331,6 +331,18 @@ fn calls_function<'e>(exprs: impl IntoIterator<Item = &'e BoundExpr>) -> bool {
     exprs.into_iter().any(|e| e.any(&mut |x| matches!(x, BoundExpr::Call { .. })))
 }
 
+/// The chunk columns `exprs` read, ascending, and `exprs` renumbered onto
+/// a chunk holding only those columns: its column `i` is `columns[i]`.
+fn onto_read_columns(exprs: &[&BoundExpr]) -> (Vec<usize>, Vec<BoundExpr>) {
+    let mut columns = Vec::new();
+    exprs.iter().for_each(|e| e.collect_columns(&mut columns));
+    columns.sort_unstable();
+    columns.dedup();
+    let dense = |i| columns.partition_point(|&x| x < i);
+    let exprs = exprs.iter().map(|e| e.map_columns(&dense)).collect();
+    (columns, exprs)
+}
+
 /// The morsels of one stage over a chunk list (DESIGN.md §8): one per
 /// chunk, or, for a *split* stage, each chunk's fixed row ranges. A stage
 /// splits when it is `costly` (its expressions call a function), its
@@ -362,16 +374,12 @@ impl<'e> StageMorsels<'e> {
         {
             return whole(exprs);
         }
-        let mut columns = Vec::new();
-        exprs.iter().for_each(|e| e.collect_columns(&mut columns));
-        columns.sort_unstable();
-        columns.dedup();
+        let (columns, dense) = onto_read_columns(&exprs);
         // A column out of range is the expressions' error to report.
         if columns.last().is_some_and(|&i| chunks.iter().any(|c| i >= c.columns.len())) {
             return whole(exprs);
         }
-        let dense = |i| columns.partition_point(|&x| x < i);
-        let exprs = exprs.iter().map(|e| Cow::Owned(e.map_columns(&dense))).collect();
+        let exprs = dense.into_iter().map(Cow::Owned).collect();
         let mut ranges = Vec::new();
         for (c, chunk) in chunks.iter().enumerate() {
             let parts = match chunk.len {
@@ -519,12 +527,8 @@ impl ScanFilters {
         let dense = conjuncts
             .iter()
             .map(|c| {
-                let mut columns = Vec::new();
-                c.collect_columns(&mut columns);
-                columns.sort_unstable();
-                columns.dedup();
-                let dense = c.map_columns(&|i| columns.partition_point(|&x| x < i));
-                (columns, dense)
+                let (columns, mut dense) = onto_read_columns(&[c]);
+                (columns, dense.remove(0))
             })
             .collect();
         ScanFilters { conjuncts, dense }
@@ -1820,38 +1824,22 @@ fn materialize_ctes(
     Ok(())
 }
 
-/// One aggregation group, carrying its hash key so partial group sets can
-/// be merged across workers.
+/// One aggregation group.
 struct Group {
-    key_bytes: Vec<u8>,
     keys: Vec<Value>,
     states: Vec<Box<dyn mduck_sql::AggState>>,
     distinct_seen: Vec<Option<std::collections::HashSet<Vec<u8>>>>,
 }
 
-/// Groups in **first-seen order** — a hash index for lookup plus an
-/// ordered vector. Serial and parallel aggregation both emit groups in
-/// the order the first row of each group appears in the input, which is
-/// what makes two-phase results byte-identical to serial ones.
-#[derive(Default)]
-struct GroupSet {
-    index: HashMap<Vec<u8>, usize>,
-    groups: Vec<Group>,
-}
-
 /// Hash aggregation: returns the environment rows
 /// `[group keys ++ aggregate results]`.
 ///
-/// Two strategies, chosen by the aggregates alone; either fans out
-/// through [`EngineCtx::morsels`] when the stage may:
-/// 1. **Two-phase** — every aggregate state supports
-///    [`mduck_sql::AggState::exact_merge`] and none is DISTINCT: each
-///    morsel folds a *contiguous* chunk range into a partial group set,
-///    and the partials merge in range order.
-/// 2. **Per chunk** — some state merges inexactly (float sums) or is
-///    DISTINCT: each morsel evaluates one chunk's group keys and
-///    arguments, and the fold into the one group set runs in chunk
-///    order as the morsels' outputs arrive.
+/// Each morsel — one chunk, or one row range of a split stage — evaluates
+/// its group keys and aggregate arguments, fanning out through
+/// [`EngineCtx::morsels`] when the stage may. The sink folds them into
+/// one group table in morsel order, so every state sees its rows in
+/// input order and groups come out in **first-seen order**, at every
+/// thread count: no state is ever merged.
 fn aggregate(
     ctx: &EngineCtx<'_>,
     plan: &BoundSelect,
@@ -1859,9 +1847,8 @@ fn aggregate(
     outer: &OuterStack<'_>,
 ) -> SqlResult<Vec<Vec<Value>>> {
     let exec = PlanExecutor::new(ctx);
-    let make_group = |key_bytes: Vec<u8>, keys: Vec<Value>| -> Group {
+    let make_group = |keys: Vec<Value>| -> Group {
         Group {
-            key_bytes,
             keys,
             states: plan.aggregates.iter().map(|a| (a.factory)()).collect(),
             distinct_seen: plan
@@ -1871,182 +1858,105 @@ fn aggregate(
                 .collect(),
         }
     };
-    // DISTINCT gates updates *before* they reach the state, so partial
-    // states would double-count across ranges — those statements fold
-    // per chunk, as do aggregates whose merge is not exact (float sums).
-    let two_phase = !plan.aggregates.iter().any(|a| a.distinct)
-        && plan.aggregates.iter().all(|a| (a.factory)().exact_merge());
-    // The group keys, then every aggregate's arguments. Only the per-chunk
-    // strategy splits chunks into ranges: two-phase morsels are chunk
-    // ranges already.
+    // The group keys, then every aggregate's arguments.
     let exprs: Vec<&BoundExpr> =
         plan.group_by.iter().chain(plan.aggregates.iter().flat_map(|a| &a.args)).collect();
-    let costly = !two_phase && calls_function(exprs.iter().copied());
+    let costly = calls_function(exprs.iter().copied());
+    let simple = !exprs.iter().any(|e| e.is_complex());
     let chunks = &input.chunks;
     let morsels = StageMorsels::new(exprs, costly, chunks);
-    // Vectorized evaluation of group keys and aggregate arguments.
-    let eval_cols = |chunk: &DataChunk,
-                     outer: &OuterStack<'_>,
-                     exec: &dyn SubqueryExec|
-     -> SqlResult<(Vec<ColumnData>, Vec<Vec<ColumnData>>)> {
-        let ng = plan.group_by.len();
-        let key_cols: SqlResult<Vec<ColumnData>> =
-            (0..ng).map(|i| eval_vector(morsels.expr(i), chunk, outer, exec)).collect();
-        let mut next = ng;
-        let arg_cols: SqlResult<Vec<Vec<ColumnData>>> = plan
-            .aggregates
-            .iter()
-            .map(|a| {
-                let first = next;
-                next += a.args.len();
-                (first..next).map(|i| eval_vector(morsels.expr(i), chunk, outer, exec)).collect()
-            })
-            .collect();
-        Ok((key_cols?, arg_cols?))
-    };
-    // Per-group footprint estimate: key bytes, key values, and a flat
-    // allowance per aggregate state. Charged against the shared guard as
-    // groups are *created* — in two-phase workers too, where the shared
-    // root accumulating across partials is exactly what lets an oversized
-    // hash table trip `PRAGMA memory_limit` mid-flight.
-    let nstates = plan.aggregates.len() as u64;
-    let group_bytes = |g: &Group| -> u64 {
-        64 + g.key_bytes.len() as u64
-            + g.keys.iter().map(Value::approx_bytes).sum::<u64>()
-            + nstates * 48
-    };
     let guard = ctx.guard;
-    // Fold one chunk's evaluated columns into a group set, row by row.
-    let fold_cols = |set: &mut GroupSet,
-                     len: usize,
-                     key_cols: &[ColumnData],
-                     arg_cols: &[Vec<ColumnData>]|
-     -> SqlResult<()> {
-        let mut key = Vec::new();
-        for i in 0..len {
-            key.clear();
-            let mut keys = Vec::with_capacity(key_cols.len());
-            for kc in key_cols {
-                let v = kc.get(i);
-                v.hash_key(&mut key);
-                keys.push(v);
-            }
-            let gi = match set.index.get(&key) {
-                Some(&gi) => gi,
-                None => {
-                    let gi = set.groups.len();
-                    set.index.insert(key.clone(), gi);
-                    set.groups.push(make_group(key.clone(), keys));
-                    guard.charge_mem(group_bytes(&set.groups[gi]))?;
-                    gi
+    // Per-group footprint estimate: key bytes, key values, and a flat
+    // allowance per aggregate state. Charged against the guard as groups
+    // are *created*, which is what lets an oversized hash table trip
+    // `PRAGMA memory_limit` mid-flight.
+    let nstates = plan.aggregates.len() as u64;
+    let mut index: HashMap<Vec<u8>, usize> = HashMap::new();
+    let mut groups: Vec<Group> = Vec::new();
+    let mut table_bytes = 0u64;
+    ctx.morsels(
+        morsels.len(),
+        plan_key(plan),
+        "aggregate",
+        simple,
+        outer,
+        &exec,
+        |m, outer, exec| {
+            let (_, rows, view) = morsels.view(chunks, m);
+            guard.check_rows(rows.len())?;
+            let ng = plan.group_by.len();
+            let key_cols: Vec<ColumnData> = (0..ng)
+                .map(|i| eval_vector(morsels.expr(i), &view, outer, exec))
+                .collect::<SqlResult<_>>()?;
+            let mut next = ng;
+            let arg_cols: Vec<Vec<ColumnData>> = plan
+                .aggregates
+                .iter()
+                .map(|a| {
+                    let first = next;
+                    next += a.args.len();
+                    (first..next)
+                        .map(|i| eval_vector(morsels.expr(i), &view, outer, exec))
+                        .collect()
+                })
+                .collect::<SqlResult<_>>()?;
+            Ok(Morsel::new((rows.len(), key_cols, arg_cols)))
+        },
+        // Fold one morsel's evaluated columns into the group table, row
+        // by row.
+        |(len, key_cols, arg_cols)| {
+            let mut key = Vec::new();
+            for i in 0..len {
+                key.clear();
+                let mut keys = Vec::with_capacity(key_cols.len());
+                for kc in &key_cols {
+                    let v = kc.get(i);
+                    v.hash_key(&mut key);
+                    keys.push(v);
                 }
-            };
-            let group = &mut set.groups[gi];
-            for (ai, cols) in arg_cols.iter().enumerate() {
-                let args: Vec<Value> = cols.iter().map(|c| c.get(i)).collect();
-                if let Some(seen) = &mut group.distinct_seen[ai] {
-                    let mut akey = Vec::new();
-                    for a in &args {
-                        a.hash_key(&mut akey);
+                let gi = match index.get(&key) {
+                    Some(&gi) => gi,
+                    None => {
+                        let bytes = 64
+                            + key.len() as u64
+                            + keys.iter().map(Value::approx_bytes).sum::<u64>()
+                            + nstates * 48;
+                        guard.charge_mem(bytes)?;
+                        table_bytes += bytes;
+                        index.insert(key.clone(), groups.len());
+                        groups.push(make_group(keys));
+                        groups.len() - 1
                     }
-                    if !seen.insert(akey) {
-                        continue;
-                    }
-                }
-                group.states[ai].update(&args)?;
-            }
-        }
-        Ok(())
-    };
-
-    let simple = !plan.group_by.iter().any(BoundExpr::is_complex)
-        && !plan
-            .aggregates
-            .iter()
-            .any(|a| a.args.iter().any(BoundExpr::is_complex));
-    let mut set = GroupSet::default();
-    if two_phase {
-        // Contiguous chunk ranges → partial group sets. Ranges (rather
-        // than single chunks) keep every state's update order a
-        // subsequence of the serial order.
-        let ranges = contiguous_ranges(chunks.len(), ctx.threads);
-        ctx.morsels(
-            ranges.len(),
-            plan_key(plan),
-            "aggregate",
-            simple,
-            outer,
-            &exec,
-            |ri, outer, exec| {
-                let mut part = GroupSet::default();
-                for chunk in &chunks[ranges[ri].clone()] {
-                    guard.check_rows(chunk.len)?;
-                    let (key_cols, arg_cols) = eval_cols(chunk, outer, exec)?;
-                    fold_cols(&mut part, chunk.len, &key_cols, &arg_cols)?;
-                }
-                Ok(Morsel::new(part))
-            },
-            // Merging the partials in range order keeps group discovery
-            // order and state contents equal to one left-to-right fold.
-            |partial| {
-                if set.groups.is_empty() {
-                    set = partial;
-                    return Ok(());
-                }
-                for mut g in partial.groups {
-                    match set.index.get(&g.key_bytes) {
-                        Some(&gi) => {
-                            let dst = &mut set.groups[gi];
-                            for (s, o) in dst.states.iter_mut().zip(g.states.iter_mut()) {
-                                s.merge(&mut **o)?;
-                            }
+                };
+                let group = &mut groups[gi];
+                for (ai, cols) in arg_cols.iter().enumerate() {
+                    let args: Vec<Value> = cols.iter().map(|c| c.get(i)).collect();
+                    if let Some(seen) = &mut group.distinct_seen[ai] {
+                        let mut akey = Vec::new();
+                        for a in &args {
+                            a.hash_key(&mut akey);
                         }
-                        None => {
-                            set.index.insert(g.key_bytes.clone(), set.groups.len());
-                            set.groups.push(g);
+                        if !seen.insert(akey) {
+                            continue;
                         }
                     }
+                    group.states[ai].update(&args)?;
                 }
-                Ok(())
-            },
-        )?;
-    } else {
-        ctx.morsels(
-            morsels.len(),
-            plan_key(plan),
-            "aggregate",
-            simple,
-            outer,
-            &exec,
-            |m, outer, exec| {
-                let (_, rows, view) = morsels.view(chunks, m);
-                guard.check_rows(rows.len())?;
-                Ok(Morsel::new((rows.len(), eval_cols(&view, outer, exec)?)))
-            },
-            |(len, (key_cols, arg_cols))| fold_cols(&mut set, len, &key_cols, &arg_cols),
-        )?;
-    }
+            }
+            Ok(())
+        },
+    )?;
     // Attribute the surviving group table to the stage for `EXPLAIN
     // ANALYZE`; the guard was already charged group-by-group above.
-    ctx.attribute_stage_mem(
-        plan,
-        "aggregate",
-        set.groups.iter().map(&group_bytes).sum::<u64>(),
-    );
+    ctx.attribute_stage_mem(plan, "aggregate", table_bytes);
 
     // GROUP BY with no groups in the input and no keys still yields one row
     // (global aggregate); with keys it yields nothing.
-    if set.groups.is_empty() && plan.group_by.is_empty() {
-        let mut g = make_group(Vec::new(), Vec::new());
-        let mut row = Vec::new();
-        for s in &mut g.states {
-            row.push(s.finalize()?);
-        }
-        return Ok(vec![row]);
+    if groups.is_empty() && plan.group_by.is_empty() {
+        groups.push(make_group(Vec::new()));
     }
-
-    let mut rows: Vec<Vec<Value>> = Vec::with_capacity(set.groups.len());
-    for mut g in set.groups {
+    let mut rows: Vec<Vec<Value>> = Vec::with_capacity(groups.len());
+    for mut g in groups {
         let mut row = g.keys;
         for s in &mut g.states {
             row.push(s.finalize()?);

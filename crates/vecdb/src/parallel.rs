@@ -2,20 +2,19 @@
 //!
 //! The engine splits each stage's input — the list of 2048-row
 //! [`crate::column::DataChunk`]s — into *morsels* (one chunk, or one
-//! contiguous chunk range for order-sensitive aggregation) and dispatches
-//! them to the process-wide [`mduck_sync::pool()`] of parked helpers, which
-//! claim them from a [`mduck_sync::MorselQueue`]. Three invariants make parallel results
+//! fixed row range of a chunk) and dispatches them to the process-wide
+//! [`mduck_sync::pool()`] of parked helpers, which claim them from a
+//! [`mduck_sync::MorselQueue`]. Three invariants make parallel results
 //! byte-identical to the serial engine:
 //!
 //! 1. **Order-preserving reassembly.** Workers claim morsel indexes
 //!    dynamically but tag every result with its input index; the
 //!    coordinator reassembles outputs in input order.
-//! 2. **Exact-only state merging.** Two-phase aggregation is used only
-//!    for states that opt into [`mduck_sql::AggState::exact_merge`]
-//!    (count, min/max, list, string_agg, extent, sequence builders);
-//!    float sums fold per chunk instead — parallel expression
-//!    evaluation, serial state folding in chunk order — because IEEE 754
-//!    addition is not associative.
+//! 2. **States are never merged.** Workers evaluate group keys and
+//!    aggregate arguments; one fold, in morsel order, feeds every
+//!    aggregate state its rows in input order. A stage's morsels depend
+//!    only on the plan and the chunk lengths, never on the thread count,
+//!    so float sums add in the same order at every thread count.
 //! 3. **Shared guard.** The per-statement [`mduck_sql::ExecGuard`] is
 //!    atomic state shared by reference with every worker, so row budget,
 //!    deadline, and cancellation are charged globally; the first error
@@ -138,10 +137,8 @@ where
     Ok((out?, stats))
 }
 
-/// Split `0..n` into at most `parts` contiguous, near-equal ranges.
-/// Two-phase aggregation partitions chunks this way (rather than claiming
-/// single chunks dynamically) so each partial state sees its chunks in
-/// serial order and partials merge back in range order.
+/// Split `0..n` into at most `parts` contiguous, near-equal ranges: how a
+/// split stage cuts a chunk's rows into morsels.
 pub fn contiguous_ranges(n: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
     if n == 0 || parts == 0 {
         return Vec::new();

@@ -47,21 +47,17 @@ echo "== parallel execution matrix =="
 # kernel against the row engine's written composition. So does the
 # statement-cache suite (plan_cache): instantiated templates against the
 # same statements bound and planned afresh, and against the row engine.
-MDUCK_THREADS=1 cargo test -q -p mduck-integration --test parallel_exec --test scan_pushdown \
-  --test index_join --test join_order --test fused_predicates --test plan_cache
-MDUCK_THREADS=2 cargo test -q -p mduck-integration --test parallel_exec --test scan_pushdown \
-  --test index_join --test join_order --test fused_predicates --test plan_cache
-MDUCK_THREADS=4 cargo test -q -p mduck-integration --test parallel_exec --test scan_pushdown \
-  --test index_join --test join_order --test fused_predicates --test plan_cache
-
-echo "== resource observability =="
-# Memory-limit trips, progress monotonicity, and the query-log contract
-# must hold on the serial path and with a real worker pool: one routine
+# So does resource observability (resource_obs): memory-limit trips,
+# progress monotonicity, and the query-log contract must hold on the
+# serial path and with a real worker pool, since one routine
 # (`EngineCtx::morsels`) does the progress and memory accounting for
 # both, and parallel workers charge the same statement scope and must
 # surface the trip.
-MDUCK_THREADS=1 cargo test -q -p mduck-integration --test resource_obs
-MDUCK_THREADS=4 cargo test -q -p mduck-integration --test resource_obs
+for threads in 1 2 4; do
+  MDUCK_THREADS=$threads cargo test -q -p mduck-integration --test parallel_exec \
+    --test scan_pushdown --test index_join --test join_order --test fused_predicates \
+    --test plan_cache --test resource_obs
+done
 
 echo "== durability / crash torture =="
 # Crash-simulate at every registered failpoint (the torture harness

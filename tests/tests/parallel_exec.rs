@@ -88,35 +88,49 @@ fn parallel_stages_run_and_match() {
     );
 }
 
-/// Aggregates that cannot merge exactly (float sum/avg) fold per chunk;
-/// DISTINCT aggregates must not double-count across workers.
+/// Order-sensitive aggregates over multi-chunk input: float sums add,
+/// lists and strings append, a separator that changes by row keeps the
+/// last row's, and min/max keep the first of tied values (`0.0` and
+/// `-0.0` compare equal but print apart). The fold feeds each state its
+/// rows in input order at every thread count, and DISTINCT never
+/// double-counts; the row engine, which folds row at a time, agrees.
 #[test]
 fn inexact_and_distinct_aggregates_match_serial() {
-    let db = Database::new();
-    db.execute("CREATE TABLE m(g INTEGER, x DOUBLE)").unwrap();
-    db.execute(
-        "INSERT INTO m SELECT a % 5, 0.1 * (a % 97) FROM generate_series(1, 50000) s(a)",
-    )
-    .unwrap();
+    let (db, rdb) = (Database::new(), RowDatabase::new());
     for sql in [
-        // Float sums are order-sensitive: byte-identity requires the
-        // serial fold order, which the per-chunk fold preserves.
+        "CREATE TABLE m(g INTEGER, x DOUBLE, t DOUBLE, s TEXT, sep TEXT)",
+        "INSERT INTO m SELECT a % 5, 0.1 * (a % 97), \
+         CASE WHEN a % 3 = 0 THEN 0.0 ELSE -0.0 END, (a % 89)::text, (a % 3)::text \
+         FROM generate_series(1, 50000) s(a)",
+    ] {
+        db.execute(sql).unwrap();
+        rdb.execute(sql).unwrap();
+    }
+    for sql in [
         "SELECT g, sum(x), avg(x) FROM m GROUP BY g ORDER BY g",
         "SELECT g, count(DISTINCT x) FROM m GROUP BY g ORDER BY g",
         "SELECT sum(x) FROM m",
+        "SELECT g, list(x) FROM m GROUP BY g ORDER BY g",
+        "SELECT g, string_agg(s, sep) FROM m GROUP BY g ORDER BY g",
+        "SELECT g, min(t), max(t), min(x), max(x) FROM m GROUP BY g ORDER BY g",
+        "SELECT list(s), min(t), max(t) FROM m",
     ] {
         db.set_threads(1);
         let serial = db.execute(sql).unwrap();
         db.set_threads(PARALLEL_THREADS);
         let parallel = db.execute(sql).unwrap();
-        assert_eq!(serial.rows, parallel.rows, "parallel differs on {sql}");
+        let row = rdb.execute(sql).unwrap_or_else(|e| panic!("rowdb: {e}\n{sql}"));
+        // `{:?}` tells -0.0 from 0.0; `==` and `to_string` do not.
+        let serial = format!("{:?}", serial.rows);
+        assert_eq!(serial, format!("{:?}", parallel.rows), "parallel differs on {sql}");
+        assert_eq!(serial, format!("{:?}", row.rows), "vs rowdb\n{sql}");
     }
 }
 
 /// Stages that must not fan out although a worker pool is configured: a
 /// correlated subquery's body (its scan with a fused filter, a Filter
-/// above a join, a projection, both GROUP BY strategies), and a
-/// top-level predicate holding a subquery. Each runs on multi-window
+/// above a join, a projection, GROUP BYs with and without DISTINCT), and
+/// a top-level predicate holding a subquery. Each runs on multi-window
 /// input at 1 and 4 threads; the results are byte-identical and equal
 /// the row engine's, and a statement that fails in its third window
 /// fails with the same error everywhere.
@@ -148,8 +162,8 @@ fn serial_stages_under_a_worker_pool_match() {
         // Correlated projection over every window.
         "SELECT s.k FROM small s WHERE s.k * 2 + 700 IN \
          (SELECT b.v - s.k FROM big b WHERE b.id % 5 <> s.k) ORDER BY s.k",
-        // Correlated GROUP BY: exactly merging states, then DISTINCT and a
-        // float average.
+        // Correlated GROUP BY: count and min, then DISTINCT and a float
+        // average.
         "SELECT s.k FROM small s WHERE s.k IN (SELECT b.g FROM big b WHERE b.id % 3 <> s.k \
          GROUP BY b.g HAVING min(b.v) + count(*) > 1100) ORDER BY s.k",
         "SELECT s.k FROM small s WHERE s.k IN (SELECT b.g FROM big b WHERE b.id % 3 <> s.k \

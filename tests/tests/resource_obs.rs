@@ -81,6 +81,36 @@ fn vec_memory_limit_trips_hash_agg_serial_and_parallel() {
     assert!(db.execute(AGG_SQL).is_ok());
 }
 
+/// A GROUP BY folds into one group table at every thread count, so the
+/// memory it charges, and the `memory_limit` it needs, do not depend on
+/// the thread count. Every chunk of `g` holds every one of its 2,000
+/// groups, so a table per worker would charge each group again.
+#[test]
+fn group_by_memory_does_not_depend_on_the_thread_count() {
+    // Its statements move the process-wide memory gauges.
+    let _lock = serial();
+    let db = Database::new();
+    db.execute("CREATE TABLE g(k INTEGER)").unwrap();
+    db.execute("INSERT INTO g SELECT n % 2000 FROM generate_series(1, 40960) AS t(n)").unwrap();
+    let sql = "SELECT k, count(*) FROM g GROUP BY k";
+    db.set_threads(1);
+    let serial = db.execute_analyzed(sql).unwrap();
+    assert_eq!(serial.result.rows.len(), 2000);
+    for threads in [2, 4] {
+        db.set_threads(threads);
+        let pq = db.execute_analyzed(sql).unwrap();
+        assert_eq!(pq.mem_peak, serial.mem_peak, "mem_peak at threads {threads} vs 1");
+        assert_eq!(pq.result.rows, serial.result.rows, "threads {threads} vs 1");
+    }
+    let limit = serial.mem_peak + serial.mem_peak / 100;
+    db.execute(&format!("PRAGMA memory_limit={limit}")).unwrap();
+    for threads in [1, 2, 4] {
+        db.set_threads(threads);
+        let r = db.execute(sql).unwrap_or_else(|e| panic!("threads {threads}, limit {limit}: {e}"));
+        assert_eq!(r.rows.len(), 2000);
+    }
+}
+
 /// The FILTER above the join tree copies the part of a chunk its
 /// subquery predicate keeps, and its box reports those bytes.
 #[test]
