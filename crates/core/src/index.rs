@@ -10,7 +10,6 @@
 //! in-order `Combine`, then `BulkConstruct`.
 
 use mduck_rtree::{RTree, Rect3};
-use mduck_sql::session::auto_threads;
 use mduck_sql::{LogicalType, SqlResult, Value};
 use mduck_temporal::{STBox, TimestampTz, TstzSpan};
 use quackdb::parallel::morsel_map;
@@ -64,18 +63,20 @@ pub struct SpatioTemporalIndex {
 }
 
 impl SpatioTemporalIndex {
-    /// The data-first bulk path (§4.2.2): Sink / Combine / BulkConstruct.
+    /// The data-first bulk path (§4.2.2): Sink / Combine / BulkConstruct,
+    /// on at most `threads` workers.
     pub fn bulk_build(
         name: &str,
         method: &'static str,
         column: usize,
         existing: &[Value],
+        threads: usize,
     ) -> SqlResult<Self> {
         // Phase 1 — Sink: workers of the shared pool box partitions of
         // the rows into partition-local collections. Partition count scales
         // with the data, mirroring DuckDB's parallel table scan; fewer than
         // 4096 rows are one partition, boxed inline.
-        let parts = auto_threads().min(existing.len().div_ceil(4096)).max(1);
+        let parts = threads.min(existing.len().div_ceil(4096)).max(1);
         let chunk_size = existing.len().div_ceil(parts).max(1);
         let partitions: Vec<&[Value]> = existing.chunks(chunk_size).collect();
         let sink = |pi: usize| -> SqlResult<Vec<Option<STBox>>> {
@@ -196,9 +197,10 @@ impl quackdb::IndexType for TRTreeIndexType {
         column: usize,
         _column_type: &LogicalType,
         existing: &[Value],
+        threads: usize,
     ) -> SqlResult<Box<dyn quackdb::TableIndex>> {
         Ok(Box::new(TRTreeIndex(SpatioTemporalIndex::bulk_build(
-            index_name, "TRTREE", column, existing,
+            index_name, "TRTREE", column, existing, threads,
         )?)))
     }
 }
@@ -271,6 +273,7 @@ impl quackdb::IndexType for GeomRTreeIndexType {
         column: usize,
         _column_type: &LogicalType,
         existing: &[Value],
+        _threads: usize,
     ) -> SqlResult<Box<dyn quackdb::TableIndex>> {
         let mut idx = GeomRTreeIndex {
             inner: SpatioTemporalIndex {
@@ -345,9 +348,10 @@ impl mduck_rowdb::RowIndexType for GistIndexType {
         column: usize,
         _column_type: &LogicalType,
         existing: &[Value],
+        threads: usize,
     ) -> SqlResult<Box<dyn mduck_rowdb::RowIndex>> {
         Ok(Box::new(GistIndex(SpatioTemporalIndex::bulk_build(
-            index_name, "GIST", column, existing,
+            index_name, "GIST", column, existing, threads,
         )?)))
     }
 }

@@ -294,6 +294,7 @@ impl RowDatabase {
             col,
             &t.column_types[col],
             || t.rows.iter().map(|r| r[col].clone()).collect(),
+            self.session.effective_threads(),
         )?;
         t.indexes.push(index);
         Ok(())
@@ -329,6 +330,7 @@ impl RowDatabase {
     /// — the same path either way.
     fn stage(&self, t: &HeapTable, record: &WalRecord) -> SqlResult<StagedIndexes> {
         let index_types = self.index_types.read();
+        let threads = self.session.effective_threads();
         let type_of = |c: usize| t.column_types[c].clone();
         match record {
             WalRecord::Update { cells, .. } => {
@@ -348,25 +350,27 @@ impl RowDatabase {
                 let mut cols: Vec<usize> = overlay.keys().map(|(_, c)| *c).collect();
                 cols.sort_unstable();
                 cols.dedup();
-                index_types.rebuild(&t.indexes, &cols, type_of, |col| {
+                let values_of = |col: usize| {
                     t.rows
                         .iter()
                         .enumerate()
                         .map(|(r, row)| (*overlay.get(&(r, col)).unwrap_or(&&row[col])).clone())
                         .collect()
-                })
+                };
+                index_types.rebuild(&t.indexes, &cols, type_of, values_of, threads)
             }
             WalRecord::Delete { rows, .. } => {
                 let dead: HashSet<u64> = rows.iter().copied().collect();
                 let all: Vec<usize> = (0..t.column_names.len()).collect();
-                index_types.rebuild(&t.indexes, &all, type_of, |col| {
+                let values_of = |col: usize| {
                     t.rows
                         .iter()
                         .enumerate()
                         .filter(|(i, _)| !dead.contains(&(*i as u64)))
                         .map(|(_, row)| row[col].clone())
                         .collect()
-                })
+                };
+                index_types.rebuild(&t.indexes, &all, type_of, values_of, threads)
             }
             other => Err(SqlError::internal(format!("cannot stage a {} record", other.kind()))),
         }

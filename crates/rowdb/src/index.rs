@@ -87,6 +87,7 @@ impl RowIndexType for BTreeIndexType {
         column: usize,
         _column_type: &LogicalType,
         existing: &[Value],
+        _threads: usize,
     ) -> SqlResult<Box<dyn RowIndex>> {
         Ok(Box::new(BTreeIndex::build(index_name, column, existing)))
     }

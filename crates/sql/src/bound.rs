@@ -234,6 +234,38 @@ impl BoundExpr {
         }
     }
 
+    /// Renumber, in place, every column index referenced at the current
+    /// depth through `f`: [`BoundExpr::map_columns`] without the copy.
+    pub fn remap_columns(&mut self, f: &impl Fn(usize) -> usize) {
+        use BoundExpr::*;
+        match self {
+            ColumnRef { index, .. } => *index = f(*index),
+            Literal(_) | Param { .. } | OuterRef { .. } => {}
+            ScalarSubquery { .. } | Exists { .. } => {}
+            Call { args: es, .. } | And(es) | Or(es) => {
+                es.iter_mut().for_each(|e| e.remap_columns(f));
+            }
+            Compare { left, right, .. } | Arith { left, right, .. } => {
+                left.remap_columns(f);
+                right.remap_columns(f);
+            }
+            Not(e) | IsNull { expr: e, .. } | Quantified { left: e, .. } => e.remap_columns(f),
+            InList { expr, list, .. } => {
+                expr.remap_columns(f);
+                list.iter_mut().for_each(|e| e.remap_columns(f));
+            }
+            Case { operand, branches, else_expr, .. } => {
+                for e in operand.iter_mut().chain(else_expr) {
+                    e.remap_columns(f);
+                }
+                for (c, v) in branches {
+                    c.remap_columns(f);
+                    v.remap_columns(f);
+                }
+            }
+        }
+    }
+
     /// Does `f` hold for `self` or an expression inside it? Subquery
     /// bodies are not entered (a `Quantified`'s left operand is).
     pub fn any(&self, f: &mut impl FnMut(&BoundExpr) -> bool) -> bool {

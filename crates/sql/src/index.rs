@@ -64,13 +64,15 @@ pub trait IndexType: Send + Sync {
     fn can_index(&self, ty: &LogicalType) -> bool;
 
     /// Data-first path (§4.2.2): create an index over existing rows. The
-    /// implementation is free to parallelize (Sink/Combine/BulkConstruct).
+    /// implementation is free to parallelize (Sink/Combine/BulkConstruct)
+    /// over at most `threads` workers, the database's thread setting.
     fn create(
         &self,
         index_name: &str,
         column: usize,
         column_type: &LogicalType,
         existing: &[Value],
+        threads: usize,
     ) -> SqlResult<Box<dyn TableIndex>>;
 }
 
@@ -107,8 +109,10 @@ impl IndexTypeRegistry {
     }
 
     /// `CREATE INDEX`'s data-first bulk build over column `col` (of type
-    /// `ty`) of a table whose indexes are `existing`: the method must be
-    /// registered and able to index `ty`, and `name` must be free.
+    /// `ty`) of a table whose indexes are `existing`, on at most `threads`
+    /// workers: the method must be registered and able to index `ty`, and
+    /// `name` must be free.
+    #[allow(clippy::too_many_arguments)]
     pub fn build(
         &self,
         existing: &[Box<dyn TableIndex>],
@@ -117,6 +121,7 @@ impl IndexTypeRegistry {
         col: usize,
         ty: &LogicalType,
         values: impl FnOnce() -> Vec<Value>,
+        threads: usize,
     ) -> SqlResult<Box<dyn TableIndex>> {
         let index_type = self.method(method)?;
         if !index_type.can_index(ty) {
@@ -128,25 +133,28 @@ impl IndexTypeRegistry {
         if existing.iter().any(|i| i.name() == name) {
             return Err(SqlError::Catalog(format!("index {name:?} already exists")));
         }
-        index_type.create(name, col, ty, &values())
+        index_type.create(name, col, ty, &values(), threads)
     }
 
     /// Rebuild every index in `indexes` over one of `cols` from the
     /// column's post-statement values (`values_of`), so callers can point
-    /// it at staged data that is not in the table yet.
+    /// it at staged data that is not in the table yet; each build runs on
+    /// at most `threads` workers.
     pub fn rebuild(
         &self,
         indexes: &[Box<dyn TableIndex>],
         cols: &[usize],
         type_of: impl Fn(usize) -> LogicalType,
         values_of: impl Fn(usize) -> Vec<Value>,
+        threads: usize,
     ) -> SqlResult<StagedIndexes> {
         let mut staged = Vec::new();
         for (slot, idx) in indexes.iter().enumerate() {
             let col = idx.column();
             if cols.contains(&col) {
                 let it = self.method(idx.method())?;
-                staged.push((slot, it.create(idx.name(), col, &type_of(col), &values_of(col))?));
+                let values = values_of(col);
+                staged.push((slot, it.create(idx.name(), col, &type_of(col), &values, threads)?));
             }
         }
         Ok(staged)

@@ -90,7 +90,7 @@ pub fn selectivity(c: &BoundExpr) -> f64 {
 
 /// Every expression of one SELECT block, at its own depth: WHERE, GROUP
 /// BY, aggregate arguments, HAVING, projections and ORDER BY keys.
-pub(crate) fn block_exprs(plan: &BoundSelect) -> impl Iterator<Item = &BoundExpr> {
+pub fn block_exprs(plan: &BoundSelect) -> impl Iterator<Item = &BoundExpr> {
     let order = plan.order_by.iter().filter_map(|o| match &o.key {
         SortKey::Input(e) => Some(e),
         SortKey::Output(_) => None,

@@ -3,7 +3,7 @@
 use mduck_sql::catalog::{BaseTable, Tables};
 use mduck_sql::{LogicalType, SqlError, SqlResult, Value};
 
-use crate::column::{ColumnData, DataChunk};
+use crate::column::ColumnData;
 use crate::index::TableIndex;
 
 /// A base table: full columnar storage plus any attached indexes.
@@ -104,10 +104,6 @@ impl Table {
     /// late-materialization step of every scan that drops rows (filter
     /// survivors, index candidates). Callers pass at most
     /// [`VECTOR_SIZE`](crate::column::VECTOR_SIZE) rows.
-    pub fn gather_rows(&self, rows: &[usize]) -> DataChunk {
-        DataChunk::from_columns(self.columns.iter().map(|c| c.gather(rows)).collect())
-    }
-
     pub fn row(&self, i: usize) -> Vec<Value> {
         self.columns.iter().map(|c| c.get(i)).collect()
     }

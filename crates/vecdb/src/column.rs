@@ -327,6 +327,33 @@ impl DataChunk {
             len: sel.len(),
         }
     }
+
+    /// The selected rows of the columns `columns`.
+    pub fn select_columns(&self, sel: &[usize], columns: &[usize]) -> DataChunk {
+        DataChunk {
+            columns: columns.iter().map(|&c| self.columns[c].gather(sel)).collect(),
+            len: sel.len(),
+        }
+    }
+
+    /// A copy of the columns `columns`; it keeps the chunk's length when
+    /// there are none.
+    pub fn pick(&self, columns: &[usize]) -> DataChunk {
+        let columns = columns.iter().map(|&c| self.columns[c].clone()).collect();
+        DataChunk { columns, len: self.len }
+    }
+
+    /// The chunk cut down to its columns `columns` (ascending), which are
+    /// moved, not copied; it keeps its length when there are none.
+    pub fn project(self, columns: &[usize]) -> DataChunk {
+        if columns.len() == self.columns.len() {
+            return self;
+        }
+        let mut keep = columns.iter().peekable();
+        let columns = self.columns.into_iter().enumerate();
+        let columns = columns.filter(|(i, _)| keep.next_if_eq(&i).is_some()).map(|(_, c)| c);
+        DataChunk { columns: columns.collect(), len: self.len }
+    }
 }
 
 /// A fully materialized intermediate relation (chunk list).

@@ -33,7 +33,7 @@ use mduck_sql::{
 use crate::cache::{CacheStats, Kind, Plan, StatementCache, Template};
 use crate::catalog::{DbCatalog, Table};
 use crate::column::ColumnData;
-use crate::exec::{execute_select, execute_select_planned, plan_key, plan_select, EngineCtx};
+use crate::exec::{execute_select, execute_select_planned, plan_select, EngineCtx};
 use crate::explain::{
     op_breakdown, render_plan, render_plan_analyzed, stage_breakdown, AnalyzeData, OpBreakdown,
     StageBreakdown,
@@ -433,6 +433,16 @@ impl Database {
         }
     }
 
+    /// The plan of the SELECT (or the EXPLAINed SELECT) `sql`, as `EXPLAIN`
+    /// renders it: the bound statement, each block's expressions
+    /// renumbered onto the columns its pruned join tree hands on, and the
+    /// trees planned for it.
+    pub fn plan_of(&self, sql: &str) -> SqlResult<Plan> {
+        let stmt = parse_statement(sql)?;
+        let (_, sel) = select_of(&stmt)?;
+        Ok(self.plan(sel, None, &self.session.guard())?.0)
+    }
+
     /// Bind, plan and run a parsed SELECT or EXPLAIN, no template kept.
     fn run_written(
         &self,
@@ -543,7 +553,7 @@ impl Database {
                 (
                     render_plan_analyzed(plan, planned, &analyze),
                     op_breakdown(planned, profile),
-                    stage_breakdown(plan_key(plan), profile),
+                    stage_breakdown(plan, planned, profile),
                 )
             }
             None => Default::default(),
@@ -568,7 +578,9 @@ impl Database {
             .ok_or_else(|| SqlError::Catalog(format!("no column {column:?} in {table:?}")))?;
         let ty = t.columns[col].ty.clone();
         let values = || t.column_values(col);
-        let index = self.index_types.read().build(&t.indexes, name, method, col, &ty, values)?;
+        let threads = self.effective_threads();
+        let index =
+            self.index_types.read().build(&t.indexes, name, method, col, &ty, values, threads)?;
         t.indexes.push(index);
         drop(t);
         self.catalog.bump_epoch();
@@ -593,11 +605,18 @@ impl Database {
             let rows = (0..t.row_count()).map(|i| t.row(i));
             let (n, record) = dml_record(&dml, &t.name, rows, guard)?;
             let Some(record) = record else { return Ok(0) };
-            let staged = Staged::new(&t, &record, &self.index_types.read())?;
+            let staged = self.stage(&t, &record)?;
             commit.log(&record)?;
             staged.assign(&mut t);
             Ok(n)
         })
+    }
+
+    /// What an UPDATE or DELETE `record` leaves of table `t`, staged: its
+    /// changed columns and the indexes rebuilt over them, built on the
+    /// database's thread setting.
+    fn stage(&self, t: &Table, record: &WalRecord) -> SqlResult<Staged> {
+        Staged::new(t, record, &self.index_types.read(), self.effective_threads())
     }
 }
 
@@ -653,7 +672,7 @@ impl DurableEngine for Database {
             record @ (WalRecord::Update { .. } | WalRecord::Delete { .. }) => {
                 let t = self.catalog.get(record.table())?;
                 let mut t = t.write();
-                Staged::new(&t, &record, &self.index_types.read())?.assign(&mut t);
+                self.stage(&t, &record)?.assign(&mut t);
                 Ok(())
             }
         }
@@ -694,7 +713,7 @@ impl DurableEngine for Database {
                     table: t.name.clone(),
                     rows: (pre_rows as u64..t.row_count() as u64).collect(),
                 };
-                Staged::new(&t, &undo, &self.index_types.read())?.assign(&mut t);
+                self.stage(&t, &undo)?.assign(&mut t);
                 return Err(e);
             }
         }
@@ -874,7 +893,12 @@ struct Staged {
 }
 
 impl Staged {
-    fn new(t: &Table, record: &WalRecord, index_types: &IndexTypeRegistry) -> SqlResult<Self> {
+    fn new(
+        t: &Table,
+        record: &WalRecord,
+        index_types: &IndexTypeRegistry,
+        threads: usize,
+    ) -> SqlResult<Self> {
         let columns: Vec<(usize, ColumnData)> = match record {
             WalRecord::Update { cells, .. } => {
                 // Per updated column, the new value of each row (a later
@@ -916,12 +940,12 @@ impl Staged {
             }
         };
         let cols: Vec<usize> = columns.iter().map(|(c, _)| *c).collect();
-        let indexes = index_types.rebuild(&t.indexes, &cols, |c| t.columns[c].ty.clone(), |col| {
-            match columns.iter().find(|(c, _)| *c == col) {
-                Some((_, nc)) => (0..nc.len()).map(|i| nc.get(i)).collect(),
-                None => t.column_values(col),
-            }
-        })?;
+        let type_of = |c: usize| t.columns[c].ty.clone();
+        let values_of = |col| match columns.iter().find(|(c, _)| *c == col) {
+            Some((_, nc)) => (0..nc.len()).map(|i| nc.get(i)).collect(),
+            None => t.column_values(col),
+        };
+        let indexes = index_types.rebuild(&t.indexes, &cols, type_of, values_of, threads)?;
         Ok(Staged { columns, indexes })
     }
 

@@ -34,7 +34,8 @@ use crate::column::{Chunks, ColumnData, DataChunk, VECTOR_SIZE};
 use crate::expr::{eval_vector, filter_chunk};
 use crate::index::{IndexTypeRegistry, TableIndex};
 use crate::fusion::fuse;
-use crate::join_order::{plan_joins, reorder_joins};
+use crate::join_order::{order_joins, plan_joins};
+use crate::prune::{prunable, prune_block};
 use crate::parallel::{contiguous_ranges, morsel_map, ParStats, MIN_PARALLEL_MORSELS};
 
 /// Shared execution context for one statement.
@@ -546,12 +547,19 @@ impl ScanFilters {
 
 /// The join/scan tree (everything above it — aggregation, projection,
 /// ordering — is driven directly from the [`BoundSelect`]).
+///
+/// Every node hands on `columns`, ascending: for a leaf, the columns of
+/// its source it copies; for a Filter, positions in its child's output;
+/// for a join, positions in its left child's output followed by its
+/// right child's. The planner makes them every column; the pruning pass
+/// ([`crate::prune`]) drops those nothing above reads.
 #[derive(Debug, Clone)]
 pub enum PhysOp {
     /// Full scan of a base table with its pushed-down conjuncts fused in.
     SeqScan {
         table: String,
         filters: ScanFilters,
+        columns: Vec<usize>,
     },
     /// §4.3 index-scan injection: `column <op> constant` answered by the
     /// indexes on table column `column` (`index` names the first), then
@@ -567,23 +575,30 @@ pub enum PhysOp {
         constant: BoundExpr,
         filters: ScanFilters,
         fallback: ScanFilters,
+        columns: Vec<usize>,
     },
     CteScan {
         index: usize,
         name: String,
+        columns: Vec<usize>,
     },
+    /// A FROM subquery, planned with the block around it.
     SubqueryScan {
         plan: Box<BoundSelect>,
+        planned: Box<PlannedSelect>,
         types: Vec<LogicalType>,
+        columns: Vec<usize>,
     },
     Series {
         args: Vec<BoundExpr>,
+        columns: Vec<usize>,
     },
     /// `mduck_spans()`, `mduck_progress()` or `mduck_query_log()`: a
     /// snapshot of what the function reports.
     Introspect {
         function: Introspection,
         types: Vec<LogicalType>,
+        columns: Vec<usize>,
     },
     /// A predicate over a join result or a non-table relation (base
     /// tables fuse theirs into the scan). `est` is the planner's row
@@ -592,6 +607,7 @@ pub enum PhysOp {
         pred: BoundExpr,
         child: Box<PhysOp>,
         est: Option<f64>,
+        columns: Vec<usize>,
     },
     HashJoin {
         left: Box<PhysOp>,
@@ -600,11 +616,13 @@ pub enum PhysOp {
         /// Remapped to the right child's local column space.
         right_keys: Vec<BoundExpr>,
         est: Option<f64>,
+        columns: Vec<usize>,
     },
     CrossJoin {
         left: Box<PhysOp>,
         right: Box<PhysOp>,
         est: Option<f64>,
+        columns: Vec<usize>,
     },
     /// A cross product whose link conjunct `cond` picks the pairs worth
     /// checking: `build` (over the right child) is indexed through the
@@ -624,6 +642,7 @@ pub enum PhysOp {
         /// re-checks.
         folded: Option<Fold>,
         est: Option<f64>,
+        columns: Vec<usize>,
     },
 }
 
@@ -653,8 +672,11 @@ impl PhysOp {
                 fallback.set_params(values);
             }
             PhysOp::CteScan { .. } | PhysOp::Introspect { .. } => {}
-            PhysOp::SubqueryScan { plan, .. } => plan.set_params(values),
-            PhysOp::Series { args } => args.iter_mut().for_each(|e| e.set_params(values)),
+            PhysOp::SubqueryScan { plan, planned, .. } => {
+                plan.set_params(values);
+                planned.set_params(values);
+            }
+            PhysOp::Series { args, .. } => args.iter_mut().for_each(|e| e.set_params(values)),
             PhysOp::Filter { pred, child, .. } => {
                 pred.set_params(values);
                 child.set_params(values);
@@ -674,6 +696,23 @@ impl PhysOp {
                 let folded = folded.iter_mut().flat_map(|f| f.before.iter_mut().chain(&mut f.after));
                 [probe, build, cond].into_iter().chain(folded).for_each(|e| e.set_params(values));
             }
+        }
+    }
+
+    /// The columns the node hands on ([`PhysOp`]); their count is the
+    /// width of its output.
+    pub fn columns(&self) -> &[usize] {
+        match self {
+            PhysOp::SeqScan { columns, .. }
+            | PhysOp::IndexScan { columns, .. }
+            | PhysOp::CteScan { columns, .. }
+            | PhysOp::SubqueryScan { columns, .. }
+            | PhysOp::Series { columns, .. }
+            | PhysOp::Introspect { columns, .. }
+            | PhysOp::Filter { columns, .. }
+            | PhysOp::HashJoin { columns, .. }
+            | PhysOp::CrossJoin { columns, .. }
+            | PhysOp::IndexJoin { columns, .. } => columns,
         }
     }
 
@@ -711,18 +750,37 @@ impl PlannedSelect {
     }
 }
 
-/// Fuse the expressions of `plan` (the fusion pass), put the FROM items
-/// of every block in join order (the join-order pass), then plan its join
-/// tree (none for a FROM-less SELECT) and, recursively, its CTE bodies.
+/// Fuse the expressions of `plan` (the fusion pass), then plan every
+/// block of it ahead, letting the join-order pass order their FROM items
+/// and the pruning pass prune their join trees.
 pub fn plan_select(ctx: &EngineCtx<'_>, plan: &mut BoundSelect) -> SqlResult<PlannedSelect> {
     fuse(ctx.registry, plan);
-    reorder_joins(ctx, plan)?;
-    plan_trees(ctx, plan)
+    plan_block(ctx, plan, true)
 }
 
-fn plan_trees(ctx: &EngineCtx<'_>, plan: &BoundSelect) -> SqlResult<PlannedSelect> {
-    let tree = if plan.from.is_empty() { None } else { Some(plan_joins(ctx, plan)?) };
-    let ctes = plan.ctes.iter().map(|c| plan_trees(ctx, &c.plan)).collect::<SqlResult<_>>()?;
+/// Plan block `plan`, its CTE bodies first: put its FROM items in join
+/// order when `reorder` lets the join-order pass, plan its join tree
+/// (none for a FROM-less SELECT; its FROM subqueries are planned with it)
+/// and prune the columns nothing reads from the tree (the pruning pass),
+/// renumbering `plan`'s expressions onto what the tree hands on.
+pub(crate) fn plan_block(
+    ctx: &EngineCtx<'_>,
+    plan: &mut BoundSelect,
+    reorder: bool,
+) -> SqlResult<PlannedSelect> {
+    let ctes = plan
+        .ctes
+        .iter_mut()
+        .map(|c| plan_block(ctx, &mut c.plan, reorder))
+        .collect::<SqlResult<_>>()?;
+    let tree = if plan.from.is_empty() {
+        None
+    } else {
+        let (mut tree, mut remaining) =
+            if reorder { order_joins(ctx, plan)? } else { plan_joins(ctx, plan)? };
+        prune_block(plan, &mut tree, &mut remaining);
+        Some((tree, remaining))
+    };
     Ok(PlannedSelect { tree, ctes })
 }
 
@@ -799,7 +857,7 @@ fn run_op(
 ) -> SqlResult<Chunks> {
     let exec = PlanExecutor::new(ctx);
     match op {
-        PhysOp::SeqScan { table, filters } => {
+        PhysOp::SeqScan { table, filters, .. } => {
             let t = ctx.catalog.get(table)?;
             let t = t.read();
             scan_table(ctx, op, &t, ScanRows::All, filters, outer, &exec)
@@ -822,23 +880,28 @@ fn run_op(
                 None => scan_table(ctx, op, &t, ScanRows::All, fallback, outer, &exec),
             }
         }
-        PhysOp::CteScan { index, .. } => {
+        PhysOp::CteScan { index, columns, .. } => {
             let ctes = ctx.ctes.borrow();
             let mat = ctes
                 .get(index)
                 .ok_or_else(|| SqlError::execution(format!("CTE {index} not materialized")))?;
-            let out = (**mat).clone();
+            let out = Chunks { chunks: mat.chunks.iter().map(|c| c.pick(columns)).collect() };
             drop(ctes);
             ctx.charge_op_mem(op_key(op), out.approx_bytes())?;
             Ok(out)
         }
-        PhysOp::SubqueryScan { plan, types } => {
-            let rows = execute_select(ctx, plan, outer)?;
-            let out = Chunks::from_rows(types, &rows)?;
+        PhysOp::SubqueryScan { plan, planned, types, columns } => {
+            let rows = execute_select_planned(ctx, plan, planned, outer)?;
+            let types: Vec<LogicalType> = columns.iter().map(|&i| types[i].clone()).collect();
+            let rows: Vec<Vec<Value>> = rows
+                .into_iter()
+                .map(|mut row| columns.iter().map(|&i| std::mem::take(&mut row[i])).collect())
+                .collect();
+            let out = Chunks::from_rows(&types, &rows)?;
             ctx.charge_op_mem(op_key(op), out.approx_bytes())?;
             Ok(out)
         }
-        PhysOp::Series { args } => {
+        PhysOp::Series { args, columns } => {
             let mut out = Chunks::default();
             let mut chunk = DataChunk::new(&[LogicalType::Int]);
             for v in series(args, outer, &exec)? {
@@ -853,32 +916,35 @@ fn run_op(
                 ctx.guard.check_rows(chunk.len)?;
                 out.chunks.push(chunk);
             }
+            out.chunks = out.chunks.into_iter().map(|c| c.project(columns)).collect();
             ctx.charge_op_mem(op_key(op), out.approx_bytes())?;
             Ok(out)
         }
-        PhysOp::Introspect { function, types } => {
+        PhysOp::Introspect { function, types, columns } => {
             let rows = mduck_sql::introspect::rows(*function);
             ctx.guard.check_rows(rows.len())?;
-            let out = Chunks::from_rows(types, &rows)?;
+            let mut out = Chunks::from_rows(types, &rows)?;
+            out.chunks = out.chunks.into_iter().map(|c| c.project(columns)).collect();
             ctx.charge_op_mem(op_key(op), out.approx_bytes())?;
             Ok(out)
         }
-        PhysOp::Filter { pred, child, .. } => {
+        PhysOp::Filter { pred, child, columns, .. } => {
             let input = execute_op(ctx, child, outer)?;
-            let (out, bytes) = filter_chunks(ctx, input, pred, outer, &exec, op_key(op))?;
+            let (out, bytes) =
+                filter_chunks(ctx, input, pred, columns, outer, &exec, op_key(op))?;
             ctx.attribute_op_mem(op_key(op), bytes);
             Ok(out)
         }
         PhysOp::CrossJoin { left, right, .. } => {
             let l = execute_op(ctx, left, outer)?;
             let r = execute_op(ctx, right, outer)?;
-            pair_join(ctx, &l, &r, JoinKind::Cross, outer, &exec, op_key(op))
+            pair_join(ctx, op, &l, &r, JoinKind::Cross, outer, &exec)
         }
         PhysOp::HashJoin { left, right, left_keys, right_keys, .. } => {
             let l = execute_op(ctx, left, outer)?;
             let r = execute_op(ctx, right, outer)?;
             let kind = JoinKind::Hash(left_keys, right_keys);
-            pair_join(ctx, &l, &r, kind, outer, &exec, op_key(op))
+            pair_join(ctx, op, &l, &r, kind, outer, &exec)
         }
         PhysOp::IndexJoin { left, right, method, probe, build, cond, folded, .. } => {
             let l = execute_op(ctx, left, outer)?;
@@ -888,7 +954,7 @@ fn run_op(
                 None => (Vec::new(), &[][..]),
             };
             let link = IndexLink { method, probe, build, recheck: &recheck, after };
-            pair_join(ctx, &l, &r, JoinKind::Index(link), outer, &exec, op_key(op))
+            pair_join(ctx, op, &l, &r, JoinKind::Index(link), outer, &exec)
         }
     }
 }
@@ -957,8 +1023,9 @@ impl Window<'_> {
 ///
 /// Every visited row is charged to the row budget and the scan
 /// statistics up front, as an unfiltered scan would; only the predicate
-/// columns and the survivors are copied, and only those are charged to
-/// the memory guard — window by window, so `PRAGMA memory_limit` trips
+/// columns and the survivors of the columns the scan hands on
+/// ([`PhysOp::columns`]) are copied, and only those are charged to the
+/// memory guard — window by window, so `PRAGMA memory_limit` trips
 /// mid-scan.
 fn scan_table(
     ctx: &EngineCtx<'_>,
@@ -986,7 +1053,7 @@ fn scan_table(
         outer,
         exec,
         |w, outer, exec| {
-            let window = scan_window(table, rows, w, filters, outer, exec)?;
+            let window = scan_window(table, rows, w, filters, op.columns(), outer, exec)?;
             guard.charge_mem(window.bytes)?;
             Ok(window)
         },
@@ -1000,13 +1067,15 @@ fn scan_table(
 }
 
 /// Window `w` of a fused scan: evaluate each conjunct on its own columns
-/// for the rows still alive, then gather the survivors of every column.
-/// Its bytes are the predicate chunks plus the surviving rows.
+/// for the rows still alive, then gather the survivors of the table
+/// columns `columns`. Its bytes are the predicate chunks plus the
+/// surviving rows.
 fn scan_window(
     table: &Table,
     rows: ScanRows<'_>,
     w: usize,
     filters: &ScanFilters,
+    columns: &[usize],
     outer: &OuterStack<'_>,
     exec: &dyn SubqueryExec,
 ) -> SqlResult<Morsel<Option<DataChunk>>> {
@@ -1040,12 +1109,17 @@ fn scan_window(
             break;
         }
     }
+    let column = |c: usize| &table.columns[c];
     let chunk = match alive {
         Some(ids) if ids.is_empty() => None,
-        Some(ids) => Some(table.gather_rows(&ids)),
-        None => Some(DataChunk::from_columns(
-            table.columns.iter().map(|c| window.column(c)).collect(),
-        )),
+        Some(ids) => Some(DataChunk {
+            columns: columns.iter().map(|&c| column(c).gather(&ids)).collect(),
+            len: ids.len(),
+        }),
+        None => Some(DataChunk {
+            columns: columns.iter().map(|&c| window.column(column(c))).collect(),
+            len: window.len(),
+        }),
     };
     let kept = chunk.as_ref().map_or(0, |c| c.len);
     bytes += chunk.as_ref().map_or(0, DataChunk::approx_bytes);
@@ -1053,7 +1127,8 @@ fn scan_window(
 }
 
 /// Apply `pred` across all chunks, one chunk (or, for a split stage,
-/// one row range) per morsel. `key` names the owning operator or plan for
+/// one row range) per morsel, handing on the columns `keep` (ascending).
+/// `key` names the owning operator or plan for
 /// parallel actuals. A chunk every row of which passes moves to the
 /// output as it is; only partly kept chunks are copied, and charged to
 /// the memory guard as they are made. A split chunk's ranges are stitched
@@ -1064,6 +1139,7 @@ fn filter_chunks(
     ctx: &EngineCtx<'_>,
     input: Chunks,
     pred: &BoundExpr,
+    keep: &[usize],
     outer: &OuterStack<'_>,
     exec: &dyn SubqueryExec,
     key: usize,
@@ -1095,7 +1171,7 @@ fn filter_chunks(
             if sel.is_empty() {
                 return Ok(Morsel { out: None, bytes: 0, dropped });
             }
-            let part = chunk.select(&sel);
+            let part = chunk.select_columns(&sel, keep);
             let bytes = part.approx_bytes();
             guard.charge_mem(bytes)?;
             Ok(Morsel { out: Some((c, Kept::Part(part))), bytes, dropped })
@@ -1110,7 +1186,7 @@ fn filter_chunks(
     let mut out = Chunks::default();
     for (chunk, kept) in input.chunks.into_iter().zip(kept) {
         match kept {
-            Kept::All => out.chunks.push(chunk),
+            Kept::All => out.chunks.push(chunk.project(keep)),
             Kept::None => {}
             Kept::Part(part) => out.chunks.push(part),
         }
@@ -1170,7 +1246,7 @@ fn flatten(chunks: &Chunks, types: Vec<LogicalType>) -> SqlResult<DataChunk> {
             dst.extend_from(src, 0, chunk.len)?;
         }
     }
-    Ok(DataChunk::from_columns(cols))
+    Ok(DataChunk { columns: cols, len: chunks.row_count() })
 }
 
 fn chunk_types(chunks: &Chunks) -> Vec<LogicalType> {
@@ -1181,15 +1257,22 @@ fn chunk_types(chunks: &Chunks) -> Vec<LogicalType> {
         .unwrap_or_default()
 }
 
-fn combine(l: &DataChunk, lsel: &[usize], r: &DataChunk, rsel: &[usize]) -> DataChunk {
-    let mut cols = Vec::with_capacity(l.columns.len() + r.columns.len());
-    for c in &l.columns {
-        cols.push(c.gather(lsel));
-    }
-    for c in &r.columns {
-        cols.push(c.gather(rsel));
-    }
-    DataChunk::from_columns(cols)
+/// The pairs `(lsel[k], rsel[k])` of `l`'s and `r`'s rows, as the chunk
+/// of their columns `columns`: positions in `l`'s columns followed by
+/// `r`'s.
+fn combine(
+    l: &DataChunk,
+    lsel: &[usize],
+    r: &DataChunk,
+    rsel: &[usize],
+    columns: &[usize],
+) -> DataChunk {
+    let lw = l.columns.len();
+    let columns = columns.iter().map(|&c| match c.checked_sub(lw) {
+        None => l.columns[c].gather(lsel),
+        Some(c) => r.columns[c].gather(rsel),
+    });
+    DataChunk { columns: columns.collect(), len: lsel.len() }
 }
 
 /// What one left chunk (or one range of it) of a join produced.
@@ -1241,20 +1324,22 @@ struct IndexLink<'a> {
 /// (declined, errored, a probe chunk that fails to evaluate, a build side
 /// that fails to index) pairs with every right row, as the cross product
 /// does, and those pairs run `recheck` (DESIGN.md §12). A key that fails
-/// to evaluate fails the join. The pairs kept from one left chunk go out
-/// in [`VECTOR_SIZE`] chunks.
+/// to evaluate fails the join. The conjuncts run on chunks of the
+/// columns they read only; the pairs kept from one left chunk go out in
+/// [`VECTOR_SIZE`] chunks of the columns the join `op` hands on.
 fn pair_join(
     ctx: &EngineCtx<'_>,
+    op: &PhysOp,
     l: &Chunks,
     r: &Chunks,
     kind: JoinKind<'_>,
     outer: &OuterStack<'_>,
     exec: &dyn SubqueryExec,
-    key: usize,
 ) -> SqlResult<Chunks> {
     if l.row_count() == 0 || r.row_count() == 0 {
         return Ok(Chunks::default());
     }
+    let key = op_key(op);
     let rflat = flatten(r, chunk_types(r))?;
     // The flattened right side is a fresh buffer; output chunks are
     // charged as they are produced so a runaway product trips the memory
@@ -1282,11 +1367,22 @@ fn pair_join(
     };
     // A left chunk splits into row ranges when its probe values or the
     // conjuncts its pairs run call a function.
-    let costly =
-        calls_function(probe_exprs.iter().copied().chain(recheck.iter().copied()).chain(after));
+    let conjuncts: Vec<&BoundExpr> = recheck.iter().copied().chain(after).collect();
+    let costly = calls_function(probe_exprs.iter().copied().chain(conjuncts.iter().copied()));
     let morsels = StageMorsels::new(probe_exprs, costly, &l.chunks);
     let all: Vec<usize> = (0..rflat.len).collect();
-    let pairs = Pairs { guard: ctx.guard, rflat: &rflat, all: &all, candidates, recheck, after };
+    let (checks, conjuncts) = onto_read_columns(&conjuncts);
+    let (recheck, after) = conjuncts.split_at(recheck.len());
+    let pairs = Pairs {
+        guard: ctx.guard,
+        rflat: &rflat,
+        all: &all,
+        candidates,
+        columns: op.columns(),
+        checks: &checks,
+        recheck,
+        after,
+    };
     let stitch = Stitch::new(&l.chunks);
     let mut out = Chunks::default();
     let (mut probes, mut emitted) = (0u64, 0u64);
@@ -1379,7 +1475,7 @@ fn build_index(
         },
     )
     .ok()?;
-    index_type.create("index_join", 0, &build.ty(), &values).ok()
+    index_type.create("index_join", 0, &build.ty(), &values, ctx.threads).ok()
 }
 
 /// The right row numbers of each key of `right_keys` over `rflat`, in
@@ -1486,15 +1582,21 @@ impl<'a> Candidates<'a> {
 }
 
 /// What pairing one left chunk reads besides the chunk: the flattened
-/// right side, where each left row's candidates come from, and the
-/// conjuncts the pairs run ([`IndexLink`]).
+/// right side, where each left row's candidates come from, the columns
+/// the join hands on, and the conjuncts the pairs run ([`IndexLink`]).
 struct Pairs<'a> {
     guard: &'a ExecGuard,
     rflat: &'a DataChunk,
     /// Every right row number.
     all: &'a [usize],
     candidates: Candidates<'a>,
-    recheck: &'a [&'a BoundExpr],
+    /// The columns of a pair the join hands on: positions in the left
+    /// chunk's columns followed by `rflat`'s.
+    columns: &'a [usize],
+    /// The columns of a pair `recheck` and `after` read, numbered the
+    /// same way; the conjuncts are renumbered onto a chunk of these.
+    checks: &'a [usize],
+    recheck: &'a [BoundExpr],
     after: &'a [BoundExpr],
 }
 
@@ -1557,8 +1659,8 @@ impl Pairs<'_> {
 
     /// Keep the selected pairs that pass `recheck` (those that must) and
     /// then `after`, appending them to `part`'s kept pairs, and clear
-    /// the selection. The conjuncts run on the pairs materialized; pairs
-    /// no conjunct checks are kept as they are.
+    /// the selection. The conjuncts run on the pairs' columns they read,
+    /// materialized; pairs no conjunct checks are kept as they are.
     fn keep(
         &self,
         part: &mut PairPart,
@@ -1571,7 +1673,7 @@ impl Pairs<'_> {
         // Positions in `sel` of the pairs kept so far; `None` while all are.
         let mut kept: Option<Vec<usize>> = None;
         if !sel.unchecked.is_empty() || !self.after.is_empty() {
-            let mut chunk = combine(lchunk, &sel.lsel, self.rflat, &sel.rsel);
+            let mut chunk = combine(lchunk, &sel.lsel, self.rflat, &sel.rsel, self.checks);
             self.guard.charge_mem(chunk.approx_bytes())?;
             if !sel.unchecked.is_empty() {
                 kept = self.recheck_pairs(&chunk, &sel.unchecked, outer, exec)?;
@@ -1621,7 +1723,8 @@ impl Pairs<'_> {
         let n = if all { out.lsel.len() } else { out.lsel.len() / VECTOR_SIZE * VECTOR_SIZE };
         for start in (0..n).step_by(VECTOR_SIZE) {
             let rows = start..n.min(start + VECTOR_SIZE);
-            let chunk = combine(lchunk, &out.lsel[rows.clone()], self.rflat, &out.rsel[rows]);
+            let (lsel, rsel) = (&out.lsel[rows.clone()], &out.rsel[rows]);
+            let chunk = combine(lchunk, lsel, self.rflat, rsel, self.columns);
             let bytes = chunk.approx_bytes();
             self.guard.charge_mem(bytes)?;
             out.pairs += chunk.len as u64;
@@ -1680,7 +1783,8 @@ impl Pairs<'_> {
 
 // ------------------------------------------------------------ full select
 
-/// Execute a bound SELECT to rows.
+/// Execute a bound SELECT to rows, planning it on the way: in FROM
+/// order, pruned when the pruning pass may ([`prunable`]).
 pub fn execute_select(
     ctx: &EngineCtx<'_>,
     plan: &BoundSelect,
@@ -1707,6 +1811,25 @@ fn execute_select_inner(
     planned: Option<&PlannedSelect>,
     outer: &OuterStack<'_>,
 ) -> SqlResult<Vec<Vec<Value>>> {
+    // A block without pre-made trees is planned here: a block the pruning
+    // pass may prune is planned on a copy, whose expressions it
+    // renumbers; any other (a correlated subquery among them) as it is,
+    // its CTE bodies as they run.
+    let (block, fly);
+    let (plan, planned) = match planned {
+        Some(planned) => (plan, planned),
+        None if prunable(plan) => {
+            let mut copy = plan.clone();
+            fly = plan_block(ctx, &mut copy, false)?;
+            block = copy;
+            (&block, &fly)
+        }
+        None => {
+            let tree = if plan.from.is_empty() { None } else { Some(plan_joins(ctx, plan)?) };
+            fly = PlannedSelect { tree, ctes: Vec::new() };
+            (plan, &fly)
+        }
+    };
     let exec = PlanExecutor::new(ctx);
 
     // 1. Materialize this plan's CTEs (in order; later ones may reference
@@ -1716,32 +1839,24 @@ fn execute_select_inner(
     materialize_ctes(ctx, plan, planned, outer)?;
 
     // 2. Input relation.
-    let run_tree = |tree: &PhysOp, remaining: &[BoundExpr]| -> SqlResult<Chunks> {
-        let mut chunks = execute_op(ctx, tree, outer)?;
-        if !remaining.is_empty() {
-            let t = Instant::now();
-            for pred in remaining {
-                let bytes;
-                (chunks, bytes) = filter_chunks(ctx, chunks, pred, outer, &exec, plan_key(plan))?;
-                ctx.attribute_stage_mem(plan, "filter", bytes);
+    let input: Chunks = match &planned.tree {
+        Some((tree, remaining)) => {
+            let mut chunks = execute_op(ctx, tree, outer)?;
+            if !remaining.is_empty() {
+                let t = Instant::now();
+                let every: Vec<usize> = (0..tree.columns().len()).collect();
+                for pred in remaining {
+                    let bytes;
+                    (chunks, bytes) =
+                        filter_chunks(ctx, chunks, pred, &every, outer, &exec, plan_key(plan))?;
+                    ctx.attribute_stage_mem(plan, "filter", bytes);
+                }
+                ctx.record_stage(plan, "filter", t, chunks.row_count());
             }
-            ctx.record_stage(plan, "filter", t, chunks.row_count());
+            chunks
         }
-        Ok(chunks)
-    };
-    let input: Chunks = if plan.from.is_empty() {
         // SELECT without FROM: one empty row.
-        let mut c = Chunks::default();
-        c.chunks.push(DataChunk { columns: vec![], len: 1 });
-        c
-    } else {
-        match planned.and_then(|p| p.tree.as_ref()) {
-            Some((tree, remaining)) => run_tree(tree, remaining)?,
-            None => {
-                let (tree, remaining) = plan_joins(ctx, plan)?;
-                run_tree(&tree, &remaining)?
-            }
-        }
+        None => Chunks { chunks: vec![DataChunk { columns: vec![], len: 1 }] },
     };
 
     // 3. Aggregation → environment rows.
@@ -1805,11 +1920,11 @@ fn execute_select_inner(
 fn materialize_ctes(
     ctx: &EngineCtx<'_>,
     plan: &BoundSelect,
-    planned: Option<&PlannedSelect>,
+    planned: &PlannedSelect,
     outer: &OuterStack<'_>,
 ) -> SqlResult<()> {
     for (i, cte) in plan.ctes.iter().enumerate() {
-        let cte_planned = planned.and_then(|p| p.ctes.get(i));
+        let cte_planned = planned.ctes.get(i);
         let rows = execute_select_inner(ctx, &cte.plan, cte_planned, outer)?;
         let types: Vec<LogicalType> = cte
             .plan

@@ -5,6 +5,8 @@
 //! cardinalities, and chunk counts for the vectorized pipeline. Each CTE
 //! body follows the main plan under its own `──── CTE <name> ────` header.
 
+use std::collections::BTreeMap;
+
 use mduck_sql::{BoundSelect, SortKey};
 
 use crate::exec::{op_key, op_name, plan_key, PhysOp, PlannedSelect, Profile, ScanFilters};
@@ -225,21 +227,33 @@ fn with_filters(mut detail: Vec<String>, filters: &ScanFilters) -> Vec<String> {
     detail
 }
 
+/// A scan box's line listing the columns of its source it copies.
+fn copies(columns: &[usize]) -> String {
+    format!("columns: {columns:?}")
+}
+
 fn render_op(out: &mut String, op: &PhysOp, analyze: Option<&AnalyzeData<'_>>) {
     let introspect_title;
     let (title, mut detail, has_child): (&str, Vec<String>, bool) = match op {
-        PhysOp::SeqScan { table, filters } => {
-            ("SEQ_SCAN", with_filters(vec![table.clone()], filters), false)
+        PhysOp::SeqScan { table, filters, columns } => {
+            ("SEQ_SCAN", with_filters(vec![table.clone(), copies(columns)], filters), false)
         }
-        PhysOp::IndexScan { table, index, op, filters, .. } => (
+        PhysOp::IndexScan { table, index, op, filters, columns, .. } => (
             "TRTREE_INDEX_SCAN",
             with_filters(
-                vec![table.clone(), format!("index: {index}"), format!("op: {op}")],
+                vec![
+                    table.clone(),
+                    format!("index: {index}"),
+                    format!("op: {op}"),
+                    copies(columns),
+                ],
                 filters,
             ),
             false,
         ),
-        PhysOp::CteScan { name, .. } => ("CTE_SCAN", vec![name.clone()], false),
+        PhysOp::CteScan { name, columns, .. } => {
+            ("CTE_SCAN", vec![name.clone(), copies(columns)], false)
+        }
         PhysOp::SubqueryScan { .. } => ("SUBQUERY_SCAN", vec![], false),
         PhysOp::Series { .. } => ("GENERATE_SERIES", vec![], false),
         PhysOp::Introspect { function, .. } => {
@@ -311,8 +325,8 @@ pub struct OpBreakdown {
     pub mem_bytes: u64,
 }
 
-/// One post-join stage's actuals of the top-level plan (bench exports,
-/// stage-timing assertions in tests).
+/// One post-join stage's actuals, summed over the blocks of a plan (bench
+/// exports, stage-timing assertions in tests).
 #[derive(Debug, Clone)]
 pub struct StageBreakdown {
     pub stage: &'static str,
@@ -323,22 +337,47 @@ pub struct StageBreakdown {
     pub mem_bytes: u64,
 }
 
-/// Flatten the top-level plan's stage actuals, sorted by stage name.
-pub fn stage_breakdown(plan_key: usize, profile: &Profile) -> Vec<StageBreakdown> {
+/// The stage actuals of every block of a plan — the main block, its CTE
+/// bodies and its FROM subqueries, at every depth — summed per stage and
+/// sorted by stage name.
+pub fn stage_breakdown(
+    plan: &BoundSelect,
+    planned: &PlannedSelect,
+    profile: &Profile,
+) -> Vec<StageBreakdown> {
+    let mut keys = Vec::new();
+    block_keys(plan, planned, &mut keys);
     let stages = profile.stages.borrow();
-    let mut out: Vec<StageBreakdown> = stages
-        .iter()
-        .filter(|((k, _), _)| *k == plan_key)
-        .map(|((_, name), s)| StageBreakdown {
-            stage: name,
-            execs: s.execs,
-            elapsed_ms: s.elapsed_ns as f64 / 1e6,
-            rows_out: s.rows_out,
-            mem_bytes: s.mem_bytes,
-        })
-        .collect();
-    out.sort_by_key(|s| s.stage);
-    out
+    let mut out: BTreeMap<&'static str, StageBreakdown> = BTreeMap::new();
+    for ((_, stage), s) in stages.iter().filter(|((key, _), _)| keys.contains(key)) {
+        let b = out.entry(stage).or_insert(StageBreakdown {
+            stage,
+            execs: 0,
+            elapsed_ms: 0.0,
+            rows_out: 0,
+            mem_bytes: 0,
+        });
+        b.execs += s.execs;
+        b.elapsed_ms += s.elapsed_ns as f64 / 1e6;
+        b.rows_out += s.rows_out;
+        b.mem_bytes += s.mem_bytes;
+    }
+    out.into_values().collect()
+}
+
+/// The stage-profile keys of `plan` and of the blocks planned with it.
+fn block_keys(plan: &BoundSelect, planned: &PlannedSelect, out: &mut Vec<usize>) {
+    out.push(plan_key(plan));
+    for (cte, cte_planned) in plan.ctes.iter().zip(&planned.ctes) {
+        block_keys(&cte.plan, cte_planned, out);
+    }
+    let mut stack: Vec<&PhysOp> = planned.tree.iter().map(|(tree, _)| tree).collect();
+    while let Some(op) = stack.pop() {
+        if let PhysOp::SubqueryScan { plan, planned, .. } = op {
+            block_keys(plan, planned, out);
+        }
+        stack.extend(op_children(op));
+    }
 }
 
 /// Flatten an analyzed plan into per-operator actuals: the main tree

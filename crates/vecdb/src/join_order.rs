@@ -1,6 +1,6 @@
 //! Join planning: one cost model of a SELECT block's FROM items and WHERE
-//! conjuncts picks the order of the FROM items ([`reorder_joins`]) and
-//! shapes the join tree over that order ([`plan_joins`]).
+//! conjuncts picks the order of the FROM items and shapes the join tree
+//! over that order ([`order_joins`]; [`plan_joins`] keeps FROM order).
 //!
 //! **Steps.** The model walks the left-deep plan of an order one step at a
 //! time (`CostModel::step`). The next relation is hash-joined to the tree
@@ -19,10 +19,13 @@
 //! first, pruning any prefix no cheaper than an earlier one with the same
 //! joined relations and open run: a dynamic program over at most 3^8
 //! states. An order replaces FROM order only when it is strictly cheaper
-//! (DESIGN.md §12). [`plan_joins`] replays the steps over the final order,
-//! taking each step's conjuncts from [`JoinConjuncts`].
+//! (DESIGN.md §12). The tree replays the steps over the final order,
+//! taking each step's conjuncts from [`JoinConjuncts`]. The model is built
+//! once per block: a reordered block permutes it along with its FROM
+//! items.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use mduck_sql::plan::{
     index_pattern, order_insensitive, permute_from, selectivity, JoinConjuncts,
@@ -30,7 +33,8 @@ use mduck_sql::plan::{
 };
 use mduck_sql::{BinaryOp, BoundExpr, BoundFrom, BoundSelect, LogicalType, SqlError, SqlResult};
 
-use crate::exec::{EngineCtx, Fold, PhysOp, ScanFilters};
+use crate::exec::{plan_block, EngineCtx, Fold, PhysOp, ScanFilters};
+use crate::index::IndexTypeRegistry;
 
 /// The most FROM items a block may have for the pass to order it.
 const MAX_RELATIONS: usize = 8;
@@ -39,45 +43,58 @@ const _: () = assert!(MAX_RELATIONS <= 64, "the search keys its states by their 
 /// Relative margin by which an order must beat FROM order.
 const MARGIN: f64 = 1e-9;
 
-/// Reorder the FROM items of `plan`, of its CTE bodies and of its FROM
-/// subqueries, each block where the order contract holds and the cost
-/// model finds a cheaper order.
-pub fn reorder_joins(ctx: &EngineCtx<'_>, plan: &mut BoundSelect) -> SqlResult<()> {
-    for cte in &mut plan.ctes {
-        reorder_joins(ctx, &mut cte.plan)?;
-    }
-    for f in &mut plan.from {
-        if let BoundFrom::Subquery { plan: sub, .. } = f {
-            reorder_joins(ctx, sub)?;
+/// Put the FROM items of block `plan` in the cheapest order, when the
+/// order contract holds and the cost model finds an order cheaper than
+/// FROM order, then build its join tree ([`plan_joins`]); its FROM
+/// subqueries are ordered the same way.
+pub fn order_joins(
+    ctx: &EngineCtx<'_>,
+    plan: &mut BoundSelect,
+) -> SqlResult<(PhysOp, Vec<BoundExpr>)> {
+    let mut conj = JoinConjuncts::new(plan);
+    let mut model = CostModel::new(ctx, plan, &conj)?;
+    if (2..=MAX_RELATIONS).contains(&plan.from.len()) && order_insensitive(plan) {
+        if let Some(order) = model.best_order() {
+            permute_from(plan, &order);
+            model.permute(&order);
+            conj = JoinConjuncts::new(plan);
         }
     }
-    if plan.from.len() < 2 || plan.from.len() > MAX_RELATIONS || !order_insensitive(plan) {
-        return Ok(());
-    }
-    if let Some(order) = CostModel::new(ctx, plan, &JoinConjuncts::new(plan))?.best_order() {
-        permute_from(plan, &order);
-    }
-    Ok(())
+    join_tree(ctx, plan, conj, &model, true)
 }
 
 /// An operator with its estimated rows.
 type Planned = (PhysOp, Option<f64>);
 
 /// Build the physical join tree for a plan's FROM + WHERE by replaying
-/// the model's steps over the FROM order (the join-order pass has already
-/// put the FROM items in the order to join them). Returns the tree and
-/// the conjuncts left for above it (those with subqueries).
+/// the model's steps over the FROM order; its FROM subqueries are planned
+/// in FROM order too. Returns the tree, every node of which hands on
+/// every column, and the conjuncts left for above it (those with
+/// subqueries).
 pub fn plan_joins(ctx: &EngineCtx<'_>, plan: &BoundSelect) -> SqlResult<(PhysOp, Vec<BoundExpr>)> {
-    let mut conj = JoinConjuncts::new(plan);
+    let conj = JoinConjuncts::new(plan);
     let model = CostModel::new(ctx, plan, &conj)?;
+    join_tree(ctx, plan, conj, &model, false)
+}
 
+/// The join tree of `plan` over its FROM order, from its conjuncts
+/// `conj` and its cost `model`; `reorder` lets the join-order pass order
+/// its FROM subqueries.
+fn join_tree(
+    ctx: &EngineCtx<'_>,
+    plan: &BoundSelect,
+    mut conj: JoinConjuncts,
+    model: &CostModel,
+    reorder: bool,
+) -> SqlResult<(PhysOp, Vec<BoundExpr>)> {
     let from = plan.from.iter().enumerate();
-    let relations = from.map(|(ri, f)| relation(ctx, f, conj.take_local(ri), model.base[ri]));
+    let relations =
+        from.map(|(ri, f)| relation(ctx, f, conj.take_local(ri), model.base[ri], reorder));
     let mut relations = relations.collect::<SqlResult<Vec<_>>>()?.into_iter().enumerate();
     let Some((_, mut tree)) = relations.next() else {
         return Err(SqlError::execution("cannot plan joins for a FROM-less select"));
     };
-    let mut at = At::new(&model, 0);
+    let mut at = At::new(model, 0);
     // The tree covers input columns `0..width`; the open run, right after
     // it, keeps the column end of each of its FROM items.
     let mut width = conj.span(0).end;
@@ -86,7 +103,7 @@ pub fn plan_joins(ctx: &EngineCtx<'_>, plan: &BoundSelect) -> SqlResult<(PhysOp,
         let mut step = model.step(&at, Some(ri));
         if let Some((Step::Close { link, pairs }, next)) = step {
             if let Some(right) = run.take() {
-                (tree, width) = close_run(&mut conj, (tree, width), right, link, pairs);
+                (tree, width) = close_run(ctx, &mut conj, (tree, width), right, link, pairs);
             }
             at = At { tree_rows: tree.1, ..next };
             step = model.step(&at, Some(ri));
@@ -112,7 +129,7 @@ pub fn plan_joins(ctx: &EngineCtx<'_>, plan: &BoundSelect) -> SqlResult<(PhysOp,
         at = At { tree_rows: tree.1, ..next };
     }
     if let (Some((Step::Close { link, pairs }, _)), Some(right)) = (model.step(&at, None), run) {
-        (tree, _) = close_run(&mut conj, (tree, width), right, link, pairs);
+        (tree, _) = close_run(ctx, &mut conj, (tree, width), right, link, pairs);
     }
     // Anything left (complex predicates with subqueries) runs on top.
     Ok((tree.0, conj.into_remaining()))
@@ -123,14 +140,17 @@ pub fn plan_joins(ctx: &EngineCtx<'_>, plan: &BoundSelect) -> SqlResult<(PhysOp,
 /// one is `column <op> constant` (or a commuted `&&`) over an indexed
 /// column, else a sequential scan. An equality (`Compare =`) is declined:
 /// the index scan does not re-check its hits. Any other item gets them as
-/// Filters above it.
+/// Filters above it. A subquery is planned here ([`plan_block`]), its FROM
+/// items ordered when `reorder` says.
 fn relation(
     ctx: &EngineCtx<'_>,
     f: &BoundFrom,
     mut preds: Vec<BoundExpr>,
     rows: Option<f64>,
+    reorder: bool,
 ) -> SqlResult<Planned> {
     let types = || f.schema().fields.iter().map(|fl| fl.ty.clone()).collect();
+    let columns: Vec<usize> = (0..f.schema().len()).collect();
     let leaf = match f {
         BoundFrom::Table { name, .. } => {
             let t = ctx.catalog.get(name)?;
@@ -147,21 +167,32 @@ fn relation(
                     let indexed = preds.remove(pos);
                     let fallback = std::iter::once(indexed).chain(preds.iter().cloned()).collect();
                     let (filters, fallback) = (ScanFilters::new(preds), ScanFilters::new(fallback));
-                    PhysOp::IndexScan { table, index, column, op, constant, filters, fallback }
+                    PhysOp::IndexScan {
+                        table,
+                        index,
+                        column,
+                        op,
+                        constant,
+                        filters,
+                        fallback,
+                        columns,
+                    }
                 }
-                None => PhysOp::SeqScan { table, filters: ScanFilters::new(preds) },
+                None => PhysOp::SeqScan { table, filters: ScanFilters::new(preds), columns },
             };
             return Ok((scan, rows));
         }
         BoundFrom::Cte { index, alias, .. } => {
-            PhysOp::CteScan { index: *index, name: alias.clone() }
+            PhysOp::CteScan { index: *index, name: alias.clone(), columns }
         }
         BoundFrom::Subquery { plan, .. } => {
-            PhysOp::SubqueryScan { plan: plan.clone(), types: types() }
+            let mut plan = plan.clone();
+            let planned = Box::new(plan_block(ctx, &mut plan, reorder)?);
+            PhysOp::SubqueryScan { plan, planned, types: types(), columns }
         }
-        BoundFrom::Series { args, .. } => PhysOp::Series { args: args.clone() },
+        BoundFrom::Series { args, .. } => PhysOp::Series { args: args.clone(), columns },
         BoundFrom::Introspect { function, .. } => {
-            PhysOp::Introspect { function: *function, types: types() }
+            PhysOp::Introspect { function: *function, types: types(), columns }
         }
     };
     Ok(filtered((leaf, None), preds))
@@ -176,6 +207,7 @@ fn relation(
 /// conjuncts right after it when nothing comes before it; the conjuncts
 /// ahead of it go with it into the join. Returns the tree and its width.
 fn close_run(
+    ctx: &EngineCtx<'_>,
     conj: &mut JoinConjuncts,
     ((left, _), width): (Planned, usize),
     ((right, _), ends): (Planned, Vec<usize>),
@@ -183,12 +215,14 @@ fn close_run(
     pairs: Option<f64>,
 ) -> (Planned, usize) {
     let end = ends.last().copied().unwrap_or(width);
-    let owned = link.filter(|c| c.link.as_ref().is_some_and(|(_, folds)| *folds));
+    let owned = link.filter(|c| c.link == Some(true));
     let link = link.and_then(|c| {
         let found = conj.links(0..width, width..end).find(|l| l.conjunct == c.written);
         debug_assert!(found.is_some(), "the model's link links the tree and the run");
-        let (l, (method, _)) = (found?, c.link.clone()?);
-        Some((c.sel, method, l.probe.clone(), l.build.map_columns(&|i| i - width), l.call.clone()))
+        let l = found?;
+        let method = link_method(&ctx.index_types.read(), l.call)?.0.to_owned();
+        let build = l.build.map_columns(&|i| i - width);
+        Some((c.sel, method, l.probe.clone(), build, l.call.clone()))
     });
     let owned = owned.filter(|_| link.is_some());
     // The covered conjuncts by stage, in written order within each; the
@@ -210,14 +244,17 @@ fn close_run(
     });
     let mut stages = vec![Vec::new(); ends.len()];
     covered.into_iter().for_each(|(stage, _, c)| stages[stage].push(c));
+    let columns = every_column(&left, &right);
     let (left, right) = (Box::new(left), Box::new(right));
     let tree = match link {
         Some((sel, method, probe, build, cond)) => {
             let sel = folded.iter().flat_map(|f| &f.after).fold(sel, |s, c| s * selectivity(c));
             let est = pairs.map(|n| n * sel);
-            (PhysOp::IndexJoin { left, right, method, probe, build, cond, folded, est }, est)
+            let join =
+                PhysOp::IndexJoin { left, right, method, probe, build, cond, folded, est, columns };
+            (join, est)
         }
-        None => (PhysOp::CrossJoin { left, right, est: pairs }, pairs),
+        None => (PhysOp::CrossJoin { left, right, est: pairs, columns }, pairs),
     };
     (stages.into_iter().fold(tree, filtered), end)
 }
@@ -231,8 +268,15 @@ fn is_strict_overlap(c: &BoundExpr) -> bool {
 fn filtered((child, est): Planned, preds: Vec<BoundExpr>) -> Planned {
     preds.into_iter().fold((child, est), |(child, est), pred| {
         let est = est.map(|n| n * selectivity(&pred));
-        (PhysOp::Filter { pred, child: Box::new(child), est }, est)
+        let columns = (0..child.columns().len()).collect();
+        (PhysOp::Filter { pred, child: Box::new(child), est, columns }, est)
     })
+}
+
+/// Every column of a join of `left` and `right`: the left child's, then
+/// the right child's.
+fn every_column(left: &PhysOp, right: &PhysOp) -> Vec<usize> {
+    (0..left.columns().len() + right.columns().len()).collect()
 }
 
 /// Hash-join `left` with `right` on `(left keys, right keys)`.
@@ -242,8 +286,9 @@ fn hash_join(
     (left_keys, right_keys): (Vec<BoundExpr>, Vec<BoundExpr>),
     est: Option<f64>,
 ) -> Planned {
+    let columns = every_column(&left, &right);
     let (left, right) = (Box::new(left), Box::new(right));
-    (PhysOp::HashJoin { left, right, left_keys, right_keys, est }, est)
+    (PhysOp::HashJoin { left, right, left_keys, right_keys, est, columns }, est)
 }
 
 /// The index method an index join can answer conjunct `c` through, and
@@ -256,8 +301,8 @@ fn hash_join(
 ///   conjunct's Filter re-checks the candidates.
 ///
 /// Only strict overloads qualify, so a NULL on either side can safely
-/// yield no candidates.
-fn link_method(ctx: &EngineCtx<'_>, c: &BoundExpr) -> Option<(String, bool)> {
+/// yield no candidates. Nothing is allocated.
+fn link_method<'t>(types: &'t IndexTypeRegistry, c: &BoundExpr) -> Option<(&'t str, bool)> {
     let BoundExpr::Call { name, strict: true, args, .. } = c else { return None };
     let [a, b] = args.as_slice() else { return None };
     let (indexed, folds) = match name.as_str() {
@@ -273,9 +318,8 @@ fn link_method(ctx: &EngineCtx<'_>, c: &BoundExpr) -> Option<(String, bool)> {
         _ => return None,
     };
     // The first method, by name, that can index both argument types.
-    let types = ctx.index_types.read();
     let method = types.find(|t| indexed.iter().all(|i| t.can_index(i)))?;
-    Some((method.to_owned(), folds))
+    Some((method, folds))
 }
 
 // ------------------------------------------------------------ the model
@@ -344,9 +388,9 @@ struct Conjunct {
     /// The arguments of a comparison or of a two-argument call.
     sides: Option<[Side; 2]>,
     eq: bool,
-    /// The index method an index join answers it through, and whether the
-    /// join owns it ([`link_method`]).
-    link: Option<(String, bool)>,
+    /// Whether the join owns it, when an index join can answer it through
+    /// an index method ([`link_method`]).
+    link: Option<bool>,
 }
 
 /// The cost model of one block's FROM items and WHERE conjuncts.
@@ -423,6 +467,7 @@ impl CostModel {
             (rels, plain)
         };
         let mut conjuncts = Vec::new();
+        let types = ctx.index_types.read();
         for (written, c) in conj.conjuncts().iter().enumerate().filter(|(_, c)| !c.is_complex()) {
             let (rels, sel) = (side(c).0, selectivity(c));
             match rels.len() {
@@ -441,12 +486,34 @@ impl CostModel {
                         _ => None,
                     };
                     let eq = matches!(c, BoundExpr::Compare { op: BinaryOp::Eq, .. });
-                    let link = link_method(ctx, c);
+                    let link = link_method(&types, c).map(|(_, folds)| folds);
                     conjuncts.push(Conjunct { written, rels, sel, sides, eq, link });
                 }
             }
         }
         Ok(CostModel { base, conjuncts })
+    }
+
+    /// The model of the block with its FROM items in `order` (`order[k]`
+    /// moves to position `k`), as [`permute_from`] puts them.
+    fn permute(&mut self, order: &[usize]) {
+        let mut rank = vec![0; order.len()];
+        for (k, &ri) in order.iter().enumerate() {
+            rank[ri] = k;
+        }
+        self.base = order.iter().map(|&ri| self.base[ri]).collect();
+        let moved = |set: &Set| {
+            let mut out = Set::default();
+            (0..rank.len()).filter(|&ri| set.contains(ri)).for_each(|ri| out.insert(rank[ri]));
+            out
+        };
+        for c in &mut self.conjuncts {
+            c.rels = moved(&c.rels);
+            for (set, plain) in c.sides.iter_mut().flatten() {
+                *set = moved(set);
+                *plain = plain.map(|ri| rank[ri]);
+            }
+        }
     }
 
     /// Estimated rows of the relations `set` joined, every conjunct over
@@ -590,7 +657,28 @@ impl CostModel {
 /// order with its cost.
 #[derive(Default)]
 struct Search {
-    memo: HashMap<(u64, u64), f64>,
+    memo: HashMap<(u64, u64), f64, BuildHasherDefault<StateHasher>>,
     order: Vec<usize>,
     best: Option<(f64, Vec<usize>)>,
+}
+
+/// The hasher of the search's memo: a multiply-rotate round per word.
+/// The keys are relation bit sets the planner makes, so the default
+/// hasher's protection against chosen keys buys nothing, and it costs
+/// about as much as the rest of a step.
+#[derive(Default)]
+struct StateHasher(u64);
+
+impl Hasher for StateHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
 }

@@ -29,6 +29,7 @@ pub mod fusion;
 pub mod index;
 pub mod join_order;
 pub mod parallel;
+pub mod prune;
 
 pub use cache::CacheStats;
 pub use catalog::{DbCatalog, Table};

@@ -195,7 +195,7 @@ fn q16_keeps_one_trips_cross_product() {
     // the license pairs (t1 ⋈ l1) × (t2 ⋈ l2) have no spatial link and
     // stay a cross product of the absorbed run; regions1 and periods1
     // are index-joined.
-    assert_eq!(cross_product_right_sides(&p), vec!["HASH_JOIN col#1 = col#2"], "{p}");
+    assert_eq!(cross_product_right_sides(&p), vec!["HASH_JOIN col#0 = col#1"], "{p}");
     assert_eq!(p.matches("INDEX_JOIN").count(), 2, "{p}");
 }
 

@@ -47,6 +47,9 @@ echo "== parallel execution matrix =="
 # kernel against the row engine's written composition. So does the
 # statement-cache suite (plan_cache): instantiated templates against the
 # same statements bound and planned afresh, and against the row engine.
+# So does the column-pruning suite (column_pruning): pruned scans, joins
+# and Filters against the row engine, which never prunes, and the plan
+# check that no node hands on a column nothing above it reads.
 # So does resource observability (resource_obs): memory-limit trips,
 # progress monotonicity, and the query-log contract must hold on the
 # serial path and with a real worker pool, since one routine
@@ -56,7 +59,7 @@ echo "== parallel execution matrix =="
 for threads in 1 2 4; do
   MDUCK_THREADS=$threads cargo test -q -p mduck-integration --test parallel_exec \
     --test scan_pushdown --test index_join --test join_order --test fused_predicates \
-    --test plan_cache --test resource_obs
+    --test plan_cache --test column_pruning --test resource_obs
 done
 
 echo "== durability / crash torture =="

@@ -535,3 +535,50 @@ fn ext_values_roundtrip_through_wal_and_checkpoint() {
     assert!(matches!(&rows[0][0], Value::Text(s) if s.contains("POINT")), "{rows:?}");
     cleanup(&path);
 }
+
+/// Recovery rebuilds each index on the database's thread setting: a
+/// `set_threads(1)` database recovers a TRTREE over 10,000 boxes (three
+/// bulk-build partitions at the child's auto thread count of 4) without
+/// starting a pool thread. The check runs in a child process of its own,
+/// where no other test can start one.
+#[test]
+fn recovery_builds_indexes_on_the_database_threads() {
+    const CHILD: &str = "MDUCK_TEST_RECOVERY_THREADS_CHILD";
+    const NAME: &str = "recovery_builds_indexes_on_the_database_threads";
+    if std::env::var_os(CHILD).is_none() {
+        let status = std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args(["--exact", NAME, "--test-threads", "1"])
+            .env(CHILD, "1")
+            .env("MDUCK_THREADS", "4")
+            .status()
+            .expect("run the test binary again");
+        assert!(status.success(), "the child run failed: {status}");
+        return;
+    }
+    let path = wal_path("recovery_threads");
+    let open = || {
+        let db = Database::new();
+        mobilityduck::load(&db);
+        db.set_threads(1);
+        db.attach_wal(&path).unwrap();
+        db
+    };
+    {
+        let db = open();
+        db.execute("CREATE TABLE boxes(id INTEGER, b STBOX)").unwrap();
+        db.execute(
+            "INSERT INTO boxes SELECT i, stbox(ST_MakeEnvelope(i * 1.0, 0.0, i + 0.5, 1.0)) \
+             FROM generate_series(1, 10000) AS g(i)",
+        )
+        .unwrap();
+        db.execute("CREATE INDEX boxes_idx ON boxes USING TRTREE(b)").unwrap();
+    }
+    let db = open();
+    let sql = "SELECT count(*) FROM boxes \
+               WHERE b && stbox(ST_MakeEnvelope(100.0, 0.0, 199.9, 1.0))";
+    let plan = db.execute(&format!("EXPLAIN {sql}")).unwrap().rows[0][0].to_string();
+    assert!(plan.contains("INDEX_SCAN"), "{plan}");
+    assert_eq!(db.execute(sql).unwrap().rows, vec![vec![Value::Int(100)]]);
+    assert_eq!(mduck_obs::metrics().pool_threads_started.get(), 0);
+    cleanup(&path);
+}

@@ -281,7 +281,7 @@ fn length_over_attime_sums_the_window() {
     p.check(
         "SELECT pr.id, sum(length(atTime(t.trip, pr.p))) FROM trips t, periods pr \
          GROUP BY pr.id ORDER BY pr.id",
-        &["sum([length([col#1, col#3"],
+        &["sum([length([col#0, col#2"],
         &["attime"],
     );
 }

@@ -99,6 +99,7 @@ fn vec_explain_analyze_golden() {
         "mem: NB",
         "SEQ_SCAN",
         "pts",
+        "columns: [N]",
         "Filters:",
         "(col#N > lit(Float(N)))",
         "actual: N ms",

@@ -21,10 +21,11 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
 }
 
 /// Hash aggregation over the SF-0.001 trips table. The vehicleid
-/// self-join re-materializes every trip (TGEOMPOINT columns included) per
-/// match, pushing the statement's accounted memory well past 8MB on both
-/// engines while staying comfortably under the default (unlimited) limit.
-const AGG_SQL: &str = "SELECT t.vehicleid, count(*) FROM trips t, trips s \
+/// self-join carries both sides' TGEOMPOINT trips, which the counts read,
+/// through every match, pushing the statement's accounted memory well
+/// past 8MB on both engines while staying comfortably under the default
+/// (unlimited) limit.
+const AGG_SQL: &str = "SELECT t.vehicleid, count(t.trip), count(s.trip) FROM trips t, trips s \
      WHERE t.vehicleid = s.vehicleid GROUP BY t.vehicleid";
 
 fn sf001() -> BerlinModData {
@@ -57,6 +58,8 @@ fn assert_memory_trip<T: std::fmt::Debug>(r: Result<T, SqlError>) {
 
 #[test]
 fn vec_memory_limit_trips_hash_agg_serial_and_parallel() {
+    // Its statements move the process-wide memory gauges.
+    let _lock = serial();
     let data = sf001();
     let db = vec_db(&data);
     // Default limit: the aggregation succeeds and EXPLAIN ANALYZE carries
@@ -115,6 +118,7 @@ fn group_by_memory_does_not_depend_on_the_thread_count() {
 /// subquery predicate keeps, and its box reports those bytes.
 #[test]
 fn a_subquery_filter_reports_the_rows_it_copies() {
+    let _lock = serial();
     let db = Database::new();
     db.execute("CREATE TABLE f(a INTEGER)").unwrap();
     db.execute("INSERT INTO f SELECT n FROM generate_series(1, 100) AS t(n)").unwrap();
@@ -126,6 +130,7 @@ fn a_subquery_filter_reports_the_rows_it_copies() {
 
 #[test]
 fn row_memory_limit_trips_hash_agg() {
+    let _lock = serial();
     let data = sf001();
     let db = row_db(&data);
     assert!(db.execute(AGG_SQL).is_ok());
@@ -347,4 +352,38 @@ fn query_log_jsonl_sink_round_trips_golden() {
         !text.contains("after-sink-closed"),
         "sink kept receiving after PRAGMA query_log='off'"
     );
+}
+
+/// The per-stage breakdown sums every block's stages: Q9's `aggregate`
+/// stage is its main block's HASH_GROUP_BY plus its CTE body's, as
+/// EXPLAIN ANALYZE renders them.
+#[test]
+fn stage_breakdown_counts_cte_bodies() {
+    let _lock = serial();
+    let db = vec_db(&sf001());
+    let q9 = berlinmod::benchmark_queries().into_iter().find(|q| q.0 == 9).unwrap().2;
+    let pq = db.execute_analyzed(q9).unwrap();
+    let stage = pq.stages.iter().find(|s| s.stage == "aggregate").expect("aggregate stage");
+    // The actual time and rows of each HASH_GROUP_BY box, main block first.
+    let boxes: Vec<(f64, u64)> = pq
+        .explain
+        .split('┌')
+        .filter(|b| b.contains("HASH_GROUP_BY"))
+        .map(|b| {
+            let line = |key: &str| {
+                let l = b.lines().find_map(|l| l.split(key).nth(1)).expect(key);
+                l.trim_matches(|c: char| c == '│' || c == ' ').trim_end_matches(" ms").to_string()
+            };
+            (line("actual: ").parse().unwrap(), line("rows: ").parse().unwrap())
+        })
+        .collect();
+    assert_eq!(boxes.len(), 2, "{}", pq.explain);
+    let cte = pq.explain.find("CTE distances").expect("CTE section");
+    assert!(pq.explain[..cte].contains("HASH_GROUP_BY"), "{}", pq.explain);
+    assert_eq!(stage.execs, 2);
+    assert_eq!(stage.rows_out, boxes[0].1 + boxes[1].1);
+    let (main, cte) = (boxes[0].0, boxes[1].0);
+    assert!(cte > 0.0, "{}", pq.explain);
+    // Each box rounds its time to the microsecond.
+    assert!((stage.elapsed_ms - (main + cte)).abs() <= 0.002, "{stage:?}\n{}", pq.explain);
 }
