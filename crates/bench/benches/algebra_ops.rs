@@ -1,9 +1,9 @@
 //! Micro-benchmarks of the temporal algebra itself (the ablation DESIGN.md
 //! calls out): synchronization-heavy operators (tdwithin, tdistance),
 //! restriction (atTime/atGeometry), the spatial kernels behind Query 5
-//! (`distance` between trajectory collections) and Queries 13/16
-//! (`eIntersects` against a region), and the WKB-vs-native `_gs` geometry
-//! round trip of §6.3.
+//! (`distance` between trajectory collections, apart and crossing) and
+//! Queries 4/7/13/16/17 (`eIntersects` against a point and a region),
+//! and the WKB-vs-native `_gs` geometry round trip of §6.3.
 
 use mduck_bench::micro::bench_function;
 use mduck_geo::algorithms::{collect, distance};
@@ -60,6 +60,10 @@ fn main() {
     };
     let (left, right) = (trips(0.0, 0.0), trips(2500.0, 0.2));
     bench_function("distance_multilinestring", || distance(&left, &right));
+    // Query 5's usual case: collections through the same area, whose
+    // routes cross, at distance 0.
+    let crossing = trips(150.0, 0.2);
+    bench_function("distance_multilinestring_crossing", || distance(&left, &crossing));
     // Queries 13 and 16: eIntersects of a 30-instant trip and a region.
     let trip30 = make_trip(30, 0.3);
     let region = Geometry::polygon(vec![vec![
@@ -71,6 +75,11 @@ fn main() {
     ]])
     .unwrap();
     bench_function("eintersects_region", || trip30.eintersects(&region));
+    // Queries 4, 7 and 17: eIntersects of a 30-instant trip and a point,
+    // one of its positions and one off its path.
+    let on = Geometry::from_point(trip30.temp.instants()[17].value);
+    let off = Geometry::from_point(Point::new(0.0, 0.0));
+    bench_function("eintersects_point", || (trip30.eintersects(&on), trip30.eintersects(&off)));
 
     // The §6.3 conversion-overhead ablation: WKB round trip vs native.
     let traj = a.trajectory();

@@ -110,12 +110,16 @@ pub fn geometry_covers_point(g: &Geometry, p: Point) -> bool {
 /// never builds the trajectory. Every visitor stops as soon as `f` returns
 /// `Break`, and reports whether it did.
 ///
-/// A source gives its vertices, segments and bare points in one pass
-/// (`visit_features`); the visitors of one kind default to picking theirs
-/// from it, and [`Geometry`] walks each kind directly.
+/// A source gives its vertices, segments and bare points in one walk over
+/// runs of at most [`RUN`] consecutive segments ([`Features::visit_runs`]),
+/// each announced with a box that holds it, so a kernel can skip a whole
+/// run by its box. The visitors of one kind default to picking theirs from
+/// that walk, and [`Geometry`] walks each kind directly.
 pub trait Features {
-    /// Every vertex, segment and bare point, in one pass.
-    fn visit_features(&self, sink: &mut impl FeatureSink) -> ControlFlow<()>;
+    /// Every vertex, segment and bare point, run by run: before the
+    /// features of a run, [`RunSink::run`] gets a box holding every one of
+    /// them, and they are reported only when it returns true.
+    fn visit_runs(&self, sink: &mut impl RunSink) -> ControlFlow<()>;
 
     /// The rings of every polygon.
     fn visit_polygons<F: FnMut(&[Vec<Point>]) -> ControlFlow<()>>(
@@ -125,7 +129,7 @@ pub trait Features {
 
     /// Every vertex.
     fn visit_points<F: FnMut(Point) -> ControlFlow<()>>(&self, f: &mut F) -> ControlFlow<()> {
-        self.visit_features(&mut Each(|feature| match feature {
+        self.visit_runs(&mut Each(|feature| match feature {
             Feature::Vertex(p) => f(p),
             _ => ControlFlow::Continue(()),
         }))
@@ -136,7 +140,7 @@ pub trait Features {
         &self,
         f: &mut F,
     ) -> ControlFlow<()> {
-        self.visit_features(&mut Each(|feature| match feature {
+        self.visit_runs(&mut Each(|feature| match feature {
             Feature::Segment(p, q) => f(p, q),
             _ => ControlFlow::Continue(()),
         }))
@@ -145,7 +149,7 @@ pub trait Features {
     /// The vertices that end no segment: points, multipoint members and
     /// one-vertex lines or rings.
     fn visit_bare_points<F: FnMut(Point) -> ControlFlow<()>>(&self, f: &mut F) -> ControlFlow<()> {
-        self.visit_features(&mut Each(|feature| match feature {
+        self.visit_runs(&mut Each(|feature| match feature {
             Feature::Bare(p) => f(p),
             _ => ControlFlow::Continue(()),
         }))
@@ -159,25 +163,36 @@ pub trait Features {
     }
 }
 
-/// What [`Features::visit_features`] reports each feature to; it stops
-/// the visit by returning `Break`. The call runs once per feature, in the
-/// visit's inner loop: an implementation should be `#[inline(always)]`
-/// and keep its common case small.
-pub trait FeatureSink {
+/// What [`Features::visit_runs`] reports each run and feature to; it
+/// stops the walk by returning `Break`. `feature` runs once per feature,
+/// in the walk's inner loop: an implementation should be
+/// `#[inline(always)]` and keep its common case small.
+pub trait RunSink {
+    /// A run starts; `rect` holds every point of its features. Returning
+    /// false skips them, and says that no feature lying in `rect` can
+    /// change the sink's answer: a source may then leave out any other
+    /// feature that lies in `rect` too.
+    fn run(&mut self, rect: &Rect) -> bool;
+
     fn feature(&mut self, feature: Feature) -> ControlFlow<()>;
 }
 
-/// A closure as a [`FeatureSink`].
+/// A closure over every feature as a [`RunSink`].
 struct Each<F>(F);
 
-impl<F: FnMut(Feature) -> ControlFlow<()>> FeatureSink for Each<F> {
+impl<F: FnMut(Feature) -> ControlFlow<()>> RunSink for Each<F> {
+    #[inline(always)]
+    fn run(&mut self, _: &Rect) -> bool {
+        true
+    }
+
     #[inline(always)]
     fn feature(&mut self, feature: Feature) -> ControlFlow<()> {
         (self.0)(feature)
     }
 }
 
-/// One feature [`Features::visit_features`] reports.
+/// One feature [`Features::visit_runs`] reports.
 #[derive(Debug, Clone, Copy)]
 pub enum Feature {
     /// A vertex ([`Features::visit_points`]).
@@ -186,6 +201,32 @@ pub enum Feature {
     Segment(Point, Point),
     /// A vertex that ends no segment ([`Features::visit_bare_points`]).
     Bare(Point),
+}
+
+/// Consecutive segments per run of [`Features::visit_runs`]; runs of
+/// bare points hold as many points.
+pub const RUN: usize = 8;
+
+/// The bounding box of `points`: the whole plane when a coordinate is
+/// NaN, which the minima and maxima would pass over, and a box that meets
+/// nothing when there is no point.
+fn run_rect(points: impl IntoIterator<Item = Point>) -> Rect {
+    let mut rect = Rect {
+        xmin: f64::INFINITY,
+        ymin: f64::INFINITY,
+        xmax: f64::NEG_INFINITY,
+        ymax: f64::NEG_INFINITY,
+    };
+    let mut nan = false;
+    for p in points {
+        rect.expand_to(p);
+        nan |= p.x.is_nan() || p.y.is_nan();
+    }
+    if nan {
+        Rect::new(f64::NEG_INFINITY, f64::NEG_INFINITY, f64::INFINITY, f64::INFINITY)
+    } else {
+        rect
+    }
 }
 
 impl Features for Geometry {
@@ -247,33 +288,51 @@ impl Features for Geometry {
         }
     }
 
-    fn visit_features(&self, sink: &mut impl FeatureSink) -> ControlFlow<()> {
-        fn bare(sink: &mut impl FeatureSink, p: Point) -> ControlFlow<()> {
-            sink.feature(Feature::Vertex(p))?;
-            sink.feature(Feature::Bare(p))
-        }
-        // A line or ring: a bare point when it has one vertex.
-        fn line(sink: &mut impl FeatureSink, ps: &[Point]) -> ControlFlow<()> {
-            if let [p] = ps {
-                return bare(sink, *p);
-            }
-            let mut prev: Option<Point> = None;
-            for &p in ps {
-                sink.feature(Feature::Vertex(p))?;
-                if let Some(q) = prev.replace(p) {
-                    sink.feature(Feature::Segment(q, p))?;
+    /// Each run's box is the bounding box of its vertices, built as the
+    /// walk reaches it: [`RUN`] segments of a line or ring (its vertices
+    /// overlapping the next run's by one), or [`RUN`] bare points.
+    fn visit_runs(&self, sink: &mut impl RunSink) -> ControlFlow<()> {
+        fn bare(sink: &mut impl RunSink, ps: &[Point]) -> ControlFlow<()> {
+            for run in ps.chunks(RUN) {
+                if sink.run(&run_rect(run.iter().copied())) {
+                    for &p in run {
+                        sink.feature(Feature::Vertex(p))?;
+                        sink.feature(Feature::Bare(p))?;
+                    }
                 }
             }
             ControlFlow::Continue(())
         }
+        // A line or ring: a bare point when it has one vertex.
+        fn line(sink: &mut impl RunSink, ps: &[Point]) -> ControlFlow<()> {
+            if ps.len() == 1 {
+                return bare(sink, ps);
+            }
+            let mut start = 0;
+            while start + 1 < ps.len() {
+                let end = (start + RUN).min(ps.len() - 1);
+                let run = &ps[start..=end];
+                if sink.run(&run_rect(run.iter().copied())) {
+                    if start == 0 {
+                        sink.feature(Feature::Vertex(run[0]))?;
+                    }
+                    for w in run.windows(2) {
+                        sink.feature(Feature::Vertex(w[1]))?;
+                        sink.feature(Feature::Segment(w[0], w[1]))?;
+                    }
+                }
+                start = end;
+            }
+            ControlFlow::Continue(())
+        }
         match &self.data {
-            GeomData::Point(p) => bare(sink, *p),
-            GeomData::MultiPoint(ps) => ps.iter().try_for_each(|p| bare(sink, *p)),
+            GeomData::Point(p) => bare(sink, std::slice::from_ref(p)),
+            GeomData::MultiPoint(ps) => bare(sink, ps),
             GeomData::LineString(ps) => line(sink, ps),
             GeomData::Polygon(rings) | GeomData::MultiLineString(rings) => {
                 rings.iter().try_for_each(|r| line(sink, r))
             }
-            GeomData::GeometryCollection(gs) => gs.iter().try_for_each(|g| g.visit_features(sink)),
+            GeomData::GeometryCollection(gs) => gs.iter().try_for_each(|g| g.visit_runs(sink)),
         }
     }
 }
@@ -352,11 +411,6 @@ fn features_magnitude(a: &impl Features) -> f64 {
         stop_if(m == f64::INFINITY)
     });
     m
-}
-
-/// The slack for boxes over `a` and `b`.
-fn box_slack(a: &impl Features, b: &impl Features) -> f64 {
-    slack_for(features_magnitude(a).max(features_magnitude(b)))
 }
 
 /// A box grown by a slack, for sorting points against it: a point's code
@@ -445,8 +499,8 @@ impl<'a> Target<'a> {
     /// segment-less operand against the other's segments and vertices;
     /// else segment–segment, bare point–segment and bare point–bare point.
     ///
-    /// The features of `a` are read in one [`Features::visit_features`]
-    /// pass, which stops at the first such pair. Every vertex or segment
+    /// The features of `a` are read in one [`Features::visit_runs`] walk,
+    /// which stops at the first such pair. Every run, vertex or segment
     /// of `a` that lies beyond `BOX_SLACK` of the geometry's box is
     /// skipped: it cannot be at distance 0 from any part of it. So is
     /// every pair of segments whose boxes lie that far apart.
@@ -460,8 +514,17 @@ impl<'a> Target<'a> {
         let slack = slack_for(rect_magnitude(&ra).max(self.magnitude));
         let near = Near::new(self.rect, slack);
         let lines = (has_segments(a), self.has_segments);
-        let hit = a.visit_features(&mut Meet { target: self, lines, near, slack });
-        let hit = hit.is_break()
+        // A far vertex can still lie in an open ring, so then no run is
+        // skipped.
+        let skip_far = near.bounded && (self.closed_rings || !self.has_polygons);
+        let mut meet = Meet { target: self, lines, near, slack, skip_far, met_in_rect: false };
+        let hit = a.visit_runs(&mut meet).is_break();
+        // A feature of `a` whose box meets the geometry's makes the exact
+        // box of `a` meet it too.
+        if hit && (exact || meet.met_in_rect) {
+            return true;
+        }
+        let hit = hit
             || polygon_covers_vertex(a, self.geom)
             || (lines == (true, true) && self.bare_point_on(a, &ra, slack));
         // The boxes meet, unless `ra` is only a bound and the exact box of
@@ -563,20 +626,32 @@ impl<'a> Target<'a> {
     }
 }
 
-/// [`Target::intersects`]' visit of the other operand's features. Most of
-/// them lie beyond `near` and are skipped inline; the rest go to
-/// [`Target::test`], kept out of line so that the skip stays small (a
-/// visit that called one large test per feature took about 1.7 times as
-/// long).
+/// [`Target::intersects`]' walk over the other operand's runs. Most of
+/// them lie beyond `near` and are skipped whole, and so are most features
+/// of the rest, inline; the remaining features go to [`Target::test`],
+/// kept out of line so that the skip stays small (a visit that called one
+/// large test per feature took about 1.7 times as long).
 struct Meet<'t, 'g> {
     target: &'t Target<'g>,
     /// Which operand has segments: the other one, and the geometry.
     lines: (bool, bool),
     near: Near,
     slack: f64,
+    /// Whether a run beyond `near` is skipped.
+    skip_far: bool,
+    /// Whether the feature that stopped the walk has a box meeting the
+    /// geometry's.
+    met_in_rect: bool,
 }
 
-impl FeatureSink for Meet<'_, '_> {
+impl RunSink for Meet<'_, '_> {
+    /// A run whose box misses `near` lies beyond one of its sides, and so
+    /// does every point of it: each of its features would be skipped.
+    #[inline(always)]
+    fn run(&mut self, rect: &Rect) -> bool {
+        !self.skip_far || rect.intersects(&self.near.rect)
+    }
+
     #[inline(always)]
     fn feature(&mut self, feature: Feature) -> ControlFlow<()> {
         let t = self.target;
@@ -590,7 +665,15 @@ impl FeatureSink for Meet<'_, '_> {
         if beyond {
             return ControlFlow::Continue(());
         }
-        t.test(feature, self.lines, &self.near, self.slack)
+        let hit = t.test(feature, self.lines, &self.near, self.slack);
+        if hit.is_break() {
+            let rect = match feature {
+                Feature::Segment(p, q) => segment_rect(p, q),
+                Feature::Vertex(p) | Feature::Bare(p) => Rect::from_point(p),
+            };
+            self.met_in_rect = rect.intersects(&t.rect);
+        }
+        hit
     }
 }
 
@@ -599,31 +682,122 @@ pub fn segment_rect(p: Point, q: Point) -> Rect {
     Rect::new(p.x, p.y, q.x, q.y)
 }
 
-/// Consecutive segments per box in `distance`'s branch-and-bound.
-const RUN: usize = 8;
-
-/// The bounding box of every run of [`RUN`] consecutive segments.
-fn run_rects(segs: &[(Point, Point)]) -> Vec<Rect> {
-    segs.chunks(RUN)
-        .map(|run| {
-            let first = segment_rect(run[0].0, run[0].1);
-            run.iter().fold(first, |r, &(p, q)| r.union(&segment_rect(p, q)))
-        })
-        .collect()
+/// The segments of an operand in the runs [`Features::visit_runs`] gives,
+/// a tree of boxes over them, its bare points, and the largest magnitude
+/// of its vertices: what [`segments_distance`] searches.
+struct RunTree {
+    segs: Vec<(Point, Point)>,
+    /// Run `i` holds `segs[starts[i]..starts[i + 1]]`.
+    starts: Vec<usize>,
+    /// `levels[0]` holds the box of each run with segments; each box of
+    /// `levels[k + 1]` holds [`RUN`] consecutive boxes of `levels[k]`. The
+    /// last level is one box over all.
+    levels: Vec<Vec<Rect>>,
+    bare: Vec<Point>,
+    magnitude: f64,
 }
 
-/// The `i`-th run of [`RUN`] segments.
-fn run(segs: &[(Point, Point)], i: usize) -> &[(Point, Point)] {
-    &segs[i * RUN..segs.len().min((i + 1) * RUN)]
+impl RunTree {
+    fn new(a: &impl Features) -> RunTree {
+        let mut tree = RunTree {
+            segs: Vec::new(),
+            starts: Vec::new(),
+            levels: vec![Vec::new()],
+            bare: Vec::new(),
+            magnitude: 0.0,
+        };
+        let _ = a.visit_runs(&mut tree);
+        tree.drop_empty_run();
+        tree.starts.push(tree.segs.len());
+        while tree.levels[tree.levels.len() - 1].len() > 1 {
+            let top = &tree.levels[tree.levels.len() - 1];
+            let up = top.chunks(RUN).map(|c| c.iter().fold(c[0], |r, b| r.union(b))).collect();
+            tree.levels.push(up);
+        }
+        tree
+    }
+
+    /// Forget the last run when it got no segment.
+    fn drop_empty_run(&mut self) {
+        if self.starts.last() == Some(&self.segs.len()) {
+            self.starts.pop();
+            self.levels[0].pop();
+        }
+    }
+
+    /// The root: one box at the top level.
+    fn root(&self) -> Node {
+        Node { level: self.levels.len() - 1, index: 0 }
+    }
+
+    fn rect(&self, n: Node) -> &Rect {
+        &self.levels[n.level][n.index]
+    }
+
+    /// The nodes one level below `n`.
+    fn children(&self, n: Node) -> impl Iterator<Item = Node> {
+        let below = self.levels[n.level - 1].len();
+        (n.index * RUN..below.min((n.index + 1) * RUN))
+            .map(move |index| Node { level: n.level - 1, index })
+    }
+
+    /// The segments of run `i`.
+    fn run(&self, i: usize) -> &[(Point, Point)] {
+        &self.segs[self.starts[i]..self.starts[i + 1]]
+    }
 }
 
-fn collect_segments(a: &impl Features) -> Vec<(Point, Point)> {
-    let mut segs = Vec::new();
-    let _ = a.visit_segments(&mut |p, q| {
-        segs.push((p, q));
+impl RunSink for RunTree {
+    fn run(&mut self, rect: &Rect) -> bool {
+        self.drop_empty_run();
+        self.starts.push(self.segs.len());
+        self.levels[0].push(*rect);
+        true
+    }
+
+    fn feature(&mut self, feature: Feature) -> ControlFlow<()> {
+        match feature {
+            Feature::Vertex(p) => self.magnitude = self.magnitude.max(magnitude(p)),
+            Feature::Segment(p, q) => self.segs.push((p, q)),
+            Feature::Bare(p) => self.bare.push(p),
+        }
         ControlFlow::Continue(())
-    });
-    segs
+    }
+}
+
+/// A box of a [`RunTree`]: `levels[level][index]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Node {
+    level: usize,
+    index: usize,
+}
+
+/// A pair of nodes in [`segments_distance`]'s queue, ordered so that the
+/// smallest box distance comes out of a `BinaryHeap` first.
+struct Pair {
+    gap: f64,
+    a: Node,
+    b: Node,
+}
+
+impl PartialEq for Pair {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == std::cmp::Ordering::Equal
+    }
+}
+
+impl Eq for Pair {}
+
+impl PartialOrd for Pair {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Pair {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        other.gap.total_cmp(&self.gap)
+    }
 }
 
 /// Minimum Euclidean distance between two geometries (`ST_Distance`).
@@ -638,11 +812,10 @@ pub fn distance(a: &Geometry, b: &Geometry) -> f64 {
 /// neither operand has segments; each vertex of a segment-less operand
 /// against the other's segments and vertices; else segment–segment, bare
 /// point–segment and bare point–bare point. Where both operands have
-/// segments, a
-/// branch-and-bound over boxes of runs of `RUN` consecutive segments
-/// skips run pairs whose box distance exceeds the best distance so far
-/// (plus a slack, see `BOX_SLACK`), so the result equals the exhaustive
-/// minimum bit for bit.
+/// segments, a best-first search over the boxes of their runs of [`RUN`]
+/// consecutive segments skips every pair whose box distance exceeds the
+/// best distance so far (plus a slack, see `BOX_SLACK`), so the result
+/// equals the exhaustive minimum bit for bit.
 pub fn features_distance<A: Features, B: Features>(a: &A, b: &B) -> f64 {
     if polygon_covers_vertex(a, b) || polygon_covers_vertex(b, a) {
         return 0.0;
@@ -685,72 +858,94 @@ fn points_to_features(a: &impl Features, b: &impl Features) -> f64 {
     best
 }
 
-/// Branch-and-bound minimum between two operands that both have segments.
+/// Best-first minimum between two operands that both have segments.
+///
+/// Pairs of boxes from the two [`RunTree`]s come out of a queue by their
+/// box distance, starting with the two roots. A pair is split into the
+/// pairs below the higher of its nodes, and a pair of runs compares their
+/// segments; the search ends at the first pair whose box distance exceeds
+/// the best distance so far by more than the slack, since every pair left
+/// in the queue, and every pair below them, lies at least that far.
 ///
 /// Vertices that end a segment need no pass of their own:
 /// [`segment_segment_distance`] already takes the minimum over the same
 /// point-to-segment expressions. Only bare points are compared separately,
 /// against the other's segments and bare points.
 fn segments_distance(a: &impl Features, b: &impl Features) -> f64 {
-    let slack = box_slack(a, b);
-    let (a_segs, b_segs) = (collect_segments(a), collect_segments(b));
-    let (a_runs, b_runs) = (run_rects(&a_segs), run_rects(&b_segs));
-    let mut pairs: Vec<(f64, usize, usize)> = Vec::with_capacity(a_runs.len() * b_runs.len());
-    for (i, ra) in a_runs.iter().enumerate() {
-        for (j, rb) in b_runs.iter().enumerate() {
-            pairs.push((ra.distance(rb), i, j));
-        }
-    }
-    pairs.sort_unstable_by(|x, y| x.0.total_cmp(&y.0));
+    let (ta, tb) = (RunTree::new(a), RunTree::new(b));
+    let slack = slack_for(ta.magnitude.max(tb.magnitude));
     let mut best = f64::INFINITY;
-    for (gap, i, j) in pairs {
+    let (ra, rb) = (ta.root(), tb.root());
+    let mut queue = std::collections::BinaryHeap::from([Pair {
+        gap: ta.rect(ra).distance(tb.rect(rb)),
+        a: ra,
+        b: rb,
+    }]);
+    while let Some(Pair { gap, a, b }) = queue.pop() {
         if gap > best + slack {
             break;
         }
-        for &(p1, p2) in run(&a_segs, i) {
-            let sa = segment_rect(p1, p2);
-            for &(q1, q2) in run(&b_segs, j) {
-                if sa.distance(&segment_rect(q1, q2)) > best + slack {
-                    continue;
-                }
-                best = best.min(segment_segment_distance(p1, p2, q1, q2));
-                if best == 0.0 {
-                    return 0.0;
-                }
+        if a.level == 0 && b.level == 0 {
+            best = runs_distance(ta.run(a.index), tb.run(b.index), best, slack);
+            if best == 0.0 {
+                return 0.0;
             }
+            continue;
+        }
+        let mut push = |a: Node, b: Node| {
+            let gap = ta.rect(a).distance(tb.rect(b));
+            if gap <= best + slack {
+                queue.push(Pair { gap, a, b });
+            }
+        };
+        if a.level >= b.level {
+            ta.children(a).for_each(|a| push(a, b));
+        } else {
+            tb.children(b).for_each(|b| push(a, b));
         }
     }
-    best = bare_points_distance(a, &b_segs, &b_runs, best, slack);
-    best = bare_points_distance(b, &a_segs, &a_runs, best, slack);
-    let _ = a.visit_bare_points(&mut |p| {
-        b.visit_bare_points(&mut |q| {
-            best = best.min(p.distance(&q));
-            ControlFlow::Continue(())
-        })
-    });
+    best = bare_points_distance(&ta.bare, &tb, best, slack);
+    best = bare_points_distance(&tb.bare, &ta, best, slack);
+    for p in &ta.bare {
+        for q in &tb.bare {
+            best = best.min(p.distance(q));
+        }
+    }
     best
 }
 
-/// `best` lowered by the distance from each bare point of `a` to `segs`,
-/// skipping the runs whose box lies beyond the bound.
-fn bare_points_distance(
-    a: &impl Features,
-    segs: &[(Point, Point)],
-    runs: &[Rect],
-    mut best: f64,
-    slack: f64,
-) -> f64 {
-    let _ = a.visit_bare_points(&mut |p| {
+/// `best` lowered by every pair of segments of two runs, skipping the
+/// pairs whose boxes lie beyond the bound.
+fn runs_distance(a: &[(Point, Point)], b: &[(Point, Point)], mut best: f64, slack: f64) -> f64 {
+    for &(p1, p2) in a {
+        let sa = segment_rect(p1, p2);
+        for &(q1, q2) in b {
+            if sa.distance(&segment_rect(q1, q2)) > best + slack {
+                continue;
+            }
+            best = best.min(segment_segment_distance(p1, p2, q1, q2));
+            if best == 0.0 {
+                return 0.0;
+            }
+        }
+    }
+    best
+}
+
+/// `best` lowered by the distance from each of the bare points `ps` to
+/// the segments of `tree`, skipping the runs whose box lies beyond the
+/// bound.
+fn bare_points_distance(ps: &[Point], tree: &RunTree, mut best: f64, slack: f64) -> f64 {
+    for &p in ps {
         let at = Rect::from_point(p);
-        for (run, r) in segs.chunks(RUN).zip(runs) {
+        for (i, r) in tree.levels[0].iter().enumerate() {
             if at.distance(r) <= best + slack {
-                for &(q1, q2) in run {
+                for &(q1, q2) in tree.run(i) {
                     best = best.min(point_segment_distance(p, q1, q2));
                 }
             }
         }
-        ControlFlow::Continue(())
-    });
+    }
     best
 }
 

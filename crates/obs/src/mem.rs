@@ -177,8 +177,17 @@ pub fn parse_bytes(s: &str) -> Option<u64> {
 mod tests {
     use super::*;
 
+    /// Held by every test that makes a root: roots move the process-wide
+    /// gauges, which `root_mirrors_into_gauges` reads.
+    static GAUGES: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn gauges() -> std::sync::MutexGuard<'static, ()> {
+        GAUGES.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn charge_release_and_peak() {
+        let _gauges = gauges();
         let root = MemTracker::root();
         root.charge(100);
         root.charge(50);
@@ -195,6 +204,7 @@ mod tests {
 
     #[test]
     fn children_propagate_to_root() {
+        let _gauges = gauges();
         let root = MemTracker::root();
         let scan = root.child();
         let agg = root.child();
@@ -212,6 +222,7 @@ mod tests {
 
     #[test]
     fn root_mirrors_into_gauges() {
+        let _gauges = gauges();
         let before = metrics().mem_current.get();
         let root = MemTracker::root();
         root.charge(4096);
@@ -223,6 +234,7 @@ mod tests {
 
     #[test]
     fn concurrent_charges_balance() {
+        let _gauges = gauges();
         let root = MemTracker::root();
         std::thread::scope(|s| {
             for _ in 0..4 {

@@ -4,10 +4,11 @@
 //! queries exercise.
 
 use std::ops::ControlFlow;
+use std::sync::OnceLock;
 
 use mduck_geo::algorithms::{
     self, clip_segment_to_rings, features_distance, geometry_covers_point, segment_rect, stop_if,
-    Feature, FeatureSink, Features, Target,
+    Feature, Features, RunSink, Target, RUN,
 };
 use mduck_geo::geometry::GeomData;
 use mduck_geo::point::{Point, Rect};
@@ -34,14 +35,33 @@ pub struct TGeomPoint {
 /// The positions of a [`TGeomPoint`] over time: a [`Temporal<Point>`], its
 /// spatial extent and the largest magnitude of its coordinates, computed
 /// once when the value is built (MEOS keeps the bounding box in the
-/// temporal header). It is read-only — it derefs to the temporal value and
-/// gives no mutable access — so both always describe the instants they
-/// were computed from.
-#[derive(Debug, Clone, PartialEq)]
+/// temporal header), and a box per run of [`RUN`] segments, computed the
+/// first time a kernel walks the runs. It is read-only — it derefs to the
+/// temporal value and gives no mutable access — so all of them always
+/// describe the instants they were computed from. The run boxes are
+/// derived data: no part of equality, `Debug` or the serialized value.
+#[derive(Clone)]
 pub struct Positions {
     temp: Temporal<Point>,
     extent: Rect,
     magnitude: f64,
+    runs: OnceLock<Box<[RunBox]>>,
+}
+
+impl PartialEq for Positions {
+    fn eq(&self, other: &Self) -> bool {
+        (&self.temp, self.extent, self.magnitude) == (&other.temp, other.extent, other.magnitude)
+    }
+}
+
+impl std::fmt::Debug for Positions {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Positions")
+            .field("temp", &self.temp)
+            .field("extent", &self.extent)
+            .field("magnitude", &self.magnitude)
+            .finish()
+    }
 }
 
 impl Positions {
@@ -52,7 +72,38 @@ impl Positions {
             extent.expand_to(i.value);
             magnitude = magnitude.max(algorithms::magnitude(i.value));
         }
-        Positions { temp, extent, magnitude }
+        Positions { temp, extent, magnitude, runs: OnceLock::new() }
+    }
+
+    /// The run boxes of sequence `seq` ([`run_boxes`], read with
+    /// [`Self::run_rect`]); those of every sequence are built on first use.
+    fn run_boxes(&self, seq: usize) -> &[RunBox] {
+        let boxes = self.runs.get_or_init(|| run_boxes(&self.temp, self.extent));
+        let seqs = match &self.temp {
+            Temporal::Instant(_) => return boxes,
+            Temporal::Sequence(s) => std::slice::from_ref(s),
+            Temporal::SequenceSet(ss) => &ss.sequences[..],
+        };
+        let start: usize = seqs[..seq].iter().map(|s| run_count(s.instants().len())).sum();
+        &boxes[start..start + run_count(seqs[seq].instants().len())]
+    }
+
+    /// The box a [`RunBox`] stands for. When the magnitude is not finite,
+    /// a coordinate may be NaN, which no box holds: then it is the whole
+    /// plane.
+    fn run_rect(&self, b: RunBox) -> Rect {
+        if !self.magnitude.is_finite() {
+            return Rect::new(f64::NEG_INFINITY, f64::NEG_INFINITY, f64::INFINITY, f64::INFINITY);
+        }
+        let e = &self.extent;
+        let (x, y) = (Steps::new(e.xmin, e.xmax), Steps::new(e.ymin, e.ymax));
+        Rect { xmin: x.at(b[0]), ymin: y.at(b[1]), xmax: x.at(b[2]), ymax: y.at(b[3]) }
+    }
+
+    /// How far a position interpolated between two others may round
+    /// outside their box: 2.5 ulps of their magnitude, rounded up.
+    fn interpolation_slack(&self) -> f64 {
+        4.0 * f64::EPSILON * self.magnitude * (1.0 + 4.0 * f64::EPSILON)
     }
 
     /// The smallest rectangle holding every position.
@@ -64,6 +115,91 @@ impl Positions {
     /// coordinate is NaN (see [`algorithms::magnitude`]).
     pub fn magnitude(&self) -> f64 {
         self.magnitude
+    }
+}
+
+/// The runs of a sequence of `n` instants: run `r` holds its instants
+/// `r·RUN ..= (r + 1)·RUN` (the last run fewer), and a sequence of one
+/// instant has one run.
+fn run_count(n: usize) -> usize {
+    if n <= 1 {
+        1
+    } else {
+        (n - 2) / RUN + 1
+    }
+}
+
+/// The box of a run, as steps of 1/255 of the value's extent on each
+/// axis: `[xmin, ymin, xmax, ymax]`, each side rounded outward
+/// ([`Steps`]).
+type RunBox = [u8; 4];
+
+/// The box of every run of every sequence of `temp` (one for an instant
+/// value), in order, each holding its run. `extent` is that of `temp`.
+fn run_boxes(temp: &Temporal<Point>, extent: Rect) -> Box<[RunBox]> {
+    let seqs = temp.as_sequences();
+    let count = seqs.iter().map(|s| run_count(s.instants().len())).sum();
+    let (x, y) = (Steps::new(extent.xmin, extent.xmax), Steps::new(extent.ymin, extent.ymax));
+    let mut boxes = Vec::with_capacity(count);
+    for s in seqs.iter() {
+        let (instants, n) = (s.instants(), s.instants().len());
+        for r in 0..run_count(n) {
+            let run = &instants[r * RUN..=((r + 1) * RUN).min(n - 1)];
+            let mut rect = Rect::from_point(run[0].value);
+            for i in &run[1..] {
+                rect.expand_to(i.value);
+            }
+            boxes.push([x.below(rect.xmin), y.below(rect.ymin), x.above(rect.xmax), y.above(rect.ymax)]);
+        }
+    }
+    boxes.into_boxed_slice()
+}
+
+/// 256 steps from `lo` to `hi` on one axis: step `q` lies at
+/// `lo + (hi - lo)·q/255`, and exactly at `lo` and `hi` at the ends.
+#[derive(Clone, Copy)]
+struct Steps {
+    lo: f64,
+    hi: f64,
+    /// Steps per unit.
+    per: f64,
+}
+
+impl Steps {
+    fn new(lo: f64, hi: f64) -> Steps {
+        Steps { lo, hi, per: 255.0 / (hi - lo) }
+    }
+
+    /// The coordinate of step `q`.
+    fn at(self, q: u8) -> f64 {
+        match q {
+            0 => self.lo,
+            255 => self.hi,
+            _ => self.lo + (self.hi - self.lo) * (f64::from(q) * (1.0 / 255.0)),
+        }
+    }
+
+    /// The nearest step to `v`, give or take one, for `lo <= v <= hi`.
+    fn guess(self, v: f64) -> f64 {
+        (v - self.lo) * self.per
+    }
+
+    /// The last step at or below `v`, for `lo <= v <= hi`.
+    fn below(self, v: f64) -> u8 {
+        let mut q = self.guess(v) as u8;
+        while q > 0 && self.at(q) > v {
+            q -= 1;
+        }
+        q
+    }
+
+    /// The first step at or above `v`, for `lo <= v <= hi`.
+    fn above(self, v: f64) -> u8 {
+        let mut q = self.guess(v).ceil() as u8;
+        while q < 255 && self.at(q) < v {
+            q += 1;
+        }
+        q
     }
 }
 
@@ -723,31 +859,45 @@ impl Features for During<'_> {
         ControlFlow::Continue(())
     }
 
-    fn visit_features(&self, sink: &mut impl FeatureSink) -> ControlFlow<()> {
+    /// The runs are those of the sequences (`Window::runs`), with their
+    /// cached boxes; in a window, each box is grown by the few ulps by
+    /// which the positions it interpolates at its bounds may round outside
+    /// it. A skipped run is passed over whole: the walk resumes from its
+    /// last position.
+    fn visit_runs(&self, sink: &mut impl RunSink) -> ControlFlow<()> {
+        let grow = self.period.map_or(0.0, |_| self.positions.interpolation_slack());
         for w in self.windows() {
-            let instants = w.instants();
-            if !w.is_line() {
-                for i in instants {
-                    sink.feature(Feature::Vertex(i.value))?;
-                    sink.feature(Feature::Bare(i.value))?;
+            let boxes = self.positions.run_boxes(w.sequence());
+            let line = w.is_line();
+            let (mut prev, mut moved, mut skipped): (Option<Point>, bool, bool) =
+                (None, false, false);
+            for run in w.runs(RUN) {
+                if !sink.run(&self.positions.run_rect(boxes[run.index]).expand_by(grow)) {
+                    skipped = true;
+                    prev = run.last().map(|i| i.value).or(prev);
+                    continue;
                 }
-                continue;
-            }
-            let (mut prev, mut moved): (Option<Point>, bool) = (None, false);
-            for i in instants {
-                let p = i.value;
-                match prev.replace(p) {
-                    None => sink.feature(Feature::Vertex(p))?,
-                    Some(q) if q == p => {}
-                    Some(q) => {
-                        moved = true;
+                for i in run.instants() {
+                    let p = i.value;
+                    if !line {
                         sink.feature(Feature::Vertex(p))?;
-                        sink.feature(Feature::Segment(q, p))?;
+                        sink.feature(Feature::Bare(p))?;
+                        continue;
+                    }
+                    match prev.replace(p) {
+                        None => sink.feature(Feature::Vertex(p))?,
+                        Some(q) if q == p => {}
+                        Some(q) => {
+                            moved = true;
+                            sink.feature(Feature::Vertex(p))?;
+                            sink.feature(Feature::Segment(q, p))?;
+                        }
                     }
                 }
             }
-            // A line that never moves is a bare point.
-            if let (Some(p), false) = (prev, moved) {
+            // A line that never moves is a bare point. It lies in every
+            // run's box, so a skipped run covers it.
+            if let (Some(p), true, false, false) = (prev, line, moved, skipped) {
                 sink.feature(Feature::Bare(p))?;
             }
         }
@@ -761,12 +911,7 @@ impl Features for During<'_> {
         let extent = self.positions.extent();
         match self.period {
             None => Some((extent, true)),
-            Some(_) => {
-                // A position interpolated between two others rounds to
-                // within 2.5 ulps of their magnitude outside their box.
-                let m = self.positions.magnitude() * (1.0 + 4.0 * f64::EPSILON);
-                Some((extent.expand_by(4.0 * f64::EPSILON * m), false))
-            }
+            Some(_) => Some((extent.expand_by(self.positions.interpolation_slack()), false)),
         }
     }
 }

@@ -730,8 +730,9 @@ pub struct ProfiledQuery {
     /// Flattened (preorder) per-operator actuals of the join/scan tree,
     /// followed by those of each CTE body.
     pub operators: Vec<OpBreakdown>,
-    /// Post-join stage actuals (aggregate, projection, order_by, ...) of
-    /// the top-level plan.
+    /// Post-join stage actuals (aggregate, projection, order_by, ...),
+    /// summed per stage over every block: the main one, its CTE bodies and
+    /// its FROM subqueries.
     pub stages: Vec<StageBreakdown>,
     /// End-to-end execution wall time.
     pub total_ms: f64,

@@ -2020,32 +2020,37 @@ fn aggregate(
         // Fold one morsel's evaluated columns into the group table, row
         // by row.
         |(len, key_cols, arg_cols)| {
-            let mut key = Vec::new();
+            let (mut key, mut args) = (Vec::new(), Vec::new());
             for i in 0..len {
-                key.clear();
-                let mut keys = Vec::with_capacity(key_cols.len());
-                for kc in &key_cols {
-                    let v = kc.get(i);
-                    v.hash_key(&mut key);
-                    keys.push(v);
-                }
-                let gi = match index.get(&key) {
-                    Some(&gi) => gi,
-                    None => {
-                        let bytes = 64
-                            + key.len() as u64
-                            + keys.iter().map(Value::approx_bytes).sum::<u64>()
-                            + nstates * 48;
-                        guard.charge_mem(bytes)?;
-                        table_bytes += bytes;
-                        index.insert(key.clone(), groups.len());
-                        groups.push(make_group(keys));
-                        groups.len() - 1
+                // Without GROUP BY, every row after the first folds into
+                // the one group: no key to hash or look up.
+                let gi = if key_cols.is_empty() && !groups.is_empty() {
+                    0
+                } else {
+                    key.clear();
+                    for kc in &key_cols {
+                        kc.get(i).hash_key(&mut key);
+                    }
+                    match index.get(&key) {
+                        Some(&gi) => gi,
+                        None => {
+                            let keys: Vec<Value> = key_cols.iter().map(|kc| kc.get(i)).collect();
+                            let bytes = 64
+                                + key.len() as u64
+                                + keys.iter().map(Value::approx_bytes).sum::<u64>()
+                                + nstates * 48;
+                            guard.charge_mem(bytes)?;
+                            table_bytes += bytes;
+                            index.insert(key.clone(), groups.len());
+                            groups.push(make_group(keys));
+                            groups.len() - 1
+                        }
                     }
                 };
                 let group = &mut groups[gi];
                 for (ai, cols) in arg_cols.iter().enumerate() {
-                    let args: Vec<Value> = cols.iter().map(|c| c.get(i)).collect();
+                    args.clear();
+                    args.extend(cols.iter().map(|c| c.get(i)));
                     if let Some(seen) = &mut group.distinct_seen[ai] {
                         let mut akey = Vec::new();
                         for a in &args {

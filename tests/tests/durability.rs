@@ -541,18 +541,26 @@ fn ext_values_roundtrip_through_wal_and_checkpoint() {
 /// bulk-build partitions at the child's auto thread count of 4) without
 /// starting a pool thread. The check runs in a child process of its own,
 /// where no other test can start one.
+/// The child's output is captured, so its test lines cannot interleave
+/// with the parent's; it is shown when the child fails.
 #[test]
 fn recovery_builds_indexes_on_the_database_threads() {
     const CHILD: &str = "MDUCK_TEST_RECOVERY_THREADS_CHILD";
     const NAME: &str = "recovery_builds_indexes_on_the_database_threads";
     if std::env::var_os(CHILD).is_none() {
-        let status = std::process::Command::new(std::env::current_exe().expect("test binary"))
+        let out = std::process::Command::new(std::env::current_exe().expect("test binary"))
             .args(["--exact", NAME, "--test-threads", "1"])
             .env(CHILD, "1")
             .env("MDUCK_THREADS", "4")
-            .status()
+            .output()
             .expect("run the test binary again");
-        assert!(status.success(), "the child run failed: {status}");
+        assert!(
+            out.status.success(),
+            "the child run failed: {}\n{}{}",
+            out.status,
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
         return;
     }
     let path = wal_path("recovery_threads");

@@ -127,6 +127,45 @@ fn inexact_and_distinct_aggregates_match_serial() {
     }
 }
 
+/// Aggregates without GROUP BY fold every row into their one group: on
+/// empty and non-empty input, with `count(*)`, `sum` and a DISTINCT
+/// argument, at 1 and 4 threads, byte-identical to each other and to the
+/// row engine. An empty input still yields the one row of a global
+/// aggregate.
+#[test]
+fn ungrouped_aggregates_match_serial_and_the_row_engine() {
+    let (db, rdb) = (Database::new(), RowDatabase::new());
+    for sql in [
+        "CREATE TABLE u(x INTEGER, y DOUBLE)",
+        "CREATE TABLE e(x INTEGER, y DOUBLE)",
+        "INSERT INTO u SELECT a % 37, 0.1 * (a % 11) FROM generate_series(1, 5000) s(a)",
+    ] {
+        db.execute(sql).unwrap();
+        rdb.execute(sql).unwrap();
+    }
+    for table in ["u", "e"] {
+        for select in [
+            "count(*)",
+            "sum(x), sum(y)",
+            "count(DISTINCT x), count(DISTINCT y)",
+            "count(*), sum(DISTINCT x), min(y), max(y)",
+        ] {
+            for filter in ["", " WHERE x > 30"] {
+                let sql = format!("SELECT {select} FROM {table}{filter}");
+                db.set_threads(1);
+                let serial = db.execute(&sql).unwrap();
+                db.set_threads(PARALLEL_THREADS);
+                let parallel = db.execute(&sql).unwrap();
+                let row = rdb.execute(&sql).unwrap_or_else(|e| panic!("rowdb: {e}\n{sql}"));
+                assert_eq!(serial.rows.len(), 1, "{sql}");
+                let serial = format!("{:?}", serial.rows);
+                assert_eq!(serial, format!("{:?}", parallel.rows), "parallel differs on {sql}");
+                assert_eq!(serial, format!("{:?}", row.rows), "vs rowdb\n{sql}");
+            }
+        }
+    }
+}
+
 /// Stages that must not fan out although a worker pool is configured: a
 /// correlated subquery's body (its scan with a fused filter, a Filter
 /// above a join, a projection, GROUP BYs with and without DISTINCT), and
@@ -257,17 +296,25 @@ fn q5_projection_fans_out_over_row_ranges() {
 /// A database at `threads = 1` never touches the worker pool: all 17
 /// BerlinMOD queries run without starting a pool thread. The check runs
 /// in a child process of its own, where no other test can start one.
+/// The child's output is captured, so its test lines cannot interleave
+/// with the parent's; it is shown when the child fails.
 #[test]
 fn serial_database_starts_no_pool_thread() {
     const CHILD: &str = "MDUCK_TEST_SERIAL_POOL_CHILD";
     if std::env::var_os(CHILD).is_none() {
-        let status = std::process::Command::new(std::env::current_exe().expect("test binary"))
+        let out = std::process::Command::new(std::env::current_exe().expect("test binary"))
             .args(["--exact", "serial_database_starts_no_pool_thread", "--test-threads", "1"])
             .env(CHILD, "1")
             .env("MDUCK_THREADS", "1")
-            .status()
+            .output()
             .expect("run the test binary again");
-        assert!(status.success(), "the child run failed: {status}");
+        assert!(
+            out.status.success(),
+            "the child run failed: {}\n{}{}",
+            out.status,
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
         return;
     }
     let (vdb, _) = berlinmod_envs();

@@ -632,3 +632,225 @@ fn a_stationary_trip_part_meets_a_bare_point() {
     assert!(before::features_intersect(&t.trajectory(), &g));
     assert!(intersects(&t.trajectory(), &g));
 }
+
+// ------------------------------------------- kernel pins: run-box skipping
+/// Segments per run box of the feature walk (`algorithms::RUN`).
+const RUN: usize = mduck_geo::algorithms::RUN;
+
+/// A random walk of `n` vertices (steps of a few units, so that run boxes
+/// are small beside the whole path); a fifth of them repeat the previous
+/// vertex.
+fn gen_walk(rng: &mut StdRng, scale: u32, n: usize) -> Vec<Point> {
+    let mut p = Point::new(gen_coord(rng, scale), gen_coord(rng, scale));
+    (0..n)
+        .map(|_| {
+            if rng.random_range(0u32..5) != 0 {
+                p = Point::new(p.x + gen_coord(rng, 0) * 0.5, p.y + gen_coord(rng, 0) * 0.5);
+            }
+            p
+        })
+        .collect()
+}
+
+/// A trip of at least three runs along a walk, one second per vertex:
+/// linear (sometimes stepwise or discrete), sometimes a sequence set, and
+/// (in optimized builds) sometimes with one vertex at a NaN or ±1e200
+/// coordinate.
+fn gen_long_trip(rng: &mut StdRng, scale: u32) -> mduck_temporal::temporal::TGeomPoint {
+    use mduck_temporal::temporal::{Interp, TGeomPoint, TInstant, TSequence, Temporal};
+    use mduck_temporal::TimestampTz;
+    let n = rng.random_range(3 * RUN + 1..10 * RUN);
+    let mut path = gen_walk(rng, scale, n);
+    // Point arithmetic asserts against NaN in debug builds, and squares
+    // of 1e200 overflow into NaN there, so these are drawn only in
+    // optimized builds.
+    if !cfg!(debug_assertions) && rng.random_range(0u32..10) == 0 {
+        let k = rng.random_range(0..path.len());
+        let odd = [f64::NAN, 1e200, -1e200][rng.random_range(0usize..3)];
+        if rng.random_bool(0.5) {
+            path[k].x = odd;
+        } else {
+            path[k].y = odd;
+        }
+    }
+    let interp = [Interp::Linear, Interp::Linear, Interp::Linear, Interp::Step, Interp::Discrete]
+        [rng.random_range(0usize..5)];
+    let instants: Vec<TInstant<Point>> = path
+        .into_iter()
+        .enumerate()
+        .map(|(i, p)| TInstant::new(p, TimestampTz(1_700_000_000_000_000 + i as i64 * 1_000_000)))
+        .collect();
+    let cuts = if interp == Interp::Discrete { 0 } else { rng.random_range(0usize..3) };
+    let mut bounds: Vec<usize> =
+        (0..cuts).map(|_| rng.random_range(1..instants.len() - 1)).collect();
+    bounds.sort_unstable();
+    bounds.dedup();
+    let mut seqs = Vec::new();
+    let mut from = 0;
+    for to in bounds.into_iter().chain([instants.len()]) {
+        let last = to == instants.len();
+        seqs.push(TSequence::new(instants[from..to].to_vec(), true, last, interp).unwrap());
+        from = to;
+    }
+    TGeomPoint::new(Temporal::from_sequences(seqs).unwrap(), 0)
+}
+
+/// A point on an edge of the box of one of `path`'s runs (vertices
+/// `r·RUN ..= (r + 1)·RUN`): at a run's extreme vertex, or at its box's
+/// corner, or where a run's first segment leaves that vertex.
+fn gen_run_edge_point(rng: &mut StdRng, path: &[Point]) -> Point {
+    let r = rng.random_range(0..path.len().div_ceil(RUN));
+    let run = &path[(r * RUN).min(path.len() - 1)..path.len().min((r + 1) * RUN + 1)];
+    let xmax = run.iter().copied().max_by(|a, b| a.x.total_cmp(&b.x)).unwrap();
+    let ymin = run.iter().copied().min_by(|a, b| a.y.total_cmp(&b.y)).unwrap();
+    match (rng.random_range(0u32..3), run) {
+        (0, _) => xmax,
+        (1, _) => Point::new(xmax.x, ymin.y),
+        (_, [p, q, ..]) => Point::new(p.x + (q.x - p.x) * 0.25, p.y + (q.y - p.y) * 0.25),
+        _ => ymin,
+    }
+}
+
+/// A target for a long trip: a point on its path, on a run box's edge or
+/// off it; a small region around one of its vertices; crossing traces;
+/// any kernel geometry. (The test adds segments collinear with the
+/// trip's.)
+fn gen_run_target(rng: &mut StdRng, scale: u32, path: &[Point]) -> Geometry {
+    let vertex = |rng: &mut StdRng| path[rng.random_range(0..path.len())];
+    match rng.random_range(0u32..7) {
+        0 => Geometry::from_point(vertex(rng)),
+        1 | 2 => Geometry::from_point(gen_run_edge_point(rng, path)),
+        3 => {
+            let p = vertex(rng);
+            let r = rng.random_range(1i64..6) as f64 * 0.5;
+            let c = |sx: f64, sy: f64| Point::new(p.x + sx * r, p.y + sy * r);
+            let ring = vec![c(-1.0, -1.0), c(1.0, -1.0), c(1.0, 1.0), c(-1.0, 1.0), c(-1.0, -1.0)];
+            Geometry::polygon(vec![ring]).unwrap_or_else(|_| Geometry::from_point(p))
+        }
+        4 => gen_traces(rng, scale),
+        5 => Geometry::from_point(Point::new(gen_coord(rng, scale), gen_coord(rng, scale))),
+        _ => gen_kernel_geometry(rng, scale, 0),
+    }
+}
+
+/// `intersects`, `eIntersects`, `distance` and `eDwithin` over trips of
+/// three runs or more, whole and cut by windows inside their runs, against
+/// the exhaustive references over the built trajectory: skipping a run by
+/// its box, or a pair of runs in the best-first `distance`, changes no
+/// answer and no bit.
+#[test]
+fn run_skipping_kernels_match_the_exhaustive_references() {
+    use mduck_geo::algorithms::Features;
+    use mduck_temporal::{TimestampTz, TstzSpan};
+    let mut rng = StdRng::seed_from_u64(0x9e0_000b);
+    let (mut met, mut near_miss) = (0, 0);
+    for _ in 0..CASES * 4 {
+        let scale = rng.random_range(0u32..3);
+        let t = gen_long_trip(&mut rng, scale);
+        let traj = t.trajectory();
+        let mut path = Vec::new();
+        let _ = traj.visit_points(&mut |p| {
+            path.push(p);
+            std::ops::ControlFlow::Continue(())
+        });
+        let g = if rng.random_range(0u32..5) == 0 {
+            gen_collinear_partner(&mut rng, &traj)
+        } else {
+            gen_run_target(&mut rng, scale, &path)
+        };
+        let ctx = || format!("{} vs {}", t.as_text(), wkt::to_wkt(&g, None));
+        let want = before::features_intersect(&traj, &g);
+        assert_eq!(t.eintersects(&g), want, "eIntersects {}", ctx());
+        assert_eq!(intersects(&traj, &g), want, "{}", ctx());
+        assert_eq!(intersects(&g, &traj), want, "{}", ctx());
+        met += usize::from(want);
+        let d = reference_distance(&traj, &g);
+        for got in [distance(&traj, &g), distance(&g, &traj)] {
+            assert_eq!(got.to_bits(), d.to_bits(), "distance {got} vs {d} {}", ctx());
+        }
+        if d.is_finite() {
+            assert!(t.edwithin_geo(&g, d), "eDwithin at {d} {}", ctx());
+            if d > 0.0 {
+                near_miss += 1;
+                assert!(!t.edwithin_geo(&g, d.next_down()), "eDwithin below {d} {}", ctx());
+            }
+        }
+        // A window whose bounds fall inside segments, cutting runs.
+        let span = t.timespan();
+        let (a, b) = (
+            rng.random_range(span.lower.0..=span.upper.0),
+            rng.random_range(span.lower.0..=span.upper.0),
+        );
+        let (lo, hi) = (TimestampTz(a.min(b)), TimestampTz(a.max(b)));
+        let cut = TstzSpan::new(lo, hi, true, rng.random_bool(0.5) || lo == hi).unwrap();
+        // And the window of the last instant alone, past the last run.
+        let end = TstzSpan::new(span.upper, span.upper, true, true).unwrap();
+        for p in [cut, end] {
+            let windowed = t.during(&p).map(|w| w.eintersects(&g));
+            let restricted =
+                t.at_period(&p).map(|r| before::features_intersect(&r.trajectory(), &g));
+            assert_eq!(windowed, restricted, "{} at {p}", ctx());
+        }
+    }
+    assert!(met > CASES && near_miss > CASES / 2, "{met} met, {near_miss} apart");
+}
+
+/// A window's bound is its extent grown by a few ulps, so a geometry just
+/// off the window's line passes the first box test. A point 1e-300 above
+/// a horizontal segment is at distance 0 from it (the square underflows),
+/// yet its box misses the segment's: the hit must then be settled by the
+/// window's exact box, as `intersects` of the restricted trajectory does.
+/// Every position below is exact in binary, so the point on the line is a
+/// hit.
+#[test]
+fn windowed_hits_outside_the_exact_box_do_not_count() {
+    use mduck_temporal::temporal::parse_tgeompoint;
+    use mduck_temporal::{parse_span, TstzSpan};
+    let t = parse_tgeompoint(
+        "[POINT(0 0)@2000-01-01 00:00:00+00, POINT(8 0)@2000-01-01 00:08:00+00, \
+         POINT(16 0)@2000-01-01 00:16:00+00]",
+    )
+    .unwrap();
+    let p: TstzSpan = parse_span("[2000-01-01 00:02:00+00, 2000-01-01 00:12:00+00]").unwrap();
+    for y in [1e-300, -1e-300, 0.0] {
+        let g = Geometry::point(5.0, y);
+        let windowed = t.during(&p).map(|w| w.eintersects(&g));
+        let restricted = t.at_period(&p).map(|r| intersects(&r.trajectory(), &g));
+        assert_eq!(windowed, restricted, "point at y = {y}");
+        assert_eq!(windowed, Some(y == 0.0), "point at y = {y}");
+    }
+}
+
+/// Query 5's shape: two collections of long routes through one area, so
+/// that most pairs cross and their distance is 0, against the exhaustive
+/// reference.
+#[test]
+fn distance_between_crossing_route_collections_matches_the_reference() {
+    let mut rng = StdRng::seed_from_u64(0x9e0_000c);
+    let mut zero = 0;
+    for _ in 0..CASES {
+        let scale = rng.random_range(0u32..3);
+        let routes = |rng: &mut StdRng| {
+            let lines = (0..rng.random_range(1usize..6))
+                .map(|_| {
+                    let n = rng.random_range(2 * RUN..8 * RUN);
+                    gen_walk(rng, scale, n)
+                })
+                .collect();
+            Geometry::multilinestring(lines)
+        };
+        let (a, b) = (routes(&mut rng), routes(&mut rng));
+        let want = reference_distance(&a, &b);
+        for got in [distance(&a, &b), distance(&b, &a)] {
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "distance {got} vs reference {want}\n{}\n{}",
+                wkt::to_wkt(&a, None),
+                wkt::to_wkt(&b, None)
+            );
+        }
+        zero += usize::from(want == 0.0);
+    }
+    assert!(zero > CASES / 2 && zero < CASES, "{zero} of {CASES} at distance 0");
+}

@@ -958,6 +958,69 @@ fn windowed_eintersects_and_length_match_attime_then_the_kernel() {
     assert!(met > CASES && empty > CASES / 4, "{met} met, {empty} empty");
 }
 
+/// A moving point of three runs or more (`algorithms::RUN` segments per
+/// run): a walk on the grid or continuous, a fifth of its instants
+/// repeating the previous position, sometimes a sequence set.
+fn gen_long_moving(rng: &mut StdRng, grid: bool) -> TGeomPoint {
+    let base = 1_700_000_000_000_000i64;
+    let n = rng.random_range(3 * mduck_geo::algorithms::RUN + 1..100);
+    let mut p = gen_xy(rng, grid);
+    let instants: Vec<TInstant<mduck_geo::Point>> = (0..n)
+        .map(|i| {
+            if rng.random_range(0u32..5) != 0 {
+                let d = gen_xy(rng, grid);
+                p = mduck_geo::Point::new(p.x + d.x * 0.5, p.y + d.y * 0.5);
+            }
+            TInstant::new(p, TimestampTz(base + i as i64 * 1_000_000))
+        })
+        .collect();
+    let interp = [Interp::Linear, Interp::Linear, Interp::Step][rng.random_range(0usize..3)];
+    let seqs = if rng.random_bool(0.5) {
+        vec![TSequence::new(instants, true, true, interp).unwrap()]
+    } else {
+        let cut = rng.random_range(1..n - 1);
+        vec![
+            TSequence::new(instants[..cut].to_vec(), true, false, interp).unwrap(),
+            TSequence::new(instants[cut..].to_vec(), true, true, interp).unwrap(),
+        ]
+    };
+    TGeomPoint::new(Temporal::from_sequences(seqs).unwrap(), 0)
+}
+
+/// `eIntersects` and `eDwithin` over trips of three runs or more, whole
+/// and in windows whose bounds fall between instants (cutting runs), read
+/// through the cached run boxes, against `atTime` and the kernels over
+/// the built trajectory, which build each run's box as they walk.
+#[test]
+fn run_boxes_of_long_trips_match_the_built_trajectory() {
+    use mduck_geo::algorithms::{distance, intersects};
+    let mut rng = StdRng::seed_from_u64(0x5ea_0010);
+    let mut met = 0;
+    for _ in 0..CASES * 2 {
+        let grid = rng.random_bool(0.6);
+        let t = gen_long_moving(&mut rng, grid);
+        let g = gen_static(&mut rng, grid, &t);
+        let traj = t.trajectory();
+        let ctx = || format!("{} vs {}", t.as_text(), mduck_geo::wkt::to_wkt(&g, None));
+        let want = intersects(&traj, &g);
+        assert_eq!(t.eintersects(&g), want, "{}", ctx());
+        met += usize::from(want);
+        let d = distance(&traj, &g);
+        assert!(t.edwithin_geo(&g, d), "{}", ctx());
+        if d > 0.0 {
+            assert!(!t.edwithin_geo(&g, d.next_down()), "{}", ctx());
+        }
+        let span = t.timespan();
+        let lo = rng.random_range(span.lower.0..=span.upper.0);
+        let hi = rng.random_range(lo..=span.upper.0);
+        let p = TstzSpan::new(TimestampTz(lo), TimestampTz(hi), true, true).unwrap();
+        let windowed = t.during(&p).map(|w| w.eintersects(&g));
+        let restricted = before::at_period(&t, &p).map(|r| intersects(&r.trajectory(), &g));
+        assert_eq!(windowed, restricted, "{} at {p}", ctx());
+    }
+    assert!(met > CASES / 2, "{met} met");
+}
+
 #[test]
 fn tdwithin_when_true_and_edwithin_match_the_synchronized_composition() {
     let mut rng = StdRng::seed_from_u64(0x5ea_000e);
